@@ -1,5 +1,5 @@
 (* aig-window: parse -> Aig_opt.optimize (default config) -> write over
-   a seeded random AIG of random_medium.aag's shape. *)
+   seeded random AIGs of 250 gates and 48 inputs. *)
 
 module Aig = Logic_network.Aig
 module Aiger = Logic_network.Aiger
@@ -10,11 +10,14 @@ module Aig_opt = Synth.Aig_opt
 
 let n_inputs = 48
 
-let n_gates = 2000
+(* Small AIGs, so that a run has enough of them for a steady median and
+   tail and each is short enough for the probes around it to catch the
+   host's speed. Each still has about a hundred windows. *)
+let n_gates = 250
 
 (* One AIG of this shape takes about [round_seconds] on a 2-core
    x86-64 host. *)
-let round_seconds = 21.0
+let round_seconds = 1.25
 
 let inputs (ctx : Report.ctx) =
   let rounds = Report.rounds ctx ~round_seconds in
@@ -29,16 +32,16 @@ type pass = {
   stats : Aig_opt.stats list;
   ledger : Ledger.t;
   counters : Counters.t;
-  wall : float;
+  wall : float;  (** the items' summed raw wall, probes excluded *)
+  factors : float array;  (** per-item host speed factors *)
 }
 
 let run_pass ?(trace = Trace.disabled) inputs =
   let ledger = Ledger.create () in
   let counters = Counters.create () in
   let stats = ref [] in
-  let t0 = Ledger.now () in
-  let outputs =
-    Array.map
+  let outputs, factors =
+    Calibrate.bracket
       (fun bytes ->
         let id, close = Ledger.root ledger "item" in
         let time name f = Ledger.time ledger ~parent:id name f in
@@ -58,8 +61,8 @@ let run_pass ?(trace = Trace.disabled) inputs =
         result)
       inputs
   in
-  let wall = Ledger.now () -. t0 in
-  { outputs; stats = List.rev !stats; ledger; counters; wall }
+  let wall = Ledger.total ledger "item" in
+  { outputs; stats = List.rev !stats; ledger; counters; wall; factors }
 
 let warm_up () =
   let aig =
@@ -142,12 +145,17 @@ let run (ctx : Report.ctx) =
     inputs;
   Printf.printf "aig-window: %d AIGs of %d gates, checks: %s\n"
     (Array.length inputs) n_gates (Check.summary tally);
+  let raw_latencies = Ledger.durations plain.ledger "item" in
+  let latencies = Calibrate.at_nominal ~factors:plain.factors raw_latencies in
   let totals =
     {
       Report.items = Array.length inputs;
       failed = tally.Check.failed;
-      wall = plain.wall;
-      latencies = Ledger.durations plain.ledger "item";
+      wall = Report.sum latencies;
+      raw_wall = plain.wall;
+      speed_factor = Calibrate.mean plain.factors;
+      latencies;
+      raw_latencies;
       lits_in = !lits_in;
       gates_in = !gates_in;
       lits_out = !lits_out;
@@ -202,7 +210,12 @@ let run (ctx : Report.ctx) =
           Names.outcomes
       @ [
           ("ledger.unaccounted_share", Report.ratio (p.wall -. layer_s) p.wall);
-          ("trace.overhead_ratio", Report.ratio p.wall plain.wall);
+          ( "trace.overhead_ratio",
+            Report.ratio
+              (Report.sum
+                 (Calibrate.at_nominal ~factors:p.factors
+                    (Ledger.durations p.ledger "item")))
+              (Report.sum latencies) );
         ]
     in
     let mismatches =

@@ -17,7 +17,9 @@ module Protocol = Rar_service.Protocol
 module Client = Rar_service.Server.Client
 
 (* Closed loop: each client waits for its reply before sending again.
-   Two clients, one per core of a 2-core host. *)
+   Two clients, as many as a 2-core host has cores. run.py pins the
+   benchmark, the daemon and the clients to one CPU, so the probes
+   measure the CPU they all run on. *)
 let clients = 2
 
 let methods = [ "resub"; "resub-k" ]
@@ -33,16 +35,17 @@ let pool_rows = [ "9sym"; "b9"; "c8"; "f51m"; "alu2"; "frg1"; "term1"; "ttt2" ]
    runs. *)
 let copies = 8
 
-(* A round is [segments] segments of [circuits_per_segment] circuits,
-   each served by a fresh daemon. A segment's six circuits fit the
-   daemon's warm store of parsed networks (8), so hits take the warm
-   path, and each daemon start is one set-up sample. A round takes
+(* A round is one segment of [circuits_per_segment] circuits, served
+   by a fresh daemon. A segment's three circuits fit the daemon's warm
+   store of parsed networks (8), so hits take the warm path; each
+   daemon start is one set-up sample, and each segment is one item for
+   the host-speed probes ([Calibrate]). Segments of six circuits
+   spread throughput by 7-10% over ten seeds; three, about 2 s each,
+   let the probes follow the host's speed more closely. A round takes
    about [round_seconds] on a 2-core x86-64 host. *)
-let segments = 5
+let circuits_per_segment = 3
 
-let circuits_per_segment = 6
-
-let round_seconds = 20.0
+let round_seconds = 2.0
 
 type request = {
   circuit : int;
@@ -59,7 +62,7 @@ type reply = {
 let workload (ctx : Report.ctx) =
   let rounds = Report.rounds ctx ~round_seconds in
   let rng = Random.State.make [| ctx.seed; 0xd43 |] in
-  let n = rounds * segments * circuits_per_segment in
+  let n = rounds * circuits_per_segment in
   let blifs =
     Array.init n (fun i ->
         let name = List.nth pool_rows (i mod List.length pool_rows) in
@@ -96,7 +99,7 @@ let workload (ctx : Report.ctx) =
         { circuit; meth; first; warm })
       stream
   in
-  (blifs, List.init (rounds * segments) segment)
+  (blifs, List.init rounds segment)
 
 (* ------------------------------------------------------------------ *)
 (* The daemon process                                                  *)
@@ -245,37 +248,61 @@ let run_segment ctx ?trace ?(workers = Some 1) ledger name blifs requests =
 type pass = {
   replies : reply array;  (** in the order of the concatenated segments *)
   ledger : Ledger.t;
-  wall : float;  (** summed over segments *)
-  segment_walls : float list;
+  wall : float;  (** raw, summed over segments *)
+  segment_walls : float array;  (** raw *)
+  factors : float array;  (** per-segment host speed factors *)
+  request_factors : float array;  (** each request's segment's factor *)
   rss_mb : float;  (** the largest of the segments' daemons *)
-  setups : float list;
+  setups : float list;  (** daemon start-up seconds at nominal speed *)
   traces : string list;
 }
 
+(* The segments in order, each bracketed by calibration probes taken
+   while no daemon or client runs. *)
 let run_pass ctx ~traced blifs segments =
   let ledger = Ledger.create () in
-  let runs =
-    List.mapi
-      (fun k requests ->
-        let name = Printf.sprintf "rarsubd-%s%d" (if traced then "t" else "") k in
-        let trace =
-          if traced then
-            Some (Filename.concat ctx.Report.work_dir (Printf.sprintf "trace-daemon-mix-%d.jsonl" k))
-          else None
-        in
-        (run_segment ctx ?trace ledger name blifs requests, trace))
-      segments
+  let segments = Array.of_list segments in
+  let trace k =
+    if traced then
+      Some
+        (Filename.concat ctx.Report.work_dir
+           (Printf.sprintf "trace-daemon-mix-%d.jsonl" k))
+    else None
   in
-  let walls = List.map (fun ((_, w, _, _), _) -> w) runs in
+  let runs, factors =
+    Calibrate.bracket
+      (fun (k, requests) ->
+        let name = Printf.sprintf "rarsubd-%s%d" (if traced then "t" else "") k in
+        run_segment ctx ?trace:(trace k) ledger name blifs requests)
+      (Array.mapi (fun k requests -> (k, requests)) segments)
+  in
+  let runs = Array.to_list runs in
+  let segment_walls = Array.of_list (List.map (fun (_, w, _, _) -> w) runs) in
   {
-    replies = Array.concat (List.map (fun ((r, _, _, _), _) -> r) runs);
+    replies = Array.concat (List.map (fun (r, _, _, _) -> r) runs);
     ledger;
-    wall = List.fold_left ( +. ) 0.0 walls;
-    segment_walls = walls;
-    rss_mb = List.fold_left (fun m ((_, _, r, _), _) -> Float.max m r) 0.0 runs;
-    setups = List.map (fun ((_, _, _, s), _) -> s) runs;
-    traces = List.filter_map snd runs;
+    wall = Report.sum segment_walls;
+    segment_walls;
+    factors;
+    request_factors =
+      Array.concat
+        (Array.to_list
+           (Array.mapi
+              (fun k seg -> Array.make (Array.length seg) factors.(k))
+              segments));
+    rss_mb = List.fold_left (fun m (_, _, r, _) -> Float.max m r) 0.0 runs;
+    setups =
+      List.map2 (fun (_, _, _, s) f -> s /. f) runs (Array.to_list factors);
+    traces = List.filter_map trace (List.init (Array.length segments) Fun.id);
   }
+
+(* Per-request round trips at nominal host speed: each divided by its
+   segment's factor. *)
+let latencies_at_nominal p =
+  Array.map2 (fun r f -> r.latency /. f) p.replies p.request_factors
+
+(* Segment walls at nominal host speed. *)
+let walls_at_nominal p = Calibrate.at_nominal ~factors:p.factors p.segment_walls
 
 (* ------------------------------------------------------------------ *)
 (* Reading the results                                                 *)
@@ -384,20 +411,26 @@ let run (ctx : Report.ctx) =
   let requests = Array.concat segments in
   let plain = run_pass ctx ~traced:false blifs segments in
   Printf.printf "daemon-mix: segment walls %s s\n"
-    (String.concat " " (List.map (Printf.sprintf "%.3f") plain.segment_walls));
+    (String.concat " "
+       (List.map (Printf.sprintf "%.3f") (Array.to_list plain.segment_walls)));
   let traced_pass =
     if ctx.traced then begin
       let p = run_pass ctx ~traced:true blifs segments in
       Ledger.write p.ledger (Filename.concat ctx.work_dir "spans-daemon-mix.jsonl");
       (* The first segment again on a daemon with its default worker
          count, to keep the cost of that configuration in view. *)
-      let default_replies, default_wall, _, _ =
-        run_segment ctx ~workers:None (Ledger.create ()) "rarsubd-default"
-          blifs (List.hd segments)
+      let default_run, default_factors =
+        Calibrate.bracket
+          (run_segment ctx ~workers:None (Ledger.create ()) "rarsubd-default"
+             blifs)
+          [| List.hd segments |]
       in
+      let default_replies, default_wall, _, _ = default_run.(0) in
       let layers =
         ( "server.default_workers_wall_ratio",
-          Report.ratio default_wall (List.hd plain.segment_walls) )
+          Report.ratio
+            (default_wall /. default_factors.(0))
+            (walls_at_nominal plain).(0) )
         :: server_layers p.traces
       in
       Some (p, layers, default_replies)
@@ -473,8 +506,11 @@ let run (ctx : Report.ctx) =
     {
       Report.items = Array.length requests;
       failed = tally.Check.failed;
-      wall = plain.wall;
-      latencies = Array.map (fun r -> r.latency) plain.replies;
+      wall = Report.sum (walls_at_nominal plain);
+      raw_wall = plain.wall;
+      speed_factor = Calibrate.mean plain.factors;
+      latencies = latencies_at_nominal plain;
+      raw_latencies = Array.map (fun r -> r.latency) plain.replies;
       lits_in = !lits_in;
       gates_in = !gates_in;
       lits_out = !lits_out;
@@ -506,7 +542,7 @@ let run (ctx : Report.ctx) =
       Ledger.median
         (Array.of_list
            (List.filteri (fun k _ -> pred requests.(k))
-              (Array.to_list (Array.map (fun r -> r.latency) p.replies))))
+              (Array.to_list (latencies_at_nominal p))))
     in
     let all = miss_counters requests p in
     let k = miss_counters ~meth:"resub-k" requests p in
@@ -542,7 +578,10 @@ let run (ctx : Report.ctx) =
             Report.ratio
               ((float_of_int clients *. p.wall) -. busy)
               (float_of_int clients *. p.wall) );
-          ("trace.overhead_ratio", Report.ratio p.wall plain.wall);
+          ( "trace.overhead_ratio",
+            Report.ratio
+              (Report.sum (walls_at_nominal p))
+              (Report.sum (walls_at_nominal plain)) );
         ]
     in
     let mismatches =

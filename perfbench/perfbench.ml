@@ -122,8 +122,13 @@ let () =
   List.iter (fun (n, v) -> Printf.printf "exact %s = %d\n" n v) outcome.Report.exact;
   List.iter (fun p -> Printf.printf "FAILED %s\n" p) problems;
   Printf.printf "%s\n" (Report.describe_tail totals);
-  Printf.printf "ledger: timed wall %.3f s over %d items\n" totals.Report.wall
-    totals.Report.items;
+  let raw = Ledger.latency totals.Report.raw_latencies in
+  Printf.printf
+    "ledger: timed wall %.3f s over %d items, %.3f s at nominal host speed \
+     (mean speed factor %.3f); as measured, p50 %.3f ms, tail %.3f ms\n"
+    totals.Report.raw_wall totals.Report.items totals.Report.wall
+    totals.Report.speed_factor (1000.0 *. raw.Ledger.p50)
+    (1000.0 *. raw.Ledger.tail);
   let values =
     if traced then outcome.Report.layers else Report.end_to_end totals
   in

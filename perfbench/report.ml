@@ -17,8 +17,11 @@ type metric = string * float
 type totals = {
   items : int;  (** items attempted in the timed region *)
   failed : int;  (** raised, refused, timed out or failed the check *)
-  wall : float;  (** timed wall seconds *)
-  latencies : float array;  (** per-item wall seconds *)
+  wall : float;  (** timed wall seconds at nominal host speed *)
+  raw_wall : float;  (** timed wall seconds as measured *)
+  speed_factor : float;  (** mean host speed factor ([Calibrate]) *)
+  latencies : float array;  (** per-item wall seconds at nominal speed *)
+  raw_latencies : float array;  (** per-item wall seconds as measured *)
   lits_in : int;  (** factored literals of the inputs *)
   gates_in : int;  (** AIG AND gates of the inputs *)
   lits_out : int;  (** factored literals of the outputs *)
@@ -36,6 +39,8 @@ type outcome = {
 }
 
 let ratio num den = if den = 0.0 then 0.0 else num /. den
+
+let sum = Array.fold_left ( +. ) 0.0
 
 let ratio_int num den = ratio (float_of_int num) (float_of_int den)
 
@@ -81,17 +86,20 @@ let peak_rss_mb pid =
         in
         scan ())
 
-(* Set-up is repeated and its median reported, so one slow start does
-   not move the figure. Returns the last run's value. *)
+(* Set-up is repeated, each time bracketed by host-speed probes, and
+   its median at nominal speed reported, so one slow start does not
+   move the figure. Returns the last run's value. *)
 let repeat_setup times f =
-  let samples = Array.make times 0.0 in
-  let last = ref None in
-  for i = 0 to times - 1 do
-    let t0 = Ledger.now () in
-    last := Some (f ());
-    samples.(i) <- Ledger.now () -. t0
-  done;
-  (Option.get !last, Ledger.median samples)
+  let runs, factors =
+    Calibrate.bracket
+      (fun () ->
+        let t0 = Ledger.now () in
+        let value = f () in
+        (value, Ledger.now () -. t0))
+      (Array.make times ())
+  in
+  ( fst runs.(times - 1),
+    Ledger.median (Calibrate.at_nominal ~factors (Array.map snd runs)) )
 
 (* The core/atpg/sim layer, read through the [Counters.t] that
    [Script.resub_command] fills. [resub_s] is the wall time spent in

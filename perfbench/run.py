@@ -76,9 +76,14 @@ def main():
         "--work-dir", work_dir, "--source-hash", source_hash(),
         "--rarsubd", os.path.join(default, "bin", "rarsubd.exe"),
     ]
-    # Its own process group, so a timeout also stops the daemon it started.
+    # One CPU for the benchmark process, the daemon and the clients, so
+    # that the calibration probes (perfbench/calibrate.ml) run where the
+    # timed work runs. Its own process group, so a timeout also stops
+    # the daemon it started.
+    cpu = max(os.sched_getaffinity(0))
     proc = subprocess.Popen(command, stdout=subprocess.PIPE, text=True,
-                            start_new_session=True)
+                            start_new_session=True,
+                            preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
     try:
         stdout, _ = proc.communicate(timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:

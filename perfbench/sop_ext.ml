@@ -8,15 +8,15 @@ module Counters = Rar_util.Counters
 module Trace = Rar_util.Trace
 module Script = Synth.Script
 
-(* One round: 32 networks drawn with fresh planted seeds from the
-   suite's 9sym-sized profile (the 9sym, b9, c8 and f51m rows). Per
-   circuit, ext time varies by about 30% between seeds, so the round
-   needs many circuits of one size for its throughput and latency
-   percentiles to be steady. A round takes about [round_seconds] on a
-   2-core x86-64 host. *)
-let mix = List.concat (List.init 8 (fun _ -> [ "9sym"; "b9"; "c8"; "f51m" ]))
+(* One round: two networks from each of the suite's 9sym-sized profiles
+   (the 9sym, b9, c8 and f51m rows), drawn with fresh planted seeds. Per
+   circuit, ext time varies by about 30% between seeds, so a run needs
+   many circuits of one size for its throughput and latency percentiles
+   to be steady. A round takes about [round_seconds] on a 2-core x86-64
+   host. *)
+let mix = List.concat (List.init 2 (fun _ -> [ "9sym"; "b9"; "c8"; "f51m" ]))
 
-let round_seconds = 19.0
+let round_seconds = 4.4
 
 let profile name =
   match Bench_suite.Suite.find name with
@@ -37,14 +37,17 @@ let inputs (ctx : Report.ctx) =
     (List.init rounds Fun.id)
   |> Array.of_list
 
-(* One timed pass over the inputs. Returns the output bytes ([None]
-   for an item that raised), the per-pass ledger and counters, the
-   timed wall, and the factored literals handed to resub. *)
+(* One timed pass over the inputs, each item bracketed by calibration
+   probes. Returns the output bytes ([None] for an item that raised),
+   the per-pass ledger and counters, the raw timed wall (the items'
+   summed wall, probes excluded), the items' speed factors, and the
+   factored literals handed to resub. *)
 type pass = {
   outputs : string option array;
   ledger : Ledger.t;
   counters : Counters.t;
   wall : float;
+  factors : float array;
   lits_after_script : int;
 }
 
@@ -52,9 +55,8 @@ let run_pass ?(trace = Trace.disabled) inputs =
   let ledger = Ledger.create () in
   let counters = Counters.create () in
   let lits_after_script = ref 0 in
-  let t0 = Ledger.now () in
-  let outputs =
-    Array.map
+  let outputs, factors =
+    Calibrate.bracket
       (fun bytes ->
         let id, close = Ledger.root ledger "item" in
         let time name f = Ledger.time ledger ~parent:id name f in
@@ -77,8 +79,9 @@ let run_pass ?(trace = Trace.disabled) inputs =
         result)
       inputs
   in
-  let wall = Ledger.now () -. t0 in
-  { outputs; ledger; counters; wall; lits_after_script = !lits_after_script }
+  let wall = Ledger.total ledger "item" in
+  { outputs; ledger; counters; wall; factors;
+    lits_after_script = !lits_after_script }
 
 (* Warm-up for set-up time: the whole path once on a small embedded
    circuit. *)
@@ -131,12 +134,17 @@ let run (ctx : Report.ctx) =
     inputs;
   Printf.printf "sop-ext: %d circuits, checks: %s\n" (Array.length inputs)
     (Check.summary tally);
+  let raw_latencies = Ledger.durations plain.ledger "item" in
+  let latencies = Calibrate.at_nominal ~factors:plain.factors raw_latencies in
   let totals =
     {
       Report.items = Array.length inputs;
       failed = tally.Check.failed;
-      wall = plain.wall;
-      latencies = Ledger.durations plain.ledger "item";
+      wall = Report.sum latencies;
+      raw_wall = plain.wall;
+      speed_factor = Calibrate.mean plain.factors;
+      latencies;
+      raw_latencies;
       lits_in = !lits_in;
       gates_in = !gates_in;
       lits_out = !lits_out;
@@ -170,7 +178,13 @@ let run (ctx : Report.ctx) =
       @ [
           ("ledger.unaccounted_share", Report.ratio (p.wall -. layer_s) p.wall);
           ( "trace.overhead_ratio",
-            Report.ratio (p.wall -. total "bench.count") plain.wall );
+            Report.ratio
+              (Report.sum
+                 (Calibrate.at_nominal ~factors:p.factors
+                    (Array.map2 ( -. )
+                       (Ledger.durations p.ledger "item")
+                       (Ledger.durations p.ledger "bench.count"))))
+              (Report.sum latencies) );
         ]
     in
     let mismatches =
