@@ -1,4 +1,4 @@
-.PHONY: all test bench shardcheck tracecheck memocheck cubeops servicecheck bench-service aigcheck bench-aig dccheck kcheck ci doc clean
+.PHONY: all test bench shardcheck tracecheck cubeops servicecheck bench-service aigcheck bench-aig dccheck kcheck ci doc clean
 
 all:
 	dune build @all
@@ -6,10 +6,11 @@ all:
 test:
 	dune runtest
 
-# Region-scheduler soundness gate: every quick (circuit, method) cell
-# must be byte-identical across jobs in {1, 2, 8} with the division
-# memo on and off, and the per-method literal totals must match the
-# pinned quick-suite figures (245/241/239/235).
+# Scheduler soundness gate: every quick (circuit, method) cell must be
+# byte-identical across jobs in {1, 2, 8, max(4, cores)} with the
+# division memo on and off, the per-method literal totals must match
+# the pinned quick-suite figures (245/241/239/235/238), and the memo
+# must score hits when on and never tick when off.
 shardcheck:
 	dune exec bench/main.exe -- shardcheck quick
 
@@ -18,12 +19,6 @@ shardcheck:
 # the degraded results are still equivalent.
 tracecheck:
 	dune exec bench/main.exe -- tracecheck quick
-
-# Division-memo soundness gate: every quick (circuit, method) cell must
-# be byte-identical with the memo on and off, with memo_hits > 0
-# overall when on and the memo counters untouched when off.
-memocheck:
-	dune exec bench/main.exe -- memocheck quick
 
 # Packed cube kernel vs the seed's list cubes: containment and
 # intersection throughput on synthetic multi-word covers.
@@ -56,7 +51,7 @@ aigcheck:
 # External don't-care discipline gate: every quick (circuit, method)
 # cell run with an explicitly attached empty DC view must be
 # byte-identical to the DC-less reference across the jobs-x-memo grid
-# (pinned totals 245/241/239/235), DC runs on the bundled DC-rich
+# (pinned totals 245/241/239/235/238), DC runs on the bundled DC-rich
 # fixture must be deterministic across the same grid, and each Boolean
 # method must beat its literal-improvement floor on that fixture while
 # verifying equivalent modulo the view.
@@ -64,11 +59,11 @@ dccheck:
 	dune exec bench/main.exe -- dccheck quick
 
 # Constructive k-resubstitution gate: every quick (circuit, method)
-# cell is verified with the BDD oracle (exact, not sampled), the four
-# existing methods stay pinned to the shardcheck totals, resub-k's
-# total meets the ext floor (<= 239) and is byte-identical across the
-# jobs {1,2,8} x memo {on,off} grid, and its candidate-construction
-# CPU stays below ext's division CPU.
+# cell is verified with the BDD oracle (exact, not sampled), all five
+# methods stay pinned to the shardcheck totals, resub-k's total meets
+# the ext floor (<= 239) and is byte-identical across the shardcheck
+# jobs x memo grid, and its candidate-construction CPU stays below
+# ext's division CPU.
 kcheck:
 	dune exec bench/main.exe -- kcheck quick
 
@@ -78,10 +73,9 @@ kcheck:
 bench-aig:
 	dune exec bench/main.exe -- aig
 
-# Full local CI: build, tests, the jobs=1 vs jobs=max determinism gate
-# (literal totals must be identical), the shardcheck jobs-x-memo grid
-# gate (pinned quick totals), the degraded-run/trace gate, the
-# memo bit-identity gate, the cube-kernel microbenchmark, the resident-
+# Full local CI: build, tests, the shardcheck jobs-x-memo grid gate
+# (pinned quick totals, memo activity), the degraded-run/trace gate,
+# the cube-kernel microbenchmark, the resident-
 # service miss/hit byte-identity gate, the AIG backend round-trip and
 # windowed-resub determinism gate, the external don't-care discipline
 # gate, the constructive k-resub gate, and the quick
@@ -92,10 +86,8 @@ bench-aig:
 ci:
 	dune build @all
 	dune runtest
-	dune exec bench/main.exe -- jobscheck quick
 	dune exec bench/main.exe -- shardcheck quick
 	dune exec bench/main.exe -- tracecheck quick
-	dune exec bench/main.exe -- memocheck quick
 	dune exec bench/main.exe -- cubeops
 	dune exec bench/main.exe -- servicecheck quick
 	dune exec bench/main.exe -- aigcheck

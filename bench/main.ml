@@ -7,10 +7,8 @@
      main.exe table2 table5   run selected sections
      main.exe quick           tables on the small row subset only
      main.exe bench quick     write the BENCH_resub.json perf snapshot
-     main.exe jobscheck quick parallel-vs-sequential determinism gate
-     main.exe shardcheck quick totals gate across jobs x memo grid
+     main.exe shardcheck quick totals + memo gate across jobs x memo grid
      main.exe tracecheck quick degraded-run + trace JSON-lines gate
-     main.exe memocheck quick memo-on vs --no-memo bit-identity gate
      main.exe dccheck quick   external don't-care discipline gate
      main.exe kcheck quick    constructive k-resub identity + floor gate
      main.exe cubeops         packed-kernel vs list-cube microbenchmark
@@ -19,7 +17,7 @@
      main.exe aigcheck        AIGER round-trip + windowed-resub gate
      main.exe aig             >=10k-gate AIG snapshot (BENCH_aig.json)
    Sections: fig1 fig2 table1 fig4 table2 table3 table4 table5 ablation
-   bech bench jobscheck shardcheck tracecheck memocheck dccheck kcheck
+   bech bench shardcheck tracecheck dccheck kcheck
    cubeops servicecheck service aigcheck aig
    Options (key=value): jobs=N (bench parallelism, default 1, 0 = one per
    core; snapshots at jobs=1 are gated >20%% CPU-regression against the
@@ -1171,125 +1169,118 @@ let bench_json ?(path = "BENCH_resub.json") ?(jobs = 1) ?sim_seed ?sim_words
     end
 
 (* ------------------------------------------------------------------ *)
-(* jobscheck - parallel runs must be bit-identical to sequential ones   *)
+(* The jobs x memo grid shared by shardcheck, dccheck and kcheck       *)
 (* ------------------------------------------------------------------ *)
 
-let jobs_check rows =
-  let jmax = max 4 (Rar_util.Pool.default_jobs ()) in
-  section
-    (Printf.sprintf "jobscheck - jobs=1 vs jobs=%d determinism gate" jmax);
-  let failures = ref 0 in
-  let totals_seq = ref 0 and totals_par = ref 0 in
+(* The quick-suite per-method factored-literal totals after Script A.
+   These are the seed's sequential figures; any drift means the
+   scheduler (or the shared memo under it) changed a result. *)
+let expected_quick_totals =
+  [
+    ("sis", 245); ("basic", 241); ("ext", 239); ("ext-gdc", 235);
+    ("resub-k", 238);
+  ]
+
+(* Every cell but the jobs=1 memo-on reference: jobs {1, 2, 8} and one
+   worker per core (at least 4), each with the division memo on and
+   off. *)
+let grid =
+  List.sort_uniq compare [ 1; 2; 8; max 4 (Rar_util.Pool.default_jobs ()) ]
+  |> List.concat_map (fun jobs -> [ (jobs, true); (jobs, false) ])
+  |> List.filter (( <> ) (1, true))
+
+(* The reference run of one cell: jobs=1 with the memo on. *)
+let reference_run ?dc ?counters meth net =
+  let reference = Network.copy net in
+  Synth.Script.resub_command ~jobs:1 ~use_memo:true ?dc ?counters meth
+    reference;
+  reference
+
+(* The grid cells at which [meth] on a copy of [net] is not
+   byte-identical to [reference]; [counters] picks each cell's tally
+   record by its memo setting. *)
+let grid_diverged ?dc ?(counters = fun _ -> Rar_util.Counters.create ())
+    ~reference meth net =
+  let ref_str = Network.to_string reference in
+  List.filter
+    (fun (jobs, use_memo) ->
+      let scratch = Network.copy net in
+      Synth.Script.resub_command ~jobs ~use_memo ?dc
+        ~counters:(counters use_memo) meth scratch;
+      Network.to_string scratch <> ref_str)
+    grid
+
+let report_diverged ~failures ~label diverged =
+  if diverged <> [] then incr failures;
+  List.iter
+    (fun (jobs, use_memo) ->
+      Printf.printf "  %s DIVERGES at jobs=%d memo=%b\n" label jobs use_memo)
+    diverged
+
+(* Script A on every row, then [cell row net (name, meth)] per method. *)
+let each_cell rows cell =
   List.iter
     (fun row ->
       let net = Suite.build row in
       Synth.Script.run net Synth.Script.script_a;
-      List.iter
-        (fun (name, meth) ->
-          let seq = Network.copy net and par = Network.copy net in
-          let (), cpu_seq =
-            Rar_util.Stopwatch.time (fun () ->
-                Synth.Script.resub_command ~jobs:1 meth seq)
-          in
-          let (), cpu_par =
-            Rar_util.Stopwatch.time (fun () ->
-                Synth.Script.resub_command ~jobs:jmax meth par)
-          in
-          let lits_seq = Lit_count.factored seq in
-          let lits_par = Lit_count.factored par in
-          let identical =
-            lits_seq = lits_par
-            && Network.to_string seq = Network.to_string par
-          in
-          let ok = Equiv.equivalent par net in
-          totals_seq := !totals_seq + lits_seq;
-          totals_par := !totals_par + lits_par;
-          if not (identical && ok) then incr failures;
-          Printf.printf
-            "  %-12s %-8s seq %4d lits %6.2fs | par %4d lits %6.2fs  %s\n"
-            row.Suite.name name lits_seq cpu_seq lits_par cpu_par
-            (if identical && ok then "identical"
-             else if not identical then "DIFFERS"
-             else "NOT EQUIVALENT");
-          ignore cpu_seq)
-        Synth.Script.resub_methods)
-    rows;
-  Printf.printf "literal totals: jobs=1 %d, jobs=%d %d\n" !totals_seq jmax
-    !totals_par;
-  if !failures > 0 then begin
-    Printf.printf "jobscheck: %d cell(s) FAILED the determinism gate\n"
-      !failures;
-    exit 4
-  end
-  else
-    Printf.printf
-      "jobscheck: all cells bit-identical and equivalence-checked\n"
+      List.iter (cell row net) Synth.Script.resub_methods)
+    rows
+
+let add_total totals name lits =
+  Hashtbl.replace totals name
+    ((try Hashtbl.find totals name with Not_found -> 0) + lits)
+
+let check_totals ~failures totals =
+  List.iter
+    (fun (name, expect) ->
+      let got = try Hashtbl.find totals name with Not_found -> 0 in
+      Printf.printf "  total %-8s %4d lits (expected %d)\n" name got expect;
+      if got <> expect then incr failures)
+    expected_quick_totals
 
 (* ------------------------------------------------------------------ *)
 (* shardcheck - jobs x memo grid must leave no byte behind             *)
 (* ------------------------------------------------------------------ *)
 
-(* The quick-suite per-method factored-literal totals after Script A.
-   These are the seed's sequential figures; any drift means the region
-   scheduler (or the shared memo under it) changed a result. *)
-let expected_quick_totals =
-  [ ("sis", 245); ("basic", 241); ("ext", 239); ("ext-gdc", 235) ]
-
-(* Stronger grid than jobscheck: every (circuit, method) cell is run at
-   jobs in {1, 2, 8} with the division memo on and off, and all six
-   networks must be byte-identical to the jobs=1 memo-on reference. On
-   the quick suite the per-method literal totals are additionally
-   pinned to the known-good figures above. *)
+(* Every (circuit, method) cell must be byte-identical across the grid
+   to its jobs=1 memo-on reference; on the quick suite the per-method
+   totals are pinned. The memo must be active when on (memo_hits > 0
+   over the references) and inert when off (no memo hit or miss in any
+   memo-off run). *)
 let shard_check ~pinned rows =
-  section "shardcheck - totals gate across jobs {1,2,8} x memo {on,off}";
-  let grid =
-    [ (1, false); (2, true); (2, false); (8, true); (8, false) ]
-  in
+  section "shardcheck - totals gate across the jobs x memo grid";
   let failures = ref 0 in
   let totals = Hashtbl.create 7 in
-  List.iter
-    (fun row ->
-      let net = Suite.build row in
-      Synth.Script.run net Synth.Script.script_a;
-      List.iter
-        (fun (name, meth) ->
-          let reference = Network.copy net in
-          Synth.Script.resub_command ~jobs:1 ~use_memo:true meth reference;
-          let ref_str = Network.to_string reference in
-          let lits = Lit_count.factored reference in
-          Hashtbl.replace totals name
-            ((try Hashtbl.find totals name with Not_found -> 0) + lits);
-          let diverged =
-            List.filter
-              (fun (jobs, use_memo) ->
-                let scratch = Network.copy net in
-                Synth.Script.resub_command ~jobs ~use_memo meth scratch;
-                Network.to_string scratch <> ref_str)
-              grid
-          in
-          if diverged <> [] then begin
-            incr failures;
-            List.iter
-              (fun (jobs, use_memo) ->
-                Printf.printf "  %-12s %-8s DIVERGES at jobs=%d memo=%b\n"
-                  row.Suite.name name jobs use_memo)
-              diverged
-          end
-          else
-            Printf.printf "  %-12s %-8s %4d lits  identical across grid\n"
-              row.Suite.name name lits)
-        Synth.Script.resub_methods)
-    rows;
-  if pinned then
-    List.iter
-      (fun (name, expect) ->
-        let got = try Hashtbl.find totals name with Not_found -> 0 in
-        Printf.printf "  total %-8s %4d lits (expected %d)\n" name got
-          expect;
-        if got <> expect then incr failures)
-      expected_quick_totals;
+  let memo_on = Rar_util.Counters.create () in
+  let memo_off = Rar_util.Counters.create () in
+  each_cell rows (fun row net (name, meth) ->
+      let reference = reference_run ~counters:memo_on meth net in
+      let lits = Lit_count.factored reference in
+      add_total totals name lits;
+      let diverged =
+        grid_diverged
+          ~counters:(fun on ->
+            if on then Rar_util.Counters.create () else memo_off)
+          ~reference meth net
+      in
+      report_diverged ~failures
+        ~label:(Printf.sprintf "%-12s %-8s" row.Suite.name name)
+        diverged;
+      if diverged = [] then
+        Printf.printf "  %-12s %-8s %4d lits  identical across grid\n"
+          row.Suite.name name lits);
+  if pinned then check_totals ~failures totals;
+  let hits_on = Atomic.get memo_on.Rar_util.Counters.memo_hits in
+  let hits_off = Atomic.get memo_off.Rar_util.Counters.memo_hits in
+  let misses_off = Atomic.get memo_off.Rar_util.Counters.memo_misses in
+  Printf.printf "memo hits: %d with memo, %d without (misses without: %d)\n"
+    hits_on hits_off misses_off;
+  if hits_on = 0 || hits_off > 0 || misses_off > 0 then begin
+    Printf.printf "  memo not active when on, or not inert when off\n";
+    incr failures
+  end;
   if !failures > 0 then begin
-    Printf.printf "shardcheck: %d cell(s) FAILED\n" !failures;
+    Printf.printf "shardcheck: %d check(s) FAILED\n" !failures;
     exit 7
   end
   else
@@ -1368,60 +1359,6 @@ let trace_check rows =
        degradations, memo and checkpoint passes recorded\n"
 
 (* ------------------------------------------------------------------ *)
-(* memocheck - division memo must be invisible in results              *)
-(* ------------------------------------------------------------------ *)
-
-(* The memo may skip a division attempt only when the recorded failure
-   is provably a replay, so memo-on and memo-off runs must produce
-   byte-identical networks. Gate: every (circuit, method) cell matches,
-   the memo-on sweep actually skipped work somewhere (memo_hits > 0),
-   and the memo-off sweep never ticked the memo counters. *)
-let memo_check rows =
-  section "memocheck - memo-on vs --no-memo bit-identity gate";
-  let failures = ref 0 in
-  let hits_on = ref 0 and hits_off = ref 0 and misses_off = ref 0 in
-  List.iter
-    (fun row ->
-      let base = Suite.build row in
-      Synth.Script.run base Synth.Script.script_a;
-      List.iter
-        (fun (name, meth) ->
-          let once use_memo =
-            let scratch = Network.copy base in
-            let counters = Rar_util.Counters.create () in
-            Synth.Script.resub_command ~use_memo ~counters meth scratch;
-            (scratch, counters)
-          in
-          let net_on, c_on = once true in
-          let net_off, c_off = once false in
-          hits_on := !hits_on + Atomic.get c_on.Rar_util.Counters.memo_hits;
-          hits_off := !hits_off + Atomic.get c_off.Rar_util.Counters.memo_hits;
-          misses_off := !misses_off + Atomic.get c_off.Rar_util.Counters.memo_misses;
-          let same =
-            Network.to_string net_on = Network.to_string net_off
-            && Lit_count.factored net_on = Lit_count.factored net_off
-          in
-          if not same then incr failures;
-          Printf.printf "  %-12s %-8s %4d lits  %s  (%d hits)\n"
-            row.Suite.name name
-            (Lit_count.factored net_on)
-            (if same then "identical" else "DIVERGED")
-            (Atomic.get c_on.Rar_util.Counters.memo_hits))
-        Synth.Script.resub_methods)
-    rows;
-  Printf.printf "memo hits: %d with memo, %d without (misses without: %d)\n"
-    !hits_on !hits_off !misses_off;
-  if !failures > 0 || !hits_on = 0 || !hits_off > 0 || !misses_off > 0
-  then begin
-    Printf.printf "memocheck FAILED\n";
-    exit 6
-  end
-  else
-    Printf.printf
-      "memocheck: all cells bit-identical; memo active when on, inert \
-       when off\n"
-
-(* ------------------------------------------------------------------ *)
 (* dccheck - external don't-care discipline gate                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -1435,80 +1372,35 @@ let memo_check rows =
       floor, never regresses, and the result verifies modulo DC. *)
 let dc_check ~pinned rows =
   section "dccheck - external don't-care discipline gate";
-  let grid = [ (1, false); (2, true); (2, false); (8, true); (8, false) ] in
   let failures = ref 0 in
   let totals = Hashtbl.create 7 in
-  List.iter
-    (fun row ->
-      let net = Suite.build row in
-      Synth.Script.run net Synth.Script.script_a;
-      List.iter
-        (fun (name, meth) ->
-          let reference = Network.copy net in
-          Synth.Script.resub_command ~jobs:1 ~use_memo:true meth reference;
-          let ref_str = Network.to_string reference in
-          let lits = Lit_count.factored reference in
-          Hashtbl.replace totals name
-            ((try Hashtbl.find totals name with Not_found -> 0) + lits);
-          let diverged =
-            List.filter
-              (fun (jobs, use_memo) ->
-                let scratch = Network.copy net in
-                let empty = Logic_network.Dont_care.create () in
-                Synth.Script.resub_command ~jobs ~use_memo ~dc:empty meth
-                  scratch;
-                Network.to_string scratch <> ref_str)
-              grid
-          in
-          if diverged <> [] then begin
-            incr failures;
-            List.iter
-              (fun (jobs, use_memo) ->
-                Printf.printf
-                  "  %-12s %-8s empty view DIVERGES at jobs=%d memo=%b\n"
-                  row.Suite.name name jobs use_memo)
-              diverged
-          end
-          else
-            Printf.printf
-              "  %-12s %-8s %4d lits  empty view invisible across grid\n"
-              row.Suite.name name lits)
-        Synth.Script.resub_methods)
-    rows;
-  if pinned then
-    List.iter
-      (fun (name, expect) ->
-        let got = try Hashtbl.find totals name with Not_found -> 0 in
-        Printf.printf "  total %-8s %4d lits (expected %d)\n" name got expect;
-        if got <> expect then incr failures)
-      expected_quick_totals;
+  each_cell rows (fun row net (name, meth) ->
+      let reference = reference_run meth net in
+      let lits = Lit_count.factored reference in
+      add_total totals name lits;
+      let diverged =
+        grid_diverged ~dc:(Logic_network.Dont_care.create ()) ~reference meth
+          net
+      in
+      report_diverged ~failures
+        ~label:(Printf.sprintf "%-12s %-8s empty view" row.Suite.name name)
+        diverged;
+      if diverged = [] then
+        Printf.printf
+          "  %-12s %-8s %4d lits  empty view invisible across grid\n"
+          row.Suite.name name lits);
+  if pinned then check_totals ~failures totals;
   (* Non-empty view: deterministic across the grid. *)
   let fnet, fdc = dc_fixture () in
   Synth.Script.run fnet Synth.Script.script_a;
   List.iter
     (fun (name, meth) ->
-      let reference = Network.copy fnet in
-      Synth.Script.resub_command ~jobs:1 ~use_memo:true ~dc:fdc meth
-        reference;
-      let ref_str = Network.to_string reference in
-      let diverged =
-        List.filter
-          (fun (jobs, use_memo) ->
-            let scratch = Network.copy fnet in
-            Synth.Script.resub_command ~jobs ~use_memo ~dc:fdc meth scratch;
-            Network.to_string scratch <> ref_str)
-          grid
-      in
-      if diverged <> [] then begin
-        incr failures;
-        List.iter
-          (fun (jobs, use_memo) ->
-            Printf.printf
-              "  dcrich       %-8s DC run DIVERGES at jobs=%d memo=%b\n" name
-              jobs use_memo)
-          diverged
-      end
-      else
+      let reference = reference_run ~dc:fdc meth fnet in
+      let diverged = grid_diverged ~dc:fdc ~reference meth fnet in
+      report_diverged ~failures
+        ~label:(Printf.sprintf "dcrich       %-8s DC run" name)
+        diverged;
+      if diverged = [] then
         Printf.printf "  dcrich       %-8s DC run identical across grid\n"
           name)
     Synth.Script.resub_methods;
@@ -1547,85 +1439,51 @@ let kresub_quick_floor = 239
    1. every method's jobs=1 memo-on result is verified with the BDD
       oracle ({!Robdd.Of_network.equivalent}) — an exact check,
       independent of the random-simulation [Equiv] the other gates use,
-      so every committed substitution is proven, not sampled;
-   2. on the quick suite the four existing methods stay pinned to the
-      shardcheck totals and resub-k's total meets the ext floor;
-   3. resub-k is byte-identical across jobs {1,2,8} x memo {on,off};
+      so every committed substitution is proven, not sampled; since
+      every grid cell is byte-identical to that result, this verifies
+      the parallel runs too;
+   2. on the quick suite every method stays pinned to the shardcheck
+      totals and resub-k's total meets the ext floor;
+   3. resub-k is byte-identical across the jobs x memo grid;
    4. resub-k's candidate-construction CPU stays below ext's division
       CPU (exact validation is accounted separately — it replaces the
       per-candidate division work the signatures used to gate). *)
 let k_check ~pinned rows =
   section "kcheck - constructive k-resub: BDD verify + identity + floor";
-  let grid = [ (1, false); (2, true); (2, false); (8, true); (8, false) ] in
   let failures = ref 0 in
   let totals = Hashtbl.create 7 in
   let construct_cpu = ref 0.0 and validate_cpu = ref 0.0 in
   let ext_division = ref 0.0 in
-  List.iter
-    (fun row ->
-      let net = Suite.build row in
-      Synth.Script.run net Synth.Script.script_a;
-      List.iter
-        (fun (name, meth) ->
-          let reference = Network.copy net in
-          let counters = Rar_util.Counters.create () in
-          Synth.Script.resub_command ~jobs:1 ~use_memo:true ~counters meth
-            reference;
-          let lits = Lit_count.factored reference in
-          Hashtbl.replace totals name
-            ((try Hashtbl.find totals name with Not_found -> 0) + lits);
-          (match meth with
-          | Synth.Script.Ext ->
-            ext_division :=
-              !ext_division
-              +. Atomic.get counters.Rar_util.Counters.division_seconds
-          | Synth.Script.Kresub ->
-            construct_cpu :=
-              !construct_cpu
-              +. Atomic.get counters.Rar_util.Counters.filter_seconds;
-            validate_cpu :=
-              !validate_cpu
-              +. Atomic.get counters.Rar_util.Counters.validation_seconds
-          | Synth.Script.Algebraic | Synth.Script.Basic
-          | Synth.Script.Ext_gdc ->
-            ());
-          let bdd_ok = Robdd.Of_network.equivalent reference net in
-          if not bdd_ok then incr failures;
-          let grid_ok =
-            match meth with
-            | Synth.Script.Kresub ->
-              let ref_str = Network.to_string reference in
-              List.for_all
-                (fun (jobs, use_memo) ->
-                  let scratch = Network.copy net in
-                  Synth.Script.resub_command ~jobs ~use_memo meth scratch;
-                  String.equal (Network.to_string scratch) ref_str)
-                grid
-            | Synth.Script.Algebraic | Synth.Script.Basic | Synth.Script.Ext
-            | Synth.Script.Ext_gdc ->
-              true
-          in
-          if not grid_ok then incr failures;
-          Printf.printf "  %-12s %-8s %4d lits  BDD %s%s\n" row.Suite.name
-            name lits
-            (if bdd_ok then "ok" else "FAIL")
-            (match meth with
-            | Synth.Script.Kresub ->
-              if grid_ok then "  identical across jobs x memo grid"
-              else "  DIVERGES across grid"
-            | Synth.Script.Algebraic | Synth.Script.Basic | Synth.Script.Ext
-            | Synth.Script.Ext_gdc ->
-              ""))
-        Synth.Script.resub_methods)
-    rows;
+  each_cell rows (fun row net (name, meth) ->
+      let counters = Rar_util.Counters.create () in
+      let reference = reference_run ~counters meth net in
+      let lits = Lit_count.factored reference in
+      add_total totals name lits;
+      let seconds field = Atomic.get (field counters) in
+      (match meth with
+      | Synth.Script.Ext ->
+        ext_division :=
+          !ext_division
+          +. seconds (fun c -> c.Rar_util.Counters.division_seconds)
+      | Synth.Script.Kresub ->
+        construct_cpu :=
+          !construct_cpu
+          +. seconds (fun c -> c.Rar_util.Counters.filter_seconds);
+        validate_cpu :=
+          !validate_cpu
+          +. seconds (fun c -> c.Rar_util.Counters.validation_seconds)
+      | Synth.Script.Algebraic | Synth.Script.Basic | Synth.Script.Ext_gdc ->
+        ());
+      let bdd_ok = Robdd.Of_network.equivalent reference net in
+      if not bdd_ok then incr failures;
+      let label = Printf.sprintf "%-12s %-8s" row.Suite.name name in
+      Printf.printf "  %s %4d lits  BDD %s\n" label lits
+        (if bdd_ok then "ok" else "FAIL");
+      if meth = Synth.Script.Kresub then
+        report_diverged ~failures ~label
+          (grid_diverged ~reference meth net));
   if pinned then begin
-    List.iter
-      (fun (name, expect) ->
-        let got = try Hashtbl.find totals name with Not_found -> 0 in
-        Printf.printf "  total %-8s %4d lits (expected %d)\n" name got
-          expect;
-        if got <> expect then incr failures)
-      expected_quick_totals;
+    check_totals ~failures totals;
     let got_k = try Hashtbl.find totals "resub-k" with Not_found -> 0 in
     Printf.printf "  total %-8s %4d lits (floor: <= %d, the ext total)\n"
       "resub-k" got_k kresub_quick_floor;
@@ -2181,10 +2039,8 @@ let () =
   if selected "table5" then table_v rows;
   if selected "ablation" then ablations ();
   if selected "bech" then bechamel ();
-  if List.mem "jobscheck" explicit then jobs_check rows;
   if List.mem "shardcheck" explicit then shard_check ~pinned:quick rows;
   if List.mem "tracecheck" explicit then trace_check rows;
-  if List.mem "memocheck" explicit then memo_check rows;
   if List.mem "dccheck" explicit then dc_check ~pinned:quick rows;
   if List.mem "kcheck" explicit then k_check ~pinned:quick rows;
   if List.mem "cubeops" explicit then cubeops_report ();

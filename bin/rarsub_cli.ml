@@ -315,8 +315,8 @@ let optimize_cmd =
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Evaluate ranked divisor candidates speculatively on $(docv) \
-             domains (default 1). Results are bit-identical for any value; \
+            "Scan dividends speculatively on $(docv) domains (default \
+             1). Results are bit-identical for any value; \
              $(b,0) means one domain per core, negative values mean 1.")
   in
   let sim_seed_arg =

@@ -4,7 +4,7 @@ module Node_set = Network.Node_set
 
 type phase = Pos | Neg | Both
 
-type meth = Algebraic | Boolean | Kresub
+type meth = Algebraic | Boolean
 
 type target = Divisor of Network.node_id * phase | Pool of Network.node_id list
 
@@ -12,14 +12,13 @@ type reads = All_nodes | Nodes of Network.node_id array
 
 type entry = { at : int; reads : reads; burn : int }
 
+(* [d_gen] is the caller's refinement generation (0 for the division
+   drivers): the kresub driver bumps it whenever a counterexample
+   refines the signature vectors, which retires every scan recorded
+   against the coarser signatures without touching the Dirty clock. *)
 type dividend_entry = { d_at : int; d_gen : int; d_burn : int; d_units : int }
 
-(* The trailing int is the caller's refinement generation (0 for the
-   division drivers): the kresub driver bumps it whenever a
-   counterexample refines the signature vectors, which retires every
-   entry recorded against the coarser signatures without touching the
-   Dirty clock. *)
-type key = Network.node_id * meth * target * int
+type key = Network.node_id * meth * target
 
 (* The failure table is striped so worker domains of the sharded
    drivers can record and replay concurrently: each stripe owns a
@@ -72,8 +71,8 @@ let fresh t at = function
     done;
     !ok
 
-let replay_failure ?(gen = 0) t ~f target ~meth =
-  let key = (f, meth, target, gen) in
+let replay_failure t ~f target ~meth =
+  let key = (f, meth, target) in
   let s = stripe_of t key in
   (* The freshness test reads Dirty stamps, which only the driver's
      domain advances and never during a parallel batch — so running it
@@ -89,8 +88,8 @@ let replay_failure ?(gen = 0) t ~f target ~meth =
           None
         end)
 
-let record_failure ?(gen = 0) t ~f target ~meth ~reads ~burn =
-  let key = (f, meth, target, gen) in
+let record_failure t ~f target ~meth ~reads ~burn =
+  let key = (f, meth, target) in
   let s = stripe_of t key in
   let e = { at = Dirty.clock t.dirty; reads; burn } in
   with_lock s.lock (fun () -> Hashtbl.replace s.entries key e)
@@ -111,3 +110,20 @@ let record_dividend ?(gen = 0) t ~f ~at ~burn ~units =
   with_lock t.div_lock (fun () ->
       Hashtbl.replace t.dividends f
         { d_at = at; d_gen = gen; d_burn = burn; d_units = units })
+
+let attempt t net ~live ~counters ~f target ~meth ~reads run =
+  match replay_failure t ~f target ~meth with
+  | Some burn ->
+    Rar_util.Counters.add counters.Rar_util.Counters.memo_hits 1;
+    if burn > 0 then Network.reserve_ids net burn;
+    false
+  | None ->
+    Rar_util.Counters.add counters.Rar_util.Counters.memo_misses 1;
+    let id0 = Network.id_limit net in
+    let ok =
+      if live then Dirty.speculating t.dirty ~committed:Fun.id run else run ()
+    in
+    if not ok then
+      record_failure t ~f target ~meth ~reads:(reads ())
+        ~burn:(Network.id_limit net - id0);
+    ok

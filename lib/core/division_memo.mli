@@ -34,9 +34,7 @@ type phase = Pos | Neg | Both
 (** Which polarity of the divisor the attempt covered. [Both] keys
     whole Boolean units that internally try both phases. *)
 
-type meth = Algebraic | Boolean | Kresub
-(** [Kresub] keys the constructive simulation-guided driver's entries
-    apart from the division drivers sharing the same table. *)
+type meth = Algebraic | Boolean
 
 type target =
   | Divisor of Logic_network.Network.node_id * phase
@@ -57,33 +55,6 @@ val create : Logic_network.Dirty.t -> t
 
 val dirty : t -> Logic_network.Dirty.t
 
-val replay_failure :
-  ?gen:int ->
-  t ->
-  f:Logic_network.Network.node_id ->
-  target ->
-  meth:meth ->
-  int option
-(** [Some burn] iff a failure with this key is recorded and every read
-    stamp is still at or below the recorded clock; the caller must
-    reserve [burn] ids. Stale entries are dropped as a side effect.
-    [gen] (default 0) is part of the key: the kresub driver passes its
-    refinement generation so failures proven against pre-refinement
-    signatures never replay once a counterexample sharpened them. *)
-
-val record_failure :
-  ?gen:int ->
-  t ->
-  f:Logic_network.Network.node_id ->
-  target ->
-  meth:meth ->
-  reads:reads ->
-  burn:int ->
-  unit
-(** Record a failure observed at the current clock. Only call when the
-    attempt left the network bit-identical to its pre-attempt state
-    (modulo the id burn). *)
-
 val replay_dividend :
   ?gen:int -> t -> f:Logic_network.Network.node_id -> (int * int) option
 (** [Some (burn, units)] iff a whole dividend scan for [f] was recorded
@@ -103,3 +74,28 @@ val record_dividend :
   unit
 (** Record that the scan of dividend [f], started at clock [at],
     committed nothing. Only call when the clock still equals [at]. *)
+
+val attempt :
+  t ->
+  Logic_network.Network.t ->
+  live:bool ->
+  counters:Rar_util.Counters.t ->
+  f:Logic_network.Network.node_id ->
+  target ->
+  meth:meth ->
+  reads:(unit -> reads) ->
+  (unit -> bool) ->
+  bool
+(** [attempt t net ~live ~counters ~f target ~meth ~reads run] is the
+    per-unit protocol every division driver follows. If a failure with
+    this key is recorded and every read stamp is still at or below the
+    recorded clock, it ticks [memo_hits], reserves the recorded burn on
+    [net] and returns [false] without calling [run] (stale entries are
+    dropped on the way). Otherwise it ticks [memo_misses] and calls
+    [run]; a failure is recorded at the current clock with the ids it
+    burned and the read set [reads ()]. [run] must leave the network
+    bit-identical to its pre-call state (modulo the id burn) whenever
+    it returns [false]. [live] says [net] is the tracked network: its
+    real attempts run under {!Logic_network.Dirty.speculating}, so a
+    mutate-and-restore failure moves no stamps. A worker's snapshot has
+    no tracker and runs bare. *)

@@ -32,10 +32,9 @@ type config = {
   max_pool : int;  (** divisor pool size for extended division *)
   max_passes : int;
   jobs : int;
-      (** speculative-evaluation parallelism (default 1). Ranked
-          candidates are scored concurrently on private network
-          snapshots and committed serially in rank order, so any value
-          produces networks bit-identical to a sequential run. *)
+      (** dividend-scan parallelism (default 1), scheduled by
+          {!Scheduler}; any value gives networks bit-identical to a
+          sequential run. *)
   sim_seed : int;
       (** signature-filter RNG seed (default
           {!Logic_sim.Signature.default_seed}) *)
@@ -99,10 +98,12 @@ val run :
     {!Unix.gettimeofday} instant shared by all remaining units. When a
     unit's budget runs out it degrades — the quotient falls back toward
     the algebraic one, or the vote table is truncated — and the run
-    continues; degradations are tallied in the counters and reported on
-    [trace]. [trace] (default {!Rar_util.Trace.disabled}) receives
-    structured events: a [substitute] span, per-unit timings, [degrade]
-    events, and a final counter snapshot. Worker domains never emit. *)
+    continues; once the deadline has passed, {!Scheduler} starts no
+    further dividend. Degradations are tallied in the counters and
+    reported on [trace]. [trace] (default {!Rar_util.Trace.disabled})
+    receives structured events: a [substitute] span, per-unit timings,
+    [degrade] events, and the {!Scheduler}'s per-pass and final counter
+    events. Worker domains never emit. *)
 
 val substitute_pos :
   Logic_network.Network.t ->

@@ -4,6 +4,7 @@ module Fanin_cache = Logic_network.Fanin_cache
 module Dirty = Logic_network.Dirty
 module Dont_care = Logic_network.Dont_care
 module Division_memo = Booldiv.Division_memo
+module Scheduler = Booldiv.Scheduler
 module Lit_count = Logic_network.Lit_count
 module Signature = Logic_sim.Signature
 module Simulate = Logic_sim.Simulate
@@ -11,7 +12,6 @@ module Bdd = Robdd.Bdd
 module Of_network = Robdd.Of_network
 module Counters = Rar_util.Counters
 module Rng = Rar_util.Rng
-module Pool = Rar_util.Pool
 module Trace = Rar_util.Trace
 
 let default_max_divisors = 24
@@ -557,14 +557,6 @@ let validate o ~f shape =
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type spec_result = {
-  spec_verdict : [ `Committed | `Refined | `Quiet ];
-  spec_burn : int;
-  spec_units : int;
-  spec_counters : Counters.t;
-  spec_seconds : float;
-}
-
 let run ?(max_divisors = default_max_divisors)
     ?(max_triples = default_max_triples) ?(max_passes = 4) ?(jobs = 1)
     ?(sim_seed = Signature.default_seed) ?(sim_words = Signature.default_words)
@@ -573,24 +565,6 @@ let run ?(max_divisors = default_max_divisors)
   if sim_words <= 0 then invalid_arg "Kresub.run: sim_words must be positive";
   let counters =
     match counters with Some c -> c | None -> Counters.create ()
-  in
-  let deadline_hit = ref false in
-  let past_deadline () =
-    match deadline_at with
-    | None -> false
-    | Some t ->
-      !deadline_hit
-      || Unix.gettimeofday () > t
-         && begin
-              deadline_hit := true;
-              Counters.add counters.Counters.degradations 1;
-              Trace.emit trace "degrade"
-                [
-                  ("unit", Trace.String "kresub");
-                  ("reason", Trace.String "deadline");
-                ];
-              true
-            end
   in
   let cache = Fanin_cache.create net in
   let sim = sim_create ~words:sim_words ~seed:sim_seed ?dc net in
@@ -601,14 +575,6 @@ let run ?(max_divisors = default_max_divisors)
      any dividend again. [gen] keys the memo on this history. *)
   let cex = ref [] in
   let gen = ref 0 in
-  let dirty = if use_memo then Some (Dirty.create net) else None in
-  Fun.protect ~finally:(fun () -> Option.iter Dirty.detach dirty)
-  @@ fun () ->
-  let memo = Option.map Division_memo.create dirty in
-  let jobs = max 1 jobs in
-  let wpool = if jobs > 1 then Some (Pool.create ~jobs) else None in
-  Fun.protect ~finally:(fun () -> Option.iter Pool.shutdown wpool)
-  @@ fun () ->
   let substitutions = ref 0 in
   (* One constructive scan of dividend [f]. [live] distinguishes the
      sequential driver (refinements are applied to the shared
@@ -658,7 +624,7 @@ let run ?(max_divisors = default_max_divisors)
     in
     let sf = sim_value sim f in
     let rec try_shapes = function
-      | [] -> `Quiet
+      | [] -> Scheduler.Quiet
       | cand :: tl ->
         if
           cand.c_est >= cur_lits
@@ -679,7 +645,7 @@ let run ?(max_divisors = default_max_divisors)
                 incr gen;
                 Counters.add c.Counters.kresub_refinements 1
               end;
-              `Refined
+              Scheduler.Refined
             end
             else try_shapes tl
           | None ->
@@ -698,7 +664,7 @@ let run ?(max_divisors = default_max_divisors)
                       false
                     end)
             in
-            if landed then `Committed else try_shapes tl
+            if landed then Scheduler.Committed else try_shapes tl
         end
     in
     try_shapes shapes
@@ -709,199 +675,53 @@ let run ?(max_divisors = default_max_divisors)
       match scan_once net ~cache ~sim ~oracle ~counters:c ~speculating ~live
               ~cex f
       with
-      | `Committed -> `Committed
-      | `Quiet -> `Quiet
-      | `Refined ->
-        if live && restarts < max_restarts then go (restarts + 1)
-        else `Refined
+      | Scheduler.Refined when live && restarts < max_restarts ->
+        go (restarts + 1)
+      | outcome -> outcome
     in
     go 0
   in
-  let live_speculating real =
-    match memo with
-    | Some m -> Dirty.speculating (Division_memo.dirty m) ~committed:Fun.id real
-    | None -> real ()
-  in
-  let scan_live f =
-    match
-      scan_to_quiescence net ~cache ~sim ~oracle ~counters
-        ~speculating:live_speculating ~live:true ~cex f
-    with
-    | `Committed ->
-      incr substitutions;
-      Counters.add counters.Counters.substitutions 1;
-      `Committed
-    | (`Quiet | `Refined) as v -> v
-  in
-  (* Dividend-level memo fast path: a scan that committed nothing and
-     moved neither the clock nor the refinement generation is a provable
-     replay next pass. Scans interrupted by the restart budget are not
-     recorded (their last iteration did not complete at the final
-     generation). *)
-  let process_dividend changed f =
-    if (not (past_deadline ())) && Network.mem net f then begin
+  let client memo =
+    (* The whole scan is one memo unit: its dividend entry is keyed on
+       the refinement generation. *)
+    let miss c =
+      if Option.is_some memo then Counters.add c.Counters.memo_misses 1
+    in
+    let speculating real =
       match memo with
-      | None -> if scan_live f = `Committed then changed := true
-      | Some m -> (
-        match Division_memo.replay_dividend ~gen:!gen m ~f with
-        | Some (burn, units) ->
-          Counters.add counters.Counters.memo_hits units;
-          if burn > 0 then Network.reserve_ids net burn
-        | None ->
-          Counters.add counters.Counters.memo_misses 1;
-          let d = Division_memo.dirty m in
-          let clock0 = Dirty.clock d in
-          let id0 = Network.id_limit net in
-          (match scan_live f with
-          | `Committed -> changed := true
-          | `Quiet ->
-            if Dirty.clock d = clock0 then
-              Division_memo.record_dividend ~gen:!gen m ~f ~at:clock0
-                ~burn:(Network.id_limit net - id0)
-                ~units:1
-          | `Refined -> ()))
-    end
-  in
-  (* jobs > 1: the same speculative whole-dividend discipline as the
-     algebraic driver — private snapshots of a frozen live network,
-     resolution in ascending id order. A worker verdict survives only
-     while nothing committed *and* no counterexample refined the shared
-     stimulus since its snapshot: both change what a sequential scan
-     would see, so either discards the rest of the batch into a
-     re-round. Workers never mutate the shared counterexample list; a
-     would-be refinement (or commit) is discarded and re-executed
-     sequentially through [process_dividend], the jobs=1 code path. *)
-  let scan_speculative snap f =
-    let t0 = Unix.gettimeofday () in
-    let wc = Counters.create () in
-    let finish verdict ~burn ~units =
-      {
-        spec_verdict = verdict;
-        spec_burn = burn;
-        spec_units = units;
-        spec_counters = wc;
-        spec_seconds = Unix.gettimeofday () -. t0;
-      }
+      | Some m ->
+        Dirty.speculating (Division_memo.dirty m) ~committed:Fun.id real
+      | None -> real ()
     in
-    if not (Network.mem snap f) then finish `Quiet ~burn:0 ~units:0
-    else
-      let replay =
-        match memo with
-        | None -> None
-        | Some m -> Division_memo.replay_dividend ~gen:!gen m ~f
+    let scan f =
+      miss counters;
+      let outcome =
+        scan_to_quiescence net ~cache ~sim ~oracle ~counters ~speculating
+          ~live:true ~cex f
       in
-      match replay with
-      | Some (burn, units) ->
-        Counters.add wc.Counters.memo_hits units;
-        finish `Quiet ~burn ~units
-      | None ->
-        if Option.is_some memo then
-          Counters.add wc.Counters.memo_misses 1;
-        let wcache = Fanin_cache.create snap in
-        let wsim = sim_create ~words:sim_words ~seed:sim_seed ?dc snap in
-        let woracle = ora_create ?dc snap in
-        let frozen = ref !cex in
-        let id0 = Network.id_limit snap in
-        let verdict =
-          scan_to_quiescence snap ~cache:wcache ~sim:wsim ~oracle:woracle
-            ~counters:wc
-            ~speculating:(fun real -> real ())
-            ~live:false ~cex:frozen f
-        in
-        finish verdict
-          ~burn:(Network.id_limit snap - id0)
-          ~units:(if Option.is_some memo then 1 else 0)
-  in
-  let rec split_at n acc = function
-    | rest when n = 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | x :: tl -> split_at (n - 1) (x :: acc) tl
-  in
-  let pass_parallel pool_t changed ~nodes =
-    let rec drive pending =
-      if past_deadline () then ()
-      else
-        match List.filter (Network.mem net) pending with
-        | [] -> ()
-        | pending ->
-          let batch, rest = split_at (Pool.jobs pool_t) [] pending in
-          let snap = Network.copy net in
-          let results =
-            Pool.run pool_t
-              (List.map
-                 (fun f () -> scan_speculative (Network.copy snap) f)
-                 batch)
-          in
-          let invalidated = ref false in
-          let re_round = ref [] in
-          List.iter2
-            (fun f r ->
-              if !invalidated then begin
-                Counters.add counters.Counters.speculative_wasted 1;
-                Counters.add_seconds counters.Counters.speculative_seconds
-                  r.spec_seconds;
-                re_round := f :: !re_round
-              end
-              else
-                match r.spec_verdict with
-                | `Committed | `Refined ->
-                  Counters.add counters.Counters.speculative_wasted 1;
-                  Counters.add_seconds counters.Counters.speculative_seconds
-                    r.spec_seconds;
-                  let subs0 = !substitutions in
-                  let gen0 = !gen in
-                  process_dividend changed f;
-                  if !substitutions > subs0 || !gen <> gen0 then
-                    invalidated := true
-                | `Quiet -> (
-                  Counters.accumulate counters r.spec_counters;
-                  if r.spec_burn > 0 then Network.reserve_ids net r.spec_burn;
-                  match memo with
-                  | Some m when Network.mem net f ->
-                    Division_memo.record_dividend ~gen:!gen m ~f
-                      ~at:(Dirty.clock (Division_memo.dirty m))
-                      ~burn:r.spec_burn ~units:r.spec_units
-                  | _ -> ()))
-            batch results;
-          drive (List.rev !re_round @ rest)
+      if outcome = Scheduler.Committed then begin
+        incr substitutions;
+        Counters.add counters.Counters.substitutions 1
+      end;
+      outcome
     in
-    drive nodes
+    (* Workers never touch the shared counterexample list: a would-be
+       refinement only yields the verdict, and the scheduler re-runs
+       the scan live. *)
+    let speculate snap wc f =
+      miss wc;
+      ( scan_to_quiescence snap ~cache:(Fanin_cache.create snap)
+          ~sim:(sim_create ~words:sim_words ~seed:sim_seed ?dc snap)
+          ~oracle:(ora_create ?dc snap) ~counters:wc
+          ~speculating:(fun real -> real ())
+          ~live:false ~cex:(ref !cex) f,
+        Scheduler.Unbounded )
+    in
+    { Scheduler.bounded = false; scan; speculate }
   in
-  let pass () =
-    let changed = ref false in
-    let nodes = List.sort Int.compare (Network.logic_ids net) in
-    (match wpool with
-    | Some pool_t -> pass_parallel pool_t changed ~nodes
-    | None -> List.iter (fun f -> process_dividend changed f) nodes);
-    !changed
-  in
-  let rec loop remaining =
-    if remaining > 0 && not (past_deadline ()) then begin
-      let cand0 = Atomic.get counters.Counters.kresub_candidates in
-      let hits0 = Atomic.get counters.Counters.memo_hits in
-      let misses0 = Atomic.get counters.Counters.memo_misses in
-      let continue = pass () in
-      Counters.add counters.Counters.passes 1;
-      counters.Counters.pass_divisions <-
-        counters.Counters.pass_divisions
-        @ [ Atomic.get counters.Counters.kresub_candidates - cand0 ];
-      if Trace.enabled trace then
-        Trace.emit trace "memo"
-          [
-            ("driver", Trace.String "kresub");
-            ("pass", Trace.Int (Atomic.get counters.Counters.passes));
-            ( "hits",
-              Trace.Int (Atomic.get counters.Counters.memo_hits - hits0) );
-            ( "misses",
-              Trace.Int (Atomic.get counters.Counters.memo_misses - misses0)
-            );
-          ];
-      if continue then loop (remaining - 1)
-    end
-  in
-  Trace.span trace "kresub"
-    ~fields:[ ("jobs", Trace.Int jobs); ("words", Trace.Int sim_words) ]
-    (fun () -> loop max_passes);
-  Trace.emit trace "counters"
-    [ ("counters", Trace.Raw (Counters.to_json counters)) ];
+  Scheduler.run ~driver:"kresub"
+    ~fields:[ ("words", Trace.Int sim_words) ]
+    ~gen:(fun () -> !gen)
+    ~pass_work:(fun c -> c.Counters.kresub_candidates)
+    ~jobs ~use_memo ~max_passes ?deadline_at ~trace ~counters net client;
   !substitutions

@@ -28,11 +28,10 @@
     node's factored literal count strictly decreases; since candidates
     are covers over existing nodes, no attempt ever allocates a node id.
 
-    Parallel runs ([jobs > 1]) use the same speculative whole-dividend
-    scans over private snapshots with rank-order resolution as
-    {!Resub}, and the {!Booldiv.Division_memo} dividend fast path keys
-    its entries on the refinement generation, so [--jobs N] and
-    [--no-memo] stay byte-identical to the sequential memoised run. *)
+    Passes, [jobs > 1] and the memo are {!Booldiv.Scheduler}'s, with
+    dividend-level memo entries keyed on the refinement generation, so
+    [--jobs N] and [--no-memo] stay byte-identical to the sequential
+    memoised run. *)
 
 val default_max_divisors : int
 (** Size of the ranked divisor shortlist the 1-/2-resub pair and triple

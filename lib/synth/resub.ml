@@ -1,12 +1,11 @@
 open Twolevel
 module Network = Logic_network.Network
 module Fanin_cache = Logic_network.Fanin_cache
-module Dirty = Logic_network.Dirty
 module Division_memo = Booldiv.Division_memo
+module Scheduler = Booldiv.Scheduler
 module Lit_count = Logic_network.Lit_count
 module Signature = Logic_sim.Signature
 module Counters = Rar_util.Counters
-module Pool = Rar_util.Pool
 module Trace = Rar_util.Trace
 
 let complement_limit = 64
@@ -90,20 +89,6 @@ let candidates ~counters ~cache ?sigs ~use_complement ~max_candidates net
     let sorted = List.sort (fun (_, a) (_, b) -> Int.compare b a) scored in
     List.filteri (fun i _ -> i < max_candidates) (List.map fst sorted)
 
-(* A worker's verdict on one dividend, scanned to quiescence (or to its
-   first would-be commit) on a private snapshot of the frozen live
-   network. Unlike the Boolean driver there is no read closure here:
-   algebraic candidate selection reads every node's signature with no
-   structural gate, so a speculative verdict only survives while
-   nothing at all has committed since its snapshot was taken. *)
-type spec_result = {
-  spec_committed : bool;
-  spec_burn : int;
-  spec_units : int;  (* memo hits + real attempts the scan resolved *)
-  spec_counters : Counters.t;
-  spec_seconds : float;
-}
-
 let run ?(use_complement = true) ?(use_filter = true)
     ?(max_candidates = default_max_candidates) ?(max_passes = 4) ?(jobs = 1)
     ?(sim_seed = Signature.default_seed) ?(sim_words = Signature.default_words)
@@ -112,333 +97,98 @@ let run ?(use_complement = true) ?(use_filter = true)
   let counters =
     match counters with Some c -> c | None -> Counters.create ()
   in
-  (* Algebraic attempts are individually cheap, so the only budget that
-     applies here is the shared wall deadline, polled once per dividend
-     node. Crossing it stops the remaining work (one degradation) while
-     every committed rewrite stands. *)
-  let deadline_hit = ref false in
-  let past_deadline () =
-    match deadline_at with
-    | None -> false
-    | Some t ->
-      !deadline_hit
-      || Unix.gettimeofday () > t
-         && begin
-              deadline_hit := true;
-              Counters.add counters.Counters.degradations 1;
-              Trace.emit trace "degrade"
-                [
-                  ("unit", Trace.String "resub");
-                  ("reason", Trace.String "deadline");
-                ];
-              true
-            end
-  in
-  let cache = Fanin_cache.create net in
-  let sigs =
+  let signatures net =
     if use_filter then
       Some (Signature.create ~seed:sim_seed ~words:sim_words ?dc net)
     else None
   in
+  let cache = Fanin_cache.create net in
+  let sigs = signatures net in
   Fun.protect ~finally:(fun () -> Option.iter Signature.detach sigs)
   @@ fun () ->
-  let dirty = if use_memo then Some (Dirty.create net) else None in
-  Fun.protect ~finally:(fun () -> Option.iter Dirty.detach dirty)
-  @@ fun () ->
-  let memo = Option.map Division_memo.create dirty in
-  let jobs = max 1 jobs in
-  let wpool = if jobs > 1 then Some (Pool.create ~jobs) else None in
-  Fun.protect ~finally:(fun () -> Option.iter Pool.shutdown wpool)
-  @@ fun () ->
+  (* Algebraic attempts never add or remove nodes, so the candidate
+     order of the unfiltered scan is fixed for the whole run. *)
+  let nodes = List.sort Int.compare (Network.logic_ids net) in
   let substitutions = ref 0 in
   (* An algebraic attempt reads only the two lifted covers — cover and
      fanin array of [f] and of [d] ({!Lift.cover}) — and any change to
      either stamps the node itself, so {f, d} is the whole read set.
      The structural guard (cycle check over the fanin cone) is
      re-evaluated live before every replay, so it needs no stamps. *)
-  let pair_reads f d =
+  let pair_reads f d () =
     Division_memo.reads_of_set
       (Network.Node_set.add f (Network.Node_set.singleton d))
   in
-  (* One pair against [net], with per-phase memo replay/record — shared
-     by the live path and the workers. Each polarity is skipped when the
-     memo proves the recorded failure would replay (reserving its
-     recorded id burn — zero for algebraic attempts — to keep the
-     allocator in lockstep with a memo-off run). [speculating] wraps
-     real attempts: the live path buffers Dirty events there so a
-     mutate-and-restore failure moves no stamps; workers run bare on
-     snapshots that have no tracker attached. Failures recorded by a
-     worker land in the shared striped table at the frozen clock — true
-     facts even if the worker's whole scan is later discarded. *)
-  let pair_attempt_on net ~cache ~counters:c ~speculating f d =
-    match memo with
-    | None ->
-      Counters.timed c `Division @@ fun () ->
-      Counters.add c.Counters.divisions_attempted 1;
-      try_substitute ~use_complement ~cache net ~f ~d
-    | Some m ->
-      if pair_guarded ~cache net ~f ~d then begin
-        Counters.add c.Counters.divisions_attempted 1;
-        false
-      end
-      else begin
-        let ran = ref false in
-        let phase_attempt ph real =
-          match
-            Division_memo.replay_failure m ~f
-              (Division_memo.Divisor (d, ph))
-              ~meth:Division_memo.Algebraic
-          with
-          | Some burn ->
-            Counters.add c.Counters.memo_hits 1;
-            if burn > 0 then Network.reserve_ids net burn;
-            false
-          | None ->
-            ran := true;
-            Counters.add c.Counters.memo_misses 1;
-            let id0 = Network.id_limit net in
-            let landed =
-              Counters.timed c `Division @@ fun () -> speculating real
-            in
-            if not landed then
-              Division_memo.record_failure m ~f
-                (Division_memo.Divisor (d, ph))
-                ~meth:Division_memo.Algebraic ~reads:(pair_reads f d)
-                ~burn:(Network.id_limit net - id0);
-            landed
-        in
-        let ok =
-          phase_attempt Division_memo.Pos (fun () ->
-              attempt_direct net ~f ~d)
-        in
-        let ok =
-          ok
-          || use_complement
-             && phase_attempt Division_memo.Neg (fun () ->
-                    attempt_complement net ~f ~d)
-        in
-        if !ran then Counters.add c.Counters.divisions_attempted 1;
-        ok
-      end
-  in
-  let commit_real f d =
-    let ok =
-      pair_attempt_on net ~cache ~counters
-        ~speculating:(fun real ->
-          match memo with
-          | Some m ->
-            Dirty.speculating (Division_memo.dirty m) ~committed:Fun.id real
-          | None -> real ())
-        f d
-    in
-    if ok then begin
-      incr substitutions;
-      Counters.add counters.Counters.substitutions 1
-    end;
-    ok
-  in
-  (* The sequential scan of one dividend; the parallel scheduler's
-     committing re-executions funnel through this too. *)
-  let scan_dividend changed ~nodes f =
-    let divisors =
-      candidates ~counters ~cache ?sigs ~use_complement ~max_candidates net
-        ~f ~nodes
-    in
-    List.iter
-      (fun d ->
-        if Network.mem net f && Network.mem net d then
-          if commit_real f d then changed := true)
-      divisors
-  in
-  (* One driver step for one dividend, with the dividend-level memo fast
-     path: nothing anywhere committed since this dividend's scan means
-     every unit of it is individually a provable replay. *)
-  let process_dividend changed ~nodes f =
-    if (not (past_deadline ())) && Network.mem net f then begin
+  let client memo =
+    (* One pair against [net] — the live network or a worker's snapshot —
+       with each polarity going through the memo's per-unit protocol.
+       Failures a worker records land in the shared table at the frozen
+       clock: true facts even if its whole scan is later discarded. *)
+    let pair_attempt ~live ~cache ~counters:c net f d =
       match memo with
-      | None -> scan_dividend changed ~nodes f
-      | Some m -> (
-        match Division_memo.replay_dividend m ~f with
-        | Some (burn, units) ->
-          Counters.add counters.Counters.memo_hits units;
-          if burn > 0 then Network.reserve_ids net burn
-        | None ->
-          let d = Division_memo.dirty m in
-          let clock0 = Dirty.clock d in
-          let id0 = Network.id_limit net in
-          let hits0 = Atomic.get counters.Counters.memo_hits in
-          let misses0 = Atomic.get counters.Counters.memo_misses in
-          scan_dividend changed ~nodes f;
-          if Dirty.clock d = clock0 then
-            Division_memo.record_dividend m ~f ~at:clock0
-              ~burn:(Network.id_limit net - id0)
-              ~units:
-                (Atomic.get counters.Counters.memo_hits - hits0
-                + (Atomic.get counters.Counters.memo_misses - misses0)))
-    end
-  in
-  (* jobs > 1: whole dividends are scanned speculatively on private
-     snapshots of the frozen live network (sharing the striped failure
-     memo), then resolved here in ascending id order — the order the
-     sequential pass visits them. A scan that found nothing resolves by
-     replaying its id burn; a scan that would commit is discarded and
-     re-executed through [process_dividend], the jobs=1 code path. Once
-     anything commits, the remaining verdicts of the batch are
-     re-rounded (see [spec_result] on why no finer survival test is
-     sound for the algebraic driver), so the live network evolves
-     byte-identically to a sequential run. *)
-  let scan_speculative snap ~nodes f =
-    let t0 = Unix.gettimeofday () in
-    let wc = Counters.create () in
-    let finish ~landed ~burn ~units =
-      {
-        spec_committed = landed;
-        spec_burn = burn;
-        spec_units = units;
-        spec_counters = wc;
-        spec_seconds = Unix.gettimeofday () -. t0;
-      }
-    in
-    if not (Network.mem snap f) then finish ~landed:false ~burn:0 ~units:0
-    else
-      let replay =
-        match memo with
-        | None -> None
-        | Some m -> Division_memo.replay_dividend m ~f
-      in
-      match replay with
-      | Some (burn, units) ->
-        Counters.add wc.Counters.memo_hits units;
-        finish ~landed:false ~burn ~units
       | None ->
-        let wcache = Fanin_cache.create snap in
-        let wsigs =
-          if use_filter then
-            Some (Signature.create ~seed:sim_seed ~words:sim_words ?dc snap)
-          else None
-        in
-        Fun.protect ~finally:(fun () -> Option.iter Signature.detach wsigs)
-        @@ fun () ->
-        let divisors =
-          candidates ~counters:wc ~cache:wcache ?sigs:wsigs ~use_complement
-            ~max_candidates snap ~f ~nodes
-        in
-        let id_start = Network.id_limit snap in
-        let landed = ref false in
-        List.iter
-          (fun d ->
-            if (not !landed) && Network.mem snap f && Network.mem snap d then
-              if
-                pair_attempt_on snap ~cache:wcache ~counters:wc
-                  ~speculating:(fun real -> real ())
-                  f d
-              then landed := true)
-          divisors;
-        finish ~landed:!landed
-          ~burn:(Network.id_limit snap - id_start)
-          ~units:
-            (Atomic.get wc.Counters.memo_hits
-            + Atomic.get wc.Counters.memo_misses)
-  in
-  let rec split_at n acc = function
-    | rest when n = 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | x :: tl -> split_at (n - 1) (x :: acc) tl
-  in
-  let pass_parallel pool_t changed ~nodes =
-    let rec drive pending =
-      if past_deadline () then ()
-      else
-        match List.filter (Network.mem net) pending with
-        | [] -> ()
-        | pending ->
-          let batch, rest = split_at (Pool.jobs pool_t) [] pending in
-          (* One frozen snapshot per batch; each worker copies from it
-             rather than from the live network ({!Network.copy} is a
-             pure read of its source, so concurrent copies are
-             race-free). *)
-          let snap = Network.copy net in
-          let results =
-            Pool.run pool_t
-              (List.map
-                 (fun f () -> scan_speculative (Network.copy snap) ~nodes f)
-                 batch)
+        Counters.timed c `Division @@ fun () ->
+        Counters.add c.Counters.divisions_attempted 1;
+        try_substitute ~use_complement ~cache net ~f ~d
+      | Some m ->
+        if pair_guarded ~cache net ~f ~d then begin
+          Counters.add c.Counters.divisions_attempted 1;
+          false
+        end
+        else begin
+          let ran = ref false in
+          let phase ph real =
+            Division_memo.attempt m net ~live ~counters:c ~f
+              (Division_memo.Divisor (d, ph))
+              ~meth:Division_memo.Algebraic ~reads:(pair_reads f d) (fun () ->
+                ran := true;
+                Counters.timed c `Division real)
           in
-          let any_commit = ref false in
-          let re_round = ref [] in
-          List.iter2
-            (fun f r ->
-              if !any_commit then begin
-                Counters.add counters.Counters.speculative_wasted 1;
-                Counters.add_seconds counters.Counters.speculative_seconds
-                  r.spec_seconds;
-                re_round := f :: !re_round
-              end
-              else if r.spec_committed then begin
-                (* Discard the snapshot work and run the scan for real:
-                   the live state is what the worker saw, so this is the
-                   jobs=1 execution, byte for byte. *)
-                Counters.add counters.Counters.speculative_wasted 1;
-                Counters.add_seconds counters.Counters.speculative_seconds
-                  r.spec_seconds;
-                let subs0 = !substitutions in
-                process_dividend changed ~nodes f;
-                if !substitutions > subs0 then any_commit := true
-              end
-              else begin
-                (* Nothing committed since the snapshot, so the failed
-                   scan is exactly what the sequential sweep would have
-                   done here: consume its id burn, fold its tallies,
-                   remember the quiescent scan. *)
-                Counters.accumulate counters r.spec_counters;
-                if r.spec_burn > 0 then Network.reserve_ids net r.spec_burn;
-                match memo with
-                | Some m when Network.mem net f ->
-                  Division_memo.record_dividend m ~f
-                    ~at:(Dirty.clock (Division_memo.dirty m))
-                    ~burn:r.spec_burn ~units:r.spec_units
-                | _ -> ()
-              end)
-            batch results;
-          drive (List.rev !re_round @ rest)
+          let ok =
+            phase Division_memo.Pos (fun () -> attempt_direct net ~f ~d)
+            || use_complement
+               && phase Division_memo.Neg (fun () ->
+                      attempt_complement net ~f ~d)
+          in
+          if !ran then Counters.add c.Counters.divisions_attempted 1;
+          ok
+        end
     in
-    drive nodes
+    let scan_on ~live ~cache ?sigs ~counters ~first_only net f =
+      let landed = ref false in
+      List.iter
+        (fun d ->
+          if
+            (not (first_only && !landed))
+            && Network.mem net f && Network.mem net d
+            && pair_attempt ~live ~cache ~counters net f d
+          then begin
+            landed := true;
+            if live then begin
+              incr substitutions;
+              Counters.add counters.Counters.substitutions 1
+            end
+          end)
+        (candidates ~counters ~cache ?sigs ~use_complement ~max_candidates net
+           ~f ~nodes);
+      if !landed then Scheduler.Committed else Scheduler.Quiet
+    in
+    (* Candidate selection reads every node's signature with no structural
+       gate, so a worker's verdict has no bounded read closure. *)
+    let speculate snap wc f =
+      let wsigs = signatures snap in
+      Fun.protect ~finally:(fun () -> Option.iter Signature.detach wsigs)
+      @@ fun () ->
+      ( scan_on ~live:false ~cache:(Fanin_cache.create snap) ?sigs:wsigs
+          ~counters:wc ~first_only:true snap f,
+        Scheduler.Unbounded )
+    in
+    {
+      Scheduler.bounded = false;
+      scan = scan_on ~live:true ~cache ?sigs ~counters ~first_only:false net;
+      speculate;
+    }
   in
-  let pass () =
-    let changed = ref false in
-    let nodes = List.sort Int.compare (Network.logic_ids net) in
-    (match wpool with
-    | Some pool_t -> pass_parallel pool_t changed ~nodes
-    | None -> List.iter (fun f -> process_dividend changed ~nodes f) nodes);
-    !changed
-  in
-  let rec loop remaining =
-    if remaining > 0 && not (past_deadline ()) then begin
-      let div0 = Atomic.get counters.Counters.divisions_attempted in
-      let hits0 = Atomic.get counters.Counters.memo_hits in
-      let misses0 = Atomic.get counters.Counters.memo_misses in
-      let continue = pass () in
-      Counters.add counters.Counters.passes 1;
-      counters.Counters.pass_divisions <-
-        counters.Counters.pass_divisions
-        @ [ Atomic.get counters.Counters.divisions_attempted - div0 ];
-      if Trace.enabled trace then
-        Trace.emit trace "memo"
-          [
-            ("driver", Trace.String "resub");
-            ("pass", Trace.Int (Atomic.get counters.Counters.passes));
-            ( "hits",
-              Trace.Int (Atomic.get counters.Counters.memo_hits - hits0) );
-            ( "misses",
-              Trace.Int (Atomic.get counters.Counters.memo_misses - misses0)
-            );
-          ];
-      if continue then loop (remaining - 1)
-    end
-  in
-  Trace.span trace "resub"
-    ~fields:[ ("jobs", Trace.Int jobs) ]
-    (fun () -> loop max_passes);
-  Trace.emit trace "counters"
-    [ ("counters", Trace.Raw (Counters.to_json counters)) ];
+  Scheduler.run ~driver:"resub" ~jobs ~use_memo ~max_passes ?deadline_at
+    ~trace ~counters net client;
   !substitutions

@@ -46,9 +46,8 @@ val run :
     [max_candidates] (filtered runs only) to {!default_max_candidates}.
     Pair/division tallies accumulate into [counters] when given.
 
-    [jobs] (default 1) evaluates ranked divisors speculatively in
-    parallel on private network snapshots and commits serially in rank
-    order, so the result is bit-identical to a sequential run; [sim_seed]
+    [jobs] (default 1) scans dividends in parallel under
+    {!Booldiv.Scheduler}, bit-identically to a sequential run; [sim_seed]
     (default {!Logic_sim.Signature.default_seed}) seeds the signature
     filter and [sim_words] (default
     {!Logic_sim.Signature.default_words}) sizes its vectors in 64-bit
@@ -60,11 +59,11 @@ val run :
     to a [use_memo:false] run (skips reserve the same id burn), only
     [memo_hits]/[memo_misses] and the per-pass division counts differ.
 
-    [deadline_at] (absolute {!Unix.gettimeofday} instant) stops the
-    remaining passes once crossed — committed rewrites stand, the cut is
-    tallied as a degradation in [counters] and reported on [trace]
-    (default {!Rar_util.Trace.disabled}), which also carries a [resub]
-    span and a final counter snapshot.
+    [deadline_at] (absolute {!Unix.gettimeofday} instant, polled per
+    dividend) stops the remaining work once crossed — committed
+    rewrites stand, the cut is tallied as a degradation in [counters]
+    and reported on [trace] (default {!Rar_util.Trace.disabled}), which
+    also carries a [resub] span and a final counter snapshot.
 
     [dc] supplies an external don't-care view to the signature filter:
     sampled rows outside the care set are ignored when pruning and

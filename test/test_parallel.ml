@@ -1,7 +1,9 @@
-(* Parallel-speculation determinism: Substitute.run / Resub.run with
-   [jobs > 1] must produce networks bit-identical to a sequential run —
-   the whole point of the serial rank-order commit protocol — and the
-   results must stay equivalent to the original circuit. *)
+(* The dividend scheduler ({!Booldiv.Scheduler}) under every method of
+   {!Synth.Script.resub_methods}: with [jobs > 1], whole-dividend scans
+   resolved in ascending id order must give networks bit-identical to a
+   sequential run and equivalent to the original circuit; and a deadline
+   that has already passed must stop every method before it commits
+   anything. *)
 
 module Network = Logic_network.Network
 module Lit_count = Logic_network.Lit_count
@@ -46,32 +48,41 @@ let check_identical ~label ~reference seq par =
     true
     (Equiv.equivalent par reference)
 
-let substitute_determinism config_name config () =
+let determinism meth () =
   List.iter
     (fun (name, net) ->
-      let seq = Network.copy net and par = Network.copy net in
-      ignore
-        (Booldiv.Substitute.run
-           ~config:{ config with Booldiv.Substitute.jobs = 1 }
-           seq);
-      ignore
-        (Booldiv.Substitute.run
-           ~config:{ config with Booldiv.Substitute.jobs = test_jobs }
-           par);
-      check_identical
-        ~label:(Printf.sprintf "%s/%s" config_name name)
-        ~reference:net seq par)
+      let run jobs =
+        let scratch = Network.copy net in
+        let counters = Rar_util.Counters.create () in
+        Synth.Script.resub_command ~jobs ~counters meth scratch;
+        (scratch, Atomic.get counters.Rar_util.Counters.substitutions)
+      in
+      let seq, n_seq = run 1 and par, n_par = run test_jobs in
+      Alcotest.(check int) (name ^ ": substitution counts") n_seq n_par;
+      check_identical ~label:name ~reference:net seq par)
     (networks ())
 
-let resub_determinism () =
-  List.iter
-    (fun (name, net) ->
-      let seq = Network.copy net and par = Network.copy net in
-      let n_seq = Synth.Resub.run ~jobs:1 seq in
-      let n_par = Synth.Resub.run ~jobs:test_jobs par in
-      Alcotest.(check int) (name ^ ": substitution counts") n_seq n_par;
-      check_identical ~label:("resub/" ^ name) ~reference:net seq par)
-    (networks ())
+(* The deadline is polled before every pass and every dividend, so one
+   that has already passed leaves the input untouched — whatever the
+   method — and is reported as a degradation. *)
+let passed_deadline meth () =
+  let row = Option.get (Bench_suite.Suite.find "b9") in
+  let net = Bench_suite.Suite.build row in
+  Synth.Script.run net Synth.Script.script_a;
+  let before = Network.to_string net in
+  let counters = Rar_util.Counters.create () in
+  let t0 = Unix.gettimeofday () in
+  Synth.Script.resub_command ~deadline_at:(t0 -. 1.0) ~counters meth net;
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "returns promptly (%.3fs)" elapsed)
+    true (elapsed < 1.0);
+  Alcotest.(check string) "network byte-identical" before
+    (Network.to_string net);
+  Alcotest.(check int) "nothing committed" 0
+    (Atomic.get counters.Rar_util.Counters.substitutions);
+  Alcotest.(check bool) "degradation tallied" true
+    (Atomic.get counters.Rar_util.Counters.degradations >= 1)
 
 (* The sim-seed knob must actually steer the filter: whatever it selects,
    results stay equivalent, and the default equals the documented seed. *)
@@ -170,16 +181,18 @@ let () =
   Alcotest.run "parallel"
     [
       ( "determinism",
-        [
-          Alcotest.test_case "substitute ext jobs:1 = jobs:4" `Slow
-            (substitute_determinism "ext" Booldiv.Substitute.extended_config);
-          Alcotest.test_case "substitute basic jobs:1 = jobs:4" `Slow
-            (substitute_determinism "basic" Booldiv.Substitute.basic_config);
-          Alcotest.test_case "substitute gdc jobs:1 = jobs:4" `Slow
-            (substitute_determinism "gdc"
-               Booldiv.Substitute.extended_gdc_config);
-          Alcotest.test_case "resub jobs:1 = jobs:4" `Slow resub_determinism;
-        ] );
+        List.map
+          (fun (name, meth) ->
+            Alcotest.test_case
+              (Printf.sprintf "%s jobs:1 = jobs:%d" name test_jobs)
+              `Slow (determinism meth))
+          Synth.Script.resub_methods );
+      ( "deadline",
+        List.map
+          (fun (name, meth) ->
+            Alcotest.test_case (name ^ " past deadline")
+              `Quick (passed_deadline meth))
+          Synth.Script.resub_methods );
       ( "sim-seed",
         [ Alcotest.test_case "seed steers filter soundly" `Quick
             sim_seed_soundness ] );
