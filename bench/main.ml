@@ -47,10 +47,10 @@ let subsection title = Printf.printf "\n--- %s ---\n" title
 
 let methods =
   [
-    ("sis", Synth.Script.resub_algebraic);
-    ("basic", Synth.Script.resub_basic);
-    ("ext.", Synth.Script.resub_ext);
-    ("ext. GDC", Synth.Script.resub_ext_gdc);
+    ("sis", Synth.Script.resub_command Algebraic);
+    ("basic", Synth.Script.resub_command Basic);
+    ("ext.", Synth.Script.resub_command Ext);
+    ("ext. GDC", Synth.Script.resub_command Ext_gdc);
   ]
 
 type cell = { lits : int; cpu : float; ok : bool }
@@ -911,30 +911,17 @@ let previous_script_cpu path =
 (* Every node carries cubes that are live only on input patterns the
    [.exdc] cover forbids (a=b=1 and c=d=1 never occur), so a DC-aware
    run can delete them while a DC-blind run must keep every one.
-   Parsed from text so the gate also exercises the [.exdc] reader. *)
-let dc_fixture_text =
-  ".model dcrich\n\
-   .inputs a b c d e\n\
-   .outputs f g h\n\
-   .names a b c d f\n\
-   1111 1\n\
-   1100 1\n\
-   0011 1\n\
-   0110 1\n\
-   .names c d e g\n\
-   111 1\n\
-   110 1\n\
-   001 1\n\
-   .names a b e h\n\
-   11- 1\n\
-   001 1\n\
-   .exdc\n\
-   .names a b c d excdc\n\
-   11-- 1\n\
-   --11 1\n\
-   .end\n"
+   Read from bench/fixtures/dcrich.blif (which the CLI and service
+   tests share), so the gate also exercises the [.exdc] reader. *)
+let fixture name = Filename.concat (Filename.concat "bench" "fixtures") name
 
-let dc_fixture () = Logic_network.Blif.parse_dc dc_fixture_text
+let read_whole_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let dc_fixture () = Logic_network.Blif.read_file_dc (fixture "dcrich.blif")
 
 (* Minimum factored literals the DC-aware run must save over the
    DC-blind one on the fixture, per Boolean method. *)
@@ -986,6 +973,15 @@ let dc_json () =
 let bench_json ?(path = "BENCH_resub.json") ?(jobs = 1) ?sim_seed ?sim_words
     rows =
   section "bench - machine-readable resub snapshot";
+  let settings =
+    let d = Synth.Script.default_settings in
+    {
+      d with
+      jobs;
+      sim_seed = Option.value sim_seed ~default:d.sim_seed;
+      sim_words = Option.value sim_words ~default:d.sim_words;
+    }
+  in
   let baseline_cpu = if jobs = 1 then previous_total_cpu path else None in
   let baseline_script = if jobs = 1 then previous_script_cpu path else None in
   (* Parallel runs are gated on wall clock, the figure parallelism
@@ -1016,8 +1012,8 @@ let bench_json ?(path = "BENCH_resub.json") ?(jobs = 1) ?sim_seed ?sim_words
               let counters = Rar_util.Counters.create () in
               let (), span =
                 Rar_util.Stopwatch.time_span (fun () ->
-                    Synth.Script.resub_command ~jobs ?sim_seed ?sim_words
-                      ~counters meth scratch)
+                    Synth.Script.resub_command ~settings ~counters meth
+                      scratch)
               in
               let lits = Lit_count.factored scratch in
               let ok = Equiv.equivalent scratch net in
@@ -1072,8 +1068,7 @@ let bench_json ?(path = "BENCH_resub.json") ?(jobs = 1) ?sim_seed ?sim_words
   in
   Buffer.add_string buffer
     (Printf.sprintf "{\n  \"jobs\": %d,\n  \"sim_words\": %d,\n" jobs
-       (Option.value sim_words
-          ~default:Logic_sim.Signature.default_words));
+       settings.sim_words);
   (* The cubeops and dc records must precede the "totals" marker: the
      regression parser above sums every "cpu_seconds" after it, and
      these figures deliberately use different key names. *)
@@ -1192,8 +1187,7 @@ let grid =
 (* The reference run of one cell: jobs=1 with the memo on. *)
 let reference_run ?dc ?counters meth net =
   let reference = Network.copy net in
-  Synth.Script.resub_command ~jobs:1 ~use_memo:true ?dc ?counters meth
-    reference;
+  Synth.Script.resub_command ?dc ?counters meth reference;
   reference
 
 (* The grid cells at which [meth] on a copy of [net] is not
@@ -1205,7 +1199,9 @@ let grid_diverged ?dc ?(counters = fun _ -> Rar_util.Counters.create ())
   List.filter
     (fun (jobs, use_memo) ->
       let scratch = Network.copy net in
-      Synth.Script.resub_command ~jobs ~use_memo ?dc
+      Synth.Script.resub_command
+        ~settings:{ Synth.Script.default_settings with jobs; use_memo }
+        ?dc
         ~counters:(counters use_memo) meth scratch;
       Network.to_string scratch <> ref_str)
     grid
@@ -1306,7 +1302,9 @@ let trace_check rows =
       let net = Suite.build row in
       Synth.Script.run net Synth.Script.script_a;
       let scratch = Network.copy net in
-      Synth.Script.resub_command ~fault_fuel:5 ~trace ~counters
+      Synth.Script.resub_command
+        ~settings:{ Synth.Script.default_settings with fault_fuel = Some 5 }
+        ~trace ~counters
         Synth.Script.Ext scratch;
       let ok = Equiv.equivalent scratch net in
       if not ok then incr failures;
@@ -1595,14 +1593,23 @@ let service_socket () =
   path
 
 (* The CI gate: a scripted miss/hit sequence against a live daemon.
-   Every response must be byte-identical to [Job.run_cold] (the exact
-   code a cold CLI run executes), the hit/miss flags and cache counters
-   must match the script, and a malformed or oversized frame must get a
-   clean refusal without taking the daemon down. *)
+   Every response must be byte-identical to [Job.run_cold] (the
+   [Job.run] + [Job.serialise] path of a cold [rarsub optimize -f]),
+   the hit/miss flags and cache counters must match the script, and a
+   malformed or oversized frame must get a clean refusal without
+   taking the daemon down. Besides the quick cells, the workload holds
+   a don't-care job on the DC-rich fixture, whose reply must carry the
+   canonical [.exdc] section, and a [sis]-spelled duplicate of a
+   [resub] job, which must be served from the [resub] job's slot. *)
 let service_check rows =
   section "servicecheck - daemon miss/hit sequence vs cold references";
   let socket = service_socket () in
-  let workload = service_workload rows in
+  let dc_job =
+    ( "dcrich/ext",
+      Protocol.default_request ~blif:(read_whole_file (fixture "dcrich.blif"))
+    )
+  in
+  let workload = service_workload rows @ [ dc_job ] in
   let failures = ref 0 in
   let fail fmt = Printf.ksprintf (fun m -> incr failures; Printf.printf "  FAILED %s\n" m) fmt in
   let trace_path = Filename.temp_file "rarsubd" ".trace" in
@@ -1618,6 +1625,10 @@ let service_check rows =
             | Ok entry -> entry.Rar_service.Cache.blif
             | Error m -> failwith m
           in
+          if
+            label = fst dc_job
+            && not (List.mem ".exdc" (String.split_on_char '\n' reference))
+          then fail "%s: cold reply lacks the .exdc section" label;
           let submit request expect_hit tag =
             match Server.Client.round_trip ~timeout:120.0 ~socket request with
             | Protocol.Refused m -> fail "%s %s: refused: %s" label tag m
@@ -1667,26 +1678,41 @@ let service_check rows =
           Bytes.set header 2 (Char.chr ((len lsr 8) land 0xff));
           Bytes.set header 3 (Char.chr (len land 0xff));
           ignore (Unix.write fd header 0 4));
-      (* Still alive after the abuse? *)
-      (match workload with
-      | (label, request) :: _ -> (
+      (* Still alive after the abuse? Then the [sis] spelling of the first
+         [resub] job: the same job, so a hit on the same bytes. *)
+      let expect_hit what (label, request) =
         match Server.Client.round_trip ~timeout:120.0 ~socket request with
-        | Protocol.Result { cache_hit = true; _ } ->
-          Printf.printf "  daemon still serving (hit on %s)\n" label
-        | Protocol.Result _ -> fail "post-abuse %s: expected a cache hit" label
-        | Protocol.Refused m -> fail "post-abuse %s: refused: %s" label m)
+        | Protocol.Result { cache_hit = true; blif; _ } ->
+          (match Rar_service.Job.run_cold request with
+          | Ok entry when String.equal blif entry.Rar_service.Cache.blif -> ()
+          | _ -> fail "%s %s: bytes differ from the cold run" what label);
+          Printf.printf "  %-24s hit on %s\n" what label
+        | Protocol.Result _ -> fail "%s %s: expected a cache hit" what label
+        | Protocol.Refused m -> fail "%s %s: refused: %s" what label m
+      in
+      (match workload with
+      | first :: _ -> expect_hit "daemon still serving:" first
       | [] -> ());
+      (match
+         List.find_opt
+           (fun (_, r) -> r.Protocol.meth = "resub")
+           workload
+       with
+      | Some (label, request) ->
+        expect_hit "sis alias served:"
+          (label, { request with Protocol.meth = "sis" })
+      | None -> ());
       let n = List.length workload in
       let stats = Server.stats server in
       (match stats.Server.cache with
       | None -> fail "cache disabled in servicecheck config"
       | Some c ->
         (* n misses, then n hits, (bypasses touch no counter), plus the
-           post-abuse hit. *)
-        if c.Rar_service.Cache.hits <> n + 1 || c.Rar_service.Cache.misses <> n
+           post-abuse hit and the alias hit. *)
+        if c.Rar_service.Cache.hits <> n + 2 || c.Rar_service.Cache.misses <> n
         then
           fail "cache counters hits=%d misses=%d, expected %d/%d"
-            c.Rar_service.Cache.hits c.Rar_service.Cache.misses (n + 1) n
+            c.Rar_service.Cache.hits c.Rar_service.Cache.misses (n + 2) n
         else
           Printf.printf "  cache counters: %d hits, %d misses, %d insertions\n"
             c.Rar_service.Cache.hits c.Rar_service.Cache.misses
@@ -1712,8 +1738,9 @@ let service_check rows =
    with End_of_file -> close_in ic);
   Sys.remove trace_path;
   let n = List.length workload in
-  (* 3n submissions + the post-abuse probe, job ids 0 .. 3n. *)
-  let expected_jobs = (3 * n) + 1 in
+  (* 3n submissions + the post-abuse probe + the alias probe, job ids
+     0 .. 3n + 1. *)
+  let expected_jobs = (3 * n) + 2 in
   if Hashtbl.length timelines <> expected_jobs then
     fail "trace covers %d job ids, expected %d" (Hashtbl.length timelines)
       expected_jobs;
@@ -1851,14 +1878,6 @@ let service_bench ?(clients = 8) ?(rounds = 5) rows =
 module Aig = Logic_network.Aig
 module Aiger = Logic_network.Aiger
 
-let aig_fixture name = Filename.concat (Filename.concat "bench" "fixtures") name
-
-let read_whole_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let aig_check () =
   section "aigcheck - AIGER round-trips + windowed resub byte-identity";
   let failures = ref 0 in
@@ -1872,7 +1891,7 @@ let aig_check () =
   in
   List.iter
     (fun name ->
-      let s = read_whole_file (aig_fixture name) in
+      let s = read_whole_file (fixture name) in
       let a = Aiger.parse s in
       (* write/parse is a fixpoint on the canonical form, and the
          canonical form is exactly the compacted graph. *)
@@ -1891,9 +1910,14 @@ let aig_check () =
      to the original through the Network bridge. *)
   List.iter
     (fun name ->
-      let a = Aiger.parse (read_whole_file (aig_fixture name)) in
+      let a = Aiger.parse (read_whole_file (fixture name)) in
       let run jobs =
-        let config = { Synth.Aig_opt.default_config with jobs } in
+        let config =
+          {
+            Synth.Aig_opt.default_config with
+            settings = { Synth.Script.default_settings with jobs };
+          }
+        in
         Synth.Aig_opt.optimize ~config a
       in
       let opt1, stats1 = run 1 in
@@ -1935,7 +1959,12 @@ let aig_bench ~jobs () =
     List.map
       (fun (name, a) ->
         let lits_before = Lit_count.factored (Aig.to_network a) in
-        let config = { Synth.Aig_opt.default_config with jobs } in
+        let config =
+          {
+            Synth.Aig_opt.default_config with
+            settings = { Synth.Script.default_settings with jobs };
+          }
+        in
         let (opt, stats), wall =
           Rar_util.Stopwatch.time (fun () ->
               Synth.Aig_opt.optimize ~config a)
@@ -1987,8 +2016,7 @@ let () =
     List.fold_left
       (fun acc tok ->
         match kv "jobs" tok with
-        | Some 0 -> Rar_util.Pool.default_jobs ()
-        | Some n -> max 1 n
+        | Some n -> Rar_util.Pool.resolve_jobs n
         | None -> acc)
       1 args
   in

@@ -10,16 +10,7 @@ open Cmdliner
 let run socket jobs no_cache cache_entries cache_bytes max_frame deadline
     trace_file =
   match
-    match trace_file with
-    | Some path -> Rar_util.Trace.to_file path
-    | None -> Rar_util.Trace.disabled
-  with
-  | exception Sys_error msg ->
-    prerr_endline msg;
-    2
-  | trace ->
-    Fun.protect ~finally:(fun () -> Rar_util.Trace.close trace)
-    @@ fun () ->
+    Rar_util.Trace.with_file trace_file @@ fun trace ->
     let cache =
       if no_cache then None
       else
@@ -57,6 +48,11 @@ let run socket jobs no_cache cache_entries cache_bytes max_frame deadline
             c.Rar_service.Cache.hits c.Rar_service.Cache.misses
         | None -> "");
       0)
+  with
+  | Ok code -> code
+  | Error msg ->
+    prerr_endline msg;
+    2
 
 let socket_arg =
   Arg.(

@@ -35,7 +35,7 @@ let () =
       seconds
       (Logic_sim.Equiv.equivalent scratch net)
   in
-  run "resub -d (algebraic)" Synth.Script.resub_algebraic;
-  run "basic division" Synth.Script.resub_basic;
-  run "extended division" Synth.Script.resub_ext;
-  run "extended + GDC" Synth.Script.resub_ext_gdc
+  run "resub -d (algebraic)" (Synth.Script.resub_command Algebraic);
+  run "basic division" (Synth.Script.resub_command Basic);
+  run "extended division" (Synth.Script.resub_command Ext);
+  run "extended + GDC" (Synth.Script.resub_command Ext_gdc)

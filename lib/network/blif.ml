@@ -512,8 +512,3 @@ let to_string_dc net dc =
     assert (String.sub base cut (String.length tail) = tail);
     String.sub base 0 cut ^ section ^ tail
   end
-
-let write_file_dc path net dc =
-  let oc = open_out path in
-  output_string oc (to_string_dc net dc);
-  close_out oc

@@ -73,5 +73,3 @@ val exdc_to_string : Network.t -> Dont_care.t -> string
 val to_string_dc : Network.t -> Dont_care.t -> string
 (** {!to_string} with the canonical [.exdc] section spliced in before
     [.end]. Byte-identical to {!to_string} when the view is empty. *)
-
-val write_file_dc : string -> Network.t -> Dont_care.t -> unit

@@ -100,6 +100,10 @@ let add_exoec_pair t pat1 pat2 =
 
 let exoec t = List.rev t.exoec_pairs
 
+let merge t extra =
+  List.iter (add_excdc t) (excdc extra);
+  List.iter (fun (p1, p2) -> add_exoec_pair t p1 p2) (exoec extra)
+
 (* Union-find over the pattern keys seen in the added pairs, rebuilt
    per query. Views are small (human-supplied equivalences), so the
    rebuild is cheap and keeps the mutable state trivial. *)

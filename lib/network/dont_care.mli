@@ -55,6 +55,10 @@ val add_exoec_pair : t -> (string * bool) list -> (string * bool) list -> unit
 val exoec : t -> ((string * bool) list * (string * bool) list) list
 (** The added pairs in insertion order, as given. *)
 
+val merge : t -> t -> unit
+(** [merge t extra] adds every EXCDC cube and EXOEC pair of [extra] to
+    [t], in insertion order. *)
+
 val same_output_class : t -> (string * bool) list -> (string * bool) list -> bool
 (** Whether two full output patterns fall in the same equivalence
     class (reflexive-transitive closure of the added pairs, with

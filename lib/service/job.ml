@@ -1,22 +1,73 @@
 module Network = Logic_network.Network
 module Blif = Logic_network.Blif
+module Dont_care = Logic_network.Dont_care
 module Lit_count = Logic_network.Lit_count
+module Script = Synth.Script
 
-let scripts =
-  [
-    ("none", []);
-    ("a", Synth.Script.script_a);
-    ("b", Synth.Script.script_b);
-    ("c", Synth.Script.script_c);
-    ("algebraic", Synth.Script.script_algebraic);
-  ]
+let ( let* ) = Result.bind
 
-let method_names =
-  [ "none" ]
-  @ List.map
-      (fun (name, _) -> if name = "sis" then "resub" else name)
-      Synth.Script.resub_methods
-  @ [ "rar" ]
+(* ------------------------------------------------------------------ *)
+(* The job: script + method under one settings record                  *)
+(* ------------------------------------------------------------------ *)
+
+type spec = {
+  script : string;
+  meth : Script.job_method;
+  settings : Script.settings;
+  deadline : float option;
+}
+
+let spec_of_request (r : Protocol.request) =
+  match
+    ( List.mem_assoc r.script Script.scripts,
+      List.assoc_opt r.meth Script.method_names )
+  with
+  | false, _ -> Error (Printf.sprintf "unknown script %S" r.script)
+  | true, None -> Error (Printf.sprintf "unknown method %S" r.meth)
+  | true, Some meth ->
+    let d = Script.default_settings in
+    Ok
+      {
+        script = r.script;
+        meth;
+        deadline = r.deadline;
+        settings =
+          {
+            d with
+            use_filter = r.use_filter;
+            use_memo = r.use_memo;
+            jobs = Rar_util.Pool.resolve_jobs r.jobs;
+            sim_seed = Option.value r.sim_seed ~default:d.sim_seed;
+            sim_words = Option.value r.sim_words ~default:d.sim_words;
+            fault_fuel = r.fault_budget;
+          };
+      }
+
+let anchored spec =
+  {
+    spec.settings with
+    deadline_at =
+      Option.map (fun s -> Unix.gettimeofday () +. s) spec.deadline;
+  }
+
+let run ?(trace = Rar_util.Trace.disabled) ?counters ?dc
+    ?(on_script = fun _ _ -> ()) spec net =
+  let (), seconds =
+    Rar_util.Stopwatch.time (fun () ->
+        Script.run ~trace net (List.assoc spec.script Script.scripts))
+  in
+  on_script net seconds;
+  match spec.meth with
+  | No_resub -> ()
+  | Rar -> ignore (Rewiring.Rar.optimize net)
+  | Method meth ->
+    Script.resub_command ~settings:(anchored spec) ~trace ?counters ?dc meth
+      net
+
+let serialise ?dc net =
+  match dc with
+  | None -> Blif.to_string net
+  | Some dc -> Blif.to_string_dc net dc
 
 (* ------------------------------------------------------------------ *)
 (* Warm per-worker caches                                              *)
@@ -74,92 +125,67 @@ let create_warm () = { parsed = lru_create 8; scripted = lru_create 16 }
 (* ------------------------------------------------------------------ *)
 
 type prepared = {
-  request : Protocol.request;
+  spec : spec;
   pristine : Network.t;  (* never mutated; jobs run on copies *)
   canonical_digest : string;
   key : string option;
-  dc : Logic_network.Dont_care.t option;
+  dc : Dont_care.t option;
 }
 
 let prepare ?warm (request : Protocol.request) =
-  if not (List.mem_assoc request.script scripts) then
-    Error (Printf.sprintf "unknown script %S" request.script)
-  else if not (List.mem request.meth method_names) then
-    Error (Printf.sprintf "unknown method %S" request.meth)
-  else
-    match
-      match Option.map (fun w -> lru_find w.parsed request.blif) warm with
-      | Some (Some hit) -> Ok hit
-      | Some None | None -> (
-        match Blif.parse_dc request.blif with
-        | net, inline_dc ->
-          let hit = (Blif.to_string net, net, inline_dc) in
-          Option.iter (fun w -> lru_add w.parsed request.blif hit) warm;
-          Ok hit
-        | exception Blif.Parse_error { line; message } ->
-          Error (Printf.sprintf "blif:%d: %s" line message))
-    with
-    | Error _ as e -> e
-    | Ok (canonical, pristine, inline_dc) -> (
-      match
-        (* The effective view is the body's inline [.exdc] section plus
-           the [exdc] field; the warm copy is never mutated. *)
-        match request.exdc with
-        | None ->
-          if Logic_network.Dont_care.is_empty inline_dc then Ok None
-          else Ok (Some (Logic_network.Dont_care.copy inline_dc))
-        | Some text -> (
-          match Blif.parse_exdc pristine text with
-          | extra ->
-            let dc = Logic_network.Dont_care.copy inline_dc in
-            List.iter
-              (Logic_network.Dont_care.add_excdc dc)
-              (Logic_network.Dont_care.excdc extra);
-            List.iter
-              (fun (p1, p2) ->
-                Logic_network.Dont_care.add_exoec_pair dc p1 p2)
-              (Logic_network.Dont_care.exoec extra);
-            if Logic_network.Dont_care.is_empty dc then Ok None
-            else Ok (Some dc)
-          | exception Blif.Parse_error { line; message } ->
-            Error (Printf.sprintf "exdc:%d: %s" line message)
-          | exception Invalid_argument message ->
-            Error (Printf.sprintf "exdc: %s" message))
-      with
-      | Error _ as e -> e
-      | Ok dc ->
-        let canonical_digest = Digest.to_hex (Digest.string canonical) in
-        let key =
-          (* A wall-clock deadline can degrade the run nondeterministically;
-             such outputs must never be served to a later job. Every flag
-             that can change the output bytes is part of the identity;
-             [jobs] is provably output-neutral (the shardcheck grid) and
-             shared. The don't-care view enters through its canonical
-             section text, so a DC job never shares a slot with a plain
-             one (and two spellings of the same view share theirs). *)
-          match request.deadline with
-          | Some _ -> None
-          | None ->
-            Some
-              (Printf.sprintf
-                 "%s\x00%s\x00%s\x00filter=%b memo=%b seed=%s words=%s \
-                  fuel=%s\x00%s"
-                 canonical request.script request.meth request.use_filter
-                 request.use_memo
-                 (match request.sim_seed with
-                 | Some s -> string_of_int s
-                 | None -> "default")
-                 (match request.sim_words with
-                 | Some w -> string_of_int w
-                 | None -> "default")
-                 (match request.fault_budget with
-                 | Some f -> string_of_int f
-                 | None -> "none")
-                 (match dc with
-                 | None -> ""
-                 | Some dc -> Blif.exdc_to_string pristine dc))
-        in
-        Ok { request; pristine; canonical_digest; key; dc })
+  let* spec = spec_of_request request in
+  let* canonical, pristine, inline_dc =
+    match Option.bind warm (fun w -> lru_find w.parsed request.blif) with
+    | Some hit -> Ok hit
+    | None -> (
+      match Blif.parse_dc request.blif with
+      | net, inline_dc ->
+        let hit = (Blif.to_string net, net, inline_dc) in
+        Option.iter (fun w -> lru_add w.parsed request.blif hit) warm;
+        Ok hit
+      | exception Blif.Parse_error { line; message } ->
+        Error (Printf.sprintf "blif:%d: %s" line message))
+  in
+  let* dc =
+    (* The effective view is the body's inline [.exdc] section plus
+       the [exdc] field; the warm copy is never mutated. *)
+    match Option.map (Blif.parse_exdc pristine) request.exdc with
+    | extra ->
+      let dc = Dont_care.copy inline_dc in
+      Option.iter (Dont_care.merge dc) extra;
+      Ok (if Dont_care.is_empty dc then None else Some dc)
+    | exception Blif.Parse_error { line; message } ->
+      Error (Printf.sprintf "exdc:%d: %s" line message)
+    | exception Invalid_argument message ->
+      Error (Printf.sprintf "exdc: %s" message)
+  in
+  let key =
+    (* A wall-clock deadline can degrade the run nondeterministically;
+       such outputs must never be served to a later job. Every resolved
+       setting that can change the output bytes is part of the
+       identity, so two spellings of one job (an alias method name, an
+       explicit default seed) share a slot; [jobs] is provably
+       output-neutral (the shardcheck grid) and shared. The don't-care
+       view enters through its canonical section text, so a DC job
+       never shares a slot with a plain one (and two spellings of the
+       same view share theirs). *)
+    match spec.deadline with
+    | Some _ -> None
+    | None ->
+      let s = spec.settings in
+      Some
+        (Printf.sprintf
+           "%s\x00%s\x00%s\x00filter=%b memo=%b seed=%d words=%d fuel=%s\x00%s"
+           canonical spec.script
+           (fst (List.find (fun (_, m) -> m = spec.meth) Script.method_names))
+           s.use_filter s.use_memo s.sim_seed s.sim_words
+           (match s.fault_fuel with Some f -> string_of_int f | None -> "none")
+           (match dc with
+           | None -> ""
+           | Some dc -> Blif.exdc_to_string pristine dc))
+  in
+  let canonical_digest = Digest.to_hex (Digest.string canonical) in
+  Ok { spec; pristine; canonical_digest; key; dc }
 
 let cache_key p = p.key
 
@@ -168,42 +194,23 @@ let cache_key p = p.key
 (* ------------------------------------------------------------------ *)
 
 let execute ?warm p =
-  let req = p.request in
-  let steps = List.assoc req.script scripts in
-  let net =
-    let scripted_key = p.canonical_digest ^ "\x00" ^ req.script in
-    match Option.map (fun w -> lru_find w.scripted scripted_key) warm with
-    | Some (Some snapshot) -> Network.copy snapshot
-    | Some None | None ->
-      let net = Network.copy p.pristine in
-      Synth.Script.run net steps;
-      Option.iter
-        (fun w -> lru_add w.scripted scripted_key (Network.copy net))
-        warm;
-      net
+  (* A warm post-script snapshot stands in for the script. *)
+  let scripted_key = p.canonical_digest ^ "\x00" ^ p.spec.script in
+  let net, spec, on_script =
+    match Option.bind warm (fun w -> lru_find w.scripted scripted_key) with
+    | Some snapshot ->
+      (Network.copy snapshot, { p.spec with script = "none" }, None)
+    | None ->
+      ( Network.copy p.pristine,
+        p.spec,
+        Option.map
+          (fun w net _ -> lru_add w.scripted scripted_key (Network.copy net))
+          warm )
   in
   let counters = Rar_util.Counters.create () in
-  let jobs =
-    if req.jobs = 0 then Rar_util.Pool.default_jobs () else max 1 req.jobs
-  in
-  let deadline_at =
-    Option.map (fun s -> Unix.gettimeofday () +. s) req.deadline
-  in
-  (match req.meth with
-  | "none" -> ()
-  | "rar" -> ignore (Rewiring.Rar.optimize net)
-  | name ->
-    let meth =
-      List.assoc
-        (if name = "resub" then "sis" else name)
-        Synth.Script.resub_methods
-    in
-    Synth.Script.resub_command ~use_filter:req.use_filter
-      ~use_memo:req.use_memo ~jobs ?sim_seed:req.sim_seed
-      ?sim_words:req.sim_words ?fault_fuel:req.fault_budget ?deadline_at
-      ~counters ?dc:p.dc meth net);
+  run ~counters ?dc:p.dc ?on_script spec net;
   {
-    Cache.blif = Blif.to_string net;
+    Cache.blif = serialise ?dc:p.dc net;
     literals = Lit_count.factored net;
     counters = Rar_util.Counters.to_json counters;
   }

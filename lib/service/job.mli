@@ -1,12 +1,11 @@
-(** Job semantics: what one request means and how to run it.
+(** Job semantics: what one job means and how to run it.
 
-    This is the single definition of a service job's behaviour, shared
-    by the daemon's workers, the [servicecheck] gate and the stress
-    tests — so "byte-identical to a cold CLI run" is checked against
-    exactly the code the daemon executes. A job is: parse the BLIF, run
-    the starting script, run the resubstitution method with the request
-    flags, serialise the result ({!Logic_network.Blif.to_string}, the
-    same serialiser [rarsub optimize -o] uses).
+    The single definition of a job: the starting script, then the
+    method under one {!Synth.Script.settings} record ({!run}), then
+    {!serialise}. [rarsub optimize] calls both on the network it
+    loaded, the daemon through {!execute} after parsing the request,
+    so a reply is byte-identical to [rarsub optimize -f] on the bytes
+    the client sent.
 
     {2 Warm per-worker state}
 
@@ -26,12 +25,43 @@ type warm
 
 val create_warm : unit -> warm
 
-val scripts : (string * Synth.Script.step list) list
-(** Script names a request may carry (the CLI's table). *)
+(** {2 The job} *)
 
-val method_names : string list
-(** Method names a request may carry: [none], [resub], [basic], [ext],
-    [ext-gdc], [rar]. *)
+type spec = {
+  script : string;  (** a name in {!Synth.Script.scripts} *)
+  meth : Synth.Script.job_method;
+  settings : Synth.Script.settings;
+      (** resolved ({!Rar_util.Pool.resolve_jobs}, engine defaults);
+          [deadline_at] is unset *)
+  deadline : float option;  (** seconds, anchored when the method starts *)
+}
+
+val spec_of_request : Protocol.request -> (spec, string) result
+(** Resolve a request's job fields against the {!Synth.Script} name
+    tables. [Error] names an unknown script or method. *)
+
+val anchored : spec -> Synth.Script.settings
+(** [spec.settings] with [deadline] anchored at this call. *)
+
+val run :
+  ?trace:Rar_util.Trace.t ->
+  ?counters:Rar_util.Counters.t ->
+  ?dc:Logic_network.Dont_care.t ->
+  ?on_script:(Logic_network.Network.t -> float -> unit) ->
+  spec ->
+  Logic_network.Network.t ->
+  unit
+(** Run the script, then the method, on the network in place.
+    [on_script] sees the network and the script's wall seconds between
+    the two phases, before the deadline is anchored. [dc] reaches the
+    method only, [trace] both phases. *)
+
+val serialise :
+  ?dc:Logic_network.Dont_care.t -> Logic_network.Network.t -> string
+(** The one job serialiser: {!Logic_network.Blif.to_string}, plus the
+    canonical [.exdc] section when [dc] is given. *)
+
+(** {2 The daemon's path} *)
 
 type prepared
 (** A validated request with its parsed network and cache identity. *)
@@ -49,9 +79,8 @@ val cache_key : prepared -> string option
     cached (a wall-clock [deadline] makes the output nondeterministic). *)
 
 val execute : ?warm:warm -> prepared -> Cache.entry
-(** Run the job. [jobs = 0] resolves to
-    {!Rar_util.Pool.default_jobs}[ ()] on this host; a relative
-    [deadline] is anchored at this call. *)
+(** {!run} on a copy of the parsed network (or of a warm post-script
+    snapshot), then {!serialise} with the job's don't-care view. *)
 
 val run_cold : Protocol.request -> (Cache.entry, string) result
 (** [prepare] + [execute] with no warm state and no cache — the

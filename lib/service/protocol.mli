@@ -24,11 +24,13 @@ val default_max_frame : int
     make the daemon buffer. *)
 
 type request = {
-  script : string;  (** starting script name, e.g. ["a"] *)
-  meth : string;  (** resubstitution method name, e.g. ["ext"] *)
+  script : string;  (** a name in {!Synth.Script.scripts}, e.g. ["a"] *)
+  meth : string;  (** a name in {!Synth.Script.method_names}, e.g. ["ext"] *)
   use_filter : bool;
   use_memo : bool;
-  jobs : int;  (** driver parallelism; [0] = auto on the daemon's host *)
+  jobs : int;
+      (** driver parallelism, resolved by {!Rar_util.Pool.resolve_jobs}
+          on the daemon's host *)
   sim_seed : int option;  (** [None] = the engine default *)
   sim_words : int option;
       (** signature vector size in 64-bit words; [None] = the engine
@@ -52,7 +54,9 @@ val default_request : blif:string -> request
 
 type response =
   | Result of {
-      blif : string;  (** optimised circuit, byte-identical to a cold CLI run *)
+      blif : string;
+          (** optimised circuit, byte-identical to [rarsub optimize -f]
+              on the request's [blif] (and [exdc]) *)
       literals : int;  (** factored-literal count of [blif] *)
       cache_hit : bool;
       counters : string;  (** {!Rar_util.Counters.to_json} snapshot *)

@@ -69,7 +69,7 @@ let create (config : config) =
   (* A worker writing to a client that vanished must get EPIPE, not a
      process-killing SIGPIPE. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let jobs = if config.jobs = 0 then Pool.default_jobs () else max 1 config.jobs in
+  let jobs = Pool.resolve_jobs config.jobs in
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.unlink config.socket_path with Unix.Unix_error _ -> ());
   Unix.bind listen_fd (Unix.ADDR_UNIX config.socket_path);
@@ -154,6 +154,15 @@ let run_job t conn (request : Protocol.request) =
   Pool.submit t.pool (fun () ->
       let start = Unix.gettimeofday () in
       let warm = Domain.DLS.get t.warm_key in
+      let result ~cache_hit (entry : Cache.entry) =
+        Protocol.Result
+          {
+            blif = entry.blif;
+            literals = entry.literals;
+            cache_hit;
+            counters = entry.counters;
+          }
+      in
       let reply =
         match Job.prepare ~warm request with
         | Error message -> Protocol.Refused message
@@ -173,13 +182,7 @@ let run_job t conn (request : Protocol.request) =
           match cached with
           | Some entry ->
             Trace.emit trace "cache_hit" [ ("job", Trace.Int job_id) ];
-            Protocol.Result
-              {
-                blif = entry.Cache.blif;
-                literals = entry.Cache.literals;
-                cache_hit = true;
-                counters = entry.Cache.counters;
-              }
+            result ~cache_hit:true entry
           | None ->
             if Option.is_some t.cache && request.use_cache then
               Trace.emit trace "cache_miss" [ ("job", Trace.Int job_id) ];
@@ -188,13 +191,7 @@ let run_job t conn (request : Protocol.request) =
               (match (key, t.cache) with
               | Some key, Some cache -> Cache.add cache key entry
               | _ -> ());
-              Protocol.Result
-                {
-                  blif = entry.Cache.blif;
-                  literals = entry.Cache.literals;
-                  cache_hit = false;
-                  counters = entry.Cache.counters;
-                }
+              result ~cache_hit:false entry
             | exception e ->
               Protocol.Refused
                 (Printf.sprintf "job failed: %s" (Printexc.to_string e))))

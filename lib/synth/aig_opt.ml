@@ -12,11 +12,7 @@ type config = {
   cube_limit : int;
   script : Script.step list;
   meth : Script.resub_method;
-  use_filter : bool;
-  use_memo : bool;
-  jobs : int;
-  sim_seed : int;
-  sim_words : int;
+  settings : Script.settings;
   verify_windows : bool;
   dc : Logic_network.Dont_care.t option;
 }
@@ -29,11 +25,7 @@ let default_config =
     cube_limit = 128;
     script = Script.script_a;
     meth = Script.Ext;
-    use_filter = true;
-    use_memo = true;
-    jobs = 1;
-    sim_seed = Logic_sim.Signature.default_seed;
-    sim_words = Logic_sim.Signature.default_words;
+    settings = Script.default_settings;
     verify_windows = false;
     dc = None;
   }
@@ -227,18 +219,13 @@ let splice aig wnet leaves =
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let optimize ?(config = default_config) ?fault_fuel ?deadline_at
-    ?(trace = Trace.disabled) ?counters aig =
+let optimize ?(config = default_config) ?(trace = Trace.disabled) ?counters
+    aig =
   let work = Aig.compact aig in
   let gates_before = Aig.num_ands work in
   let n_inputs = Aig.num_inputs work in
   let orig_top = n_inputs + gates_before in
-  let resub =
-    Script.resub_command ~use_filter:config.use_filter
-      ~use_memo:config.use_memo ~jobs:config.jobs ~sim_seed:config.sim_seed
-      ~sim_words:config.sim_words ?fault_fuel ?deadline_at ?counters
-      config.meth
-  in
+  let settings = config.settings in
   let view = ref (view_of work) in
   let current_live = ref gates_before in
   (* Every gate belongs to at most one attempted window per run: a
@@ -250,7 +237,7 @@ let optimize ?(config = default_config) ?fault_fuel ?deadline_at
   and reverted = ref 0
   and skipped = ref 0 in
   let past_deadline () =
-    match deadline_at with
+    match settings.deadline_at with
     | None -> false
     | Some t -> Unix.gettimeofday () > t
   in
@@ -342,13 +329,7 @@ let optimize ?(config = default_config) ?fault_fuel ?deadline_at
             else Some projected
         in
         let wresub =
-          match wdc with
-          | None -> resub
-          | Some wdc ->
-            Script.resub_command ~use_filter:config.use_filter
-              ~use_memo:config.use_memo ~jobs:config.jobs
-              ~sim_seed:config.sim_seed ~sim_words:config.sim_words
-              ?fault_fuel ?deadline_at ?counters ~dc:wdc config.meth
+          Script.resub_command ~settings ?counters ?dc:wdc config.meth
         in
         let reference =
           if config.verify_windows then Some (Network.copy wnet) else None

@@ -28,13 +28,10 @@ type config = {
           collapse exceeds it is skipped, not truncated (default 128) *)
   script : Script.step list;  (** run on each window before resub *)
   meth : Script.resub_method;
-  use_filter : bool;
-  use_memo : bool;
-  jobs : int;
-  sim_seed : int;
-  sim_words : int;
-      (** signature vector size in 64-bit words for the per-window
-          engines (default {!Logic_sim.Signature.default_words}) *)
+  settings : Script.settings;
+      (** every window's {!Script.resub_command} settings; the deadline
+          is also polled between windows, so a late run stops splicing
+          and returns what it has *)
   verify_windows : bool;
       (** BDD-check every optimised window against its collapsed
           original before splicing (belt-and-braces; windows are small
@@ -51,8 +48,7 @@ type config = {
 }
 
 val default_config : config
-(** Script A, [Ext], filter and memo on, [jobs = 1],
-    {!Logic_sim.Signature.default_seed}, verification off. *)
+(** Script A, [Ext], {!Script.default_settings}, verification off. *)
 
 type stats = {
   gates_before : int;
@@ -68,18 +64,12 @@ type stats = {
 
 val optimize :
   ?config:config ->
-  ?fault_fuel:int ->
-  ?deadline_at:float ->
   ?trace:Rar_util.Trace.t ->
   ?counters:Rar_util.Counters.t ->
   Logic_network.Aig.t ->
   Logic_network.Aig.t * stats
 (** Optimise every window of the AIG and return the compacted result
     (the input is not mutated — it is compacted into a working copy
-    first). [fault_fuel] and [deadline_at] are threaded into each
-    window's resubstitution exactly as in {!Script.resub_command}; the
-    deadline is additionally polled between windows, so a run whose
-    deadline passes stops splicing and returns what it has. [trace]
-    receives [aig_window] events (pivot, gates, leaves, outcome) and an
-    [aig_opt] summary; [counters] accumulates division tallies across
-    all windows. *)
+    first). [trace] receives [aig_window] events (pivot, gates, leaves,
+    outcome) and an [aig_opt] summary; [counters] accumulates division
+    tallies across all windows. *)

@@ -73,10 +73,48 @@ let resub_methods =
     ("resub-k", Kresub);
   ]
 
-let resub_command ?(use_filter = true) ?(jobs = 1)
-    ?(sim_seed = Logic_sim.Signature.default_seed)
-    ?(sim_words = Logic_sim.Signature.default_words) ?(use_memo = true)
-    ?fault_fuel ?deadline_at ?trace ?counters ?dc meth net =
+let scripts =
+  [
+    ("none", []);
+    ("a", script_a);
+    ("b", script_b);
+    ("c", script_c);
+    ("algebraic", script_algebraic);
+  ]
+
+type job_method = No_resub | Method of resub_method | Rar
+
+let method_names =
+  (("none", No_resub) :: List.map (fun (n, m) -> (n, Method m)) resub_methods)
+  @ [ ("resub", Method Algebraic); ("rar", Rar) ]
+
+type settings = {
+  use_filter : bool;
+  use_memo : bool;
+  jobs : int;
+  sim_seed : int;
+  sim_words : int;
+  fault_fuel : int option;
+  deadline_at : float option;
+}
+
+let default_settings =
+  {
+    use_filter = true;
+    use_memo = true;
+    jobs = 1;
+    sim_seed = Logic_sim.Signature.default_seed;
+    sim_words = Logic_sim.Signature.default_words;
+    fault_fuel = None;
+    deadline_at = None;
+  }
+
+let resub_command ?(settings = default_settings) ?trace ?counters ?dc meth net
+    =
+  let { use_filter; use_memo; jobs; sim_seed; sim_words; fault_fuel;
+        deadline_at } =
+    settings
+  in
   match meth with
   | Algebraic ->
     ignore
@@ -110,11 +148,3 @@ let resub_command ?(use_filter = true) ?(jobs = 1)
     ignore
       (Booldiv.Substitute.run ~config ?fault_fuel ?deadline_at ?trace
          ?counters net)
-
-let resub_algebraic net = resub_command Algebraic net
-
-let resub_basic net = resub_command Basic net
-
-let resub_ext net = resub_command Ext net
-
-let resub_ext_gdc net = resub_command Ext_gdc net

@@ -50,50 +50,62 @@ val run :
 type resub_method = Algebraic | Basic | Ext | Ext_gdc | Kresub
 
 val resub_methods : (string * resub_method) list
-(** CLI spellings of the five methods ([sis], [basic], [ext],
-    [ext-gdc], [resub-k]). *)
+(** Canonical spellings of the five methods ([sis], [basic], [ext],
+    [ext-gdc], [resub-k]), one each. *)
+
+(** {2 Job names}
+
+    The one table of names every entry point ([rarsub optimize],
+    [optimize-aig], [client] and the [rarsubd] wire protocol) accepts. *)
+
+val scripts : (string * step list) list
+(** [none], [a], [b], [c] and [algebraic]. *)
+
+type job_method =
+  | No_resub  (** [none]: the script alone *)
+  | Method of resub_method
+  | Rar  (** [rar]: redundancy addition and removal, run by the caller *)
+
+val method_names : (string * job_method) list
+(** Every method spelling: [none], the {!resub_methods}, [resub] (an
+    alias of [sis]) and [rar]. The first spelling of a value is its
+    canonical name. Names match exactly, never by prefix. *)
+
+(** {2 Settings} *)
+
+type settings = {
+  use_filter : bool;
+      (** the signature divisor filter ([Kresub] has none to turn off) *)
+  use_memo : bool;  (** memoise failed division attempts across passes *)
+  jobs : int;  (** parallelism; any value yields bit-identical networks *)
+  sim_seed : int;  (** seed of the signature engines *)
+  sim_words : int;  (** signature vector size in 64-bit words *)
+  fault_fuel : int option;
+      (** implication steps per work unit ({!Booldiv.Substitute.run}) *)
+  deadline_at : float option;  (** absolute {!Unix.gettimeofday} instant *)
+}
+(** What a resubstitution run may do: filled once per job and handed to
+    {!resub_command} and {!Aig_opt.config}. *)
+
+val default_settings : settings
+(** Filter and memo on, [jobs = 1], {!Logic_sim.Signature.default_seed}
+    and {!Logic_sim.Signature.default_words}, no fuel cap, no
+    deadline. *)
 
 val resub_command :
-  ?use_filter:bool ->
-  ?jobs:int ->
-  ?sim_seed:int ->
-  ?sim_words:int ->
-  ?use_memo:bool ->
-  ?fault_fuel:int ->
-  ?deadline_at:float ->
+  ?settings:settings ->
   ?trace:Rar_util.Trace.t ->
   ?counters:Rar_util.Counters.t ->
   ?dc:Logic_network.Dont_care.t ->
   resub_method ->
   resub_command
-(** Build a resubstitution command. [use_filter] toggles the
-    simulation-signature divisor filter (default on; ignored by
-    [Kresub], whose signatures are the candidate generator rather than
-    a filter); [jobs] sets the speculative-evaluation parallelism
-    (default 1; any value yields bit-identical networks); [sim_seed]
-    seeds the signature engines (default
-    {!Logic_sim.Signature.default_seed}) and [sim_words] sizes their
-    vectors in 64-bit words (default
-    {!Logic_sim.Signature.default_words}); [use_memo] (default
-    on) memoises failed division attempts across passes, producing
-    bit-identical networks with fewer replayed attempts; [counters]
-    accumulates pair/division tallies across the run for reporting.
-    [fault_fuel] / [deadline_at] bound the implication work per unit and
-    the overall wall clock (see {!Booldiv.Substitute.run}); [trace]
-    receives the structured event stream; [dc] threads an external
-    don't-care view into the method (forbidden assignments for the
-    Boolean methods, care-set masking for the signature filter — see
-    {!Booldiv.Substitute.config} and {!Resub.run}). The four constants
-    below are [resub_command] with the defaults. *)
-
-val resub_algebraic : resub_command
-(** SIS [resub -d]: the baseline. *)
-
-val resub_basic : resub_command
-(** The paper's basic-division configuration. *)
-
-val resub_ext : resub_command
-(** The paper's extended-division configuration. *)
-
-val resub_ext_gdc : resub_command
-(** Extended division with global don't cares. *)
+(** Build a resubstitution command under [settings] (default
+    {!default_settings}). [counters] accumulates pair/division tallies
+    across the run for reporting; [trace] receives the structured event
+    stream; [dc] threads an external don't-care view into the method
+    (forbidden assignments for the Boolean methods, care-set masking
+    for the signature filter — see {!Booldiv.Substitute.config} and
+    {!Resub.run}). [Algebraic] is SIS [resub -d], the baseline; [Basic],
+    [Ext] and [Ext_gdc] are the paper's basic-division,
+    extended-division and extended-with-global-don't-cares
+    configurations; [Kresub] is constructive k-resubstitution. *)

@@ -16,6 +16,8 @@ type t = {
 
 let default_jobs () = Domain.recommended_domain_count ()
 
+let resolve_jobs = function 0 -> default_jobs () | n -> max 1 n
+
 let jobs t = t.jobs
 
 (* Claim-execute-account loop shared by workers and the caller. Claims

@@ -18,6 +18,10 @@ val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the runtime's estimate of
     usable parallelism on this machine. *)
 
+val resolve_jobs : int -> int
+(** The [--jobs] rule of every entry point: [0] means {!default_jobs}[ ()],
+    negative values mean 1. *)
+
 val create : jobs:int -> t
 (** Spawn the pool. [jobs] is clamped below at 1. *)
 

@@ -110,6 +110,11 @@ let close t =
     | None -> ());
     Mutex.unlock sink.mutex
 
+let with_file path f =
+  match Option.fold ~none:disabled ~some:to_file path with
+  | exception Sys_error msg -> Error msg
+  | t -> Ok (Fun.protect ~finally:(fun () -> close t) (fun () -> f t))
+
 (* --- Minimal JSON syntax checker (for the tracecheck gate) ------------- *)
 
 exception Bad of int * string

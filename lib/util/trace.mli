@@ -53,6 +53,12 @@ val close : t -> unit
 (** Flush and release the sink (close the channel iff {!to_file} opened
     it). Idempotent; a closed trace behaves like {!disabled}. *)
 
+val with_file : string option -> (t -> 'a) -> ('a, string) result
+(** [with_file path f] runs [f] on a trace writing to [path]
+    ({!disabled} when [None]) and closes it afterwards, also when [f]
+    raises. [Error] carries the [Sys_error] message when the file
+    cannot be opened; [f] does not run then. *)
+
 val lint : string -> (unit, string) result
 (** Validate that one line is a single well-formed JSON value with an
     object at top level (the trace invariant). Self-contained minimal

@@ -211,7 +211,12 @@ let test_aig_opt_monotone_and_equivalent () =
    across the jobs grid — the property [make aigcheck] pins at scale. *)
 let test_aig_opt_jobs_byte_identity () =
   let run jobs =
-    let config = { Synth.Aig_opt.default_config with Synth.Aig_opt.jobs } in
+    let config =
+      {
+        Synth.Aig_opt.default_config with
+        Synth.Aig_opt.settings = { Synth.Script.default_settings with jobs };
+      }
+    in
     let optimised, _ = Synth.Aig_opt.optimize ~config (planted_aig 3) in
     Aiger.to_string optimised
   in

@@ -109,7 +109,7 @@ let methods =
 
 let optimize ?dc meth net =
   Script.run net Script.script_a;
-  (Script.resub_command ~jobs:1 ?dc meth) net
+  Script.resub_command ?dc meth net
 
 let random_net seed =
   Generator.random ~seed ~n_inputs:7 ~n_nodes:14 ~n_outputs:4 ()

@@ -54,7 +54,9 @@ let determinism meth () =
       let run jobs =
         let scratch = Network.copy net in
         let counters = Rar_util.Counters.create () in
-        Synth.Script.resub_command ~jobs ~counters meth scratch;
+        Synth.Script.resub_command
+          ~settings:{ Synth.Script.default_settings with jobs }
+          ~counters meth scratch;
         (scratch, Atomic.get counters.Rar_util.Counters.substitutions)
       in
       let seq, n_seq = run 1 and par, n_par = run test_jobs in
@@ -72,7 +74,10 @@ let passed_deadline meth () =
   let before = Network.to_string net in
   let counters = Rar_util.Counters.create () in
   let t0 = Unix.gettimeofday () in
-  Synth.Script.resub_command ~deadline_at:(t0 -. 1.0) ~counters meth net;
+  Synth.Script.resub_command
+    ~settings:
+      { Synth.Script.default_settings with deadline_at = Some (t0 -. 1.0) }
+    ~counters meth net;
   let elapsed = Unix.gettimeofday () -. t0 in
   Alcotest.(check bool)
     (Printf.sprintf "returns promptly (%.3fs)" elapsed)

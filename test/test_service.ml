@@ -150,8 +150,8 @@ let test_cache_eviction () =
 (* ------------------------------------------------------------------ *)
 
 (* Two small circuits x two methods. Every unique request's reference
-   output comes from [Job.run_cold] — exactly the code path a cold CLI
-   run executes. *)
+   output comes from [Job.run_cold] — the [Job.run] + [Job.serialise]
+   path a cold [rarsub optimize -f] run executes. *)
 let stress_workload () =
   List.concat_map
     (fun name ->
@@ -348,7 +348,63 @@ let test_dc_cache_identity () =
   Alcotest.(check bool)
     "DC job never shares the plain job's slot" false (plain = via_field);
   Alcotest.(check string)
-    "inline section and exdc field share a slot" via_field via_inline
+    "inline section and exdc field share a slot" via_field via_inline;
+  (* The key is printed from the resolved settings, so the other
+     spellings of one job share a slot too: an explicit default seed or
+     vector size, and the [sis] alias of [resub]. *)
+  let plain_with f =
+    key (f (Protocol.default_request ~blif:(body ^ ".end\n")))
+  in
+  List.iter
+    (fun (label, f) -> Alcotest.(check string) label plain (plain_with f))
+    [
+      ( "explicit default seed shares a slot",
+        fun r ->
+          { r with Protocol.sim_seed = Some Logic_sim.Signature.default_seed }
+      );
+      ( "explicit default words share a slot",
+        fun r ->
+          { r with Protocol.sim_words = Some Logic_sim.Signature.default_words }
+      );
+    ];
+  let resub = plain_with (fun r -> { r with Protocol.meth = "resub" }) in
+  Alcotest.(check string)
+    "sis and resub share a slot" resub
+    (plain_with (fun r -> { r with Protocol.meth = "sis" }));
+  Alcotest.(check bool)
+    "another seed gets its own slot" false
+    (plain = plain_with (fun r -> { r with Protocol.sim_seed = Some 7 }))
+
+(* A DC job's reply carries the canonical [.exdc] section: it is the
+   one job serialiser's output for a cold run on the same bytes, which
+   is what [rarsub optimize -f ... -o] writes. *)
+let test_dc_reply_carries_view () =
+  let blif =
+    In_channel.with_open_bin "../bench/fixtures/dcrich.blif"
+      In_channel.input_all
+  in
+  let request = Protocol.default_request ~blif in
+  let expected =
+    let net, dc = Blif.parse_dc blif in
+    match Job.spec_of_request request with
+    | Ok spec ->
+      Job.run ~dc spec net;
+      Job.serialise ~dc net
+    | Error m -> Alcotest.failf "spec rejected: %s" m
+  in
+  Alcotest.(check bool)
+    "serialiser emits the section" true
+    (List.mem ".exdc" (String.split_on_char '\n' expected));
+  (match Job.run_cold request with
+  | Ok entry ->
+    Alcotest.(check string) "cold run = serialiser" expected entry.Cache.blif
+  | Error m -> Alcotest.failf "cold run failed: %s" m);
+  let socket = temp_socket () in
+  Server.with_server (Server.default_config ~socket_path:socket) (fun _ ->
+      match Server.Client.round_trip ~timeout:120.0 ~socket request with
+      | Protocol.Result { blif; _ } ->
+        Alcotest.(check string) "reply = serialiser" expected blif
+      | Protocol.Refused m -> Alcotest.failf "refused: %s" m)
 
 let () =
   Alcotest.run "service"
@@ -376,5 +432,7 @@ let () =
             test_daemon_death_mid_session;
           Alcotest.test_case "deadline jobs uncached" `Quick
             test_deadline_uncached;
+          Alcotest.test_case "DC reply carries the view" `Quick
+            test_dc_reply_carries_view;
         ] );
     ]

@@ -166,9 +166,9 @@ let test_script_algebraic_with_hooks () =
       Network.check net;
       Alcotest.(check bool) "preserved" true (Equiv.equivalent net before))
     [
-      Synth.Script.resub_algebraic;
-      Synth.Script.resub_basic;
-      Synth.Script.resub_ext;
+      Synth.Script.resub_command Algebraic;
+      Synth.Script.resub_command Basic;
+      Synth.Script.resub_command Ext;
     ]
 
 (* ------------------------------------------------------------------ *)
