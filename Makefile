@@ -59,11 +59,10 @@ dccheck:
 	dune exec bench/main.exe -- dccheck quick
 
 # Constructive k-resubstitution gate: every quick (circuit, method)
-# cell is verified with the BDD oracle (exact, not sampled), all five
-# methods stay pinned to the shardcheck totals, resub-k's total meets
-# the ext floor (<= 239) and is byte-identical across the shardcheck
-# jobs x memo grid, and its candidate-construction CPU stays below
-# ext's division CPU.
+# cell is verified with the BDD oracle (exact, not sampled), resub-k's
+# total meets the ext floor (<= 239), and its candidate-construction
+# CPU stays below ext's division CPU. Grid identity and the pinned
+# totals of every method, resub-k included, are shardcheck's.
 kcheck:
 	dune exec bench/main.exe -- kcheck quick
 
@@ -78,7 +77,7 @@ bench-aig:
 # the cube-kernel microbenchmark, the resident-
 # service miss/hit byte-identity gate, the AIG backend round-trip and
 # windowed-resub determinism gate, the external don't-care discipline
-# gate, the constructive k-resub gate, and the quick
+# gate, the constructive k-resub BDD-verify and floor gate, and the quick
 # machine-readable perf snapshot (writes BENCH_resub.json for cross-PR
 # trajectory tracking; fails if total cpu_seconds — including the
 # multi-pass script benchmark — regresses >20% vs the previous snapshot

@@ -120,12 +120,14 @@ let optimize ?use_dominators ?(max_sources_per_node = 8) net =
             if Network.mem net node && Network.mem net source then begin
               let ncubes = Cover.cube_count (Network.cover net node) in
               for i = 0 to ncubes - 1 do
-                if
-                  Network.mem net node
-                  && i < Cover.cube_count (Network.cover net node)
-                then
-                  List.iter
-                    (fun phase ->
+                (* A commit overwrites the network and can shrink the
+                   cover, so the guard is re-checked for every phase. *)
+                List.iter
+                  (fun phase ->
+                    if
+                      Network.mem net node
+                      && i < Cover.cube_count (Network.cover net node)
+                    then begin
                       incr tried;
                       match
                         attempt_move ?use_dominators net ~node ~cube:i ~source
@@ -135,8 +137,9 @@ let optimize ?use_dominators ?(max_sources_per_node = 8) net =
                         Network.overwrite net better;
                         incr kept;
                         removed := !removed + r
-                      | None -> ())
-                    [ true; false ]
+                      | None -> ()
+                    end)
+                  [ true; false ]
               done
             end)
           sources

@@ -129,7 +129,7 @@ let random ?(seed = 0x5eed) ?(words = 64) ?dc net1 net2 =
   require_same_interface net1 net2;
   let rng = Rar_util.Rng.create seed in
   compare_under ?dc net1 net2 ~words
-    ~inputs1:(Simulate.random_inputs rng net1 ~words)
+    ~inputs1:(Simulate.random_inputs rng ~words)
 
 let check ?dc net1 net2 =
   let n = List.length (Network.inputs net1) in

@@ -6,6 +6,7 @@ type t = {
   net : Network.t;
   words : int;
   seed : int;
+  all_rows : int64 array;
   values : (Network.node_id, int64 array) Hashtbl.t;
   patterns : (Network.node_id, int64 array) Hashtbl.t;
   mutable observer : Network.observer_id option;
@@ -21,6 +22,9 @@ type t = {
   dc : Dont_care.t option;
   mutable care : int64 array option;
   mutable care_rev : int;
+  (* Counterexample rows, newest first: row [j] (bit [j mod 64] of word
+     [j / 64]) of every input's stimulus holds assignment [j]. *)
+  mutable rows : bool array list;
 }
 
 let default_words = 8
@@ -73,15 +77,39 @@ let refresh t =
     t.refreshes <- t.refreshes + 1
   end
 
+(* Overwrite the next free row of every input's stimulus with
+   [assignment]. The input patterns are replaced, never mutated, so
+   signatures handed out earlier keep their values; the inputs are marked
+   dirty so the next query re-simulates their fanout only. *)
+let refine t assignment =
+  let row = List.length t.rows in
+  if row >= 64 * t.words then invalid_arg "Signature.refine: no free row";
+  let w = row / 64 and bit = Int64.shift_left 1L (row land 63) in
+  List.iteri
+    (fun i id ->
+      let v = Array.copy (pattern t id) in
+      v.(w) <-
+        (if assignment.(i) then Int64.logor v.(w) bit
+         else Int64.logand v.(w) (Int64.lognot bit));
+      Hashtbl.replace t.patterns id v;
+      t.dirty <- Node_set.add id t.dirty)
+    (Network.inputs t.net);
+  t.rows <- assignment :: t.rows;
+  t.care_rev <- -1
+
+let rows t = List.rev t.rows
+
 let default_seed = 0x516e41
 
-let create ?(seed = default_seed) ?(words = default_words) ?dc net =
+let create ?(seed = default_seed) ?(words = default_words) ?dc ?(rows = [])
+    net =
   if words <= 0 then invalid_arg "Signature.create: words must be positive";
   let t =
     {
       net;
       words;
       seed;
+      all_rows = Array.make words Int64.minus_one;
       values = Hashtbl.create 64;
       patterns = Hashtbl.create 16;
       observer = None;
@@ -92,6 +120,7 @@ let create ?(seed = default_seed) ?(words = default_words) ?dc net =
       dc;
       care = None;
       care_rev = -1;
+      rows = [];
     }
   in
   t.observer <-
@@ -104,6 +133,7 @@ let create ?(seed = default_seed) ?(words = default_words) ?dc net =
              Hashtbl.remove t.values id;
              t.dirty <- Node_set.remove id t.dirty
            | Network.Rebuilt -> t.stale <- true));
+  List.iter (refine t) rows;
   refresh t;
   t
 
@@ -221,6 +251,30 @@ let care_mask t =
                   | _ -> None)))
     end;
     t.care
+
+let care_rows t = Option.value (care_mask t) ~default:t.all_rows
+
+let differs_care m a b =
+  let n = Array.length a in
+  let rec scan w =
+    w < n
+    && (Int64.logand m.(w) (Int64.logxor a.(w) b.(w)) <> 0L || scan (w + 1))
+  in
+  scan 0
+
+let equal_on_care t a b = not (differs_care (care_rows t) a b)
+
+let subset_on_care t a b = not (intersects_not_care (care_rows t) a b)
+
+let agreement t a b =
+  let m = care_rows t in
+  let agree = ref 0 and differ = ref 0 in
+  for w = 0 to Array.length a - 1 do
+    let x = Int64.logxor a.(w) b.(w) in
+    differ := !differ + popcount64 (Int64.logand m.(w) x);
+    agree := !agree + popcount64 (Int64.logand m.(w) (Int64.lognot x))
+  done;
+  max !agree !differ
 
 (* Rows outside the care set are wildcards: a DC-aware rewrite may give
    any node either value there, so such a row can always supply the

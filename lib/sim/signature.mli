@@ -1,21 +1,33 @@
-(** Per-node random simulation signatures with incremental invalidation.
+(** Per-node simulation signatures with incremental invalidation and
+    counterexample rows.
 
     A signature engine attaches to a network and assigns every node a
     [64*words]-bit signature: the node's value under that many shared
-    random input patterns, computed bit-parallel in one topological pass
-    (the {!Simulate.run} kernel). The engine subscribes to
+    input patterns, computed bit-parallel in one topological pass (the
+    {!Simulate.run} kernel). The engine subscribes to
     {!Logic_network.Network.on_mutation}, so after a node edit only the
     transitive fanout of the edited nodes is re-simulated — not the whole
     network — and refreshes run lazily at the next query.
 
-    The substitution drivers use signatures as a {e conservative-only}
-    divisor filter: a divisor is discarded when its signature proves no
-    division of the dividend could use it on the sampled patterns
-    ({!compatible}), and surviving candidates are ranked by onset-overlap
-    popcount ({!score}). Filtering can only skip work, never accept a bad
-    rewrite: every substitution still goes through the usual
-    literal-gain-with-rollback commit and the harness's equivalence
-    checks. *)
+    The stimulus starts as deterministic pseudo-random patterns. A client
+    that learns an input assignment the sample misses — a counterexample
+    to a signature-level claim — folds it in with {!refine}: the
+    assignment takes the next free row of every input, each row holds
+    exactly one counterexample, and the rows persist for the engine's
+    lifetime (the simulation-guided resubstitution loop of
+    Lee/Riener/Mishchenko).
+
+    Two kinds of client read the signatures. The division drivers use
+    them as a {e conservative-only} divisor filter: a divisor is
+    discarded when its signature proves no division of the dividend could
+    use it on the sampled patterns ({!compatible}), and surviving
+    candidates are ranked by onset-overlap popcount ({!score}). The
+    constructive [resub-k] driver proposes replacements whose signature
+    equals the dividend's on the care rows ({!equal_on_care}) and refines
+    the stimulus with the exact oracle's counterexamples. Signatures can
+    only skip or propose work, never accept a bad rewrite: every rewrite
+    is still checked by its driver (literal gain with rollback, or an
+    exact validation) and by the harness's equivalence checks. *)
 
 type t
 
@@ -30,14 +42,18 @@ val create :
   ?seed:int ->
   ?words:int ->
   ?dc:Logic_network.Dont_care.t ->
+  ?rows:bool array list ->
   Logic_network.Network.t ->
   t
 (** Build the engine and simulate the whole network once. The engine
     stays subscribed to the network's mutations until {!detach}. Each
     input's stimulus is a deterministic function of [(seed, node id)]
-    alone, so two engines with equal seeds assign equal signatures — even
-    when one was kept up to date incrementally and the other was built
-    from scratch after the same mutations.
+    and the counterexample rows alone, so two engines with equal seeds
+    and rows assign equal signatures — even when one was kept up to date
+    incrementally and the other was built from scratch after the same
+    mutations. [rows] (default none) are applied with {!refine}, oldest
+    first, before the first simulation: [create ~rows:(rows t)] on a copy
+    of [t]'s network reproduces [t]'s signatures.
 
     [dc] supplies an external don't-care view: simulation rows whose
     input pattern matches an EXCDC cube are outside the care set.
@@ -49,7 +65,8 @@ val create :
     DC-less filter (the monotonicity discipline: don't cares may only
     unlock rewrites). The care mask is cached against
     {!Logic_network.Dont_care.revision} and recomputed exactly when the
-    view changes, independently of network mutations. Raw signatures
+    view changes or {!refine} adds a row, independently of network
+    mutations. Raw signatures
     ({!signature}) are {e not} masked. An empty or absent view leaves
     every predicate byte-identical to a DC-less engine. *)
 
@@ -71,6 +88,20 @@ val pattern : t -> Logic_network.Network.node_id -> int64 array
 
 val refresh : t -> unit
 (** Force the pending re-simulation now (normally implicit). *)
+
+val refine : t -> bool array -> unit
+(** [refine t assignment] writes the input assignment ([assignment.(i)]
+    is the value of the [i]-th of {!Logic_network.Network.inputs}) into
+    the next free row of every input's stimulus. Only the inputs' fanout
+    is re-simulated, lazily at the next query; the cached care mask is
+    dropped, since the new row may land in an EXCDC cube. Arrays
+    returned earlier by {!signature} and {!pattern} are not mutated.
+    Raises [Invalid_argument] when all [64 * words] rows already hold a
+    counterexample. *)
+
+val rows : t -> bool array list
+(** The counterexample rows, oldest first. Row [j] is bit [j mod 64] of
+    word [j / 64]; rows past the list keep the base pattern. *)
 
 (** {1 Signature algebra} *)
 
@@ -113,6 +144,27 @@ val score :
     (best of the two phases when [use_complement]). Replaces the
     per-pair transitive-fanin intersection cardinality of the seed
     implementation. *)
+
+(** {1 Care-masked comparisons}
+
+    Only the care rows take part: all rows without a view (or with an
+    empty one), otherwise the rows outside every EXCDC cube. Unlike the
+    admission tests above, these are exact on the sample — a don't-care
+    row is ignored, not treated as a wildcard. *)
+
+val care_mask : t -> int64 array option
+(** The care rows as a mask, [None] when every row cares. Cached until
+    the view's revision moves or {!refine} adds a row. *)
+
+val equal_on_care : t -> int64 array -> int64 array -> bool
+(** The two signatures agree on every care row. *)
+
+val subset_on_care : t -> int64 array -> int64 array -> bool
+(** No care row holds the first signature without the second. *)
+
+val agreement : t -> int64 array -> int64 array -> int
+(** Best-phase agreement: the number of care rows on which the two
+    signatures agree, or on which they differ, whichever is larger. *)
 
 (** {1 Introspection} *)
 

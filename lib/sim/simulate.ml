@@ -45,13 +45,12 @@ let run net ~words ~input_values =
     (Network.topological net);
   values
 
-let random_inputs rng net ~words =
+let random_inputs rng ~words =
   let memo = Hashtbl.create 16 in
   fun id ->
     match Hashtbl.find_opt memo id with
     | Some v -> v
     | None ->
-      ignore net;
       let v = Array.init words (fun _ -> Rar_util.Rng.int64 rng) in
       Hashtbl.add memo id v;
       v

@@ -18,11 +18,7 @@ val run :
 (** Simulate all nodes under [64 * words] patterns. *)
 
 val random_inputs :
-  Rar_util.Rng.t ->
-  Logic_network.Network.t ->
-  words:int ->
-  Logic_network.Network.node_id ->
-  int64 array
+  Rar_util.Rng.t -> words:int -> Logic_network.Network.node_id -> int64 array
 (** Fresh uniform random input patterns (memoised per node so repeated
     queries agree). *)
 

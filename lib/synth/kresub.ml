@@ -7,11 +7,9 @@ module Division_memo = Booldiv.Division_memo
 module Scheduler = Booldiv.Scheduler
 module Lit_count = Logic_network.Lit_count
 module Signature = Logic_sim.Signature
-module Simulate = Logic_sim.Simulate
 module Bdd = Robdd.Bdd
 module Of_network = Robdd.Of_network
 module Counters = Rar_util.Counters
-module Rng = Rar_util.Rng
 module Trace = Rar_util.Trace
 
 let default_max_divisors = 24
@@ -22,109 +20,6 @@ let default_max_triples = 8
    in principle refine forever on pathological don't-care interactions;
    after this many restarts the dividend is abandoned for the pass. *)
 let max_restarts = 16
-
-let popcount64 x =
-  let x =
-    Int64.sub x (Int64.logand (Int64.shift_right_logical x 1) 0x5555555555555555L)
-  in
-  let x =
-    Int64.add
-      (Int64.logand x 0x3333333333333333L)
-      (Int64.logand (Int64.shift_right_logical x 2) 0x3333333333333333L)
-  in
-  let x =
-    Int64.logand (Int64.add x (Int64.shift_right_logical x 4)) 0x0F0F0F0F0F0F0F0FL
-  in
-  Int64.to_int (Int64.shift_right_logical (Int64.mul x 0x0101010101010101L) 56)
-  land 0x7f
-
-(* ------------------------------------------------------------------ *)
-(* Refinable simulation state                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Unlike the incremental {!Signature} engine this state owns its input
-   stimulus, because refinement overwrites stimulus rows with
-   counterexample assignments: row [j] (bit [j mod 64] of word [j / 64])
-   of every input holds counterexample [j], rows past the
-   counterexamples keep the deterministic base pattern — the same
-   [seed]-and-id-derived splitmix stream the signature filter uses, so
-   runs are reproducible for any (seed, words, counterexample) history.
-   Staleness is keyed on {!Network.revision} plus the counterexample
-   count, so a mutate-and-restore probe only costs a resimulation, never
-   a wrong value. *)
-type sim = {
-  sim_net : Network.t;
-  words : int;
-  seed : int;
-  dc : Dont_care.t option;
-  mutable values : Simulate.valuation;
-  mutable care : int64 array;
-  mutable ncex : int;
-  mutable rev : int;  (* network revision at last resimulation; -1 = never *)
-}
-
-let sim_create ~words ~seed ?dc net =
-  {
-    sim_net = net;
-    words;
-    seed;
-    dc;
-    values = Hashtbl.create 1;
-    care = [||];
-    ncex = 0;
-    rev = -1;
-  }
-
-let base_pattern ~words ~seed id =
-  let rng = Rng.create (seed lxor ((id + 1) * 0x9e3779b9)) in
-  Array.init words (fun _ -> Rng.int64 rng)
-
-(* [cex]: oldest first, each a full assignment over the primary inputs
-   in {!Network.inputs} order. Assignments past the vector's capacity of
-   [64 * words] rows are not representable and are never appended by the
-   driver. *)
-let sim_refresh s ~cex =
-  let want = List.length cex in
-  if s.rev <> Network.revision s.sim_net || s.ncex <> want then begin
-    let inputs = Network.inputs s.sim_net in
-    let patterns = Hashtbl.create 17 in
-    List.iteri
-      (fun i id ->
-        let arr = base_pattern ~words:s.words ~seed:s.seed id in
-        List.iteri
-          (fun j (assign : bool array) ->
-            if j < s.words * 64 then begin
-              let w = j / 64 and b = j land 63 in
-              let m = Int64.shift_left 1L b in
-              arr.(w) <-
-                (if assign.(i) then Int64.logor arr.(w) m
-                 else Int64.logand arr.(w) (Int64.lognot m))
-            end)
-          cex;
-        Hashtbl.replace patterns id arr)
-      inputs;
-    s.values <-
-      Simulate.run s.sim_net ~words:s.words ~input_values:(fun id ->
-          match Hashtbl.find_opt patterns id with
-          | Some a -> a
-          | None -> Array.make s.words 0L);
-    s.care <-
-      (match s.dc with
-      | Some dc when not (Dont_care.is_empty dc) ->
-        let by_name = Hashtbl.create 17 in
-        List.iter
-          (fun id ->
-            Hashtbl.replace by_name (Network.name s.sim_net id)
-              (Hashtbl.find patterns id))
-          inputs;
-        Dont_care.care_mask dc ~words:s.words
-          ~stimulus:(Hashtbl.find_opt by_name)
-      | _ -> Array.make s.words Int64.minus_one);
-    s.ncex <- want;
-    s.rev <- Network.revision s.sim_net
-  end
-
-let sim_value s id = Hashtbl.find s.values id
 
 (* ------------------------------------------------------------------ *)
 (* Candidate shapes                                                    *)
@@ -141,45 +36,28 @@ type cand = { c_shape : shape; c_est : int }
 
 let lit n p = { l_node = n; l_pos = p }
 
-let shape_sig s = function
-  | Const b -> Array.make s.words (if b then Int64.minus_one else 0L)
+let shape_sig sim shape =
+  let words = Signature.words sim in
+  match shape with
+  | Const b -> Array.make words (if b then Int64.minus_one else 0L)
   | Sop cubes ->
-    let acc = Array.make s.words 0L in
+    let acc = Array.make words 0L in
     List.iter
       (fun cube ->
-        let c = Array.make s.words Int64.minus_one in
+        let c = Array.make words Int64.minus_one in
         List.iter
           (fun l ->
-            let v = sim_value s l.l_node in
-            for w = 0 to s.words - 1 do
+            let v = Signature.signature sim l.l_node in
+            for w = 0 to words - 1 do
               let x = if l.l_pos then v.(w) else Int64.lognot v.(w) in
               c.(w) <- Int64.logand c.(w) x
             done)
           cube;
-        for w = 0 to s.words - 1 do
+        for w = 0 to words - 1 do
           acc.(w) <- Int64.logor acc.(w) c.(w)
         done)
       cubes;
     acc
-
-let eq_masked care a b =
-  let n = Array.length a in
-  let rec go w =
-    w >= n
-    || Int64.logand care.(w) (Int64.logxor a.(w) b.(w)) = 0L
-       && go (w + 1)
-  in
-  go 0
-
-(* [a ⊆ b] on the care rows: no row where [a] holds and [b] does not. *)
-let leq_masked care a b =
-  let n = Array.length a in
-  let rec go w =
-    w >= n
-    || Int64.logand care.(w) (Int64.logand a.(w) (Int64.lognot b.(w))) = 0L
-       && go (w + 1)
-  in
-  go 0
 
 let shape_cover = function
   | Const false -> Cover.zero
@@ -208,8 +86,7 @@ let shape_cover = function
    a necessary condition read off the signatures — the BDD validator is
    the proof, and a false positive refines the stimulus like any other
    candidate. *)
-let absorption_shapes sim ~f ~sf ~ranked ~cur_lits =
-  let net = sim.sim_net in
+let absorption_shapes net sim ~f ~sf ~ranked ~cur_lits =
   let fanins = Network.fanins net f in
   let cubes =
     Array.of_list
@@ -233,14 +110,14 @@ let absorption_shapes sim ~f ~sf ~ranked ~cur_lits =
         List.iter
           (fun pd ->
             let dsig =
-              let v = sim_value sim d in
-              Array.init sim.words (fun w ->
+              let v = Signature.signature sim d in
+              Array.init (Signature.words sim) (fun w ->
                   if pd then v.(w) else Int64.lognot v.(w))
             in
             let absorbable =
               Array.mapi
                 (fun i c ->
-                  leq_masked sim.care sigs.(i) dsig
+                  Signature.subset_on_care sim sigs.(i) dsig
                   && not (List.exists (fun l -> l.l_node = d) c))
                 cubes
             in
@@ -259,7 +136,7 @@ let absorption_shapes sim ~f ~sf ~ranked ~cur_lits =
                         let qsig =
                           shape_sig sim (Sop [ lit d pd :: q' ])
                         in
-                        if leq_masked sim.care qsig sf then q := q')
+                        if Signature.subset_on_care sim qsig sf then q := q')
                       c;
                     if List.length !q < List.length c then begin
                       changed := true;
@@ -567,28 +444,25 @@ let run ?(max_divisors = default_max_divisors)
     match counters with Some c -> c | None -> Counters.create ()
   in
   let cache = Fanin_cache.create net in
-  let sim = sim_create ~words:sim_words ~seed:sim_seed ?dc net in
-  let oracle = ora_create ?dc net in
-  (* Counterexamples live for the whole run and only ever grow, and each
-     occupies its own stimulus row: once a spurious candidate has been
+  (* Counterexample rows live for the whole run and only ever grow, each
+     in its own stimulus row: once a spurious candidate has been
      distinguished it stays distinguished, so it is never proposed for
-     any dividend again. [gen] keys the memo on this history. *)
-  let cex = ref [] in
-  let gen = ref 0 in
+     any dividend again. The row count keys the memo on this history. *)
+  let sim = Signature.create ~seed:sim_seed ~words:sim_words ?dc net in
+  Fun.protect ~finally:(fun () -> Signature.detach sim) @@ fun () ->
+  let oracle = ora_create ?dc net in
   let substitutions = ref 0 in
   (* One constructive scan of dividend [f]. [live] distinguishes the
-     sequential driver (refinements are applied to the shared
-     counterexample list) from a worker on a snapshot (a would-be
-     refinement only yields the verdict; the driver re-executes the scan
-     for real). [speculating] buffers Dirty events around real attempts
-     so a validated-but-no-gain rollback moves no stamps. *)
-  let scan_once net ~cache ~sim ~oracle ~counters:c ~speculating ~live ~cex f
-      =
-    sim_refresh sim ~cex:!cex;
+     sequential driver (refinements land in the run's engine) from a
+     worker on a snapshot (a would-be refinement only yields the
+     verdict; the driver re-executes the scan for real). [speculating]
+     buffers Dirty events around real attempts so a validated-but-no-gain
+     rollback moves no stamps. *)
+  let scan_once net ~cache ~sim ~oracle ~counters:c ~speculating ~live f =
     let cur_lits = Lit_count.node_factored net f in
+    let sf = Signature.signature sim f in
     let shapes =
       Counters.timed c `Filter @@ fun () ->
-      let sf = sim_value sim f in
       let pool =
         List.filter
           (fun d ->
@@ -597,19 +471,13 @@ let run ?(max_divisors = default_max_divisors)
             && not (Fanin_cache.depends_on cache d ~on:f))
           (List.sort Int.compare (Network.node_ids net))
       in
-      let score d =
-        let sd = sim_value sim d in
-        let agree = ref 0 and disagree = ref 0 in
-        for w = 0 to sim.words - 1 do
-          let x = Int64.logxor sf.(w) sd.(w) in
-          disagree := !disagree + popcount64 (Int64.logand sim.care.(w) x);
-          agree :=
-            !agree + popcount64 (Int64.logand sim.care.(w) (Int64.lognot x))
-        done;
-        max !agree !disagree
-      in
       let ranked =
-        let scored = List.map (fun d -> (score d, d)) pool in
+        let scored =
+          List.map
+            (fun d ->
+              (Signature.agreement sim sf (Signature.signature sim d), d))
+            pool
+        in
         let sorted =
           List.sort
             (fun (s1, d1) (s2, d2) ->
@@ -620,9 +488,8 @@ let run ?(max_divisors = default_max_divisors)
           (List.filteri (fun i _ -> i < max_divisors) (List.map snd sorted))
       in
       shapes_for ~max_triples ~pool ~ranked
-      @ absorption_shapes sim ~f ~sf ~ranked ~cur_lits
+      @ absorption_shapes net sim ~f ~sf ~ranked ~cur_lits
     in
-    let sf = sim_value sim f in
     let rec try_shapes = function
       | [] -> Scheduler.Quiet
       | cand :: tl ->
@@ -630,7 +497,8 @@ let run ?(max_divisors = default_max_divisors)
           cand.c_est >= cur_lits
           || not
                (Counters.timed c `Filter (fun () ->
-                    eq_masked sim.care sf (shape_sig sim cand.c_shape)))
+                    Signature.equal_on_care sim sf
+                      (shape_sig sim cand.c_shape)))
         then try_shapes tl
         else begin
           Counters.add c.Counters.kresub_candidates 1;
@@ -639,10 +507,9 @@ let run ?(max_divisors = default_max_divisors)
                 validate oracle ~f cand.c_shape)
           with
           | Some assign ->
-            if List.length !cex < sim.words * 64 then begin
+            if List.length (Signature.rows sim) < 64 * sim_words then begin
               if live then begin
-                cex := !cex @ [ assign ];
-                incr gen;
+                Signature.refine sim assign;
                 Counters.add c.Counters.kresub_refinements 1
               end;
               Scheduler.Refined
@@ -670,10 +537,10 @@ let run ?(max_divisors = default_max_divisors)
     try_shapes shapes
   in
   let scan_to_quiescence net ~cache ~sim ~oracle ~counters:c ~speculating
-      ~live ~cex f =
+      ~live f =
     let rec go restarts =
-      match scan_once net ~cache ~sim ~oracle ~counters:c ~speculating ~live
-              ~cex f
+      match
+        scan_once net ~cache ~sim ~oracle ~counters:c ~speculating ~live f
       with
       | Scheduler.Refined when live && restarts < max_restarts ->
         go (restarts + 1)
@@ -683,7 +550,7 @@ let run ?(max_divisors = default_max_divisors)
   in
   let client memo =
     (* The whole scan is one memo unit: its dividend entry is keyed on
-       the refinement generation. *)
+       the number of counterexample rows. *)
     let miss c =
       if Option.is_some memo then Counters.add c.Counters.memo_misses 1
     in
@@ -697,7 +564,7 @@ let run ?(max_divisors = default_max_divisors)
       miss counters;
       let outcome =
         scan_to_quiescence net ~cache ~sim ~oracle ~counters ~speculating
-          ~live:true ~cex f
+          ~live:true f
       in
       if outcome = Scheduler.Committed then begin
         incr substitutions;
@@ -705,23 +572,27 @@ let run ?(max_divisors = default_max_divisors)
       end;
       outcome
     in
-    (* Workers never touch the shared counterexample list: a would-be
-       refinement only yields the verdict, and the scheduler re-runs
-       the scan live. *)
+    (* Workers simulate their snapshot once with the live rows and never
+       refine: a would-be refinement only yields the verdict, and the
+       scheduler re-runs the scan live. *)
     let speculate snap wc f =
       miss wc;
-      ( scan_to_quiescence snap ~cache:(Fanin_cache.create snap)
-          ~sim:(sim_create ~words:sim_words ~seed:sim_seed ?dc snap)
+      let wsim =
+        Signature.create ~seed:sim_seed ~words:sim_words ?dc
+          ~rows:(Signature.rows sim) snap
+      in
+      Fun.protect ~finally:(fun () -> Signature.detach wsim) @@ fun () ->
+      ( scan_to_quiescence snap ~cache:(Fanin_cache.create snap) ~sim:wsim
           ~oracle:(ora_create ?dc snap) ~counters:wc
           ~speculating:(fun real -> real ())
-          ~live:false ~cex:(ref !cex) f,
+          ~live:false f,
         Scheduler.Unbounded )
     in
     { Scheduler.bounded = false; scan; speculate }
   in
   Scheduler.run ~driver:"kresub"
     ~fields:[ ("words", Trace.Int sim_words) ]
-    ~gen:(fun () -> !gen)
+    ~gen:(fun () -> List.length (Signature.rows sim))
     ~pass_work:(fun c -> c.Counters.kresub_candidates)
     ~jobs ~use_memo ~max_passes ?deadline_at ~trace ~counters net client;
   !substitutions

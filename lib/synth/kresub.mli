@@ -20,16 +20,18 @@
     Each surviving candidate is validated {e exactly} against the BDD
     checker ({!Robdd.Of_network}), modulo the external don't-care view
     when one is given. A failed validation yields a counterexample
-    input assignment which is folded back into the stimulus as a fresh
-    simulation row — after which the same wrong candidate can never be
-    proposed again (each counterexample permanently occupies its own
-    row) — and the scan restarts with the sharpened signatures. A
+    input assignment which {!Logic_sim.Signature.refine} writes into a
+    fresh simulation row of the run's signature engine — after which
+    the same wrong candidate can never be proposed again (each
+    counterexample permanently occupies its own row) — and the scan
+    restarts with the sharpened signatures. A
     validated candidate commits through {!Lift.set_cover} iff the
     node's factored literal count strictly decreases; since candidates
     are covers over existing nodes, no attempt ever allocates a node id.
 
     Passes, [jobs > 1] and the memo are {!Booldiv.Scheduler}'s, with
-    dividend-level memo entries keyed on the refinement generation, so
+    dividend-level memo entries keyed on the number of counterexample
+    rows, so
     [--jobs N] and [--no-memo] stay byte-identical to the sequential
     memoised run. *)
 
@@ -57,10 +59,12 @@ val run :
   int
 (** Run constructive resubstitution to a fixpoint (bounded by
     [max_passes], default 4) and return the number of committed
-    rewrites. [sim_words] sizes the signature vectors in 64-bit words
-    (default {!Logic_sim.Signature.default_words} = 512 bits; raises
-    [Invalid_argument] when ≤ 0); [sim_seed] seeds the deterministic
-    base stimulus. [deadline_at] bounds the wall clock (polled per
+    rewrites. [sim_words] and [sim_seed] configure the run's
+    {!Logic_sim.Signature} engine: its width in 64-bit words (default
+    {!Logic_sim.Signature.default_words} = 512 rows; raises
+    [Invalid_argument] when ≤ 0), which also caps the counterexample
+    rows at [64 * sim_words], and the seed of the base stimulus the
+    rows overwrite. [deadline_at] bounds the wall clock (polled per
     dividend; one [degradations] tick when crossed). Tallies land in
     [counters]: [kresub_candidates] (signature-matched constructions),
     [kresub_validated] (passed the exact check), [kresub_refinements]

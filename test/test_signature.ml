@@ -8,6 +8,7 @@ module Builder = Logic_network.Builder
 module Lit_count = Logic_network.Lit_count
 module Simulate = Logic_sim.Simulate
 module Signature = Logic_sim.Signature
+module Dont_care = Logic_network.Dont_care
 module Equiv = Logic_sim.Equiv
 module Suite = Bench_suite.Suite
 module Circuits = Bench_suite.Circuits
@@ -109,21 +110,24 @@ let test_consistent_with_exhaustive () =
 
 let int64_array = Alcotest.(array int64)
 
+(* f = (a + b)(c + d) + e substitutes D = a + b; g and h sit beside and
+   after it. *)
+let resub_example () =
+  Builder.of_spec
+    ~inputs:[ "a"; "b"; "c"; "d"; "e" ]
+    ~nodes:
+      [
+        ("D", "a + b");
+        ("f", "ac + ad + bc + bd + e");
+        ("g", "ab + cd'");
+        ("h", "fg + e'");
+      ]
+    ~outputs:[ "h"; "f"; "D" ]
+
 (* Incremental re-simulation after mutations must match an engine built
    from scratch on the final network. *)
 let test_incremental_matches_fresh () =
-  let net =
-    Builder.of_spec
-      ~inputs:[ "a"; "b"; "c"; "d"; "e" ]
-      ~nodes:
-        [
-          ("D", "a + b");
-          ("f", "ac + ad + bc + bd + e");
-          ("g", "ab + cd'");
-          ("h", "fg + e'");
-        ]
-      ~outputs:[ "h"; "f"; "D" ]
-  in
+  let net = resub_example () in
   let sigs = Signature.create ~seed:11 net in
   let resim0 = Signature.resimulated_count sigs in
   (* Mutation 1: algebraic substitution rewrites f through set_function. *)
@@ -162,6 +166,137 @@ let test_incremental_matches_fresh () =
   (* Mutation 4: node removal via sweep. *)
   ignore (Logic_network.Sweep.run net);
   check_against_fresh "after sweep";
+  Signature.detach sigs
+
+let row_bit (v : int64 array) j =
+  Int64.logand (Int64.shift_right_logical v.(j / 64) (j land 63)) 1L = 1L
+
+(* Counterexample rows: a refined engine kept up to date through
+   mutations equals [create ~rows] on the final network, each input's
+   row bit holds its refined value, and every node's row bit is the
+   plain evaluation under that assignment. *)
+let test_refined_matches_fresh () =
+  let net = resub_example () in
+  let sigs = Signature.create ~seed:11 ~words:1 net in
+  let handed_out =
+    List.map
+      (fun id ->
+        let v = Signature.signature sigs id in
+        (id, v, Array.copy v))
+      (Network.node_ids net)
+  in
+  let a1 = [| true; true; false; true; false |] in
+  let a2 = [| false; true; true; false; true |] in
+  Signature.refine sigs a1;
+  List.iter
+    (fun (id, v, kept) ->
+      Alcotest.check int64_array
+        (Printf.sprintf "node %d signature handed out earlier untouched" id)
+        kept v)
+    handed_out;
+  let f = Builder.node net "f" and d = Builder.node net "D" in
+  Alcotest.(check bool)
+    "substitution committed" true
+    (Synth.Resub.try_substitute net ~f ~d);
+  Signature.refine sigs a2;
+  let g = Builder.node net "g" in
+  Synth.Lift.set_cover net g (Synth.Lift.cover net g);
+  Alcotest.(check (list (array bool)))
+    "rows oldest first" [ a1; a2 ] (Signature.rows sigs);
+  let fresh =
+    Signature.create ~seed:11 ~words:1 ~rows:(Signature.rows sigs) net
+  in
+  List.iter
+    (fun id ->
+      Alcotest.check int64_array
+        (Printf.sprintf "refined node %d" id)
+        (Signature.signature fresh id)
+        (Signature.signature sigs id))
+    (Network.node_ids net);
+  Signature.detach fresh;
+  List.iteri
+    (fun j assign ->
+      let inputs = Network.inputs net in
+      List.iteri
+        (fun i id ->
+          Alcotest.(check bool)
+            (Printf.sprintf "row %d input %d" j i)
+            assign.(i)
+            (row_bit (Signature.signature sigs id) j))
+        inputs;
+      let values =
+        Network.eval net (fun id ->
+            let rec index i = function
+              | [] -> raise Not_found
+              | x :: tl -> if x = id then i else index (i + 1) tl
+            in
+            assign.(index 0 inputs))
+      in
+      List.iter
+        (fun id ->
+          Alcotest.(check bool)
+            (Printf.sprintf "row %d node %d evaluates" j id)
+            (values id)
+            (row_bit (Signature.signature sigs id) j))
+        (Network.node_ids net))
+    [ a1; a2 ];
+  for _ = 3 to 64 do
+    Signature.refine sigs a1
+  done;
+  Alcotest.check_raises "no free row"
+    (Invalid_argument "Signature.refine: no free row") (fun () ->
+      Signature.refine sigs a2);
+  Signature.detach sigs
+
+(* A refinement that lands in an EXCDC cube must drop that row from the
+   care mask: the cached mask is recomputed after [refine] even though
+   the view's revision did not move. *)
+let test_refine_recomputes_care () =
+  let net =
+    Builder.of_spec ~inputs:[ "a"; "b"; "c" ]
+      ~nodes:[ ("x", "ab"); ("y", "a + c") ]
+      ~outputs:[ "x"; "y" ]
+  in
+  let dc = Dont_care.create () in
+  Dont_care.add_excdc dc [ ("a", true); ("b", true) ];
+  let sigs = Signature.create ~seed:5 ~words:1 ~dc net in
+  let a = Builder.node net "a" and b = Builder.node net "b" in
+  let in_cube j =
+    row_bit (Signature.pattern sigs a) j && row_bit (Signature.pattern sigs b) j
+  in
+  (* Fill rows out of the cube up to the first base row that cares, then
+     put the next counterexample inside the cube there. *)
+  let rec first_caring j = if in_cube j then first_caring (j + 1) else j in
+  let j = first_caring 0 in
+  for _ = 1 to j do
+    Signature.refine sigs [| false; false; false |]
+  done;
+  let cares j m = row_bit (Option.get m) j in
+  Alcotest.(check bool)
+    "row cares before refinement" true
+    (cares j (Signature.care_mask sigs));
+  let rev = Dont_care.revision dc in
+  Signature.refine sigs [| true; true; false |];
+  Alcotest.(check int) "view revision unchanged" rev (Dont_care.revision dc);
+  Alcotest.(check bool)
+    "row is a don't care after refinement" false
+    (cares j (Signature.care_mask sigs));
+  for k = 0 to j - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "refined row %d still cares" k)
+      true
+      (cares k (Signature.care_mask sigs))
+  done;
+  (* The masked comparisons ignore the new don't-care row: x and a copy
+     with that row flipped differ nowhere else. *)
+  let x = Signature.signature sigs (Builder.node net "x") in
+  let flipped = Array.copy x in
+  flipped.(j / 64) <-
+    Int64.logxor flipped.(j / 64) (Int64.shift_left 1L (j land 63));
+  Alcotest.(check bool)
+    "equal on care despite the flipped row" true
+    (Signature.equal_on_care sigs x flipped);
+  Alcotest.(check bool) "raw signatures differ" false (x = flipped);
   Signature.detach sigs
 
 (* The filter is conservative-only: filtered and unfiltered runs both
@@ -321,6 +456,10 @@ let () =
             test_consistent_with_exhaustive;
           Alcotest.test_case "incremental matches fresh" `Quick
             test_incremental_matches_fresh;
+          Alcotest.test_case "refined rows match fresh" `Quick
+            test_refined_matches_fresh;
+          Alcotest.test_case "refine recomputes the care mask" `Quick
+            test_refine_recomputes_care;
         ] );
       ( "filter",
         [
