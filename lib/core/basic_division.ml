@@ -34,12 +34,18 @@ let sos_cube_indices net ~f ~d ~phase =
         List.exists (fun k -> Net_cube.contained_by c k) d_cubes)
       (List.init n Fun.id)
 
-let applicable ?(phase = true) net ~f ~d =
-  f <> d
-  && (not (Network.is_input net f))
-  && (not (Network.is_input net d))
-  && (not (Network.depends_on net d f))
-  && sos_cube_indices net ~f ~d ~phase <> []
+(* The SOS cube indices of [f] when the pair may be divided at all, [[]]
+   when it may not. *)
+let f1_indices net ~f ~d ~phase =
+  if
+    f <> d
+    && (not (Network.is_input net f))
+    && (not (Network.is_input net d))
+    && not (Network.depends_on net d f)
+  then sos_cube_indices net ~f ~d ~phase
+  else []
+
+let applicable ?(phase = true) net ~f ~d = f1_indices net ~f ~d ~phase <> []
 
 let region_predicate net seeds =
   let set =
@@ -55,10 +61,10 @@ let region_predicate net seeds =
 
 let divide ?(phase = true) ?(gdc = false) ?(learn_depth = 0) ?budget ?counters
     ?dc net ~f ~d =
-  if not (applicable ~phase net ~f ~d) then None
+  let f1_idx = f1_indices net ~f ~d ~phase in
+  if f1_idx = [] then None
   else begin
     let original_cover = Network.cover net f in
-    let f1_idx = sos_cube_indices net ~f ~d ~phase in
     let f_cubes = Array.of_list (Cover.cubes original_cover) in
     let f_fanins = Network.fanins net f in
     (* Partition the cubes in one pass over a membership array (f1_idx is

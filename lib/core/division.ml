@@ -58,22 +58,28 @@ let basic_sop ?(dc = Cover.zero) ~f ~d () =
 
 let default_complement_limit = 1024
 
+(* A cube of [f_not] inside a cube of [d_not] lies in [d]'s offset, so it
+   is at distance >= 1 from every cube of [d]. *)
+let has_disjoint_cube ~f_not ~d =
+  List.exists
+    (fun c -> List.for_all (fun k -> Cube.distance c k > 0) (Cover.cubes d))
+    (Cover.cubes f_not)
+
 let basic_pos ?(complement_limit = default_complement_limit) ~f ~d () =
   let ( let* ) = Option.bind in
   (* Shannon complements are correct but non-minimal; minimising them keeps
      the SOS split (and hence the reported factors) clean. *)
-  let complement c =
-    Option.map Minimize.simplify
-      (Complement.cover_limited ~limit:complement_limit c)
-  in
+  let complement = Minimize.complement ~limit:complement_limit in
   let* f_not = complement f in
-  let* d_not = complement d in
-  let* { quotient = q_not; remainder = r_not } =
-    basic_sop ~f:f_not ~d:d_not ()
-  in
-  let* pos_quotient = complement q_not in
-  let* pos_remainder = complement r_not in
-  Some { pos_quotient; pos_remainder }
+  if not (has_disjoint_cube ~f_not ~d) then None
+  else
+    let* d_not = complement d in
+    let* { quotient = q_not; remainder = r_not } =
+      basic_sop ~f:f_not ~d:d_not ()
+    in
+    let* pos_quotient = complement q_not in
+    let* pos_remainder = complement r_not in
+    Some { pos_quotient; pos_remainder }
 
 let verify_sop ?(dc = Cover.zero) ~f ~d { quotient; remainder } =
   let result = Cover.union (Cover.product quotient d) remainder in

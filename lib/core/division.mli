@@ -31,6 +31,14 @@ type pos_result = {
   pos_remainder : Twolevel.Cover.t;  (** SOP cover of the factor [r]. *)
 }
 
+val has_disjoint_cube : f_not:Twolevel.Cover.t -> d:Twolevel.Cover.t -> bool
+(** Some cube of [f_not] shares no minterm with any cube of [d]. This is
+    necessary for [basic_sop ~f:f_not ~d:d_not] to find a quotient when
+    [d_not] is any cover of [d]'s complement: a cube inside a cube of
+    [d_not] lies in [d]'s offset. {!basic_pos} runs it before it
+    complements [d], so a failing attempt never pays for that
+    complement. *)
+
 val basic_pos :
   ?complement_limit:int ->
   f:Twolevel.Cover.t ->
@@ -40,7 +48,8 @@ val basic_pos :
 (** Product-of-sums division [f = (pos_quotient + d) · pos_remainder] —
     the paper's substitution "in the flavor of product-of-sum form".
     [None] when the POS containment yields nothing or a complement exceeds
-    [complement_limit] cubes (default 1024). *)
+    [complement_limit] cubes (default 1024). Complements are the memoised
+    {!Twolevel.Minimize.complement}. *)
 
 val verify_sop :
   ?dc:Twolevel.Cover.t ->

@@ -15,9 +15,7 @@ let lifted net id =
   let fanins = Network.fanins net id in
   Cover.map_vars (fun v -> fanins.(v)) (Network.cover net id)
 
-let complemented ~limit net id =
-  Option.map Minimize.simplify
-    (Complement.cover_limited ~limit (lifted net id))
+let complemented ~limit net id = Minimize.complement ~limit (lifted net id)
 
 (* Map a complement-domain cover back into the real network: real-signal
    variables keep their phase; complement-domain node variables flip. *)
@@ -152,8 +150,7 @@ let try_run ?(complement_limit = default_complement_limit) net ~f ~pool =
                     mini_lifted
                 in
                 let* real_cover =
-                  Option.map Minimize.simplify
-                    (Complement.cover_limited ~limit:complement_limit over_real)
+                  Minimize.complement ~limit:complement_limit over_real
                 in
                 let support = Cover.support real_cover in
                 let fanins = Array.of_list support in
@@ -192,9 +189,9 @@ let try_run ?(complement_limit = default_complement_limit) net ~f ~pool =
           (* Real f = complement of the mini result for f'. *)
           let f_mini_result = lifted mini f_mini in
           let* f_not_new =
-            Complement.cover_limited ~limit:complement_limit f_mini_result
+            Minimize.complement ~limit:complement_limit f_mini_result
           in
-          let f_real = map_back ~real_of ~flips (Minimize.simplify f_not_new) in
+          let f_real = map_back ~real_of ~flips f_not_new in
           let* () =
             match install scratch f f_real with
             | exception Network.Cyclic _ -> None
@@ -211,11 +208,9 @@ let try_run ?(complement_limit = default_complement_limit) net ~f ~pool =
                 if Cover.equal now (to_mini original_not) then Some ()
                 else begin
                   let* d_not_new =
-                    Complement.cover_limited ~limit:complement_limit now
+                    Minimize.complement ~limit:complement_limit now
                   in
-                  let d_real =
-                    map_back ~real_of ~flips (Minimize.simplify d_not_new)
-                  in
+                  let d_real = map_back ~real_of ~flips d_not_new in
                   match install scratch d d_real with
                   | exception Network.Cyclic _ -> None
                   | () -> Some ()

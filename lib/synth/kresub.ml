@@ -32,32 +32,47 @@ type lit = { l_node : Network.node_id; l_pos : bool }
    allocates a node id (the id burn of every attempt is zero). *)
 type shape = Const of bool | Sop of lit list list
 
-type cand = { c_shape : shape; c_est : int }
-
 let lit n p = { l_node = n; l_pos = p }
 
-let shape_sig sim shape =
-  let words = Signature.words sim in
+(* Word [w] of a shape's signature, folded without closures: the
+   candidate filter calls this for every shape it builds. *)
+let rec cube_word sim w acc = function
+  | [] -> acc
+  | l :: tl ->
+    let v = (Signature.signature sim l.l_node).(w) in
+    cube_word sim w
+      (Int64.logand acc (if l.l_pos then v else Int64.lognot v))
+      tl
+
+let rec sop_word sim w acc = function
+  | [] -> acc
+  | cube :: tl ->
+    sop_word sim w (Int64.logor acc (cube_word sim w Int64.minus_one cube)) tl
+
+let shape_word sim shape w =
   match shape with
-  | Const b -> Array.make words (if b then Int64.minus_one else 0L)
-  | Sop cubes ->
-    let acc = Array.make words 0L in
-    List.iter
-      (fun cube ->
-        let c = Array.make words Int64.minus_one in
-        List.iter
-          (fun l ->
-            let v = Signature.signature sim l.l_node in
-            for w = 0 to words - 1 do
-              let x = if l.l_pos then v.(w) else Int64.lognot v.(w) in
-              c.(w) <- Int64.logand c.(w) x
-            done)
-          cube;
-        for w = 0 to words - 1 do
-          acc.(w) <- Int64.logor acc.(w) c.(w)
-        done)
-      cubes;
-    acc
+  | Const b -> if b then Int64.minus_one else 0L
+  | Sop cubes -> sop_word sim w 0L cubes
+
+let shape_sig sim shape =
+  Array.init (Signature.words sim) (shape_word sim shape)
+
+(* [Signature.equal_on_care sim sf (shape_sig sim shape)], one word at a
+   time: most candidates already differ from the dividend in the first
+   word, so the comparison stops there without building the shape's
+   signature. *)
+let shape_matches sim sf shape =
+  let care = Signature.care_mask sim in
+  let rec go w =
+    w >= Signature.words sim
+    ||
+    let diff = Int64.logxor sf.(w) (shape_word sim shape w) in
+    let diff =
+      match care with None -> diff | Some m -> Int64.logand m.(w) diff
+    in
+    Int64.equal diff 0L && go (w + 1)
+  in
+  go 0
 
 let shape_cover = function
   | Const false -> Cover.zero
@@ -165,10 +180,8 @@ let absorption_shapes net sim ~f ~sf ~ranked ~cur_lits =
                 let lits =
                   List.fold_left (fun n c -> n + List.length c) 0 dedup
                 in
-                if lits < old_sop then
-                  acc :=
-                    { c_shape = Sop dedup; c_est = max 1 (cur_lits - 1) }
-                    :: !acc
+                (* Estimated at one literal under the dividend's count. *)
+                if lits < old_sop && cur_lits > 1 then acc := Sop dedup :: !acc
               end
             end)
           [ true; false ])
@@ -181,11 +194,13 @@ let absorption_shapes net sim ~f ~sf ~ranked ~cur_lits =
    pairs over the ranked shortlist (AND, OR, XOR, XNOR families with all
    operand polarities), then budget-gated 2-resub triples. The order is
    a function of (network, stimulus) only, which the byte-identity
-   discipline rests on. *)
-let shapes_for ~max_triples ~pool ~ranked =
+   discipline rests on. Only the shapes that pass [keep] are listed, and
+   shapes estimated at [cur_lits] literals or more could never earn a
+   gain, so they are not even built. *)
+let shapes_for ~max_triples ~pool ~ranked ~cur_lits ~keep =
   let bools = [ true; false ] in
   let acc = ref [] in
-  let push sh est = acc := { c_shape = sh; c_est = est } :: !acc in
+  let push sh est = if est < cur_lits && keep sh then acc := sh :: !acc in
   push (Const false) 0;
   push (Const true) 0;
   List.iter
@@ -487,52 +502,46 @@ let run ?(max_divisors = default_max_divisors)
         Array.of_list
           (List.filteri (fun i _ -> i < max_divisors) (List.map snd sorted))
       in
-      shapes_for ~max_triples ~pool ~ranked
-      @ absorption_shapes net sim ~f ~sf ~ranked ~cur_lits
+      (* A scan ends at its first commit or refinement, and a rolled-back
+         attempt restores every signature, so which shapes match the
+         dividend's signature cannot change while the list is consumed:
+         filtering them here, as they are built, keeps the proposal
+         order and lets the mismatches die young. *)
+      let keep = shape_matches sim sf in
+      shapes_for ~max_triples ~pool ~ranked ~cur_lits ~keep
+      @ List.filter keep (absorption_shapes net sim ~f ~sf ~ranked ~cur_lits)
     in
     let rec try_shapes = function
       | [] -> Scheduler.Quiet
-      | cand :: tl ->
-        if
-          cand.c_est >= cur_lits
-          || not
-               (Counters.timed c `Filter (fun () ->
-                    Signature.equal_on_care sim sf
-                      (shape_sig sim cand.c_shape)))
-        then try_shapes tl
-        else begin
-          Counters.add c.Counters.kresub_candidates 1;
-          match
-            Counters.timed c `Validate (fun () ->
-                validate oracle ~f cand.c_shape)
-          with
-          | Some assign ->
-            if List.length (Signature.rows sim) < 64 * sim_words then begin
-              if live then begin
-                Signature.refine sim assign;
-                Counters.add c.Counters.kresub_refinements 1
-              end;
-              Scheduler.Refined
-            end
-            else try_shapes tl
-          | None ->
-            Counters.add c.Counters.kresub_validated 1;
-            let landed =
-              speculating (fun () ->
-                  let before_cover = Network.cover net f in
-                  let before_fanins = Network.fanins net f in
-                  match Lift.set_cover net f (shape_cover cand.c_shape) with
-                  | exception Network.Cyclic _ -> false
-                  | () ->
-                    if Lit_count.node_factored net f < cur_lits then true
-                    else begin
-                      Network.set_function net f ~fanins:before_fanins
-                        before_cover;
-                      false
-                    end)
-            in
-            if landed then Scheduler.Committed else try_shapes tl
-        end
+      | shape :: tl -> (
+        Counters.add c.Counters.kresub_candidates 1;
+        match Counters.timed c `Validate (fun () -> validate oracle ~f shape) with
+        | Some assign ->
+          if List.length (Signature.rows sim) < 64 * sim_words then begin
+            if live then begin
+              Signature.refine sim assign;
+              Counters.add c.Counters.kresub_refinements 1
+            end;
+            Scheduler.Refined
+          end
+          else try_shapes tl
+        | None ->
+          Counters.add c.Counters.kresub_validated 1;
+          let landed =
+            speculating (fun () ->
+                let before_cover = Network.cover net f in
+                let before_fanins = Network.fanins net f in
+                match Lift.set_cover net f (shape_cover shape) with
+                | exception Network.Cyclic _ -> false
+                | () ->
+                  if Lit_count.node_factored net f < cur_lits then true
+                  else begin
+                    Network.set_function net f ~fanins:before_fanins
+                      before_cover;
+                    false
+                  end)
+          in
+          if landed then Scheduler.Committed else try_shapes tl)
     in
     try_shapes shapes
   in

@@ -48,10 +48,9 @@ let attempt_direct net ~f ~d =
   attempt net ~f ~d_cover:(Lift.cover net d) ~d_lit:(Literal.pos d)
 
 let attempt_complement net ~f ~d =
-  match Complement.cover_limited ~limit:complement_limit (Lift.cover net d) with
+  match Minimize.complement ~limit:complement_limit (Lift.cover net d) with
   | None -> false
-  | Some d_not ->
-    attempt net ~f ~d_cover:(Minimize.simplify d_not) ~d_lit:(Literal.neg d)
+  | Some d_not -> attempt net ~f ~d_cover:d_not ~d_lit:(Literal.neg d)
 
 let try_substitute ?(use_complement = true) ?cache net ~f ~d =
   if pair_guarded ?cache net ~f ~d then false

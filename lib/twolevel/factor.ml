@@ -116,7 +116,16 @@ let rec factor cover =
 
 let of_cover = factor
 
-let count cover = literal_count (of_cover cover)
+(* Whole-network literal counts re-factor every node, most of them
+   unchanged since the last count. A node's cover is over its own fanin
+   positions, so nodes with the same local function share one entry and
+   a network has far fewer distinct covers than nodes: the small table
+   keeps its hit rate on networks larger than its cap. *)
+let count_memo : int Cover_memo.t = Cover_memo.create ~cap:64
+
+let count cover =
+  Cover_memo.find_or_add count_memo 0 cover (fun () ->
+      literal_count (of_cover cover))
 
 let rec to_string ?names t =
   match t with

@@ -19,7 +19,7 @@ val literal_count : t -> int
 
 val count : Cover.t -> int
 (** [literal_count (of_cover f)] — never larger than the flat SOP literal
-    count. *)
+    count. Memoised per domain on the cover ({!Cover_memo}). *)
 
 val eval : (int -> bool) -> t -> bool
 

@@ -75,3 +75,13 @@ let simplify ?(dc = Cover.zero) cover =
   let result = fixpoint 2 cover in
   if Cover.literal_count result <= Cover.literal_count cover then result
   else cover
+
+(* Division asks for the same few complements over and over (a dividend
+   against every divisor, a divisor against every dividend). The table
+   is small on purpose: a cached complement may hold up to [limit]
+   cubes, so a larger table shows up in peak memory. *)
+let complement_memo : Cover.t option Cover_memo.t = Cover_memo.create ~cap:64
+
+let complement ~limit cover =
+  Cover_memo.find_or_add complement_memo limit cover (fun () ->
+      Option.map simplify (Complement.cover_limited ~limit cover))

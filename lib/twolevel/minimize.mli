@@ -1,12 +1,14 @@
 (** Two-level minimization (espresso-lite).
 
-    A containment-driven EXPAND / IRREDUNDANT loop with optional don't
-    cares. It is weaker than full Espresso (no REDUCE/LAST_GASP, no
-    blocking-matrix expansion) but exact in the sense that the result is a
-    prime-ish irredundant cover of the same function modulo the don't-care
-    set. This implements the SIS [simplify] command of the paper's starting
-    scripts and the "force Espresso to do Boolean division" baseline of
-    Section I. *)
+    EXPAND / IRREDUNDANT / REDUCE rounds with optional don't cares. It is
+    weaker than full Espresso (no LAST_GASP, no blocking-matrix
+    expansion, REDUCE falls back to the original cube when its complement
+    grows too large) but exact in the sense that the result is a
+    prime-ish irredundant cover of the same function modulo the
+    don't-care set. This implements the SIS [simplify] command of the
+    paper's starting scripts and the "force Espresso to do Boolean
+    division" baseline of Section I. {!complement} is the minimised
+    complement the division drivers divide by. *)
 
 val expand : ?dc:Cover.t -> Cover.t -> Cover.t
 (** Greedily remove literals from each cube while the enlarged cube stays
@@ -25,3 +27,12 @@ val simplify : ?dc:Cover.t -> Cover.t -> Cover.t
 (** Single-cube containment, then expand/irredundant/reduce rounds in the
     espresso style, iterated to a fixpoint (bounded); never grows the
     literal count. *)
+
+val complement : limit:int -> Cover.t -> Cover.t option
+(** [complement ~limit c] is
+    [Option.map simplify (Complement.cover_limited ~limit c)]: the
+    minimised complement, [None] when the Shannon complement exceeds
+    [limit] cubes. Results are memoised per domain in a small table
+    keyed on [(limit, c)] ({!Cover_memo}), emptied when it reaches 64
+    entries; since the function is pure, a hit returns exactly what the
+    computation would. *)

@@ -279,6 +279,49 @@ let prop_pos_identity =
         same_function f
           (Cover.product (Cover.union pos_quotient d) pos_remainder))
 
+(* The parent composition of [basic_pos]: plain complements, no
+   pre-check, no memo. *)
+let reference_complement c =
+  Option.map Minimize.simplify (Complement.cover_limited ~limit:1024 c)
+
+let prop_pos_precheck_exact =
+  QCheck2.Test.make ~name:"POS pre-check rejects only quotient-free pairs"
+    ~count:500
+    ~print:(fun (f, d) -> Cover.to_string f ^ " / " ^ Cover.to_string d)
+    QCheck2.Gen.(pair gen_cover gen_cover)
+    (fun (f, d) ->
+      match reference_complement f with
+      | None -> true
+      | Some f_not -> (
+        Division.has_disjoint_cube ~f_not ~d
+        ||
+        match reference_complement d with
+        | None -> true
+        | Some d_not -> Division.basic_sop ~f:f_not ~d:d_not () = None))
+
+let prop_pos_matches_reference =
+  QCheck2.Test.make ~name:"POS division equals the unmemoised composition"
+    ~count:300
+    ~print:(fun (f, d) -> Cover.to_string f ^ " / " ^ Cover.to_string d)
+    QCheck2.Gen.(pair gen_cover gen_cover)
+    (fun (f, d) ->
+      let ( let* ) = Option.bind in
+      let reference =
+        let* f_not = reference_complement f in
+        let* d_not = reference_complement d in
+        let* { Division.quotient; remainder } =
+          Division.basic_sop ~f:f_not ~d:d_not ()
+        in
+        let* q = reference_complement quotient in
+        let* r = reference_complement remainder in
+        Some (q, r)
+      in
+      match (Division.basic_pos ~f ~d (), reference) with
+      | None, None -> true
+      | Some { pos_quotient; pos_remainder }, Some (q, r) ->
+        Cover.equal pos_quotient q && Cover.equal pos_remainder r
+      | Some _, None | None, Some _ -> false)
+
 let gen_planted =
   QCheck2.Gen.(
     let* seed = int_range 1 100_000 in
@@ -677,6 +720,8 @@ let () =
           [
             prop_sop_identity;
             prop_pos_identity;
+            prop_pos_precheck_exact;
+            prop_pos_matches_reference;
             prop_network_division_preserves;
             prop_network_division_gdc_preserves;
             prop_division_never_grows;

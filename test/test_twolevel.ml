@@ -350,6 +350,35 @@ let prop_factor_preserves =
       done;
       !ok && Factor.literal_count fact <= Cover.literal_count f)
 
+(* More distinct covers per case than the memo tables hold (64 entries),
+   each asked for twice, so lookups land both before and after the
+   tables are emptied. *)
+let gen_many_covers =
+  QCheck2.Gen.(list_size (int_range 100 200) gen_cover)
+
+let print_covers cs = String.concat " ; " (List.map print_cover cs)
+
+let prop_memo_complement =
+  QCheck2.Test.make ~name:"memoised complement equals the composition"
+    ~count:20 ~print:print_covers gen_many_covers (fun covers ->
+      List.for_all
+        (fun c ->
+          List.for_all
+            (fun limit ->
+              let expect =
+                Option.map Minimize.simplify (Complement.cover_limited ~limit c)
+              in
+              Option.equal Cover.equal (Minimize.complement ~limit c) expect)
+            [ 2; 1024 ])
+        (covers @ covers))
+
+let prop_memo_factor_count =
+  QCheck2.Test.make ~name:"memoised factored count equals the factoring"
+    ~count:20 ~print:print_covers gen_many_covers (fun covers ->
+      List.for_all
+        (fun c -> Factor.count c = Factor.literal_count (Factor.of_cover c))
+        (covers @ covers))
+
 let prop_algebraic_identity =
   QCheck2.Test.make ~name:"algebraic division identity f = qd + r" ~count:300
     ~print:(fun (f, d) -> print_cover f ^ " / " ^ print_cover d)
@@ -881,6 +910,8 @@ let qcheck_cases =
       prop_complement;
       prop_minimize_preserves;
       prop_factor_preserves;
+      prop_memo_complement;
+      prop_memo_factor_count;
       prop_algebraic_identity;
       prop_tautology_matches_eval;
       prop_containment_matches_eval;
