@@ -576,95 +576,127 @@ let cubeops_report () =
 (* bench - machine-readable perf snapshot (BENCH_resub.json)           *)
 (* ------------------------------------------------------------------ *)
 
-(* The previous snapshot's per-method totals for one timing key, for
-   the regression gates. Parsed by hand (no JSON dependency): every
-   occurrence of the key after the "totals" marker belongs to a
-   per-method total record. *)
-let previous_totals_sum ~key path =
-  match open_in path with
-  | exception Sys_error _ -> None
-  | ic ->
-    let content =
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    in
-    let totals_at =
-      let marker = "\"totals\"" in
-      let rec find i =
-        if i + String.length marker > String.length content then None
-        else if String.sub content i (String.length marker) = marker then
-          Some i
-        else find (i + 1)
+(* The numbers that follow [key] in the previous snapshot, in order,
+   counting only occurrences after [after] when it is given. Parsed by
+   hand (no JSON dependency). [[]] when there is no snapshot. *)
+let snapshot_numbers ?after ~key path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error _ -> []
+  | content ->
+    let find needle from =
+      let n = String.length needle in
+      let rec go i =
+        if i + n > String.length content then None
+        else if String.sub content i n = needle then Some i
+        else go (i + 1)
       in
-      find 0
+      go from
     in
-    (match totals_at with
-    | None -> None
-    | Some start ->
-      let sum = ref 0.0 and found = ref false in
-      let rec scan i =
-        if i + String.length key > String.length content then ()
-        else if String.sub content i (String.length key) = key then begin
-          let j = ref (i + String.length key) in
-          let k = ref !j in
-          while
-            !k < String.length content
-            && (match content.[!k] with
-               | '0' .. '9' | '.' | '-' | 'e' | '+' -> true
-               | _ -> false)
-          do
-            incr k
-          done;
-          (match float_of_string_opt (String.sub content !j (!k - !j)) with
-          | Some v ->
-            sum := !sum +. v;
-            found := true
-          | None -> ());
-          scan !k
-        end
-        else scan (i + 1)
-      in
-      scan start;
-      if !found then Some !sum else None)
+    let number_at j =
+      let k = ref j in
+      while
+        !k < String.length content
+        && match content.[!k] with
+           | '0' .. '9' | '.' | '-' | 'e' | '+' -> true
+           | _ -> false
+      do
+        incr k
+      done;
+      (float_of_string_opt (String.sub content j (!k - j)), !k)
+    in
+    let rec scan from acc =
+      match find key from with
+      | None -> List.rev acc
+      | Some i -> (
+        match number_at (i + String.length key) with
+        | Some v, k -> scan k (v :: acc)
+        | None, k -> scan k acc)
+    in
+    let start =
+      match after with
+      | None -> Some 0
+      | Some marker -> find marker 0
+    in
+    Option.fold ~none:[] ~some:(fun start -> scan start []) start
 
-let previous_total_cpu = previous_totals_sum ~key:"\"cpu_seconds\": "
+let snapshot_sum ?after ~key path =
+  match snapshot_numbers ?after ~key path with
+  | [] -> None
+  | values -> Some (List.fold_left ( +. ) 0.0 values)
 
-let previous_total_wall = previous_totals_sum ~key:"\"wall_seconds\": "
+let snapshot_first ~key path =
+  match snapshot_numbers ~key path with [] -> None | v :: _ -> Some v
 
-(* The job count the previous snapshot was taken at: its first
-   "jobs" key. Wall-clock figures are only comparable between runs at
-   equal parallelism. *)
+(* Every per-method total record follows the "totals" marker. *)
+let previous_total_cpu =
+  snapshot_sum ~after:"\"totals\"" ~key:"\"cpu_seconds\": "
+
+let previous_total_wall =
+  snapshot_sum ~after:"\"totals\"" ~key:"\"wall_seconds\": "
+
+(* The job count the previous snapshot was taken at. Wall-clock figures
+   are only comparable between runs at equal parallelism. *)
 let previous_jobs path =
-  match open_in path with
-  | exception Sys_error _ -> None
-  | ic ->
-    let content =
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    in
-    let key = "\"jobs\": " in
-    let rec find i =
-      if i + String.length key > String.length content then None
-      else if String.sub content i (String.length key) = key then begin
-        let j = i + String.length key in
-        let k = ref j in
-        while
-          !k < String.length content
-          && (match content.[!k] with '0' .. '9' -> true | _ -> false)
-        do
-          incr k
-        done;
-        int_of_string_opt (String.sub content j (!k - j))
-      end
-      else find (i + 1)
-    in
-    find 0
+  Option.map int_of_float (snapshot_first ~key:"\"jobs\": " path)
+
+(* The previous snapshot's summed script-benchmark fixpoint CPU: the
+   "full_fixpoint_seconds" key appears only in the script_bench record. *)
+let previous_script_cpu =
+  snapshot_sum ~key:"\"full_fixpoint_seconds\": "
+
+let previous_probe = snapshot_first ~key:"\"probe_seconds\": "
+
+let previous_script_probe = snapshot_first ~key:"\"script_probe_seconds\": "
 
 let cpu_regression_limit = 1.20
+
+(* Host speed, measured the way perfbench's calibration measures it:
+   the fastest of three runs of a fixed allocation, hashing and sorting
+   loop that calls no program code (about 7 ms on an uncontended 2-core
+   x86-64 KVM guest). The snapshot stores it beside the timings, and the
+   gates compare timings per unit of probe time, so a host that runs
+   everything slower does not read as a regression. *)
+let probe_work () =
+  let table = Hashtbl.create 1024 in
+  let acc = ref 0 in
+  for i = 0 to 40_000 do
+    let k = i * 7919 land 4095 in
+    (match Hashtbl.find_opt table k with
+    | Some l -> Hashtbl.replace table k (i :: List.filteri (fun j _ -> j < 4) l)
+    | None -> Hashtbl.replace table k [ i ]);
+    acc := !acc + k
+  done;
+  let a = Array.init 4096 (fun i -> i * 31 land 1023) in
+  Array.sort compare a;
+  ignore (Sys.opaque_identity (!acc + a.(7)))
+
+let probe () =
+  let once () =
+    let t0 = Unix.gettimeofday () in
+    probe_work ();
+    Unix.gettimeofday () -. t0
+  in
+  let a = once () in
+  let b = once () in
+  Float.min a (Float.min b (once ()))
+
+(* Fails the run (exit 3) when [now], divided by [speed] (this run's
+   probe over the previous snapshot's), exceeds the previous figure by
+   more than [cpu_regression_limit]. *)
+let regression_gate ~label ~speed ~previous now =
+  match previous with
+  | None -> ()
+  | Some old ->
+    let scaled = now /. speed in
+    Printf.printf
+      "%s: %.2fs, %.2fs at the previous snapshot's host speed (previous \
+       snapshot: %.2fs)\n"
+      label now scaled old;
+    if old > 0.0 && scaled > old *. cpu_regression_limit then begin
+      Printf.printf "PERF REGRESSION: %s grew by more than %.0f%%\n" label
+        ((cpu_regression_limit -. 1.0) *. 100.0);
+      exit 3
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Multi-pass script benchmark: later-pass CPU with and without memo   *)
@@ -743,7 +775,7 @@ let script_bench_measure rows =
 
 (* Keys deliberately avoid the "cpu_seconds" substring (see the totals
    parser above); "full_fixpoint_seconds" has its own regression parser. *)
-let script_bench_json cells =
+let script_bench_json ~probe cells =
   let ints l = String.concat ", " (List.map string_of_int l) in
   let cell c =
     Printf.sprintf
@@ -757,7 +789,9 @@ let script_bench_json cells =
        else 0.0)
       (ints c.sb_pass_on) (ints c.sb_pass_off)
   in
-  Printf.sprintf "{\"script\": \"a\", \"methods\": [%s]}"
+  Printf.sprintf
+    "{\"script\": \"a\", \"script_probe_seconds\": %.6f, \"methods\": [%s]}"
+    probe
     (String.concat ", " (List.map cell cells))
 
 let print_script_bench cells =
@@ -865,45 +899,6 @@ let print_scaling cells =
       "  single-core host: speedup figures are advisory (determinism \
        still gated)\n"
 
-(* The previous snapshot's summed script-benchmark fixpoint CPU: the
-   "full_fixpoint_seconds" key appears only in the script_bench record. *)
-let previous_script_cpu path =
-  match open_in path with
-  | exception Sys_error _ -> None
-  | ic ->
-    let content =
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    in
-    let key = "\"full_fixpoint_seconds\": " in
-    let sum = ref 0.0 and found = ref false in
-    let rec scan i =
-      if i + String.length key > String.length content then ()
-      else if String.sub content i (String.length key) = key then begin
-        let j = i + String.length key in
-        let k = ref j in
-        while
-          !k < String.length content
-          && (match content.[!k] with
-             | '0' .. '9' | '.' | '-' | 'e' | '+' -> true
-             | _ -> false)
-        do
-          incr k
-        done;
-        (match float_of_string_opt (String.sub content j (!k - j)) with
-        | Some v ->
-          sum := !sum +. v;
-          found := true
-        | None -> ());
-        scan !k
-      end
-      else scan (i + 1)
-    in
-    scan 0;
-    if !found then Some !sum else None
-
 (* ------------------------------------------------------------------ *)
 (* DC-rich fixture shared by dccheck and the bench snapshot            *)
 (* ------------------------------------------------------------------ *)
@@ -968,8 +963,8 @@ let dc_json () =
    is genuine processor time ([Sys.time]); "wall_seconds" is the
    elapsed-clock figure the label used to (mis)report. The regression
    gate compares cpu_seconds, the load-insensitive one. At [jobs = 1] the
-   run is gated against the previous snapshot: >20% total-CPU regression
-   fails. *)
+   run is gated against the previous snapshot: total CPU more than 20%
+   above it, after scaling by the two runs' host probes, fails. *)
 let bench_json ?(path = "BENCH_resub.json") ?(jobs = 1) ?sim_seed ?sim_words
     rows =
   section "bench - machine-readable resub snapshot";
@@ -984,6 +979,8 @@ let bench_json ?(path = "BENCH_resub.json") ?(jobs = 1) ?sim_seed ?sim_words
   in
   let baseline_cpu = if jobs = 1 then previous_total_cpu path else None in
   let baseline_script = if jobs = 1 then previous_script_cpu path else None in
+  let baseline_probe = previous_probe path in
+  let baseline_script_probe = previous_script_probe path in
   (* Parallel runs are gated on wall clock, the figure parallelism
      actually improves — CPU time charges every domain and would punish
      speculation. Only comparable against a snapshot at the same job
@@ -995,10 +992,23 @@ let bench_json ?(path = "BENCH_resub.json") ?(jobs = 1) ?sim_seed ?sim_words
   in
   let cubeops = cubeops_measure () in
   print_cubeops cubeops;
+  (* Each timed section is bracketed by the probes before and after
+     it, as in perfbench's calibration; [weighed] collects each cell's
+     CPU seconds with the mean of its two probes. *)
+  let last_probe = ref (probe ()) and weighed = ref [] in
+  let bracketed ~cpu f =
+    let result = f () in
+    let after = probe () in
+    weighed := (cpu result, (!last_probe +. after) /. 2.0) :: !weighed;
+    last_probe := after;
+    result
+  in
   let script_cells = script_bench_measure rows in
+  let script_probe = (!last_probe +. probe ()) /. 2.0 in
   print_script_bench script_cells;
   let scaling_cells = scaling_measure rows in
   print_scaling scaling_cells;
+  last_probe := probe ();
   let cells =
     List.map
       (fun row ->
@@ -1011,9 +1021,12 @@ let bench_json ?(path = "BENCH_resub.json") ?(jobs = 1) ?sim_seed ?sim_words
               let scratch = Network.copy net in
               let counters = Rar_util.Counters.create () in
               let (), span =
-                Rar_util.Stopwatch.time_span (fun () ->
-                    Synth.Script.resub_command ~settings ~counters meth
-                      scratch)
+                bracketed
+                  ~cpu:(fun (_, span) -> span.Rar_util.Stopwatch.cpu_seconds)
+                  (fun () ->
+                    Rar_util.Stopwatch.time_span (fun () ->
+                        Synth.Script.resub_command ~settings ~counters meth
+                          scratch))
               in
               let lits = Lit_count.factored scratch in
               let ok = Equiv.equivalent scratch net in
@@ -1027,6 +1040,19 @@ let bench_json ?(path = "BENCH_resub.json") ?(jobs = 1) ?sim_seed ?sim_words
         in
         (row.Suite.name, init, per_method))
       rows
+  in
+  (* The probe time that divides the summed CPU into the sum of each
+     cell's CPU over its own probes. *)
+  let probe_seconds =
+    let cpu, scaled =
+      List.fold_left
+        (fun (cpu, scaled) (c, p) -> (cpu +. c, scaled +. (c /. p)))
+        (0.0, 0.0) !weighed
+    in
+    if scaled > 0.0 then cpu /. scaled else !last_probe
+  in
+  let speed now previous =
+    match previous with Some old when old > 0.0 -> now /. old | _ -> 1.0
   in
   let method_names = List.map fst Synth.Script.resub_methods in
   let totals =
@@ -1067,8 +1093,9 @@ let bench_json ?(path = "BENCH_resub.json") ?(jobs = 1) ?sim_seed ?sim_words
       (Rar_util.Counters.to_json counters)
   in
   Buffer.add_string buffer
-    (Printf.sprintf "{\n  \"jobs\": %d,\n  \"sim_words\": %d,\n" jobs
-       settings.sim_words);
+    (Printf.sprintf
+       "{\n  \"jobs\": %d,\n  \"sim_words\": %d,\n  \"probe_seconds\": %.6f,\n"
+       jobs settings.sim_words probe_seconds);
   (* The cubeops and dc records must precede the "totals" marker: the
      regression parser above sums every "cpu_seconds" after it, and
      these figures deliberately use different key names. *)
@@ -1077,7 +1104,7 @@ let bench_json ?(path = "BENCH_resub.json") ?(jobs = 1) ?sim_seed ?sim_words
        "  \"cubeops\": %s,\n  \"script_bench\": %s,\n  \"scaling\": %s,\n  \
         \"dc\": %s,\n  \"circuits\": [\n"
        (cubeops_json cubeops)
-       (script_bench_json script_cells)
+       (script_bench_json ~probe:script_probe script_cells)
        (scaling_json scaling_cells)
        (dc_json ()));
   List.iteri
@@ -1110,58 +1137,25 @@ let bench_json ?(path = "BENCH_resub.json") ?(jobs = 1) ?sim_seed ?sim_words
         (if ok then "ok" else "FAIL")
         (Rar_util.Counters.to_string counters))
     totals;
-  let new_cpu =
+  let total field =
     List.fold_left
-      (fun acc (_, _, (s : Rar_util.Stopwatch.span), _, _) ->
-        acc +. s.Rar_util.Stopwatch.cpu_seconds)
+      (fun acc (_, _, (s : Rar_util.Stopwatch.span), _, _) -> acc +. field s)
       0.0 totals
   in
-  (match baseline_cpu with
-  | None -> ()
-  | Some old_cpu ->
-    Printf.printf "total cpu: %.2fs (previous snapshot: %.2fs)\n" new_cpu
-      old_cpu;
-    if old_cpu > 0.0 && new_cpu > old_cpu *. cpu_regression_limit then begin
-      Printf.printf
-        "PERF REGRESSION: total cpu_seconds grew by more than %.0f%%\n"
-        ((cpu_regression_limit -. 1.0) *. 100.0);
-      exit 3
-    end);
-  (match baseline_wall with
-  | None -> ()
-  | Some old_wall ->
-    let new_wall =
-      List.fold_left
-        (fun acc (_, _, (s : Rar_util.Stopwatch.span), _, _) ->
-          acc +. s.Rar_util.Stopwatch.wall_seconds)
-        0.0 totals
-    in
-    Printf.printf "total wall: %.2fs (previous jobs=%d snapshot: %.2fs)\n"
-      new_wall jobs old_wall;
-    if old_wall > 0.0 && new_wall > old_wall *. cpu_regression_limit
-    then begin
-      Printf.printf
-        "PERF REGRESSION: total wall_seconds grew by more than %.0f%% at \
-         jobs=%d\n"
-        ((cpu_regression_limit -. 1.0) *. 100.0)
-        jobs;
-      exit 3
-    end);
-  let script_cpu =
-    List.fold_left (fun acc c -> acc +. c.sb_full_on) 0.0 script_cells
-  in
-  match baseline_script with
-  | None -> ()
-  | Some old_cpu ->
-    Printf.printf "script bench cpu: %.2fs (previous snapshot: %.2fs)\n"
-      script_cpu old_cpu;
-    if old_cpu > 0.0 && script_cpu > old_cpu *. cpu_regression_limit then begin
-      Printf.printf
-        "PERF REGRESSION: multi-pass script benchmark cpu grew by more \
-         than %.0f%%\n"
-        ((cpu_regression_limit -. 1.0) *. 100.0);
-      exit 3
-    end
+  let speed_cells = speed probe_seconds baseline_probe in
+  let speed_script = speed script_probe baseline_script_probe in
+  Printf.printf "host probe: %.4fs (%.2fx the previous snapshot's)\n"
+    probe_seconds speed_cells;
+  regression_gate ~label:"total cpu_seconds" ~speed:speed_cells
+    ~previous:baseline_cpu
+    (total (fun s -> s.Rar_util.Stopwatch.cpu_seconds));
+  regression_gate
+    ~label:(Printf.sprintf "total wall_seconds at jobs=%d" jobs)
+    ~speed:speed_cells ~previous:baseline_wall
+    (total (fun s -> s.Rar_util.Stopwatch.wall_seconds));
+  regression_gate ~label:"multi-pass script benchmark cpu" ~speed:speed_script
+    ~previous:baseline_script
+    (List.fold_left (fun acc c -> acc +. c.sb_full_on) 0.0 script_cells)
 
 (* ------------------------------------------------------------------ *)
 (* The jobs x memo grid and per-cell helpers of the gates             *)

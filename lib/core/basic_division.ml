@@ -23,16 +23,25 @@ let divisor_cubes net ~d ~phase =
       (Complement.cover_limited ~limit:complement_limit (Network.cover net d))
 
 let sos_cube_indices net ~f ~d ~phase =
-  match divisor_cubes net ~d ~phase with
+  let f_cubes = Net_cube.of_node net f in
+  (* A cube inside a cube of d' is disjoint from every cube of d, so
+     when no cube of f is, the SOS list is empty whatever d' is, and the
+     complement is never taken. *)
+  let may_divide =
+    phase
+    ||
+    let d_cubes = Net_cube.of_node net d in
+    List.exists (fun c -> List.for_all (Net_cube.disjoint c) d_cubes) f_cubes
+  in
+  match if may_divide then divisor_cubes net ~d ~phase else None with
   | None -> []
   | Some cubes ->
     let d_cubes = List.map (Net_cube.of_node_cube net d) cubes in
-    let n = Cover.cube_count (Network.cover net f) in
-    List.filter
-      (fun i ->
-        let c = Net_cube.of_cube_index net f i in
-        List.exists (fun k -> Net_cube.contained_by c k) d_cubes)
-      (List.init n Fun.id)
+    List.concat
+      (List.mapi
+         (fun i c ->
+           if List.exists (Net_cube.contained_by c) d_cubes then [ i ] else [])
+         f_cubes)
 
 (* The SOS cube indices of [f] when the pair may be divided at all, [[]]
    when it may not. *)

@@ -99,53 +99,67 @@ let materialise_core net core =
       sources;
     (g, !decomposed)
 
+let may_vote net ~f ~pool =
+  let f_cubes = Net_cube.of_node net f in
+  List.exists
+    (fun m ->
+      m <> f
+      && (not (Network.is_input net m))
+      && List.exists
+           (fun k -> List.exists (fun c -> Net_cube.contained_by c k) f_cubes)
+           (Net_cube.of_node net m))
+    pool
+
 let try_run ?gdc ?learn_depth ?budget ?counters ?dc net ~f ~pool =
-  (* [dc] is name-based, so the view built against [net] stays valid on
-     the scratch copy (copies preserve names). *)
-  let scratch = Network.copy net in
-  let entries =
-    Vote.collect ?gdc ?learn_depth ?budget ?counters ?dc scratch ~f ~pool
-  in
-  let valid = Array.of_list (Vote.valid_entries entries) in
-  if Array.length valid = 0 then None
+  if not (may_vote net ~f ~pool) then None
   else begin
-    let candidates = Array.map (fun e -> e.Vote.candidates) valid in
-    let serves v core =
-      List.exists
-        (fun (m, j) ->
-          Net_cube.contained_by valid.(v).Vote.wire_cube
-            (Net_cube.of_cube_index scratch m j))
-        core
+    (* [dc] is name-based, so the view built against [net] stays valid on
+       the scratch copy (copies preserve names). *)
+    let scratch = Network.copy net in
+    let entries =
+      Vote.collect ?gdc ?learn_depth ?budget ?counters ?dc scratch ~f ~pool
     in
-    match Clique.best_core ~candidates ~serves with
-    | None -> None
-    | Some { members; core } ->
-      let core_node, decomposed = materialise_core scratch core in
-      let divided =
-        Basic_division.divide ?gdc ?learn_depth ?budget ?counters ?dc scratch
-          ~f ~d:core_node
+    let valid = Array.of_list (Vote.valid_entries entries) in
+    if Array.length valid = 0 then None
+    else begin
+      let candidates = Array.map (fun e -> e.Vote.candidates) valid in
+      let serves v core =
+        List.exists
+          (fun (m, j) ->
+            Net_cube.contained_by valid.(v).Vote.wire_cube
+              (Net_cube.of_cube_index scratch m j))
+          core
       in
-      let cleanup_ok =
-        match divided with
-        | Some _ -> true
-        | None ->
-          (* Division refused after materialisation: reject the attempt. *)
-          false
-      in
-      if not cleanup_ok then None
-      else begin
-        let gain = Lit_count.factored net - Lit_count.factored scratch in
-        if gain > 0 then begin
-          Network.overwrite net scratch;
-          Some
-            {
-              core_cubes = List.length core;
-              core_sources = List.length (distinct_sources core);
-              expected_removals = List.length members;
-              decomposed_divisor = decomposed;
-              literal_gain = gain;
-            }
+      match Clique.best_core ~candidates ~serves with
+      | None -> None
+      | Some { members; core } ->
+        let core_node, decomposed = materialise_core scratch core in
+        let divided =
+          Basic_division.divide ?gdc ?learn_depth ?budget ?counters ?dc scratch
+            ~f ~d:core_node
+        in
+        let cleanup_ok =
+          match divided with
+          | Some _ -> true
+          | None ->
+            (* Division refused after materialisation: reject the attempt. *)
+            false
+        in
+        if not cleanup_ok then None
+        else begin
+          let gain = Lit_count.factored net - Lit_count.factored scratch in
+          if gain > 0 then begin
+            Network.overwrite net scratch;
+            Some
+              {
+                core_cubes = List.length core;
+                core_sources = List.length (distinct_sources core);
+                expected_removals = List.length members;
+                decomposed_divisor = decomposed;
+                literal_gain = gain;
+              }
+          end
+          else None
         end
-        else None
-      end
+    end
   end

@@ -26,6 +26,18 @@ type outcome = {
   literal_gain : int;  (** total factored-literal gain, net of any new node *)
 }
 
+val may_vote :
+  Logic_network.Network.t ->
+  f:Logic_network.Network.node_id ->
+  pool:Logic_network.Network.node_id list ->
+  bool
+(** Some lifted cube of [f] is contained in some lifted cube of a pool
+    node other than [f] and the inputs. {!Vote.collect} marks an entry
+    valid only when a candidate pool cube contains the wire's cube, so
+    without such a pair {!Vote.valid_entries} is empty and {!try_run}
+    cannot succeed. {!try_run} checks this first, before it copies the
+    network or runs any implication. *)
+
 val try_run :
   ?gdc:bool ->
   ?learn_depth:int ->

@@ -20,12 +20,17 @@ let of_node_cube net id cube =
          code_of fanins.(Literal.var lit) (Literal.is_pos lit) :: acc)
        [] cube)
 
+let of_node net id =
+  List.map (of_node_cube net id) (Cover.cubes (Network.cover net id))
+
 let of_cube_index net id i =
   match List.nth_opt (Cover.cubes (Network.cover net id)) i with
   | Some cube -> of_node_cube net id cube
   | None -> invalid_arg "Net_cube.of_cube_index: bad index"
 
 let contained_by c k = Cube_kernel.subset k c
+
+let disjoint a b = Cube_kernel.distance a b > 0
 
 let signals t =
   List.rev

@@ -13,6 +13,9 @@ type t
 val of_node_cube :
   Logic_network.Network.t -> Logic_network.Network.node_id -> Twolevel.Cube.t -> t
 
+val of_node : Logic_network.Network.t -> Logic_network.Network.node_id -> t list
+(** Every cube of a node, lifted, in {!Twolevel.Cover.cubes} order. *)
+
 val of_cube_index :
   Logic_network.Network.t -> Logic_network.Network.node_id -> int -> t
 (** Lift the [i]-th cube ({!Twolevel.Cover.cubes} order) of a node. *)
@@ -21,6 +24,10 @@ val contained_by : t -> t -> bool
 (** Same convention as {!Twolevel.Cube.contained_by}: [contained_by c k]
     iff onset(c) ⊆ onset(k), i.e. [k]'s signal literals all appear in
     [c]. *)
+
+val disjoint : t -> t -> bool
+(** Some node appears in [a] and [b] with opposite phases, so the two
+    products share no minterm. *)
 
 val signals : t -> (Logic_network.Network.node_id * bool) list
 

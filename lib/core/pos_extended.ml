@@ -60,6 +60,19 @@ let try_run ?(complement_limit = default_complement_limit) net ~f ~pool =
   else begin
     let ( let* ) = Option.bind in
     let* f_not = complemented ~limit:complement_limit net f in
+    (* A cube of f' inside a cube of d' is disjoint from every cube of d.
+       Without such a pair for some pool node d, the vote in the
+       complement domain has no valid entry
+       ({!Extended_division.may_vote}), so no pool node is complemented
+       and no scratch network is built in vain. *)
+    let* () =
+      if
+        List.exists
+          (fun d -> Division.has_disjoint_cube ~f_not ~d:(lifted net d))
+          pool
+      then Some ()
+      else None
+    in
     let* pool_not =
       List.fold_left
         (fun acc d ->

@@ -217,6 +217,8 @@ let make_attempts ~config ?fault_fuel ?deadline_at ~trace ~counters ~sigs
        single literal cost of d). *)
     let commit_both () =
       phase_possible f d true && phase_possible f d false
+      (* Without an SOS cube the first divide below returns [None]. *)
+      && Basic_division.applicable net ~f ~d
       &&
       let scratch = Network.copy net in
       let gain_before = Lit_count.factored scratch in

@@ -65,9 +65,17 @@ let cofactor_cube c t =
   in
   canonical (List.filter_map cof t)
 
-let contains_cube t c = Tautology.check (cofactor_cube c t)
+(* A table over at most [Truth_table.max_vars] variables answers each
+   query with a few word operations; wider covers fall back to
+   tautology of the cofactor. *)
+let containment t =
+  match Truth_table.space t with
+  | Some vars -> Truth_table.covers (Truth_table.of_cubes vars t)
+  | None -> fun c -> Tautology.check (cofactor_cube c t)
 
-let contains t g = List.for_all (contains_cube t) g
+let contains_cube = containment
+
+let contains t g = List.for_all (containment t) g
 
 let equivalent t1 t2 = contains t1 t2 && contains t2 t1
 

@@ -47,9 +47,18 @@ val cofactor : Literal.t -> t -> t
 val cofactor_cube : Cube.t -> t -> t
 (** Generalised cofactor with respect to a whole cube. *)
 
+val containment : t -> Cube.t -> bool
+(** [containment f] is a staged {!contains_cube}: apply it once to [f],
+    then ask about many cubes. When [f] mentions at most
+    {!Truth_table.max_vars} variables, it builds [f]'s truth table once
+    and each query ANDs the cube's literals into a mask. Literals on
+    variables [f] does not mention are dropped, which is exact because
+    [f] does not depend on them. Wider covers fall back to tautology of
+    the cofactor of [f] by the cube. *)
+
 val contains_cube : t -> Cube.t -> bool
-(** [contains_cube f c] iff onset(c) ⊆ onset(f) — decided by tautology of
-    the cofactor of [f] by [c]. *)
+(** [contains_cube f c] iff onset(c) ⊆ onset(f); it is
+    [containment f c]. *)
 
 val contains : t -> t -> bool
 (** [contains f g] iff onset(g) ⊆ onset(f). *)

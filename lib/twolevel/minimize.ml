@@ -1,5 +1,5 @@
 let expand ?(dc = Cover.zero) cover =
-  let base = Cover.union cover dc in
+  let inside_base = Cover.containment (Cover.union cover dc) in
   let expand_cube cube =
     (* Try dropping literals one at a time; a drop is valid when the grown
        cube is still contained in onset ∪ dc. *)
@@ -7,7 +7,7 @@ let expand ?(dc = Cover.zero) cover =
       | [] -> cube
       | lit :: rest ->
         let candidate = Cube.remove_literal lit cube in
-        if Cover.contains_cube base candidate then go candidate rest
+        if inside_base candidate then go candidate rest
         else go cube rest
     in
     go cube (Cube.literals cube)
@@ -33,31 +33,52 @@ let irredundant ?(dc = Cover.zero) cover =
 
 let reduce_complement_limit = 256
 
+(* Up to this many variables the Shannon complement of [others] has at
+   most 256 cubes: a leaf of the recursion at depth d yields at most
+   max(1, 8 - d) of them, and the leaves satisfy sum 2^-d <= 1. So the
+   [reduce_complement_limit] fallback cannot fire, and the truth table
+   path computes exactly what the complement path would. *)
+let reduce_table_vars = 8
+
 (* Supercube (smallest containing cube) of a cover. *)
 let supercube cover =
   match Cover.cubes cover with
   | [] -> None
   | first :: rest -> Some (List.fold_left Cube.common first rest)
 
+(* The supercube of the part of [cube] that [others] does not cover:
+   [None] when that part is empty, or when the complement of [others]
+   exceeds its limit. The supercube of non-empty cubes is the smallest
+   cube containing their union, so it depends only on the function, and
+   a truth table computes the same cube as the complement. *)
+let essential_supercube cube others =
+  match
+    Truth_table.space ~limit:reduce_table_vars (cube :: Cover.cubes others)
+  with
+  | Some vars ->
+    Truth_table.supercube
+      (Truth_table.diff
+         (Truth_table.of_cubes vars [ cube ])
+         (Truth_table.of_cubes vars (Cover.cubes others)))
+  | None ->
+    Option.bind
+      (Complement.cover_limited ~limit:reduce_complement_limit others)
+      (fun off -> supercube (Cover.product_cube cube off))
+
 let reduce ?(dc = Cover.zero) cover =
   let rec go kept = function
     | [] -> List.rev kept
     | cube :: rest ->
       let others = Cover.union (Cover.of_cubes (kept @ rest)) dc in
+      (* An empty essential part leaves the cube for irredundant to
+         remove. *)
       let reduced =
-        match
-          Complement.cover_limited ~limit:reduce_complement_limit others
-        with
+        match essential_supercube cube others with
         | None -> cube
-        | Some off ->
-          (* The part of [cube] covered by nothing else. *)
-          let essential = Cover.product_cube cube off in
-          (match supercube essential with
-          | None -> cube (* fully covered elsewhere; irredundant removes it *)
-          | Some core -> (
-            match Cube.intersect core cube with
-            | Some shrunk -> shrunk
-            | None -> cube))
+        | Some core -> (
+          match Cube.intersect core cube with
+          | Some shrunk -> shrunk
+          | None -> cube)
       in
       go (reduced :: kept) rest
   in

@@ -636,6 +636,73 @@ let prop_extended_preserves =
       Network.check net;
       Equiv.equivalent before net)
 
+(* The exact pre-checks in front of division work: each may only reject
+   attempts the full computation would reject too. The ext pre-check
+   against the vote table's validity filter, and the negative-phase SOS
+   pre-check against the SOS list of the complement it skips. *)
+let test_prechecks_exact () =
+  let rejected_ext = ref 0 and voted = ref 0 and rejected_neg = ref 0 in
+  for seed = 1 to 30 do
+    let net =
+      Generator.planted ~seed
+        {
+          inputs = 6;
+          noise_nodes = 3;
+          algebraic_plants = 1;
+          gdc_plants = 0;
+          boolean_plants = 1;
+          outputs = 3;
+        }
+    in
+    let nodes = Network.logic_ids net in
+    List.iter
+      (fun f ->
+        let others = List.filter (fun d -> d <> f) nodes in
+        List.iter
+          (fun pool ->
+            let valid =
+              Booldiv.Vote.valid_entries (Booldiv.Vote.collect net ~f ~pool)
+            in
+            if valid <> [] then incr voted;
+            if not (Booldiv.Extended_division.may_vote net ~f ~pool) then begin
+              incr rejected_ext;
+              Alcotest.(check int) "rejected pool has no valid vote" 0
+                (List.length valid)
+            end)
+          (others :: List.map (fun d -> [ d ]) others);
+        List.iter
+          (fun d ->
+            let reference =
+              (not (Network.depends_on net d f))
+              &&
+              match
+                Complement.cover_limited ~limit:128 (Network.cover net d)
+              with
+              | None -> false
+              | Some d_not ->
+                let ks =
+                  List.map (Net_cube.of_node_cube net d) (Cover.cubes d_not)
+                in
+                List.exists
+                  (fun c -> List.exists (Net_cube.contained_by c) ks)
+                  (Net_cube.of_node net f)
+            in
+            let f_cubes = Net_cube.of_node net f
+            and d_cubes = Net_cube.of_node net d in
+            if
+              not
+                (List.exists
+                   (fun c -> List.for_all (Net_cube.disjoint c) d_cubes)
+                   f_cubes)
+            then incr rejected_neg;
+            Alcotest.(check bool) "negative-phase applicability" reference
+              (Basic_division.applicable ~phase:false net ~f ~d))
+          others)
+      nodes
+  done;
+  Alcotest.(check bool) "both pre-checks rejected something" true
+    (!rejected_ext > 0 && !rejected_neg > 0);
+  Alcotest.(check bool) "some pools voted" true (!voted > 0)
 
 (* Random-graph clique laws. *)
 let prop_cliques_are_maximal_cliques =
@@ -714,6 +781,8 @@ let () =
           Alcotest.test_case "driver configurations" `Slow test_driver_configs;
           Alcotest.test_case "degraded run stays equivalent" `Quick
             test_degraded_run_preserves_equivalence;
+          Alcotest.test_case "pre-checks are exact" `Quick
+            test_prechecks_exact;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

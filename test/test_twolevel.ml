@@ -610,6 +610,16 @@ module Oracle = struct
             && tautology (cofactor_cubes ((2 * v) + 1) cubes)
         end
 
+  (* Seed cover containment: tautology of the cofactor by the cube. *)
+  let contains_cube cubes c =
+    tautology
+      (canonical
+         (List.filter_map
+            (fun cube ->
+              if List.exists (fun l -> List.mem (l lxor 1) cube) c then None
+              else Some (List.filter (fun l -> not (List.mem l c)) cube))
+            cubes))
+
   (* Seed complement: split on the most binate variable (same Hashtbl
      insertion sequence as the production module, so fold order and thus
      variable choice agree). *)
@@ -710,6 +720,85 @@ module Oracle = struct
     in
     explore 0 [] cover;
     List.sort_uniq Stdlib.compare !results
+
+  (* The minimiser before truth tables: every containment is a
+     tautology of the cofactor, and REDUCE always goes through the
+     bounded Shannon complement. *)
+  module Minimize = struct
+    let contains_cube t c =
+      Tautology.check (Cover.cubes (Cover.cofactor_cube c t))
+
+    let expand ?(dc = Cover.zero) cover =
+      let base = Cover.union cover dc in
+      let expand_cube cube =
+        let rec go cube = function
+          | [] -> cube
+          | lit :: rest ->
+            let candidate = Cube.remove_literal lit cube in
+            if contains_cube base candidate then go candidate rest
+            else go cube rest
+        in
+        go cube (Cube.literals cube)
+      in
+      Cover.single_cube_containment
+        (Cover.of_cubes (List.map expand_cube (Cover.cubes cover)))
+
+    let irredundant ?(dc = Cover.zero) cover =
+      let ordered =
+        List.sort
+          (fun c1 c2 -> Int.compare (Cube.size c2) (Cube.size c1))
+          (Cover.cubes cover)
+      in
+      let rec go kept = function
+        | [] -> List.rev kept
+        | cube :: rest ->
+          let others = Cover.of_cubes (kept @ rest) in
+          if contains_cube (Cover.union others dc) cube then go kept rest
+          else go (cube :: kept) rest
+      in
+      Cover.of_cubes (go [] ordered)
+
+    let supercube cover =
+      match Cover.cubes cover with
+      | [] -> None
+      | first :: rest -> Some (List.fold_left Cube.common first rest)
+
+    let reduce ?(dc = Cover.zero) cover =
+      let rec go kept = function
+        | [] -> List.rev kept
+        | cube :: rest ->
+          let others = Cover.union (Cover.of_cubes (kept @ rest)) dc in
+          let reduced =
+            match Complement.cover_limited ~limit:256 others with
+            | None -> cube
+            | Some off -> (
+              let essential = Cover.product_cube cube off in
+              match supercube essential with
+              | None -> cube
+              | Some core -> (
+                match Cube.intersect core cube with
+                | Some shrunk -> shrunk
+                | None -> cube))
+          in
+          go (reduced :: kept) rest
+      in
+      Cover.of_cubes (go [] (Cover.cubes cover))
+
+    let simplify ?(dc = Cover.zero) cover =
+      let step c =
+        let c =
+          irredundant ~dc (expand ~dc (Cover.single_cube_containment c))
+        in
+        irredundant ~dc (expand ~dc (reduce ~dc c))
+      in
+      let rec fixpoint budget c =
+        let c' = step c in
+        if budget = 0 || Cover.equal c' c then c' else fixpoint (budget - 1) c'
+      in
+      let result = fixpoint 2 cover in
+      if Cover.literal_count result <= Cover.literal_count cover then result
+      else cover
+  end
 end
 
 (* Conversions between code lists and the packed representation. *)
@@ -866,6 +955,118 @@ let test_diff_kernels () =
       packed
   done
 
+(* Covers over sparse variable ids (0-300, like lifted node ids), so the
+   truth tables see both sides of their variable cutoffs. *)
+let sparse_vars rng ~max_vars =
+  let n = Rar_util.Rng.int rng (max_vars + 1) in
+  let rec pick acc =
+    if List.length acc = n then Array.of_list acc
+    else
+      let v = Rar_util.Rng.int rng 301 in
+      pick (if List.mem v acc then acc else v :: acc)
+  in
+  pick []
+
+(* Each variable is absent with probability 1/2, else in either phase. *)
+let sparse_cube rng vars =
+  Cube.of_literals_exn
+    (List.filter_map
+       (fun v ->
+         match Rar_util.Rng.int rng 4 with
+         | 2 -> Some (Literal.pos v)
+         | 3 -> Some (Literal.neg v)
+         | _ -> None)
+       (Array.to_list vars))
+
+let sparse_cover rng vars ~max_cubes =
+  Cover.of_cubes
+    (List.init (Rar_util.Rng.int rng (max_cubes + 1)) (fun _ ->
+         sparse_cube rng vars))
+
+let test_diff_sparse_containment () =
+  let rng = Rar_util.Rng.create 19 in
+  let wide = ref 0 and narrow = ref 0 in
+  for case = 1 to diff_cases do
+    let vars = sparse_vars rng ~max_vars:12 in
+    let t = sparse_cover rng vars ~max_cubes:10 in
+    if List.length (Cover.support t) > Truth_table.max_vars then incr wide
+    else incr narrow;
+    (* Queries mention the cover's variables and others it does not;
+       every other one extends a cube of the cover, so the true branch
+       is exercised too. *)
+    let query_vars =
+      Array.append vars
+        (Array.of_list
+           (List.filter
+              (fun v -> not (Array.mem v vars))
+              (Array.to_list (sparse_vars rng ~max_vars:3))))
+    in
+    let query =
+      let random = sparse_cube rng query_vars in
+      match Cover.cubes t with
+      | cube :: _ when case mod 2 = 0 -> (
+        match Cube.intersect cube random with Some c -> c | None -> cube)
+      | _ -> random
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s contains %s" (Cover.to_string t)
+         (Cube.to_string query))
+      (Oracle.contains_cube
+         (List.map codes_of_cube (Cover.cubes t))
+         (codes_of_cube query))
+      (Cover.contains_cube t query)
+  done;
+  Alcotest.(check bool) "both sides of the cutoff ran" true
+    (!wide > 50 && !narrow > 50)
+
+let test_diff_minimize () =
+  let rng = Rar_util.Rng.create 20 in
+  for case = 1 to 300 do
+    let vars = sparse_vars rng ~max_vars:10 in
+    let f = sparse_cover rng vars ~max_cubes:8 in
+    let dc =
+      if case mod 2 = 0 then Cover.zero else sparse_cover rng vars ~max_cubes:2
+    in
+    let label pass =
+      Printf.sprintf "%s of %s (dc %s)" pass (Cover.to_string f)
+        (Cover.to_string dc)
+    in
+    check_cover (label "reduce") (Oracle.Minimize.reduce ~dc f)
+      (Minimize.reduce ~dc f);
+    check_cover (label "simplify")
+      (Oracle.Minimize.simplify ~dc f)
+      (Minimize.simplify ~dc f)
+  done
+
+(* REDUCE's truth table path rests on this: a cover of at most 8
+   variables has a Shannon complement of at most 256 cubes. *)
+let test_complement_bound () =
+  let rng = Rar_util.Rng.create 21 in
+  let parity =
+    Cover.of_cubes
+      (List.filter_map
+         (fun m ->
+           let lits =
+             List.init 8 (fun v -> Literal.make v (m land (1 lsl v) <> 0))
+           in
+           if List.length (List.filter Literal.is_pos lits) mod 2 = 1 then
+             Some (Cube.of_literals_exn lits)
+           else None)
+         (List.init 256 Fun.id))
+  in
+  let random =
+    List.init diff_cases (fun _ ->
+        let vars = sparse_vars rng ~max_vars:8 in
+        sparse_cover rng vars ~max_cubes:40)
+  in
+  List.iter
+    (fun c ->
+      Alcotest.(check bool)
+        (Printf.sprintf "complement of %s fits" (Cover.to_string c))
+        true
+        (Complement.cover_limited ~limit:256 c <> None))
+    (parity :: random)
+
 (* ------------------------------------------------------------------ *)
 (* Grep gate: no list-walk cube logic outside Cube_kernel              *)
 (* ------------------------------------------------------------------ *)
@@ -984,6 +1185,12 @@ let () =
           Alcotest.test_case "complement vs oracle" `Quick
             test_diff_complement;
           Alcotest.test_case "kernels vs oracle" `Quick test_diff_kernels;
+          Alcotest.test_case "sparse containment vs oracle" `Quick
+            test_diff_sparse_containment;
+          Alcotest.test_case "reduce and simplify vs oracle" `Quick
+            test_diff_minimize;
+          Alcotest.test_case "complement of 8 variables fits 256" `Quick
+            test_complement_bound;
         ] );
       ( "gates",
         [
