@@ -7,8 +7,10 @@ type t = {
   words : int;
   seed : int;
   all_rows : int64 array;
-  values : (Network.node_id, int64 array) Hashtbl.t;
-  patterns : (Network.node_id, int64 array) Hashtbl.t;
+  (* Node id -> signature and input id -> stimulus, [absent] where the
+     id has none. Both grow by doubling; neither is ever iterated. *)
+  mutable values : int64 array array;
+  mutable patterns : int64 array array;
   mutable observer : Network.observer_id option;
   mutable dirty : Node_set.t;
   mutable stale : bool;
@@ -31,35 +33,64 @@ let default_words = 8
 
 let words t = t.words
 
+(* A real entry has [words > 0] words, so the empty array marks a free
+   slot. *)
+let absent : int64 array = [||]
+
+let slot store id =
+  if id >= 0 && id < Array.length store then store.(id) else absent
+
+let store_grown store id =
+  let n = Array.length store in
+  if id < n then store
+  else begin
+    let cap = ref (max 16 n) in
+    while !cap <= id do
+      cap := 2 * !cap
+    done;
+    let grown = Array.make !cap absent in
+    Array.blit store 0 grown 0 n;
+    grown
+  end
+
+let set_value t id v =
+  t.values <- store_grown t.values id;
+  t.values.(id) <- v
+
+let set_pattern t id v =
+  t.patterns <- store_grown t.patterns id;
+  t.patterns.(id) <- v
+
 (* Each input's stimulus is derived from (seed, id) alone, so signatures
    are reproducible regardless of the order inputs are first queried in —
    an incremental engine and a fresh one built after the same mutations
    agree bit for bit. *)
 let pattern t id =
-  match Hashtbl.find_opt t.patterns id with
-  | Some v -> v
-  | None ->
+  let v = slot t.patterns id in
+  if v != absent then v
+  else begin
     let rng = Rar_util.Rng.create (t.seed lxor ((id + 1) * 0x9e3779b9)) in
     let v = Array.init t.words (fun _ -> Rar_util.Rng.int64 rng) in
-    Hashtbl.add t.patterns id v;
+    set_pattern t id v;
     v
+  end
 
 let resimulate t id =
   let value =
     if Network.is_input t.net id then pattern t id
     else begin
       let fanin_values =
-        Array.map (Hashtbl.find t.values) (Network.fanins t.net id)
+        Array.map (fun fi -> t.values.(fi)) (Network.fanins t.net id)
       in
       Simulate.eval_cover ~words:t.words (Network.cover t.net id) ~fanin_values
     end
   in
-  Hashtbl.replace t.values id value;
+  set_value t id value;
   t.nodes_resimulated <- t.nodes_resimulated + 1
 
 let refresh t =
   if t.stale then begin
-    Hashtbl.reset t.values;
+    Array.fill t.values 0 (Array.length t.values) absent;
     List.iter (resimulate t) (Network.topological t.net);
     t.stale <- false;
     t.dirty <- Node_set.empty;
@@ -91,7 +122,7 @@ let refine t assignment =
       v.(w) <-
         (if assignment.(i) then Int64.logor v.(w) bit
          else Int64.logand v.(w) (Int64.lognot bit));
-      Hashtbl.replace t.patterns id v;
+      set_pattern t id v;
       t.dirty <- Node_set.add id t.dirty)
     (Network.inputs t.net);
   t.rows <- assignment :: t.rows;
@@ -110,8 +141,8 @@ let create ?(seed = default_seed) ?(words = default_words) ?dc ?(rows = [])
       words;
       seed;
       all_rows = Array.make words Int64.minus_one;
-      values = Hashtbl.create 64;
-      patterns = Hashtbl.create 16;
+      values = Array.make (max 16 (Network.id_limit net)) absent;
+      patterns = Array.make 16 absent;
       observer = None;
       dirty = Node_set.empty;
       stale = true;
@@ -130,7 +161,7 @@ let create ?(seed = default_seed) ?(words = default_words) ?dc ?(rows = [])
            | Network.Node_added id | Network.Function_changed id ->
              t.dirty <- Node_set.add id t.dirty
            | Network.Node_removed id ->
-             Hashtbl.remove t.values id;
+             if id < Array.length t.values then t.values.(id) <- absent;
              t.dirty <- Node_set.remove id t.dirty
            | Network.Rebuilt -> t.stale <- true));
   List.iter (refine t) rows;
@@ -146,14 +177,17 @@ let detach t =
 
 let signature t id =
   refresh t;
-  match Hashtbl.find_opt t.values id with
-  | Some v -> v
-  | None ->
+  let v = slot t.values id in
+  if v != absent then v
+  else if id < 0 || not (Network.mem t.net id) then
+    invalid_arg "Signature.signature: unknown node"
+  else begin
     (* A node created while no refresh ran (defensive; observers normally
        catch every addition). *)
     t.dirty <- Node_set.add id t.dirty;
     refresh t;
-    Hashtbl.find t.values id
+    slot t.values id
+  end
 
 let popcount64 (x : int64) =
   let open Int64 in

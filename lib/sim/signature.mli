@@ -79,7 +79,8 @@ val words : t -> int
 val signature : t -> Logic_network.Network.node_id -> int64 array
 (** The node's current signature; triggers a (lazy, incremental) refresh
     if mutations happened since the last query. Do not mutate the
-    returned array. *)
+    returned array. Raises [Invalid_argument] when [id] names no node
+    of the network (never allocated, or removed). *)
 
 val pattern : t -> Logic_network.Network.node_id -> int64 array
 (** The stimulus assigned to a primary input (memoised; also usable as

@@ -34,43 +34,87 @@ type shape = Const of bool | Sop of lit list list
 
 let lit n p = { l_node = n; l_pos = p }
 
-(* Word [w] of a shape's signature, folded without closures: the
-   candidate filter calls this for every shape it builds. *)
-let rec cube_word sim w acc = function
+(* The signatures one scan reads (the pool's, which hold the ranked
+   divisors and [f]'s fanins), resolved once into arrays indexed by
+   node id: [sigs] ([||] for ids outside the pool) and [w0], word 0 of
+   each as a native int. [Int64.to_int] keeps the low 63 bits, and
+   [land]/[lor]/[lnot] act on every bit alone, so a shape's word 0
+   folded over [w0] is the low 63 bits of its true word 0. Agreement on
+   those bits is therefore necessary for agreement on every word, which
+   is what lets the enumeration below test a shape before building it. *)
+type table = {
+  sim : Signature.t;
+  sigs : int64 array array;
+  w0 : int array;
+  words : int;
+  sf : int64 array;
+  sf0 : int;
+  care : int64 array option;
+  care0 : int;  (** low 63 bits of the care mask's word 0 *)
+}
+
+let table net sim ~f ~pool =
+  let limit = Network.id_limit net in
+  let sigs = Array.make limit [||] and w0 = Array.make limit 0 in
+  let resolve d =
+    let v = Signature.signature sim d in
+    sigs.(d) <- v;
+    w0.(d) <- Int64.to_int v.(0)
+  in
+  List.iter resolve pool;
+  let sf = Signature.signature sim f in
+  let care = Signature.care_mask sim in
+  {
+    sim;
+    sigs;
+    w0;
+    words = Signature.words sim;
+    sf;
+    sf0 = Int64.to_int sf.(0);
+    care;
+    care0 = (match care with None -> -1 | Some m -> Int64.to_int m.(0));
+  }
+
+(* The word-0 test: [x] agrees with the dividend on every care row among
+   the low 63 bits of word 0. *)
+let hit tb x = (x lxor tb.sf0) land tb.care0 = 0
+
+let phase p x = if p then x else lnot x
+
+let care_word tb w =
+  match tb.care with None -> Int64.minus_one | Some m -> m.(w)
+
+(* Word [w] of a shape's signature, folded without closures. *)
+let rec cube_word tb w acc = function
   | [] -> acc
   | l :: tl ->
-    let v = (Signature.signature sim l.l_node).(w) in
-    cube_word sim w
+    let v = tb.sigs.(l.l_node).(w) in
+    cube_word tb w
       (Int64.logand acc (if l.l_pos then v else Int64.lognot v))
       tl
 
-let rec sop_word sim w acc = function
+let rec sop_word tb w acc = function
   | [] -> acc
   | cube :: tl ->
-    sop_word sim w (Int64.logor acc (cube_word sim w Int64.minus_one cube)) tl
+    sop_word tb w (Int64.logor acc (cube_word tb w Int64.minus_one cube)) tl
 
-let shape_word sim shape w =
+let shape_word tb shape w =
   match shape with
   | Const b -> if b then Int64.minus_one else 0L
-  | Sop cubes -> sop_word sim w 0L cubes
+  | Sop cubes -> sop_word tb w 0L cubes
 
-let shape_sig sim shape =
-  Array.init (Signature.words sim) (shape_word sim shape)
+let shape_sig tb shape = Array.init tb.words (shape_word tb shape)
 
-(* [Signature.equal_on_care sim sf (shape_sig sim shape)], one word at a
-   time: most candidates already differ from the dividend in the first
-   word, so the comparison stops there without building the shape's
-   signature. *)
-let shape_matches sim sf shape =
-  let care = Signature.care_mask sim in
+(* The shape's signature equals the dividend's on every care row, one
+   word at a time. *)
+let shape_matches tb shape =
   let rec go w =
-    w >= Signature.words sim
-    ||
-    let diff = Int64.logxor sf.(w) (shape_word sim shape w) in
-    let diff =
-      match care with None -> diff | Some m -> Int64.logand m.(w) diff
-    in
-    Int64.equal diff 0L && go (w + 1)
+    w >= tb.words
+    || Int64.equal
+         (Int64.logand (care_word tb w)
+            (Int64.logxor tb.sf.(w) (shape_word tb shape w)))
+         0L
+       && go (w + 1)
   in
   go 0
 
@@ -100,8 +144,9 @@ let shape_cover = function
    the same divisor rebuilds it one literal cheaper. Every test here is
    a necessary condition read off the signatures — the BDD validator is
    the proof, and a false positive refines the stimulus like any other
-   candidate. *)
-let absorption_shapes net sim ~f ~sf ~ranked ~cur_lits =
+   candidate. Each subset test runs on word 0's low 63 bits first and
+   reads the full signatures only when those pass. *)
+let absorption_shapes net tb ~f ~ranked ~cur_lits =
   let fanins = Network.fanins net f in
   let cubes =
     Array.of_list
@@ -115,7 +160,11 @@ let absorption_shapes net sim ~f ~sf ~ranked ~cur_lits =
   let nc = Array.length cubes in
   if nc < 1 || nc > 32 then []
   else begin
-    let sigs = Array.map (fun c -> shape_sig sim (Sop [ c ])) cubes in
+    let sigs = Array.map (fun c -> shape_sig tb (Sop [ c ])) cubes in
+    let c0 = Array.map (fun s -> Int64.to_int s.(0)) sigs in
+    let cube_w0 c =
+      List.fold_left (fun x l -> x land phase l.l_pos tb.w0.(l.l_node)) (-1) c
+    in
     let old_sop =
       Array.fold_left (fun n c -> n + List.length c) 0 cubes
     in
@@ -124,15 +173,17 @@ let absorption_shapes net sim ~f ~sf ~ranked ~cur_lits =
       (fun d ->
         List.iter
           (fun pd ->
+            let d0 = phase pd tb.w0.(d) in
             let dsig =
-              let v = Signature.signature sim d in
-              Array.init (Signature.words sim) (fun w ->
+              let v = tb.sigs.(d) in
+              Array.init tb.words (fun w ->
                   if pd then v.(w) else Int64.lognot v.(w))
             in
             let absorbable =
               Array.mapi
                 (fun i c ->
-                  Signature.subset_on_care sim sigs.(i) dsig
+                  c0.(i) land lnot d0 land tb.care0 = 0
+                  && Signature.subset_on_care tb.sim sigs.(i) dsig
                   && not (List.exists (fun l -> l.l_node = d) c))
                 cubes
             in
@@ -148,10 +199,13 @@ let absorption_shapes net sim ~f ~sf ~ranked ~cur_lits =
                     List.iter
                       (fun l ->
                         let q' = List.filter (fun l' -> l' <> l) !q in
-                        let qsig =
-                          shape_sig sim (Sop [ lit d pd :: q' ])
-                        in
-                        if Signature.subset_on_care sim qsig sf then q := q')
+                        if
+                          d0 land cube_w0 q' land lnot tb.sf0 land tb.care0
+                          = 0
+                          && Signature.subset_on_care tb.sim
+                               (shape_sig tb (Sop [ lit d pd :: q' ]))
+                               tb.sf
+                        then q := q')
                       c;
                     if List.length !q < List.length c then begin
                       changed := true;
@@ -194,105 +248,106 @@ let absorption_shapes net sim ~f ~sf ~ranked ~cur_lits =
    pairs over the ranked shortlist (AND, OR, XOR, XNOR families with all
    operand polarities), then budget-gated 2-resub triples. The order is
    a function of (network, stimulus) only, which the byte-identity
-   discipline rests on. Only the shapes that pass [keep] are listed, and
-   shapes estimated at [cur_lits] literals or more could never earn a
-   gain, so they are not even built. *)
-let shapes_for ~max_triples ~pool ~ranked ~cur_lits ~keep =
-  let bools = [ true; false ] in
+   discipline rests on. Only the shapes that match the dividend's
+   signature are listed. A shape estimated at [cur_lits] literals or
+   more could never earn a gain, so its family is skipped outright;
+   otherwise the shape's word 0 is folded on native ints and the shape
+   is built, and compared on every word, only when that word passes
+   {!hit}. Polarity loops run [true] before [false] ([p = 0] is
+   [true]). *)
+let shapes_for tb ~max_triples ~pool ~ranked ~cur_lits =
   let acc = ref [] in
-  let push sh est = if est < cur_lits && keep sh then acc := sh :: !acc in
-  push (Const false) 0;
-  push (Const true) 0;
-  List.iter
-    (fun d ->
-      push (Sop [ [ lit d true ] ]) 1;
-      push (Sop [ [ lit d false ] ]) 1)
-    pool;
+  let add sh = if shape_matches tb sh then acc := sh :: !acc in
+  if 0 < cur_lits then begin
+    if hit tb 0 then add (Const false);
+    if hit tb (-1) then add (Const true)
+  end;
+  if 1 < cur_lits then
+    List.iter
+      (fun d ->
+        let a = tb.w0.(d) in
+        if hit tb a then add (Sop [ [ lit d true ] ]);
+        if hit tb (lnot a) then add (Sop [ [ lit d false ] ]))
+      pool;
   let n = Array.length ranked in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
       let g = ranked.(i) and h = ranked.(j) in
-      List.iter
-        (fun pg ->
-          List.iter
-            (fun ph -> push (Sop [ [ lit g pg; lit h ph ] ]) 2)
-            bools)
-        bools;
-      List.iter
-        (fun pg ->
-          List.iter
-            (fun ph -> push (Sop [ [ lit g pg ]; [ lit h ph ] ]) 2)
-            bools)
-        bools;
-      push (Sop [ [ lit g true; lit h false ]; [ lit g false; lit h true ] ]) 4;
-      push (Sop [ [ lit g true; lit h true ]; [ lit g false; lit h false ] ]) 4
+      let a = tb.w0.(g) and b = tb.w0.(h) in
+      if 2 < cur_lits then begin
+        for p = 0 to 3 do
+          let pg = p < 2 and ph = p land 1 = 0 in
+          if hit tb (phase pg a land phase ph b) then
+            add (Sop [ [ lit g pg; lit h ph ] ])
+        done;
+        for p = 0 to 3 do
+          let pg = p < 2 and ph = p land 1 = 0 in
+          if hit tb (phase pg a lor phase ph b) then
+            add (Sop [ [ lit g pg ]; [ lit h ph ] ])
+        done
+      end;
+      if 4 < cur_lits then begin
+        if hit tb (a lxor b) then
+          add
+            (Sop [ [ lit g true; lit h false ]; [ lit g false; lit h true ] ]);
+        if hit tb (lnot (a lxor b)) then
+          add
+            (Sop [ [ lit g true; lit h true ]; [ lit g false; lit h false ] ])
+      end
     done
   done;
   let m = min n max_triples in
+  (* lone ∧ (pair ∨ pair) and lone ∨ (pair ∧ pair), each of the three
+     nodes taking the lone role *)
+  let arrange lone o1 o2 =
+    let l = tb.w0.(lone) and a = tb.w0.(o1) and b = tb.w0.(o2) in
+    for p = 0 to 7 do
+      let pl = p < 4 and p1 = p land 2 = 0 and p2 = p land 1 = 0 in
+      let xl = phase pl l and x1 = phase p1 a and x2 = phase p2 b in
+      if hit tb (xl land (x1 lor x2)) then
+        add (Sop [ [ lit lone pl; lit o1 p1 ]; [ lit lone pl; lit o2 p2 ] ]);
+      if hit tb (xl lor (x1 land x2)) then
+        add (Sop [ [ lit lone pl ]; [ lit o1 p1; lit o2 p2 ] ])
+    done
+  in
+  (* 2:1 multiplexers s·o1 + s'·o2 — the strongest two-level shape in
+     practice; every node takes the select role, both branch orders,
+     both branch polarities (select polarity is covered by swapping the
+     branches). *)
+  let mux s o1 o2 =
+    let x = tb.w0.(s) and a = tb.w0.(o1) and b = tb.w0.(o2) in
+    for p = 0 to 3 do
+      let p1 = p < 2 and p2 = p land 1 = 0 in
+      if hit tb ((x land phase p1 a) lor (lnot x land phase p2 b)) then
+        add (Sop [ [ lit s true; lit o1 p1 ]; [ lit s false; lit o2 p2 ] ])
+    done
+  in
   for i = 0 to m - 1 do
     for j = i + 1 to m - 1 do
       for k = j + 1 to m - 1 do
         let g = ranked.(i) and h = ranked.(j) and q = ranked.(k) in
-        List.iter
-          (fun pg ->
-            List.iter
-              (fun ph ->
-                List.iter
-                  (fun pq ->
-                    push (Sop [ [ lit g pg; lit h ph; lit q pq ] ]) 3;
-                    push (Sop [ [ lit g pg ]; [ lit h ph ]; [ lit q pq ] ]) 3)
-                  bools)
-              bools)
-          bools;
-        (* lone ∧ (pair ∨ pair) and lone ∨ (pair ∧ pair), each of the
-           three nodes taking the lone role *)
-        let arrange lone o1 o2 =
-          List.iter
-            (fun pl ->
-              List.iter
-                (fun p1 ->
-                  List.iter
-                    (fun p2 ->
-                      push
-                        (Sop
-                           [
-                             [ lit lone pl; lit o1 p1 ];
-                             [ lit lone pl; lit o2 p2 ];
-                           ])
-                        3;
-                      push (Sop [ [ lit lone pl ]; [ lit o1 p1; lit o2 p2 ] ]) 3)
-                    bools)
-                bools)
-            bools
-        in
-        arrange g h q;
-        arrange h g q;
-        arrange q g h;
-        (* 2:1 multiplexers s·o1 + s'·o2 — the strongest two-level
-           shape in practice; every node takes the select role, both
-           branch orders, both branch polarities (select polarity is
-           covered by swapping the branches). *)
-        let mux s o1 o2 =
-          List.iter
-            (fun p1 ->
-              List.iter
-                (fun p2 ->
-                  push
-                    (Sop
-                       [
-                         [ lit s true; lit o1 p1 ];
-                         [ lit s false; lit o2 p2 ];
-                       ])
-                    4)
-                bools)
-            bools
-        in
-        mux g h q;
-        mux g q h;
-        mux h g q;
-        mux h q g;
-        mux q g h;
-        mux q h g
+        if 3 < cur_lits then begin
+          let a = tb.w0.(g) and b = tb.w0.(h) and c = tb.w0.(q) in
+          for p = 0 to 7 do
+            let pg = p < 4 and ph = p land 2 = 0 and pq = p land 1 = 0 in
+            let xg = phase pg a and xh = phase ph b and xq = phase pq c in
+            if hit tb (xg land xh land xq) then
+              add (Sop [ [ lit g pg; lit h ph; lit q pq ] ]);
+            if hit tb (xg lor xh lor xq) then
+              add (Sop [ [ lit g pg ]; [ lit h ph ]; [ lit q pq ] ])
+          done;
+          arrange g h q;
+          arrange h g q;
+          arrange q g h
+        end;
+        if 4 < cur_lits then begin
+          mux g h q;
+          mux g q h;
+          mux h g q;
+          mux h q g;
+          mux q g h;
+          mux q h g
+        end
       done
     done
   done;
@@ -300,39 +355,73 @@ let shapes_for ~max_triples ~pool ~ranked ~cur_lits ~keep =
      positive-phase products only (the mixed-polarity space is covered
      well enough by the triples above to not be worth the blow-up). *)
   let m4 = min n (max_triples - 2) in
-  for i = 0 to m4 - 1 do
-    for j = i + 1 to m4 - 1 do
-      for k = i + 1 to m4 - 1 do
-        for l = k + 1 to m4 - 1 do
-          if k <> j && l <> j && k > i then begin
-            let g = ranked.(i) and h = ranked.(j) in
-            let q = ranked.(k) and r = ranked.(l) in
-            List.iter
-              (fun ph ->
-                List.iter
-                  (fun pr ->
-                    push
-                      (Sop
-                         [
-                           [ lit g true; lit h ph ];
-                           [ lit q true; lit r pr ];
-                         ])
-                      4;
-                    push
-                      (Sop
-                         [
-                           [ lit g false; lit h ph ];
-                           [ lit q true; lit r pr ];
-                         ])
-                      4)
-                  bools)
-              bools
-          end
+  if 4 < cur_lits then
+    for i = 0 to m4 - 1 do
+      for j = i + 1 to m4 - 1 do
+        for k = i + 1 to m4 - 1 do
+          for l = k + 1 to m4 - 1 do
+            if k <> j && l <> j && k > i then begin
+              let g = ranked.(i) and h = ranked.(j) in
+              let q = ranked.(k) and r = ranked.(l) in
+              let a = tb.w0.(g) and b = tb.w0.(h) in
+              let c = tb.w0.(q) and e = tb.w0.(r) in
+              for p = 0 to 3 do
+                let ph = p < 2 and pr = p land 1 = 0 in
+                let qr = c land phase pr e in
+                let xh = phase ph b in
+                if hit tb ((a land xh) lor qr) then
+                  add (Sop [ [ lit g true; lit h ph ]; [ lit q true; lit r pr ] ]);
+                if hit tb ((lnot a land xh) lor qr) then
+                  add
+                    (Sop [ [ lit g false; lit h ph ]; [ lit q true; lit r pr ] ])
+              done
+            end
+          done
         done
       done
-    done
-  done;
+    done;
   List.rev !acc
+
+(* The signature-matched proposals for dividend [f], in proposal order:
+   the pool is every other live node outside [f]'s transitive fanout,
+   ranked by best-phase agreement with [f] (ties by id). *)
+let proposals_for net ~cache ~sim ~max_divisors ~max_triples ~cur_lits f =
+  let pool =
+    List.filter
+      (fun d ->
+        d <> f
+        && Network.mem net d
+        && not (Fanin_cache.depends_on cache d ~on:f))
+      (List.sort Int.compare (Network.node_ids net))
+  in
+  let tb = table net sim ~f ~pool in
+  let ranked =
+    let scored =
+      List.map (fun d -> (Signature.agreement sim tb.sf tb.sigs.(d), d)) pool
+    in
+    let sorted =
+      List.sort
+        (fun (s1, d1) (s2, d2) ->
+          if s1 <> s2 then Int.compare s2 s1 else Int.compare d1 d2)
+        scored
+    in
+    Array.of_list
+      (List.filteri (fun i _ -> i < max_divisors) (List.map snd sorted))
+  in
+  (* A scan ends at its first commit or refinement, and a rolled-back
+     attempt restores every signature, so which shapes match the
+     dividend's signature cannot change while the list is consumed:
+     filtering them here, as they are built, keeps the proposal order
+     and lets the mismatches die young. *)
+  shapes_for tb ~max_triples ~pool ~ranked ~cur_lits
+  @ List.filter (shape_matches tb)
+      (absorption_shapes net tb ~f ~ranked ~cur_lits)
+
+let proposals ?(max_divisors = default_max_divisors)
+    ?(max_triples = default_max_triples) sim net f =
+  List.map shape_cover
+    (proposals_for net ~cache:(Fanin_cache.create net) ~sim ~max_divisors
+       ~max_triples ~cur_lits:(Lit_count.node_factored net f) f)
 
 (* ------------------------------------------------------------------ *)
 (* Exact validation oracle                                             *)
@@ -475,41 +564,9 @@ let run ?(max_divisors = default_max_divisors)
      rollback moves no stamps. *)
   let scan_once net ~cache ~sim ~oracle ~counters:c ~speculating ~live f =
     let cur_lits = Lit_count.node_factored net f in
-    let sf = Signature.signature sim f in
     let shapes =
       Counters.timed c `Filter @@ fun () ->
-      let pool =
-        List.filter
-          (fun d ->
-            d <> f
-            && Network.mem net d
-            && not (Fanin_cache.depends_on cache d ~on:f))
-          (List.sort Int.compare (Network.node_ids net))
-      in
-      let ranked =
-        let scored =
-          List.map
-            (fun d ->
-              (Signature.agreement sim sf (Signature.signature sim d), d))
-            pool
-        in
-        let sorted =
-          List.sort
-            (fun (s1, d1) (s2, d2) ->
-              if s1 <> s2 then Int.compare s2 s1 else Int.compare d1 d2)
-            scored
-        in
-        Array.of_list
-          (List.filteri (fun i _ -> i < max_divisors) (List.map snd sorted))
-      in
-      (* A scan ends at its first commit or refinement, and a rolled-back
-         attempt restores every signature, so which shapes match the
-         dividend's signature cannot change while the list is consumed:
-         filtering them here, as they are built, keeps the proposal
-         order and lets the mismatches die young. *)
-      let keep = shape_matches sim sf in
-      shapes_for ~max_triples ~pool ~ranked ~cur_lits ~keep
-      @ List.filter keep (absorption_shapes net sim ~f ~sf ~ranked ~cur_lits)
+      proposals_for net ~cache ~sim ~max_divisors ~max_triples ~cur_lits f
     in
     let rec try_shapes = function
       | [] -> Scheduler.Quiet

@@ -12,10 +12,16 @@
     {- {b 0-resub}: an existing node, its complement, or a constant
        whose masked signature equals [f]'s;}
     {- {b 1-resub}: [f = g op h] for op ∈ {AND, OR, XOR} (all operand
-       polarities) over divisor pairs selected by word-parallel
-       signature arithmetic;}
-    {- {b 2-resub}: one level deeper (three-divisor AND/OR trees),
-       budget-gated by [max_triples].}}
+       polarities) over the ranked divisor pairs;}
+    {- {b 2-resub}: one level deeper (three-divisor AND/OR trees,
+       multiplexers, two-pair sums), budget-gated by [max_triples].}}
+
+    Shapes are selected by word-parallel signature arithmetic: each
+    shape's first signature word is folded with [land]/[lor]/[lnot] on
+    native ints (its low 63 bits) before the shape is built, and only a
+    shape that agrees with [f] there is built and compared on every
+    word under the care mask. The 63-bit test is necessary for the full
+    one, so it changes which shapes are built, never which are proposed.
 
     Each surviving candidate is validated {e exactly} against the BDD
     checker ({!Robdd.Of_network}), modulo the external don't-care view
@@ -71,3 +77,16 @@ val run :
     (counterexample rows folded back), with oracle time in
     [validation_seconds] and construction time in [filter_seconds] —
     [division_seconds] stays untouched by design. *)
+
+val proposals :
+  ?max_divisors:int ->
+  ?max_triples:int ->
+  Logic_sim.Signature.t ->
+  Logic_network.Network.t ->
+  Logic_network.Network.node_id ->
+  Twolevel.Cover.t list
+(** Test hook: the candidates one scan of dividend [f] would validate,
+    in proposal order, as covers over node ids — the shapes whose
+    signature equals [f]'s on the care rows of [sim]'s current
+    stimulus and whose estimated cost is under [f]'s factored literal
+    count. *)

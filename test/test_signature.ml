@@ -168,6 +168,84 @@ let test_incremental_matches_fresh () =
   check_against_fresh "after sweep";
   Signature.detach sigs
 
+(* The engine keeps signatures in arrays indexed by node id that grow by
+   doubling. Nodes added far past the initial capacity (c17 fits in 16
+   slots; reserved ids jump past several doublings), a removal, and an
+   addition after it must leave the incremental engine equal to a fresh
+   one, and a removed or never-allocated id must be a typed error. *)
+let test_dense_store_growth () =
+  let module Cover = Twolevel.Cover in
+  let module Cube = Twolevel.Cube in
+  let module Literal = Twolevel.Literal in
+  let net = Circuits.c17 () in
+  let sigs = Signature.create ~seed:7 ~words:2 net in
+  let and2 =
+    Cover.of_cubes [ Cube.of_literals_exn [ Literal.pos 0; Literal.neg 1 ] ]
+  in
+  let or2 =
+    Cover.of_cubes
+      [
+        Cube.of_literals_exn [ Literal.pos 0 ];
+        Cube.of_literals_exn [ Literal.pos 1 ];
+      ]
+  in
+  let rng = Random.State.make [| 7 |] in
+  let add_some k =
+    for i = 1 to k do
+      let ids = Array.of_list (Network.node_ids net) in
+      let pick () = ids.(Random.State.int rng (Array.length ids)) in
+      let a = pick () in
+      let b = pick () in
+      if a <> b then
+        ignore
+          (Network.add_logic net ~fanins:[| a; b |]
+             (if i land 1 = 0 then and2 else or2))
+    done
+  in
+  let check_against_fresh label =
+    let fresh = Signature.create ~seed:7 ~words:2 net in
+    List.iter
+      (fun id ->
+        Alcotest.check int64_array
+          (Printf.sprintf "%s node %d" label id)
+          (Signature.signature fresh id)
+          (Signature.signature sigs id))
+      (Network.node_ids net);
+    Signature.detach fresh
+  in
+  let limit0 = Network.id_limit net in
+  add_some 40;
+  (* A late input lands past the stimulus store's capacity too. *)
+  Network.reserve_ids net 200;
+  let late = Network.add_input net "late" in
+  ignore
+    (Network.add_logic net ~fanins:[| late; List.hd (Network.inputs net) |] and2);
+  add_some 10;
+  Alcotest.(check bool)
+    "ids grew past the initial capacity" true
+    (Network.id_limit net > 4 * max 16 limit0);
+  check_against_fresh "after growth";
+  let victim =
+    List.find
+      (fun id ->
+        (not (Network.is_input net id))
+        && Network.fanout_count net id = 0
+        && not (Network.is_output net id))
+      (List.rev (Network.node_ids net))
+  in
+  ignore (Signature.signature sigs victim);
+  Network.remove_node net victim;
+  let unknown = Invalid_argument "Signature.signature: unknown node" in
+  Alcotest.check_raises "removed id" unknown (fun () ->
+      ignore (Signature.signature sigs victim));
+  add_some 5;
+  check_against_fresh "after remove then add";
+  Alcotest.check_raises "never allocated" unknown (fun () ->
+      ignore (Signature.signature sigs (Network.id_limit net)));
+  Alcotest.check_raises "negative id" unknown (fun () ->
+      ignore (Signature.signature sigs (-1)));
+  Signature.detach sigs
+
 let row_bit (v : int64 array) j =
   Int64.logand (Int64.shift_right_logical v.(j / 64) (j land 63)) 1L = 1L
 
@@ -456,6 +534,8 @@ let () =
             test_consistent_with_exhaustive;
           Alcotest.test_case "incremental matches fresh" `Quick
             test_incremental_matches_fresh;
+          Alcotest.test_case "dense store grows, removes, rejects" `Quick
+            test_dense_store_growth;
           Alcotest.test_case "refined rows match fresh" `Quick
             test_refined_matches_fresh;
           Alcotest.test_case "refine recomputes the care mask" `Quick
