@@ -75,29 +75,26 @@ let activation_assignments net wire =
 
 (* Nodes through which every path from [id] to a primary output passes.
    D(x) = {x} ∪ ⋂ over predecessors-in-TFO(id); result = ⋂ over
-   output-driving nodes of the TFO. *)
+   output-driving nodes of the TFO. The cone order visits every TFO
+   fanin of [x] before [x], so the fanins in TFO are exactly those with
+   a [doms] entry. Any two dominators lie on one common path, so every
+   topological order lists them in the same order, and the result
+   equals the global [Network.topological] order filtered to them. *)
 let dominators net id =
-  let tfo = Network.transitive_fanout net [ id ] in
-  let order =
-    List.filter (fun n -> Node_set.mem n tfo) (Network.topological net)
-  in
+  let order = Network.fanout_cone_order net [ id ] in
   let doms = Hashtbl.create 16 in
   List.iter
     (fun x ->
       if x = id then Hashtbl.replace doms x (Node_set.singleton id)
       else begin
         let preds =
-          List.filter
-            (fun f -> Node_set.mem f tfo)
+          List.filter_map (Hashtbl.find_opt doms)
             (Array.to_list (Network.fanins net x))
         in
         let inter =
           match preds with
           | [] -> Node_set.empty
-          | first :: rest ->
-            List.fold_left
-              (fun acc p -> Node_set.inter acc (Hashtbl.find doms p))
-              (Hashtbl.find doms first) rest
+          | first :: rest -> List.fold_left Node_set.inter first rest
         in
         Hashtbl.replace doms x (Node_set.add x inter)
       end)

@@ -26,8 +26,17 @@ type mutation =
 
 type observer_id = int
 
+(* Nodes live in two structures. [store] serves every lookup by id:
+   slot [id] holds the node, or [absent] where no node has that id.
+   It grows by doubling and, because ids are never recycled, is sized
+   by [next_id] (see DESIGN §17). [nodes] holds the same records and is
+   kept only as the iteration-order index behind [node_ids],
+   [node_count], [find_by_name] and [copy]: its bucket order leaks into
+   stable-sort ties downstream, so serving iteration from [store]'s id
+   order instead would move the optimisers' output. *)
 type t = {
   nodes : (node_id, node) Hashtbl.t;
+  mutable store : node array;
   mutable next_id : int;
   mutable input_order : node_id list; (* reversed *)
   mutable output_order : (string * node_id) list; (* reversed *)
@@ -36,9 +45,15 @@ type t = {
   mutable observers : (observer_id * (mutation -> unit)) list;
 }
 
+(* The shared free-slot marker of every [store]; never mutated and
+   never handed out. *)
+let absent =
+  { id = -1; node_name = ""; kind = Input; fanout = Node_map.empty }
+
 let create () =
   {
     nodes = Hashtbl.create 64;
+    store = Array.make 64 absent;
     next_id = 0;
     input_order = [];
     output_order = [];
@@ -62,12 +77,31 @@ let notify t m =
   t.revision <- t.revision + 1;
   List.iter (fun (_, f) -> f m) t.observers
 
-let mem t id = Hashtbl.mem t.nodes id
+let slot t id =
+  if id >= 0 && id < Array.length t.store then Array.unsafe_get t.store id
+  else absent
+
+let mem t id = slot t id != absent
 
 let node t id =
-  match Hashtbl.find_opt t.nodes id with
-  | Some n -> n
-  | None -> invalid_arg (Printf.sprintf "Network: unknown node %d" id)
+  let n = slot t id in
+  if n != absent then n
+  else invalid_arg (Printf.sprintf "Network: unknown node %d" id)
+
+(* Register a new node in both structures. *)
+let install t n =
+  let cap = Array.length t.store in
+  if n.id >= cap then begin
+    let cap' = ref (max 16 cap) in
+    while !cap' <= n.id do
+      cap' := 2 * !cap'
+    done;
+    let grown = Array.make !cap' absent in
+    Array.blit t.store 0 grown 0 cap;
+    t.store <- grown
+  end;
+  t.store.(n.id) <- n;
+  Hashtbl.add t.nodes n.id n
 
 let fresh_id t =
   let id = t.next_id in
@@ -82,16 +116,23 @@ let reserve_ids t n =
 
 let add_input t input_name =
   let id = fresh_id t in
-  Hashtbl.add t.nodes id
-    { id; node_name = input_name; kind = Input; fanout = Node_map.empty };
+  install t { id; node_name = input_name; kind = Input; fanout = Node_map.empty };
   t.input_order <- id :: t.input_order;
   notify t (Node_added id);
   id
 
+(* No id repeats. Fanin arrays are short, so compare pairwise. *)
+let distinct fanins =
+  let k = Array.length fanins in
+  let rec unique_after i j =
+    j >= k || (fanins.(i) <> fanins.(j) && unique_after i (j + 1))
+  in
+  let rec from i = i >= k || (unique_after i (i + 1) && from (i + 1)) in
+  from 0
+
 (* Merge duplicate fanins and drop fanins not in the cover's support,
    remapping the cover variables accordingly. *)
-let normalise ~fanins ~cover =
-  let support = Cover.support cover in
+let remap ~fanins ~cover support =
   let kept = ref [] (* (slot, target), reversed *) and mapping = Hashtbl.create 8 in
   List.iter
     (fun v ->
@@ -112,6 +153,22 @@ let normalise ~fanins ~cover =
   let cover' = Cover.rename_vars (fun v -> Hashtbl.find mapping v) cover in
   (fanins', cover')
 
+(* When the fanins are distinct and the sorted support is exactly
+   [0 .. k-1] ([k] entries, the last below [k]), the remap is the
+   identity, and because covers are canonical [rename_vars] would
+   rebuild the same cover: skip both. *)
+let normalise ~fanins ~cover =
+  let support = Cover.support cover in
+  let k = Array.length fanins in
+  let rec below_k = function
+    | [] -> true
+    | [ v ] -> v < k
+    | _ :: rest -> below_k rest
+  in
+  if List.length support = k && below_k support && distinct fanins then
+    (Array.copy fanins, cover)
+  else remap ~fanins ~cover support
+
 let incr_fanout t ~from ~target =
   let n = node t target in
   let count = Option.value (Node_map.find_opt from n.fanout) ~default:0 in
@@ -131,7 +188,7 @@ let add_logic t ?name ~fanins cover =
   let fanins, cover = normalise ~fanins ~cover in
   let id = fresh_id t in
   let node_name = Option.value name ~default:(Printf.sprintf "n%d" id) in
-  Hashtbl.add t.nodes id
+  install t
     { id; node_name; kind = Logic { fanins; cover }; fanout = Node_map.empty };
   Array.iter (fun f -> incr_fanout t ~from:id ~target:f) fanins;
   notify t (Node_added id);
@@ -218,23 +275,67 @@ let transitive_fanout t seeds =
   List.iter visit seeds;
   !visited
 
-let depends_on t n m = Node_set.mem m (transitive_fanin t [ n ])
+(* Traversal marks, one byte per id. Every traversal allocates its own:
+   workers at jobs > 1 read networks other domains own, so no mark array
+   may live in [t]. *)
+let marks t = Bytes.make t.next_id '\000'
+
+(* Whether [dst] is in the transitive fanin of [src], by a DFS that stops
+   as soon as it meets [dst]. Explored nodes are marked in [seen]; a
+   caller may share [seen] across searches for the same [dst], since a
+   node explored without meeting [dst] cannot reach it. *)
+let reaches t seen ~dst src =
+  let rec visit id =
+    id = dst
+    || Bytes.unsafe_get seen id = '\000'
+       && begin
+         Bytes.unsafe_set seen id '\001';
+         match (node t id).kind with
+         | Input -> false
+         | Logic l -> Array.exists visit l.fanins
+       end
+  in
+  visit src
+
+let depends_on t n m =
+  ignore (node t n) (* an unknown [n] raises, even when it equals [m] *);
+  reaches t (marks t) ~dst:m n
 
 let topological t =
-  let color = Hashtbl.create (node_count t) in
+  let color = marks t (* 0 unvisited, 1 active, 2 done *) in
   let order = ref [] in
   let rec visit id =
-    match Hashtbl.find_opt color id with
-    | Some `Done -> ()
-    | Some `Active -> raise (Cyclic (Printf.sprintf "node %d on a cycle" id))
-    | None ->
-      Hashtbl.replace color id `Active;
-      Array.iter visit (fanins t id);
-      Hashtbl.replace color id `Done;
+    match Bytes.unsafe_get color id with
+    | '\002' -> ()
+    | '\001' -> raise (Cyclic (Printf.sprintf "node %d on a cycle" id))
+    | _ ->
+      Bytes.unsafe_set color id '\001';
+      (match (node t id).kind with
+      | Input -> ()
+      | Logic l -> Array.iter visit l.fanins);
+      Bytes.unsafe_set color id '\002';
       order := id :: !order
   in
-  List.iter visit (List.sort Int.compare (node_ids t));
+  for id = 0 to t.next_id - 1 do
+    if mem t id then visit id
+  done;
   List.rev !order
+
+(* Reverse postorder of a DFS over fanout edges. For every edge u -> v
+   inside the cone, v finishes before u, so u precedes v in the result:
+   a topological order of TFO(seeds). *)
+let fanout_cone_order t seeds =
+  let seen = marks t in
+  let order = ref [] in
+  let rec visit n =
+    if Bytes.unsafe_get seen n.id = '\000' then begin
+      Bytes.unsafe_set seen n.id '\001';
+      Node_map.iter (fun out _ -> visit (node t out)) n.fanout;
+      order := n.id :: !order
+    end
+  in
+  List.iter (fun id -> visit (node t id)) seeds;
+  !order
 
 let set_function t id ~fanins:new_fanins cover =
   let n = node t id in
@@ -246,9 +347,10 @@ let set_function t id ~fanins:new_fanins cover =
         if not (mem t f) then invalid_arg "Network.set_function: unknown fanin")
       new_fanins;
     let new_fanins, new_cover = normalise ~fanins:new_fanins ~cover in
+    let seen = marks t in
     Array.iter
       (fun f ->
-        if f = id || Node_set.mem id (transitive_fanin t [ f ]) then
+        if reaches t seen ~dst:id f then
           raise (Cyclic (Printf.sprintf "fanin %d depends on node %d" f id)))
       new_fanins;
     Array.iter (fun f -> decr_fanout t ~from:id ~target:f) l.fanins;
@@ -268,11 +370,13 @@ let remove_node t id =
     | Logic l -> Array.iter (fun f -> decr_fanout t ~from:id ~target:f) l.fanins
   end;
   Hashtbl.remove t.nodes id;
+  t.store.(id) <- absent;
   notify t (Node_removed id)
 
 let copy t =
   let fresh = create () in
   fresh.next_id <- t.next_id;
+  fresh.store <- Array.make (max 16 t.next_id) absent;
   Hashtbl.iter
     (fun id n ->
       let kind =
@@ -280,8 +384,7 @@ let copy t =
         | Input -> Input
         | Logic l -> Logic { fanins = Array.copy l.fanins; cover = l.cover }
       in
-      Hashtbl.add fresh.nodes id
-        { id; node_name = n.node_name; kind; fanout = n.fanout })
+      install fresh { id; node_name = n.node_name; kind; fanout = n.fanout })
     t.nodes;
   fresh.input_order <- t.input_order;
   fresh.output_order <- t.output_order;
@@ -291,6 +394,7 @@ let overwrite dst src =
   let fresh = copy src in
   Hashtbl.reset dst.nodes;
   Hashtbl.iter (fun id n -> Hashtbl.add dst.nodes id n) fresh.nodes;
+  dst.store <- fresh.store;
   dst.next_id <- fresh.next_id;
   dst.input_order <- fresh.input_order;
   dst.output_order <- fresh.output_order;

@@ -92,7 +92,9 @@ val reserve_ids : t -> int -> unit
     ones. *)
 
 val copy : t -> t
-(** Deep copy preserving node ids (and the id allocator position). *)
+(** Deep copy preserving node ids (and the id allocator position). Costs
+    O({!id_limit}), not O(nodes): the copy's id-indexed store spans
+    every id ever allocated. *)
 
 val overwrite : t -> t -> unit
 (** [overwrite dst src] makes [dst] structurally identical to [src]
@@ -152,7 +154,15 @@ val transitive_fanout : t -> node_id list -> Node_set.t
 (** Includes the seed nodes. *)
 
 val depends_on : t -> node_id -> node_id -> bool
-(** [depends_on t n m] iff [m] is in the transitive fanin of [n]. *)
+(** [depends_on t n m] iff [m] is in the transitive fanin of [n]. The
+    search stops as soon as it meets [m]. *)
+
+val fanout_cone_order : t -> node_id list -> node_id list
+(** The transitive fanout of the seeds (seeds included), fanins before
+    fanouts: a topological order of the cone, found without visiting
+    the rest of the network. It need not agree with {!topological}
+    restricted to the cone; use it where any topological order serves.
+    @raise Invalid_argument on an unknown seed. *)
 
 (** {1 Evaluation} *)
 

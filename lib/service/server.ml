@@ -196,9 +196,11 @@ let run_job t conn (request : Protocol.request) =
               Protocol.Refused
                 (Printf.sprintf "job failed: %s" (Printexc.to_string e))))
       in
-      let delivered = send_response conn (Protocol.encode_response reply) in
+      (* Count the job before the reply leaves: a client that has its
+         reply must find it in [stats]. *)
       let refused = match reply with Protocol.Refused _ -> true | _ -> false in
       if refused then Atomic.incr t.refused else Atomic.incr t.jobs_done;
+      let delivered = send_response conn (Protocol.encode_response reply) in
       Trace.emit trace "job_done"
         [
           ("job", Trace.Int job_id);

@@ -100,10 +100,9 @@ let refresh t =
     let seeds =
       Node_set.filter (Network.mem t.net) t.dirty |> Node_set.elements
     in
-    let affected = Network.transitive_fanout t.net seeds in
-    List.iter
-      (fun id -> if Node_set.mem id affected then resimulate t id)
-      (Network.topological t.net);
+    (* Values depend only on fanin values, so any topological order
+       of the cone gives the same signatures as the global one. *)
+    List.iter (resimulate t) (Network.fanout_cone_order t.net seeds);
     t.dirty <- Node_set.empty;
     t.refreshes <- t.refreshes + 1
   end

@@ -181,16 +181,17 @@ let collapse aig ~cube_limit gates leaves =
 (* ------------------------------------------------------------------ *)
 
 (* Rebuild the optimised window inside the big AIG, mapping window
-   input [x<i>] to the [i]-th leaf. [Aig.add_and] strashes and
+   input [inputs.(i)] to the [i]-th leaf. [Aig.add_and] strashes and
    resolves as it goes, so an unchanged window reproduces its original
    gates literally (and the root substitution below is skipped). *)
-let splice aig wnet leaves =
+let splice aig wnet ~inputs leaves =
   let value = Hashtbl.create 64 in
   List.iteri
     (fun i leaf ->
-      match Network.find_by_name wnet (Printf.sprintf "x%d" i) with
-      | Some id -> Hashtbl.replace value id (Aig.lit_of_node leaf)
-      | None -> () (* the optimiser dropped an unused input *))
+      (* Ids are never reused, so a missing one is an unused input the
+         optimiser dropped. *)
+      if Network.mem wnet inputs.(i) then
+        Hashtbl.replace value inputs.(i) (Aig.lit_of_node leaf))
     leaves;
   let lit_of_cube fanins cube =
     List.fold_left
@@ -241,20 +242,41 @@ let optimize ?(config = default_config) ?(trace = Trace.disabled) ?counters
     | None -> false
     | Some t -> Unix.gettimeofday () > t
   in
+  (* Per-window phase seconds, in [phase_names] order; read only while
+     tracing, and 0 for a phase the window did not reach. *)
+  let timed = Trace.enabled trace in
+  let phase_names =
+    [| "grow_s"; "collapse_s"; "script_s"; "resub_s"; "splice_s"; "recount_s" |]
+  in
+  let seconds = Array.make (Array.length phase_names) 0. in
+  let phase i f =
+    if not timed then f ()
+    else begin
+      let start = Unix.gettimeofday () in
+      Fun.protect f ~finally:(fun () ->
+          seconds.(i) <- seconds.(i) +. (Unix.gettimeofday () -. start))
+    end
+  in
+  let grow_p = 0 and collapse_p = 1 and script_p = 2 and resub_p = 3
+  and splice_p = 4 and recount_p = 5 in
   let window_event pivot gates leaves outcome =
-    if Trace.enabled trace then
+    if timed then
       Trace.emit trace "aig_window"
-        [
-          ("pivot", Trace.Int pivot);
-          ("gates", Trace.Int (List.length gates));
-          ("leaves", Trace.Int (List.length leaves));
-          ("outcome", Trace.String outcome);
-        ]
+        ([
+           ("pivot", Trace.Int pivot);
+           ("gates", Trace.Int (List.length gates));
+           ("leaves", Trace.Int (List.length leaves));
+           ("outcome", Trace.String outcome);
+         ]
+        @ Array.to_list
+            (Array.mapi (fun i name -> (name, Trace.Float seconds.(i))) phase_names))
   in
   let process pivot =
+    if timed then Array.fill seconds 0 (Array.length seconds) 0.;
     let gates, leaves =
-      grow work ~max_gates:config.max_gates ~max_leaves:config.max_leaves
-        pivot
+      phase grow_p (fun () ->
+          grow work ~max_gates:config.max_gates ~max_leaves:config.max_leaves
+            pivot)
     in
     List.iter (fun g -> if g <= orig_top then seen.(g) <- true) gates;
     incr windows;
@@ -263,44 +285,52 @@ let optimize ?(config = default_config) ?(trace = Trace.disabled) ?counters
       window_event pivot gates leaves "too_small"
     end
     else
-      match collapse work ~cube_limit:config.cube_limit gates leaves with
+      match
+        phase collapse_p (fun () ->
+            collapse work ~cube_limit:config.cube_limit gates leaves)
+      with
       | exception Too_big ->
         incr skipped;
         window_event pivot gates leaves "cover_blowup"
       | cover_of ->
-        let v = !view in
-        (* Roots: window gates some edge outside the window (or an
-           output) resolves into. *)
-        let internal = Hashtbl.create 64 in
-        List.iter
-          (fun g ->
-            let m0, m1 = resolved_fanins work g in
+        (* The window network is part of the collapse phase. *)
+        let wnet, pis, roots =
+          phase collapse_p (fun () ->
+            let v = !view in
+            (* Roots: window gates some edge outside the window (or an
+               output) resolves into. *)
+            let internal = Hashtbl.create 64 in
             List.iter
-              (fun m ->
-                Hashtbl.replace internal m
-                  (1 + Option.value ~default:0 (Hashtbl.find_opt internal m)))
-              [ m0; m1 ])
-          gates;
-        let roots =
-          List.filter
-            (fun g ->
-              v.refs.(g)
-              > Option.value ~default:0 (Hashtbl.find_opt internal g))
-            gates
+              (fun g ->
+                let m0, m1 = resolved_fanins work g in
+                List.iter
+                  (fun m ->
+                    Hashtbl.replace internal m
+                      (1 + Option.value ~default:0 (Hashtbl.find_opt internal m)))
+                  [ m0; m1 ])
+              gates;
+            let roots =
+              List.filter
+                (fun g ->
+                  v.refs.(g)
+                  > Option.value ~default:0 (Hashtbl.find_opt internal g))
+                gates
+            in
+            let wnet = Network.create () in
+            let pis =
+              Array.of_list
+                (List.mapi
+                   (fun i _ -> Network.add_input wnet (Printf.sprintf "x%d" i))
+                   leaves)
+            in
+            List.iteri
+              (fun i r ->
+                let name = Printf.sprintf "y%d" i in
+                let id = Network.add_logic wnet ~name ~fanins:pis (cover_of r) in
+                Network.add_output wnet name id)
+              roots;
+            (wnet, pis, roots))
         in
-        let wnet = Network.create () in
-        let pis =
-          Array.of_list
-            (List.mapi
-               (fun i _ -> Network.add_input wnet (Printf.sprintf "x%d" i))
-               leaves)
-        in
-        List.iteri
-          (fun i r ->
-            let name = Printf.sprintf "y%d" i in
-            let id = Network.add_logic wnet ~name ~fanins:pis (cover_of r) in
-            Network.add_output wnet name id)
-          roots;
         (* Project the external don't-care view into the window's input
            space: a global EXCDC cube survives when every literal names a
            primary input that is a leaf of this window (renamed to the
@@ -334,8 +364,9 @@ let optimize ?(config = default_config) ?(trace = Trace.disabled) ?counters
         let reference =
           if config.verify_windows then Some (Network.copy wnet) else None
         in
-        Script.run ~resub:wresub ~trace:Trace.disabled wnet config.script;
-        wresub wnet;
+        phase script_p (fun () ->
+            Script.run ~resub:wresub ~trace:Trace.disabled wnet config.script);
+        phase resub_p (fun () -> wresub wnet);
         if
           match reference with
           | Some before -> (
@@ -354,36 +385,41 @@ let optimize ?(config = default_config) ?(trace = Trace.disabled) ?counters
           window_event pivot gates leaves "verify_failed"
         end
         else begin
-          let out_lits = splice work wnet leaves in
           let subs = ref [] in
-          List.iteri
-            (fun i r ->
-              let l = List.assoc (Printf.sprintf "y%d" i) out_lits in
-              if Aig.lit_node l <> r then begin
-                Aig.substitute work r l;
-                subs := r :: !subs
-              end)
-            roots;
+          phase splice_p (fun () ->
+              let out_lits = splice work wnet ~inputs:pis leaves in
+              List.iteri
+                (fun i r ->
+                  let l = List.assoc (Printf.sprintf "y%d" i) out_lits in
+                  if Aig.lit_node l <> r then begin
+                    Aig.substitute work r l;
+                    subs := r :: !subs
+                  end)
+                roots);
           let revert () = List.iter (Aig.clear_substitute work) !subs in
           if !subs = [] then begin
             incr skipped;
             window_event pivot gates leaves "unchanged"
           end
           else
-            match Aig.live_gate_count work with
-            | exception Aig.Cycle ->
-              revert ();
-              incr reverted;
-              window_event pivot gates leaves "cycle"
-            | n when n < !current_live ->
-              current_live := n;
-              view := view_of work;
-              incr accepted;
-              window_event pivot gates leaves "accepted"
-            | _ ->
-              revert ();
-              incr reverted;
-              window_event pivot gates leaves "no_gain"
+            let outcome =
+              phase recount_p (fun () ->
+                  match Aig.live_gate_count work with
+                  | exception Aig.Cycle ->
+                    revert ();
+                    incr reverted;
+                    "cycle"
+                  | n when n < !current_live ->
+                    current_live := n;
+                    view := view_of work;
+                    incr accepted;
+                    "accepted"
+                  | _ ->
+                    revert ();
+                    incr reverted;
+                    "no_gain")
+            in
+            window_event pivot gates leaves outcome
         end
   in
   (let stop = ref false in

@@ -241,6 +241,55 @@ let test_aig_opt_verified_windows () =
     (Robdd.Of_network.equivalent (Aig.to_network before)
        (Aig.to_network optimised))
 
+(* A traced run writes one [aig_window] event per window with the
+   seconds of each phase; phases a window never reached read 0, and
+   tracing does not move the output. *)
+let test_aig_opt_window_phases () =
+  let path = Filename.temp_file "aig_window" ".jsonl" in
+  let trace = Rar_util.Trace.to_file path in
+  let traced, stats = Synth.Aig_opt.optimize ~trace (planted_aig 3) in
+  Rar_util.Trace.close trace;
+  let untraced, _ = Synth.Aig_opt.optimize (planted_aig 3) in
+  Alcotest.(check string) "tracing leaves the output alone"
+    (Aiger.to_string untraced) (Aiger.to_string traced);
+  let lines = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
+  let windows =
+    List.filter
+      (fun l -> String.starts_with ~prefix:{|{"event": "aig_window"|} l)
+      (String.split_on_char '\n' lines)
+  in
+  Alcotest.(check int) "one event per window" stats.Synth.Aig_opt.windows
+    (List.length windows);
+  let field line name =
+    let key = Printf.sprintf {|"%s": |} name in
+    let rec find i =
+      if String.sub line i (String.length key) = key then i + String.length key
+      else find (i + 1)
+    in
+    let start = find 0 in
+    let stop = ref start in
+    while line.[!stop] <> ',' && line.[!stop] <> '}' do incr stop done;
+    String.sub line start (!stop - start)
+  in
+  let phases =
+    [ "grow_s"; "collapse_s"; "script_s"; "resub_s"; "splice_s"; "recount_s" ]
+  in
+  List.iter
+    (fun line ->
+      let seconds = List.map (fun p -> float_of_string (field line p)) phases in
+      Alcotest.(check bool) "phase seconds are non-negative" true
+        (List.for_all (fun s -> s >= 0.) seconds);
+      match field line "outcome" with
+      | {|"too_small"|} ->
+        Alcotest.(check bool) "too_small reaches only grow" true
+          (List.for_all (fun s -> s = 0.) (List.tl seconds))
+      | {|"unchanged"|} ->
+        Alcotest.(check (float 0.)) "unchanged skips the recount" 0.
+          (List.nth seconds 5)
+      | _ -> ())
+    windows
+
 let () =
   Alcotest.run "aig"
     [
@@ -274,5 +323,7 @@ let () =
             test_aig_opt_jobs_byte_identity;
           Alcotest.test_case "verified windows" `Quick
             test_aig_opt_verified_windows;
+          Alcotest.test_case "traced window phases" `Quick
+            test_aig_opt_window_phases;
         ] );
     ]

@@ -984,6 +984,64 @@ let test_checkpoint_stack_discipline () =
   Alcotest.(check (option bool)) "b unwound" None (Imply.node_value e b);
   Alcotest.(check bool) "inner now below trail" false (Imply.pop_to e inner)
 
+(* The dominator computation before it walked only the fault's cone:
+   filter the global topological order to the TFO, then intersect.
+   Kept as the reference for the cone-order version. *)
+let frozen_dominators net id =
+  let module Node_set = Network.Node_set in
+  let tfo = Network.transitive_fanout net [ id ] in
+  let order =
+    List.filter (fun n -> Node_set.mem n tfo) (Network.topological net)
+  in
+  let doms = Hashtbl.create 16 in
+  List.iter
+    (fun x ->
+      if x = id then Hashtbl.replace doms x (Node_set.singleton id)
+      else begin
+        let preds =
+          List.filter
+            (fun f -> Node_set.mem f tfo)
+            (Array.to_list (Network.fanins net x))
+        in
+        let inter =
+          match preds with
+          | [] -> Node_set.empty
+          | first :: rest ->
+            List.fold_left
+              (fun acc p -> Node_set.inter acc (Hashtbl.find doms p))
+              (Hashtbl.find doms first) rest
+        in
+        Hashtbl.replace doms x (Node_set.add x inter)
+      end)
+    order;
+  let exits = List.filter (fun x -> Network.is_output net x) order in
+  let common =
+    match exits with
+    | [] -> Node_set.empty
+    | first :: rest ->
+      List.fold_left
+        (fun acc e -> Node_set.inter acc (Hashtbl.find doms e))
+        (Hashtbl.find doms first) rest
+  in
+  List.filter (fun x -> x <> id && Node_set.mem x common) order
+
+let prop_dominators_match_frozen =
+  QCheck2.Test.make
+    ~name:"dominators from the cone order match the global filter"
+    ~count:80 ~print:string_of_int Net_mutations.gen_seed
+    (fun seed ->
+      let check net =
+        List.iter
+          (fun id ->
+            if Fault.dominators net id <> frozen_dominators net id then
+              failwith (Printf.sprintf "dominators of %d moved" id))
+          (Network.node_ids net)
+      in
+      let rng, net = Net_mutations.initial seed in
+      check net;
+      Net_mutations.mutate rng net ~steps:25 ~after_step:check;
+      true)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -993,6 +1051,7 @@ let qcheck_cases =
       prop_redundant_is_sound;
       prop_implication_soundness;
       prop_sat_test_generation_matches_exhaustive;
+      prop_dominators_match_frozen;
     ]
 
 let () =

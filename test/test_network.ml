@@ -114,6 +114,80 @@ let test_copy_and_overwrite () =
   Alcotest.(check bool) "restored" true (Equiv.equivalent net snapshot);
   Network.check net
 
+let unknown_node net id =
+  Alcotest.check_raises
+    (Printf.sprintf "node %d is unknown" id)
+    (Invalid_argument (Printf.sprintf "Network: unknown node %d" id))
+    (fun () -> ignore (Network.name net id));
+  Alcotest.(check bool) (Printf.sprintf "mem %d" id) false (Network.mem net id)
+
+(* [node] and [mem] on ids the id-indexed store has no node for:
+   negative ids, ids past its end, removed ids, reserved ids, and ids
+   an [overwrite] from a smaller network dropped. *)
+let test_node_store_edges () =
+  let net = adder_net () in
+  List.iter (unknown_node net)
+    [ -1; min_int; Network.id_limit net; 63; 64; 1_000_000 ];
+  let a = Builder.node net "a" and b = Builder.node net "b" in
+  let g = Network.add_logic net ~fanins:[| a; b |] (Parse.cover_default "ab") in
+  Network.remove_node net g;
+  unknown_node net g;
+  Alcotest.check_raises "depends_on from a removed node"
+    (Invalid_argument (Printf.sprintf "Network: unknown node %d" g))
+    (fun () -> ignore (Network.depends_on net g a));
+  Network.reserve_ids net 200;
+  let far = Network.add_logic net ~fanins:[| a |] (Parse.cover_default "a'") in
+  Alcotest.(check bool) "node past the reserved ids" true (Network.mem net far);
+  Alcotest.(check string) "its name" (Printf.sprintf "n%d" far)
+    (Network.name net far);
+  unknown_node net (far - 1);
+  Network.check net;
+  (* Grow a network far past its first capacity, then overwrite it with
+     a smaller one: the dropped ids are unknown again, the allocator
+     restarts at the source's limit, and new nodes land there. *)
+  let big = adder_net () in
+  let ids =
+    List.init 150 (fun _ ->
+        Network.add_logic big ~fanins:[| Builder.node big "a" |]
+          (Parse.cover_default "a"))
+  in
+  let small = adder_net () in
+  Network.overwrite big small;
+  List.iter (unknown_node big) ids;
+  Alcotest.(check int) "allocator follows the source"
+    (Network.id_limit small) (Network.id_limit big);
+  let fresh =
+    Network.add_logic big ~fanins:[| Builder.node big "b" |]
+      (Parse.cover_default "a'")
+  in
+  Alcotest.(check int) "first new id" (Network.id_limit small) fresh;
+  Alcotest.(check bool) "source untouched" false (Network.mem small fresh);
+  Network.check big
+
+(* A copy owns its store: nodes later added to, rewired in or removed
+   from either side never show in the other. *)
+let test_copy_isolated () =
+  let net = adder_net () in
+  let a = Builder.node net "a" and c = Builder.node net "c" in
+  let spare = Network.add_logic net ~fanins:[| a; c |] (Parse.cover_default "ab") in
+  let copy = Network.copy net in
+  let added = Network.add_logic net ~fanins:[| a |] (Parse.cover_default "a'") in
+  Network.remove_node net spare;
+  Network.set_function net (Builder.node net "sum") ~fanins:[| c |]
+    (Parse.cover_default "a");
+  unknown_node copy added;
+  Alcotest.(check bool) "removal not seen by the copy" true
+    (Network.mem copy spare);
+  Alcotest.(check int) "rewire not seen by the copy" 3
+    (Array.length (Network.fanins copy (Builder.node copy "sum")));
+  let grown =
+    List.init 100 (fun _ ->
+        Network.add_logic copy ~fanins:[| a |] (Parse.cover_default "a"))
+  in
+  List.iter (fun id -> if id <> added then unknown_node net id) grown;
+  Network.check net;
+  Network.check copy
+
 (* ------------------------------------------------------------------ *)
 (* Sweep / collapse / eliminate                                        *)
 (* ------------------------------------------------------------------ *)
@@ -491,6 +565,165 @@ let prop_factored_leq_flat =
 
 
 (* ------------------------------------------------------------------ *)
+(* Structural queries against frozen copies                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The implementations the id-indexed node store replaced, kept here as
+   the reference the properties below compare against. *)
+module Frozen = struct
+  let depends_on net n m =
+    Network.Node_set.mem m (Network.transitive_fanin net [ n ])
+
+  let topological net =
+    let color = Hashtbl.create 16 in
+    let order = ref [] in
+    let rec visit id =
+      match Hashtbl.find_opt color id with
+      | Some `Done -> ()
+      | Some `Active -> raise (Network.Cyclic (Printf.sprintf "node %d on a cycle" id))
+      | None ->
+        Hashtbl.replace color id `Active;
+        Array.iter visit (Network.fanins net id);
+        Hashtbl.replace color id `Done;
+        order := id :: !order
+    in
+    List.iter visit (List.sort Int.compare (Network.node_ids net));
+    List.rev !order
+
+  let normalise ~fanins ~cover =
+    let support = Cover.support cover in
+    let kept = ref [] and mapping = Hashtbl.create 8 in
+    List.iter
+      (fun v ->
+        let target = fanins.(v) in
+        let slot =
+          match List.find_opt (fun (_, n) -> n = target) !kept with
+          | Some (slot, _) -> slot
+          | None ->
+            let slot = List.length !kept in
+            kept := (slot, target) :: !kept;
+            slot
+        in
+        Hashtbl.replace mapping v slot)
+      support;
+    ( Array.of_list (List.map snd (List.rev !kept)),
+      Cover.rename_vars (fun v -> Hashtbl.find mapping v) cover )
+
+  (* The cycle guard's verdict: it ran over the normalised fanins, in
+     order, and named the first one whose transitive fanin holds [id]. *)
+  let cycle_error net id ~fanins cover =
+    let fanins, _ = normalise ~fanins ~cover in
+    Array.to_list fanins
+    |> List.find_opt (fun f ->
+           f = id || Network.Node_set.mem id (Network.transitive_fanin net [ f ]))
+    |> Option.map (fun f ->
+           Network.Cyclic (Printf.sprintf "fanin %d depends on node %d" f id))
+end
+
+let fail fmt = Printf.ksprintf failwith fmt
+
+(* [order] lists exactly TFO(seeds), every node after its fanins there. *)
+let check_cone_order net seeds order =
+  let tfo = Network.transitive_fanout net seeds in
+  if not (Network.Node_set.equal tfo (Network.Node_set.of_list order)
+          && List.length order = Network.Node_set.cardinal tfo)
+  then fail "cone order of %s is not the TFO"
+      (String.concat "," (List.map string_of_int seeds));
+  let position = Hashtbl.create 16 in
+  List.iteri (fun i id -> Hashtbl.replace position id i) order;
+  List.iteri
+    (fun i id ->
+      Array.iter
+        (fun f ->
+          match Hashtbl.find_opt position f with
+          | Some j when j >= i -> fail "fanin %d listed after %d" f id
+          | _ -> ())
+        (Network.fanins net id))
+    order
+
+let check_traversals net =
+  Network.check net;
+  let ids = List.sort Int.compare (Network.node_ids net) in
+  if Network.topological net <> Frozen.topological net then
+    fail "topological order moved";
+  List.iter
+    (fun n ->
+      List.iter
+        (fun m ->
+          if Network.depends_on net n m <> Frozen.depends_on net n m then
+            fail "depends_on %d %d" n m)
+        ids;
+      check_cone_order net [ n ] (Network.fanout_cone_order net [ n ]))
+    ids;
+  if List.length ids >= 2 then begin
+    let seeds = [ List.nth ids (List.length ids - 1); List.hd ids ] in
+    check_cone_order net seeds (Network.fanout_cone_order net seeds)
+  end
+
+let prop_traversals_match_frozen =
+  QCheck2.Test.make
+    ~name:"depends_on, topological and cone order match frozen traversals"
+    ~count:60 ~print:string_of_int Net_mutations.gen_seed (fun seed ->
+      let rng, net = Net_mutations.initial seed in
+      check_traversals net;
+      Net_mutations.mutate rng net ~steps:25 ~after_step:check_traversals;
+      true)
+
+(* Every rewire of the mutation sequence is checked against the old
+   guard before it runs: [Cyclic] with the same message exactly when
+   the old guard raised, and a rejected rewire leaves the network
+   untouched. *)
+let prop_cycle_guard_matches_frozen =
+  QCheck2.Test.make ~name:"set_function raises Cyclic exactly when the old guard did"
+    ~count:100 ~print:string_of_int Net_mutations.gen_seed (fun seed ->
+      let set_function net id ~fanins cover =
+        let expected = Frozen.cycle_error net id ~fanins cover in
+        let before = Network.revision net in
+        match (Network.set_function net id ~fanins cover, expected) with
+        | (), None -> ()
+        | (), Some _ -> fail "rewire of %d accepted, old guard rejected it" id
+        | exception (Network.Cyclic _ as e) ->
+          if Some e <> expected then fail "rewire of %d: %s" id (Printexc.to_string e);
+          if Network.revision net <> before then fail "rejected rewire mutated"
+      in
+      let rng, net = Net_mutations.initial seed in
+      Net_mutations.mutate ~set_function rng net ~steps:40
+        ~after_step:Network.check;
+      true)
+
+(* [add_logic] and [set_function] normalise exactly like the general
+   remap, whether or not the identity fast path applies (the cover
+   generator names every variable most of the time, and fanins are
+   drawn with replacement, so both paths run often). *)
+let prop_normalise_matches_frozen =
+  QCheck2.Test.make ~name:"normalise fast path matches the general remap"
+    ~count:100 ~print:string_of_int Net_mutations.gen_seed (fun seed ->
+      let rng = Rar_util.Rng.create seed in
+      let net = Network.create () in
+      let inputs =
+        Array.init 6 (fun i -> Network.add_input net (Printf.sprintf "i%d" i))
+      in
+      let same id (fanins, cover) =
+        Network.fanins net id = fanins
+        && Cover.compare (Network.cover net id) cover = 0
+      in
+      List.for_all
+        (fun _ ->
+          let k = Rar_util.Rng.int rng 6 in
+          let draw () =
+            Array.init k (fun _ -> inputs.(Rar_util.Rng.int rng 6))
+          in
+          let fanins = draw () in
+          let cover = Net_mutations.random_cover rng k in
+          let id = Network.add_logic net ~fanins cover in
+          let added = same id (Frozen.normalise ~fanins ~cover) in
+          let fanins = draw () in
+          let cover = Net_mutations.random_cover rng k in
+          Network.set_function net id ~fanins cover;
+          added && same id (Frozen.normalise ~fanins ~cover))
+        (List.init 20 Fun.id))
+
+(* ------------------------------------------------------------------ *)
 (* BDD laws on random covers                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -563,6 +796,9 @@ let qcheck_cases =
       prop_bdd_constrain_identity;
       prop_bdd_exists;
       prop_bdd_to_cover_roundtrip;
+      prop_traversals_match_frozen;
+      prop_cycle_guard_matches_frozen;
+      prop_normalise_matches_frozen;
     ]
 
 let () =
@@ -577,6 +813,8 @@ let () =
           Alcotest.test_case "duplicate fanin merge" `Quick test_duplicate_fanin_merge;
           Alcotest.test_case "topological order" `Quick test_topological;
           Alcotest.test_case "copy and overwrite" `Quick test_copy_and_overwrite;
+          Alcotest.test_case "node store edge ids" `Quick test_node_store_edges;
+          Alcotest.test_case "copy isolated" `Quick test_copy_isolated;
         ] );
       ( "transforms",
         [

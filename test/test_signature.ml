@@ -521,6 +521,30 @@ let test_observer_lifecycle () =
   touch ();
   Alcotest.(check int) "no events after removal" seen !events
 
+(* Random mutation sequences, most steps removals, with an incremental
+   engine attached throughout: after every step each node's signature
+   equals a fresh engine's. Rewires and additions take the cone-local
+   refresh, overwrites the full one. *)
+let prop_incremental_matches_fresh_under_mutation =
+  QCheck2.Test.make
+    ~name:"incremental refresh matches a fresh engine after mutations"
+    ~count:80 ~print:string_of_int Net_mutations.gen_seed
+    (fun seed ->
+      let rng, net = Net_mutations.initial seed in
+      let sigs = Signature.create ~seed:3 ~words:2 net in
+      let check net =
+        let fresh = Signature.create ~seed:3 ~words:2 net in
+        List.iter
+          (fun id ->
+            if Signature.signature sigs id <> Signature.signature fresh id then
+              failwith (Printf.sprintf "signature of %d differs" id))
+          (Network.node_ids net);
+        Signature.detach fresh
+      in
+      Net_mutations.mutate rng net ~steps:30 ~after_step:check;
+      Signature.detach sigs;
+      true)
+
 let () =
   Alcotest.run "signature"
     [
@@ -556,5 +580,10 @@ let () =
             test_fanin_cache;
           Alcotest.test_case "observer lifecycle" `Quick
             test_observer_lifecycle;
+        ] );
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest
+            prop_incremental_matches_fresh_under_mutation;
         ] );
     ]
