@@ -45,11 +45,7 @@ let () =
      force both of D's cubes to 0 while the bold AND needs D = 1. *)
   print_endline "\nStep 2 - one redundancy test in detail (cf. Fig. 2(e)):";
   let a = Builder.node net "a" and b = Builder.node net "b" in
-  let engine =
-    Atpg.Imply.create
-      ~frozen:(fun id -> id = f)
-      net
-  in
+  let engine = Atpg.Imply.create ~frozen:[ f ] net in
   print_endline "  assume a=0 (fault activation), d=1 (AND side input),";
   print_endline "  sibling cubes of f at 0, and D=1 (bold AND side input):";
   let outcome =

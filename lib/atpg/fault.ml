@@ -169,8 +169,7 @@ let redundant_result ?(use_dominators = true) ?(learn_depth = 0) ?region
   let faulty_node =
     match wire with Literal_wire { node; _ } | Cube_wire { node; _ } -> node
   in
-  let tfo = Network.transitive_fanout net [ faulty_node ] in
-  let frozen n = Node_set.mem n tfo in
+  let frozen = Network.fanout_cone_order net [ faulty_node ] in
   let budget =
     match budget with Some b -> b | None -> Rar_util.Budget.unlimited
   in

@@ -24,17 +24,21 @@ let decode = function
    the state between redundancy tests is restored in O(assignments)
    instead of rebuilding O(network) hashtables per test. The propagation
    queue is a ring buffer over slots, giving stable FIFO (levelized)
-   implication order instead of the legacy LIFO cons-list. *)
+   implication order instead of the legacy LIFO cons-list.
+
+   Everything propagation reads is resolved to slots at build time: a
+   cube's literals are slot codes [slot lsl 1 lor neg] (even = positive),
+   region membership and frozen marks are per-slot bytes, and each slot
+   lists the slots of its fanouts inside the region. Propagation never
+   consults the network. *)
 type t = {
   net : Network.t;
   region : Network.node_id -> bool;
-  mutable frozen : Network.node_id -> bool;
   mutable budget : Rar_util.Budget.t;
   counters : Counters.t option;
   (* External don't cares: each EXCDC cube is a forbidden input
      pattern, i.e. the clause ¬(cube) the environment guarantees.
-     Resolved to slots at build time; [dc_codes] packs (slot, phase)
-     as [slot lsl 1 lor neg-bit] (even = positive, as cube codes). *)
+     Resolved to slot codes at build time. *)
   dc : Logic_network.Dont_care.t option;
   mutable built_dc_revision : int;
   mutable dc_codes : int array array;
@@ -42,22 +46,27 @@ type t = {
   (* Structure mirrors the network at [built_revision]; [reset] rebuilds
      it when the network has mutated since. Shared by learn-copies. *)
   mutable built_revision : int;
-  (* Bumped by every build/reset: marks taken before the bump are stale
-     (their trail positions no longer mean anything). *)
+  (* Bumped by every build/reset/refresh: marks taken before the bump are
+     stale (their trail positions no longer mean anything). *)
   mutable generation : int;
   mutable slot : int array;  (* node id -> slot (-1 when unknown) *)
   mutable node_of : int array;  (* slot -> node id *)
   mutable nslots : int;
   mutable is_input : Bytes.t;  (* slot -> 0/1 *)
-  mutable fanins_of : Network.node_id array array;
-  mutable fanouts_of : Network.node_id array array;
-  mutable cubes_of : Cube.t array array;  (* [||] for inputs *)
-  mutable cube_off : int array;  (* slot -> first flat cube index *)
-  (* Flat cube index -> literal codes of that cube, decoded once from the
-     packed kernel words at build time so propagation walks int arrays
-     instead of literal lists. *)
-  mutable cube_codes : int array array;
+  mutable in_region : Bytes.t;  (* slot -> 0/1 *)
+  mutable fanin_slots : int array array;  (* slot -> slots of its fanins *)
+  mutable region_fanouts : int array array;  (* slot -> its fanouts in region *)
+  (* Flat cubes of slot [s]: [cube_off.(s)] up to [cube_off.(s) + ncubes.(s)],
+     within a capacity that ends at [cube_off.(s + 1)]. *)
+  mutable cube_off : int array;
+  mutable ncubes : int array;
+  mutable cube_lits : int array array;  (* flat cube -> literal slot codes *)
+  mutable constants : int array;  (* slots of constant nodes, ascending *)
   mutable base_queue : int array;  (* queue right after constant seeding *)
+  (* Nodes whose value is never derived (the fault-carrying cone), as
+     per-slot marks; [frozen_ids] remembers them across rebuilds. *)
+  mutable frozen : Bytes.t;
+  mutable frozen_ids : Network.node_id list;
   (* Per-test state (private to each learn-copy). *)
   mutable node_val : Bytes.t;  (* slot -> value *)
   mutable cube_val : Bytes.t;  (* flat cube index -> value *)
@@ -71,105 +80,123 @@ type t = {
 
 let network t = t.net
 
+let slot_of t id =
+  if id >= 0 && id < Array.length t.slot then t.slot.(id) else -1
+
 let slot_exn t id =
-  let s = if id < Array.length t.slot then t.slot.(id) else -1 in
+  let s = slot_of t id in
   if s < 0 then
     invalid_arg (Printf.sprintf "Imply: node %d unknown to the arena" id)
   else s
 
 let enqueue_slot t s =
-  if Bytes.get t.queued s = '\000' then begin
-    Bytes.set t.queued s '\001';
+  if Bytes.unsafe_get t.queued s = '\000' then begin
+    Bytes.unsafe_set t.queued s '\001';
     let cap = Array.length t.queue in
     let tail = t.q_head + t.q_len in
     t.queue.(if tail >= cap then tail - cap else tail) <- s;
     t.q_len <- t.q_len + 1
   end
 
-let enqueue t id = enqueue_slot t (slot_exn t id)
+let mark_frozen t ids v =
+  List.iter
+    (fun id ->
+      let s = slot_of t id in
+      if s >= 0 then Bytes.set t.frozen s v)
+    ids
+
+let count field t =
+  match t.counters with Some c -> Counters.add (field c) 1 | None -> ()
+
+(* A cover with no cube or with the top cube is a constant: its value
+   holds unconditionally and is seeded at build time. *)
+let constant_of_cover cover =
+  if Cover.is_zero cover then Some false
+  else if Cover.is_one cover then Some true
+  else None
+
+(* Literal codes of [cube] over the node's fanins, resolved to slots:
+   the order stays the cube's (by fanin index). *)
+let slot_codes slot fanins cube =
+  let codes = Cube_kernel.codes_array (Cube.kernel cube) in
+  Array.iteri
+    (fun i code ->
+      codes.(i) <- (slot.(fanins.(code lsr 1)) lsl 1) lor (code land 1))
+    codes;
+  codes
+
+(* Resolve the EXCDC cubes against the current structure. A cube naming
+   a signal that is not a primary input of this network is dropped —
+   fewer forbidden patterns is always sound. *)
+let resolve_dc t ~slot ~is_input ~nslots =
+  match t.dc with
+  | Some dc when not (Logic_network.Dont_care.is_empty dc) ->
+    let resolved = ref [] in
+    List.iter
+      (fun cube ->
+        let codes =
+          List.filter_map
+            (fun (name, phase) ->
+              match Network.find_by_name t.net name with
+              | Some id
+                when id < Array.length slot && slot.(id) >= 0
+                     && Bytes.get is_input slot.(id) = '\001' ->
+                Some ((slot.(id) lsl 1) lor if phase then 0 else 1)
+              | _ -> None)
+            cube
+        in
+        if List.length codes = List.length cube then
+          resolved := Array.of_list codes :: !resolved)
+      (Logic_network.Dont_care.excdc dc);
+    let dc_codes = Array.of_list (List.rev !resolved) in
+    if Array.length dc_codes = 0 then ([||], [||])
+    else begin
+      let watch = Array.make (max 1 nslots) [] in
+      Array.iteri
+        (fun c codes ->
+          Array.iter
+            (fun code -> watch.(code lsr 1) <- c :: watch.(code lsr 1))
+            codes)
+        dc_codes;
+      (dc_codes, Array.map (fun l -> Array.of_list (List.rev l)) watch)
+    end
+  | _ -> ([||], [||])
 
 (* (Re)build the arena from the network's current structure and seed the
    constant nodes: their value holds unconditionally, and a node whose
    only fanins are constants would otherwise never be examined. Matching
    the legacy [create], the constants' region fanouts are left pending on
-   the queue for the first propagation run to drain. *)
+   the queue for the first propagation run to drain. Slots follow
+   ascending node ids; a first sweep numbers them and sizes the cube
+   array, a second fills it. *)
 let build t =
   let net = t.net in
-  let ids = List.sort Int.compare (Network.node_ids net) in
-  let nslots = List.length ids in
-  let max_id = List.fold_left max (-1) ids in
-  let slot = Array.make (max_id + 1) (-1) in
-  let node_of = Array.make (max 1 nslots) 0 in
-  List.iteri
-    (fun s id ->
-      node_of.(s) <- id;
-      slot.(id) <- s)
-    ids;
-  let is_input = Bytes.make (max 1 nslots) '\000' in
-  let fanins_of = Array.make (max 1 nslots) [||] in
-  let fanouts_of = Array.make (max 1 nslots) [||] in
-  let cubes_of = Array.make (max 1 nslots) [||] in
-  let cube_off = Array.make (max 1 (nslots + 1)) 0 in
-  let total_cubes = ref 0 in
-  List.iteri
-    (fun s id ->
-      cube_off.(s) <- !total_cubes;
-      fanouts_of.(s) <- Array.of_list (Network.fanouts net id);
-      if Network.is_input net id then Bytes.set is_input s '\001'
-      else begin
-        fanins_of.(s) <- Network.fanins net id;
-        let cubes = Array.of_list (Cover.cubes (Network.cover net id)) in
-        cubes_of.(s) <- cubes;
-        total_cubes := !total_cubes + Array.length cubes
-      end)
-    ids;
-  if nslots > 0 then cube_off.(nslots) <- !total_cubes;
-  (* Resolve the EXCDC cubes against the current structure. A cube
-     naming a signal that is not a primary input of this network is
-     dropped — fewer forbidden patterns is always sound. *)
-  let dc_codes, dc_watch =
-    match t.dc with
-    | Some dc when not (Logic_network.Dont_care.is_empty dc) ->
-      let resolved = ref [] in
-      List.iter
-        (fun cube ->
-          let codes =
-            List.filter_map
-              (fun (name, phase) ->
-                match Network.find_by_name net name with
-                | Some id
-                  when id < Array.length slot && slot.(id) >= 0
-                       && Bytes.get is_input slot.(id) = '\001' ->
-                  Some ((slot.(id) lsl 1) lor (if phase then 0 else 1))
-                | _ -> None)
-              cube
-          in
-          if List.length codes = List.length cube then
-            resolved := Array.of_list codes :: !resolved)
-        (Logic_network.Dont_care.excdc dc);
-      let dc_codes = Array.of_list (List.rev !resolved) in
-      if Array.length dc_codes = 0 then ([||], [||])
-      else begin
-        let watch = Array.make (max 1 nslots) [] in
-        Array.iteri
-          (fun c codes ->
-            Array.iter
-              (fun code -> watch.(code lsr 1) <- c :: watch.(code lsr 1))
-              codes)
-          dc_codes;
-        (dc_codes, Array.map (fun l -> Array.of_list (List.rev l)) watch)
-      end
-    | _ -> ([||], [||])
-  in
-  let cube_codes = Array.make (max 1 !total_cubes) [||] in
-  List.iteri
-    (fun s _ ->
-      Array.iteri
-        (fun i cube ->
-          cube_codes.(cube_off.(s) + i) <-
-            Cube_kernel.codes_array (Cube.kernel cube))
-        cubes_of.(s))
-    ids;
+  let limit = Network.id_limit net in
+  let nslots = Network.node_count net in
+  let size = max 1 nslots in
+  let slot = Array.make (max 1 limit) (-1) in
+  let node_of = Array.make size 0 in
+  let is_input = Bytes.make size '\000' in
+  let in_region = Bytes.make size '\000' in
+  let s = ref 0 and total_cubes = ref 0 in
+  for id = 0 to limit - 1 do
+    if Network.mem net id then begin
+      slot.(id) <- !s;
+      node_of.(!s) <- id;
+      if Network.is_input net id then Bytes.set is_input !s '\001'
+      else
+        total_cubes := !total_cubes + Cover.cube_count (Network.cover net id);
+      if t.region id then Bytes.set in_region !s '\001';
+      incr s
+    end
+  done;
+  let total_cubes = !total_cubes in
+  let fanin_slots = Array.make size [||] in
+  let region_fanouts = Array.make size [||] in
+  let cube_off = Array.make (nslots + 1) 0 in
+  let ncubes = Array.make size 0 in
+  let cube_lits = Array.make (max 1 total_cubes) [||] in
+  let dc_codes, dc_watch = resolve_dc t ~slot ~is_input ~nslots in
   t.built_revision <- Network.revision net;
   t.built_dc_revision <-
     (match t.dc with
@@ -182,50 +209,64 @@ let build t =
   t.node_of <- node_of;
   t.nslots <- nslots;
   t.is_input <- is_input;
-  t.fanins_of <- fanins_of;
-  t.fanouts_of <- fanouts_of;
-  t.cubes_of <- cubes_of;
+  t.in_region <- in_region;
+  t.fanin_slots <- fanin_slots;
+  t.region_fanouts <- region_fanouts;
   t.cube_off <- cube_off;
-  t.cube_codes <- cube_codes;
-  t.node_val <- Bytes.make (max 1 nslots) v_unknown;
-  t.cube_val <- Bytes.make (max 1 !total_cubes) v_unknown;
-  t.queue <- Array.make (max 1 nslots) 0;
+  t.ncubes <- ncubes;
+  t.cube_lits <- cube_lits;
+  t.frozen <- Bytes.make size '\000';
+  mark_frozen t t.frozen_ids '\001';
+  t.node_val <- Bytes.make size v_unknown;
+  t.cube_val <- Bytes.make (max 1 total_cubes) v_unknown;
+  t.queue <- Array.make size 0;
   t.q_head <- 0;
   t.q_len <- 0;
-  t.queued <- Bytes.make (max 1 nslots) '\000';
-  t.trail <- Array.make (max 1 (nslots + !total_cubes)) 0;
+  t.queued <- Bytes.make size '\000';
+  t.trail <- Array.make (max 1 (nslots + total_cubes)) 0;
   t.trail_len <- 0;
-  (* Constant seeding (not trailed: part of the reusable baseline). *)
-  List.iteri
-    (fun s id ->
-      if Bytes.get t.is_input s = '\000' then begin
-        let cover = Network.cover net id in
-        let value =
-          if Cover.is_zero cover then Some false
-          else if Cover.is_one cover then Some true
-          else None
-        in
-        match value with
-        | Some v ->
-          Bytes.set t.node_val s (encode v);
-          Array.iter
-            (fun out -> if t.region out then enqueue t out)
-            t.fanouts_of.(s)
-        | None -> ()
-      end)
-    ids;
-  t.base_queue <- Array.init t.q_len (fun i -> t.queue.(i));
-  (match t.counters with
-  | Some c -> Counters.add c.Counters.imply_creates 1
-  | None -> ())
+  (* Fill the slots; constants are seeded in the same ascending order
+     (not trailed: part of the reusable baseline). *)
+  let off = ref 0 and constants = ref [] in
+  for s = 0 to nslots - 1 do
+    let id = node_of.(s) in
+    cube_off.(s) <- !off;
+    region_fanouts.(s) <-
+      Array.of_list
+        (List.filter_map
+           (fun out ->
+             let o = slot.(out) in
+             if Bytes.get in_region o = '\001' then Some o else None)
+           (Network.fanouts net id));
+    if Bytes.get is_input s = '\000' then begin
+      let cover = Network.cover net id in
+      let fanins = Network.fanins net id in
+      fanin_slots.(s) <- Array.map (fun f -> slot.(f)) fanins;
+      List.iter
+        (fun cube ->
+          cube_lits.(!off) <- slot_codes slot fanins cube;
+          incr off)
+        (Cover.cubes cover);
+      ncubes.(s) <- !off - cube_off.(s);
+      match constant_of_cover cover with
+      | Some v ->
+        Bytes.set t.node_val s (encode v);
+        constants := s :: !constants;
+        Array.iter (enqueue_slot t) region_fanouts.(s)
+      | None -> ()
+    end
+  done;
+  cube_off.(nslots) <- !off;
+  t.constants <- Array.of_list (List.rev !constants);
+  t.base_queue <- Array.sub t.queue 0 t.q_len;
+  count (fun c -> c.Counters.imply_creates) t
 
-let create ?(region = fun _ -> true) ?(frozen = fun _ -> false)
+let create ?(region = fun _ -> true) ?(frozen = [])
     ?(budget = Rar_util.Budget.unlimited) ?counters ?dc net =
   let t =
     {
       net;
       region;
-      frozen;
       budget;
       counters;
       dc;
@@ -238,12 +279,16 @@ let create ?(region = fun _ -> true) ?(frozen = fun _ -> false)
       node_of = [||];
       nslots = 0;
       is_input = Bytes.empty;
-      fanins_of = [||];
-      fanouts_of = [||];
-      cubes_of = [||];
+      in_region = Bytes.empty;
+      fanin_slots = [||];
+      region_fanouts = [||];
       cube_off = [||];
-      cube_codes = [||];
+      ncubes = [||];
+      cube_lits = [||];
+      constants = [||];
       base_queue = [||];
+      frozen = Bytes.empty;
+      frozen_ids = frozen;
       node_val = Bytes.empty;
       cube_val = Bytes.empty;
       queue = [||];
@@ -262,59 +307,138 @@ let dc_revision t =
   | None -> -1
   | Some dc -> Logic_network.Dont_care.revision dc
 
+let stale t =
+  Network.revision t.net <> t.built_revision
+  || dc_revision t <> t.built_dc_revision
+
+(* Erase the trail above [from] and flush whatever is queued. *)
+let unwind t from =
+  for k = t.trail_len - 1 downto from do
+    let e = t.trail.(k) in
+    if e < t.nslots then Bytes.set t.node_val e v_unknown
+    else Bytes.set t.cube_val (e - t.nslots) v_unknown
+  done;
+  t.trail_len <- from;
+  let cap = Array.length t.queue in
+  while t.q_len > 0 do
+    let s = t.queue.(t.q_head) in
+    Bytes.set t.queued s '\000';
+    t.q_head <- (if t.q_head + 1 >= cap then 0 else t.q_head + 1);
+    t.q_len <- t.q_len - 1
+  done;
+  t.q_head <- 0
+
 let reset ?frozen t =
-  (match frozen with Some f -> t.frozen <- f | None -> ());
-  if
-    Network.revision t.net <> t.built_revision
-    || dc_revision t <> t.built_dc_revision
-  then build t
+  if stale t then begin
+    Option.iter (fun ids -> t.frozen_ids <- ids) frozen;
+    build t
+  end
   else begin
+    (match frozen with
+    | Some ids ->
+      mark_frozen t t.frozen_ids '\000';
+      t.frozen_ids <- ids;
+      mark_frozen t ids '\001'
+    | None -> ());
     t.generation <- t.generation + 1;
     (* Undo the trail, flush the queue, and re-arm the constants'
        pending fanouts — O(assignments + queue), not O(network). *)
-    for k = t.trail_len - 1 downto 0 do
-      let e = t.trail.(k) in
-      if e < t.nslots then Bytes.set t.node_val e v_unknown
-      else Bytes.set t.cube_val (e - t.nslots) v_unknown
-    done;
-    t.trail_len <- 0;
-    let cap = Array.length t.queue in
-    while t.q_len > 0 do
-      let s = t.queue.(t.q_head) in
-      Bytes.set t.queued s '\000';
-      t.q_head <- (if t.q_head + 1 >= cap then 0 else t.q_head + 1);
-      t.q_len <- t.q_len - 1
-    done;
-    t.q_head <- 0;
+    unwind t 0;
     Array.iter
       (fun s ->
         Bytes.set t.queued s '\001';
         t.queue.(t.q_len) <- s;
         t.q_len <- t.q_len + 1)
       t.base_queue;
-    (match t.counters with
-    | Some c -> Counters.add c.Counters.imply_resets 1
-    | None -> ())
+    count (fun c -> c.Counters.imply_resets) t
   end
 
-let cubes t id = t.cubes_of.(slot_exn t id)
+(* The queue [build] leaves after seeding the constants: their region
+   fanouts in slot order, each once. *)
+let seeded_queue t =
+  let seen = Bytes.make (max 1 t.nslots) '\000' and acc = ref [] in
+  Array.iter
+    (fun c ->
+      Array.iter
+        (fun o ->
+          if Bytes.get seen o = '\000' then begin
+            Bytes.set seen o '\001';
+            acc := o :: !acc
+          end)
+        t.region_fanouts.(c))
+    t.constants;
+  Array.of_list (List.rev !acc)
 
-let node_value_slot t s = decode (Bytes.get t.node_val s)
+(* Rewrite slot [s] in place from its node's new function. The arena
+   keeps its slots, cube capacity and fanout lists, so this holds only
+   when the node stays non-constant, has no more cubes than its slot has
+   room for and gains no fanin (then the region fanouts of other slots
+   change only by losing [s], and the seeded queue only when one of
+   them is a constant). Anything else returns [false]. *)
+let rewrite_slot t s id =
+  let cover = Network.cover t.net id in
+  let fanins = Network.fanins t.net id in
+  let old_fanins = t.fanin_slots.(s) in
+  let new_fanins = Array.map (slot_of t) fanins in
+  constant_of_cover cover = None
+  && Cover.cube_count cover <= t.cube_off.(s + 1) - t.cube_off.(s)
+  && Array.for_all (fun f -> f >= 0 && Array.mem f old_fanins) new_fanins
+  && begin
+    let dropped =
+      List.filter
+        (fun f -> not (Array.mem f new_fanins))
+        (Array.to_list old_fanins)
+    in
+    List.iter
+      (fun f ->
+        t.region_fanouts.(f) <-
+          Array.of_list
+            (List.filter (fun o -> o <> s)
+               (Array.to_list t.region_fanouts.(f))))
+      dropped;
+    (* Losing a constant fanin changes what the constants seed. *)
+    if List.exists (fun f -> Array.mem f t.constants) dropped then
+      t.base_queue <- seeded_queue t;
+    let off = t.cube_off.(s) in
+    List.iteri
+      (fun i cube -> t.cube_lits.(off + i) <- slot_codes t.slot fanins cube)
+      (Cover.cubes cover);
+    t.ncubes.(s) <- Cover.cube_count cover;
+    t.fanin_slots.(s) <- new_fanins;
+    true
+  end
+
+let refresh_node t id =
+  if stale t then begin
+    let s = slot_of t id in
+    if
+      Network.revision t.net = t.built_revision + 1
+      && dc_revision t = t.built_dc_revision
+      && s >= 0
+      && Network.mem t.net id
+      && (not (Network.is_input t.net id))
+      && (not (Array.mem s t.constants))
+      && rewrite_slot t s id
+    then begin
+      t.built_revision <- Network.revision t.net;
+      t.generation <- t.generation + 1;
+      count (fun c -> c.Counters.imply_refreshes) t
+    end
+    (* Otherwise the arena stays stale and the next [reset] rebuilds it. *)
+  end
 
 let node_value t id =
-  let s = if id < Array.length t.slot then t.slot.(id) else -1 in
-  if s < 0 then None else node_value_slot t s
-
-let cube_value_slot t s i = decode (Bytes.get t.cube_val (t.cube_off.(s) + i))
+  let s = slot_of t id in
+  if s < 0 then None else decode (Bytes.get t.node_val s)
 
 let cube_value t id i =
-  let s = if id < Array.length t.slot then t.slot.(id) else -1 in
-  if s < 0 then None else cube_value_slot t s i
+  let s = slot_of t id in
+  if s < 0 then None else decode (Bytes.get t.cube_val (t.cube_off.(s) + i))
 
 let assigned_nodes t =
   let acc = ref [] in
   for s = t.nslots - 1 downto 0 do
-    match node_value_slot t s with
+    match decode (Bytes.get t.node_val s) with
     | Some v -> acc := (t.node_of.(s), v) :: !acc
     | None -> ()
   done;
@@ -324,6 +448,12 @@ let push_trail t e =
   t.trail.(t.trail_len) <- e;
   t.trail_len <- t.trail_len + 1
 
+(* Value byte of the literal with slot code [code]: the node's value,
+   with false and true swapped for a negative literal. *)
+let lit_value t code =
+  let v = Char.code (Bytes.unsafe_get t.node_val (code lsr 1)) in
+  if v = 0 then 0 else v lxor (3 * (code land 1))
+
 (* Record a node value; queue the node and its fanouts for re-examination.
    Constants are pre-seeded with their fanouts pending, so re-asserting
    one is a no-op (as in the legacy engine after its [create]). An
@@ -332,145 +462,153 @@ let push_trail t e =
    (the environment never produces it), and a cube with exactly one
    free input whose other literals all hold forces that input to the
    opposite phase — the clause ¬(cube) as a unit implication. *)
-let rec set_node t id v =
-  let s = slot_exn t id in
-  match node_value_slot t s with
-  | Some v' when v' = v -> ()
-  | Some _ ->
+let rec set_node t s v =
+  let b = encode v in
+  let cur = Bytes.unsafe_get t.node_val s in
+  if cur = b then ()
+  else if cur <> v_unknown then
     raise
-      (Conflict (Printf.sprintf "node %s needs both 0 and 1" (Network.name t.net id)))
-  | None ->
-    Bytes.set t.node_val s (encode v);
+      (Conflict
+         (Printf.sprintf "node %s needs both 0 and 1"
+            (Network.name t.net t.node_of.(s))))
+  else begin
+    Bytes.unsafe_set t.node_val s b;
     push_trail t s;
-    if t.region id then enqueue_slot t s;
-    Array.iter
-      (fun out -> if t.region out then enqueue t out)
-      t.fanouts_of.(s);
+    if Bytes.unsafe_get t.in_region s <> '\000' then enqueue_slot t s;
+    let outs = t.region_fanouts.(s) in
+    for k = 0 to Array.length outs - 1 do
+      enqueue_slot t outs.(k)
+    done;
     if Array.length t.dc_codes > 0 && Bytes.get t.is_input s = '\001' then
       check_dc t s
+  end
 
 and check_dc t s =
   Array.iter
     (fun c ->
       let codes = t.dc_codes.(c) in
       let m = Array.length codes in
-      let unknowns = ref 0 in
-      let unknown_at = ref (-1) in
-      let dead = ref false in
-      for k = 0 to m - 1 do
-        if not !dead then begin
-          let code = codes.(k) in
-          match node_value_slot t (code lsr 1) with
-          | None ->
-            incr unknowns;
-            unknown_at := k
-          | Some v -> if v <> (code land 1 = 0) then dead := true
-        end
+      let unknowns = ref 0 and unknown_at = ref (-1) and dead = ref false in
+      let k = ref 0 in
+      while (not !dead) && !k < m do
+        (match lit_value t codes.(!k) with
+        | 0 ->
+          incr unknowns;
+          unknown_at := !k
+        | 1 -> dead := true
+        | _ -> ());
+        incr k
       done;
       if not !dead then
         if !unknowns = 0 then
           raise (Conflict "input pattern forbidden by EXCDC")
         else if !unknowns = 1 then begin
           let code = codes.(!unknown_at) in
-          let free_id = t.node_of.(code lsr 1) in
-          if not (t.frozen free_id) then set_node t free_id (code land 1 = 1)
+          if Bytes.get t.frozen (code lsr 1) = '\000' then
+            set_node t (code lsr 1) (code land 1 = 1)
         end)
     t.dc_watch.(s)
 
-let set_cube t id i v =
-  let s = slot_exn t id in
-  match cube_value_slot t s i with
-  | Some v' when v' = v -> ()
-  | Some _ ->
+let set_cube t s i v =
+  let c = t.cube_off.(s) + i in
+  let b = encode v in
+  let cur = Bytes.unsafe_get t.cube_val c in
+  if cur = b then ()
+  else if cur <> v_unknown then
     raise
       (Conflict
-         (Printf.sprintf "cube %d of %s needs both 0 and 1" i (Network.name t.net id)))
-  | None ->
-    Bytes.set t.cube_val (t.cube_off.(s) + i) (encode v);
-    push_trail t (t.nslots + t.cube_off.(s) + i);
-    if t.region id then enqueue_slot t s
+         (Printf.sprintf "cube %d of %s needs both 0 and 1" i
+            (Network.name t.net t.node_of.(s))))
+  else begin
+    Bytes.unsafe_set t.cube_val c b;
+    push_trail t (t.nslots + c);
+    if Bytes.unsafe_get t.in_region s <> '\000' then enqueue_slot t s
+  end
 
-(* Value of the literal with [code] under current fanin values; the
-   code's variable indexes the node's fanin array, its low bit is the
-   phase (even = positive, as in {!Twolevel.Literal}). *)
-let code_value t fanins code =
-  match node_value t fanins.(code lsr 1) with
-  | None -> None
-  | Some v -> Some (v = (code land 1 = 0))
+(* 1 when some literal of the cube is false, 2 when all are true, 0
+   otherwise. *)
+let eval_cube t codes =
+  let m = Array.length codes in
+  let rec go k acc =
+    if k = m then acc
+    else
+      match lit_value t (Array.unsafe_get codes k) with
+      | 1 -> 1
+      | 2 -> go (k + 1) acc
+      | _ -> go (k + 1) 0
+  in
+  go 0 2
+
+(* The only unknown literal of a cube whose other literals all hold, or
+   -1. *)
+let single_free_literal t codes =
+  let m = Array.length codes in
+  let rec go k free =
+    if k = m then free
+    else
+      match lit_value t (Array.unsafe_get codes k) with
+      | 0 -> if free >= 0 then -1 else go (k + 1) k
+      | 1 -> -1
+      | _ -> go (k + 1) free
+  in
+  let k = go 0 (-1) in
+  if k >= 0 then codes.(k) else -1
 
 (* All local deductions for one logic node. *)
 let process t s =
-  let id = t.node_of.(s) in
-  if Bytes.get t.is_input s = '\000' && t.region id then begin
-    let fanins = t.fanins_of.(s) in
+  if
+    Bytes.unsafe_get t.is_input s = '\000'
+    && Bytes.unsafe_get t.in_region s <> '\000'
+  then begin
     let off = t.cube_off.(s) in
-    let n = Array.length t.cubes_of.(s) in
+    let n = t.ncubes.(s) in
     (* Cube-level rules. *)
     for i = 0 to n - 1 do
-      let codes = t.cube_codes.(off + i) in
-      let m = Array.length codes in
-      let any_false = ref false in
-      let all_true = ref true in
-      for k = 0 to m - 1 do
-        match code_value t fanins codes.(k) with
-        | Some false ->
-          any_false := true;
-          all_true := false
-        | Some true -> ()
-        | None -> all_true := false
-      done;
-      if !any_false then set_cube t id i false
-      else if !all_true then set_cube t id i true;
-      (match cube_value_slot t s i with
-      | Some true ->
+      let codes = t.cube_lits.(off + i) in
+      (match eval_cube t codes with
+      | 1 -> set_cube t s i false
+      | 2 -> set_cube t s i true
+      | _ -> ());
+      match Bytes.unsafe_get t.cube_val (off + i) with
+      | '\002' ->
         (* AND at 1: every literal must hold. *)
-        for k = 0 to m - 1 do
+        for k = 0 to Array.length codes - 1 do
           let code = codes.(k) in
-          set_node t fanins.(code lsr 1) (code land 1 = 0)
+          set_node t (code lsr 1) (code land 1 = 0)
         done
-      | Some false ->
+      | '\001' ->
         (* AND at 0 with a single free literal and all others true: the
-           free literal must fail. Values are re-read — the Some-true
+           free literal must fail. Values are re-read — the AND-at-1
            branch of earlier cubes may have pinned fanins since the
-           any_false/all_true scan. *)
-        let unknowns = ref 0 in
-        let unknown_at = ref (-1) in
-        let others_true = ref true in
-        for k = 0 to m - 1 do
-          match code_value t fanins codes.(k) with
-          | None ->
-            incr unknowns;
-            unknown_at := k
-          | Some true -> ()
-          | Some false -> others_true := false
-        done;
-        if !unknowns = 1 && !others_true then begin
-          let code = codes.(!unknown_at) in
-          set_node t fanins.(code lsr 1) (code land 1 = 1)
-        end
-      | None -> ())
+           scan above. *)
+        let code = single_free_literal t codes in
+        if code >= 0 then set_node t (code lsr 1) (code land 1 = 1)
+      | _ -> ()
     done;
-    (* Node-level rules (skipped for fault-carrying nodes). *)
-    if not (t.frozen id) then begin
-      let cube_vals = Array.init n (fun i -> cube_value_slot t s i) in
-      let any_one = Array.exists (fun v -> v = Some true) cube_vals in
-      let all_zero = Array.for_all (fun v -> v = Some false) cube_vals in
-      if any_one then set_node t id true;
-      if all_zero then set_node t id false;
-      (match node_value_slot t s with
-      | Some false ->
+    (* Node-level rules (skipped for fault-carrying nodes). Setting the
+       node's own value touches no cube, so one scan serves all three. *)
+    if Bytes.unsafe_get t.frozen s = '\000' then begin
+      let ones = ref 0 and zeros = ref 0 and live = ref 0 and live_at = ref 0 in
+      for i = 0 to n - 1 do
+        match Bytes.unsafe_get t.cube_val (off + i) with
+        | '\001' -> incr zeros
+        | '\002' ->
+          incr ones;
+          incr live;
+          live_at := i
+        | _ ->
+          incr live;
+          live_at := i
+      done;
+      if !ones > 0 then set_node t s true;
+      if !zeros = n then set_node t s false;
+      match Bytes.unsafe_get t.node_val s with
+      | '\001' ->
         for i = 0 to n - 1 do
-          set_cube t id i false
+          set_cube t s i false
         done
-      | Some true ->
-        let live =
-          Array.to_list (Array.mapi (fun i v -> (i, v)) cube_vals)
-          |> List.filter (fun (_, v) -> v <> Some false)
-        in
-        (match live with
-        | [ (i, _) ] -> set_cube t id i true
-        | _ -> ())
-      | None -> ())
+      | '\002' -> if !live = 1 then set_cube t s !live_at true
+      | _ -> ()
     end
   end
 
@@ -513,43 +651,28 @@ let pop_to t mark =
   if
     mark.m_generation <> t.generation
     || mark.m_revision <> t.built_revision
-    || Network.revision t.net <> t.built_revision
     || mark.m_dc_revision <> t.built_dc_revision
-    || dc_revision t <> t.built_dc_revision
+    || stale t
     || mark.m_trail > t.trail_len
   then false
   else begin
     (* Rewind the assignments above the mark, then flush whatever an
        aborted propagation (conflict, exhausted budget) left queued —
        the shared context below the mark had an empty queue. *)
-    for k = t.trail_len - 1 downto mark.m_trail do
-      let e = t.trail.(k) in
-      if e < t.nslots then Bytes.set t.node_val e v_unknown
-      else Bytes.set t.cube_val (e - t.nslots) v_unknown
-    done;
-    t.trail_len <- mark.m_trail;
-    let cap = Array.length t.queue in
-    while t.q_len > 0 do
-      let s = t.queue.(t.q_head) in
-      Bytes.set t.queued s '\000';
-      t.q_head <- (if t.q_head + 1 >= cap then 0 else t.q_head + 1);
-      t.q_len <- t.q_len - 1
-    done;
-    t.q_head <- 0;
-    (match t.counters with
-    | Some c -> Counters.add c.Counters.imply_checkpoints 1
-    | None -> ());
+    unwind t mark.m_trail;
+    count (fun c -> c.Counters.imply_checkpoints) t;
     true
   end
 
 let assign_node t id v =
-  set_node t id v;
+  set_node t (slot_exn t id) v;
   run t
 
 let assign_cube t id i v =
-  let n = Array.length (cubes t id) in
-  if i < 0 || i >= n then invalid_arg "Imply.assign_cube: cube index";
-  set_cube t id i v;
+  let s = slot_exn t id in
+  if i < 0 || i >= t.ncubes.(s) then
+    invalid_arg "Imply.assign_cube: cube index";
+  set_cube t s i v;
   run t
 
 (* Snapshot for recursive learning: private per-test state is duplicated,
@@ -567,54 +690,53 @@ let copy t =
 (* --- Recursive learning ------------------------------------------------ *)
 
 (* Unjustified situations and their justification options, each option
-   being a list of primitive assignments. *)
-type option_assignments = [ `Node of Network.node_id * bool | `Cube of Network.node_id * int * bool ] list
+   being a list of primitive assignments on slots. The scan follows
+   {!Network.node_ids}, whose order decides the order of the splits. *)
+type option_assignment = Node of int * bool | Cube of int * int * bool
 
-let justification_options t : option_assignments list list =
+let justification_options t =
   let options = ref [] in
   List.iter
     (fun id ->
-      if (not (Network.is_input t.net id)) && t.region id && not (t.frozen id)
+      let s = slot_exn t id in
+      if
+        Bytes.get t.is_input s = '\000'
+        && Bytes.get t.in_region s = '\001'
+        && Bytes.get t.frozen s = '\000'
       then begin
-        let s = slot_exn t id in
-        let cube_array = t.cubes_of.(s) in
-        let n = Array.length cube_array in
+        let off = t.cube_off.(s) and n = t.ncubes.(s) in
         (* OR at 1 with several live cubes and none at 1. *)
-        (match node_value_slot t s with
-        | Some true ->
+        if Bytes.get t.node_val s = v_true then begin
           let live =
             List.filter
-              (fun i -> cube_value_slot t s i <> Some false)
+              (fun i -> Bytes.get t.cube_val (off + i) <> v_false)
               (List.init n Fun.id)
           in
           let already =
-            List.exists (fun i -> cube_value_slot t s i = Some true) live
+            List.exists (fun i -> Bytes.get t.cube_val (off + i) = v_true) live
           in
           if (not already) && List.length live >= 2 then
-            options := List.map (fun i -> [ `Cube (id, i, true) ]) live :: !options
-        | Some false | None -> ());
+            options :=
+              List.map (fun i -> [ Cube (s, i, true) ]) live :: !options
+        end;
         (* AND at 0 with several free literals. *)
         for i = 0 to n - 1 do
-          if cube_value_slot t s i = Some false then begin
-            let codes = t.cube_codes.(t.cube_off.(s) + i) in
-            let free = ref [] in
-            let falsified = ref false in
-            Array.iter
-              (fun code ->
-                match code_value t t.fanins_of.(s) code with
-                | None -> free := code :: !free
-                | Some false -> falsified := true
-                | Some true -> ())
-              codes;
-            let free = List.rev !free in
-            if (not !falsified) && List.length free >= 2 then begin
-              let fanins = t.fanins_of.(s) in
+          if Bytes.get t.cube_val (off + i) = v_false then begin
+            let codes = t.cube_lits.(off + i) in
+            let free =
+              List.filter
+                (fun code -> lit_value t code = 0)
+                (Array.to_list codes)
+            in
+            let falsified =
+              Array.exists (fun code -> lit_value t code = 1) codes
+            in
+            if (not falsified) && List.length free >= 2 then
               options :=
                 List.map
-                  (fun code -> [ `Node (fanins.(code lsr 1), code land 1 = 1) ])
+                  (fun code -> [ Node (code lsr 1, code land 1 = 1) ])
                   free
                 :: !options
-            end
           end
         done
       end)
@@ -622,8 +744,8 @@ let justification_options t : option_assignments list list =
   !options
 
 let apply_assignment t = function
-  | `Node (id, v) -> set_node t id v
-  | `Cube (id, i, v) -> set_cube t id i v
+  | Node (s, v) -> set_node t s v
+  | Cube (s, i, v) -> set_cube t s i v
 
 let rec learn ?(max_options = 4) ~depth t =
   if depth > 0 then begin
@@ -653,15 +775,15 @@ let rec learn ?(max_options = 4) ~depth t =
               for k = 0 to first.trail_len - 1 do
                 let e = first.trail.(k) in
                 if e < t.nslots then begin
-                  match node_value_slot first e with
-                  | Some v
-                    when node_value_slot t e = None
-                         && List.for_all
-                              (fun s -> node_value_slot s e = Some v)
-                              rest ->
-                    set_node t t.node_of.(e) v;
+                  let v = Bytes.get first.node_val e in
+                  if
+                    v <> v_unknown
+                    && Bytes.get t.node_val e = v_unknown
+                    && List.for_all (fun s -> Bytes.get s.node_val e = v) rest
+                  then begin
+                    set_node t e (v = v_true);
                     progressed := true
-                  | Some _ | None -> ()
+                  end
                 end
               done;
               run t

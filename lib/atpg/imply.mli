@@ -19,14 +19,18 @@
        ("GDC") behaviour.}
     {- [frozen]: nodes whose value must never be derived or propagated —
        the fault-effect-carrying nodes of a stuck-at test, whose good and
-       faulty values differ.}}
+       faulty values differ. Given as a list of ids (typically
+       {!Logic_network.Network.fanout_cone_order} of the faulty node) and
+       kept as per-slot marks.}}
 
     The engine is an {e arena}: values live in dense arrays indexed by a
     node-id→slot table and every assignment is logged on an undo trail, so
     one engine per (network, region) is created once and {!reset} between
     redundancy tests in O(assignments) rather than rebuilt in O(network).
     The propagation queue is a FIFO ring buffer, giving stable levelized
-    implication order. *)
+    implication order. Cube literals, region membership, frozen marks and
+    region fanouts are resolved to slots when the arena is built, so
+    propagation never consults the network. *)
 
 type t
 
@@ -34,7 +38,7 @@ exception Conflict of string
 
 val create :
   ?region:(Logic_network.Network.node_id -> bool) ->
-  ?frozen:(Logic_network.Network.node_id -> bool) ->
+  ?frozen:Logic_network.Network.node_id list ->
   ?budget:Rar_util.Budget.t ->
   ?counters:Rar_util.Counters.t ->
   ?dc:Logic_network.Dont_care.t ->
@@ -68,13 +72,26 @@ val network : t -> Logic_network.Network.t
 (** The network the engine was created over (used by callers to decide
     whether a pooled engine can be reused for the task at hand). *)
 
-val reset : ?frozen:(Logic_network.Network.node_id -> bool) -> t -> unit
+val reset : ?frozen:Logic_network.Network.node_id list -> t -> unit
 (** Return the engine to its post-{!create} state, optionally installing a
-    new [frozen] predicate (the fault-carrying set differs per fault; the
-    [region] is fixed at creation). When the underlying network has
+    new [frozen] set (the fault-carrying set differs per fault; the
+    [region] is fixed at creation, and the predicate is read once per
+    node when the arena is built). When the underlying network has
     mutated since the arena was built, the structure is rebuilt (counted
     as [imply_creates]); otherwise the undo trail is rewound in
-    O(assignments) (counted as [imply_resets]). *)
+    O(assignments + frozen) (counted as [imply_resets]). *)
+
+val refresh_node : t -> Logic_network.Network.node_id -> unit
+(** [refresh_node t id] brings the arena up to date after exactly one
+    mutation since it was built or last refreshed: a
+    [Function_changed id]. Call it between tests, and {!reset} before
+    the next one. When [id] keeps a non-constant cover with no more cubes
+    than it had at the build and no new fanin — the case after deleting
+    one wire — the node's slot is rewritten in place (counted as
+    [imply_refreshes]) and the next {!reset} only rewinds the trail.
+    Otherwise, and whenever the arena has seen any other mutation,
+    nothing happens here and the next {!reset} rebuilds. Learn-copies
+    ({!copy}) share the rewritten arrays, so none may be in use. *)
 
 val assign_node : t -> Logic_network.Network.node_id -> bool -> unit
 (** Assume a node value and propagate to fixpoint. @raise Conflict *)

@@ -61,9 +61,19 @@ let best_core ~candidates ~serves =
   let n = Array.length candidates in
   if n = 0 then None
   else begin
-    let adjacent a b =
-      a <> b && intersection [ candidates.(a); candidates.(b) ] <> []
-    in
+    (* Bron–Kerbosch asks about the same pairs many times: intersect each
+       pair of candidate lists once. *)
+    let matrix = Array.make_matrix n n false in
+    for a = 0 to n - 1 do
+      for b = a + 1 to n - 1 do
+        if List.exists (fun x -> List.mem x candidates.(b)) candidates.(a)
+        then begin
+          matrix.(a).(b) <- true;
+          matrix.(b).(a) <- true
+        end
+      done
+    done;
+    let adjacent a b = matrix.(a).(b) in
     let cliques =
       if n <= exact_threshold then maximal_cliques ~n ~adjacent
       else [ greedy_clique ~n ~adjacent ]

@@ -147,7 +147,7 @@ let try_run ?gdc ?learn_depth ?budget ?counters ?dc net ~f ~pool =
         in
         if not cleanup_ok then None
         else begin
-          let gain = Lit_count.factored net - Lit_count.factored scratch in
+          let gain = Lit_count.factored_delta net scratch in
           if gain > 0 then begin
             Network.overwrite net scratch;
             Some

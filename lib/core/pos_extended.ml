@@ -251,7 +251,7 @@ let try_run ?(complement_limit = default_complement_limit) net ~f ~pool =
                 && Filename.check_suffix (Network.name scratch id) "_pcore"
               then Network.remove_node scratch id)
             (Network.logic_ids scratch);
-          let gain = Lit_count.factored net - Lit_count.factored scratch in
+          let gain = Lit_count.factored_delta net scratch in
           if gain > 0 then begin
             Network.overwrite net scratch;
             Some

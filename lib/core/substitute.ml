@@ -119,16 +119,18 @@ let substitute_pos net ~f ~d =
   else begin
     let f_fanins = Network.fanins net f in
     let d_fanins = Network.fanins net d in
-    let combined = ref (Array.to_list f_fanins) in
-    Array.iter
-      (fun x -> if not (List.mem x !combined) then combined := !combined @ [ x ])
-      d_fanins;
-    let combined = Array.of_list !combined in
-    let slot_of id =
-      match Array.to_list combined |> List.find_index (Int.equal id) with
-      | Some i -> i
-      | None -> assert false
+    (* f's fanins, then d's that f lacks, each in its own order. *)
+    let slots = Hashtbl.create 16 and order = ref [] in
+    let add x =
+      if not (Hashtbl.mem slots x) then begin
+        Hashtbl.add slots x (Hashtbl.length slots);
+        order := x :: !order
+      end
     in
+    Array.iter add f_fanins;
+    Array.iter add d_fanins;
+    let combined = Array.of_list (List.rev !order) in
+    let slot_of = Hashtbl.find slots in
     let f_lift =
       Cover.map_vars (fun v -> slot_of f_fanins.(v)) (Network.cover net f)
     in
@@ -221,7 +223,6 @@ let make_attempts ~config ?fault_fuel ?deadline_at ~trace ~counters ~sigs
       && Basic_division.applicable net ~f ~d
       &&
       let scratch = Network.copy net in
-      let gain_before = Lit_count.factored scratch in
       let first =
         Basic_division.divide ~gdc ~learn_depth ?budget ~counters
           ?dc:config.dc scratch ~f ~d
@@ -232,7 +233,7 @@ let make_attempts ~config ?fault_fuel ?deadline_at ~trace ~counters ~sigs
       in
       if
         first <> None && second <> None
-        && Lit_count.factored scratch < gain_before
+        && Lit_count.factored_delta net scratch > 0
       then begin
         Network.overwrite net scratch;
         committed `Basic;

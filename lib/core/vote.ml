@@ -21,8 +21,7 @@ let collect ?(gdc = false) ?(learn_depth = 0) ?budget ?counters ?dc net ~f
         && not (Network.depends_on net m f))
       pool
   in
-  let tfo = Network.transitive_fanout net [ f ] in
-  let frozen id = Network.Node_set.mem id tfo in
+  let frozen = Network.fanout_cone_order net [ f ] in
   let region =
     if gdc then fun _ -> true
     else Basic_division.region_predicate net (f :: pool)

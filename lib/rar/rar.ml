@@ -104,7 +104,7 @@ let attempt_move ?use_dominators net ~node ~cube ~source ~phase =
         ~node_filter:(fun n -> Network.Node_set.mem n neighbourhood)
         scratch
     in
-    let gain = Lit_count.factored net - Lit_count.factored scratch in
+    let gain = Lit_count.factored_delta net scratch in
     if gain > 0 then Some (scratch, removed) else None
   end
 

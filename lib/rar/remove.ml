@@ -1,6 +1,5 @@
 open Twolevel
 module Network = Logic_network.Network
-module Node_set = Network.Node_set
 
 let remove_wire net wire =
   match wire with
@@ -21,8 +20,9 @@ let run ?(use_dominators = true) ?(learn_depth = 0) ?region ?budget ?counters
      shares the same frozen set (the node's transitive fanout) and the
      same dominator-side-input requirements, so that context is asserted
      once per node behind a trail checkpoint and each wire branches from
-     it with a pop; only a removal — which mutates the network — forces
-     the next reset to rebuild. *)
+     it with a pop. A removal mutates one node, and the arena rewrites
+     that node's slot in place ([Imply.refresh_node]) instead of being
+     rebuilt at the next reset. *)
   let engine = Atpg.Imply.create ?region ?counters ?dc net in
   let budget_of () =
     match budget with Some b -> b | None -> Rar_util.Budget.unlimited
@@ -45,8 +45,7 @@ let run ?(use_dominators = true) ?(learn_depth = 0) ?region ?budget ?counters
           let rec scan () =
             let wires = Atpg.Fault.all_wires net id in
             if wires <> [] then begin
-              let tfo = Network.transitive_fanout net [ id ] in
-              let frozen n = Node_set.mem n tfo in
+              let frozen = Network.fanout_cone_order net [ id ] in
               Atpg.Imply.reset ~frozen engine;
               Atpg.Imply.set_budget engine (budget_of ());
               match
@@ -60,6 +59,7 @@ let run ?(use_dominators = true) ?(learn_depth = 0) ?region ?budget ?counters
                    redundant. Remove the first and rescan (indices
                    shift), exactly as a per-wire conflict would. *)
                 remove_wire net (List.hd wires);
+                Atpg.Imply.refresh_node engine id;
                 incr removed;
                 changed := true;
                 scan ()
@@ -99,6 +99,7 @@ let run ?(use_dominators = true) ?(learn_depth = 0) ?region ?budget ?counters
                  with
                 | Some w ->
                   remove_wire net w;
+                  Atpg.Imply.refresh_node engine id;
                   incr removed;
                   changed := true;
                   scan ()

@@ -93,10 +93,7 @@ let guarded_round net ~find ~apply =
   | Some (candidate, _) ->
     let scratch = Network.copy net in
     apply scratch candidate;
-    if
-      Logic_network.Lit_count.factored scratch
-      < Logic_network.Lit_count.factored net
-    then begin
+    if Logic_network.Lit_count.factored_delta net scratch > 0 then begin
       Network.overwrite net scratch;
       true
     end

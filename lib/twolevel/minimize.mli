@@ -12,7 +12,7 @@
 
 val expand : ?dc:Cover.t -> Cover.t -> Cover.t
 (** Greedily remove literals from each cube while the enlarged cube stays
-    inside onset ∪ dc. One {!Cover.containment} of onset ∪ dc answers
+    inside onset ∪ dc. One staged containment of onset ∪ dc answers
     every trial. *)
 
 val irredundant : ?dc:Cover.t -> Cover.t -> Cover.t
@@ -31,7 +31,9 @@ val reduce : ?dc:Cover.t -> Cover.t -> Cover.t
 val simplify : ?dc:Cover.t -> Cover.t -> Cover.t
 (** Single-cube containment, then expand/irredundant/reduce rounds in the
     espresso style, iterated to a fixpoint (bounded); never grows the
-    literal count. *)
+    literal count. When the cover and dc mention at most 8 variables,
+    one truth-table space serves the whole call and each pass builds
+    one table per cube; the answers are those of the per-query path. *)
 
 val complement : limit:int -> Cover.t -> Cover.t option
 (** [complement ~limit c] is

@@ -92,6 +92,12 @@ let covers t c =
       done;
       !k = n)
 
+let empty vars =
+  { vars; chunks = Array.make (1 lsl max 0 (Array.length vars - low_vars)) 0 }
+
+let union a b =
+  { a with chunks = Array.map2 (fun x y -> x lor y) a.chunks b.chunks }
+
 let diff a b =
   { a with chunks = Array.map2 (fun x y -> x land lnot y) a.chunks b.chunks }
 

@@ -31,6 +31,12 @@ val covers : t -> Cube.t -> bool
     outside the space are dropped. This is exact: [t] does not depend on
     those variables, so [t] covers [c] iff it covers [c] without them. *)
 
+val empty : space -> t
+(** The constant 0 over a space. *)
+
+val union : t -> t -> t
+(** [union a b] is [a ∨ b]. Both must be over the same space. *)
+
 val diff : t -> t -> t
 (** [diff a b] is [a ∧ ¬b]. Both must be over the same space. *)
 

@@ -13,6 +13,7 @@ type t = {
   memo_hits : int Atomic.t;
   memo_misses : int Atomic.t;
   imply_creates : int Atomic.t;
+  imply_refreshes : int Atomic.t;
   imply_resets : int Atomic.t;
   imply_checkpoints : int Atomic.t;
   speculative_wasted : int Atomic.t;
@@ -37,6 +38,7 @@ let create () =
     memo_hits = Atomic.make 0;
     memo_misses = Atomic.make 0;
     imply_creates = Atomic.make 0;
+    imply_refreshes = Atomic.make 0;
     imply_resets = Atomic.make 0;
     imply_checkpoints = Atomic.make 0;
     speculative_wasted = Atomic.make 0;
@@ -79,6 +81,7 @@ let accumulate dst src =
   add dst.memo_hits (Atomic.get src.memo_hits);
   add dst.memo_misses (Atomic.get src.memo_misses);
   add dst.imply_creates (Atomic.get src.imply_creates);
+  add dst.imply_refreshes (Atomic.get src.imply_refreshes);
   add dst.imply_resets (Atomic.get src.imply_resets);
   add dst.imply_checkpoints (Atomic.get src.imply_checkpoints);
   add dst.speculative_wasted (Atomic.get src.speculative_wasted);
@@ -116,8 +119,8 @@ let pass_divisions_string t =
 let to_string t =
   Printf.sprintf
     "pairs %d (filtered %d), divisions %d (passes %d: [%s]), substitutions \
-     %d, memo %d hits / %d misses, imply %d creates / %d resets / %d \
-     checkpoints, speculative %d wasted, degradations %d, kresub %d \
+     %d, memo %d hits / %d misses, imply %d creates / %d refreshes / %d \
+     resets / %d checkpoints, speculative %d wasted, degradations %d, kresub %d \
      candidates / %d validated / %d refinements, filter %.2fs, \
      division %.2fs, speculative %.2fs, validation %.2fs"
     (Atomic.get t.pairs_considered)
@@ -128,6 +131,7 @@ let to_string t =
     (Atomic.get t.substitutions)
     (Atomic.get t.memo_hits) (Atomic.get t.memo_misses)
     (Atomic.get t.imply_creates)
+    (Atomic.get t.imply_refreshes)
     (Atomic.get t.imply_resets)
     (Atomic.get t.imply_checkpoints)
     (Atomic.get t.speculative_wasted)
@@ -145,7 +149,8 @@ let to_json t =
     "{\"pairs_considered\": %d, \"pairs_filtered\": %d, \
      \"divisions_attempted\": %d, \"substitutions\": %d, \
      \"memo_hits\": %d, \"memo_misses\": %d, \
-     \"imply_creates\": %d, \"imply_resets\": %d, \
+     \"imply_creates\": %d, \"imply_refreshes\": %d, \
+     \"imply_resets\": %d, \
      \"imply_checkpoints\": %d, \
      \"speculative_wasted\": %d, \"degradations\": %d, \
      \"passes\": %d, \"pass_divisions\": [%s], \
@@ -159,6 +164,7 @@ let to_json t =
     (Atomic.get t.substitutions)
     (Atomic.get t.memo_hits) (Atomic.get t.memo_misses)
     (Atomic.get t.imply_creates)
+    (Atomic.get t.imply_refreshes)
     (Atomic.get t.imply_resets)
     (Atomic.get t.imply_checkpoints)
     (Atomic.get t.speculative_wasted)

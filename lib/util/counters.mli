@@ -30,6 +30,9 @@ type t = {
       (** division attempts that ran for real while the memo was on *)
   imply_creates : int Atomic.t;
       (** implication arenas built (or rebuilt after a mutation) *)
+  imply_refreshes : int Atomic.t;
+      (** arenas brought up to date in place after one node changed,
+          instead of being rebuilt *)
   imply_resets : int Atomic.t;
       (** trail-based arena reuses between redundancy tests *)
   imply_checkpoints : int Atomic.t;

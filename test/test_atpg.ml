@@ -112,7 +112,7 @@ let test_frozen_node () =
     Builder.of_spec ~inputs:[ "a"; "b" ] ~nodes:[ ("g", "ab") ] ~outputs:[ "g" ]
   in
   let g = Builder.node net "g" in
-  let e = Imply.create ~frozen:(fun id -> id = g) net in
+  let e = Imply.create ~frozen:[ g ] net in
   Imply.assign_node e (Builder.node net "a") true;
   Imply.assign_node e (Builder.node net "b") true;
   Alcotest.(check (option bool)) "frozen node never valued" None
@@ -757,8 +757,7 @@ let test_arena_reset_matches_fresh () =
   let engine = Imply.create ~counters net in
   List.iter
     (fun id ->
-      let tfo = Network.transitive_fanout net [ id ] in
-      let frozen n = Network.Node_set.mem n tfo in
+      let frozen = Network.fanout_cone_order net [ id ] in
       List.iter
         (fun wire ->
           Imply.reset ~frozen engine;
@@ -984,6 +983,950 @@ let test_checkpoint_stack_discipline () =
   Alcotest.(check (option bool)) "b unwound" None (Imply.node_value e b);
   Alcotest.(check bool) "inner now below trail" false (Imply.pop_to e inner)
 
+(* ------------------------------------------------------------------ *)
+(* Frozen engine                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The implication engine as it was before cube literals, region
+   membership and frozen marks were resolved to slots at build time: it
+   reads fanin ids, region and frozen predicates while it propagates.
+   Kept verbatim as the reference for the slot arena, whose verdicts,
+   values and propagation order (hence budget use) must not move. *)
+module Oracle = struct
+  open Twolevel
+  module Network = Logic_network.Network
+  module Counters = Rar_util.Counters
+
+  exception Conflict of string
+
+  (* Three-valued node/cube state packed in bytes. *)
+  let v_unknown = '\000'
+
+  let v_false = '\001'
+
+  let v_true = '\002'
+
+  let encode v = if v then v_true else v_false
+
+  let decode = function
+    | '\001' -> Some false
+    | '\002' -> Some true
+    | _ -> None
+
+  (* The engine is an arena: every node of the network owns a slot, values
+     live in dense byte arrays indexed by slot (cubes in one flat array laid
+     out by [cube_off]), and every assignment is logged on an undo trail so
+     the state between redundancy tests is restored in O(assignments)
+     instead of rebuilding O(network) hashtables per test. The propagation
+     queue is a ring buffer over slots, giving stable FIFO (levelized)
+     implication order instead of the legacy LIFO cons-list. *)
+  type t = {
+    net : Network.t;
+    region : Network.node_id -> bool;
+    mutable frozen : Network.node_id -> bool;
+    mutable budget : Rar_util.Budget.t;
+    counters : Counters.t option;
+    (* External don't cares: each EXCDC cube is a forbidden input
+       pattern, i.e. the clause ¬(cube) the environment guarantees.
+       Resolved to slots at build time; [dc_codes] packs (slot, phase)
+       as [slot lsl 1 lor neg-bit] (even = positive, as cube codes). *)
+    dc : Logic_network.Dont_care.t option;
+    mutable built_dc_revision : int;
+    mutable dc_codes : int array array;
+    mutable dc_watch : int array array; (* input slot -> watching cubes *)
+    (* Structure mirrors the network at [built_revision]; [reset] rebuilds
+       it when the network has mutated since. Shared by learn-copies. *)
+    mutable built_revision : int;
+    (* Bumped by every build/reset: marks taken before the bump are stale
+       (their trail positions no longer mean anything). *)
+    mutable generation : int;
+    mutable slot : int array;  (* node id -> slot (-1 when unknown) *)
+    mutable node_of : int array;  (* slot -> node id *)
+    mutable nslots : int;
+    mutable is_input : Bytes.t;  (* slot -> 0/1 *)
+    mutable fanins_of : Network.node_id array array;
+    mutable fanouts_of : Network.node_id array array;
+    mutable cubes_of : Cube.t array array;  (* [||] for inputs *)
+    mutable cube_off : int array;  (* slot -> first flat cube index *)
+    (* Flat cube index -> literal codes of that cube, decoded once from the
+       packed kernel words at build time so propagation walks int arrays
+       instead of literal lists. *)
+    mutable cube_codes : int array array;
+    mutable base_queue : int array;  (* queue right after constant seeding *)
+    (* Per-test state (private to each learn-copy). *)
+    mutable node_val : Bytes.t;  (* slot -> value *)
+    mutable cube_val : Bytes.t;  (* flat cube index -> value *)
+    mutable queue : int array;  (* ring buffer of slots *)
+    mutable q_head : int;
+    mutable q_len : int;
+    mutable queued : Bytes.t;  (* slot -> pending flag *)
+    mutable trail : int array;  (* slot s, or nslots + flat cube index *)
+    mutable trail_len : int;
+  }
+
+  let slot_exn t id =
+    let s = if id < Array.length t.slot then t.slot.(id) else -1 in
+    if s < 0 then
+      invalid_arg (Printf.sprintf "Imply: node %d unknown to the arena" id)
+    else s
+
+  let enqueue_slot t s =
+    if Bytes.get t.queued s = '\000' then begin
+      Bytes.set t.queued s '\001';
+      let cap = Array.length t.queue in
+      let tail = t.q_head + t.q_len in
+      t.queue.(if tail >= cap then tail - cap else tail) <- s;
+      t.q_len <- t.q_len + 1
+    end
+
+  let enqueue t id = enqueue_slot t (slot_exn t id)
+
+  (* (Re)build the arena from the network's current structure and seed the
+     constant nodes: their value holds unconditionally, and a node whose
+     only fanins are constants would otherwise never be examined. Matching
+     the legacy [create], the constants' region fanouts are left pending on
+     the queue for the first propagation run to drain. *)
+  let build t =
+    let net = t.net in
+    let ids = List.sort Int.compare (Network.node_ids net) in
+    let nslots = List.length ids in
+    let max_id = List.fold_left max (-1) ids in
+    let slot = Array.make (max_id + 1) (-1) in
+    let node_of = Array.make (max 1 nslots) 0 in
+    List.iteri
+      (fun s id ->
+        node_of.(s) <- id;
+        slot.(id) <- s)
+      ids;
+    let is_input = Bytes.make (max 1 nslots) '\000' in
+    let fanins_of = Array.make (max 1 nslots) [||] in
+    let fanouts_of = Array.make (max 1 nslots) [||] in
+    let cubes_of = Array.make (max 1 nslots) [||] in
+    let cube_off = Array.make (max 1 (nslots + 1)) 0 in
+    let total_cubes = ref 0 in
+    List.iteri
+      (fun s id ->
+        cube_off.(s) <- !total_cubes;
+        fanouts_of.(s) <- Array.of_list (Network.fanouts net id);
+        if Network.is_input net id then Bytes.set is_input s '\001'
+        else begin
+          fanins_of.(s) <- Network.fanins net id;
+          let cubes = Array.of_list (Cover.cubes (Network.cover net id)) in
+          cubes_of.(s) <- cubes;
+          total_cubes := !total_cubes + Array.length cubes
+        end)
+      ids;
+    if nslots > 0 then cube_off.(nslots) <- !total_cubes;
+    (* Resolve the EXCDC cubes against the current structure. A cube
+       naming a signal that is not a primary input of this network is
+       dropped — fewer forbidden patterns is always sound. *)
+    let dc_codes, dc_watch =
+      match t.dc with
+      | Some dc when not (Logic_network.Dont_care.is_empty dc) ->
+        let resolved = ref [] in
+        List.iter
+          (fun cube ->
+            let codes =
+              List.filter_map
+                (fun (name, phase) ->
+                  match Network.find_by_name net name with
+                  | Some id
+                    when id < Array.length slot && slot.(id) >= 0
+                         && Bytes.get is_input slot.(id) = '\001' ->
+                    Some ((slot.(id) lsl 1) lor (if phase then 0 else 1))
+                  | _ -> None)
+                cube
+            in
+            if List.length codes = List.length cube then
+              resolved := Array.of_list codes :: !resolved)
+          (Logic_network.Dont_care.excdc dc);
+        let dc_codes = Array.of_list (List.rev !resolved) in
+        if Array.length dc_codes = 0 then ([||], [||])
+        else begin
+          let watch = Array.make (max 1 nslots) [] in
+          Array.iteri
+            (fun c codes ->
+              Array.iter
+                (fun code -> watch.(code lsr 1) <- c :: watch.(code lsr 1))
+                codes)
+            dc_codes;
+          (dc_codes, Array.map (fun l -> Array.of_list (List.rev l)) watch)
+        end
+      | _ -> ([||], [||])
+    in
+    let cube_codes = Array.make (max 1 !total_cubes) [||] in
+    List.iteri
+      (fun s _ ->
+        Array.iteri
+          (fun i cube ->
+            cube_codes.(cube_off.(s) + i) <-
+              Cube_kernel.codes_array (Cube.kernel cube))
+          cubes_of.(s))
+      ids;
+    t.built_revision <- Network.revision net;
+    t.built_dc_revision <-
+      (match t.dc with
+      | None -> -1
+      | Some dc -> Logic_network.Dont_care.revision dc);
+    t.dc_codes <- dc_codes;
+    t.dc_watch <- dc_watch;
+    t.generation <- t.generation + 1;
+    t.slot <- slot;
+    t.node_of <- node_of;
+    t.nslots <- nslots;
+    t.is_input <- is_input;
+    t.fanins_of <- fanins_of;
+    t.fanouts_of <- fanouts_of;
+    t.cubes_of <- cubes_of;
+    t.cube_off <- cube_off;
+    t.cube_codes <- cube_codes;
+    t.node_val <- Bytes.make (max 1 nslots) v_unknown;
+    t.cube_val <- Bytes.make (max 1 !total_cubes) v_unknown;
+    t.queue <- Array.make (max 1 nslots) 0;
+    t.q_head <- 0;
+    t.q_len <- 0;
+    t.queued <- Bytes.make (max 1 nslots) '\000';
+    t.trail <- Array.make (max 1 (nslots + !total_cubes)) 0;
+    t.trail_len <- 0;
+    (* Constant seeding (not trailed: part of the reusable baseline). *)
+    List.iteri
+      (fun s id ->
+        if Bytes.get t.is_input s = '\000' then begin
+          let cover = Network.cover net id in
+          let value =
+            if Cover.is_zero cover then Some false
+            else if Cover.is_one cover then Some true
+            else None
+          in
+          match value with
+          | Some v ->
+            Bytes.set t.node_val s (encode v);
+            Array.iter
+              (fun out -> if t.region out then enqueue t out)
+              t.fanouts_of.(s)
+          | None -> ()
+        end)
+      ids;
+    t.base_queue <- Array.init t.q_len (fun i -> t.queue.(i));
+    (match t.counters with
+    | Some c -> Counters.add c.Counters.imply_creates 1
+    | None -> ())
+
+  let create ?(region = fun _ -> true) ?(frozen = fun _ -> false)
+      ?(budget = Rar_util.Budget.unlimited) ?counters ?dc net =
+    let t =
+      {
+        net;
+        region;
+        frozen;
+        budget;
+        counters;
+        dc;
+        built_dc_revision = -1;
+        dc_codes = [||];
+        dc_watch = [||];
+        built_revision = -1;
+        generation = 0;
+        slot = [||];
+        node_of = [||];
+        nslots = 0;
+        is_input = Bytes.empty;
+        fanins_of = [||];
+        fanouts_of = [||];
+        cubes_of = [||];
+        cube_off = [||];
+        cube_codes = [||];
+        base_queue = [||];
+        node_val = Bytes.empty;
+        cube_val = Bytes.empty;
+        queue = [||];
+        q_head = 0;
+        q_len = 0;
+        queued = Bytes.empty;
+        trail = [||];
+        trail_len = 0;
+      }
+    in
+    build t;
+    t
+
+  let dc_revision t =
+    match t.dc with
+    | None -> -1
+    | Some dc -> Logic_network.Dont_care.revision dc
+
+  let reset ?frozen t =
+    (match frozen with Some f -> t.frozen <- f | None -> ());
+    if
+      Network.revision t.net <> t.built_revision
+      || dc_revision t <> t.built_dc_revision
+    then build t
+    else begin
+      t.generation <- t.generation + 1;
+      (* Undo the trail, flush the queue, and re-arm the constants'
+         pending fanouts — O(assignments + queue), not O(network). *)
+      for k = t.trail_len - 1 downto 0 do
+        let e = t.trail.(k) in
+        if e < t.nslots then Bytes.set t.node_val e v_unknown
+        else Bytes.set t.cube_val (e - t.nslots) v_unknown
+      done;
+      t.trail_len <- 0;
+      let cap = Array.length t.queue in
+      while t.q_len > 0 do
+        let s = t.queue.(t.q_head) in
+        Bytes.set t.queued s '\000';
+        t.q_head <- (if t.q_head + 1 >= cap then 0 else t.q_head + 1);
+        t.q_len <- t.q_len - 1
+      done;
+      t.q_head <- 0;
+      Array.iter
+        (fun s ->
+          Bytes.set t.queued s '\001';
+          t.queue.(t.q_len) <- s;
+          t.q_len <- t.q_len + 1)
+        t.base_queue;
+      (match t.counters with
+      | Some c -> Counters.add c.Counters.imply_resets 1
+      | None -> ())
+    end
+
+  let cubes t id = t.cubes_of.(slot_exn t id)
+
+  let node_value_slot t s = decode (Bytes.get t.node_val s)
+
+  let node_value t id =
+    let s = if id < Array.length t.slot then t.slot.(id) else -1 in
+    if s < 0 then None else node_value_slot t s
+
+  let cube_value_slot t s i = decode (Bytes.get t.cube_val (t.cube_off.(s) + i))
+
+  let cube_value t id i =
+    let s = if id < Array.length t.slot then t.slot.(id) else -1 in
+    if s < 0 then None else cube_value_slot t s i
+
+  let assigned_nodes t =
+    let acc = ref [] in
+    for s = t.nslots - 1 downto 0 do
+      match node_value_slot t s with
+      | Some v -> acc := (t.node_of.(s), v) :: !acc
+      | None -> ()
+    done;
+    !acc
+
+  let push_trail t e =
+    t.trail.(t.trail_len) <- e;
+    t.trail_len <- t.trail_len + 1
+
+  (* Record a node value; queue the node and its fanouts for re-examination.
+     Constants are pre-seeded with their fanouts pending, so re-asserting
+     one is a no-op (as in the legacy engine after its [create]). An
+     assigned primary input is additionally checked against the EXCDC
+     cubes watching it: a fully-matched forbidden pattern is a conflict
+     (the environment never produces it), and a cube with exactly one
+     free input whose other literals all hold forces that input to the
+     opposite phase — the clause ¬(cube) as a unit implication. *)
+  let rec set_node t id v =
+    let s = slot_exn t id in
+    match node_value_slot t s with
+    | Some v' when v' = v -> ()
+    | Some _ ->
+      raise
+        (Conflict (Printf.sprintf "node %s needs both 0 and 1" (Network.name t.net id)))
+    | None ->
+      Bytes.set t.node_val s (encode v);
+      push_trail t s;
+      if t.region id then enqueue_slot t s;
+      Array.iter
+        (fun out -> if t.region out then enqueue t out)
+        t.fanouts_of.(s);
+      if Array.length t.dc_codes > 0 && Bytes.get t.is_input s = '\001' then
+        check_dc t s
+
+  and check_dc t s =
+    Array.iter
+      (fun c ->
+        let codes = t.dc_codes.(c) in
+        let m = Array.length codes in
+        let unknowns = ref 0 in
+        let unknown_at = ref (-1) in
+        let dead = ref false in
+        for k = 0 to m - 1 do
+          if not !dead then begin
+            let code = codes.(k) in
+            match node_value_slot t (code lsr 1) with
+            | None ->
+              incr unknowns;
+              unknown_at := k
+            | Some v -> if v <> (code land 1 = 0) then dead := true
+          end
+        done;
+        if not !dead then
+          if !unknowns = 0 then
+            raise (Conflict "input pattern forbidden by EXCDC")
+          else if !unknowns = 1 then begin
+            let code = codes.(!unknown_at) in
+            let free_id = t.node_of.(code lsr 1) in
+            if not (t.frozen free_id) then set_node t free_id (code land 1 = 1)
+          end)
+      t.dc_watch.(s)
+
+  let set_cube t id i v =
+    let s = slot_exn t id in
+    match cube_value_slot t s i with
+    | Some v' when v' = v -> ()
+    | Some _ ->
+      raise
+        (Conflict
+           (Printf.sprintf "cube %d of %s needs both 0 and 1" i (Network.name t.net id)))
+    | None ->
+      Bytes.set t.cube_val (t.cube_off.(s) + i) (encode v);
+      push_trail t (t.nslots + t.cube_off.(s) + i);
+      if t.region id then enqueue_slot t s
+
+  (* Value of the literal with [code] under current fanin values; the
+     code's variable indexes the node's fanin array, its low bit is the
+     phase (even = positive, as in {!Twolevel.Literal}). *)
+  let code_value t fanins code =
+    match node_value t fanins.(code lsr 1) with
+    | None -> None
+    | Some v -> Some (v = (code land 1 = 0))
+
+  (* All local deductions for one logic node. *)
+  let process t s =
+    let id = t.node_of.(s) in
+    if Bytes.get t.is_input s = '\000' && t.region id then begin
+      let fanins = t.fanins_of.(s) in
+      let off = t.cube_off.(s) in
+      let n = Array.length t.cubes_of.(s) in
+      (* Cube-level rules. *)
+      for i = 0 to n - 1 do
+        let codes = t.cube_codes.(off + i) in
+        let m = Array.length codes in
+        let any_false = ref false in
+        let all_true = ref true in
+        for k = 0 to m - 1 do
+          match code_value t fanins codes.(k) with
+          | Some false ->
+            any_false := true;
+            all_true := false
+          | Some true -> ()
+          | None -> all_true := false
+        done;
+        if !any_false then set_cube t id i false
+        else if !all_true then set_cube t id i true;
+        (match cube_value_slot t s i with
+        | Some true ->
+          (* AND at 1: every literal must hold. *)
+          for k = 0 to m - 1 do
+            let code = codes.(k) in
+            set_node t fanins.(code lsr 1) (code land 1 = 0)
+          done
+        | Some false ->
+          (* AND at 0 with a single free literal and all others true: the
+             free literal must fail. Values are re-read — the Some-true
+             branch of earlier cubes may have pinned fanins since the
+             any_false/all_true scan. *)
+          let unknowns = ref 0 in
+          let unknown_at = ref (-1) in
+          let others_true = ref true in
+          for k = 0 to m - 1 do
+            match code_value t fanins codes.(k) with
+            | None ->
+              incr unknowns;
+              unknown_at := k
+            | Some true -> ()
+            | Some false -> others_true := false
+          done;
+          if !unknowns = 1 && !others_true then begin
+            let code = codes.(!unknown_at) in
+            set_node t fanins.(code lsr 1) (code land 1 = 1)
+          end
+        | None -> ())
+      done;
+      (* Node-level rules (skipped for fault-carrying nodes). *)
+      if not (t.frozen id) then begin
+        let cube_vals = Array.init n (fun i -> cube_value_slot t s i) in
+        let any_one = Array.exists (fun v -> v = Some true) cube_vals in
+        let all_zero = Array.for_all (fun v -> v = Some false) cube_vals in
+        if any_one then set_node t id true;
+        if all_zero then set_node t id false;
+        (match node_value_slot t s with
+        | Some false ->
+          for i = 0 to n - 1 do
+            set_cube t id i false
+          done
+        | Some true ->
+          let live =
+            Array.to_list (Array.mapi (fun i v -> (i, v)) cube_vals)
+            |> List.filter (fun (_, v) -> v <> Some false)
+          in
+          (match live with
+          | [ (i, _) ] -> set_cube t id i true
+          | _ -> ())
+        | None -> ())
+      end
+    end
+
+  (* One fuel unit per dequeued slot: the budget bounds the number of
+     propagation steps a fault test may take. [Budget.Exhausted] escapes to
+     the first layer with a fallback (e.g. {!Fault.redundant_result}); the
+     engine itself stays consistent — a later [reset] rewinds the trail as
+     after a conflict. *)
+  let run t =
+    let cap = Array.length t.queue in
+    while t.q_len > 0 do
+      Rar_util.Budget.spend t.budget;
+      let s = t.queue.(t.q_head) in
+      t.q_head <- (if t.q_head + 1 >= cap then 0 else t.q_head + 1);
+      t.q_len <- t.q_len - 1;
+      Bytes.set t.queued s '\000';
+      process t s
+    done
+
+  let set_budget t budget = t.budget <- budget
+
+  let propagate t = run t
+
+  (* --- Trail checkpoints ------------------------------------------------- *)
+
+  type mark = {
+    m_trail : int;
+    m_generation : int;
+    m_revision : int;
+    m_dc_revision : int;
+  }
+
+  let checkpoint t =
+    if t.q_len > 0 then
+      invalid_arg "Imply.checkpoint: pending implications (propagate first)";
+    { m_trail = t.trail_len; m_generation = t.generation;
+      m_revision = t.built_revision; m_dc_revision = t.built_dc_revision }
+
+  let pop_to t mark =
+    if
+      mark.m_generation <> t.generation
+      || mark.m_revision <> t.built_revision
+      || Network.revision t.net <> t.built_revision
+      || mark.m_dc_revision <> t.built_dc_revision
+      || dc_revision t <> t.built_dc_revision
+      || mark.m_trail > t.trail_len
+    then false
+    else begin
+      (* Rewind the assignments above the mark, then flush whatever an
+         aborted propagation (conflict, exhausted budget) left queued —
+         the shared context below the mark had an empty queue. *)
+      for k = t.trail_len - 1 downto mark.m_trail do
+        let e = t.trail.(k) in
+        if e < t.nslots then Bytes.set t.node_val e v_unknown
+        else Bytes.set t.cube_val (e - t.nslots) v_unknown
+      done;
+      t.trail_len <- mark.m_trail;
+      let cap = Array.length t.queue in
+      while t.q_len > 0 do
+        let s = t.queue.(t.q_head) in
+        Bytes.set t.queued s '\000';
+        t.q_head <- (if t.q_head + 1 >= cap then 0 else t.q_head + 1);
+        t.q_len <- t.q_len - 1
+      done;
+      t.q_head <- 0;
+      (match t.counters with
+      | Some c -> Counters.add c.Counters.imply_checkpoints 1
+      | None -> ());
+      true
+    end
+
+  let assign_node t id v =
+    set_node t id v;
+    run t
+
+  let assign_cube t id i v =
+    let n = Array.length (cubes t id) in
+    if i < 0 || i >= n then invalid_arg "Imply.assign_cube: cube index";
+    set_cube t id i v;
+    run t
+
+  (* Snapshot for recursive learning: private per-test state is duplicated,
+     the structural arrays stay shared. *)
+  let copy t =
+    {
+      t with
+      node_val = Bytes.copy t.node_val;
+      cube_val = Bytes.copy t.cube_val;
+      queue = Array.copy t.queue;
+      queued = Bytes.copy t.queued;
+      trail = Array.copy t.trail;
+    }
+
+  (* --- Recursive learning ------------------------------------------------ *)
+
+  (* Unjustified situations and their justification options, each option
+     being a list of primitive assignments. *)
+  type option_assignments = [ `Node of Network.node_id * bool | `Cube of Network.node_id * int * bool ] list
+
+  let justification_options t : option_assignments list list =
+    let options = ref [] in
+    List.iter
+      (fun id ->
+        if (not (Network.is_input t.net id)) && t.region id && not (t.frozen id)
+        then begin
+          let s = slot_exn t id in
+          let cube_array = t.cubes_of.(s) in
+          let n = Array.length cube_array in
+          (* OR at 1 with several live cubes and none at 1. *)
+          (match node_value_slot t s with
+          | Some true ->
+            let live =
+              List.filter
+                (fun i -> cube_value_slot t s i <> Some false)
+                (List.init n Fun.id)
+            in
+            let already =
+              List.exists (fun i -> cube_value_slot t s i = Some true) live
+            in
+            if (not already) && List.length live >= 2 then
+              options := List.map (fun i -> [ `Cube (id, i, true) ]) live :: !options
+          | Some false | None -> ());
+          (* AND at 0 with several free literals. *)
+          for i = 0 to n - 1 do
+            if cube_value_slot t s i = Some false then begin
+              let codes = t.cube_codes.(t.cube_off.(s) + i) in
+              let free = ref [] in
+              let falsified = ref false in
+              Array.iter
+                (fun code ->
+                  match code_value t t.fanins_of.(s) code with
+                  | None -> free := code :: !free
+                  | Some false -> falsified := true
+                  | Some true -> ())
+                codes;
+              let free = List.rev !free in
+              if (not !falsified) && List.length free >= 2 then begin
+                let fanins = t.fanins_of.(s) in
+                options :=
+                  List.map
+                    (fun code -> [ `Node (fanins.(code lsr 1), code land 1 = 1) ])
+                    free
+                  :: !options
+              end
+            end
+          done
+        end)
+      (Network.node_ids t.net);
+    !options
+
+  let apply_assignment t = function
+    | `Node (id, v) -> set_node t id v
+    | `Cube (id, i, v) -> set_cube t id i v
+
+  let rec learn ?(max_options = 4) ~depth t =
+    if depth > 0 then begin
+      let progressed = ref true in
+      while !progressed do
+        progressed := false;
+        let splits = justification_options t in
+        let try_option assignments =
+          let scratch = copy t in
+          match
+            List.iter (apply_assignment scratch) assignments;
+            run scratch;
+            if depth > 1 then learn ~max_options ~depth:(depth - 1) scratch
+          with
+          | () -> Some scratch
+          | exception Conflict _ -> None
+        in
+        List.iter
+          (fun opts ->
+            if List.length opts <= max_options then begin
+              match List.filter_map try_option opts with
+              | [] -> raise (Conflict "all justification options conflict")
+              | first :: rest ->
+                (* Assert assignments agreed by every surviving option:
+                   walk the first survivor's trail (every value it derived
+                   beyond [t]'s is on it). *)
+                for k = 0 to first.trail_len - 1 do
+                  let e = first.trail.(k) in
+                  if e < t.nslots then begin
+                    match node_value_slot first e with
+                    | Some v
+                      when node_value_slot t e = None
+                           && List.for_all
+                                (fun s -> node_value_slot s e = Some v)
+                                rest ->
+                      set_node t t.node_of.(e) v;
+                      progressed := true
+                    | Some _ | None -> ()
+                  end
+                done;
+                run t
+            end)
+          splits
+      done
+    end
+end
+
+(* One random step of a test. *)
+type engine_op =
+  | Op_node of Network.node_id * bool
+  | Op_cube of Network.node_id * int * bool
+  | Op_learn
+  | Op_checkpoint
+  | Op_pop of int
+
+let verdict f =
+  match f () with
+  | () -> `Ok
+  | exception (Imply.Conflict _ | Oracle.Conflict _) -> `Conflict
+  | exception Rar_util.Budget.Exhausted _ -> `Exhausted
+
+let random_subset rng ids ~one_in =
+  List.filter (fun _ -> Rar_util.Rng.int rng one_in = 0) ids
+
+(* Forbidden input patterns over the network's inputs; some name a
+   signal the network lacks, which the engines must both drop. *)
+let random_excdc rng net =
+  let names = List.map (Network.name net) (Network.inputs net) in
+  let dc = Logic_network.Dont_care.create () in
+  for _ = 1 to 1 + Rar_util.Rng.int rng 3 do
+    let cube =
+      List.filter_map
+        (fun name ->
+          if Rar_util.Rng.int rng 3 = 0 then Some (name, Rar_util.Rng.bool rng)
+          else None)
+        (if Rar_util.Rng.int rng 5 = 0 then "ghost" :: names else names)
+    in
+    if cube <> [] then Logic_network.Dont_care.add_excdc dc cube
+  done;
+  dc
+
+let same_engine_state net e o =
+  Imply.assigned_nodes e = Oracle.assigned_nodes o
+  && List.for_all
+       (fun id ->
+         Network.is_input net id
+         || List.for_all
+              (fun i -> Imply.cube_value e id i = Oracle.cube_value o id i)
+              (List.init (Cover.cube_count (Network.cover net id)) Fun.id))
+       (Network.node_ids net)
+
+let random_op rng net ids =
+  match Rar_util.Rng.int rng 10 with
+  | 0 | 1 | 2 | 3 ->
+    Op_node (Rar_util.Rng.pick rng ids, Rar_util.Rng.bool rng)
+  | 4 | 5 -> (
+    let logic = List.filter (fun id -> not (Network.is_input net id)) ids in
+    match logic with
+    | [] -> Op_learn
+    | _ ->
+      let id = Rar_util.Rng.pick rng logic in
+      let n = Cover.cube_count (Network.cover net id) in
+      if n = 0 then Op_learn
+      else Op_cube (id, Rar_util.Rng.int rng n, Rar_util.Rng.bool rng))
+  | 6 -> Op_learn
+  | 7 | 8 -> Op_checkpoint
+  | _ -> Op_pop (Rar_util.Rng.int rng 3)
+
+(* Random region, frozen sets, EXCDC, budgets and assignment sequences
+   with checkpoints and pops over mutated DAGs: after every step the slot
+   arena and the frozen engine must give the same verdict, the same
+   assigned nodes and the same cube values — after a conflict or an
+   exhausted budget too, which pins the propagation order. *)
+let prop_engine_matches_frozen =
+  QCheck2.Test.make ~name:"slot arena matches the frozen engine" ~count:200
+    ~print:string_of_int Net_mutations.gen_seed (fun seed ->
+      let rng, net = Net_mutations.initial seed in
+      Net_mutations.mutate rng net ~steps:(Rar_util.Rng.int rng 12);
+      let ids = List.sort Int.compare (Network.node_ids net) in
+      let region =
+        if Rar_util.Rng.bool rng then fun _ -> true
+        else
+          let inside = List.filter (fun _ -> Rar_util.Rng.int rng 4 <> 0) ids in
+          fun id -> List.mem id inside
+      in
+      let dc = if Rar_util.Rng.int rng 3 = 0 then Some (random_excdc rng net) else None in
+      let frozen_set () =
+        if Rar_util.Rng.bool rng then random_subset rng ids ~one_in:4
+        else Network.fanout_cone_order net [ Rar_util.Rng.pick rng ids ]
+      in
+      let frozen = frozen_set () in
+      let e = Imply.create ~region ~frozen ?dc net in
+      let o = Oracle.create ~region ~frozen:(fun id -> List.mem id frozen) ?dc net in
+      let fail step =
+        failwith (Printf.sprintf "engines diverge at %s" step)
+      in
+      for test = 1 to 4 do
+        let frozen = frozen_set () in
+        Imply.reset ~frozen e;
+        Oracle.reset ~frozen:(fun id -> List.mem id frozen) o;
+        (* Every other test runs on a small fuel budget. *)
+        let fuel = if test mod 2 = 0 then Some (Rar_util.Rng.int rng 30) else None in
+        let budget () =
+          match fuel with
+          | Some fuel -> Rar_util.Budget.create ~fuel ()
+          | None -> Rar_util.Budget.unlimited
+        in
+        Imply.set_budget e (budget ());
+        Oracle.set_budget o (budget ());
+        let marks = ref [] in
+        let live = ref true in
+        let step name fe fo =
+          let ve = verdict fe and vo = verdict fo in
+          if ve <> vo || not (same_engine_state net e o) then fail name;
+          if ve <> `Ok then live := false
+        in
+        step "propagate" (fun () -> Imply.propagate e) (fun () -> Oracle.propagate o);
+        (* After a conflict or an exhausted budget only a pop goes on. *)
+        for _ = 1 to 12 do
+          match random_op rng net ids with
+          | Op_pop k -> (
+            match List.nth_opt !marks k with
+            | None -> ()
+            | Some (me, mo) ->
+              let popped = Imply.pop_to e me in
+              if popped <> Oracle.pop_to o mo then fail "pop_to";
+              if not (same_engine_state net e o) then fail "after pop_to";
+              if popped then live := true)
+          | op when !live -> (
+            match op with
+            | Op_node (id, v) ->
+              step "assign_node"
+                (fun () -> Imply.assign_node e id v)
+                (fun () -> Oracle.assign_node o id v)
+            | Op_cube (id, i, v) ->
+              step "assign_cube"
+                (fun () -> Imply.assign_cube e id i v)
+                (fun () -> Oracle.assign_cube o id i v)
+            | Op_learn ->
+              step "learn"
+                (fun () -> Imply.learn ~depth:1 e)
+                (fun () -> Oracle.learn ~depth:1 o)
+            | Op_checkpoint ->
+              marks := (Imply.checkpoint e, Oracle.checkpoint o) :: !marks
+            | Op_pop _ -> ())
+          | _ -> ()
+        done
+      done;
+      true)
+
+(* Two slot arenas over the same network behave alike: the same random
+   steps give the same verdicts and states, on the same fuel (which
+   pins the queue a reset leaves as well as the values). *)
+let arenas_agree rng net a b =
+  let ids = List.sort Int.compare (Network.node_ids net) in
+  let fuel = Rar_util.Rng.int rng 25 in
+  List.iter
+    (fun e -> Imply.set_budget e (Rar_util.Budget.create ~fuel ()))
+    [ a; b ];
+  let same () =
+    Imply.assigned_nodes a = Imply.assigned_nodes b
+    && List.for_all
+         (fun id ->
+           Network.is_input net id
+           || List.for_all
+                (fun i -> Imply.cube_value a id i = Imply.cube_value b id i)
+                (List.init (Cover.cube_count (Network.cover net id)) Fun.id))
+         ids
+  in
+  let step fa fb = verdict fa = verdict fb && same () in
+  step (fun () -> Imply.propagate a) (fun () -> Imply.propagate b)
+  && List.for_all
+       (fun _ ->
+         match random_op rng net ids with
+         | Op_node (id, v) ->
+           step (fun () -> Imply.assign_node a id v) (fun () -> Imply.assign_node b id v)
+         | Op_cube (id, i, v) ->
+           step (fun () -> Imply.assign_cube a id i v) (fun () -> Imply.assign_cube b id i v)
+         | Op_learn | Op_checkpoint | Op_pop _ -> true)
+       (List.init 6 Fun.id)
+
+(* After each random wire removal, [refresh_node] then [reset] must leave
+   the arena behaving like a fresh [create] on the mutated network. *)
+let prop_refresh_matches_fresh =
+  QCheck2.Test.make ~name:"refresh_node after wire removals matches create"
+    ~count:150 ~print:string_of_int Net_mutations.gen_seed (fun seed ->
+      let rng, net = Net_mutations.initial seed in
+      Net_mutations.mutate rng net ~steps:(Rar_util.Rng.int rng 8);
+      let ids = List.sort Int.compare (Network.node_ids net) in
+      let region =
+        if Rar_util.Rng.bool rng then fun _ -> true
+        else
+          let inside = List.filter (fun _ -> Rar_util.Rng.int rng 4 <> 0) ids in
+          fun id -> List.mem id inside
+      in
+      let engine = Imply.create ~region net in
+      List.for_all
+        (fun _ ->
+          let wired =
+            List.filter
+              (fun id -> Fault.all_wires net id <> [])
+              (List.sort Int.compare (Network.logic_ids net))
+          in
+          wired = []
+          ||
+          let id = Rar_util.Rng.pick rng wired in
+          Rewiring.Remove.remove_wire net
+            (Rar_util.Rng.pick rng (Fault.all_wires net id));
+          Imply.refresh_node engine id;
+          let frozen = Network.fanout_cone_order net [ id ] in
+          Imply.reset ~frozen engine;
+          arenas_agree rng net engine (Imply.create ~region ~frozen net))
+        (List.init 8 Fun.id))
+
+(* Each way a refresh cannot rewrite the slot in place — the node turns
+   constant, gains a cube or a fanin, or the network changed twice — is
+   left to the next reset, which rebuilds; a dropped constant fanin is
+   rewritten in place and re-seeds the constants' queue. *)
+let test_refresh_fallbacks () =
+  let case name ~in_place mutate =
+    let net = Network.create () in
+    let a = Network.add_input net "a" and b = Network.add_input net "b" in
+    let c = Network.add_input net "c" in
+    let k = Network.add_logic net ~name:"k" ~fanins:[||] Cover.one in
+    let cube lits = Cube.of_literals_exn lits in
+    (* g = k·a + b, h = g·c *)
+    let g =
+      Network.add_logic net ~name:"g" ~fanins:[| k; a; b |]
+        (Cover.of_cubes
+           [ cube [ Literal.pos 0; Literal.pos 1 ]; cube [ Literal.pos 2 ] ])
+    in
+    let h =
+      Network.add_logic net ~name:"h" ~fanins:[| g; c |]
+        (Cover.of_cubes [ cube [ Literal.pos 0; Literal.pos 1 ] ])
+    in
+    Network.add_output net "h" h;
+    let counters = Rar_util.Counters.create () in
+    let engine = Imply.create ~counters net in
+    Imply.assign_node engine h true;
+    mutate net ~a ~b ~c ~g ~h;
+    Imply.refresh_node engine g;
+    Imply.reset engine;
+    Alcotest.(check int) (name ^ ": refreshed in place") (Bool.to_int in_place)
+      (Atomic.get counters.Rar_util.Counters.imply_refreshes);
+    Alcotest.(check int) (name ^ ": builds") (if in_place then 1 else 2)
+      (Atomic.get counters.Rar_util.Counters.imply_creates);
+    Alcotest.(check bool) (name ^ ": agrees with create") true
+      (arenas_agree (Rar_util.Rng.create 3) net engine (Imply.create net))
+  in
+  let literal node cube lit net =
+    Rewiring.Remove.remove_wire net
+      (Fault.Literal_wire { node; cube; lit = Literal.pos lit })
+  in
+  case "dropped constant fanin" ~in_place:true (fun net ~a:_ ~b:_ ~c:_ ~g ~h:_ ->
+      literal g 0 0 net);
+  case "removed cube" ~in_place:true (fun net ~a:_ ~b:_ ~c:_ ~g ~h:_ ->
+      Rewiring.Remove.remove_wire net (Fault.Cube_wire { node = g; cube = 1 }));
+  case "turns constant" ~in_place:false (fun net ~a:_ ~b:_ ~c:_ ~g ~h:_ ->
+      literal g 1 2 net);
+  case "gains a cube" ~in_place:false (fun net ~a:_ ~b:_ ~c:_ ~g ~h:_ ->
+      Network.set_function net g ~fanins:(Network.fanins net g)
+        (Parse.cover_default "ab + c + a'c'"));
+  case "gains a fanin" ~in_place:false (fun net ~a ~b ~c ~g ~h:_ ->
+      Network.set_function net g ~fanins:[| a; b; c |]
+        (Parse.cover_default "ab + c"));
+  case "two mutations" ~in_place:false (fun net ~a:_ ~b:_ ~c:_ ~g ~h:_ ->
+      literal g 0 0 net;
+      Network.set_function net g ~fanins:(Network.fanins net g)
+        (Network.cover net g))
+
 (* The dominator computation before it walked only the fault's cone:
    filter the global topological order to the TFO, then intersect.
    Kept as the reference for the cone-order version. *)
@@ -1052,6 +1995,8 @@ let qcheck_cases =
       prop_implication_soundness;
       prop_sat_test_generation_matches_exhaustive;
       prop_dominators_match_frozen;
+      prop_engine_matches_frozen;
+      prop_refresh_matches_fresh;
     ]
 
 let () =
@@ -1110,6 +2055,7 @@ let () =
             test_arena_rebuild_on_mutation;
           Alcotest.test_case "pooled redundancy verdicts" `Quick
             test_engine_reuse_redundant_verdicts;
+          Alcotest.test_case "refresh fallbacks" `Quick test_refresh_fallbacks;
         ] );
       ( "checkpoint",
         [

@@ -741,6 +741,78 @@ let prop_cliques_are_maximal_cliques =
       (* the greedy heuristic must also return a clique *)
       && is_clique (Booldiv.Clique.greedy_clique ~n ~adjacent))
 
+(* [Clique.best_core] before it computed the adjacency matrix up front:
+   [adjacent] intersects the two candidate lists on every call. *)
+let frozen_best_core ~candidates ~serves =
+  let module Clique = Booldiv.Clique in
+  let intersection lists =
+    match lists with
+    | [] -> []
+    | first :: rest ->
+      List.filter (fun x -> List.for_all (List.mem x) rest) first
+  in
+  let n = Array.length candidates in
+  if n = 0 then None
+  else begin
+    let adjacent a b =
+      a <> b && intersection [ candidates.(a); candidates.(b) ] <> []
+    in
+    let cliques =
+      if n <= Clique.exact_threshold then Clique.maximal_cliques ~n ~adjacent
+      else [ Clique.greedy_clique ~n ~adjacent ]
+    in
+    let cliques = cliques @ List.init n (fun v -> [ v ]) in
+    let evaluate members =
+      let core = intersection (List.map (fun v -> candidates.(v)) members) in
+      if core = [] then None
+      else begin
+        let served = List.filter (fun v -> serves v core) members in
+        if served = [] then None
+        else Some { Clique.members = served; core }
+      end
+    in
+    List.fold_left
+      (fun best clique ->
+        match evaluate clique with
+        | None -> best
+        | Some choice -> (
+          match best with
+          | Some b when List.length b.Clique.members >= List.length choice.Clique.members ->
+            best
+          | _ -> Some choice))
+      None cliques
+  end
+
+(* Random candidate tables of pool cubes, on both sides of the exact
+   threshold (the greedy search runs above it). *)
+let prop_best_core_matches_frozen =
+  let gen =
+    QCheck2.Gen.(
+      let* n = int_range 0 30 in
+      let* universe = int_range 1 8 in
+      let* table =
+        array_size (return n)
+          (list_size (int_range 0 4) (pair (int_range 0 universe) (int_range 0 2)))
+      in
+      let* salt = int_range 0 5 in
+      return (table, salt))
+  in
+  QCheck2.Test.make ~name:"best_core matches the per-pair closure" ~count:400
+    ~print:(fun (table, salt) ->
+      Printf.sprintf "salt %d: %s" salt
+        (String.concat " | "
+           (Array.to_list
+              (Array.map
+                 (fun l ->
+                   String.concat ","
+                     (List.map (fun (m, j) -> Printf.sprintf "%d.%d" m j) l))
+                 table))))
+    gen
+    (fun (candidates, salt) ->
+      let serves v core = (v + salt + List.length core) mod 3 <> 0 in
+      Booldiv.Clique.best_core ~candidates ~serves
+      = frozen_best_core ~candidates ~serves)
+
 let () =
   Alcotest.run "division"
     [
@@ -798,5 +870,6 @@ let () =
             prop_extended_preserves;
             prop_pos_extended_preserves;
             prop_cliques_are_maximal_cliques;
+            prop_best_core_matches_frozen;
           ] );
     ]

@@ -784,6 +784,26 @@ let prop_bdd_to_cover_roundtrip =
       let back = Robdd.Bdd.to_cover man bdd in
       Robdd.Bdd.equal bdd (Robdd.Bdd.of_cover man back))
 
+(* Try-on-a-copy: after every mutation of a copy (and of the original,
+   whose saved copies the sequence restores) the delta counted on the
+   physically differing covers equals the difference of the totals. *)
+let prop_factored_delta =
+  QCheck2.Test.make ~name:"factored_delta equals the difference of totals"
+    ~count:100 ~print:string_of_int Net_mutations.gen_seed (fun seed ->
+      let rng, net = Net_mutations.initial seed in
+      let agrees a b =
+        Lit_count.factored_delta a b = Lit_count.factored a - Lit_count.factored b
+      in
+      let ok = ref true in
+      for _ = 1 to 4 do
+        let scratch = Network.copy net in
+        ok := !ok && agrees net scratch;
+        Net_mutations.mutate rng scratch ~steps:6 ~after_step:(fun s ->
+            ok := !ok && agrees net s && agrees s net);
+        if Rar_util.Rng.bool rng then Network.overwrite net scratch
+      done;
+      !ok)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -799,6 +819,7 @@ let qcheck_cases =
       prop_traversals_match_frozen;
       prop_cycle_guard_matches_frozen;
       prop_normalise_matches_frozen;
+      prop_factored_delta;
     ]
 
 let () =

@@ -799,6 +799,112 @@ module Oracle = struct
       if Cover.literal_count result <= Cover.literal_count cover then result
       else cover
   end
+
+  (* [Minimize] before it fixed one table space per call: containment
+     and REDUCE build a table space and the tables per query. *)
+  module Minimize_per_query = struct
+    let expand ?(dc = Cover.zero) cover =
+      let inside_base = Cover.containment (Cover.union cover dc) in
+      let expand_cube cube =
+        (* Try dropping literals one at a time; a drop is valid when the grown
+           cube is still contained in onset ∪ dc. *)
+        let rec go cube = function
+          | [] -> cube
+          | lit :: rest ->
+            let candidate = Cube.remove_literal lit cube in
+            if inside_base candidate then go candidate rest
+            else go cube rest
+        in
+        go cube (Cube.literals cube)
+      in
+      Cover.single_cube_containment
+        (Cover.of_cubes (List.map expand_cube (Cover.cubes cover)))
+
+    let irredundant ?(dc = Cover.zero) cover =
+      (* Largest cubes first: prefer keeping big cubes, dropping specific ones. *)
+      let ordered =
+        List.sort
+          (fun c1 c2 -> Int.compare (Cube.size c2) (Cube.size c1))
+          (Cover.cubes cover)
+      in
+      let rec go kept = function
+        | [] -> List.rev kept
+        | cube :: rest ->
+          let others = Cover.of_cubes (kept @ rest) in
+          if Cover.contains_cube (Cover.union others dc) cube then go kept rest
+          else go (cube :: kept) rest
+      in
+      Cover.of_cubes (go [] ordered)
+
+    let reduce_complement_limit = 256
+
+    (* Up to this many variables the Shannon complement of [others] has at
+       most 256 cubes: a leaf of the recursion at depth d yields at most
+       max(1, 8 - d) of them, and the leaves satisfy sum 2^-d <= 1. So the
+       [reduce_complement_limit] fallback cannot fire, and the truth table
+       path computes exactly what the complement path would. *)
+    let reduce_table_vars = 8
+
+    (* Supercube (smallest containing cube) of a cover. *)
+    let supercube cover =
+      match Cover.cubes cover with
+      | [] -> None
+      | first :: rest -> Some (List.fold_left Cube.common first rest)
+
+    (* The supercube of the part of [cube] that [others] does not cover:
+       [None] when that part is empty, or when the complement of [others]
+       exceeds its limit. The supercube of non-empty cubes is the smallest
+       cube containing their union, so it depends only on the function, and
+       a truth table computes the same cube as the complement. *)
+    let essential_supercube cube others =
+      match
+        Truth_table.space ~limit:reduce_table_vars (cube :: Cover.cubes others)
+      with
+      | Some vars ->
+        Truth_table.supercube
+          (Truth_table.diff
+             (Truth_table.of_cubes vars [ cube ])
+             (Truth_table.of_cubes vars (Cover.cubes others)))
+      | None ->
+        Option.bind
+          (Complement.cover_limited ~limit:reduce_complement_limit others)
+          (fun off -> supercube (Cover.product_cube cube off))
+
+    let reduce ?(dc = Cover.zero) cover =
+      let rec go kept = function
+        | [] -> List.rev kept
+        | cube :: rest ->
+          let others = Cover.union (Cover.of_cubes (kept @ rest)) dc in
+          (* An empty essential part leaves the cube for irredundant to
+             remove. *)
+          let reduced =
+            match essential_supercube cube others with
+            | None -> cube
+            | Some core -> (
+              match Cube.intersect core cube with
+              | Some shrunk -> shrunk
+              | None -> cube)
+          in
+          go (reduced :: kept) rest
+      in
+      Cover.of_cubes (go [] (Cover.cubes cover))
+
+    let simplify ?(dc = Cover.zero) cover =
+      let step c =
+        let c = irredundant ~dc (expand ~dc (Cover.single_cube_containment c)) in
+        irredundant ~dc (expand ~dc (reduce ~dc c))
+      in
+      let rec fixpoint budget c =
+        let c' = step c in
+        if budget = 0 || Cover.equal c' c then c' else fixpoint (budget - 1) c'
+      in
+      let result = fixpoint 2 cover in
+      if Cover.literal_count result <= Cover.literal_count cover then result
+      else cover
+
+    let complement ~limit cover =
+      Option.map simplify (Complement.cover_limited ~limit cover)
+  end
 end
 
 (* Conversions between code lists and the packed representation. *)
@@ -1038,6 +1144,54 @@ let test_diff_minimize () =
       (Minimize.simplify ~dc f)
   done
 
+(* Single-space [simplify] must equal the per-query version on sparse
+   covers on both sides of the 8-variable cut, with and without dc, and
+   [complement] must be unchanged. *)
+let test_diff_single_space () =
+  let rng = Rar_util.Rng.create 22 in
+  let narrow = ref 0 and wide = ref 0 in
+  for case = 0 to 439 do
+    (* 0 to 10 variables in turn. *)
+    let rec pick acc =
+      if List.length acc = case mod 11 then Array.of_list acc
+      else
+        let v = Rar_util.Rng.int rng 301 in
+        pick (if List.mem v acc then acc else v :: acc)
+    in
+    let vars = pick [] in
+    let f = sparse_cover rng vars ~max_cubes:8 in
+    let dc =
+      if case mod 2 = 0 then Cover.zero else sparse_cover rng vars ~max_cubes:2
+    in
+    if List.length (Cover.support (Cover.union f dc)) <= 8 then incr narrow
+    else incr wide;
+    let label pass =
+      Printf.sprintf "%s of %s (dc %s)" pass (Cover.to_string f)
+        (Cover.to_string dc)
+    in
+    let frozen = Oracle.Minimize_per_query.(simplify ~dc f) in
+    check_cover (label "simplify") frozen (Minimize.simplify ~dc f);
+    check_cover (label "expand")
+      (Oracle.Minimize_per_query.expand ~dc f)
+      (Minimize.expand ~dc f);
+    check_cover (label "irredundant")
+      (Oracle.Minimize_per_query.irredundant ~dc f)
+      (Minimize.irredundant ~dc f);
+    check_cover (label "reduce")
+      (Oracle.Minimize_per_query.reduce ~dc f)
+      (Minimize.reduce ~dc f);
+    List.iter
+      (fun limit ->
+        Alcotest.(check (option string))
+          (label (Printf.sprintf "complement %d" limit))
+          (Option.map Cover.to_string
+             (Oracle.Minimize_per_query.complement ~limit f))
+          (Option.map Cover.to_string (Minimize.complement ~limit f)))
+      [ 4; 64 ]
+  done;
+  Alcotest.(check bool) "both sides of the cut ran" true
+    (!narrow > 40 && !wide > 40)
+
 (* REDUCE's truth table path rests on this: a cover of at most 8
    variables has a Shannon complement of at most 256 cubes. *)
 let test_complement_bound () =
@@ -1191,6 +1345,8 @@ let () =
             test_diff_minimize;
           Alcotest.test_case "complement of 8 variables fits 256" `Quick
             test_complement_bound;
+          Alcotest.test_case "single table space vs per query" `Quick
+            test_diff_single_space;
         ] );
       ( "gates",
         [
