@@ -1335,8 +1335,9 @@ let trace_check rows =
     "trace: %d line(s), %d malformed, %d degrade, %d memo, %d checkpoint \
      event(s)\n"
     !lines !bad !degrade_events !memo_events !checkpoint_events;
-  Printf.printf "degradations tallied in counters: %d\n"
-    (Atomic.get counters.Rar_util.Counters.degradations);
+  Printf.printf "degradations tallied in counters: %d (floor rejects %d)\n"
+    (Atomic.get counters.Rar_util.Counters.degradations)
+    (Atomic.get counters.Rar_util.Counters.floor_rejects);
   if
     !bad > 0 || !failures > 0 || !degrade_events = 0
     || Atomic.get counters.Rar_util.Counters.degradations = 0

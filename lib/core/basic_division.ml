@@ -45,7 +45,7 @@ let sos_cube_indices net ~f ~d ~phase =
 
 (* The SOS cube indices of [f] when the pair may be divided at all, [[]]
    when it may not. *)
-let f1_indices net ~f ~d ~phase =
+let f1_indices ?(phase = true) net ~f ~d =
   if
     f <> d
     && (not (Network.is_input net f))
@@ -54,7 +54,7 @@ let f1_indices net ~f ~d ~phase =
   then sos_cube_indices net ~f ~d ~phase
   else []
 
-let applicable ?(phase = true) net ~f ~d = f1_indices net ~f ~d ~phase <> []
+let applicable ?phase net ~f ~d = f1_indices ?phase net ~f ~d <> []
 
 let region_predicate net seeds =
   let set =
@@ -69,8 +69,10 @@ let region_predicate net seeds =
   fun id -> Network.Node_set.mem id set
 
 let divide ?(phase = true) ?(gdc = false) ?(learn_depth = 0) ?budget ?counters
-    ?dc net ~f ~d =
-  let f1_idx = f1_indices net ~f ~d ~phase in
+    ?dc ?f1 net ~f ~d =
+  let f1_idx =
+    match f1 with Some idx -> idx | None -> f1_indices ~phase net ~f ~d
+  in
   if f1_idx = [] then None
   else begin
     let original_cover = Network.cover net f in

@@ -39,6 +39,16 @@ val applicable :
     least one cube of [f] is contained in a cube of [d] (of [d]'s
     complement when [phase] is [false]). *)
 
+val f1_indices :
+  ?phase:bool ->
+  Logic_network.Network.t ->
+  f:Logic_network.Network.node_id ->
+  d:Logic_network.Network.node_id ->
+  int list
+(** The indices, in [f]'s cover, of the cubes contained in a cube of [d]
+    (of [d]'s complement when [phase] is [false]): the region [f1] that
+    {!divide} moves into the quotient. [[]] when {!applicable} fails. *)
+
 val divide :
   ?phase:bool ->
   ?gdc:bool ->
@@ -46,6 +56,7 @@ val divide :
   ?budget:Rar_util.Budget.t ->
   ?counters:Rar_util.Counters.t ->
   ?dc:Logic_network.Dont_care.t ->
+  ?f1:int list ->
   Logic_network.Network.t ->
   f:Logic_network.Network.node_id ->
   d:Logic_network.Network.node_id ->
@@ -58,7 +69,9 @@ val divide :
     failing (flagged in {!outcome.degraded}). [dc] lets the removal step
     also exploit external don't cares (see {!Rewiring.Remove.run}), so
     the quotient can shrink further; the result is then only guaranteed
-    equivalent modulo the DC view. *)
+    equivalent modulo the DC view. [f1], when given, must be what
+    {!f1_indices} returns for the same network and arguments; it saves
+    the caller that already computed it a second SOS test. *)
 
 val try_divide :
   ?phase:bool ->

@@ -1,6 +1,7 @@
 open Twolevel
 module Network = Logic_network.Network
 module Lit_count = Logic_network.Lit_count
+module Lit_floor = Logic_network.Lit_floor
 
 type outcome = {
   core_cubes : int;
@@ -110,6 +111,27 @@ let may_vote net ~f ~pool =
            (Net_cube.of_node net m))
     pool
 
+(* Whether dividing [f] by [d] on [scratch] (a copy of [net] holding the
+   materialised core) can still leave a positive total gain. [divide]
+   changes only [f]: its quotient node is added and collapsed away
+   again. The final [f] keeps every cube outside [f1], renamed
+   injectively, except those the collapse's single-cube containment
+   drops. A cube [q_i·d] the collapse adds contains a kept cube only
+   when [q_i] is the top cube and the kept cube holds [d]'s literal,
+   which needs [d] to be a fanin of [f] already. *)
+let may_pay net scratch ~f ~d ~f1 =
+  let cover = Network.cover scratch f in
+  let in_f1 = Array.make (Cover.cube_count cover) false in
+  List.iter (fun i -> in_f1.(i) <- true) f1;
+  let rest = List.filteri (fun i _ -> not in_f1.(i)) (Cover.cubes cover) in
+  let absorber =
+    Option.map Literal.pos
+      (Array.find_index (( = ) d) (Network.fanins scratch f))
+  in
+  Lit_count.factored_delta net scratch + Factor.count cover
+  - Lit_floor.remainder ?absorber rest
+  > 0
+
 let try_run ?gdc ?learn_depth ?budget ?counters ?dc net ~f ~pool =
   if not (may_vote net ~f ~pool) then None
   else begin
@@ -134,18 +156,21 @@ let try_run ?gdc ?learn_depth ?budget ?counters ?dc net ~f ~pool =
       | None -> None
       | Some { members; core } ->
         let core_node, decomposed = materialise_core scratch core in
-        let divided =
-          Basic_division.divide ?gdc ?learn_depth ?budget ?counters ?dc scratch
-            ~f ~d:core_node
-        in
-        let cleanup_ok =
-          match divided with
-          | Some _ -> true
-          | None ->
-            (* Division refused after materialisation: reject the attempt. *)
-            false
-        in
-        if not cleanup_ok then None
+        let f1 = Basic_division.f1_indices scratch ~f ~d:core_node in
+        if f1 = [] then
+          (* Division refused after materialisation: reject the attempt. *)
+          None
+        else if not (may_pay net scratch ~f ~d:core_node ~f1) then begin
+          Option.iter
+            (fun c -> Rar_util.Counters.add c.Rar_util.Counters.floor_rejects 1)
+            counters;
+          None
+        end
+        else if
+          Option.is_none
+            (Basic_division.divide ?gdc ?learn_depth ?budget ?counters ?dc ~f1
+               scratch ~f ~d:core_node)
+        then None
         else begin
           let gain = Lit_count.factored_delta net scratch in
           if gain > 0 then begin

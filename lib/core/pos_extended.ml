@@ -1,6 +1,7 @@
 open Twolevel
 module Network = Logic_network.Network
 module Lit_count = Logic_network.Lit_count
+module Counters = Rar_util.Counters
 
 type outcome = {
   core_sum_terms : int;
@@ -47,7 +48,8 @@ let install net id cover_over_node_ids =
   in
   Network.set_function net id ~fanins (Cover.map_vars slot cover_over_node_ids)
 
-let try_run ?(complement_limit = default_complement_limit) net ~f ~pool =
+let try_run ?(complement_limit = default_complement_limit) ?counters net ~f
+    ~pool =
   let pool =
     List.filter
       (fun d ->
@@ -127,10 +129,19 @@ let try_run ?(complement_limit = default_complement_limit) net ~f ~pool =
             (id, d, c))
           pool_not
       in
-      match
-        Extended_division.try_run mini ~f:f_mini
+      (* The complement-domain run tallies into a private record: only its
+         floor rejections are the caller's. *)
+      let mini_counters = Counters.create () in
+      let mini_run =
+        Extended_division.try_run ~counters:mini_counters mini ~f:f_mini
           ~pool:(List.map (fun (id, _, _) -> id) pool_mini)
-      with
+      in
+      Option.iter
+        (fun c ->
+          Counters.add c.Counters.floor_rejects
+            (Atomic.get mini_counters.Counters.floor_rejects))
+        counters;
+      match mini_run with
       | None -> None
       | Some ext ->
         (* Rebuild the real network on a scratch copy. *)

@@ -2,6 +2,7 @@ open Twolevel
 module Network = Logic_network.Network
 module Fanin_cache = Logic_network.Fanin_cache
 module Lit_count = Logic_network.Lit_count
+module Lit_floor = Logic_network.Lit_floor
 module Signature = Logic_sim.Signature
 module Counters = Rar_util.Counters
 module Budget = Rar_util.Budget
@@ -105,11 +106,14 @@ let rank_divisors ~counters ~cache ?sigs net f ~use_complement ~limit =
 
 let pos_cube_limit = 64
 
-(* POS substitution at the cover level: lift f and d into a shared fanin
-   space, divide in product-of-sums form, and rebuild f's SOP cover as
-   (q + d)·r with d as a literal. The identity is algebraic on covers, so
-   no implication machinery is involved. *)
-let substitute_pos net ~f ~d =
+(* POS substitution at the cover level: lift d into f's fanin space
+   extended by d's other fanins, divide in product-of-sums form, and
+   rebuild f's SOP cover as (q + d)·r with d as a literal. The identity
+   is algebraic on covers, so no implication machinery is involved. The
+   literal floor rejects most attempts before the complements are taken,
+   and the gain is decided on the normalised cover the network would
+   store, so a failing attempt never mutates it. *)
+let substitute_pos ?counters net ~f ~d =
   if
     f = d
     || Network.is_input net f
@@ -117,50 +121,54 @@ let substitute_pos net ~f ~d =
     || Network.depends_on net d f
   then false
   else begin
-    let f_fanins = Network.fanins net f in
-    let d_fanins = Network.fanins net d in
-    (* f's fanins, then d's that f lacks, each in its own order. *)
-    let slots = Hashtbl.create 16 and order = ref [] in
-    let add x =
-      if not (Hashtbl.mem slots x) then begin
-        Hashtbl.add slots x (Hashtbl.length slots);
-        order := x :: !order
-      end
-    in
-    Array.iter add f_fanins;
-    Array.iter add d_fanins;
-    let combined = Array.of_list (List.rev !order) in
-    let slot_of = Hashtbl.find slots in
-    let f_lift =
-      Cover.map_vars (fun v -> slot_of f_fanins.(v)) (Network.cover net f)
-    in
-    let d_lift =
-      Cover.map_vars (fun v -> slot_of d_fanins.(v)) (Network.cover net d)
-    in
-    match
-      Division.basic_pos ~complement_limit:pos_cube_limit ~f:f_lift ~d:d_lift ()
-    with
-    | None -> false
-    | Some { pos_quotient; pos_remainder } ->
-      let d_slot = Array.length combined in
-      let d_lit = Cover.of_cubes [ Cube.of_literals_exn [ Literal.pos d_slot ] ] in
-      let rebuilt =
-        Cover.product (Cover.union pos_quotient d_lit) pos_remainder
+    let before_lits = Lit_count.node_factored net f in
+    if Lit_floor.pos net ~f ~d >= before_lits then begin
+      Option.iter (fun c -> Counters.add c.Counters.floor_rejects 1) counters;
+      false
+    end
+    else begin
+      let f_fanins = Network.fanins net f in
+      let d_fanins = Network.fanins net d in
+      (* f's fanins, then d's that f lacks, each in its own order. f's
+         fanins are distinct, so each keeps its own slot. *)
+      let slots = Hashtbl.create 16 and order = ref [] in
+      let add x =
+        if not (Hashtbl.mem slots x) then begin
+          Hashtbl.add slots x (Hashtbl.length slots);
+          order := x :: !order
+        end
       in
-      if Cover.cube_count rebuilt > pos_cube_limit then false
-      else begin
-        let before_cover = Network.cover net f in
-        let before_lits = Lit_count.node_factored net f in
-        let new_fanins = Array.append combined [| d |] in
-        match Network.set_function net f ~fanins:new_fanins rebuilt with
+      Array.iter add f_fanins;
+      Array.iter add d_fanins;
+      let combined = Array.of_list (List.rev !order) in
+      let slot_of = Hashtbl.find slots in
+      let d_lift =
+        Cover.map_vars (fun v -> slot_of d_fanins.(v)) (Network.cover net d)
+      in
+      match
+        Division.basic_pos ~complement_limit:pos_cube_limit
+          ~f:(Network.cover net f) ~d:d_lift ()
+      with
+      | None -> false
+      | Some { pos_quotient; pos_remainder } ->
+        let d_slot = Array.length combined in
+        let d_lit =
+          Cover.of_cubes [ Cube.of_literals_exn [ Literal.pos d_slot ] ]
+        in
+        let rebuilt =
+          Cover.product (Cover.union pos_quotient d_lit) pos_remainder
+        in
+        let fanins = Array.append combined [| d |] in
+        Cover.cube_count rebuilt <= pos_cube_limit
+        && Factor.count (snd (Network.normalise ~fanins ~cover:rebuilt))
+           < before_lits
+        &&
+        (* [set_function] stores exactly [normalise]'s pair, and [d] does
+           not depend on [f], so no cycle can form. *)
+        match Network.set_function net f ~fanins rebuilt with
         | exception Network.Cyclic _ -> false
-        | () ->
-          if Lit_count.node_factored net f < before_lits then true
-          else begin
-            Network.set_function net f ~fanins:f_fanins before_cover;
-            false
-          end
-      end
+        | () -> true
+    end
   end
 
 (* One work unit of the greedy policy for a node f: the extended-division
@@ -254,7 +262,7 @@ let make_attempts ~config ?fault_fuel ?deadline_at ~trace ~counters ~sigs
     else
       Counters.timed counters `Division @@ fun () ->
       Counters.add counters.Counters.divisions_attempted 1;
-      if substitute_pos net ~f ~d then begin
+      if substitute_pos ~counters net ~f ~d then begin
         committed `Pos;
         true
       end
@@ -277,7 +285,7 @@ let make_attempts ~config ?fault_fuel ?deadline_at ~trace ~counters ~sigs
       true
     | None ->
       if config.try_pos then begin
-        match Pos_extended.try_run net ~f ~pool with
+        match Pos_extended.try_run ~counters net ~f ~pool with
         | Some _ ->
           committed `Pos;
           true

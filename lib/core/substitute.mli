@@ -106,9 +106,13 @@ val run :
     events. Worker domains never emit. *)
 
 val substitute_pos :
+  ?counters:Rar_util.Counters.t ->
   Logic_network.Network.t ->
   f:Logic_network.Network.node_id ->
   d:Logic_network.Network.node_id ->
   bool
 (** One POS-form substitution attempt [f = (q + d)·r], committed on
-    positive factored gain. Exposed for the examples and tests. *)
+    positive factored gain; the network is mutated only on a commit.
+    An attempt {!Logic_network.Lit_floor.pos} proves unable to pay is
+    rejected before any complement is taken and tallied in [counters]'
+    [floor_rejects]. Exposed for the examples and tests. *)

@@ -151,7 +151,19 @@ let remap ~fanins ~cover support =
     support;
   let fanins' = Array.of_list (List.map snd (List.rev !kept)) in
   let cover' = Cover.rename_vars (fun v -> Hashtbl.find mapping v) cover in
-  (fanins', cover')
+  (* Merging duplicates can make a cube contradictory (x·x'), and
+     [rename_vars] drops it, so a kept fanin may no longer be named:
+     keep only the slots the renamed cover still names. *)
+  if Array.length fanins' = List.length support then (fanins', cover')
+  else
+    let named = Cover.support cover' in
+    if List.length named = Array.length fanins' then (fanins', cover')
+    else begin
+      let slot = Array.make (Array.length fanins') (-1) in
+      List.iteri (fun i v -> slot.(v) <- i) named;
+      ( Array.of_list (List.map (fun v -> fanins'.(v)) named),
+        Cover.rename_vars (fun v -> slot.(v)) cover' )
+    end
 
 (* When the fanins are distinct and the sorted support is exactly
    [0 .. k-1] ([k] entries, the last below [k]), the remap is the
@@ -430,11 +442,18 @@ let check t =
       | Input -> ()
       | Logic l ->
         let nvars = Array.length l.fanins in
+        let named = Array.make nvars false in
         List.iter
           (fun v ->
             if v < 0 || v >= nvars then
-              fail "node %d: cover variable %d out of range" id v)
+              fail "node %d: cover variable %d out of range" id v;
+            named.(v) <- true)
           (Cover.support l.cover);
+        Array.iteri
+          (fun v f ->
+            if not named.(v) then
+              fail "node %d: fanin %d not named by the cover" id f)
+          l.fanins;
         Array.iter
           (fun f ->
             if not (mem t f) then fail "node %d: dangling fanin %d" id f;

@@ -70,6 +70,16 @@ val retarget_outputs : t -> from_node:node_id -> to_node:node_id -> unit
 (** Redirect every primary output driven by [from_node] to [to_node]
     (used when merging functionally identical nodes). *)
 
+val normalise :
+  fanins:node_id array -> cover:Twolevel.Cover.t ->
+  node_id array * Twolevel.Cover.t
+(** The fanins and cover {!add_logic} and {!set_function} store for the
+    given ones: duplicate fanins merged (cubes this makes contradictory
+    dropped), then every fanin the resulting cover does not name
+    dropped, the variables renumbered to the kept fanins' positions. A
+    pair that is already normal comes back with its cover physically
+    unchanged. *)
+
 val set_function : t -> node_id -> fanins:node_id array -> Twolevel.Cover.t -> unit
 (** Replace a logic node's fanins and cover (same normalisation as
     {!add_logic}); fanout links are maintained. The node must be a logic
@@ -176,8 +186,9 @@ val eval_outputs : t -> (node_id -> bool) -> (string * bool) list
 (** {1 Invariants and printing} *)
 
 val check : t -> unit
-(** Validate all structural invariants (link symmetry, cover support within
-    fanins, acyclicity, outputs exist). @raise Failure with a diagnostic
+(** Validate all structural invariants (link symmetry, distinct fanins
+    each named by the cover, cover support within fanins, acyclicity,
+    outputs exist). @raise Failure with a diagnostic
     when an invariant is broken. *)
 
 val to_string : t -> string

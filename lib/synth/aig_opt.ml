@@ -457,12 +457,16 @@ let optimize ?(config = default_config) ?(trace = Trace.disabled) ?counters
   in
   if Trace.enabled trace then
     Trace.emit trace "aig_opt"
-      [
+      ([
         ("gates_before", Trace.Int stats.gates_before);
         ("gates_after", Trace.Int stats.gates_after);
         ("windows", Trace.Int stats.windows);
         ("accepted", Trace.Int stats.accepted);
         ("reverted", Trace.Int stats.reverted);
         ("skipped", Trace.Int stats.skipped);
-      ];
+      ]
+      @ Option.fold ~none:[]
+          ~some:(fun c ->
+            [ ("counters", Trace.Raw (Rar_util.Counters.to_json c)) ])
+          counters);
   (result, stats)

@@ -72,4 +72,5 @@ val optimize :
     (the input is not mutated — it is compacted into a working copy
     first). [trace] receives [aig_window] events (pivot, gates, leaves,
     outcome) and an [aig_opt] summary; [counters] accumulates division
-    tallies across all windows. *)
+    tallies across all windows, and its snapshot rides on the summary
+    as [counters]. *)

@@ -11,17 +11,42 @@ end
 
 module Tbl = Hashtbl.Make (Key)
 
-type 'a t = { cap : int; table : 'a Tbl.t Domain.DLS.key }
+(* Two generations per domain: new entries go to [young]; when it is
+   full it becomes [old], and the previous [old], emptied, becomes the
+   new [young]. A key inserted up to [cap] insertions before the last
+   turnover is still found. A hit in [old] is promoted into [young]. *)
+type 'a gens = { mutable young : 'a Tbl.t; mutable old : 'a Tbl.t }
 
-let create ~cap = { cap; table = Domain.DLS.new_key (fun () -> Tbl.create cap) }
+type 'a t = { cap : int; gens : 'a gens Domain.DLS.key }
+
+let create ~cap =
+  {
+    cap;
+    gens =
+      Domain.DLS.new_key (fun () ->
+          { young = Tbl.create cap; old = Tbl.create cap });
+  }
+
+let add t g key v =
+  if Tbl.length g.young >= t.cap then begin
+    let spent = g.old in
+    Tbl.clear spent;
+    g.old <- g.young;
+    g.young <- spent
+  end;
+  Tbl.add g.young key v
 
 let find_or_add t tag cover compute =
-  let tbl = Domain.DLS.get t.table in
+  let g = Domain.DLS.get t.gens in
   let key = (tag, cover) in
-  match Tbl.find_opt tbl key with
+  match Tbl.find_opt g.young key with
   | Some v -> v
-  | None ->
-    let v = compute () in
-    if Tbl.length tbl >= t.cap then Tbl.reset tbl;
-    Tbl.add tbl key v;
-    v
+  | None -> (
+    match Tbl.find_opt g.old key with
+    | Some v ->
+      add t g key v;
+      v
+    | None ->
+      let v = compute () in
+      add t g key v;
+      v)

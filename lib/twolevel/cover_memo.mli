@@ -8,16 +8,20 @@
     complement size limit, say) and is [0] when there is only one.
 
     Each domain gets its own table ([Domain.DLS]), so parallel workers
-    need no locking and can never observe each other's entries. A table
-    is emptied wholesale when it reaches its cap, which bounds its
-    memory whatever the workload. Only pure functions belong here: a hit
-    must return exactly what the computation would have, so caching
-    never changes a result. *)
+    need no locking and can never observe each other's entries. Each
+    domain keeps two generations of at most [cap] entries. New entries
+    go into the young one; when it is full it becomes the old one and
+    the previous old one is emptied, so memory stays bounded whatever
+    the workload while a key reused soon after a turnover is still
+    found. A hit in the old generation is promoted into the young one.
+    Only pure functions belong here: a hit must return exactly what the
+    computation would have, so caching never changes a result. *)
 
 type 'a t
 
 val create : cap:int -> 'a t
-(** A memo whose per-domain table holds at most [cap] entries. *)
+(** A memo whose per-domain generations hold at most [cap] entries
+    each. *)
 
 val find_or_add : 'a t -> int -> Cover.t -> (unit -> 'a) -> 'a
 (** [find_or_add t tag cover compute] returns the value cached under

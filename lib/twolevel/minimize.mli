@@ -40,6 +40,6 @@ val complement : limit:int -> Cover.t -> Cover.t option
     [Option.map simplify (Complement.cover_limited ~limit c)]: the
     minimised complement, [None] when the Shannon complement exceeds
     [limit] cubes. Results are memoised per domain in a small table
-    keyed on [(limit, c)] ({!Cover_memo}), emptied when it reaches 64
-    entries; since the function is pure, a hit returns exactly what the
+    keyed on [(limit, c)] ({!Cover_memo}, two generations of 64
+    entries); since the function is pure, a hit returns exactly what the
     computation would. *)

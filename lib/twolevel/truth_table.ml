@@ -129,3 +129,24 @@ let supercube t =
       t.vars;
     Some (Cube.of_literals_exn !lits)
   end
+
+(* The function depends on position [i] iff its two cofactors there
+   differ: inside a chunk, the minterms with bit [i] set, shifted onto
+   their partners; across chunks, each chunk against its partner. *)
+let depends t i =
+  let chunks = t.chunks in
+  if i < low_vars then begin
+    let p = low_pattern.(i) and shift = 1 lsl i in
+    Array.exists (fun x -> (x land p) lsr shift <> x land (full lxor p)) chunks
+  end
+  else begin
+    let bit = 1 lsl (i - low_vars) in
+    let rec from k =
+      k < Array.length chunks
+      && ((k land bit = 0 && chunks.(k) <> chunks.(k lor bit)) || from (k + 1))
+    in
+    from 0
+  end
+
+let support t =
+  List.filteri (fun i _ -> depends t i) (Array.to_list t.vars)

@@ -43,3 +43,6 @@ val diff : t -> t -> t
 val supercube : t -> Cube.t option
 (** The smallest cube that contains the function: it keeps a literal [x]
     exactly when the onset lies inside [x]. [None] for the constant 0. *)
+
+val support : t -> int list
+(** The variables of the space the function depends on, ascending. *)

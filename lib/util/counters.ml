@@ -18,6 +18,7 @@ type t = {
   imply_checkpoints : int Atomic.t;
   speculative_wasted : int Atomic.t;
   degradations : int Atomic.t;
+  floor_rejects : int Atomic.t;
   passes : int Atomic.t;
   kresub_candidates : int Atomic.t;
   kresub_validated : int Atomic.t;
@@ -43,6 +44,7 @@ let create () =
     imply_checkpoints = Atomic.make 0;
     speculative_wasted = Atomic.make 0;
     degradations = Atomic.make 0;
+    floor_rejects = Atomic.make 0;
     passes = Atomic.make 0;
     kresub_candidates = Atomic.make 0;
     kresub_validated = Atomic.make 0;
@@ -86,6 +88,7 @@ let accumulate dst src =
   add dst.imply_checkpoints (Atomic.get src.imply_checkpoints);
   add dst.speculative_wasted (Atomic.get src.speculative_wasted);
   add dst.degradations (Atomic.get src.degradations);
+  add dst.floor_rejects (Atomic.get src.floor_rejects);
   (let p = Atomic.get src.passes in
    if p > Atomic.get dst.passes then Atomic.set dst.passes p);
   add dst.kresub_candidates (Atomic.get src.kresub_candidates);
@@ -120,9 +123,9 @@ let to_string t =
   Printf.sprintf
     "pairs %d (filtered %d), divisions %d (passes %d: [%s]), substitutions \
      %d, memo %d hits / %d misses, imply %d creates / %d refreshes / %d \
-     resets / %d checkpoints, speculative %d wasted, degradations %d, kresub %d \
-     candidates / %d validated / %d refinements, filter %.2fs, \
-     division %.2fs, speculative %.2fs, validation %.2fs"
+     resets / %d checkpoints, speculative %d wasted, degradations %d, floor \
+     rejects %d, kresub %d candidates / %d validated / %d refinements, \
+     filter %.2fs, division %.2fs, speculative %.2fs, validation %.2fs"
     (Atomic.get t.pairs_considered)
     (Atomic.get t.pairs_filtered)
     (Atomic.get t.divisions_attempted)
@@ -136,6 +139,7 @@ let to_string t =
     (Atomic.get t.imply_checkpoints)
     (Atomic.get t.speculative_wasted)
     (Atomic.get t.degradations)
+    (Atomic.get t.floor_rejects)
     (Atomic.get t.kresub_candidates)
     (Atomic.get t.kresub_validated)
     (Atomic.get t.kresub_refinements)
@@ -153,7 +157,7 @@ let to_json t =
      \"imply_resets\": %d, \
      \"imply_checkpoints\": %d, \
      \"speculative_wasted\": %d, \"degradations\": %d, \
-     \"passes\": %d, \"pass_divisions\": [%s], \
+     \"floor_rejects\": %d, \"passes\": %d, \"pass_divisions\": [%s], \
      \"kresub_candidates\": %d, \"kresub_validated\": %d, \
      \"kresub_refinements\": %d, \
      \"filter_seconds\": %.6f, \"division_seconds\": %.6f, \
@@ -169,6 +173,7 @@ let to_json t =
     (Atomic.get t.imply_checkpoints)
     (Atomic.get t.speculative_wasted)
     (Atomic.get t.degradations)
+    (Atomic.get t.floor_rejects)
     (Atomic.get t.passes)
     (pass_divisions_string t)
     (Atomic.get t.kresub_candidates)

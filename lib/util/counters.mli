@@ -44,6 +44,10 @@ type t = {
       (** budget exhaustions absorbed by falling back to a weaker result
           (redundancy scan cut short, vote table truncated, unit
           skipped) instead of aborting the run *)
+  floor_rejects : int Atomic.t;
+      (** division attempts rejected before their expensive step because
+          an exact literal floor ([Lit_floor]) proved
+          they could not pay *)
   passes : int Atomic.t;  (** fixpoint passes executed by the driver *)
   kresub_candidates : int Atomic.t;
       (** resubstitution candidates constructed from signatures by the

@@ -5,6 +5,7 @@ open Twolevel
 module Network = Logic_network.Network
 module Builder = Logic_network.Builder
 module Lit_count = Logic_network.Lit_count
+module Lit_floor = Logic_network.Lit_floor
 module Equiv = Logic_sim.Equiv
 module Division = Booldiv.Division
 module Basic_division = Booldiv.Basic_division
@@ -704,6 +705,476 @@ let test_prechecks_exact () =
     (!rejected_ext > 0 && !rejected_neg > 0);
   Alcotest.(check bool) "some pools voted" true (!voted > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Literal floors against frozen copies                                *)
+(* ------------------------------------------------------------------ *)
+
+(* POS substitution and extended division as they were before the
+   literal floors: every attempt ran to its gain test, and a failing POS
+   attempt set f's function and restored it. *)
+module Oracle = struct
+  module Vote = Booldiv.Vote
+  module Clique = Booldiv.Clique
+  module Net_cube = Booldiv.Net_cube
+
+  let may_vote = Booldiv.Extended_division.may_vote
+
+  let pos_cube_limit = 64
+
+  let substitute_pos net ~f ~d =
+    if
+      f = d
+      || Network.is_input net f
+      || Network.is_input net d
+      || Network.depends_on net d f
+    then false
+    else begin
+      let f_fanins = Network.fanins net f in
+      let d_fanins = Network.fanins net d in
+      let slots = Hashtbl.create 16 and order = ref [] in
+      let add x =
+        if not (Hashtbl.mem slots x) then begin
+          Hashtbl.add slots x (Hashtbl.length slots);
+          order := x :: !order
+        end
+      in
+      Array.iter add f_fanins;
+      Array.iter add d_fanins;
+      let combined = Array.of_list (List.rev !order) in
+      let slot_of = Hashtbl.find slots in
+      let f_lift =
+        Cover.map_vars (fun v -> slot_of f_fanins.(v)) (Network.cover net f)
+      in
+      let d_lift =
+        Cover.map_vars (fun v -> slot_of d_fanins.(v)) (Network.cover net d)
+      in
+      match
+        Division.basic_pos ~complement_limit:pos_cube_limit ~f:f_lift ~d:d_lift ()
+      with
+      | None -> false
+      | Some { pos_quotient; pos_remainder } ->
+        let d_slot = Array.length combined in
+        let d_lit = Cover.of_cubes [ Cube.of_literals_exn [ Literal.pos d_slot ] ] in
+        let rebuilt =
+          Cover.product (Cover.union pos_quotient d_lit) pos_remainder
+        in
+        if Cover.cube_count rebuilt > pos_cube_limit then false
+        else begin
+          let before_cover = Network.cover net f in
+          let before_lits = Lit_count.node_factored net f in
+          let new_fanins = Array.append combined [| d |] in
+          match Network.set_function net f ~fanins:new_fanins rebuilt with
+          | exception Network.Cyclic _ -> false
+          | () ->
+            if Lit_count.node_factored net f < before_lits then true
+            else begin
+              Network.set_function net f ~fanins:f_fanins before_cover;
+              false
+            end
+        end
+    end
+
+  let distinct_sources core = List.sort_uniq Int.compare (List.map fst core)
+
+  (* Expose the core divisor as a node of [net]; returns the node and
+     whether an existing divisor node was decomposed into core + rest. *)
+  let materialise_core net core =
+    match distinct_sources core with
+    | [ m ] when List.length core = Cover.cube_count (Network.cover net m) ->
+      (* The whole node was chosen: plain basic division against m. *)
+      (m, false)
+    | [ m ] ->
+      let m_fanins = Network.fanins net m in
+      let m_cubes = Array.of_list (Cover.cubes (Network.cover net m)) in
+      let selected = List.map snd core in
+      let core_cover =
+        Cover.of_cubes (List.map (fun j -> m_cubes.(j)) selected)
+      in
+      let g =
+        Network.add_logic net
+          ~name:(Network.fresh_name net (Network.name net m ^ "_core"))
+          ~fanins:m_fanins core_cover
+      in
+      (* Decompose m = core + rest (the paper's divisor decomposition). *)
+      let rest =
+        List.filteri (fun j _ -> not (List.mem j selected))
+          (Array.to_list m_cubes)
+      in
+      let slot = Array.length m_fanins in
+      Network.set_function net m
+        ~fanins:(Array.append m_fanins [| g |])
+        (Cover.of_cubes (Cube.of_literals_exn [ Literal.pos slot ] :: rest));
+      (g, true)
+    | sources ->
+      (* Cubes from several nodes: build a fresh node over the union of the
+         referenced signals. *)
+      let global_cubes =
+        List.sort_uniq Net_cube.compare
+          (List.map (fun (m, j) -> Net_cube.of_cube_index net m j) core)
+      in
+      let signals =
+        List.sort_uniq Int.compare
+          (List.concat_map
+             (fun c -> List.map fst (Net_cube.signals c))
+             global_cubes)
+      in
+      let fanins = Array.of_list signals in
+      let slot_of =
+        let tbl = Hashtbl.create 8 in
+        Array.iteri (fun i id -> Hashtbl.replace tbl id i) fanins;
+        Hashtbl.find tbl
+      in
+      let cover =
+        Cover.of_cubes
+          (List.map
+             (fun c ->
+               Cube.of_literals_exn
+                 (List.map
+                    (fun (id, phase) -> Literal.make (slot_of id) phase)
+                    (Net_cube.signals c)))
+             global_cubes)
+      in
+      let g = Network.add_logic net ~name:(Network.fresh_name net "core") ~fanins cover in
+      (* Any source that contains the whole core as a subset of its own
+         cubes can be decomposed around it too, so the new node is shared
+         rather than duplicated logic. *)
+      let decomposed = ref false in
+      List.iter
+        (fun m ->
+          let m_cubes = Array.of_list (Cover.cubes (Network.cover net m)) in
+          let m_globals =
+            Array.mapi (fun j _ -> Net_cube.of_cube_index net m j) m_cubes
+          in
+          let inside c = Array.exists (Net_cube.equal c) m_globals in
+          if List.for_all inside global_cubes then begin
+            let rest =
+              List.filteri
+                (fun j _ ->
+                  not (List.exists (Net_cube.equal m_globals.(j)) global_cubes))
+                (Array.to_list m_cubes)
+            in
+            let m_fanins = Network.fanins net m in
+            let slot = Array.length m_fanins in
+            Network.set_function net m
+              ~fanins:(Array.append m_fanins [| g |])
+              (Cover.of_cubes (Cube.of_literals_exn [ Literal.pos slot ] :: rest));
+            decomposed := true
+          end)
+        sources;
+      (g, !decomposed)
+
+  let try_run ?gdc ?learn_depth ?budget ?counters ?dc net ~f ~pool =
+    if not (may_vote net ~f ~pool) then None
+    else begin
+      (* [dc] is name-based, so the view built against [net] stays valid on
+         the scratch copy (copies preserve names). *)
+      let scratch = Network.copy net in
+      let entries =
+        Vote.collect ?gdc ?learn_depth ?budget ?counters ?dc scratch ~f ~pool
+      in
+      let valid = Array.of_list (Vote.valid_entries entries) in
+      if Array.length valid = 0 then None
+      else begin
+        let candidates = Array.map (fun e -> e.Vote.candidates) valid in
+        let serves v core =
+          List.exists
+            (fun (m, j) ->
+              Net_cube.contained_by valid.(v).Vote.wire_cube
+                (Net_cube.of_cube_index scratch m j))
+            core
+        in
+        match Clique.best_core ~candidates ~serves with
+        | None -> None
+        | Some { Clique.members; core } ->
+          let core_node, decomposed = materialise_core scratch core in
+          let divided =
+            Basic_division.divide ?gdc ?learn_depth ?budget ?counters ?dc scratch
+              ~f ~d:core_node
+          in
+          let cleanup_ok =
+            match divided with
+            | Some _ -> true
+            | None ->
+              (* Division refused after materialisation: reject the attempt. *)
+              false
+          in
+          if not cleanup_ok then None
+          else begin
+            let gain = Lit_count.factored_delta net scratch in
+            if gain > 0 then begin
+              Network.overwrite net scratch;
+              Some
+                {
+                  Booldiv.Extended_division.core_cubes = List.length core;
+                  core_sources = List.length (distinct_sources core);
+                  expected_removals = List.length members;
+                  decomposed_divisor = decomposed;
+                  literal_gain = gain;
+                }
+            end
+            else None
+          end
+      end
+    end
+end
+
+(* The complement-domain network POS extended division builds: one input
+   per signal, and the minimised complements of the lifted covers of [f]
+   and the pool as nodes over them. *)
+let complement_domain net ~f ~pool =
+  let lifted id =
+    let fanins = Network.fanins net id in
+    Cover.map_vars (fun v -> fanins.(v)) (Network.cover net id)
+  in
+  let usable c = not (Cover.is_zero c || Cover.is_one c) in
+  match Minimize.complement ~limit:64 (lifted f) with
+  | Some f_not when usable f_not -> (
+    let pool_not =
+      List.filter_map
+        (fun d ->
+          match Minimize.complement ~limit:64 (lifted d) with
+          | Some c when usable c -> Some c
+          | Some _ | None -> None)
+        pool
+    in
+    match pool_not with
+    | [] -> None
+    | _ ->
+      let mini = Network.create () in
+      let input = Hashtbl.create 16 in
+      List.iter
+        (fun s ->
+          Hashtbl.replace input s (Network.add_input mini (Network.name net s)))
+        (List.sort_uniq Int.compare
+           (List.concat_map Cover.support (f_not :: pool_not)));
+      let add name c =
+        let support = Array.of_list (Cover.support c) in
+        let slot v =
+          Option.get (Array.find_index (Int.equal v) support)
+        in
+        let id =
+          Network.add_logic mini ~name
+            ~fanins:(Array.map (Hashtbl.find input) support)
+            (Cover.map_vars slot c)
+        in
+        Network.add_output mini name id;
+        id
+      in
+      let f_mini = add "f_not" f_not in
+      let pool_mini =
+        List.mapi (fun i c -> add (Printf.sprintf "d%d_not" i) c) pool_not
+      in
+      Some (mini, f_mini, pool_mini))
+  | Some _ | None -> None
+
+(* Networks to attempt divisions on: a mutated [Net_mutations] network,
+   or a planted one where divisions commit more often. *)
+let floor_network seed =
+  if seed mod 2 = 0 then begin
+    let rng, net = Net_mutations.initial seed in
+    Net_mutations.mutate rng net ~steps:15;
+    (rng, net)
+  end
+  else
+    ( Rar_util.Rng.create seed,
+      Generator.planted ~seed
+        {
+          inputs = 6;
+          noise_nodes = 3;
+          algebraic_plants = 1;
+          gdc_plants = 0;
+          boolean_plants = 1;
+          outputs = 3;
+        } )
+
+(* Run [oracle] and [current] on two copies of [net]: the verdicts, the
+   networks they leave and their id allocators must agree. *)
+let same_attempt what ~oracle ~current net =
+  let a = Network.copy net and b = Network.copy net in
+  let va = oracle a and vb = current b in
+  if va <> vb then Alcotest.failf "%s: verdicts differ" what;
+  if Network.to_string a <> Network.to_string b then
+    Alcotest.failf "%s: networks differ" what;
+  if Network.id_limit a <> Network.id_limit b then
+    Alcotest.failf "%s: id allocators differ" what;
+  va
+
+let test_floors_match_oracle () =
+  let counters = Rar_util.Counters.create () in
+  let pos_commits = ref 0 and ext_commits = ref 0 in
+  for seed = 1 to 120 do
+    let rng, net = floor_network seed in
+    let nodes = List.sort Int.compare (Network.logic_ids net) in
+    List.iter
+      (fun f ->
+        let others = List.filter (fun d -> d <> f) nodes in
+        List.iter
+          (fun d ->
+            if
+              same_attempt "substitute_pos"
+                ~oracle:(fun n -> Oracle.substitute_pos n ~f ~d)
+                ~current:(fun n ->
+                  Booldiv.Substitute.substitute_pos ~counters n ~f ~d)
+                net
+            then incr pos_commits)
+          nodes;
+        let pool =
+          List.filter (fun _ -> Rar_util.Rng.int rng 3 > 0) others
+        in
+        let ext net ~f ~pool =
+          if
+            same_attempt "try_run"
+              ~oracle:(fun n -> Oracle.try_run n ~f ~pool)
+              ~current:(fun n ->
+                Booldiv.Extended_division.try_run ~counters n ~f ~pool)
+              net
+            <> None
+          then incr ext_commits
+        in
+        ext net ~f ~pool;
+        match complement_domain net ~f ~pool with
+        | Some (mini, f_mini, pool_mini) -> ext mini ~f:f_mini ~pool:pool_mini
+        | None -> ())
+      nodes
+  done;
+  Alcotest.(check bool) "floors rejected attempts" true
+    (Atomic.get counters.Rar_util.Counters.floor_rejects > 0);
+  Alcotest.(check bool) "POS substitutions committed" true (!pos_commits > 0);
+  Alcotest.(check bool) "extended divisions committed" true (!ext_commits > 0)
+
+(* The cubes of [f] outside the SOS set of [d], and [d]'s literal in
+   [f]'s cover when [d] is a fanin of [f] already: the remainder floor's
+   arguments. *)
+let remainder_floor net ~f ~d f1 =
+  let absorber =
+    Option.map Literal.pos (Array.find_index (Int.equal d) (Network.fanins net f))
+  in
+  Lit_floor.remainder ?absorber
+    (List.filteri
+       (fun i _ -> not (List.mem i f1))
+       (Cover.cubes (Network.cover net f)))
+
+(* With [d] already a fanin of [f], the quotient can shrink to the top
+   cube, and the collapse's single-cube containment then absorbs every
+   remainder cube that holds [d]: here ady and dxy vanish into d, and f
+   falls from (a + x)(b + dy) to d + bx. Counting those cubes would put
+   the floor at 5, the count of f itself, and reject this winning
+   division. *)
+let test_remainder_floor_skips_absorbed_cubes () =
+  let net =
+    Builder.of_spec ~inputs:[ "a"; "b"; "x"; "y" ]
+      ~nodes:[ ("d", "ab"); ("f", "ab + ady + bx + dxy") ]
+      ~outputs:[ "f"; "d" ]
+  in
+  let f = Builder.node net "f" and d = Builder.node net "d" in
+  let f1 = Basic_division.f1_indices net ~f ~d in
+  Alcotest.(check int) "f before" 5 (Lit_count.node_factored net f);
+  Alcotest.(check int) "floor" 2 (remainder_floor net ~f ~d f1);
+  let gain =
+    same_attempt "absorbed remainder"
+      ~oracle:(fun n -> Oracle.try_run n ~f ~pool:[ d ])
+      ~current:(fun n -> Booldiv.Extended_division.try_run n ~f ~pool:[ d ])
+      net
+  in
+  Alcotest.(check (option int)) "extended division commits" (Some 2)
+    (Option.map (fun o -> o.Booldiv.Extended_division.literal_gain) gain)
+
+(* The cover a POS substitution of [f] by [d] would install, before
+   normalisation, when the division yields one. *)
+let pos_rebuilt net ~f ~d =
+  let f_fanins = Network.fanins net f and d_fanins = Network.fanins net d in
+  let combined =
+    Array.append f_fanins
+      (Array.of_list
+         (List.filter
+            (fun x -> not (Array.mem x f_fanins))
+            (Array.to_list d_fanins)))
+  in
+  let slot x = Option.get (Array.find_index (Int.equal x) combined) in
+  let d_lift =
+    Cover.map_vars (fun v -> slot d_fanins.(v)) (Network.cover net d)
+  in
+  Option.map
+    (fun { Division.pos_quotient; pos_remainder } ->
+      let y = Cube.of_literals_exn [ Literal.pos (Array.length combined) ] in
+      ( Array.append combined [| d |],
+        Cover.product
+          (Cover.union pos_quotient (Cover.of_cubes [ y ]))
+          pos_remainder ))
+    (Division.basic_pos ~complement_limit:64 ~f:(Network.cover net f)
+       ~d:d_lift ())
+
+(* Each floor is at most the factored count the attempt really leaves on
+   [f]: the POS floor against the rebuilt cover, the remainder floor
+   against [f] after {!Basic_division.divide}. *)
+let prop_floors_below_true_count =
+  QCheck2.Test.make ~name:"literal floors never exceed the true count"
+    ~count:60 ~print:string_of_int Net_mutations.gen_seed (fun seed ->
+      let _, net = floor_network seed in
+      let nodes = List.sort Int.compare (Network.logic_ids net) in
+      let pos_ok f d =
+        Network.depends_on net d f
+        ||
+        match pos_rebuilt net ~f ~d with
+        | None -> true
+        | Some (fanins, rebuilt) ->
+          Factor.count (snd (Network.normalise ~fanins ~cover:rebuilt))
+          >= Lit_floor.pos net ~f ~d
+      in
+      let remainder_ok f d =
+        match Basic_division.f1_indices net ~f ~d with
+        | [] -> true
+        | f1 -> (
+          let scratch = Network.copy net in
+          match Basic_division.divide scratch ~f ~d with
+          | None -> true
+          | Some _ ->
+            Lit_count.node_factored scratch f >= remainder_floor net ~f ~d f1)
+      in
+      List.for_all
+        (fun f ->
+          List.for_all
+            (fun d -> f = d || (pos_ok f d && remainder_ok f d))
+            nodes)
+        nodes)
+
+(* Functional support against brute-force cofactor comparison, on
+   sparse covers of up to 13 variables (the truth-table path up to 10,
+   the cofactor path above). *)
+let prop_functional_support =
+  let gen =
+    QCheck2.Gen.(
+      let* width = int_range 1 13 in
+      let* cubes =
+        list_size (int_range 0 5)
+          (list_size (int_range 1 4)
+             (let* v = int_range 0 (width - 1) in
+              let* phase = bool in
+              return (Literal.make (3 * v) phase)))
+      in
+      return (Cover.of_cubes (List.filter_map Cube.of_literals cubes)))
+  in
+  QCheck2.Test.make ~name:"functional support matches cofactor comparison"
+    ~count:200 ~print:Cover.to_string gen (fun c ->
+      let vars = Array.of_list (Cover.support c) in
+      let n = Array.length vars in
+      let depends v =
+        let rec any bits =
+          bits < 1 lsl n
+          && (let value phase x =
+                if x = v then phase
+                else
+                  let i = Option.get (Array.find_index (Int.equal x) vars) in
+                  bits land (1 lsl i) <> 0
+              in
+              Cover.eval (value true) c <> Cover.eval (value false) c
+              || any (bits + 1))
+        in
+        any 0
+      in
+      Lit_floor.functional_support c
+      = List.filter depends (Array.to_list vars))
+
 (* Random-graph clique laws. *)
 let prop_cliques_are_maximal_cliques =
   let gen =
@@ -855,6 +1326,10 @@ let () =
             test_degraded_run_preserves_equivalence;
           Alcotest.test_case "pre-checks are exact" `Quick
             test_prechecks_exact;
+          Alcotest.test_case "literal floors match the frozen attempts" `Quick
+            test_floors_match_oracle;
+          Alcotest.test_case "remainder floor skips absorbed cubes" `Quick
+            test_remainder_floor_skips_absorbed_cubes;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -871,5 +1346,7 @@ let () =
             prop_pos_extended_preserves;
             prop_cliques_are_maximal_cliques;
             prop_best_core_matches_frozen;
+            prop_floors_below_true_count;
+            prop_functional_support;
           ] );
     ]

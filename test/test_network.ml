@@ -86,6 +86,21 @@ let test_duplicate_fanin_merge () =
   Alcotest.(check int) "fanins merged" 1 (Array.length (Network.fanins net g));
   Alcotest.(check int) "one literal" 1 (Cover.literal_count (Network.cover net g))
 
+(* Merging the duplicate [i0] makes ab'c'd contradictory, and it was the
+   only cube naming [i4]: the node must not keep [i4] as a fanin (and
+   the fanout edge to it). *)
+let test_merge_drops_unnamed_fanin () =
+  let net = Network.create () in
+  let i = Array.init 5 (fun k -> Network.add_input net (Printf.sprintf "i%d" k)) in
+  let g0 = Network.add_logic net ~name:"g0" ~fanins:[| i.(1) |] (Parse.cover_default "a") in
+  Network.set_function net g0
+    ~fanins:[| i.(4); i.(0); i.(3); i.(0) |]
+    (Parse.cover_default "ab'c'd + bcd + b'c");
+  Alcotest.(check (array int)) "fanins" [| i.(0); i.(3) |] (Network.fanins net g0);
+  Alcotest.(check string) "cover" "ab + a'b" (Cover.to_string (Network.cover net g0));
+  Alcotest.(check int) "no fanout edge to i4" 0 (Network.fanout_count net i.(4));
+  Network.check net
+
 let test_topological () =
   let net = adder_net () in
   let order = Network.topological net in
@@ -569,7 +584,8 @@ let prop_factored_leq_flat =
 (* ------------------------------------------------------------------ *)
 
 (* The implementations the id-indexed node store replaced, kept here as
-   the reference the properties below compare against. *)
+   the reference the properties below compare against. [normalise] also
+   has the later fix that drops fanins merging leaves unnamed. *)
 module Frozen = struct
   let depends_on net n m =
     Network.Node_set.mem m (Network.transitive_fanin net [ n ])
@@ -606,8 +622,20 @@ module Frozen = struct
         in
         Hashtbl.replace mapping v slot)
       support;
-    ( Array.of_list (List.map snd (List.rev !kept)),
-      Cover.rename_vars (fun v -> Hashtbl.find mapping v) cover )
+    let fanins = Array.of_list (List.map snd (List.rev !kept)) in
+    let cover = Cover.rename_vars (fun v -> Hashtbl.find mapping v) cover in
+    (* Then keep only the fanins the merged cover still names: merging
+       duplicates can drop every cube that named one. *)
+    let named = Cover.support cover in
+    let position v =
+      let rec go i = function
+        | [] -> assert false
+        | w :: rest -> if w = v then i else go (i + 1) rest
+      in
+      go 0 named
+    in
+    ( Array.of_list (List.map (fun v -> fanins.(v)) named),
+      Cover.rename_vars position cover )
 
   (* The cycle guard's verdict: it ran over the normalised fanins, in
      order, and named the first one whose transitive fanin holds [id]. *)
@@ -832,6 +860,8 @@ let () =
           Alcotest.test_case "fanout tracking" `Quick test_fanout_tracking;
           Alcotest.test_case "cycle guard" `Quick test_set_function_cycle_guard;
           Alcotest.test_case "duplicate fanin merge" `Quick test_duplicate_fanin_merge;
+          Alcotest.test_case "merge drops an unnamed fanin" `Quick
+            test_merge_drops_unnamed_fanin;
           Alcotest.test_case "topological order" `Quick test_topological;
           Alcotest.test_case "copy and overwrite" `Quick test_copy_and_overwrite;
           Alcotest.test_case "node store edge ids" `Quick test_node_store_edges;
