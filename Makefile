@@ -6,11 +6,12 @@ all:
 test:
 	dune runtest
 
-# Scheduler soundness gate: every quick (circuit, method) cell must be
-# byte-identical across jobs in {1, 2, 8, max(4, cores)} with the
-# division memo on and off, the per-method literal totals must match
-# the pinned quick-suite figures (245/241/239/235/238), and the memo
-# must score hits when on and never tick when off.
+# Scheduler soundness gate: every quick (circuit, method) cell runs once
+# per variant (memo off, memo on with an empty don't-care view, memo off
+# with an empty view) and must be byte-identical to its memo-on,
+# no-view reference; the per-method literal totals must match the
+# pinned quick-suite figures (245/241/239/235/238), and the memo must
+# score hits when on and never tick when off.
 shardcheck:
 	dune exec bench/main.exe -- shardcheck quick
 
@@ -42,27 +43,26 @@ bench-service:
 
 # AIG backend gate: AIGER write/parse fixpoint, parse = compact, and
 # index-list round trips on the bundled .aag fixtures, then windowed
-# resubstitution at jobs in {1, 4} asserting byte-identical output,
+# resubstitution with the memo on and off asserting byte-identical output,
 # a never-increasing gate count, and simulation equivalence through
 # the Network bridge.
 aigcheck:
 	dune exec bench/main.exe -- aigcheck
 
-# External don't-care discipline gate: every quick (circuit, method)
-# cell run with an explicitly attached empty DC view must be
-# byte-identical to the DC-less reference across the jobs-x-memo grid
-# (pinned totals 245/241/239/235/238), DC runs on the bundled DC-rich
-# fixture must be deterministic across the same grid, and each Boolean
-# method must beat its literal-improvement floor on that fixture while
-# verifying equivalent modulo the view.
+# External don't-care discipline gate on the bundled DC-rich fixture:
+# every method's DC run must be byte-identical with the memo on and
+# off, and each Boolean method must beat its literal-improvement floor
+# while verifying equivalent modulo the view. (That an empty view is
+# invisible is shardcheck's.)
 dccheck:
-	dune exec bench/main.exe -- dccheck quick
+	dune exec bench/main.exe -- dccheck
 
 # Constructive k-resubstitution gate: every quick (circuit, method)
 # cell is verified with the BDD oracle (exact, not sampled), resub-k's
 # total meets the ext floor (<= 239), and its candidate-construction
-# CPU stays below ext's division CPU. Grid identity and the pinned
-# totals of every method, resub-k included, are shardcheck's.
+# CPU stays below ext's division CPU. Byte identity across memo and
+# empty-view variants and the pinned totals of every method, resub-k
+# included, are shardcheck's.
 kcheck:
 	dune exec bench/main.exe -- kcheck quick
 
@@ -72,7 +72,7 @@ kcheck:
 bench-aig:
 	dune exec bench/main.exe -- aig
 
-# Full local CI: build, tests, the shardcheck jobs-x-memo grid gate
+# Full local CI: build, tests, the shardcheck memo x empty-view gate
 # (pinned quick totals, memo activity), the degraded-run/trace gate,
 # the cube-kernel microbenchmark, the resident-
 # service miss/hit byte-identity gate, the AIG backend round-trip and
@@ -80,8 +80,8 @@ bench-aig:
 # gate, the constructive k-resub BDD-verify and floor gate, and the quick
 # machine-readable perf snapshot (writes BENCH_resub.json for cross-PR
 # trajectory tracking; fails if total cpu_seconds — including the
-# multi-pass script benchmark — regresses >20% vs the previous snapshot
-# at jobs=1).
+# multi-pass script benchmark — regresses >20% vs the previous
+# snapshot).
 ci:
 	dune build @all
 	dune runtest
@@ -90,7 +90,7 @@ ci:
 	dune exec bench/main.exe -- cubeops
 	dune exec bench/main.exe -- servicecheck quick
 	dune exec bench/main.exe -- aigcheck
-	dune exec bench/main.exe -- dccheck quick
+	dune exec bench/main.exe -- dccheck
 	dune exec bench/main.exe -- kcheck quick
 	dune exec bench/main.exe -- bench quick
 

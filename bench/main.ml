@@ -7,9 +7,9 @@
      main.exe table2 table5   run selected sections
      main.exe quick           tables on the small row subset only
      main.exe bench quick     write the BENCH_resub.json perf snapshot
-     main.exe shardcheck quick totals + memo gate across jobs x memo grid
+     main.exe shardcheck quick memo x empty-view identity + pinned totals
      main.exe tracecheck quick degraded-run + trace JSON-lines gate
-     main.exe dccheck quick   external don't-care discipline gate
+     main.exe dccheck         DC-rich fixture determinism + floors gate
      main.exe kcheck quick    constructive k-resub BDD-verify + floor gate
      main.exe cubeops         packed-kernel vs list-cube microbenchmark
      main.exe servicecheck quick  daemon miss/hit + byte-identity gate
@@ -19,13 +19,11 @@
    Sections: fig1 fig2 table1 fig4 table2 table3 table4 table5 ablation
    bech bench shardcheck tracecheck dccheck kcheck
    cubeops servicecheck service aigcheck aig
-   Options (key=value): jobs=N (bench parallelism, default 1, 0 = one per
-   core; snapshots at jobs=1 are gated >20%% CPU-regression against the
-   previous file, and jobs>1 snapshots >20%% wall-clock regression
-   against a previous snapshot taken at the same job count), sim-seed=N
-   (signature-filter seed), sim-words=N (signature vector size in 64-bit
-   words, recorded in the snapshot), clients=N (service bench
-   concurrency, default 8). *)
+   The bench snapshot fails on a >20%% CPU regression against the
+   previous file.
+   Options (key=value): sim-seed=N (signature-filter seed), sim-words=N
+   (signature vector size in 64-bit words, recorded in the snapshot),
+   clients=N (service bench concurrency, default 8). *)
 
 open Twolevel
 module Network = Logic_network.Network
@@ -631,14 +629,6 @@ let snapshot_first ~key path =
 let previous_total_cpu =
   snapshot_sum ~after:"\"totals\"" ~key:"\"cpu_seconds\": "
 
-let previous_total_wall =
-  snapshot_sum ~after:"\"totals\"" ~key:"\"wall_seconds\": "
-
-(* The job count the previous snapshot was taken at. Wall-clock figures
-   are only comparable between runs at equal parallelism. *)
-let previous_jobs path =
-  Option.map int_of_float (snapshot_first ~key:"\"jobs\": " path)
-
 (* The previous snapshot's summed script-benchmark fixpoint CPU: the
    "full_fixpoint_seconds" key appears only in the script_bench record. *)
 let previous_script_cpu =
@@ -810,96 +800,6 @@ let print_script_bench cells =
     cells
 
 (* ------------------------------------------------------------------ *)
-(* Late-pass wall-clock scaling across job counts                      *)
-(* ------------------------------------------------------------------ *)
-
-type scaling_cell = { sc_jobs : int; sc_wall : float }
-
-let scaling_jobs = [ 1; 2; 4; 8 ]
-
-(* The quantity the region scheduler targets: wall-clock of the
-   quiescence passes (full fixpoint minus the same run capped at one
-   pass) of both drivers, at each job count. Late passes commit little
-   or nothing, so their whole-dividend scans parallelise without
-   re-rounds; pass 1 is commit-heavy and stays near-sequential. *)
-let scaling_measure rows =
-  let late_wall jobs =
-    let once max_passes =
-      let wall = ref 0.0 in
-      List.iter
-        (fun row ->
-          let net = Suite.build row in
-          Synth.Script.run net Synth.Script.script_a;
-          let time f =
-            let (), span = Rar_util.Stopwatch.time_span f in
-            wall := !wall +. span.Rar_util.Stopwatch.wall_seconds
-          in
-          time (fun () ->
-              ignore
-                (Synth.Resub.run ~jobs ?max_passes (Network.copy net)));
-          time (fun () ->
-              let config =
-                {
-                  Booldiv.Substitute.extended_config with
-                  jobs;
-                  max_passes =
-                    (match max_passes with
-                    | Some n -> n
-                    | None ->
-                      Booldiv.Substitute.extended_config
-                        .Booldiv.Substitute.max_passes);
-                }
-              in
-              ignore (Booldiv.Substitute.run ~config (Network.copy net))))
-        rows;
-      !wall
-    in
-    let late () = Float.max 0.0 (once None -. once (Some 1)) in
-    (* min of two: wall clock is the noisiest figure we record. *)
-    let a = late () in
-    let b = late () in
-    Float.min a b
-  in
-  List.map (fun j -> { sc_jobs = j; sc_wall = late_wall j }) scaling_jobs
-
-let scaling_speedup cells =
-  let base = (List.find (fun c -> c.sc_jobs = 1) cells).sc_wall in
-  List.map
-    (fun c -> (c, if c.sc_wall > 0.0 then base /. c.sc_wall else 0.0))
-    cells
-
-(* Key names avoid the "cpu_seconds" / "wall_seconds" /
-   "full_fixpoint_seconds" substrings the regression parsers scan for. *)
-let scaling_json cells =
-  let cores = Domain.recommended_domain_count () in
-  Printf.sprintf "{\"host_cores\": %d, \"cells\": [%s]}" cores
-    (String.concat ", "
-       (List.map
-          (fun (c, speedup) ->
-            (* Oversubscribed cells measure scheduling luck, not the
-               scheduler: flag them so downstream diffs don't gate on
-               their wall-clock figures. *)
-            Printf.sprintf
-              "{\"jobs\": %d, \"late_pass_wall\": %.6f, \"speedup\": \
-               %.2f%s}"
-              c.sc_jobs c.sc_wall speedup
-              (if c.sc_jobs > cores then ", \"advisory\": true" else ""))
-          (scaling_speedup cells)))
-
-let print_scaling cells =
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "late-pass wall-clock scaling (%d host core(s)):\n" cores;
-  List.iter
-    (fun (c, speedup) ->
-      Printf.printf "  jobs=%d  %.3fs wall  speedup %.2fx\n" c.sc_jobs
-        c.sc_wall speedup)
-    (scaling_speedup cells);
-  if cores < 2 then
-    Printf.printf
-      "  single-core host: speedup figures are advisory (determinism \
-       still gated)\n"
-
-(* ------------------------------------------------------------------ *)
 (* DC-rich fixture shared by dccheck and the bench snapshot            *)
 (* ------------------------------------------------------------------ *)
 
@@ -962,34 +862,23 @@ let dc_json () =
    timing and filtered-pair counts mechanically. The "cpu_seconds" field
    is genuine processor time ([Sys.time]); "wall_seconds" is the
    elapsed-clock figure the label used to (mis)report. The regression
-   gate compares cpu_seconds, the load-insensitive one. At [jobs = 1] the
-   run is gated against the previous snapshot: total CPU more than 20%
-   above it, after scaling by the two runs' host probes, fails. *)
-let bench_json ?(path = "BENCH_resub.json") ?(jobs = 1) ?sim_seed ?sim_words
-    rows =
+   gate compares cpu_seconds, the load-insensitive one: total CPU more
+   than 20% above the previous snapshot's, after scaling by the two
+   runs' host probes, fails. *)
+let bench_json ?(path = "BENCH_resub.json") ?sim_seed ?sim_words rows =
   section "bench - machine-readable resub snapshot";
   let settings =
     let d = Synth.Script.default_settings in
     {
       d with
-      jobs;
       sim_seed = Option.value sim_seed ~default:d.sim_seed;
       sim_words = Option.value sim_words ~default:d.sim_words;
     }
   in
-  let baseline_cpu = if jobs = 1 then previous_total_cpu path else None in
-  let baseline_script = if jobs = 1 then previous_script_cpu path else None in
+  let baseline_cpu = previous_total_cpu path in
+  let baseline_script = previous_script_cpu path in
   let baseline_probe = previous_probe path in
   let baseline_script_probe = previous_script_probe path in
-  (* Parallel runs are gated on wall clock, the figure parallelism
-     actually improves — CPU time charges every domain and would punish
-     speculation. Only comparable against a snapshot at the same job
-     count. *)
-  let baseline_wall =
-    if jobs > 1 && previous_jobs path = Some jobs then
-      previous_total_wall path
-    else None
-  in
   let cubeops = cubeops_measure () in
   print_cubeops cubeops;
   (* Each timed section is bracketed by the probes before and after
@@ -1006,8 +895,6 @@ let bench_json ?(path = "BENCH_resub.json") ?(jobs = 1) ?sim_seed ?sim_words
   let script_cells = script_bench_measure rows in
   let script_probe = (!last_probe +. probe ()) /. 2.0 in
   print_script_bench script_cells;
-  let scaling_cells = scaling_measure rows in
-  print_scaling scaling_cells;
   last_probe := probe ();
   let cells =
     List.map
@@ -1094,18 +981,17 @@ let bench_json ?(path = "BENCH_resub.json") ?(jobs = 1) ?sim_seed ?sim_words
   in
   Buffer.add_string buffer
     (Printf.sprintf
-       "{\n  \"jobs\": %d,\n  \"sim_words\": %d,\n  \"probe_seconds\": %.6f,\n"
-       jobs settings.sim_words probe_seconds);
+       "{\n  \"sim_words\": %d,\n  \"probe_seconds\": %.6f,\n"
+       settings.sim_words probe_seconds);
   (* The cubeops and dc records must precede the "totals" marker: the
      regression parser above sums every "cpu_seconds" after it, and
      these figures deliberately use different key names. *)
   Buffer.add_string buffer
     (Printf.sprintf
-       "  \"cubeops\": %s,\n  \"script_bench\": %s,\n  \"scaling\": %s,\n  \
-        \"dc\": %s,\n  \"circuits\": [\n"
+       "  \"cubeops\": %s,\n  \"script_bench\": %s,\n  \"dc\": %s,\n  \
+        \"circuits\": [\n"
        (cubeops_json cubeops)
        (script_bench_json ~probe:script_probe script_cells)
-       (scaling_json scaling_cells)
        (dc_json ()));
   List.iteri
     (fun i (circuit, init, per_method) ->
@@ -1127,8 +1013,8 @@ let bench_json ?(path = "BENCH_resub.json") ?(jobs = 1) ?sim_seed ?sim_words
   let oc = open_out path in
   output_string oc (Buffer.contents buffer);
   close_out oc;
-  Printf.printf "\nwrote %s (%d circuits x %d methods, jobs=%d)\n" path
-    (List.length cells) (List.length method_names) jobs;
+  Printf.printf "\nwrote %s (%d circuits x %d methods)\n" path
+    (List.length cells) (List.length method_names);
   List.iter
     (fun (name, lits, (span : Rar_util.Stopwatch.span), ok, counters) ->
       Printf.printf "  %-8s %5d lits  %6.2fs cpu  %6.2fs wall  %s  [%s]\n" name
@@ -1149,63 +1035,49 @@ let bench_json ?(path = "BENCH_resub.json") ?(jobs = 1) ?sim_seed ?sim_words
   regression_gate ~label:"total cpu_seconds" ~speed:speed_cells
     ~previous:baseline_cpu
     (total (fun s -> s.Rar_util.Stopwatch.cpu_seconds));
-  regression_gate
-    ~label:(Printf.sprintf "total wall_seconds at jobs=%d" jobs)
-    ~speed:speed_cells ~previous:baseline_wall
-    (total (fun s -> s.Rar_util.Stopwatch.wall_seconds));
   regression_gate ~label:"multi-pass script benchmark cpu" ~speed:speed_script
     ~previous:baseline_script
     (List.fold_left (fun acc c -> acc +. c.sb_full_on) 0.0 script_cells)
 
 (* ------------------------------------------------------------------ *)
-(* The jobs x memo grid and per-cell helpers of the gates             *)
+(* The memo x empty-view variants and per-cell helpers of the gates   *)
 (* ------------------------------------------------------------------ *)
 
 (* The quick-suite per-method factored-literal totals after Script A.
    These are the seed's sequential figures; any drift means the
-   scheduler (or the shared memo under it) changed a result. *)
+   scheduler (or the memo under it) changed a result. *)
 let expected_quick_totals =
   [
     ("sis", 245); ("basic", 241); ("ext", 239); ("ext-gdc", 235);
     ("resub-k", 238);
   ]
 
-(* Every cell but the jobs=1 memo-on reference: jobs {1, 2, 8} and one
-   worker per core (at least 4), each with the division memo on and
-   off. *)
-let grid =
-  List.sort_uniq compare [ 1; 2; 8; max 4 (Rar_util.Pool.default_jobs ()) ]
-  |> List.concat_map (fun jobs -> [ (jobs, true); (jobs, false) ])
-  |> List.filter (( <> ) (1, true))
+(* Every run of a cell but the memo-on, no-view reference: memo off, and
+   both memo settings with an explicitly attached empty don't-care
+   view. *)
+type variant = { use_memo : bool; empty_view : bool }
 
-(* The reference run of one cell: jobs=1 with the memo on. *)
+let variants =
+  [
+    { use_memo = false; empty_view = false };
+    { use_memo = true; empty_view = true };
+    { use_memo = false; empty_view = true };
+  ]
+
+(* The reference run of one cell: memo on, no view. *)
 let reference_run ?dc ?counters meth net =
   let reference = Network.copy net in
   Synth.Script.resub_command ?dc ?counters meth reference;
   reference
 
-(* The grid cells at which [meth] on a copy of [net] is not
-   byte-identical to [reference]; [counters] picks each cell's tally
-   record by its memo setting. *)
-let grid_diverged ?dc ?(counters = fun _ -> Rar_util.Counters.create ())
-    ~reference meth net =
-  let ref_str = Network.to_string reference in
-  List.filter
-    (fun (jobs, use_memo) ->
-      let scratch = Network.copy net in
-      Synth.Script.resub_command
-        ~settings:{ Synth.Script.default_settings with jobs; use_memo }
-        ?dc
-        ~counters:(counters use_memo) meth scratch;
-      Network.to_string scratch <> ref_str)
-    grid
-
-let report_diverged ~failures ~label diverged =
-  if diverged <> [] then incr failures;
-  List.iter
-    (fun (jobs, use_memo) ->
-      Printf.printf "  %s DIVERGES at jobs=%d memo=%b\n" label jobs use_memo)
-    diverged
+(* Whether [meth] on a copy of [net] under [use_memo] (and [dc]) differs
+   from [reference] by a byte. *)
+let diverges ?dc ?counters ~use_memo ~reference meth net =
+  let scratch = Network.copy net in
+  Synth.Script.resub_command
+    ~settings:{ Synth.Script.default_settings with use_memo }
+    ?dc ?counters meth scratch;
+  not (String.equal (Network.to_string scratch) (Network.to_string reference))
 
 (* Script A on every row, then [cell row net (name, meth)] per method. *)
 let each_cell rows cell =
@@ -1229,16 +1101,16 @@ let check_totals ~failures totals =
     expected_quick_totals
 
 (* ------------------------------------------------------------------ *)
-(* shardcheck - jobs x memo grid must leave no byte behind             *)
+(* shardcheck - memo x empty-view runs must leave no byte behind       *)
 (* ------------------------------------------------------------------ *)
 
-(* Every (circuit, method) cell must be byte-identical across the grid
-   to its jobs=1 memo-on reference; on the quick suite the per-method
+(* Every (circuit, method) cell must be byte-identical in every variant
+   to its memo-on, no-view reference; on the quick suite the per-method
    totals are pinned. The memo must be active when on (memo_hits > 0
    over the references) and inert when off (no memo hit or miss in any
    memo-off run). *)
 let shard_check ~pinned rows =
-  section "shardcheck - totals gate across the jobs x memo grid";
+  section "shardcheck - memo x empty-view byte-identity + pinned totals";
   let failures = ref 0 in
   let totals = Hashtbl.create 7 in
   let memo_on = Rar_util.Counters.create () in
@@ -1247,18 +1119,28 @@ let shard_check ~pinned rows =
       let reference = reference_run ~counters:memo_on meth net in
       let lits = Lit_count.factored reference in
       add_total totals name lits;
+      let label = Printf.sprintf "%-12s %-8s" row.Suite.name name in
       let diverged =
-        grid_diverged
-          ~counters:(fun on ->
-            if on then Rar_util.Counters.create () else memo_off)
-          ~reference meth net
+        List.filter
+          (fun v ->
+            diverges
+              ?dc:
+                (if v.empty_view then Some (Logic_network.Dont_care.create ())
+                 else None)
+              ~counters:
+                (if v.use_memo then Rar_util.Counters.create () else memo_off)
+              ~use_memo:v.use_memo ~reference meth net)
+          variants
       in
-      report_diverged ~failures
-        ~label:(Printf.sprintf "%-12s %-8s" row.Suite.name name)
+      List.iter
+        (fun v ->
+          Printf.printf "  %s DIVERGES at memo=%b%s\n" label v.use_memo
+            (if v.empty_view then " with an empty view" else ""))
         diverged;
       if diverged = [] then
-        Printf.printf "  %-12s %-8s %4d lits  identical across grid\n"
-          row.Suite.name name lits);
+        Printf.printf "  %s %4d lits  identical across memo x empty view\n"
+          label lits
+      else incr failures);
   if pinned then check_totals ~failures totals;
   let hits_on = Atomic.get memo_on.Rar_util.Counters.memo_hits in
   let hits_off = Atomic.get memo_off.Rar_util.Counters.memo_hits in
@@ -1275,7 +1157,7 @@ let shard_check ~pinned rows =
   end
   else
     Printf.printf
-      "shardcheck: every cell byte-identical across the jobs x memo grid\n"
+      "shardcheck: every cell byte-identical across memo x empty view\n"
 
 (* ------------------------------------------------------------------ *)
 (* tracecheck - degraded runs must complete and trace valid JSON lines *)
@@ -1355,47 +1237,27 @@ let trace_check rows =
 (* dccheck - external don't-care discipline gate                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The don't-care discipline, gated:
-   1. an {e empty} view is invisible — byte-identical networks across
-      the jobs x memo grid against the no-view reference, with the
-      quick-suite totals pinned to the shardcheck figures;
-   2. a non-empty view is deterministic — the fixture's DC run is
-      byte-identical across the same grid;
-   3. on the DC-rich fixture every Boolean method meets its improvement
-      floor, never regresses, and the result verifies modulo DC. *)
-let dc_check ~pinned rows =
+(* The don't-care discipline on a non-empty view, gated (that an empty
+   view is invisible is shardcheck's):
+   1. the fixture's DC run is deterministic — byte-identical with the
+      memo on and off;
+   2. every Boolean method meets its improvement floor on the fixture,
+      never regresses, and the result verifies modulo DC. *)
+let dc_check () =
   section "dccheck - external don't-care discipline gate";
   let failures = ref 0 in
-  let totals = Hashtbl.create 7 in
-  each_cell rows (fun row net (name, meth) ->
-      let reference = reference_run meth net in
-      let lits = Lit_count.factored reference in
-      add_total totals name lits;
-      let diverged =
-        grid_diverged ~dc:(Logic_network.Dont_care.create ()) ~reference meth
-          net
-      in
-      report_diverged ~failures
-        ~label:(Printf.sprintf "%-12s %-8s empty view" row.Suite.name name)
-        diverged;
-      if diverged = [] then
-        Printf.printf
-          "  %-12s %-8s %4d lits  empty view invisible across grid\n"
-          row.Suite.name name lits);
-  if pinned then check_totals ~failures totals;
-  (* Non-empty view: deterministic across the grid. *)
   let fnet, fdc = dc_fixture () in
   Synth.Script.run fnet Synth.Script.script_a;
   List.iter
     (fun (name, meth) ->
       let reference = reference_run ~dc:fdc meth fnet in
-      let diverged = grid_diverged ~dc:fdc ~reference meth fnet in
-      report_diverged ~failures
-        ~label:(Printf.sprintf "dcrich       %-8s DC run" name)
-        diverged;
-      if diverged = [] then
-        Printf.printf "  dcrich       %-8s DC run identical across grid\n"
-          name)
+      let diverged =
+        diverges ~dc:fdc ~use_memo:false ~reference meth fnet
+      in
+      if diverged then incr failures;
+      Printf.printf "  dcrich       %-8s DC run %s with the memo on and off\n"
+        name
+        (if diverged then "DIVERGES" else "identical"))
     Synth.Script.resub_methods;
   (* DC-rich fixture: improvement floor + verify modulo DC. *)
   List.iter
@@ -1415,9 +1277,7 @@ let dc_check ~pinned rows =
     exit 8
   end
   else
-    Printf.printf
-      "dccheck: empty views invisible, DC runs deterministic, fixture \
-       floors met\n"
+    Printf.printf "dccheck: DC runs deterministic, fixture floors met\n"
 
 (* ------------------------------------------------------------------ *)
 (* kcheck - constructive k-resubstitution gate                         *)
@@ -1428,15 +1288,16 @@ let dc_check ~pinned rows =
    [expected_quick_totals]). *)
 let kresub_quick_floor = 239
 
-(* Gates for the constructive k-resub driver (byte identity across the
-   jobs x memo grid and the five pinned totals are shardcheck's, which
-   runs every method in {!Synth.Script.resub_methods}):
-   1. every method's jobs=1 memo-on result is verified with the BDD
-      oracle ({!Robdd.Of_network.equivalent}) — an exact check,
-      independent of the random-simulation [Equiv] the other gates use,
-      so every committed substitution is proven, not sampled; since
-      shardcheck holds every grid cell byte-identical to that result,
-      this verifies the parallel runs too;
+(* Gates for the constructive k-resub driver (byte identity across memo
+   settings and empty views, and the five pinned totals, are
+   shardcheck's, which runs every method in
+   {!Synth.Script.resub_methods}):
+   1. every method's memo-on result is verified with the BDD oracle
+      ({!Robdd.Of_network.equivalent}) — an exact check, independent of
+      the random-simulation [Equiv] the other gates use, so every
+      committed substitution is proven, not sampled; since shardcheck
+      holds every variant byte-identical to that result, this verifies
+      those runs too;
    2. on the quick suite resub-k's total meets the ext floor;
    3. resub-k's candidate-construction CPU stays below ext's division
       CPU (exact validation is accounted separately — it replaces the
@@ -1892,26 +1753,26 @@ let aig_check () =
       expect (name ^ ": index-list round trip")
         (Aig.to_index_list (Aig.of_index_list il) = il))
     fixtures;
-  (* Windowed resubstitution: byte-identical across the jobs grid,
+  (* Windowed resubstitution: byte-identical with the memo on and off,
      gate count never increases, and the result simulates identically
      to the original through the Network bridge. *)
   List.iter
     (fun name ->
       let a = Aiger.parse (read_whole_file (fixture name)) in
-      let run jobs =
+      let run use_memo =
         let config =
           {
             Synth.Aig_opt.default_config with
-            settings = { Synth.Script.default_settings with jobs };
+            settings = { Synth.Script.default_settings with use_memo };
           }
         in
         Synth.Aig_opt.optimize ~config a
       in
-      let opt1, stats1 = run 1 in
-      let opt4, _ = run 4 in
+      let opt1, stats1 = run true in
+      let opt_off, _ = run false in
       expect
-        (Printf.sprintf "%s: jobs {1,4} byte-identical" name)
-        (String.equal (Aiger.to_string opt1) (Aiger.to_string opt4));
+        (Printf.sprintf "%s: memo on/off byte-identical" name)
+        (String.equal (Aiger.to_string opt1) (Aiger.to_string opt_off));
       expect
         (Printf.sprintf "%s: gates %d -> %d monotone" name
            stats1.Synth.Aig_opt.gates_before stats1.Synth.Aig_opt.gates_after)
@@ -1930,7 +1791,7 @@ let aig_check () =
 (* aig - windowed-resub snapshot over >=10k-gate circuits              *)
 (* ------------------------------------------------------------------ *)
 
-let aig_bench ~jobs () =
+let aig_bench () =
   section "aig - windowed resubstitution at real-benchmark scale";
   let circuits =
     [
@@ -1946,15 +1807,8 @@ let aig_bench ~jobs () =
     List.map
       (fun (name, a) ->
         let lits_before = Lit_count.factored (Aig.to_network a) in
-        let config =
-          {
-            Synth.Aig_opt.default_config with
-            settings = { Synth.Script.default_settings with jobs };
-          }
-        in
         let (opt, stats), wall =
-          Rar_util.Stopwatch.time (fun () ->
-              Synth.Aig_opt.optimize ~config a)
+          Rar_util.Stopwatch.time (fun () -> Synth.Aig_opt.optimize a)
         in
         let lits_after = Lit_count.factored (Aig.to_network opt) in
         Printf.printf
@@ -1967,7 +1821,7 @@ let aig_bench ~jobs () =
       circuits
   in
   let oc = open_out "BENCH_aig.json" in
-  Printf.fprintf oc "{\n  \"jobs\": %d,\n  \"circuits\": [\n" jobs;
+  Printf.fprintf oc "{\n  \"circuits\": [\n";
   List.iteri
     (fun i (name, stats, lits_before, lits_after, wall) ->
       Printf.fprintf oc
@@ -1999,14 +1853,6 @@ let () =
            (String.length tok - String.length prefix))
     else None
   in
-  let jobs =
-    List.fold_left
-      (fun acc tok ->
-        match kv "jobs" tok with
-        | Some n -> Rar_util.Pool.resolve_jobs n
-        | None -> acc)
-      1 args
-  in
   let clients =
     List.fold_left
       (fun acc tok ->
@@ -2028,8 +1874,8 @@ let () =
   let args =
     List.filter
       (fun tok ->
-        kv "jobs" tok = None && kv "sim-seed" tok = None
-        && kv "sim-words" tok = None && kv "clients" tok = None)
+        kv "sim-seed" tok = None && kv "sim-words" tok = None
+        && kv "clients" tok = None)
       args
   in
   let quick = List.mem "quick" args in
@@ -2056,13 +1902,13 @@ let () =
   if selected "bech" then bechamel ();
   if List.mem "shardcheck" explicit then shard_check ~pinned:quick rows;
   if List.mem "tracecheck" explicit then trace_check rows;
-  if List.mem "dccheck" explicit then dc_check ~pinned:quick rows;
+  if List.mem "dccheck" explicit then dc_check ();
   if List.mem "kcheck" explicit then k_check ~pinned:quick rows;
   if List.mem "cubeops" explicit then cubeops_report ();
   if List.mem "servicecheck" explicit then service_check rows;
   if List.mem "service" explicit then service_bench ~clients rows;
   if List.mem "aigcheck" explicit then aig_check ();
-  if List.mem "aig" explicit then aig_bench ~jobs ();
+  if List.mem "aig" explicit then aig_bench ();
   (* JSON snapshot only on explicit request: it is a CI artifact, not part
      of the default figure/table regeneration. *)
-  if List.mem "bench" explicit then bench_json ~jobs ?sim_seed ?sim_words rows
+  if List.mem "bench" explicit then bench_json ?sim_seed ?sim_words rows

@@ -174,8 +174,8 @@ let name_conv names =
    spellings the subcommand accepts. *)
 let job_term methods =
   let names = List.map fst methods in
-  let request script meth no_filter no_memo jobs sim_seed sim_words
-      fault_budget deadline =
+  let request script meth no_filter no_memo sim_seed sim_words fault_budget
+      deadline =
     let request =
       {
         (Protocol.default_request ~blif:"") with
@@ -183,7 +183,6 @@ let job_term methods =
         meth;
         use_filter = not no_filter;
         use_memo = not no_memo;
-        jobs;
         sim_seed = Some sim_seed;
         sim_words = Some sim_words;
         fault_budget;
@@ -222,14 +221,6 @@ let job_term methods =
                 "Disable the division-failure memo (re-attempt every pair \
                  on every pass, as the seed did) for A/B comparisons. \
                  Final networks are bit-identical either way.")
-      $ Arg.(
-          value & opt int 1
-          & info [ "j"; "jobs" ] ~docv:"N"
-              ~doc:
-                "Scan dividends speculatively on $(docv) domains. Output \
-                 bytes are identical for any value; $(b,0) means one \
-                 domain per core (the daemon's, for $(b,client)), \
-                 negative values mean 1.")
       $ Arg.(
           value
           & opt int Logic_sim.Signature.default_seed

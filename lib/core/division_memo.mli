@@ -16,15 +16,8 @@
     memo-on and memo-off runs bit-identical.
 
     The table's lifetime is one driver run: entries key on node ids,
-    which are never recycled within a run.
-
-    The table is safe to share across worker domains: the failure table
-    is striped (a mutex per stripe, keys hashed onto stripes), the
-    dividend table sits behind one mutex, so a failure proven by one
-    region's worker is a hit in every other region. Freshness tests
-    read {!Logic_network.Dirty} stamps without locking them — sound
-    because the drivers only advance stamps on the scheduling domain,
-    never while a parallel batch is in flight. *)
+    which are never recycled within a run. It belongs to the driver's
+    domain: one table for failures, one for whole-dividend scans. *)
 
 module Node_set = Logic_network.Network.Node_set
 
@@ -78,7 +71,6 @@ val record_dividend :
 val attempt :
   t ->
   Logic_network.Network.t ->
-  live:bool ->
   counters:Rar_util.Counters.t ->
   f:Logic_network.Network.node_id ->
   target ->
@@ -86,7 +78,7 @@ val attempt :
   reads:(unit -> reads) ->
   (unit -> bool) ->
   bool
-(** [attempt t net ~live ~counters ~f target ~meth ~reads run] is the
+(** [attempt t net ~counters ~f target ~meth ~reads run] is the
     per-unit protocol every division driver follows. If a failure with
     this key is recorded and every read stamp is still at or below the
     recorded clock, it ticks [memo_hits], reserves the recorded burn on
@@ -95,7 +87,7 @@ val attempt :
     [run]; a failure is recorded at the current clock with the ids it
     burned and the read set [reads ()]. [run] must leave the network
     bit-identical to its pre-call state (modulo the id burn) whenever
-    it returns [false]. [live] says [net] is the tracked network: its
-    real attempts run under {!Logic_network.Dirty.speculating}, so a
-    mutate-and-restore failure moves no stamps. A worker's snapshot has
-    no tracker and runs bare. *)
+    it returns [false]. [net] must be the network the memo's tracker
+    watches: real attempts run under
+    {!Logic_network.Dirty.speculating}, so a mutate-and-restore failure
+    moves no stamps. *)

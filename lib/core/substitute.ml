@@ -24,7 +24,6 @@ type config = {
   max_divisors : int;
   max_pool : int;
   max_passes : int;
-  jobs : int;
   sim_seed : int;
   sim_words : int;
   use_memo : bool;
@@ -42,7 +41,6 @@ let basic_config =
     max_divisors = 20;
     max_pool = 6;
     max_passes = 4;
-    jobs = 1;
     sim_seed = Signature.default_seed;
     sim_words = Signature.default_words;
     use_memo = true;
@@ -175,19 +173,14 @@ let substitute_pos ?counters net ~f ~d =
    attempt over the pool, or one basic/POS attempt against a divisor. *)
 type unit_task = Ext of Network.node_id list | Div of Network.node_id
 
-(* The attempt functions, abstracted over the network they act on so the
-   same code runs on the real network (sequentially, or to commit a
-   speculative winner) and on private snapshots inside workers. [sigs]
-   must belong to [net]; [committed] reports the substitution kind;
-   [verbose] gates logging (workers stay silent — Logs is not
-   domain-safe). *)
-let make_attempts ~config ?fault_fuel ?deadline_at ~trace ~counters ~sigs
-    ~committed ~verbose net =
+(* The attempt functions of the greedy policy on [net]: each unit returns
+   the kind of substitution it committed, if any. [sigs] must belong to
+   [net]. *)
+let make_attempts ~config ?fault_fuel ?deadline_at ~trace ~counters ~sigs net
+    =
   let gdc = config.gdc and learn_depth = config.learn_depth in
   (* Each work unit gets its own budget so one runaway division cannot
-     starve the rest of the run; the wall deadline is shared (absolute).
-     Fuel budgets are deterministic, so speculative snapshots and the
-     committing re-execution make identical degradation decisions. *)
+     starve the rest of the run; the wall deadline is shared (absolute). *)
   let fresh_budget () =
     if fault_fuel = None && deadline_at = None then None
     else Some (Budget.create ?fuel:fault_fuel ?deadline_at ())
@@ -212,13 +205,11 @@ let make_attempts ~config ?fault_fuel ?deadline_at ~trace ~counters ~sigs
           ?dc:config.dc net ~f ~d
       with
       | Some outcome ->
-        committed `Basic;
-        if verbose then
-          Log.debug (fun m ->
-              m "basic division: %s / %s%s (+%d literals)"
-                (Network.name net f) (Network.name net d)
-                (if phase then "" else "'")
-                outcome.Basic_division.literal_gain);
+        Log.debug (fun m ->
+            m "basic division: %s / %s%s (+%d literals)" (Network.name net f)
+              (Network.name net d)
+              (if phase then "" else "'")
+              outcome.Basic_division.literal_gain);
         true
       | None -> false
     in
@@ -244,7 +235,6 @@ let make_attempts ~config ?fault_fuel ?deadline_at ~trace ~counters ~sigs
         && Lit_count.factored_delta net scratch > 0
       then begin
         Network.overwrite net scratch;
-        committed `Basic;
         true
       end
       else false
@@ -258,15 +248,10 @@ let make_attempts ~config ?fault_fuel ?deadline_at ~trace ~counters ~sigs
     else false
   in
   let attempt_pos f d =
-    if not config.try_pos then false
-    else
-      Counters.timed counters `Division @@ fun () ->
-      Counters.add counters.Counters.divisions_attempted 1;
-      if substitute_pos ~counters net ~f ~d then begin
-        committed `Pos;
-        true
-      end
-      else false
+    config.try_pos
+    && Counters.timed counters `Division @@ fun () ->
+       Counters.add counters.Counters.divisions_attempted 1;
+       substitute_pos ~counters net ~f ~d
   in
   let attempt_extended ?budget f pool =
     Counters.timed counters `Division @@ fun () ->
@@ -276,40 +261,37 @@ let make_attempts ~config ?fault_fuel ?deadline_at ~trace ~counters ~sigs
         ?dc:config.dc net ~f ~pool
     with
     | Some outcome ->
-      committed `Ext;
-      if verbose then
-        Log.debug (fun m ->
-            m "extended division on %s: core of %d cube(s), gain %d"
-              (Network.name net f) outcome.Extended_division.core_cubes
-              outcome.Extended_division.literal_gain);
-      true
+      Log.debug (fun m ->
+          m "extended division on %s: core of %d cube(s), gain %d"
+            (Network.name net f) outcome.Extended_division.core_cubes
+            outcome.Extended_division.literal_gain);
+      Some `Ext
     | None ->
-      if config.try_pos then begin
-        match Pos_extended.try_run ~counters net ~f ~pool with
-        | Some _ ->
-          committed `Pos;
-          true
-        | None -> false
-      end
-      else false
+      if
+        config.try_pos
+        && Option.is_some (Pos_extended.try_run ~counters net ~f ~pool)
+      then Some `Pos
+      else None
   in
   fun f task ->
     let budget = fresh_budget () in
     let t0 = if Trace.enabled trace then Unix.gettimeofday () else 0.0 in
-    let ok =
+    let landed =
       match task with
       | Ext pool -> attempt_extended ?budget f pool
-      | Div d -> if attempt_basic ?budget f d then true else attempt_pos f d
+      | Div d ->
+        if attempt_basic ?budget f d then Some `Basic
+        else if attempt_pos f d then Some `Pos
+        else None
     in
     let kind = match task with Ext _ -> "ext" | Div _ -> "div" in
     (match budget with
     | Some b -> (
       match Budget.exhausted b with
       | Some reason ->
-        if verbose then
-          Log.info (fun m ->
-              m "budget exhausted (%s) on %s: degraded to algebraic result"
-                (Budget.reason_to_string reason) (Network.name net f));
+        Log.info (fun m ->
+            m "budget exhausted (%s) on %s: degraded to algebraic result"
+              (Budget.reason_to_string reason) (Network.name net f));
         Trace.emit trace "degrade"
           [
             ("node", Trace.String (Network.name net f));
@@ -323,35 +305,42 @@ let make_attempts ~config ?fault_fuel ?deadline_at ~trace ~counters ~sigs
         [
           ("node", Trace.String (Network.name net f));
           ("unit", Trace.String kind);
-          ("committed", Trace.Bool ok);
+          ("committed", Trace.Bool (Option.is_some landed));
           ("seconds", Trace.Float (Unix.gettimeofday () -. t0));
         ];
-    ok
+    landed
 
 let run ?(config = extended_config) ?fault_fuel ?deadline_at
     ?(trace = Trace.disabled) ?counters net =
   let counters =
     match counters with Some c -> c | None -> Counters.create ()
   in
-  let signatures net =
+  let cache = Fanin_cache.create net in
+  let sigs =
     if config.use_filter then
       Some
         (Signature.create ~seed:config.sim_seed ~words:config.sim_words
            ?dc:config.dc net)
     else None
   in
-  let cache = Fanin_cache.create net in
-  let sigs = signatures net in
   Fun.protect ~finally:(fun () -> Option.iter Signature.detach sigs)
   @@ fun () ->
   let literals_before = Lit_count.factored net in
   let basic_count = ref 0 and ext_count = ref 0 and pos_count = ref 0 in
-  let committed kind =
-    (match kind with
-    | `Basic -> incr basic_count
-    | `Ext -> incr ext_count
-    | `Pos -> incr pos_count);
-    Counters.add counters.Counters.substitutions 1
+  let attempt_unit =
+    make_attempts ~config ?fault_fuel ?deadline_at ~trace ~counters ~sigs net
+  in
+  let run_unit f u =
+    match attempt_unit f u with
+    | None -> false
+    | Some kind ->
+      incr
+        (match kind with
+        | `Basic -> basic_count
+        | `Ext -> ext_count
+        | `Pos -> pos_count);
+      Counters.add counters.Counters.substitutions 1;
+      true
   in
   let units_of divisors =
     (match config.mode with
@@ -361,118 +350,71 @@ let run ?(config = extended_config) ?fault_fuel ?deadline_at
     | Basic -> [])
     @ List.map (fun d -> Div d) divisors
   in
-  let rank ~counters ~cache ?sigs net f =
-    rank_divisors ~counters ~cache ?sigs net f
-      ~use_complement:config.use_complement ~limit:config.max_divisors
-  in
-  let client memo =
-    (* Run the ranked units of dividend [f] in order against [net] — the
-       live network, or a worker's private snapshot — through the memo's
-       per-unit protocol; [first_only] stops at the first commit. What a
-       Boolean unit can read: non-GDC implications are confined to the
-       dividend/divisor region, but redundancy removal inside a division
-       consults dominators and fault propagation across the dividend's
-       transitive fanout, and the signature phase gates read both full
-       fanin cones — so the bound is TFI(f) ∪ TFI(divisors) ∪ TFO(f).
-       Under GDC the implication region is the whole network, so only a
-       fully unchanged network proves a replay. *)
-    let run_units ~live ~cache ~counters ~run_unit ~first_only net f divisors =
-      (* TFI(f) ∪ TFO(f) is shared by every unit of the scan; a commit
-         moves it. *)
-      let base = ref None in
-      let reads u () =
-        if config.gdc then Division_memo.all_nodes
-        else begin
-          let b =
-            match !base with
-            | Some b -> b
-            | None ->
-              let b =
-                Network.Node_set.union
-                  (Fanin_cache.transitive_fanin cache f)
-                  (Network.transitive_fanout net [ f ])
-              in
-              base := Some b;
-              b
-          in
-          let cone d acc =
-            Network.Node_set.union acc (Fanin_cache.transitive_fanin cache d)
-          in
-          Division_memo.reads_of_set
-            (match u with
-            | Div d -> cone d b
-            | Ext pool -> List.fold_right cone pool b)
-        end
-      in
-      let landed = ref false in
-      List.iter
-        (fun u ->
-          let alive =
-            (not (first_only && !landed))
-            && Network.mem net f
-            && match u with Div d -> Network.mem net d | Ext _ -> true
-          in
-          let attempt () =
-            match memo with
-            | None -> run_unit f u
-            | Some m ->
-              let target =
-                match u with
-                | Div d -> Division_memo.Divisor (d, Division_memo.Both)
-                | Ext pool -> Division_memo.Pool pool
-              in
-              Division_memo.attempt m net ~live ~counters ~f target
-                ~meth:Division_memo.Boolean ~reads:(reads u) (fun () ->
-                  run_unit f u)
-          in
-          if alive && attempt () then begin
-            landed := true;
-            base := None
-          end)
-        (units_of divisors);
-      if !landed then Scheduler.Committed else Scheduler.Quiet
+  (* Run the ranked units of dividend [f] in order through the memo's
+     per-unit protocol. What a Boolean unit can read: non-GDC
+     implications are confined to the dividend/divisor region, but
+     redundancy removal inside a division consults dominators and fault
+     propagation across the dividend's transitive fanout, and the
+     signature phase gates read both full fanin cones — so the bound is
+     TFI(f) ∪ TFI(divisors) ∪ TFO(f). Under GDC the implication region
+     is the whole network, so only a fully unchanged network proves a
+     replay. *)
+  let scan memo f =
+    (* TFI(f) ∪ TFO(f) is shared by every unit of the scan; a commit
+       moves it. *)
+    let base = ref None in
+    let reads u () =
+      if config.gdc then Division_memo.all_nodes
+      else begin
+        let b =
+          match !base with
+          | Some b -> b
+          | None ->
+            let b =
+              Network.Node_set.union
+                (Fanin_cache.transitive_fanin cache f)
+                (Network.transitive_fanout net [ f ])
+            in
+            base := Some b;
+            b
+        in
+        let cone d acc =
+          Network.Node_set.union acc (Fanin_cache.transitive_fanin cache d)
+        in
+        Division_memo.reads_of_set
+          (match u with
+          | Div d -> cone d b
+          | Ext pool -> List.fold_right cone pool b)
+      end
     in
-    let run_unit =
-      make_attempts ~config ?fault_fuel ?deadline_at ~trace ~counters ~sigs
-        ~committed ~verbose:true net
-    in
-    let scan f =
-      run_units ~live:true ~cache ~counters ~run_unit ~first_only:false net f
-        (rank ~counters ~cache ?sigs net f)
-    in
-    (* A worker builds its own cache and signature engine on its snapshot
-       and runs silent: no trace, no commit tallies, no logging. *)
-    let speculate snap wc f =
-      let wcache = Fanin_cache.create snap in
-      let wsigs = signatures snap in
-      Fun.protect ~finally:(fun () -> Option.iter Signature.detach wsigs)
-      @@ fun () ->
-      let divisors = rank ~counters:wc ~cache:wcache ?sigs:wsigs snap f in
-      (* The dividend's structural footprint (ranking rejections stay
-         inside it) plus the ranked divisors' fanin cones, which units and
-         phase gates read. GDC implications and the unfiltered ranking
-         read the whole network. *)
-      let reads =
-        if config.gdc || wsigs = None then Scheduler.Unbounded
-        else
-          Scheduler.Set
-            (List.fold_left
-               (fun acc d ->
-                 Network.Node_set.union acc
-                   (Fanin_cache.transitive_fanin wcache d))
-               (Partition.footprint snap f) divisors)
-      in
-      let run_unit =
-        make_attempts ~config ?fault_fuel ?deadline_at ~trace:Trace.disabled
-          ~counters:wc ~sigs:wsigs
-          ~committed:(fun _ -> ())
-          ~verbose:false snap
-      in
-      ( run_units ~live:false ~cache:wcache ~counters:wc ~run_unit
-          ~first_only:true snap f divisors,
-        reads )
-    in
-    { Scheduler.bounded = config.use_filter && not config.gdc; scan; speculate }
+    let landed = ref false in
+    List.iter
+      (fun u ->
+        let alive =
+          Network.mem net f
+          && match u with Div d -> Network.mem net d | Ext _ -> true
+        in
+        let attempt () =
+          match memo with
+          | None -> run_unit f u
+          | Some m ->
+            let target =
+              match u with
+              | Div d -> Division_memo.Divisor (d, Division_memo.Both)
+              | Ext pool -> Division_memo.Pool pool
+            in
+            Division_memo.attempt m net ~counters ~f target
+              ~meth:Division_memo.Boolean ~reads:(reads u) (fun () ->
+                run_unit f u)
+        in
+        if alive && attempt () then begin
+          landed := true;
+          base := None
+        end)
+      (units_of
+         (rank_divisors ~counters ~cache ?sigs net f
+            ~use_complement:config.use_complement ~limit:config.max_divisors));
+    if !landed then Scheduler.Committed else Scheduler.Quiet
   in
   Scheduler.run ~driver:"substitute"
     ~fields:
@@ -482,8 +424,8 @@ let run ?(config = extended_config) ?fault_fuel ?deadline_at
             (match config.mode with Basic -> "basic" | Extended -> "extended")
         );
       ]
-    ~jobs:config.jobs ~use_memo:config.use_memo ~max_passes:config.max_passes
-    ?deadline_at ~trace ~counters net client;
+    ~use_memo:config.use_memo ~max_passes:config.max_passes ?deadline_at
+    ~trace ~counters net scan;
   (* A materialised core divisor can be orphaned across passes: DC-powered
      removal empties its cover, then a later commit rewires the dividend
      away from it. A fanout-free constant-zero non-output node carries no

@@ -31,10 +31,6 @@ type config = {
   max_divisors : int;  (** basic-division candidates per node *)
   max_pool : int;  (** divisor pool size for extended division *)
   max_passes : int;
-  jobs : int;
-      (** dividend-scan parallelism (default 1), scheduled by
-          {!Scheduler}; any value gives networks bit-identical to a
-          sequential run. *)
   sim_seed : int;
       (** signature-filter RNG seed (default
           {!Logic_sim.Signature.default_seed}) *)
@@ -53,10 +49,8 @@ type config = {
       (** external don't-care view (default [None]). EXCDC cubes become
           forbidden assignments in every implication engine spawned by
           the division methods, and mask the signature filter's sampled
-          rows. The view is resolved by input {e name}, so the same
-          value stays meaningful on the private snapshots taken by
-          speculative workers. [None] (or an empty view) leaves the run
-          byte-identical to a DC-less one. *)
+          rows. The view is resolved by input {e name}. [None] (or an
+          empty view) leaves the run byte-identical to a DC-less one. *)
 }
 
 val basic_config : config
@@ -103,7 +97,7 @@ val run :
     reported on [trace]. [trace] (default {!Rar_util.Trace.disabled})
     receives structured events: a [substitute] span, per-unit timings,
     [degrade] events, and the {!Scheduler}'s per-pass and final counter
-    events. Worker domains never emit. *)
+    events. *)
 
 val substitute_pos :
   ?counters:Rar_util.Counters.t ->

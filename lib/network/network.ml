@@ -287,9 +287,9 @@ let transitive_fanout t seeds =
   List.iter visit seeds;
   !visited
 
-(* Traversal marks, one byte per id. Every traversal allocates its own:
-   workers at jobs > 1 read networks other domains own, so no mark array
-   may live in [t]. *)
+(* Traversal marks, one byte per id. Every traversal allocates its own.
+   No reason requires that now: each network is used by one domain, so
+   a mark array in [t], reset by an epoch counter, would also do. *)
 let marks t = Bytes.make t.next_id '\000'
 
 (* Whether [dst] is in the transitive fanin of [src], by a DFS that stops

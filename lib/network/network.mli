@@ -96,10 +96,9 @@ val id_limit : t -> int
 
 val reserve_ids : t -> int -> unit
 (** Advance the id allocator by [n] without creating nodes. The
-    speculative division driver uses this to replay, on the real network,
-    the transient id consumption of attempts that were evaluated on
-    snapshots — keeping parallel runs id-for-id identical to sequential
-    ones. *)
+    division memo uses this to replay the transient id consumption of an
+    attempt it skips, keeping memo-on runs id-for-id identical to
+    memo-off ones. *)
 
 val copy : t -> t
 (** Deep copy preserving node ids (and the id allocator position). Costs

@@ -4,16 +4,14 @@
     canonical form of the input network (BLIF re-serialised after
     parsing, so formatting, comments and header ordering don't fragment
     entries) concatenated with every flag that can influence the output
-    bytes (script, method, filter, memo, sim-seed, fault-budget). Flags
-    proven output-neutral by the PR 2/5/6 determinism gates ([jobs]) are
-    deliberately excluded so a parallel and a sequential submission of
-    the same job share one entry. Full keys are stored and compared on
-    lookup — a hash collision can cost a miss, never a wrong result.
+    bytes (script, method, filter, memo, sim-seed, sim-words,
+    fault-budget, and the don't-care view). Full keys are stored and
+    compared on lookup — a hash collision can cost a miss, never a wrong
+    result.
 
     Bounded and LRU-evicted: both an entry count and a byte budget,
-    split across 16 independently locked stripes (the {!Division_memo}
-    pattern) so concurrent worker domains only contend when their keys
-    hash to the same stripe. Recency stamps come from one global atomic
+    split across 16 independently locked stripes so concurrent worker
+    domains only contend when their keys hash to the same stripe. Recency stamps come from one global atomic
     clock; eviction is least-recently-used within the stripe. *)
 
 type config = { max_entries : int; max_bytes : int }

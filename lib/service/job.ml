@@ -36,7 +36,6 @@ let spec_of_request (r : Protocol.request) =
             d with
             use_filter = r.use_filter;
             use_memo = r.use_memo;
-            jobs = Rar_util.Pool.resolve_jobs r.jobs;
             sim_seed = Option.value r.sim_seed ~default:d.sim_seed;
             sim_words = Option.value r.sim_words ~default:d.sim_words;
             fault_fuel = r.fault_budget;
@@ -164,11 +163,10 @@ let prepare ?warm (request : Protocol.request) =
        such outputs must never be served to a later job. Every resolved
        setting that can change the output bytes is part of the
        identity, so two spellings of one job (an alias method name, an
-       explicit default seed) share a slot; [jobs] is provably
-       output-neutral (the shardcheck grid) and shared. The don't-care
-       view enters through its canonical section text, so a DC job
-       never shares a slot with a plain one (and two spellings of the
-       same view share theirs). *)
+       explicit default seed) share a slot. The don't-care view enters
+       through its canonical section text, so a DC job never shares a
+       slot with a plain one (and two spellings of the same view share
+       theirs). *)
     match spec.deadline with
     | Some _ -> None
     | None ->

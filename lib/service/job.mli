@@ -31,8 +31,8 @@ type spec = {
   script : string;  (** a name in {!Synth.Script.scripts} *)
   meth : Synth.Script.job_method;
   settings : Synth.Script.settings;
-      (** resolved ({!Rar_util.Pool.resolve_jobs}, engine defaults);
-          [deadline_at] is unset *)
+      (** resolved against the engine defaults; [deadline_at] is
+          unset *)
   deadline : float option;  (** seconds, anchored when the method starts *)
 }
 

@@ -9,7 +9,6 @@ type request = {
   meth : string;
   use_filter : bool;
   use_memo : bool;
-  jobs : int;
   sim_seed : int option;
   sim_words : int option;
   fault_budget : int option;
@@ -25,7 +24,6 @@ let default_request ~blif =
     meth = "ext";
     use_filter = true;
     use_memo = true;
-    jobs = 1;
     sim_seed = None;
     sim_words = None;
     fault_budget = None;
@@ -57,7 +55,6 @@ let encode_request r =
   Buffer.add_string b (Printf.sprintf "method %s\n" r.meth);
   Buffer.add_string b (Printf.sprintf "filter %s\n" (on_off r.use_filter));
   Buffer.add_string b (Printf.sprintf "memo %s\n" (on_off r.use_memo));
-  Buffer.add_string b (Printf.sprintf "jobs %d\n" r.jobs);
   Buffer.add_string b (Printf.sprintf "cache %s\n" (on_off r.use_cache));
   Option.iter
     (fun s -> Buffer.add_string b (Printf.sprintf "sim-seed %d\n" s))
@@ -165,9 +162,8 @@ let decode_request payload =
   if kind <> "job" then Error (Printf.sprintf "expected a job frame, got %S" kind)
   else
     let known =
-      [ "script"; "method"; "filter"; "memo"; "jobs"; "cache"; "sim-seed";
-        "sim-words";
-        "fault-budget"; "deadline"; "exdc-bytes" ]
+      [ "script"; "method"; "filter"; "memo"; "cache"; "sim-seed";
+        "sim-words"; "fault-budget"; "deadline"; "exdc-bytes" ]
     in
     match List.find_opt (fun (k, _) -> not (List.mem k known)) headers with
     | Some (k, _) -> Error (Printf.sprintf "unknown header %S" k)
@@ -193,7 +189,6 @@ let decode_request payload =
       in
       let* use_filter = dflt bool_value "filter" true in
       let* use_memo = dflt bool_value "memo" true in
-      let* jobs = dflt int_value "jobs" 1 in
       let* use_cache = dflt bool_value "cache" true in
       let* sim_seed = opt int_value "sim-seed" in
       let* sim_words = opt int_value "sim-words" in
@@ -218,7 +213,6 @@ let decode_request payload =
           meth;
           use_filter;
           use_memo;
-          jobs;
           sim_seed;
           sim_words;
           fault_budget;

@@ -28,9 +28,6 @@ type request = {
   meth : string;  (** a name in {!Synth.Script.method_names}, e.g. ["ext"] *)
   use_filter : bool;
   use_memo : bool;
-  jobs : int;
-      (** driver parallelism, resolved by {!Rar_util.Pool.resolve_jobs}
-          on the daemon's host *)
   sim_seed : int option;  (** [None] = the engine default *)
   sim_words : int option;
       (** signature vector size in 64-bit words; [None] = the engine
@@ -49,7 +46,7 @@ type request = {
 }
 
 val default_request : blif:string -> request
-(** Script ["a"], method ["ext"], filter/memo/cache on, [jobs = 1], no
+(** Script ["a"], method ["ext"], filter/memo/cache on, no
     seed/budget/deadline override — the CLI's defaults. *)
 
 type response =

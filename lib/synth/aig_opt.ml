@@ -84,7 +84,7 @@ let resolved_fanins aig g =
 (* Grow a fanin cone around [pivot]: repeatedly pull the highest-id
    AND leaf into the window while the leaf cap holds. Deterministic —
    candidate order is by id, and the graph itself is deterministic —
-   so the whole run is reproducible for any [jobs] value. Returns
+   so the whole run is reproducible. Returns
    (gates, leaves), both sorted ascending. *)
 let grow aig ~max_gates ~max_leaves pivot =
   let in_window = Hashtbl.create 64 in

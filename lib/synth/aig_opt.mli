@@ -13,11 +13,10 @@
     close a combinational loop — see {!Logic_network.Aig.Cycle}), so
     the gate count is monotonically non-increasing across the run.
 
-    Windows are processed sequentially in deterministic (descending
-    pivot id) order; [jobs] parallelism happens {e inside} each
-    window's resubstitution, which is bit-identical for any job count —
-    so the whole run is byte-identical across the jobs grid, the same
-    property the [shardcheck]/[aigcheck] CI gates pin. *)
+    Windows are processed one at a time in deterministic (descending
+    pivot id) order, each by one sequential resubstitution run, so the
+    whole run is reproducible byte for byte; the [aigcheck] CI gate
+    pins it with the division memo on and off. *)
 
 type config = {
   max_gates : int;  (** window size cap, gates (default 24) *)

@@ -515,8 +515,7 @@ let ora_shape o = function
 (* [None] when the shape equals [f] on the whole care set; otherwise a
    distinguishing input assignment (inputs order, unmentioned inputs
    false). The miter is canonical for the function, so the extracted
-   counterexample is the same whatever manager history produced it —
-   workers and the sequential driver agree on it. *)
+   counterexample is the same whatever manager history produced it. *)
 let validate o ~f shape =
   ora_sync o;
   let miter =
@@ -539,7 +538,7 @@ let validate o ~f shape =
 (* ------------------------------------------------------------------ *)
 
 let run ?(max_divisors = default_max_divisors)
-    ?(max_triples = default_max_triples) ?(max_passes = 4) ?(jobs = 1)
+    ?(max_triples = default_max_triples) ?(max_passes = 4)
     ?(sim_seed = Signature.default_seed) ?(sim_words = Signature.default_words)
     ?(use_memo = true) ?deadline_at ?(trace = Trace.disabled) ?counters ?dc net
     =
@@ -556,34 +555,32 @@ let run ?(max_divisors = default_max_divisors)
   Fun.protect ~finally:(fun () -> Signature.detach sim) @@ fun () ->
   let oracle = ora_create ?dc net in
   let substitutions = ref 0 in
-  (* One constructive scan of dividend [f]. [live] distinguishes the
-     sequential driver (refinements land in the run's engine) from a
-     worker on a snapshot (a would-be refinement only yields the
-     verdict; the driver re-executes the scan for real). [speculating]
-     buffers Dirty events around real attempts so a validated-but-no-gain
-     rollback moves no stamps. *)
-  let scan_once net ~cache ~sim ~oracle ~counters:c ~speculating ~live f =
+  (* One constructive scan of dividend [f]. [speculating] buffers Dirty
+     events around real attempts so a validated-but-no-gain rollback
+     moves no stamps. *)
+  let scan_once ~speculating f =
     let cur_lits = Lit_count.node_factored net f in
     let shapes =
-      Counters.timed c `Filter @@ fun () ->
+      Counters.timed counters `Filter @@ fun () ->
       proposals_for net ~cache ~sim ~max_divisors ~max_triples ~cur_lits f
     in
     let rec try_shapes = function
       | [] -> Scheduler.Quiet
       | shape :: tl -> (
-        Counters.add c.Counters.kresub_candidates 1;
-        match Counters.timed c `Validate (fun () -> validate oracle ~f shape) with
+        Counters.add counters.Counters.kresub_candidates 1;
+        match
+          Counters.timed counters `Validate (fun () ->
+              validate oracle ~f shape)
+        with
         | Some assign ->
           if List.length (Signature.rows sim) < 64 * sim_words then begin
-            if live then begin
-              Signature.refine sim assign;
-              Counters.add c.Counters.kresub_refinements 1
-            end;
+            Signature.refine sim assign;
+            Counters.add counters.Counters.kresub_refinements 1;
             Scheduler.Refined
           end
           else try_shapes tl
         | None ->
-          Counters.add c.Counters.kresub_validated 1;
+          Counters.add counters.Counters.kresub_validated 1;
           let landed =
             speculating (fun () ->
                 let before_cover = Network.cover net f in
@@ -602,63 +599,33 @@ let run ?(max_divisors = default_max_divisors)
     in
     try_shapes shapes
   in
-  let scan_to_quiescence net ~cache ~sim ~oracle ~counters:c ~speculating
-      ~live f =
-    let rec go restarts =
-      match
-        scan_once net ~cache ~sim ~oracle ~counters:c ~speculating ~live f
-      with
-      | Scheduler.Refined when live && restarts < max_restarts ->
-        go (restarts + 1)
-      | outcome -> outcome
-    in
-    go 0
-  in
-  let client memo =
-    (* The whole scan is one memo unit: its dividend entry is keyed on
-       the number of counterexample rows. *)
-    let miss c =
-      if Option.is_some memo then Counters.add c.Counters.memo_misses 1
-    in
+  (* The whole scan is one memo unit: its dividend entry is keyed on the
+     number of counterexample rows. *)
+  let scan memo =
     let speculating real =
       match memo with
       | Some m ->
         Dirty.speculating (Division_memo.dirty m) ~committed:Fun.id real
       | None -> real ()
     in
-    let scan f =
-      miss counters;
-      let outcome =
-        scan_to_quiescence net ~cache ~sim ~oracle ~counters ~speculating
-          ~live:true f
+    fun f ->
+      if Option.is_some memo then
+        Counters.add counters.Counters.memo_misses 1;
+      let rec go restarts =
+        match scan_once ~speculating f with
+        | Scheduler.Refined when restarts < max_restarts -> go (restarts + 1)
+        | outcome -> outcome
       in
+      let outcome = go 0 in
       if outcome = Scheduler.Committed then begin
         incr substitutions;
         Counters.add counters.Counters.substitutions 1
       end;
       outcome
-    in
-    (* Workers simulate their snapshot once with the live rows and never
-       refine: a would-be refinement only yields the verdict, and the
-       scheduler re-runs the scan live. *)
-    let speculate snap wc f =
-      miss wc;
-      let wsim =
-        Signature.create ~seed:sim_seed ~words:sim_words ?dc
-          ~rows:(Signature.rows sim) snap
-      in
-      Fun.protect ~finally:(fun () -> Signature.detach wsim) @@ fun () ->
-      ( scan_to_quiescence snap ~cache:(Fanin_cache.create snap) ~sim:wsim
-          ~oracle:(ora_create ?dc snap) ~counters:wc
-          ~speculating:(fun real -> real ())
-          ~live:false f,
-        Scheduler.Unbounded )
-    in
-    { Scheduler.bounded = false; scan; speculate }
   in
   Scheduler.run ~driver:"kresub"
     ~fields:[ ("words", Trace.Int sim_words) ]
     ~gen:(fun () -> List.length (Signature.rows sim))
     ~pass_work:(fun c -> c.Counters.kresub_candidates)
-    ~jobs ~use_memo ~max_passes ?deadline_at ~trace ~counters net client;
+    ~use_memo ~max_passes ?deadline_at ~trace ~counters net scan;
   !substitutions

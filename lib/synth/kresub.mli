@@ -35,11 +35,9 @@
     node's factored literal count strictly decreases; since candidates
     are covers over existing nodes, no attempt ever allocates a node id.
 
-    Passes, [jobs > 1] and the memo are {!Booldiv.Scheduler}'s, with
-    dividend-level memo entries keyed on the number of counterexample
-    rows, so
-    [--jobs N] and [--no-memo] stay byte-identical to the sequential
-    memoised run. *)
+    Passes and the memo are {!Booldiv.Scheduler}'s, with dividend-level
+    memo entries keyed on the number of counterexample rows, so
+    [--no-memo] stays byte-identical to the memoised run. *)
 
 val default_max_divisors : int
 (** Size of the ranked divisor shortlist the 1-/2-resub pair and triple
@@ -53,7 +51,6 @@ val run :
   ?max_divisors:int ->
   ?max_triples:int ->
   ?max_passes:int ->
-  ?jobs:int ->
   ?sim_seed:int ->
   ?sim_words:int ->
   ?use_memo:bool ->

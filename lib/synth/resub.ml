@@ -89,20 +89,19 @@ let candidates ~counters ~cache ?sigs ~use_complement ~max_candidates net
     List.filteri (fun i _ -> i < max_candidates) (List.map fst sorted)
 
 let run ?(use_complement = true) ?(use_filter = true)
-    ?(max_candidates = default_max_candidates) ?(max_passes = 4) ?(jobs = 1)
+    ?(max_candidates = default_max_candidates) ?(max_passes = 4)
     ?(sim_seed = Signature.default_seed) ?(sim_words = Signature.default_words)
     ?(use_memo = true) ?deadline_at ?(trace = Trace.disabled) ?counters ?dc net
     =
   let counters =
     match counters with Some c -> c | None -> Counters.create ()
   in
-  let signatures net =
+  let cache = Fanin_cache.create net in
+  let sigs =
     if use_filter then
       Some (Signature.create ~seed:sim_seed ~words:sim_words ?dc net)
     else None
   in
-  let cache = Fanin_cache.create net in
-  let sigs = signatures net in
   Fun.protect ~finally:(fun () -> Option.iter Signature.detach sigs)
   @@ fun () ->
   (* Algebraic attempts never add or remove nodes, so the candidate
@@ -118,76 +117,53 @@ let run ?(use_complement = true) ?(use_filter = true)
     Division_memo.reads_of_set
       (Network.Node_set.add f (Network.Node_set.singleton d))
   in
-  let client memo =
-    (* One pair against [net] — the live network or a worker's snapshot —
-       with each polarity going through the memo's per-unit protocol.
-       Failures a worker records land in the shared table at the frozen
-       clock: true facts even if its whole scan is later discarded. *)
-    let pair_attempt ~live ~cache ~counters:c net f d =
-      match memo with
-      | None ->
-        Counters.timed c `Division @@ fun () ->
-        Counters.add c.Counters.divisions_attempted 1;
-        try_substitute ~use_complement ~cache net ~f ~d
-      | Some m ->
-        if pair_guarded ~cache net ~f ~d then begin
-          Counters.add c.Counters.divisions_attempted 1;
-          false
-        end
-        else begin
-          let ran = ref false in
-          let phase ph real =
-            Division_memo.attempt m net ~live ~counters:c ~f
-              (Division_memo.Divisor (d, ph))
-              ~meth:Division_memo.Algebraic ~reads:(pair_reads f d) (fun () ->
-                ran := true;
-                Counters.timed c `Division real)
-          in
-          let ok =
-            phase Division_memo.Pos (fun () -> attempt_direct net ~f ~d)
-            || use_complement
-               && phase Division_memo.Neg (fun () ->
-                      attempt_complement net ~f ~d)
-          in
-          if !ran then Counters.add c.Counters.divisions_attempted 1;
-          ok
-        end
-    in
-    let scan_on ~live ~cache ?sigs ~counters ~first_only net f =
-      let landed = ref false in
-      List.iter
-        (fun d ->
-          if
-            (not (first_only && !landed))
-            && Network.mem net f && Network.mem net d
-            && pair_attempt ~live ~cache ~counters net f d
-          then begin
-            landed := true;
-            if live then begin
-              incr substitutions;
-              Counters.add counters.Counters.substitutions 1
-            end
-          end)
-        (candidates ~counters ~cache ?sigs ~use_complement ~max_candidates net
-           ~f ~nodes);
-      if !landed then Scheduler.Committed else Scheduler.Quiet
-    in
-    (* Candidate selection reads every node's signature with no structural
-       gate, so a worker's verdict has no bounded read closure. *)
-    let speculate snap wc f =
-      let wsigs = signatures snap in
-      Fun.protect ~finally:(fun () -> Option.iter Signature.detach wsigs)
-      @@ fun () ->
-      ( scan_on ~live:false ~cache:(Fanin_cache.create snap) ?sigs:wsigs
-          ~counters:wc ~first_only:true snap f,
-        Scheduler.Unbounded )
-    in
-    {
-      Scheduler.bounded = false;
-      scan = scan_on ~live:true ~cache ?sigs ~counters ~first_only:false net;
-      speculate;
-    }
+  (* One pair, with each polarity going through the memo's per-unit
+     protocol. *)
+  let pair_attempt memo f d =
+    match memo with
+    | None ->
+      Counters.timed counters `Division @@ fun () ->
+      Counters.add counters.Counters.divisions_attempted 1;
+      try_substitute ~use_complement ~cache net ~f ~d
+    | Some m ->
+      if pair_guarded ~cache net ~f ~d then begin
+        Counters.add counters.Counters.divisions_attempted 1;
+        false
+      end
+      else begin
+        let ran = ref false in
+        let phase ph real =
+          Division_memo.attempt m net ~counters ~f
+            (Division_memo.Divisor (d, ph))
+            ~meth:Division_memo.Algebraic ~reads:(pair_reads f d) (fun () ->
+              ran := true;
+              Counters.timed counters `Division real)
+        in
+        let ok =
+          phase Division_memo.Pos (fun () -> attempt_direct net ~f ~d)
+          || use_complement
+             && phase Division_memo.Neg (fun () ->
+                    attempt_complement net ~f ~d)
+        in
+        if !ran then Counters.add counters.Counters.divisions_attempted 1;
+        ok
+      end
   in
-  Scheduler.run ~driver:"resub" ~jobs ~use_memo ~max_passes ?deadline_at
-    ~trace ~counters net client;
+  let scan memo f =
+    let landed = ref false in
+    List.iter
+      (fun d ->
+        if
+          Network.mem net f && Network.mem net d && pair_attempt memo f d
+        then begin
+          landed := true;
+          incr substitutions;
+          Counters.add counters.Counters.substitutions 1
+        end)
+      (candidates ~counters ~cache ?sigs ~use_complement ~max_candidates net
+         ~f ~nodes);
+    if !landed then Scheduler.Committed else Scheduler.Quiet
+  in
+  Scheduler.run ~driver:"resub" ~use_memo ~max_passes ?deadline_at ~trace
+    ~counters net scan;
   !substitutions

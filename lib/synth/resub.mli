@@ -31,7 +31,6 @@ val run :
   ?use_filter:bool ->
   ?max_candidates:int ->
   ?max_passes:int ->
-  ?jobs:int ->
   ?sim_seed:int ->
   ?sim_words:int ->
   ?use_memo:bool ->
@@ -46,8 +45,7 @@ val run :
     [max_candidates] (filtered runs only) to {!default_max_candidates}.
     Pair/division tallies accumulate into [counters] when given.
 
-    [jobs] (default 1) scans dividends in parallel under
-    {!Booldiv.Scheduler}, bit-identically to a sequential run; [sim_seed]
+    Dividends are scanned by {!Booldiv.Scheduler}; [sim_seed]
     (default {!Logic_sim.Signature.default_seed}) seeds the signature
     filter and [sim_words] (default
     {!Logic_sim.Signature.default_words}) sizes its vectors in 64-bit

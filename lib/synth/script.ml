@@ -91,7 +91,6 @@ let method_names =
 type settings = {
   use_filter : bool;
   use_memo : bool;
-  jobs : int;
   sim_seed : int;
   sim_words : int;
   fault_fuel : int option;
@@ -102,7 +101,6 @@ let default_settings =
   {
     use_filter = true;
     use_memo = true;
-    jobs = 1;
     sim_seed = Logic_sim.Signature.default_seed;
     sim_words = Logic_sim.Signature.default_words;
     fault_fuel = None;
@@ -111,22 +109,22 @@ let default_settings =
 
 let resub_command ?(settings = default_settings) ?trace ?counters ?dc meth net
     =
-  let { use_filter; use_memo; jobs; sim_seed; sim_words; fault_fuel;
-        deadline_at } =
+  let { use_filter; use_memo; sim_seed; sim_words; fault_fuel; deadline_at }
+      =
     settings
   in
   match meth with
   | Algebraic ->
     ignore
-      (Resub.run ~use_complement:true ~use_filter ~jobs ~sim_seed ~sim_words
+      (Resub.run ~use_complement:true ~use_filter ~sim_seed ~sim_words
          ~use_memo ?deadline_at ?trace ?counters ?dc net)
   | Kresub ->
     (* The constructive driver has no signature-as-filter mode to turn
        off — signatures are its candidate generator — so [use_filter]
        and [fault_fuel] (no implication work) are accepted and unused. *)
     ignore
-      (Kresub.run ~jobs ~sim_seed ~sim_words ~use_memo ?deadline_at ?trace
-         ?counters ?dc net)
+      (Kresub.run ~sim_seed ~sim_words ~use_memo ?deadline_at ?trace ?counters
+         ?dc net)
   | Basic | Ext | Ext_gdc ->
     let base =
       match meth with
@@ -138,7 +136,6 @@ let resub_command ?(settings = default_settings) ?trace ?counters ?dc meth net
       {
         base with
         Booldiv.Substitute.use_filter;
-        jobs;
         sim_seed;
         sim_words;
         use_memo;

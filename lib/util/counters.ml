@@ -1,9 +1,6 @@
-(* Scalar tallies are [Atomic.t] so one record can be shared by the
-   sharded drivers' worker domains without losing updates; the
-   structured [pass_divisions] list stays single-writer (the driver's
-   fixpoint loop). Workers usually still tally into private records
-   folded in with [accumulate] — atomicity makes the shared-record path
-   (and careless direct use) safe rather than silently lossy. *)
+(* Scalar tallies are [Atomic.t], so a record shared between domains
+   loses no update; the structured [pass_divisions] list stays
+   single-writer (the driver's fixpoint loop). *)
 
 type t = {
   pairs_considered : int Atomic.t;
@@ -16,7 +13,6 @@ type t = {
   imply_refreshes : int Atomic.t;
   imply_resets : int Atomic.t;
   imply_checkpoints : int Atomic.t;
-  speculative_wasted : int Atomic.t;
   degradations : int Atomic.t;
   floor_rejects : int Atomic.t;
   passes : int Atomic.t;
@@ -26,7 +22,6 @@ type t = {
   mutable pass_divisions : int list;
   filter_seconds : float Atomic.t;
   division_seconds : float Atomic.t;
-  speculative_seconds : float Atomic.t;
   validation_seconds : float Atomic.t;
 }
 
@@ -42,7 +37,6 @@ let create () =
     imply_refreshes = Atomic.make 0;
     imply_resets = Atomic.make 0;
     imply_checkpoints = Atomic.make 0;
-    speculative_wasted = Atomic.make 0;
     degradations = Atomic.make 0;
     floor_rejects = Atomic.make 0;
     passes = Atomic.make 0;
@@ -52,7 +46,6 @@ let create () =
     pass_divisions = [];
     filter_seconds = Atomic.make 0.0;
     division_seconds = Atomic.make 0.0;
-    speculative_seconds = Atomic.make 0.0;
     validation_seconds = Atomic.make 0.0;
   }
 
@@ -86,7 +79,6 @@ let accumulate dst src =
   add dst.imply_refreshes (Atomic.get src.imply_refreshes);
   add dst.imply_resets (Atomic.get src.imply_resets);
   add dst.imply_checkpoints (Atomic.get src.imply_checkpoints);
-  add dst.speculative_wasted (Atomic.get src.speculative_wasted);
   add dst.degradations (Atomic.get src.degradations);
   add dst.floor_rejects (Atomic.get src.floor_rejects);
   (let p = Atomic.get src.passes in
@@ -97,7 +89,6 @@ let accumulate dst src =
   dst.pass_divisions <- sum_by_pass dst.pass_divisions src.pass_divisions;
   add_seconds dst.filter_seconds (Atomic.get src.filter_seconds);
   add_seconds dst.division_seconds (Atomic.get src.division_seconds);
-  add_seconds dst.speculative_seconds (Atomic.get src.speculative_seconds);
   add_seconds dst.validation_seconds (Atomic.get src.validation_seconds)
 
 (* The elapsed time must land in its bucket also when [f] raises (a
@@ -112,7 +103,6 @@ let timed t field f =
       match field with
       | `Filter -> add_seconds t.filter_seconds elapsed
       | `Division -> add_seconds t.division_seconds elapsed
-      | `Speculative -> add_seconds t.speculative_seconds elapsed
       | `Validate -> add_seconds t.validation_seconds elapsed)
     f
 
@@ -123,9 +113,9 @@ let to_string t =
   Printf.sprintf
     "pairs %d (filtered %d), divisions %d (passes %d: [%s]), substitutions \
      %d, memo %d hits / %d misses, imply %d creates / %d refreshes / %d \
-     resets / %d checkpoints, speculative %d wasted, degradations %d, floor \
-     rejects %d, kresub %d candidates / %d validated / %d refinements, \
-     filter %.2fs, division %.2fs, speculative %.2fs, validation %.2fs"
+     resets / %d checkpoints, degradations %d, floor rejects %d, kresub %d \
+     candidates / %d validated / %d refinements, filter %.2fs, division \
+     %.2fs, validation %.2fs"
     (Atomic.get t.pairs_considered)
     (Atomic.get t.pairs_filtered)
     (Atomic.get t.divisions_attempted)
@@ -137,7 +127,6 @@ let to_string t =
     (Atomic.get t.imply_refreshes)
     (Atomic.get t.imply_resets)
     (Atomic.get t.imply_checkpoints)
-    (Atomic.get t.speculative_wasted)
     (Atomic.get t.degradations)
     (Atomic.get t.floor_rejects)
     (Atomic.get t.kresub_candidates)
@@ -145,7 +134,6 @@ let to_string t =
     (Atomic.get t.kresub_refinements)
     (Atomic.get t.filter_seconds)
     (Atomic.get t.division_seconds)
-    (Atomic.get t.speculative_seconds)
     (Atomic.get t.validation_seconds)
 
 let to_json t =
@@ -156,12 +144,12 @@ let to_json t =
      \"imply_creates\": %d, \"imply_refreshes\": %d, \
      \"imply_resets\": %d, \
      \"imply_checkpoints\": %d, \
-     \"speculative_wasted\": %d, \"degradations\": %d, \
+     \"degradations\": %d, \
      \"floor_rejects\": %d, \"passes\": %d, \"pass_divisions\": [%s], \
      \"kresub_candidates\": %d, \"kresub_validated\": %d, \
      \"kresub_refinements\": %d, \
      \"filter_seconds\": %.6f, \"division_seconds\": %.6f, \
-     \"speculative_seconds\": %.6f, \"validation_seconds\": %.6f}"
+     \"validation_seconds\": %.6f}"
     (Atomic.get t.pairs_considered)
     (Atomic.get t.pairs_filtered)
     (Atomic.get t.divisions_attempted)
@@ -171,7 +159,6 @@ let to_json t =
     (Atomic.get t.imply_refreshes)
     (Atomic.get t.imply_resets)
     (Atomic.get t.imply_checkpoints)
-    (Atomic.get t.speculative_wasted)
     (Atomic.get t.degradations)
     (Atomic.get t.floor_rejects)
     (Atomic.get t.passes)
@@ -181,5 +168,4 @@ let to_json t =
     (Atomic.get t.kresub_refinements)
     (Atomic.get t.filter_seconds)
     (Atomic.get t.division_seconds)
-    (Atomic.get t.speculative_seconds)
     (Atomic.get t.validation_seconds)

@@ -6,17 +6,11 @@
     signature/structural filter rejected before any division ran, how
     many divisions were actually attempted and committed, how often the
     implication arena was rebuilt from scratch versus reset in place,
-    how much speculative parallel work was discarded, and the wall-clock
-    split between the phases.
+    and the wall-clock split between the phases.
 
-    Every scalar tally is an {!Atomic.t}, so a single record is safe to
-    update from concurrent worker domains of the sharded drivers — no
-    update can be lost. Workers normally still tally into private
-    records which the driver folds in with {!accumulate} at region
-    commit (that keeps per-worker figures attributable); atomicity
-    covers the shared-record paths. The one structured field,
-    [pass_divisions], is owned by the driver's fixpoint loop alone and
-    must not be written from workers. *)
+    Every scalar tally is an {!Atomic.t}, so a record shared between
+    domains loses no update. The one structured field,
+    [pass_divisions], is owned by the driver's fixpoint loop alone. *)
 
 type t = {
   pairs_considered : int Atomic.t;
@@ -37,9 +31,6 @@ type t = {
       (** trail-based arena reuses between redundancy tests *)
   imply_checkpoints : int Atomic.t;
       (** trail rewinds to a checkpoint instead of a full reset+replay *)
-  speculative_wasted : int Atomic.t;
-      (** parallel evaluations discarded because an earlier-ranked
-          candidate committed first *)
   degradations : int Atomic.t;
       (** budget exhaustions absorbed by falling back to a weaker result
           (redundancy scan cut short, vote table truncated, unit
@@ -60,11 +51,9 @@ type t = {
   mutable pass_divisions : int list;
       (** divisions_attempted per pass, oldest pass first; when
           accumulated across circuits the lists are summed index-wise.
-          Driver-owned: never written by worker domains. *)
+          Driver-owned. *)
   filter_seconds : float Atomic.t;
   division_seconds : float Atomic.t;
-  speculative_seconds : float Atomic.t;
-      (** wall-clock spent inside the discarded evaluations *)
   validation_seconds : float Atomic.t;
       (** wall-clock spent in exact (BDD) validation of kresub
           candidates — reported separately from [division_seconds] so
@@ -85,7 +74,7 @@ val accumulate : t -> t -> unit
     the max, [pass_divisions] sums index-wise). *)
 
 val timed :
-  t -> [ `Filter | `Division | `Speculative | `Validate ] -> (unit -> 'a) -> 'a
+  t -> [ `Filter | `Division | `Validate ] -> (unit -> 'a) -> 'a
 (** Run a thunk and add its elapsed wall-clock time to the chosen
     bucket. Exception-safe: the time is recorded (and the exception
     re-raised) also when the thunk raises. *)

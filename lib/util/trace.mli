@@ -11,9 +11,8 @@
     The {!disabled} sink makes tracing free when off: {!enabled} is a
     pattern match, {!emit} returns immediately, and hot paths are expected
     to guard field construction behind [if Trace.enabled t]. Emission is
-    mutex-serialised so concurrent emitters cannot interleave bytes, but
-    the intended discipline is that only the driver domain traces (worker
-    domains run with {!disabled}, like they run with logging off). *)
+    mutex-serialised so concurrent emitters (the daemon's worker domains)
+    cannot interleave bytes. *)
 
 type t
 

@@ -206,28 +206,6 @@ let test_aig_opt_monotone_and_equivalent () =
            (Aig.to_network optimised)))
     [ 1; 7; 42 ]
 
-(* Windows run sequentially and the per-window drivers are
-   jobs-deterministic, so the written AIGER must be byte-identical
-   across the jobs grid — the property [make aigcheck] pins at scale. *)
-let test_aig_opt_jobs_byte_identity () =
-  let run jobs =
-    let config =
-      {
-        Synth.Aig_opt.default_config with
-        Synth.Aig_opt.settings = { Synth.Script.default_settings with jobs };
-      }
-    in
-    let optimised, _ = Synth.Aig_opt.optimize ~config (planted_aig 3) in
-    Aiger.to_string optimised
-  in
-  let reference = run 1 in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check string)
-        (Printf.sprintf "jobs=%d byte-identical" jobs)
-        reference (run jobs))
-    [ 2; 4 ]
-
 let test_aig_opt_verified_windows () =
   let config =
     { Synth.Aig_opt.default_config with Synth.Aig_opt.verify_windows = true }
@@ -319,8 +297,6 @@ let () =
         [
           Alcotest.test_case "monotone + equivalent" `Quick
             test_aig_opt_monotone_and_equivalent;
-          Alcotest.test_case "jobs byte identity" `Quick
-            test_aig_opt_jobs_byte_identity;
           Alcotest.test_case "verified windows" `Quick
             test_aig_opt_verified_windows;
           Alcotest.test_case "traced window phases" `Quick

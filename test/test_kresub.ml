@@ -90,8 +90,8 @@ let test_one_resub_and () =
     "result BDD-equivalent" true
     (bdd_equivalent net (build ()))
 
-(* The determinism discipline every other method obeys: any jobs value
-   and either memo setting must give byte-identical networks. *)
+(* The determinism discipline every other method obeys: either memo
+   setting must give byte-identical networks. *)
 let test_determinism () =
   let base =
     let row = Option.get (Suite.find "b9") in
@@ -99,19 +99,13 @@ let test_determinism () =
     Synth.Script.run net Synth.Script.script_a;
     net
   in
-  let run ~jobs ~use_memo =
+  let run ~use_memo =
     let scratch = Network.copy base in
-    ignore (Synth.Kresub.run ~jobs ~use_memo scratch);
+    ignore (Synth.Kresub.run ~use_memo scratch);
     Network.to_string scratch
   in
-  let reference = run ~jobs:1 ~use_memo:true in
-  List.iter
-    (fun (jobs, use_memo) ->
-      Alcotest.(check string)
-        (Printf.sprintf "jobs=%d memo=%b identical" jobs use_memo)
-        reference
-        (run ~jobs ~use_memo))
-    [ (1, false); (2, true); (4, true); (4, false) ]
+  Alcotest.(check string) "memo on/off identical" (run ~use_memo:true)
+    (run ~use_memo:false)
 
 let test_sim_words () =
   let build () =
@@ -558,7 +552,7 @@ let () =
         ] );
       ( "discipline",
         [
-          Alcotest.test_case "jobs x memo byte-identity" `Quick
+          Alcotest.test_case "memo byte-identity" `Quick
             test_determinism;
           Alcotest.test_case "sim_words sizes the vector" `Quick
             test_sim_words;

@@ -20,6 +20,13 @@ let temp_socket () =
   Sys.remove path;
   path
 
+let contains haystack needle =
+  let n = String.length needle and h = String.length haystack in
+  let rec at i =
+    i + n <= h && (String.sub haystack i n = needle || at (i + 1))
+  in
+  at 0
+
 (* ------------------------------------------------------------------ *)
 (* Protocol                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -31,7 +38,6 @@ let test_protocol_roundtrip () =
       Protocol.script = "b";
       meth = "basic";
       use_filter = false;
-      jobs = 0;
       sim_seed = Some 99;
       fault_budget = Some 1234;
       deadline = Some 1.5;
@@ -232,7 +238,8 @@ let test_frame_abuse_rejected () =
   in
   let request = List.hd (stress_workload ()) in
   Server.with_server config (fun _server ->
-      let expect_refusal tag send =
+      (* [reason], when given, must appear in the refusal message. *)
+      let expect_refusal ?reason tag send =
         let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
         Unix.connect fd (Unix.ADDR_UNIX socket);
         Fun.protect
@@ -243,19 +250,32 @@ let test_frame_abuse_rejected () =
             | None -> Alcotest.failf "%s: closed with no reply" tag
             | Some payload -> (
               match Protocol.decode_response payload with
-              | Ok (Protocol.Refused _) -> ()
+              | Ok (Protocol.Refused message) -> (
+                match reason with
+                | Some r when not (contains message r) ->
+                  Alcotest.failf "%s: refused with %S, expected %S" tag
+                    message r
+                | _ -> ())
               | Ok (Protocol.Result _) -> Alcotest.failf "%s: accepted" tag
               | Error m -> Alcotest.failf "%s: unreadable reply: %s" tag m))
       in
       expect_refusal "malformed" (fun fd ->
           Protocol.write_frame fd "definitely not a rarsub frame");
-      expect_refusal "bad header values" (fun fd ->
-          Protocol.write_frame fd "rarsub 1 request\njobs banana\n\nbody");
+      expect_refusal "bad header values"
+        ~reason:"header sim-words: expected integer" (fun fd ->
+          Protocol.write_frame fd
+            "rarsub 1 job\nscript a\nmethod ext\nsim-words banana\n\nbody");
+      (* [jobs] is no longer a request header: a frame that still sends
+         it gets the typed unknown-header refusal. *)
+      expect_refusal "retired jobs header" ~reason:"unknown header \"jobs\""
+        (fun fd ->
+          Protocol.write_frame fd
+            "rarsub 1 job\nscript a\nmethod ext\njobs 2\n\nbody");
       expect_refusal "oversized" (fun fd ->
           (* Header announces 1 MiB against a 4 KiB limit; the daemon
              must refuse on the header alone. *)
           ignore (Unix.write fd (Bytes.of_string "\x00\x10\x00\x00") 0 4));
-      (* The daemon survived all three and still serves real work. *)
+      (* The daemon survived every abuse and still serves real work. *)
       match Server.Client.round_trip ~timeout:120.0 ~socket request with
       | Protocol.Result _ -> ()
       | Protocol.Refused m -> Alcotest.failf "daemon wedged after abuse: %s" m)

@@ -1,5 +1,4 @@
-(* Tests for the SIS-like synthesis environment and the division
-   baselines. *)
+(* Tests for the SIS-like synthesis environment. *)
 
 open Twolevel
 module Network = Logic_network.Network
@@ -7,8 +6,6 @@ module Builder = Logic_network.Builder
 module Lit_count = Logic_network.Lit_count
 module Equiv = Logic_sim.Equiv
 module Generator = Bench_suite.Generator
-
-let cover = Parse.cover_default
 
 (* ------------------------------------------------------------------ *)
 (* Lift                                                                *)
@@ -172,69 +169,6 @@ let test_script_algebraic_with_hooks () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Division baselines                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let test_coalgebraic_xor () =
-  (* The historical motivating case: xor / (a + b) = a' + b' needs the
-     identity a·a' = 0, which coalgebraic division has. *)
-  let f = cover "ab' + a'b" and d = cover "a + b" in
-  match Synth.Coalgebraic.divide f d with
-  | None -> Alcotest.fail "coalgebraic division should succeed"
-  | Some (q, r) ->
-    Alcotest.(check bool) "identity" true
-      (Cover.equivalent f (Cover.union (Cover.product q d) r));
-    Alcotest.(check bool) "quotient a' + b'" true
-      (Cover.equivalent q (cover "a' + b'"))
-
-let test_coalgebraic_identity_property () =
-  (* Identity on a batch of random pairs. *)
-  let rng = Rar_util.Rng.create 99 in
-  for _ = 1 to 200 do
-    let random_cover () =
-      let cubes =
-        List.init
-          (1 + Rar_util.Rng.int rng 4)
-          (fun _ ->
-            Cube.of_literals
-              (List.init
-                 (1 + Rar_util.Rng.int rng 3)
-                 (fun _ ->
-                   Literal.make (Rar_util.Rng.int rng 5) (Rar_util.Rng.bool rng))))
-      in
-      Cover.of_cubes (List.filter_map Fun.id cubes)
-    in
-    let f = random_cover () and d = random_cover () in
-    match Synth.Coalgebraic.divide f d with
-    | None -> ()
-    | Some (q, r) ->
-      if not (Cover.equivalent f (Cover.union (Cover.product q d) r)) then
-        Alcotest.failf "identity violated for f=%s d=%s" (Cover.to_string f)
-          (Cover.to_string d)
-  done
-
-let baseline_substitution_test name try_substitute =
-  let net =
-    Builder.of_spec ~inputs:[ "a"; "b" ]
-      ~nodes:[ ("D", "a + b"); ("f", "ab' + a'b") ]
-      ~outputs:[ "f"; "D" ]
-  in
-  let before = Network.copy net in
-  let f = Builder.node net "f" and d = Builder.node net "D" in
-  Alcotest.(check bool) (name ^ " commits on xor") true
-    (try_substitute net ~f ~d);
-  Network.check net;
-  Alcotest.(check bool) (name ^ " preserves") true (Equiv.equivalent net before);
-  Alcotest.(check bool) (name ^ " reduces f") true
-    (Lit_count.node_factored net f < 4)
-
-let test_bdd_division () =
-  baseline_substitution_test "bdd" Synth.Bdd_division.try_substitute
-
-let test_espresso_division () =
-  baseline_substitution_test "espresso" Synth.Espresso_division.try_substitute
-
-(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -268,42 +202,6 @@ let prop_simplify_preserves =
 let prop_script_b_preserves =
   preserves "script B preserves function" (fun net ->
       Synth.Script.run net Synth.Script.script_b)
-
-let prop_bdd_division_preserves =
-  preserves "BDD division preserves function" (fun net ->
-      let nodes = Network.logic_ids net in
-      List.iter
-        (fun f ->
-          List.iter
-            (fun d ->
-              if Network.mem net f && Network.mem net d && f <> d then
-                ignore (Synth.Bdd_division.try_substitute net ~f ~d))
-            nodes)
-        nodes)
-
-let prop_espresso_division_preserves =
-  preserves "espresso division preserves function" (fun net ->
-      let nodes = Network.logic_ids net in
-      List.iter
-        (fun f ->
-          List.iter
-            (fun d ->
-              if Network.mem net f && Network.mem net d && f <> d then
-                ignore (Synth.Espresso_division.try_substitute net ~f ~d))
-            nodes)
-        nodes)
-
-let prop_coalgebraic_preserves =
-  preserves "coalgebraic substitution preserves function" (fun net ->
-      let nodes = Network.logic_ids net in
-      List.iter
-        (fun f ->
-          List.iter
-            (fun d ->
-              if Network.mem net f && Network.mem net d && f <> d then
-                ignore (Synth.Coalgebraic.try_substitute net ~f ~d))
-            nodes)
-        nodes)
 
 
 (* ------------------------------------------------------------------ *)
@@ -347,44 +245,6 @@ let prop_full_simplify_preserves =
   preserves "full_simplify preserves function" (fun net ->
       ignore (Synth.Full_simplify.run net))
 
-
-(* ------------------------------------------------------------------ *)
-(* Decomposition                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_decomp () =
-  let net =
-    Builder.of_spec
-      ~inputs:[ "a"; "b"; "c"; "d"; "e" ]
-      ~nodes:[ ("f", "ac + ad + bc + bd + e") ]
-      ~outputs:[ "f" ]
-  in
-  let before = Network.copy net in
-  let nodes_before = Network.node_count net in
-  let changed = Synth.Decomp.run net in
-  Network.check net;
-  Alcotest.(check bool) "decomposed" true (changed >= 1);
-  Alcotest.(check bool) "more nodes" true (Network.node_count net > nodes_before);
-  Alcotest.(check bool) "preserved" true (Equiv.equivalent net before);
-  (* Every node is now a simple factor: flat literal count equals
-     factored. *)
-  List.iter
-    (fun id ->
-      Alcotest.(check int)
-        (Network.name net id ^ " is a simple factor")
-        (Lit_count.node_flat net id)
-        (Lit_count.node_factored net id))
-    (Network.logic_ids net)
-
-let prop_decomp_preserves =
-  preserves "decomp preserves function" (fun net ->
-      ignore (Synth.Decomp.run net))
-
-let prop_decomp_then_eliminate_roundtrip =
-  preserves "decomp then eliminate preserves function" (fun net ->
-      ignore (Synth.Decomp.run net);
-      ignore (Logic_network.Collapse.eliminate ~threshold:0 net))
-
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -393,12 +253,7 @@ let qcheck_cases =
       prop_gkx_preserves;
       prop_simplify_preserves;
       prop_script_b_preserves;
-      prop_bdd_division_preserves;
-      prop_espresso_division_preserves;
-      prop_coalgebraic_preserves;
       prop_full_simplify_preserves;
-      prop_decomp_preserves;
-      prop_decomp_then_eliminate_roundtrip;
     ]
 
 let () =
@@ -423,21 +278,11 @@ let () =
           Alcotest.test_case "script.algebraic hooks" `Slow
             test_script_algebraic_with_hooks;
         ] );
-      ( "decomp",
-        [ Alcotest.test_case "factored tree" `Quick test_decomp ] );
       ( "full-simplify",
         [
           Alcotest.test_case "uses fanin dc" `Quick test_full_simplify_uses_fanin_dc;
           Alcotest.test_case "foreign support skipped" `Quick
             test_full_simplify_skips_foreign_support;
-        ] );
-      ( "baselines",
-        [
-          Alcotest.test_case "coalgebraic xor" `Quick test_coalgebraic_xor;
-          Alcotest.test_case "coalgebraic identity" `Quick
-            test_coalgebraic_identity_property;
-          Alcotest.test_case "bdd division" `Quick test_bdd_division;
-          Alcotest.test_case "espresso division" `Quick test_espresso_division;
         ] );
       ("properties", qcheck_cases);
     ]

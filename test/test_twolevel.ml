@@ -437,49 +437,6 @@ let prop_kernels_divide =
 
 
 (* ------------------------------------------------------------------ *)
-(* PLA format                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_pla_roundtrip () =
-  let pla = Pla.of_cover ~input_labels:[ "a"; "b"; "c" ] (cover "ab + c'") in
-  let text = Pla.to_string pla in
-  let back = Pla.parse text in
-  Alcotest.(check (list string)) "labels" [ "a"; "b"; "c" ] back.Pla.input_labels;
-  Alcotest.(check bool) "cover preserved" true
-    (Cover.equivalent back.Pla.covers.(0) (cover "ab + c'"))
-
-let test_pla_multi_output () =
-  let text =
-    ".i 2\n.o 2\n.ilb a b\n.ob f g\n11 10\n0- 01\n-1 11\n.e\n"
-  in
-  let pla = Pla.parse text in
-  Alcotest.(check int) "two outputs" 2 (Array.length pla.Pla.covers);
-  Alcotest.(check bool) "f = ab + b" true
-    (Cover.equivalent pla.Pla.covers.(0) (cover "ab + b"));
-  Alcotest.(check bool) "g = a' + b" true
-    (Cover.equivalent pla.Pla.covers.(1) (cover "a' + b"))
-
-let test_pla_rejects () =
-  let rejects s =
-    match Pla.parse s with
-    | exception Pla.Parse_error _ -> true
-    | _ -> false
-  in
-  Alcotest.(check bool) "missing .i" true (rejects ".o 1\n1 1\n");
-  Alcotest.(check bool) "bad char" true (rejects ".i 1\n.o 1\nx 1\n");
-  Alcotest.(check bool) "bad type" true (rejects ".i 1\n.o 1\n.type fd\n1 1\n")
-
-
-let test_pla_file_io () =
-  let pla = Pla.of_cover ~input_labels:[ "a"; "b" ] (cover "ab + a'b'") in
-  let path = Filename.temp_file "rarsub" ".pla" in
-  Pla.write_file path pla;
-  let reread = Pla.read_file path in
-  Sys.remove path;
-  Alcotest.(check bool) "file roundtrip" true
-    (Cover.equivalent reread.Pla.covers.(0) (cover "ab + a'b'"))
-
-(* ------------------------------------------------------------------ *)
 (* Reduce                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1311,13 +1268,6 @@ let () =
           Alcotest.test_case "make cube free" `Quick test_make_cube_free;
           Alcotest.test_case "factoring" `Quick test_factor;
           Alcotest.test_case "factored evaluation" `Quick test_factor_eval;
-        ] );
-      ( "pla",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_pla_roundtrip;
-          Alcotest.test_case "multi output" `Quick test_pla_multi_output;
-          Alcotest.test_case "rejects" `Quick test_pla_rejects;
-          Alcotest.test_case "file io" `Quick test_pla_file_io;
         ] );
       ( "reduce",
         [ Alcotest.test_case "reduce" `Quick test_reduce ] );

@@ -290,11 +290,11 @@ let test_counters_timed_exception_safe () =
     Alcotest.(check string) "exception preserved" "division blew up" msg);
   Alcotest.(check bool) "time recorded despite raise" true
     (Atomic.get c.Counters.division_seconds >= 0.0);
-  let before = Atomic.get c.Counters.speculative_seconds in
+  let before = Atomic.get c.Counters.validation_seconds in
   Alcotest.(check int) "result passthrough" 5
-    (Counters.timed c `Speculative (fun () -> 5));
-  Alcotest.(check bool) "speculative bucket" true
-    (Atomic.get c.Counters.speculative_seconds >= before)
+    (Counters.timed c `Validate (fun () -> 5));
+  Alcotest.(check bool) "validation bucket" true
+    (Atomic.get c.Counters.validation_seconds >= before)
 
 let test_counters_degradations_accumulate () =
   let a = Counters.create () and b = Counters.create () in
@@ -309,8 +309,7 @@ let test_counters_degradations_accumulate () =
   (* The counters snapshot embedded in traces must itself lint. *)
   Alcotest.(check bool) "to_json lints" true (Trace.lint (Counters.to_json a) = Ok ())
 
-(* Domain-safety: 8 domains hammering ONE record must lose no update.
-   This is exactly the sharded drivers' shared-record path. *)
+(* Domain-safety: 8 domains hammering ONE record must lose no update. *)
 let test_counters_domain_safe () =
   let c = Counters.create () in
   let domains = 8 and per_domain = 10_000 in
@@ -400,15 +399,10 @@ let test_pool_submit_drain () =
       Rar_util.Pool.drain pool;
       Alcotest.(check int) (tag "all submitted tasks ran") 200
         (Atomic.get counter);
-      (* Submitted tasks interleave with run batches on the same pool. *)
+      (* The pool is reusable after a drain. *)
       Rar_util.Pool.submit pool (fun () -> Atomic.incr counter);
-      let batch = Rar_util.Pool.run pool (List.init 8 (fun i () -> i * i)) in
-      Alcotest.(check (list int))
-        (tag "batch result order")
-        (List.init 8 (fun i -> i * i))
-        batch;
       Rar_util.Pool.drain pool;
-      Alcotest.(check int) (tag "interleaved submit ran") 201
+      Alcotest.(check int) (tag "reused after drain") 201
         (Atomic.get counter);
       (* An escaping exception is parked, re-raised by drain, and the
          pool survives it. *)
@@ -448,6 +442,36 @@ let test_trace_fields_of_line () =
     "malformed line yields None" true
     (Trace.fields_of_line {|{"a": }|} = None)
 
+(* A raising task must never wedge the pool: the queue keeps draining,
+   one parked exception reaches [drain], and the same pool keeps serving
+   afterwards — exercised at the machine's full domain count, where a
+   missed completion signal would deadlock [drain]. *)
+exception Task_failed of int
+
+let test_pool_raise_no_hang () =
+  let jobs = max 2 (Rar_util.Pool.default_jobs ()) in
+  let pool = Rar_util.Pool.create ~jobs in
+  Fun.protect ~finally:(fun () -> Rar_util.Pool.shutdown pool) @@ fun () ->
+  let ran = Atomic.make 0 in
+  (* Every task raising is the worst case for completion accounting. *)
+  for i = 1 to 4 * jobs do
+    Rar_util.Pool.submit pool (fun () ->
+        Atomic.incr ran;
+        raise (Task_failed i))
+  done;
+  (match Rar_util.Pool.drain pool with
+  | () -> Alcotest.fail "expected Task_failed"
+  | exception Task_failed _ -> ());
+  Alcotest.(check int) "every raising task ran" (4 * jobs) (Atomic.get ran);
+  (* The parked exception was consumed, and the pool still works. *)
+  Rar_util.Pool.drain pool;
+  for _ = 1 to 2 * jobs do
+    Rar_util.Pool.submit pool (fun () -> Atomic.incr ran)
+  done;
+  Rar_util.Pool.drain pool;
+  Alcotest.(check int) "pool reusable after exceptions" (6 * jobs)
+    (Atomic.get ran)
+
 let () =
   Alcotest.run "util"
     [
@@ -471,7 +495,11 @@ let () =
           Alcotest.test_case "summary" `Quick test_stopwatch_summary;
         ] );
       ( "pool",
-        [ Alcotest.test_case "submit/drain" `Quick test_pool_submit_drain ] );
+        [
+          Alcotest.test_case "submit/drain" `Quick test_pool_submit_drain;
+          Alcotest.test_case "raising tasks at jobs max" `Quick
+            test_pool_raise_no_hang;
+        ] );
       ( "budget",
         [
           Alcotest.test_case "fuel + sticky" `Quick test_budget_fuel;
