@@ -66,8 +66,8 @@ dccheck:
 kcheck:
 	dune exec bench/main.exe -- kcheck quick
 
-# Windowed-resub snapshot at real-benchmark scale: three generated
-# circuits of 12k-24k gates, gates/literals before and after plus wall
+# Windowed-resub snapshot at real-benchmark scale: four generated
+# circuits of 12k-100k gates, gates/literals before and after plus wall
 # seconds. Writes BENCH_aig.json (committed).
 bench-aig:
 	dune exec bench/main.exe -- aig

@@ -1753,17 +1753,19 @@ let aig_check () =
       expect (name ^ ": index-list round trip")
         (Aig.to_index_list (Aig.of_index_list il) = il))
     fixtures;
-  (* Windowed resubstitution: byte-identical with the memo on and off,
-     gate count never increases, and the result simulates identically
-     to the original through the Network bridge. *)
+  (* Windowed resubstitution: byte-identical with the memo on and off
+     and with window verification, whose final live recount matches the
+     incremental count; gate count never increases, and the result
+     simulates identically to the original through the Network bridge. *)
   List.iter
     (fun name ->
       let a = Aiger.parse (read_whole_file (fixture name)) in
-      let run use_memo =
+      let run ?(verify_windows = false) use_memo =
         let config =
           {
             Synth.Aig_opt.default_config with
             settings = { Synth.Script.default_settings with use_memo };
+            verify_windows;
           }
         in
         Synth.Aig_opt.optimize ~config a
@@ -1773,6 +1775,17 @@ let aig_check () =
       expect
         (Printf.sprintf "%s: memo on/off byte-identical" name)
         (String.equal (Aiger.to_string opt1) (Aiger.to_string opt_off));
+      (* A verifying run also recounts the live gates of the spliced
+         graph once at the end and fails if the incremental count
+         differs. *)
+      (match run ~verify_windows:true true with
+      | opt_v, stats_v ->
+        expect
+          (Printf.sprintf "%s: incremental live count %d = recount" name
+             stats_v.Synth.Aig_opt.live_gates)
+          (String.equal (Aiger.to_string opt1) (Aiger.to_string opt_v))
+      | exception Failure msg ->
+        expect (Printf.sprintf "%s: %s" name msg) false);
       expect
         (Printf.sprintf "%s: gates %d -> %d monotone" name
            stats1.Synth.Aig_opt.gates_before stats1.Synth.Aig_opt.gates_after)
@@ -1801,6 +1814,8 @@ let aig_bench () =
          ~n_gates:18000 ());
       ("random_24k", Bench_suite.Generator.random_aig ~seed:17 ~n_inputs:128
          ~n_gates:24000 ());
+      ("random_100k", Bench_suite.Generator.random_aig ~seed:29 ~n_inputs:256
+         ~n_gates:100000 ());
     ]
   in
   let rows =

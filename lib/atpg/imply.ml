@@ -371,17 +371,19 @@ let seeded_queue t =
 
 (* Rewrite slot [s] in place from its node's new function. The arena
    keeps its slots, cube capacity and fanout lists, so this holds only
-   when the node stays non-constant, has no more cubes than its slot has
-   room for and gains no fanin (then the region fanouts of other slots
-   change only by losing [s], and the seeded queue only when one of
-   them is a constant). Anything else returns [false]. *)
+   when the node has no more cubes than its slot has room for and gains
+   no fanin (then the region fanouts of other slots change only by
+   losing [s], and the seeded queue only when one of them is a constant
+   or [s] turns constant). Anything else returns [false]. A node that
+   turns constant is seeded as [build] seeds one: its value holds
+   outside the trail, so the trail is unwound first, and [base_queue]
+   is recomputed with its fanouts. *)
 let rewrite_slot t s id =
   let cover = Network.cover t.net id in
   let fanins = Network.fanins t.net id in
   let old_fanins = t.fanin_slots.(s) in
   let new_fanins = Array.map (slot_of t) fanins in
-  constant_of_cover cover = None
-  && Cover.cube_count cover <= t.cube_off.(s + 1) - t.cube_off.(s)
+  Cover.cube_count cover <= t.cube_off.(s + 1) - t.cube_off.(s)
   && Array.for_all (fun f -> f >= 0 && Array.mem f old_fanins) new_fanins
   && begin
     let dropped =
@@ -396,9 +398,17 @@ let rewrite_slot t s id =
             (List.filter (fun o -> o <> s)
                (Array.to_list t.region_fanouts.(f))))
       dropped;
-    (* Losing a constant fanin changes what the constants seed. *)
-    if List.exists (fun f -> Array.mem f t.constants) dropped then
-      t.base_queue <- seeded_queue t;
+    (match constant_of_cover cover with
+    | Some v ->
+      unwind t 0;
+      Bytes.set t.node_val s (encode v);
+      t.constants <-
+        Array.of_list (List.sort Int.compare (s :: Array.to_list t.constants));
+      t.base_queue <- seeded_queue t
+    | None ->
+      (* Losing a constant fanin changes what the constants seed. *)
+      if List.exists (fun f -> Array.mem f t.constants) dropped then
+        t.base_queue <- seeded_queue t);
     let off = t.cube_off.(s) in
     List.iteri
       (fun i cube -> t.cube_lits.(off + i) <- slot_codes t.slot fanins cube)

@@ -85,10 +85,12 @@ val refresh_node : t -> Logic_network.Network.node_id -> unit
 (** [refresh_node t id] brings the arena up to date after exactly one
     mutation since it was built or last refreshed: a
     [Function_changed id]. Call it between tests, and {!reset} before
-    the next one. When [id] keeps a non-constant cover with no more cubes
-    than it had at the build and no new fanin — the case after deleting
-    one wire — the node's slot is rewritten in place (counted as
-    [imply_refreshes]) and the next {!reset} only rewinds the trail.
+    the next one. When [id] keeps no more cubes than it had at the
+    build and no new fanin — the case after deleting one wire — the
+    node's slot is rewritten in place (counted as [imply_refreshes]) and
+    the next {!reset} only rewinds the trail. A node that turns constant
+    is seeded in place as a build seeds one (this rewinds the trail
+    already); a node that was constant at the build is not rewritten.
     Otherwise, and whenever the arena has seen any other mutation,
     nothing happens here and the next {!reset} rebuilds. Learn-copies
     ({!copy}) share the rewritten arrays, so none may be in use. *)

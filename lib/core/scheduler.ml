@@ -80,8 +80,8 @@ let run ~driver ?(fields = []) ?(gen = fun () -> 0)
       let rs0 = Atomic.get c.Counters.imply_resets in
       let again = pass () in
       Counters.add c.Counters.passes 1;
-      c.Counters.pass_divisions <-
-        c.Counters.pass_divisions @ [ Atomic.get (pass_work c) - work0 ];
+      Counters.add_pass c (max_passes - remaining)
+        (Atomic.get (pass_work c) - work0);
       if Trace.enabled trace then begin
         let delta a a0 = Trace.Int (Atomic.get a - a0) in
         let pass_no = ("pass", Trace.Int (Atomic.get c.Counters.passes)) in
@@ -103,5 +103,9 @@ let run ~driver ?(fields = []) ?(gen = fun () -> 0)
     end
   in
   Trace.span trace driver ~fields (fun () -> loop max_passes);
-  Trace.emit trace "counters"
-    [ ("counters", Trace.Raw (Counters.to_json counters)) ]
+  (* The snapshot is serialised only for a live trace: [Aig_opt] runs
+     one scheduler per window, and an eager [to_json] per run would
+     cost more than many of those runs. *)
+  if Trace.enabled trace then
+    Trace.emit trace "counters"
+      [ ("counters", Trace.Raw (Counters.to_json counters)) ]

@@ -47,5 +47,7 @@ val run :
     and the deadline [degrade] event. [gen] (default constant 0) keys
     dividend-level memo entries; a scan that moves it invalidates later
     verdicts like a commit. [pass_work] (default [divisions_attempted])
-    is the counter whose per-pass delta lands in [pass_divisions]. A
-    final [counters] snapshot is emitted on [trace]. *)
+    is the counter whose per-pass delta lands in [pass_divisions]:
+    pass [i] of this run adds into entry [i] ({!Rar_util.Counters.add_pass}),
+    so a record shared by many runs keeps at most [max_passes] entries.
+    A final [counters] snapshot is emitted when [trace] is enabled. *)

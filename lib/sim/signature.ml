@@ -131,8 +131,7 @@ let rows t = List.rev t.rows
 
 let default_seed = 0x516e41
 
-let create ?(seed = default_seed) ?(words = default_words) ?dc ?(rows = [])
-    net =
+let create ?(seed = default_seed) ?(words = default_words) ?dc net =
   if words <= 0 then invalid_arg "Signature.create: words must be positive";
   let t =
     {
@@ -163,7 +162,6 @@ let create ?(seed = default_seed) ?(words = default_words) ?dc ?(rows = [])
              if id < Array.length t.values then t.values.(id) <- absent;
              t.dirty <- Node_set.remove id t.dirty
            | Network.Rebuilt -> t.stale <- true));
-  List.iter (refine t) rows;
   refresh t;
   t
 

@@ -42,7 +42,6 @@ val create :
   ?seed:int ->
   ?words:int ->
   ?dc:Logic_network.Dont_care.t ->
-  ?rows:bool array list ->
   Logic_network.Network.t ->
   t
 (** Build the engine and simulate the whole network once. The engine
@@ -51,9 +50,9 @@ val create :
     and the counterexample rows alone, so two engines with equal seeds
     and rows assign equal signatures — even when one was kept up to date
     incrementally and the other was built from scratch after the same
-    mutations. [rows] (default none) are applied with {!refine}, oldest
-    first, before the first simulation: [create ~rows:(rows t)] on a copy
-    of [t]'s network reproduces [t]'s signatures.
+    mutations: replaying [rows t] through {!refine}, oldest first, on a
+    fresh engine over a copy of [t]'s network reproduces [t]'s
+    signatures.
 
     [dc] supplies an external don't-care view: simulation rows whose
     input pattern matches an EXCDC cube are outside the care set.

@@ -1,5 +1,6 @@
 module Network = Logic_network.Network
 module Aig = Logic_network.Aig
+module Aig_live = Logic_network.Aig_live
 module Cover = Twolevel.Cover
 module Cube = Twolevel.Cube
 module Literal = Twolevel.Literal
@@ -37,40 +38,8 @@ type stats = {
   accepted : int;
   reverted : int;
   skipped : int;
+  live_gates : int;
 }
-
-(* ------------------------------------------------------------------ *)
-(* Live view                                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Reachability and resolved reference counts over the current graph.
-   [refs.(n)] counts edges into [n] from live gates and outputs, with
-   substitutions resolved — the basis for deciding which window gates
-   are roots (referenced from outside the window). Recomputed only
-   after an accepted splice; reverted splices leave the live graph
-   untouched. *)
-type view = { live : bool array; refs : int array }
-
-let view_of aig =
-  let n = Aig.node_count aig in
-  let live = Array.make n false in
-  let refs = Array.make n 0 in
-  let stack = Stack.create () in
-  let visit l =
-    let m = Aig.lit_node (Aig.resolve aig l) in
-    refs.(m) <- refs.(m) + 1;
-    if not live.(m) then begin
-      live.(m) <- true;
-      if Aig.is_and aig m then Stack.push m stack
-    end
-  in
-  List.iter (fun (_, l) -> visit l) (Aig.outputs aig);
-  while not (Stack.is_empty stack) do
-    let g = Stack.pop stack in
-    visit (Aig.fanin0 aig g);
-    visit (Aig.fanin1 aig g)
-  done;
-  { live; refs }
 
 (* Resolved fanin node of one stored edge; node 0 for constants. *)
 let resolved_fanins aig g =
@@ -227,8 +196,10 @@ let optimize ?(config = default_config) ?(trace = Trace.disabled) ?counters
   let n_inputs = Aig.num_inputs work in
   let orig_top = n_inputs + gates_before in
   let settings = config.settings in
-  let view = ref (view_of work) in
-  let current_live = ref gates_before in
+  (* Reachability and resolved reference counts, kept up to date
+     through every splice: the root test reads the counts, the gain
+     test the live gate count. *)
+  let live = Aig_live.create work in
   (* Every gate belongs to at most one attempted window per run: a
      pivot whose gate was already windowed is skipped, tiling the
      graph instead of re-optimising every overlapping cone. *)
@@ -296,7 +267,6 @@ let optimize ?(config = default_config) ?(trace = Trace.disabled) ?counters
         (* The window network is part of the collapse phase. *)
         let wnet, pis, roots =
           phase collapse_p (fun () ->
-            let v = !view in
             (* Roots: window gates some edge outside the window (or an
                output) resolves into. *)
             let internal = Hashtbl.create 64 in
@@ -312,7 +282,7 @@ let optimize ?(config = default_config) ?(trace = Trace.disabled) ?counters
             let roots =
               List.filter
                 (fun g ->
-                  v.refs.(g)
+                  Aig_live.refs live g
                   > Option.value ~default:0 (Hashtbl.find_opt internal g))
                 gates
             in
@@ -385,37 +355,32 @@ let optimize ?(config = default_config) ?(trace = Trace.disabled) ?counters
           window_event pivot gates leaves "verify_failed"
         end
         else begin
-          let subs = ref [] in
-          phase splice_p (fun () ->
-              let out_lits = splice work wnet ~inputs:pis leaves in
-              List.iteri
-                (fun i r ->
-                  let l = List.assoc (Printf.sprintf "y%d" i) out_lits in
-                  if Aig.lit_node l <> r then begin
-                    Aig.substitute work r l;
-                    subs := r :: !subs
-                  end)
-                roots);
-          let revert () = List.iter (Aig.clear_substitute work) !subs in
-          if !subs = [] then begin
+          let subs =
+            phase splice_p (fun () ->
+                let out_lits = splice work wnet ~inputs:pis leaves in
+                List.mapi
+                  (fun i r -> (r, List.assoc (Printf.sprintf "y%d" i) out_lits))
+                  roots
+                |> List.filter (fun (r, l) -> Aig.lit_node l <> r))
+          in
+          if subs = [] then begin
             incr skipped;
             window_event pivot gates leaves "unchanged"
           end
           else
             let outcome =
               phase recount_p (fun () ->
-                  match Aig.live_gate_count work with
-                  | exception Aig.Cycle ->
-                    revert ();
+                  match Aig_live.apply live subs with
+                  | None ->
+                    Aig_live.revert live;
                     incr reverted;
                     "cycle"
-                  | n when n < !current_live ->
-                    current_live := n;
-                    view := view_of work;
+                  | Some n when n < Aig_live.count live ->
+                    Aig_live.commit live;
                     incr accepted;
                     "accepted"
-                  | _ ->
-                    revert ();
+                  | Some _ ->
+                    Aig_live.revert live;
                     incr reverted;
                     "no_gain")
             in
@@ -432,8 +397,13 @@ let optimize ?(config = default_config) ?(trace = Trace.disabled) ?counters
        if Trace.enabled trace then
          Trace.emit trace "aig_opt.deadline" [ ("pivot", Trace.Int p) ]
      end
-     else if (!view).live.(p) && not seen.(p) then process p
+     else if Aig_live.refs live p > 0 && not seen.(p) then process p
    done);
+  let live_gates = Aig_live.count live in
+  if config.verify_windows && live_gates <> Aig.live_gate_count work then
+    failwith
+      (Printf.sprintf "Aig_opt: incremental live count %d, recount %d"
+         live_gates (Aig.live_gate_count work));
   let result = Aig.compact work in
   (* Compacting a substitution-heavy graph can strand gates that were
      rebuilt before their parent strash-folded onto an earlier node; a
@@ -453,6 +423,7 @@ let optimize ?(config = default_config) ?(trace = Trace.disabled) ?counters
       accepted = !accepted;
       reverted = !reverted;
       skipped = !skipped;
+      live_gates;
     }
   in
   if Trace.enabled trace then

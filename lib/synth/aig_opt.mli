@@ -11,7 +11,10 @@
     {!Logic_network.Aig.substitute}. A splice is kept only when the
     global live gate count strictly drops (and the substitution did not
     close a combinational loop — see {!Logic_network.Aig.Cycle}), so
-    the gate count is monotonically non-increasing across the run.
+    the gate count is monotonically non-increasing across the run. The
+    count is kept by {!Logic_network.Aig_live} through reference counts,
+    at a cost per splice bounded by the roots' MFFCs and the new cones,
+    not by the graph.
 
     Windows are processed one at a time in deterministic (descending
     pivot id) order, each by one sequential resubstitution run, so the
@@ -35,7 +38,10 @@ type config = {
       (** BDD-check every optimised window against its collapsed
           original before splicing (belt-and-braces; windows are small
           enough that this is cheap). With a window DC view in play the
-          check runs modulo DC ({!Logic_sim.Equiv.check_dc}). *)
+          check runs modulo DC ({!Logic_sim.Equiv.check_dc}). The run
+          also checks its incremental live count against one full
+          {!Logic_network.Aig.live_gate_count} at the end, and fails
+          with [Failure] if they differ. *)
   dc : Logic_network.Dont_care.t option;
       (** external don't-care view over the AIG's primary inputs
           (default [None]). Per window, EXCDC cubes whose every literal
@@ -59,6 +65,11 @@ type stats = {
   reverted : int;  (** splices undone: no win, or a {!Logic_network.Aig.Cycle} *)
   skipped : int;  (** windows abandoned before splicing: too small,
                       cover blowup, or the optimiser left it alone *)
+  live_gates : int;
+      (** live AND gates of the spliced graph before the final
+          {!Logic_network.Aig.compact}, as the incremental live view
+          counted them; compaction can fold more, so [gates_after] may
+          be lower *)
 }
 
 val optimize :

@@ -68,6 +68,10 @@ let rec sum_by_pass a b =
   | [], rest | rest, [] -> rest
   | x :: xs, y :: ys -> (x + y) :: sum_by_pass xs ys
 
+let add_pass t i n =
+  t.pass_divisions <-
+    sum_by_pass t.pass_divisions (List.init i (fun _ -> 0) @ [ n ])
+
 let accumulate dst src =
   add dst.pairs_considered (Atomic.get src.pairs_considered);
   add dst.pairs_filtered (Atomic.get src.pairs_filtered);

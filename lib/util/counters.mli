@@ -49,9 +49,10 @@ type t = {
       (** counterexample patterns folded back into the kresub signature
           vectors after a failed validation *)
   mutable pass_divisions : int list;
-      (** divisions_attempted per pass, oldest pass first; when
-          accumulated across circuits the lists are summed index-wise.
-          Driver-owned. *)
+      (** divisions_attempted per pass index, first pass first: pass
+          [i] of every run tallied into this record, and of every
+          record accumulated into it, adds into entry [i]. The list is
+          never longer than the longest run's pass count. Driver-owned. *)
   filter_seconds : float Atomic.t;
   division_seconds : float Atomic.t;
   validation_seconds : float Atomic.t;
@@ -68,6 +69,10 @@ val add : int Atomic.t -> int -> unit
 
 val add_seconds : float Atomic.t -> float -> unit
 (** Atomic add for the float buckets (compare-and-set retry loop). *)
+
+val add_pass : t -> int -> int -> unit
+(** [add_pass t i n] adds [n] into [pass_divisions] entry [i]
+    (0-based), extending the list with zeros when it is shorter. *)
 
 val accumulate : t -> t -> unit
 (** [accumulate dst src] adds [src]'s tallies into [dst] ([passes] takes

@@ -268,6 +268,179 @@ let test_aig_opt_window_phases () =
       | _ -> ())
     windows
 
+(* ------------------------------------------------------------------ *)
+(* Incremental live view                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The gain test before the incremental view, kept as its oracle: a
+   global DFS of the resolved graph after every splice (which raises
+   [Aig.Cycle] on a loop reachable from the outputs), and the reference
+   counts rebuilt from scratch after every accepted one. *)
+module Frozen = struct
+  let live_gate_count a =
+    let color = Bytes.make (Aig.node_count a) '\000' in
+    let count = ref 0 in
+    let visit start =
+      let stack = ref [ start ] in
+      while !stack <> [] do
+        match !stack with
+        | [] -> ()
+        | node :: rest -> (
+          match Bytes.get color node with
+          | '\002' -> stack := rest
+          | '\001' ->
+            Bytes.set color node '\002';
+            stack := rest
+          | _ ->
+            Bytes.set color node '\001';
+            if Aig.is_and a node then begin
+              incr count;
+              let push l =
+                let m = Aig.lit_node (Aig.resolve a l) in
+                match Bytes.get color m with
+                | '\000' -> stack := m :: !stack
+                | '\001' -> raise Aig.Cycle
+                | _ -> ()
+              in
+              push (Aig.fanin0 a node);
+              push (Aig.fanin1 a node)
+            end)
+      done
+    in
+    List.iter
+      (fun (_, l) -> visit (Aig.lit_node (Aig.resolve a l)))
+      (Aig.outputs a);
+    !count
+
+  let refs a =
+    let n = Aig.node_count a in
+    let live = Array.make n false in
+    let refs = Array.make n 0 in
+    let stack = Stack.create () in
+    let visit l =
+      let m = Aig.lit_node (Aig.resolve a l) in
+      refs.(m) <- refs.(m) + 1;
+      if not live.(m) then begin
+        live.(m) <- true;
+        if Aig.is_and a m then Stack.push m stack
+      end
+    in
+    List.iter (fun (_, l) -> visit l) (Aig.outputs a);
+    while not (Stack.is_empty stack) do
+      let g = Stack.pop stack in
+      visit (Aig.fanin0 a g);
+      visit (Aig.fanin1 a g)
+    done;
+    refs
+end
+
+(* Random splices in the shape [Aig_opt] makes them: a few live roots,
+   each replaced by an existing literal, another root (a chain that can
+   loop), or a fresh strashed AND over live nodes and roots (which often
+   closes a loop through the root's fanout). At every step the verdict
+   (cycle, accept on a strict drop, no gain) and the count must equal
+   the frozen path's; committed steps, no-gain ones included at random,
+   must leave every node's reference count equal to a fresh rebuild. *)
+let live_view_steps verdicts (seed, n_inputs, n_gates) =
+  let module Live = Logic_network.Aig_live in
+  let a = Aig.compact (Generator.random_aig ~seed ~n_inputs ~n_gates ()) in
+  let rng = Random.State.make [| seed; n_gates |] in
+  let live = Live.create a in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let lit n = Aig.lit_of_node ~compl:(Random.State.bool rng) n in
+  let ok = ref true and step = ref 0 in
+  while !ok && !step < 30 do
+    incr step;
+    let refs = Frozen.refs a in
+    let live_nodes =
+      List.filter (fun n -> refs.(n) > 0) (List.init (Aig.node_count a) Fun.id)
+    in
+    let gates = List.filter (Aig.is_and a) live_nodes in
+    let roots =
+      if gates = [] then []
+      else
+        List.sort_uniq compare
+          (List.init (1 + Random.State.int rng 3) (fun _ -> pick gates))
+    in
+    let replacement () =
+      match Random.State.int rng 4 with
+      | 0 -> Some (lit (Random.State.int rng (Aig.node_count a)))
+      | 1 -> Some (lit (pick roots))
+      | k -> (
+        let operand () =
+          if k = 3 then lit (pick roots) else lit (pick live_nodes)
+        in
+        (* Strashing onto a node whose substitution chain loops raises;
+           the driver never builds over such a node. *)
+        match Aig.add_and a (operand ()) (lit (pick live_nodes)) with
+        | l -> Some l
+        | exception Aig.Cycle -> None)
+    in
+    let subs =
+      List.filter_map
+        (fun r ->
+          match replacement () with
+          | Some l when Aig.lit_node l <> r -> Some (r, l)
+          | _ -> None)
+        roots
+    in
+    if subs <> [] then begin
+      let current = Frozen.live_gate_count a in
+      let got = Live.apply live subs in
+      let expected =
+        match Frozen.live_gate_count a with
+        | exception Aig.Cycle -> `Cycle
+        | n when n < current -> `Accept n
+        | n -> `No_gain n
+      in
+      let verdict =
+        match got with
+        | None -> `Cycle
+        | Some n when n < Live.count live -> `Accept n
+        | Some n -> `No_gain n
+      in
+      Hashtbl.replace verdicts
+        (match expected with
+        | `Cycle -> "cycle"
+        | `Accept _ -> "accept"
+        | `No_gain _ -> "no_gain")
+        ();
+      if verdict <> expected then ok := false
+      else begin
+        (match verdict with
+        | `Accept _ -> Live.commit live
+        | `No_gain _ when Random.State.bool rng -> Live.commit live
+        | _ -> Live.revert live);
+        let refs = Frozen.refs a in
+        ok :=
+          Live.count live = Frozen.live_gate_count a
+          && Array.for_all Fun.id
+               (Array.mapi (fun n r -> Live.refs live n = r) refs)
+      end
+    end
+  done;
+  !ok
+
+let prop_live_view_matches_frozen =
+  QCheck2.Test.make ~name:"incremental live count matches the frozen recount"
+    ~count:300 ~print:print_aig gen_aig
+    (live_view_steps (Hashtbl.create 4))
+
+(* The property above is only as good as its splices: over fixed seeds
+   they must reach every verdict. *)
+let test_live_view_verdicts () =
+  let verdicts = Hashtbl.create 4 in
+  for seed = 0 to 40 do
+    Alcotest.(check bool)
+      (Printf.sprintf "seed %d agrees" seed)
+      true
+      (live_view_steps verdicts (seed, 2 + (seed mod 5), 10 + seed))
+  done;
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) (v ^ " reached") true (Hashtbl.mem verdicts v))
+    [ "cycle"; "accept"; "no_gain" ]
+
 let () =
   Alcotest.run "aig"
     [
@@ -295,6 +468,9 @@ let () =
         ] );
       ( "windowed-opt",
         [
+          QCheck_alcotest.to_alcotest prop_live_view_matches_frozen;
+          Alcotest.test_case "live view reaches every verdict" `Quick
+            test_live_view_verdicts;
           Alcotest.test_case "monotone + equivalent" `Quick
             test_aig_opt_monotone_and_equivalent;
           Alcotest.test_case "verified windows" `Quick

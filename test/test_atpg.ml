@@ -1871,10 +1871,58 @@ let prop_refresh_matches_fresh =
           arenas_agree rng net engine (Imply.create ~region ~frozen net))
         (List.init 8 Fun.id))
 
-(* Each way a refresh cannot rewrite the slot in place — the node turns
-   constant, gains a cube or a fanin, or the network changed twice — is
-   left to the next reset, which rebuilds; a dropped constant fanin is
-   rewritten in place and re-seeds the constants' queue. *)
+(* Removals that turn a node constant (the last literal of a cube, or
+   the last cube) are refreshed in place: the node is seeded as a build
+   seeds a constant, and the arena must then behave like a fresh
+   [create], also while the removed node's old value sat on the trail
+   and with later removals on top. *)
+let prop_refresh_constant_matches_fresh =
+  QCheck2.Test.make ~name:"refresh_node seeding a new constant matches create"
+    ~count:150 ~print:string_of_int Net_mutations.gen_seed (fun seed ->
+      let rng, net = Net_mutations.initial seed in
+      Net_mutations.mutate rng net ~steps:(Rar_util.Rng.int rng 8);
+      let engine = Imply.create net in
+      let constant_wire id =
+        let cubes = Cover.cubes (Network.cover net id) in
+        match cubes with
+        | [ _ ] -> Some (Fault.Cube_wire { node = id; cube = 0 })
+        | _ ->
+          List.find_map
+            (fun (i, cube) ->
+              match Cube.literals cube with
+              | [ lit ] -> Some (Fault.Literal_wire { node = id; cube = i; lit })
+              | _ -> None)
+            (List.mapi (fun i c -> (i, c)) cubes)
+      in
+      List.for_all
+          (fun _ ->
+            let candidates =
+              List.filter_map
+                (fun id ->
+                  if Cover.is_zero (Network.cover net id)
+                     || Cover.is_one (Network.cover net id)
+                  then None
+                  else Option.map (fun w -> (id, w)) (constant_wire id))
+                (List.sort Int.compare (Network.logic_ids net))
+            in
+            candidates = []
+            ||
+            let id, wire = Rar_util.Rng.pick rng candidates in
+            (* Leave a value of [id] on the trail, as a finished test does. *)
+            Imply.set_budget engine Rar_util.Budget.unlimited;
+            (try Imply.assign_node engine id (Rar_util.Rng.bool rng)
+             with Imply.Conflict _ -> ());
+            Rewiring.Remove.remove_wire net wire;
+            Imply.refresh_node engine id;
+            Imply.reset engine;
+            arenas_agree rng net engine (Imply.create net))
+          (List.init 6 Fun.id))
+
+(* Each way a refresh cannot rewrite the slot in place — the node gains
+   a cube or a fanin, or the network changed twice — is left to the
+   next reset, which rebuilds; a dropped constant fanin, and a node
+   that turns constant, are rewritten in place and re-seed the
+   constants' queue. *)
 let test_refresh_fallbacks () =
   let case name ~in_place mutate =
     let net = Network.create () in
@@ -1914,7 +1962,7 @@ let test_refresh_fallbacks () =
       literal g 0 0 net);
   case "removed cube" ~in_place:true (fun net ~a:_ ~b:_ ~c:_ ~g ~h:_ ->
       Rewiring.Remove.remove_wire net (Fault.Cube_wire { node = g; cube = 1 }));
-  case "turns constant" ~in_place:false (fun net ~a:_ ~b:_ ~c:_ ~g ~h:_ ->
+  case "turns constant" ~in_place:true (fun net ~a:_ ~b:_ ~c:_ ~g ~h:_ ->
       literal g 1 2 net);
   case "gains a cube" ~in_place:false (fun net ~a:_ ~b:_ ~c:_ ~g ~h:_ ->
       Network.set_function net g ~fanins:(Network.fanins net g)
@@ -1997,6 +2045,7 @@ let qcheck_cases =
       prop_dominators_match_frozen;
       prop_engine_matches_frozen;
       prop_refresh_matches_fresh;
+      prop_refresh_constant_matches_fresh;
     ]
 
 let () =

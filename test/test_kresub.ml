@@ -492,7 +492,8 @@ let test_proposal_order () =
         ];
       List.iter
         (fun (words, dc, rows, max_divisors, max_triples) ->
-          let sim = Logic_sim.Signature.create ~words ?dc ~rows net in
+          let sim = Logic_sim.Signature.create ~words ?dc net in
+          List.iter (Logic_sim.Signature.refine sim) rows;
           List.iter
             (fun f ->
               if not (Network.is_input net f) then begin

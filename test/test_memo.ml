@@ -116,6 +116,35 @@ let pass_trajectory () =
   Alcotest.(check bool) "memo hit on later passes" true
     (Atomic.get c_on.Counters.memo_hits > 0)
 
+(* Runs that share one record (the windows of [Aig_opt], for one) tally
+   pass [i] into entry [i]: the shared list equals accumulating
+   separate records, never outgrows [max_passes], and [passes] stays
+   the sum of every run's passes. *)
+let shared_tally () =
+  let config = Booldiv.Substitute.extended_config in
+  let nets = [ planted_profile 42; planted_profile 43; planted_profile 44 ] in
+  let shared = Counters.create () and merged = Counters.create () in
+  let sum_passes = ref 0 in
+  List.iter
+    (fun net ->
+      ignore (Booldiv.Substitute.run ~config ~counters:shared (Network.copy net));
+      let own = Counters.create () in
+      ignore (Booldiv.Substitute.run ~config ~counters:own (Network.copy net));
+      sum_passes := !sum_passes + Atomic.get own.Counters.passes;
+      Counters.accumulate merged own)
+    nets;
+  Alcotest.(check (list int))
+    "shared tally = accumulated records" merged.Counters.pass_divisions
+    shared.Counters.pass_divisions;
+  Alcotest.(check bool)
+    "at most max_passes entries" true
+    (List.length shared.Counters.pass_divisions
+    <= config.Booldiv.Substitute.max_passes);
+  Alcotest.(check bool) "several runs took more than one pass" true
+    (!sum_passes > List.length nets);
+  Alcotest.(check int) "passes is the sum" !sum_passes
+    (Atomic.get shared.Counters.passes)
+
 (* The deadline is polled before every pass and every dividend, so one
    that has already passed leaves the input untouched — whatever the
    method — and is reported as a degradation. *)
@@ -189,8 +218,10 @@ let () =
             (differential ~label:"ext" substitute_run);
         ] );
       ( "trajectory",
-        [ Alcotest.test_case "per-pass divisions drop" `Quick pass_trajectory ]
-      );
+        [
+          Alcotest.test_case "per-pass divisions drop" `Quick pass_trajectory;
+          Alcotest.test_case "shared record tallies by pass" `Quick shared_tally;
+        ] );
       ( "deadline",
         List.map
           (fun (name, meth) ->
