@@ -7,17 +7,16 @@ test:
 	dune runtest
 
 # Scheduler soundness gate: every quick (circuit, method) cell runs once
-# per variant (memo off, memo on with an empty don't-care view, memo off
-# with an empty view) and must be byte-identical to its memo-on,
-# no-view reference; the per-method literal totals must match the
-# pinned quick-suite figures (245/241/239/235/238), and the memo must
-# score hits when on and never tick when off.
+# more with an explicitly attached empty don't-care view and must be
+# byte-identical to its no-view reference; the per-method literal totals
+# must match the pinned quick-suite figures (245/241/239/235/238).
 shardcheck:
 	dune exec bench/main.exe -- shardcheck quick
 
-# Degraded-run robustness gate: rerun the quick rows with a tiny fault
-# budget and a trace file, then lint every trace line as JSON and check
-# the degraded results are still equivalent.
+# Degraded-run robustness gate: rerun the quick rows and optimize-aig on
+# random_small.aag with a tiny fault budget and a trace file, then lint
+# every trace line as JSON and check the degraded results are still
+# equivalent (and the AIG never grew).
 tracecheck:
 	dune exec bench/main.exe -- tracecheck quick
 
@@ -43,16 +42,15 @@ bench-service:
 
 # AIG backend gate: AIGER write/parse fixpoint, parse = compact, and
 # index-list round trips on the bundled .aag fixtures, then windowed
-# resubstitution with the memo on and off asserting byte-identical output,
-# a never-increasing gate count, and simulation equivalence through
-# the Network bridge.
+# resubstitution asserting byte-identical output with window
+# verification on, a never-increasing gate count, and simulation
+# equivalence through the Network bridge.
 aigcheck:
 	dune exec bench/main.exe -- aigcheck
 
 # External don't-care discipline gate on the bundled DC-rich fixture:
-# every method's DC run must be byte-identical with the memo on and
-# off, and each Boolean method must beat its literal-improvement floor
-# while verifying equivalent modulo the view. (That an empty view is
+# each Boolean method must beat its literal-improvement floor while
+# verifying equivalent modulo the view. (That an empty view is
 # invisible is shardcheck's.)
 dccheck:
 	dune exec bench/main.exe -- dccheck
@@ -60,9 +58,9 @@ dccheck:
 # Constructive k-resubstitution gate: every quick (circuit, method)
 # cell is verified with the BDD oracle (exact, not sampled), resub-k's
 # total meets the ext floor (<= 239), and its candidate-construction
-# CPU stays below ext's division CPU. Byte identity across memo and
-# empty-view variants and the pinned totals of every method, resub-k
-# included, are shardcheck's.
+# CPU stays below ext's division CPU. Byte identity across empty views
+# and the pinned totals of every method, resub-k included, are
+# shardcheck's.
 kcheck:
 	dune exec bench/main.exe -- kcheck quick
 
@@ -72,8 +70,8 @@ kcheck:
 bench-aig:
 	dune exec bench/main.exe -- aig
 
-# Full local CI: build, tests, the shardcheck memo x empty-view gate
-# (pinned quick totals, memo activity), the degraded-run/trace gate,
+# Full local CI: build, tests, the shardcheck empty-view gate (pinned
+# quick totals), the degraded-run/trace gate,
 # the cube-kernel microbenchmark, the resident-
 # service miss/hit byte-identity gate, the AIG backend round-trip and
 # windowed-resub determinism gate, the external don't-care discipline

@@ -7,7 +7,7 @@
      main.exe table2 table5   run selected sections
      main.exe quick           tables on the small row subset only
      main.exe bench quick     write the BENCH_resub.json perf snapshot
-     main.exe shardcheck quick memo x empty-view identity + pinned totals
+     main.exe shardcheck quick empty-view identity + pinned totals
      main.exe tracecheck quick degraded-run + trace JSON-lines gate
      main.exe dccheck         DC-rich fixture determinism + floors gate
      main.exe kcheck quick    constructive k-resub BDD-verify + floor gate
@@ -30,6 +30,8 @@ module Network = Logic_network.Network
 module Builder = Logic_network.Builder
 module Lit_count = Logic_network.Lit_count
 module Equiv = Logic_sim.Equiv
+module Aig = Logic_network.Aig
+module Aiger = Logic_network.Aiger
 module Suite = Bench_suite.Suite
 module Table = Rar_util.Text_table
 
@@ -689,24 +691,20 @@ let regression_gate ~label ~speed ~previous now =
     end
 
 (* ------------------------------------------------------------------ *)
-(* Multi-pass script benchmark: later-pass CPU with and without memo   *)
+(* Multi-pass script benchmark: fixpoint CPU and pass trajectory       *)
 (* ------------------------------------------------------------------ *)
 
 type script_bench_cell = {
   sb_method : string;
-  sb_full_on : float;  (* whole fixpoint, memo on (the shipped config) *)
-  sb_late_on : float;  (* passes >= 2 only, memo on *)
-  sb_late_off : float;  (* passes >= 2 only, memo off *)
-  sb_pass_on : int list;  (* per-pass divisions_attempted, memo on *)
-  sb_pass_off : int list;
+  sb_full : float;  (* whole fixpoint CPU seconds *)
+  sb_pass : int list;  (* per-pass divisions_attempted *)
 }
 
-(* Later-pass CPU is (full fixpoint) - (the same run capped at one
-   pass), measured separately with the memo on and off. Pass 1 always
-   attempts every pair; the later passes mostly re-prove quiescence,
-   which is exactly the work the memo replays from its table. *)
+(* The whole resubstitution fixpoint after Script A, per method: its CPU
+   (which feeds the regression gate) and how many divisions each pass
+   attempted. *)
 let script_bench_measure rows =
-  let measure meth ~use_memo ~max_passes =
+  let measure meth =
     let once () =
       let cpu = ref 0.0 in
       let agg = Rar_util.Counters.create () in
@@ -718,23 +716,8 @@ let script_bench_measure rows =
           let (), secs =
             Rar_util.Stopwatch.time_cpu (fun () ->
                 match meth with
-                | `Sis ->
-                  ignore
-                    (Synth.Resub.run ~use_memo ?max_passes ~counters net)
-                | `Ext ->
-                  let config =
-                    {
-                      Booldiv.Substitute.extended_config with
-                      use_memo;
-                      max_passes =
-                        (match max_passes with
-                        | Some n -> n
-                        | None ->
-                          Booldiv.Substitute.extended_config
-                            .Booldiv.Substitute.max_passes);
-                    }
-                  in
-                  ignore (Booldiv.Substitute.run ~config ~counters net))
+                | `Sis -> ignore (Synth.Resub.run ~counters net)
+                | `Ext -> ignore (Booldiv.Substitute.run ~counters net))
           in
           cpu := !cpu +. secs;
           Rar_util.Counters.accumulate agg counters)
@@ -748,36 +731,21 @@ let script_bench_measure rows =
     (Float.min cpu1 cpu2, divs)
   in
   let cell name meth =
-    let full_on, pass_on = measure meth ~use_memo:true ~max_passes:None in
-    let p1_on, _ = measure meth ~use_memo:true ~max_passes:(Some 1) in
-    let full_off, pass_off = measure meth ~use_memo:false ~max_passes:None in
-    let p1_off, _ = measure meth ~use_memo:false ~max_passes:(Some 1) in
-    {
-      sb_method = name;
-      sb_full_on = full_on;
-      sb_late_on = Float.max 0.0 (full_on -. p1_on);
-      sb_late_off = Float.max 0.0 (full_off -. p1_off);
-      sb_pass_on = pass_on;
-      sb_pass_off = pass_off;
-    }
+    let full, pass = measure meth in
+    { sb_method = name; sb_full = full; sb_pass = pass }
   in
   [ cell "sis" `Sis; cell "ext" `Ext ]
+
+let ints_string l = String.concat ", " (List.map string_of_int l)
 
 (* Keys deliberately avoid the "cpu_seconds" substring (see the totals
    parser above); "full_fixpoint_seconds" has its own regression parser. *)
 let script_bench_json ~probe cells =
-  let ints l = String.concat ", " (List.map string_of_int l) in
   let cell c =
     Printf.sprintf
       "{\"method\": %S, \"full_fixpoint_seconds\": %.6f, \
-       \"late_pass_seconds\": {\"with_memo\": %.6f, \"without_memo\": \
-       %.6f}, \"late_pass_reduction_pct\": %.1f, \"pass_divisions\": \
-       {\"with_memo\": [%s], \"without_memo\": [%s]}}"
-      c.sb_method c.sb_full_on c.sb_late_on c.sb_late_off
-      (if c.sb_late_off > 0.0 then
-         (1.0 -. (c.sb_late_on /. c.sb_late_off)) *. 100.0
-       else 0.0)
-      (ints c.sb_pass_on) (ints c.sb_pass_off)
+       \"pass_divisions\": [%s]}"
+      c.sb_method c.sb_full (ints_string c.sb_pass)
   in
   Printf.sprintf
     "{\"script\": \"a\", \"script_probe_seconds\": %.6f, \"methods\": [%s]}"
@@ -785,18 +753,11 @@ let script_bench_json ~probe cells =
     (String.concat ", " (List.map cell cells))
 
 let print_script_bench cells =
-  Printf.printf "multi-pass script benchmark (script A, quiescence passes):\n";
+  Printf.printf "multi-pass script benchmark (script A, full fixpoint):\n";
   List.iter
     (fun c ->
-      Printf.printf
-        "  %-4s passes >=2: %.3fs memo / %.3fs no-memo (%.0f%% less cpu)  \
-         divisions %s -> %s\n"
-        c.sb_method c.sb_late_on c.sb_late_off
-        (if c.sb_late_off > 0.0 then
-           (1.0 -. (c.sb_late_on /. c.sb_late_off)) *. 100.0
-         else 0.0)
-        ("[" ^ String.concat ", " (List.map string_of_int c.sb_pass_off) ^ "]")
-        ("[" ^ String.concat ", " (List.map string_of_int c.sb_pass_on) ^ "]"))
+      Printf.printf "  %-4s %.3fs cpu  divisions per pass [%s]\n" c.sb_method
+        c.sb_full (ints_string c.sb_pass))
     cells
 
 (* ------------------------------------------------------------------ *)
@@ -1037,47 +998,26 @@ let bench_json ?(path = "BENCH_resub.json") ?sim_seed ?sim_words rows =
     (total (fun s -> s.Rar_util.Stopwatch.cpu_seconds));
   regression_gate ~label:"multi-pass script benchmark cpu" ~speed:speed_script
     ~previous:baseline_script
-    (List.fold_left (fun acc c -> acc +. c.sb_full_on) 0.0 script_cells)
+    (List.fold_left (fun acc c -> acc +. c.sb_full) 0.0 script_cells)
 
 (* ------------------------------------------------------------------ *)
-(* The memo x empty-view variants and per-cell helpers of the gates   *)
+(* The pinned totals and per-cell helpers of the gates                 *)
 (* ------------------------------------------------------------------ *)
 
 (* The quick-suite per-method factored-literal totals after Script A.
    These are the seed's sequential figures; any drift means the
-   scheduler (or the memo under it) changed a result. *)
+   scheduler changed a result. *)
 let expected_quick_totals =
   [
     ("sis", 245); ("basic", 241); ("ext", 239); ("ext-gdc", 235);
     ("resub-k", 238);
   ]
 
-(* Every run of a cell but the memo-on, no-view reference: memo off, and
-   both memo settings with an explicitly attached empty don't-care
-   view. *)
-type variant = { use_memo : bool; empty_view : bool }
-
-let variants =
-  [
-    { use_memo = false; empty_view = false };
-    { use_memo = true; empty_view = true };
-    { use_memo = false; empty_view = true };
-  ]
-
-(* The reference run of one cell: memo on, no view. *)
+(* The reference run of one cell: default settings, no view. *)
 let reference_run ?dc ?counters meth net =
   let reference = Network.copy net in
   Synth.Script.resub_command ?dc ?counters meth reference;
   reference
-
-(* Whether [meth] on a copy of [net] under [use_memo] (and [dc]) differs
-   from [reference] by a byte. *)
-let diverges ?dc ?counters ~use_memo ~reference meth net =
-  let scratch = Network.copy net in
-  Synth.Script.resub_command
-    ~settings:{ Synth.Script.default_settings with use_memo }
-    ?dc ?counters meth scratch;
-  not (String.equal (Network.to_string scratch) (Network.to_string reference))
 
 (* Script A on every row, then [cell row net (name, meth)] per method. *)
 let each_cell rows cell =
@@ -1101,63 +1041,41 @@ let check_totals ~failures totals =
     expected_quick_totals
 
 (* ------------------------------------------------------------------ *)
-(* shardcheck - memo x empty-view runs must leave no byte behind       *)
+(* shardcheck - an empty don't-care view must leave no byte behind    *)
 (* ------------------------------------------------------------------ *)
 
-(* Every (circuit, method) cell must be byte-identical in every variant
-   to its memo-on, no-view reference; on the quick suite the per-method
-   totals are pinned. The memo must be active when on (memo_hits > 0
-   over the references) and inert when off (no memo hit or miss in any
-   memo-off run). *)
+(* Every (circuit, method) cell run with an explicitly attached empty
+   don't-care view must be byte-identical to its no-view reference; on
+   the quick suite the per-method totals are pinned. *)
 let shard_check ~pinned rows =
-  section "shardcheck - memo x empty-view byte-identity + pinned totals";
+  section "shardcheck - empty-view byte-identity + pinned totals";
   let failures = ref 0 in
   let totals = Hashtbl.create 7 in
-  let memo_on = Rar_util.Counters.create () in
-  let memo_off = Rar_util.Counters.create () in
   each_cell rows (fun row net (name, meth) ->
-      let reference = reference_run ~counters:memo_on meth net in
+      let reference = reference_run meth net in
       let lits = Lit_count.factored reference in
       add_total totals name lits;
       let label = Printf.sprintf "%-12s %-8s" row.Suite.name name in
-      let diverged =
-        List.filter
-          (fun v ->
-            diverges
-              ?dc:
-                (if v.empty_view then Some (Logic_network.Dont_care.create ())
-                 else None)
-              ~counters:
-                (if v.use_memo then Rar_util.Counters.create () else memo_off)
-              ~use_memo:v.use_memo ~reference meth net)
-          variants
+      let with_view =
+        reference_run ~dc:(Logic_network.Dont_care.create ()) meth net
       in
-      List.iter
-        (fun v ->
-          Printf.printf "  %s DIVERGES at memo=%b%s\n" label v.use_memo
-            (if v.empty_view then " with an empty view" else ""))
-        diverged;
-      if diverged = [] then
-        Printf.printf "  %s %4d lits  identical across memo x empty view\n"
-          label lits
-      else incr failures);
+      if
+        String.equal (Network.to_string with_view)
+          (Network.to_string reference)
+      then
+        Printf.printf "  %s %4d lits  identical with an empty view\n" label
+          lits
+      else begin
+        Printf.printf "  %s DIVERGES with an empty view\n" label;
+        incr failures
+      end);
   if pinned then check_totals ~failures totals;
-  let hits_on = Atomic.get memo_on.Rar_util.Counters.memo_hits in
-  let hits_off = Atomic.get memo_off.Rar_util.Counters.memo_hits in
-  let misses_off = Atomic.get memo_off.Rar_util.Counters.memo_misses in
-  Printf.printf "memo hits: %d with memo, %d without (misses without: %d)\n"
-    hits_on hits_off misses_off;
-  if hits_on = 0 || hits_off > 0 || misses_off > 0 then begin
-    Printf.printf "  memo not active when on, or not inert when off\n";
-    incr failures
-  end;
   if !failures > 0 then begin
     Printf.printf "shardcheck: %d check(s) FAILED\n" !failures;
     exit 7
   end
   else
-    Printf.printf
-      "shardcheck: every cell byte-identical across memo x empty view\n"
+    Printf.printf "shardcheck: every cell byte-identical with an empty view\n"
 
 (* ------------------------------------------------------------------ *)
 (* tracecheck - degraded runs must complete and trace valid JSON lines *)
@@ -1187,9 +1105,30 @@ let trace_check rows =
       Printf.printf "  %-12s degraded run %s\n" row.Suite.name
         (if ok then "equivalent" else "NOT EQUIVALENT"))
     rows;
+  (* The same tiny budget on the windowed AIG optimiser: every window's
+     divisions degrade, yet the run completes, never adds a gate, and
+     still simulates like its input. *)
+  (let a = Aiger.parse (read_whole_file (fixture "random_small.aag")) in
+   let config =
+     {
+       Synth.Aig_opt.default_config with
+       meth = Synth.Script.Ext;
+       settings = { Synth.Script.default_settings with fault_fuel = Some 5 };
+     }
+   in
+   let opt, stats = Synth.Aig_opt.optimize ~config ~trace ~counters a in
+   let ok =
+     stats.Synth.Aig_opt.gates_after <= stats.Synth.Aig_opt.gates_before
+     && Equiv.equivalent (Aig.to_network a) (Aig.to_network opt)
+   in
+   if not ok then incr failures;
+   Printf.printf "  %-12s degraded optimize-aig %d -> %d gates, %s\n"
+     "random_small" stats.Synth.Aig_opt.gates_before
+     stats.Synth.Aig_opt.gates_after
+     (if ok then "equivalent" else "NOT EQUIVALENT OR GREW"));
   Rar_util.Trace.close trace;
   let lines = ref 0 and bad = ref 0 and degrade_events = ref 0 in
-  let memo_events = ref 0 and checkpoint_events = ref 0 in
+  let checkpoint_events = ref 0 in
   let starts_with prefix line =
     String.length line >= String.length prefix
     && String.sub line 0 (String.length prefix) = prefix
@@ -1206,7 +1145,6 @@ let trace_check rows =
          if !bad <= 5 then Printf.printf "  line %d: %s\n" !lines msg);
        if starts_with "{\"event\": \"degrade\"," line then
          incr degrade_events;
-       if starts_with "{\"event\": \"memo\"," line then incr memo_events;
        if starts_with "{\"event\": \"checkpoint\"," line then
          incr checkpoint_events
      done
@@ -1214,16 +1152,15 @@ let trace_check rows =
   close_in ic;
   Sys.remove path;
   Printf.printf
-    "trace: %d line(s), %d malformed, %d degrade, %d memo, %d checkpoint \
-     event(s)\n"
-    !lines !bad !degrade_events !memo_events !checkpoint_events;
+    "trace: %d line(s), %d malformed, %d degrade, %d checkpoint event(s)\n"
+    !lines !bad !degrade_events !checkpoint_events;
   Printf.printf "degradations tallied in counters: %d (floor rejects %d)\n"
     (Atomic.get counters.Rar_util.Counters.degradations)
     (Atomic.get counters.Rar_util.Counters.floor_rejects);
   if
     !bad > 0 || !failures > 0 || !degrade_events = 0
     || Atomic.get counters.Rar_util.Counters.degradations = 0
-    || !memo_events = 0 || !checkpoint_events = 0
+    || !checkpoint_events = 0
   then begin
     Printf.printf "tracecheck FAILED\n";
     exit 5
@@ -1231,34 +1168,19 @@ let trace_check rows =
   else
     Printf.printf
       "tracecheck: degraded runs equivalent, trace well-formed, \
-       degradations, memo and checkpoint passes recorded\n"
+       degradations and checkpoint passes recorded\n"
 
 (* ------------------------------------------------------------------ *)
 (* dccheck - external don't-care discipline gate                       *)
 (* ------------------------------------------------------------------ *)
 
 (* The don't-care discipline on a non-empty view, gated (that an empty
-   view is invisible is shardcheck's):
-   1. the fixture's DC run is deterministic — byte-identical with the
-      memo on and off;
-   2. every Boolean method meets its improvement floor on the fixture,
-      never regresses, and the result verifies modulo DC. *)
+   view is invisible is shardcheck's): every Boolean method meets its
+   improvement floor on the fixture, never regresses, and the result
+   verifies modulo DC. *)
 let dc_check () =
   section "dccheck - external don't-care discipline gate";
   let failures = ref 0 in
-  let fnet, fdc = dc_fixture () in
-  Synth.Script.run fnet Synth.Script.script_a;
-  List.iter
-    (fun (name, meth) ->
-      let reference = reference_run ~dc:fdc meth fnet in
-      let diverged =
-        diverges ~dc:fdc ~use_memo:false ~reference meth fnet
-      in
-      if diverged then incr failures;
-      Printf.printf "  dcrich       %-8s DC run %s with the memo on and off\n"
-        name
-        (if diverged then "DIVERGES" else "identical"))
-    Synth.Script.resub_methods;
   (* DC-rich fixture: improvement floor + verify modulo DC. *)
   List.iter
     (fun (name, plain, with_dc, verified) ->
@@ -1277,7 +1199,7 @@ let dc_check () =
     exit 8
   end
   else
-    Printf.printf "dccheck: DC runs deterministic, fixture floors met\n"
+    Printf.printf "dccheck: fixture floors met, DC results verified\n"
 
 (* ------------------------------------------------------------------ *)
 (* kcheck - constructive k-resubstitution gate                         *)
@@ -1288,16 +1210,15 @@ let dc_check () =
    [expected_quick_totals]). *)
 let kresub_quick_floor = 239
 
-(* Gates for the constructive k-resub driver (byte identity across memo
-   settings and empty views, and the five pinned totals, are
-   shardcheck's, which runs every method in
-   {!Synth.Script.resub_methods}):
-   1. every method's memo-on result is verified with the BDD oracle
+(* Gates for the constructive k-resub driver (byte identity across
+   empty views, and the five pinned totals, are shardcheck's, which runs
+   every method in {!Synth.Script.resub_methods}):
+   1. every method's result is verified with the BDD oracle
       ({!Robdd.Of_network.equivalent}) — an exact check, independent of
       the random-simulation [Equiv] the other gates use, so every
       committed substitution is proven, not sampled; since shardcheck
-      holds every variant byte-identical to that result, this verifies
-      those runs too;
+      holds the empty-view run byte-identical to that result, this
+      verifies it too;
    2. on the quick suite resub-k's total meets the ext floor;
    3. resub-k's candidate-construction CPU stays below ext's division
       CPU (exact validation is accounted separately — it replaces the
@@ -1723,9 +1644,6 @@ let service_bench ?(clients = 8) ?(rounds = 5) rows =
 (* aigcheck - AIGER round-trip + windowed-resub determinism gate       *)
 (* ------------------------------------------------------------------ *)
 
-module Aig = Logic_network.Aig
-module Aiger = Logic_network.Aiger
-
 let aig_check () =
   section "aigcheck - AIGER round-trips + windowed resub byte-identity";
   let failures = ref 0 in
@@ -1753,32 +1671,22 @@ let aig_check () =
       expect (name ^ ": index-list round trip")
         (Aig.to_index_list (Aig.of_index_list il) = il))
     fixtures;
-  (* Windowed resubstitution: byte-identical with the memo on and off
-     and with window verification, whose final live recount matches the
-     incremental count; gate count never increases, and the result
-     simulates identically to the original through the Network bridge. *)
+  (* Windowed resubstitution: byte-identical with window verification,
+     whose final live recount matches the incremental count; gate count
+     never increases, and the result simulates identically to the
+     original through the Network bridge. *)
   List.iter
     (fun name ->
       let a = Aiger.parse (read_whole_file (fixture name)) in
-      let run ?(verify_windows = false) use_memo =
-        let config =
-          {
-            Synth.Aig_opt.default_config with
-            settings = { Synth.Script.default_settings with use_memo };
-            verify_windows;
-          }
-        in
+      let run ?(verify_windows = false) () =
+        let config = { Synth.Aig_opt.default_config with verify_windows } in
         Synth.Aig_opt.optimize ~config a
       in
-      let opt1, stats1 = run true in
-      let opt_off, _ = run false in
-      expect
-        (Printf.sprintf "%s: memo on/off byte-identical" name)
-        (String.equal (Aiger.to_string opt1) (Aiger.to_string opt_off));
+      let opt1, stats1 = run () in
       (* A verifying run also recounts the live gates of the spliced
          graph once at the end and fails if the incremental count
          differs. *)
-      (match run ~verify_windows:true true with
+      (match run ~verify_windows:true () with
       | opt_v, stats_v ->
         expect
           (Printf.sprintf "%s: incremental live count %d = recount" name

@@ -174,15 +174,13 @@ let name_conv names =
    spellings the subcommand accepts. *)
 let job_term methods =
   let names = List.map fst methods in
-  let request script meth no_filter no_memo sim_seed sim_words fault_budget
-      deadline =
+  let request script meth no_filter sim_seed sim_words fault_budget deadline =
     let request =
       {
         (Protocol.default_request ~blif:"") with
         script;
         meth;
         use_filter = not no_filter;
-        use_memo = not no_memo;
         sim_seed = Some sim_seed;
         sim_words = Some sim_words;
         fault_budget;
@@ -214,13 +212,6 @@ let job_term methods =
                 "Disable the simulation-signature divisor filter \
                  (seed-style exhaustive candidate ranking) for A/B \
                  comparisons.")
-      $ Arg.(
-          value & flag
-          & info [ "no-memo" ]
-              ~doc:
-                "Disable the division-failure memo (re-attempt every pair \
-                 on every pass, as the seed did) for A/B comparisons. \
-                 Final networks are bit-identical either way.")
       $ Arg.(
           value
           & opt int Logic_sim.Signature.default_seed

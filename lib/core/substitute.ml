@@ -26,7 +26,6 @@ type config = {
   max_passes : int;
   sim_seed : int;
   sim_words : int;
-  use_memo : bool;
   dc : Logic_network.Dont_care.t option;
 }
 
@@ -43,7 +42,6 @@ let basic_config =
     max_passes = 4;
     sim_seed = Signature.default_seed;
     sim_words = Signature.default_words;
-    use_memo = true;
     dc = None;
   }
 
@@ -350,43 +348,8 @@ let run ?(config = extended_config) ?fault_fuel ?deadline_at
     | Basic -> [])
     @ List.map (fun d -> Div d) divisors
   in
-  (* Run the ranked units of dividend [f] in order through the memo's
-     per-unit protocol. What a Boolean unit can read: non-GDC
-     implications are confined to the dividend/divisor region, but
-     redundancy removal inside a division consults dominators and fault
-     propagation across the dividend's transitive fanout, and the
-     signature phase gates read both full fanin cones — so the bound is
-     TFI(f) ∪ TFI(divisors) ∪ TFO(f). Under GDC the implication region
-     is the whole network, so only a fully unchanged network proves a
-     replay. *)
-  let scan memo f =
-    (* TFI(f) ∪ TFO(f) is shared by every unit of the scan; a commit
-       moves it. *)
-    let base = ref None in
-    let reads u () =
-      if config.gdc then Division_memo.all_nodes
-      else begin
-        let b =
-          match !base with
-          | Some b -> b
-          | None ->
-            let b =
-              Network.Node_set.union
-                (Fanin_cache.transitive_fanin cache f)
-                (Network.transitive_fanout net [ f ])
-            in
-            base := Some b;
-            b
-        in
-        let cone d acc =
-          Network.Node_set.union acc (Fanin_cache.transitive_fanin cache d)
-        in
-        Division_memo.reads_of_set
-          (match u with
-          | Div d -> cone d b
-          | Ext pool -> List.fold_right cone pool b)
-      end
-    in
+  (* Run the ranked units of dividend [f] in order. *)
+  let scan f =
     let landed = ref false in
     List.iter
       (fun u ->
@@ -394,27 +357,11 @@ let run ?(config = extended_config) ?fault_fuel ?deadline_at
           Network.mem net f
           && match u with Div d -> Network.mem net d | Ext _ -> true
         in
-        let attempt () =
-          match memo with
-          | None -> run_unit f u
-          | Some m ->
-            let target =
-              match u with
-              | Div d -> Division_memo.Divisor (d, Division_memo.Both)
-              | Ext pool -> Division_memo.Pool pool
-            in
-            Division_memo.attempt m net ~counters ~f target
-              ~meth:Division_memo.Boolean ~reads:(reads u) (fun () ->
-                run_unit f u)
-        in
-        if alive && attempt () then begin
-          landed := true;
-          base := None
-        end)
+        if alive && run_unit f u then landed := true)
       (units_of
          (rank_divisors ~counters ~cache ?sigs net f
             ~use_complement:config.use_complement ~limit:config.max_divisors));
-    if !landed then Scheduler.Committed else Scheduler.Quiet
+    !landed
   in
   Scheduler.run ~driver:"substitute"
     ~fields:
@@ -424,8 +371,7 @@ let run ?(config = extended_config) ?fault_fuel ?deadline_at
             (match config.mode with Basic -> "basic" | Extended -> "extended")
         );
       ]
-    ~use_memo:config.use_memo ~max_passes:config.max_passes ?deadline_at
-    ~trace ~counters net scan;
+    ~max_passes:config.max_passes ?deadline_at ~trace ~counters net scan;
   (* A materialised core divisor can be orphaned across passes: DC-powered
      removal empties its cover, then a later commit rewires the dividend
      away from it. A fanout-free constant-zero non-output node carries no

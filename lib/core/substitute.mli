@@ -37,14 +37,6 @@ type config = {
   sim_words : int;
       (** signature vector size in 64-bit words (default
           {!Logic_sim.Signature.default_words}) *)
-  use_memo : bool;
-      (** memoise failed division attempts in a {!Division_memo} keyed
-          on dirty-tracker stamps and skip provable replays on later
-          passes (on in every stock configuration). The final network is
-          bit-identical either way — skipped attempts reserve the same
-          node-id burn their recorded run consumed — only the
-          [memo_hits]/[memo_misses] counters and per-pass division
-          counts differ. *)
   dc : Logic_network.Dont_care.t option;
       (** external don't-care view (default [None]). EXCDC cubes become
           forbidden assignments in every implication engine spawned by

@@ -110,10 +110,6 @@ let fresh_id t =
 
 let id_limit t = t.next_id
 
-let reserve_ids t n =
-  if n < 0 then invalid_arg "Network.reserve_ids: negative count";
-  t.next_id <- t.next_id + n
-
 let add_input t input_name =
   let id = fresh_id t in
   install t { id; node_name = input_name; kind = Input; fanout = Node_map.empty };

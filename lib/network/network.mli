@@ -94,12 +94,6 @@ val id_limit : t -> int
     readings counts the ids consumed in between (including ids of nodes
     that were created and removed again). *)
 
-val reserve_ids : t -> int -> unit
-(** Advance the id allocator by [n] without creating nodes. The
-    division memo uses this to replay the transient id consumption of an
-    attempt it skips, keeping memo-on runs id-for-id identical to
-    memo-off ones. *)
-
 val copy : t -> t
 (** Deep copy preserving node ids (and the id allocator position). Costs
     O({!id_limit}), not O(nodes): the copy's id-indexed store spans

@@ -8,7 +8,6 @@ type request = {
   script : string;
   meth : string;
   use_filter : bool;
-  use_memo : bool;
   sim_seed : int option;
   sim_words : int option;
   fault_budget : int option;
@@ -23,7 +22,6 @@ let default_request ~blif =
     script = "a";
     meth = "ext";
     use_filter = true;
-    use_memo = true;
     sim_seed = None;
     sim_words = None;
     fault_budget = None;
@@ -54,7 +52,6 @@ let encode_request r =
   Buffer.add_string b (Printf.sprintf "script %s\n" r.script);
   Buffer.add_string b (Printf.sprintf "method %s\n" r.meth);
   Buffer.add_string b (Printf.sprintf "filter %s\n" (on_off r.use_filter));
-  Buffer.add_string b (Printf.sprintf "memo %s\n" (on_off r.use_memo));
   Buffer.add_string b (Printf.sprintf "cache %s\n" (on_off r.use_cache));
   Option.iter
     (fun s -> Buffer.add_string b (Printf.sprintf "sim-seed %d\n" s))
@@ -162,7 +159,7 @@ let decode_request payload =
   if kind <> "job" then Error (Printf.sprintf "expected a job frame, got %S" kind)
   else
     let known =
-      [ "script"; "method"; "filter"; "memo"; "cache"; "sim-seed";
+      [ "script"; "method"; "filter"; "cache"; "sim-seed";
         "sim-words"; "fault-budget"; "deadline"; "exdc-bytes" ]
     in
     match List.find_opt (fun (k, _) -> not (List.mem k known)) headers with
@@ -188,7 +185,6 @@ let decode_request payload =
         | None -> Error "missing header \"method\""
       in
       let* use_filter = dflt bool_value "filter" true in
-      let* use_memo = dflt bool_value "memo" true in
       let* use_cache = dflt bool_value "cache" true in
       let* sim_seed = opt int_value "sim-seed" in
       let* sim_words = opt int_value "sim-words" in
@@ -212,7 +208,6 @@ let decode_request payload =
           script;
           meth;
           use_filter;
-          use_memo;
           sim_seed;
           sim_words;
           fault_budget;

@@ -27,7 +27,6 @@ type request = {
   script : string;  (** a name in {!Synth.Script.scripts}, e.g. ["a"] *)
   meth : string;  (** a name in {!Synth.Script.method_names}, e.g. ["ext"] *)
   use_filter : bool;
-  use_memo : bool;
   sim_seed : int option;  (** [None] = the engine default *)
   sim_words : int option;
       (** signature vector size in 64-bit words; [None] = the engine
@@ -46,7 +45,7 @@ type request = {
 }
 
 val default_request : blif:string -> request
-(** Script ["a"], method ["ext"], filter/memo/cache on, no
+(** Script ["a"], method ["ext"], filter/cache on, no
     seed/budget/deadline override — the CLI's defaults. *)
 
 type response =

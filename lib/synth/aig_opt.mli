@@ -18,8 +18,7 @@
 
     Windows are processed one at a time in deterministic (descending
     pivot id) order, each by one sequential resubstitution run, so the
-    whole run is reproducible byte for byte; the [aigcheck] CI gate
-    pins it with the division memo on and off. *)
+    whole run is reproducible byte for byte. *)
 
 type config = {
   max_gates : int;  (** window size cap, gates (default 24) *)

@@ -1,9 +1,7 @@
 open Twolevel
 module Network = Logic_network.Network
 module Fanin_cache = Logic_network.Fanin_cache
-module Dirty = Logic_network.Dirty
 module Dont_care = Logic_network.Dont_care
-module Division_memo = Booldiv.Division_memo
 module Scheduler = Booldiv.Scheduler
 module Lit_count = Logic_network.Lit_count
 module Signature = Logic_sim.Signature
@@ -540,7 +538,7 @@ let validate o ~f shape =
 let run ?(max_divisors = default_max_divisors)
     ?(max_triples = default_max_triples) ?(max_passes = 4)
     ?(sim_seed = Signature.default_seed) ?(sim_words = Signature.default_words)
-    ?(use_memo = true) ?deadline_at ?(trace = Trace.disabled) ?counters ?dc net
+    ?deadline_at ?(trace = Trace.disabled) ?counters ?dc net
     =
   if sim_words <= 0 then invalid_arg "Kresub.run: sim_words must be positive";
   let counters =
@@ -550,22 +548,21 @@ let run ?(max_divisors = default_max_divisors)
   (* Counterexample rows live for the whole run and only ever grow, each
      in its own stimulus row: once a spurious candidate has been
      distinguished it stays distinguished, so it is never proposed for
-     any dividend again. The row count keys the memo on this history. *)
+     any dividend again. *)
   let sim = Signature.create ~seed:sim_seed ~words:sim_words ?dc net in
   Fun.protect ~finally:(fun () -> Signature.detach sim) @@ fun () ->
   let oracle = ora_create ?dc net in
   let substitutions = ref 0 in
-  (* One constructive scan of dividend [f]. [speculating] buffers Dirty
-     events around real attempts so a validated-but-no-gain rollback
-     moves no stamps. *)
-  let scan_once ~speculating f =
+  (* One constructive scan of dividend [f]: [`Refined] when a
+     counterexample sharpened the signatures before anything landed. *)
+  let scan_once f =
     let cur_lits = Lit_count.node_factored net f in
     let shapes =
       Counters.timed counters `Filter @@ fun () ->
       proposals_for net ~cache ~sim ~max_divisors ~max_triples ~cur_lits f
     in
     let rec try_shapes = function
-      | [] -> Scheduler.Quiet
+      | [] -> `Quiet
       | shape :: tl -> (
         Counters.add counters.Counters.kresub_candidates 1;
         match
@@ -576,56 +573,42 @@ let run ?(max_divisors = default_max_divisors)
           if List.length (Signature.rows sim) < 64 * sim_words then begin
             Signature.refine sim assign;
             Counters.add counters.Counters.kresub_refinements 1;
-            Scheduler.Refined
+            `Refined
           end
           else try_shapes tl
         | None ->
           Counters.add counters.Counters.kresub_validated 1;
+          let before_cover = Network.cover net f in
+          let before_fanins = Network.fanins net f in
           let landed =
-            speculating (fun () ->
-                let before_cover = Network.cover net f in
-                let before_fanins = Network.fanins net f in
-                match Lift.set_cover net f (shape_cover shape) with
-                | exception Network.Cyclic _ -> false
-                | () ->
-                  if Lit_count.node_factored net f < cur_lits then true
-                  else begin
-                    Network.set_function net f ~fanins:before_fanins
-                      before_cover;
-                    false
-                  end)
+            match Lift.set_cover net f (shape_cover shape) with
+            | exception Network.Cyclic _ -> false
+            | () ->
+              if Lit_count.node_factored net f < cur_lits then true
+              else begin
+                Network.set_function net f ~fanins:before_fanins before_cover;
+                false
+              end
           in
-          if landed then Scheduler.Committed else try_shapes tl)
+          if landed then `Committed else try_shapes tl)
     in
     try_shapes shapes
   in
-  (* The whole scan is one memo unit: its dividend entry is keyed on the
-     number of counterexample rows. *)
-  let scan memo =
-    let speculating real =
-      match memo with
-      | Some m ->
-        Dirty.speculating (Division_memo.dirty m) ~committed:Fun.id real
-      | None -> real ()
+  let scan f =
+    let rec go restarts =
+      match scan_once f with
+      | `Refined when restarts < max_restarts -> go (restarts + 1)
+      | outcome -> outcome
     in
-    fun f ->
-      if Option.is_some memo then
-        Counters.add counters.Counters.memo_misses 1;
-      let rec go restarts =
-        match scan_once ~speculating f with
-        | Scheduler.Refined when restarts < max_restarts -> go (restarts + 1)
-        | outcome -> outcome
-      in
-      let outcome = go 0 in
-      if outcome = Scheduler.Committed then begin
-        incr substitutions;
-        Counters.add counters.Counters.substitutions 1
-      end;
-      outcome
+    let committed = go 0 = `Committed in
+    if committed then begin
+      incr substitutions;
+      Counters.add counters.Counters.substitutions 1
+    end;
+    committed
   in
   Scheduler.run ~driver:"kresub"
     ~fields:[ ("words", Trace.Int sim_words) ]
-    ~gen:(fun () -> List.length (Signature.rows sim))
     ~pass_work:(fun c -> c.Counters.kresub_candidates)
-    ~use_memo ~max_passes ?deadline_at ~trace ~counters net scan;
+    ~max_passes ?deadline_at ~trace ~counters net scan;
   !substitutions

@@ -35,9 +35,7 @@
     node's factored literal count strictly decreases; since candidates
     are covers over existing nodes, no attempt ever allocates a node id.
 
-    Passes and the memo are {!Booldiv.Scheduler}'s, with dividend-level
-    memo entries keyed on the number of counterexample rows, so
-    [--no-memo] stays byte-identical to the memoised run. *)
+    Passes and the deadline are {!Booldiv.Scheduler}'s. *)
 
 val default_max_divisors : int
 (** Size of the ranked divisor shortlist the 1-/2-resub pair and triple
@@ -53,7 +51,6 @@ val run :
   ?max_passes:int ->
   ?sim_seed:int ->
   ?sim_words:int ->
-  ?use_memo:bool ->
   ?deadline_at:float ->
   ?trace:Rar_util.Trace.t ->
   ?counters:Rar_util.Counters.t ->

@@ -33,7 +33,6 @@ val run :
   ?max_passes:int ->
   ?sim_seed:int ->
   ?sim_words:int ->
-  ?use_memo:bool ->
   ?deadline_at:float ->
   ?trace:Rar_util.Trace.t ->
   ?counters:Rar_util.Counters.t ->
@@ -50,12 +49,6 @@ val run :
     filter and [sim_words] (default
     {!Logic_sim.Signature.default_words}) sizes its vectors in 64-bit
     words.
-
-    [use_memo] (default [true]) memoises failed attempts in a
-    {!Booldiv.Division_memo} keyed on dirty-tracker stamps, skipping
-    provable replays on later passes; the final network is bit-identical
-    to a [use_memo:false] run (skips reserve the same id burn), only
-    [memo_hits]/[memo_misses] and the per-pass division counts differ.
 
     [deadline_at] (absolute {!Unix.gettimeofday} instant, polled per
     dividend) stops the remaining work once crossed — committed

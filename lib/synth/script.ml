@@ -90,7 +90,6 @@ let method_names =
 
 type settings = {
   use_filter : bool;
-  use_memo : bool;
   sim_seed : int;
   sim_words : int;
   fault_fuel : int option;
@@ -100,7 +99,6 @@ type settings = {
 let default_settings =
   {
     use_filter = true;
-    use_memo = true;
     sim_seed = Logic_sim.Signature.default_seed;
     sim_words = Logic_sim.Signature.default_words;
     fault_fuel = None;
@@ -109,22 +107,18 @@ let default_settings =
 
 let resub_command ?(settings = default_settings) ?trace ?counters ?dc meth net
     =
-  let { use_filter; use_memo; sim_seed; sim_words; fault_fuel; deadline_at }
-      =
-    settings
-  in
+  let { use_filter; sim_seed; sim_words; fault_fuel; deadline_at } = settings in
   match meth with
   | Algebraic ->
     ignore
       (Resub.run ~use_complement:true ~use_filter ~sim_seed ~sim_words
-         ~use_memo ?deadline_at ?trace ?counters ?dc net)
+         ?deadline_at ?trace ?counters ?dc net)
   | Kresub ->
     (* The constructive driver has no signature-as-filter mode to turn
        off — signatures are its candidate generator — so [use_filter]
        and [fault_fuel] (no implication work) are accepted and unused. *)
     ignore
-      (Kresub.run ~sim_seed ~sim_words ~use_memo ?deadline_at ?trace ?counters
-         ?dc net)
+      (Kresub.run ~sim_seed ~sim_words ?deadline_at ?trace ?counters ?dc net)
   | Basic | Ext | Ext_gdc ->
     let base =
       match meth with
@@ -138,7 +132,6 @@ let resub_command ?(settings = default_settings) ?trace ?counters ?dc meth net
         Booldiv.Substitute.use_filter;
         sim_seed;
         sim_words;
-        use_memo;
         dc;
       }
     in

@@ -76,7 +76,6 @@ val method_names : (string * job_method) list
 type settings = {
   use_filter : bool;
       (** the signature divisor filter ([Kresub] has none to turn off) *)
-  use_memo : bool;  (** memoise failed division attempts across passes *)
   sim_seed : int;  (** seed of the signature engines *)
   sim_words : int;  (** signature vector size in 64-bit words *)
   fault_fuel : int option;
@@ -87,7 +86,7 @@ type settings = {
     {!resub_command} and {!Aig_opt.config}. *)
 
 val default_settings : settings
-(** Filter and memo on, {!Logic_sim.Signature.default_seed}
+(** Filter on, {!Logic_sim.Signature.default_seed}
     and {!Logic_sim.Signature.default_words}, no fuel cap, no
     deadline. *)
 

@@ -77,8 +77,6 @@ let accumulate dst src =
   add dst.pairs_filtered (Atomic.get src.pairs_filtered);
   add dst.divisions_attempted (Atomic.get src.divisions_attempted);
   add dst.substitutions (Atomic.get src.substitutions);
-  add dst.memo_hits (Atomic.get src.memo_hits);
-  add dst.memo_misses (Atomic.get src.memo_misses);
   add dst.imply_creates (Atomic.get src.imply_creates);
   add dst.imply_refreshes (Atomic.get src.imply_refreshes);
   add dst.imply_resets (Atomic.get src.imply_resets);
@@ -116,17 +114,16 @@ let pass_divisions_string t =
 let to_string t =
   Printf.sprintf
     "pairs %d (filtered %d), divisions %d (passes %d: [%s]), substitutions \
-     %d, memo %d hits / %d misses, imply %d creates / %d refreshes / %d \
-     resets / %d checkpoints, degradations %d, floor rejects %d, kresub %d \
-     candidates / %d validated / %d refinements, filter %.2fs, division \
-     %.2fs, validation %.2fs"
+     %d, imply %d creates / %d refreshes / %d resets / %d checkpoints, \
+     degradations %d, floor rejects %d, kresub %d candidates / %d \
+     validated / %d refinements, filter %.2fs, division %.2fs, validation \
+     %.2fs"
     (Atomic.get t.pairs_considered)
     (Atomic.get t.pairs_filtered)
     (Atomic.get t.divisions_attempted)
     (Atomic.get t.passes)
     (pass_divisions_string t)
     (Atomic.get t.substitutions)
-    (Atomic.get t.memo_hits) (Atomic.get t.memo_misses)
     (Atomic.get t.imply_creates)
     (Atomic.get t.imply_refreshes)
     (Atomic.get t.imply_resets)
@@ -144,7 +141,6 @@ let to_json t =
   Printf.sprintf
     "{\"pairs_considered\": %d, \"pairs_filtered\": %d, \
      \"divisions_attempted\": %d, \"substitutions\": %d, \
-     \"memo_hits\": %d, \"memo_misses\": %d, \
      \"imply_creates\": %d, \"imply_refreshes\": %d, \
      \"imply_resets\": %d, \
      \"imply_checkpoints\": %d, \
@@ -158,7 +154,6 @@ let to_json t =
     (Atomic.get t.pairs_filtered)
     (Atomic.get t.divisions_attempted)
     (Atomic.get t.substitutions)
-    (Atomic.get t.memo_hits) (Atomic.get t.memo_misses)
     (Atomic.get t.imply_creates)
     (Atomic.get t.imply_refreshes)
     (Atomic.get t.imply_resets)

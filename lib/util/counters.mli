@@ -18,10 +18,11 @@ type t = {
   divisions_attempted : int Atomic.t;
   substitutions : int Atomic.t;  (** committed rewrites *)
   memo_hits : int Atomic.t;
-      (** division attempts skipped because the memo proved the previous
-          failure would replay unchanged *)
-  memo_misses : int Atomic.t;
-      (** division attempts that ran for real while the memo was on *)
+      (** always 0: the division-failure memo that ticked it is gone
+          (DESIGN.md §11). Kept, with [memo_misses], only because the
+          perfbench harness reads both fields; {!accumulate},
+          {!to_string} and {!to_json} ignore them. *)
+  memo_misses : int Atomic.t;  (** always 0, as [memo_hits] *)
   imply_creates : int Atomic.t;
       (** implication arenas built (or rebuilt after a mutation) *)
   imply_refreshes : int Atomic.t;
@@ -88,4 +89,4 @@ val to_string : t -> string
 (** One-line human-readable summary. *)
 
 val to_json : t -> string
-(** JSON object with all fields (for the bench harness). *)
+(** JSON object with every live field (for the bench harness). *)

@@ -2,8 +2,8 @@
 
     A trace is a sink for one-line JSON objects describing what a run did:
     phase starts/stops, per-unit timings, budget exhaustions and the
-    degradations they caused, per-pass ["memo"] hit/miss and
-    ["checkpoint"] pop/reset summaries from the fixpoint drivers,
+    degradations they caused, per-pass ["checkpoint"] pop/reset
+    summaries from the fixpoint drivers,
     counter snapshots. Every event carries an ["event"] name and a
     ["t"] wall-clock timestamp; remaining fields are caller-chosen. The format is line-oriented so logs from long runs can
     be streamed, grepped, and tailed without a JSON framework.

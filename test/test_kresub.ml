@@ -90,23 +90,6 @@ let test_one_resub_and () =
     "result BDD-equivalent" true
     (bdd_equivalent net (build ()))
 
-(* The determinism discipline every other method obeys: either memo
-   setting must give byte-identical networks. *)
-let test_determinism () =
-  let base =
-    let row = Option.get (Suite.find "b9") in
-    let net = Suite.build row in
-    Synth.Script.run net Synth.Script.script_a;
-    net
-  in
-  let run ~use_memo =
-    let scratch = Network.copy base in
-    ignore (Synth.Kresub.run ~use_memo scratch);
-    Network.to_string scratch
-  in
-  Alcotest.(check string) "memo on/off identical" (run ~use_memo:true)
-    (run ~use_memo:false)
-
 let test_sim_words () =
   let build () =
     let row = Option.get (Suite.find "alu_slice") in
@@ -553,8 +536,6 @@ let () =
         ] );
       ( "discipline",
         [
-          Alcotest.test_case "memo byte-identity" `Quick
-            test_determinism;
           Alcotest.test_case "sim_words sizes the vector" `Quick
             test_sim_words;
           Alcotest.test_case "empty DC view invisible" `Quick

@@ -1,16 +1,12 @@
-(* The dividend scheduler ({!Booldiv.Scheduler}) and its division memo.
+(* The dividend scheduler ({!Booldiv.Scheduler}) under its drivers.
 
-   Memo soundness: a run with the memo enabled may skip an attempt only
-   when the recorded failure is provably a replay, so the final network
-   must be bit-identical to a memo-off run — same node names (the
-   skipped attempts must replay their id burns), same covers, same
-   literal totals — across random and planted circuits and both
-   drivers. A deadline that has already passed must stop every method
-   before it commits anything, and the sim-seed knob must steer the
+   Every driver's result must stay equivalent to its input across
+   random and planted circuits; runs sharing one counters record tally
+   by pass; a deadline that has already passed must stop every method
+   before it commits anything; and the sim-seed knob must steer the
    filter soundly. *)
 
 module Network = Logic_network.Network
-module Lit_count = Logic_network.Lit_count
 module Generator = Bench_suite.Generator
 module Equiv = Logic_sim.Equiv
 module Counters = Rar_util.Counters
@@ -27,7 +23,7 @@ let planted_profile seed =
     }
 
 (* 44 unstructured random circuits of varying shape plus 8 planted ones:
-   the differential suite the memo must survive. *)
+   the differential suite every driver must survive. *)
 let differential_nets () =
   List.concat
     [
@@ -51,70 +47,23 @@ let differential_nets () =
         (List.init 8 (fun i -> i + 300));
     ]
 
-let check_identical ~label ~reference on off =
-  Alcotest.(check int)
-    (label ^ ": literal totals")
-    (Lit_count.factored off) (Lit_count.factored on);
-  Alcotest.(check string)
-    (label ^ ": networks bit-identical")
-    (Network.to_string off) (Network.to_string on);
-  Alcotest.(check bool)
-    (label ^ ": result equivalent")
-    true (Equiv.equivalent on reference)
-
-(* Memo-on vs memo-off over the whole differential suite. [run] gets the
-   use_memo flag and a counters record. Requires the memo to have
-   actually skipped work somewhere across the suite, and to be
-   completely inert when disabled. *)
+(* Each driver over the whole differential suite: every result must be
+   equivalent to its input. *)
 let differential ~label run () =
-  let hits_on = ref 0 and ticks_off = ref 0 in
   List.iter
     (fun (name, net) ->
-      let on = Network.copy net and off = Network.copy net in
-      let c_on = Counters.create () and c_off = Counters.create () in
-      run ~use_memo:true ~counters:c_on on;
-      run ~use_memo:false ~counters:c_off off;
-      hits_on := !hits_on + Atomic.get c_on.Counters.memo_hits;
-      ticks_off :=
-        !ticks_off + Atomic.get c_off.Counters.memo_hits + Atomic.get c_off.Counters.memo_misses;
-      check_identical
-        ~label:(Printf.sprintf "%s/%s" label name)
-        ~reference:net on off)
-    (differential_nets ());
-  Alcotest.(check bool) (label ^ ": memo hit at least once") true (!hits_on > 0);
-  Alcotest.(check int) (label ^ ": memo inert when off") 0 !ticks_off
+      let result = Network.copy net in
+      run result;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s/%s: result equivalent" label name)
+        true (Equiv.equivalent result net))
+    (differential_nets ())
 
-let resub_run ~use_memo ~counters net =
-  ignore (Synth.Resub.run ~use_memo ~counters net)
+let resub_run net = ignore (Synth.Resub.run net)
 
-let substitute_run ~use_memo ~counters net =
-  let config = { Booldiv.Substitute.extended_config with use_memo } in
-  ignore (Booldiv.Substitute.run ~config ~counters net)
-
-(* The per-pass division trajectory must show the memo working: on a
-   circuit where pass 1 commits rewrites, pass 2 re-proves quiescence
-   with strictly fewer real attempts than a memo-off run needs. *)
-let pass_trajectory () =
-  let net = planted_profile 42 in
-  let run use_memo =
-    let scratch = Network.copy net in
-    let counters = Counters.create () in
-    ignore (Synth.Resub.run ~use_memo ~counters scratch);
-    counters
-  in
-  let c_on = run true and c_off = run false in
-  Alcotest.(check bool) "multiple passes ran" true (Atomic.get c_on.Counters.passes >= 2);
-  Alcotest.(check int)
-    "same pass count either way" (Atomic.get c_off.Counters.passes) (Atomic.get c_on.Counters.passes);
-  let late l = match l with [] -> [] | _ :: tl -> tl in
-  let sum = List.fold_left ( + ) 0 in
-  Alcotest.(check bool)
-    "later passes attempt fewer divisions with the memo" true
-    (sum (late c_on.Counters.pass_divisions)
-    < sum (late c_off.Counters.pass_divisions)
-    || sum (late c_off.Counters.pass_divisions) = 0);
-  Alcotest.(check bool) "memo hit on later passes" true
-    (Atomic.get c_on.Counters.memo_hits > 0)
+let substitute_run net =
+  ignore
+    (Booldiv.Substitute.run ~config:Booldiv.Substitute.extended_config net)
 
 (* Runs that share one record (the windows of [Aig_opt], for one) tally
    pass [i] into entry [i]: the shared list equals accumulating
@@ -212,14 +161,13 @@ let () =
     [
       ( "differential",
         [
-          Alcotest.test_case "resub memo on/off" `Quick
+          Alcotest.test_case "resub equivalent to input" `Quick
             (differential ~label:"resub" resub_run);
-          Alcotest.test_case "substitute ext memo on/off" `Quick
+          Alcotest.test_case "substitute ext equivalent to input" `Quick
             (differential ~label:"ext" substitute_run);
         ] );
       ( "trajectory",
         [
-          Alcotest.test_case "per-pass divisions drop" `Quick pass_trajectory;
           Alcotest.test_case "shared record tallies by pass" `Quick shared_tally;
         ] );
       ( "deadline",

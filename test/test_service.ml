@@ -271,6 +271,11 @@ let test_frame_abuse_rejected () =
         (fun fd ->
           Protocol.write_frame fd
             "rarsub 1 job\nscript a\nmethod ext\njobs 2\n\nbody");
+      (* Nor is [memo], since the division memo is gone. *)
+      expect_refusal "retired memo header" ~reason:"unknown header \"memo\""
+        (fun fd ->
+          Protocol.write_frame fd
+            "rarsub 1 job\nscript a\nmethod ext\nmemo off\n\nbody");
       expect_refusal "oversized" (fun fd ->
           (* Header announces 1 MiB against a 4 KiB limit; the daemon
              must refuse on the header alone. *)

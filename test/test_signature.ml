@@ -215,8 +215,12 @@ let test_dense_store_growth () =
   in
   let limit0 = Network.id_limit net in
   add_some 40;
-  (* A late input lands past the stimulus store's capacity too. *)
-  Network.reserve_ids net 200;
+  (* A late input lands past the stimulus store's capacity too: 200
+     nodes added and removed again leave a gap of unused ids. *)
+  let x = List.hd (Network.inputs net) in
+  let buf = Cover.of_cubes [ Cube.of_literals_exn [ Literal.pos 0 ] ] in
+  List.iter (Network.remove_node net)
+    (List.init 200 (fun _ -> Network.add_logic net ~fanins:[| x |] buf));
   let late = Network.add_input net "late" in
   ignore
     (Network.add_logic net ~fanins:[| late; List.hd (Network.inputs net) |] and2);
