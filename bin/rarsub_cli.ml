@@ -87,11 +87,9 @@ let with_trace trace_file f =
     prerr_endline msg;
     2
 
-let report_filter request counters =
+let report_filter counters =
   if Atomic.get counters.Rar_util.Counters.pairs_considered > 0 then
-    Printf.printf "divisor filter (%s): %s\n"
-      (if request.Protocol.use_filter then "on" else "off")
-      (Rar_util.Counters.to_string counters)
+    Printf.printf "divisor filter: %s\n" (Rar_util.Counters.to_string counters)
 
 (* ------------------------------------------------------------------ *)
 (* Shared flags                                                        *)
@@ -174,15 +172,13 @@ let name_conv names =
    spellings the subcommand accepts. *)
 let job_term methods =
   let names = List.map fst methods in
-  let request script meth no_filter sim_seed sim_words fault_budget deadline =
+  let request script meth sim_seed fault_budget deadline =
     let request =
       {
         (Protocol.default_request ~blif:"") with
         script;
         meth;
-        use_filter = not no_filter;
         sim_seed = Some sim_seed;
-        sim_words = Some sim_words;
         fault_budget;
         deadline;
       }
@@ -206,25 +202,10 @@ let job_term methods =
                 ("Resubstitution method: " ^ doc_alts names
                ^ ". $(b,resub) is the algebraic method, like $(b,sis)."))
       $ Arg.(
-          value & flag
-          & info [ "no-filter" ]
-              ~doc:
-                "Disable the simulation-signature divisor filter \
-                 (seed-style exhaustive candidate ranking) for A/B \
-                 comparisons.")
-      $ Arg.(
           value
           & opt int Logic_sim.Signature.default_seed
           & info [ "sim-seed" ] ~docv:"SEED"
               ~doc:"RNG seed for the simulation-signature divisor filter.")
-      $ Arg.(
-          value
-          & opt int Logic_sim.Signature.default_words
-          & info [ "sim-words" ] ~docv:"N"
-              ~doc:
-                "Signature vector size in 64-bit words (8 = 512 bits). \
-                 Larger vectors make the signature engines more \
-                 discriminating at more simulation cost per node.")
       $ Arg.(
           value
           & opt (some int) None
@@ -337,7 +318,7 @@ let optimize_cmd =
       Printf.printf "after %s: %d literals (%.2fs)\n" request.meth
         (Lit_count.factored net)
         (Unix.gettimeofday () -. !resub_start);
-      report_filter request counters;
+      report_filter counters;
       if verify_result then verify ?dc original net;
       Option.iter
         (fun path ->
@@ -424,7 +405,7 @@ let optimize_aig_cmd =
         request.script request.meth stats.Synth.Aig_opt.gates_after seconds
         stats.Synth.Aig_opt.windows stats.Synth.Aig_opt.accepted
         stats.Synth.Aig_opt.reverted stats.Synth.Aig_opt.skipped;
-      report_filter request counters;
+      report_filter counters;
       if verify_result then
         verify ?dc
           (Logic_network.Aig.to_network aig)

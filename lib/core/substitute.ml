@@ -20,12 +20,10 @@ type config = {
   learn_depth : int;
   use_complement : bool;
   try_pos : bool;
-  use_filter : bool;
   max_divisors : int;
   max_pool : int;
   max_passes : int;
   sim_seed : int;
-  sim_words : int;
   dc : Logic_network.Dont_care.t option;
 }
 
@@ -36,12 +34,10 @@ let basic_config =
     learn_depth = 0;
     use_complement = true;
     try_pos = true;
-    use_filter = true;
     max_divisors = 20;
     max_pool = 6;
     max_passes = 4;
     sim_seed = Signature.default_seed;
-    sim_words = Signature.default_words;
     dc = None;
   }
 
@@ -59,12 +55,9 @@ type stats = {
   counters : Counters.t;
 }
 
-(* Candidate divisors for a node. With a signature engine, candidates are
-   gated on fanin-cone overlap plus signature compatibility and ranked by
-   onset-overlap popcount; without one (the A/B baseline) the seed policy
-   — rank by transitive-fanin intersection cardinality — is kept, served
-   from the memoized cache. *)
-let rank_divisors ~counters ~cache ?sigs net f ~use_complement ~limit =
+(* Candidate divisors for a node: gated on fanin-cone overlap plus
+   signature compatibility and ranked by onset-overlap popcount. *)
+let rank_divisors ~counters ~cache ~sigs net f ~use_complement ~limit =
   Counters.timed counters `Filter @@ fun () ->
   let f_support = Fanin_cache.transitive_fanin cache f in
   let scored =
@@ -77,23 +70,13 @@ let rank_divisors ~counters ~cache ?sigs net f ~use_complement ~limit =
             Counters.add counters.Counters.pairs_filtered 1;
             None
           in
-          if Fanin_cache.depends_on cache d ~on:f then reject ()
-          else
-            match sigs with
-            | Some s ->
-              if
-                Network.Node_set.disjoint f_support
-                  (Fanin_cache.transitive_fanin cache d)
-                || not (Signature.compatible s ~use_complement ~f ~d)
-              then reject ()
-              else Some (d, Signature.score s ~use_complement ~f ~d)
-            | None ->
-              let overlap =
-                Network.Node_set.cardinal
-                  (Network.Node_set.inter f_support
-                     (Fanin_cache.transitive_fanin cache d))
-              in
-              if overlap = 0 then reject () else Some (d, overlap)
+          if
+            Fanin_cache.depends_on cache d ~on:f
+            || Network.Node_set.disjoint f_support
+                 (Fanin_cache.transitive_fanin cache d)
+            || not (Signature.compatible sigs ~use_complement ~f ~d)
+          then reject ()
+          else Some (d, Signature.score sigs ~use_complement ~f ~d)
         end)
       (Network.logic_ids net)
   in
@@ -187,11 +170,7 @@ let make_attempts ~config ?fault_fuel ?deadline_at ~trace ~counters ~sigs net
      meet; dividing by d' needs f's onset to meet d's offset. Checked
      lazily (signatures may have moved since ranking if an earlier
      attempt committed). *)
-  let phase_possible f d phase =
-    match sigs with
-    | None -> true
-    | Some s -> Signature.phase_compatible s ~phase ~f ~d
-  in
+  let phase_possible f d phase = Signature.phase_compatible sigs ~phase ~f ~d in
   let attempt_basic ?budget f d =
     Counters.timed counters `Division @@ fun () ->
     Counters.add counters.Counters.divisions_attempted 1;
@@ -314,14 +293,8 @@ let run ?(config = extended_config) ?fault_fuel ?deadline_at
     match counters with Some c -> c | None -> Counters.create ()
   in
   let cache = Fanin_cache.create net in
-  let sigs =
-    if config.use_filter then
-      Some
-        (Signature.create ~seed:config.sim_seed ~words:config.sim_words
-           ?dc:config.dc net)
-    else None
-  in
-  Fun.protect ~finally:(fun () -> Option.iter Signature.detach sigs)
+  let sigs = Signature.create ~seed:config.sim_seed ?dc:config.dc net in
+  Fun.protect ~finally:(fun () -> Signature.detach sigs)
   @@ fun () ->
   let literals_before = Lit_count.factored net in
   let basic_count = ref 0 and ext_count = ref 0 and pos_count = ref 0 in
@@ -359,7 +332,7 @@ let run ?(config = extended_config) ?fault_fuel ?deadline_at
         in
         if alive && run_unit f u then landed := true)
       (units_of
-         (rank_divisors ~counters ~cache ?sigs net f
+         (rank_divisors ~counters ~cache ~sigs net f
             ~use_complement:config.use_complement ~limit:config.max_divisors));
     !landed
   in

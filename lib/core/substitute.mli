@@ -9,13 +9,12 @@
     (bounded by [max_passes]).
 
     Divisor candidates are selected through a simulation-signature filter
-    ({!Logic_sim.Signature}): pairs whose signatures prove no usable
-    overlap are skipped before any division runs, and survivors are
-    ranked by signature-overlap popcount. The filter is conservative-only
-    — it can skip opportunities, never corrupt results, since every
-    commit still goes through the literal-gain + rollback path. Set
-    [use_filter] to [false] to recover the seed behaviour (per-pair
-    transitive-fanin ranking) for A/B comparisons. *)
+    ({!Logic_sim.Signature}, {!Logic_sim.Signature.default_words} words):
+    pairs whose signatures prove no usable overlap are skipped before any
+    division runs, and survivors are ranked by signature-overlap
+    popcount. The filter is conservative-only — it can skip
+    opportunities, never corrupt results, since every commit still goes
+    through the literal-gain + rollback path. *)
 
 type mode = Basic | Extended
 
@@ -25,18 +24,12 @@ type config = {
   learn_depth : int;  (** recursive-learning depth (0 = none) *)
   use_complement : bool;  (** also divide by divisor complements *)
   try_pos : bool;  (** also try product-of-sum-form substitution *)
-  use_filter : bool;
-      (** signature-guided divisor filtering and ranking (on in every
-          stock configuration; off = seed-style fanin-overlap ranking) *)
   max_divisors : int;  (** basic-division candidates per node *)
   max_pool : int;  (** divisor pool size for extended division *)
   max_passes : int;
   sim_seed : int;
       (** signature-filter RNG seed (default
           {!Logic_sim.Signature.default_seed}) *)
-  sim_words : int;
-      (** signature vector size in 64-bit words (default
-          {!Logic_sim.Signature.default_words}) *)
   dc : Logic_network.Dont_care.t option;
       (** external don't-care view (default [None]). EXCDC cubes become
           forbidden assignments in every implication engine spawned by

@@ -4,10 +4,9 @@
     canonical form of the input network (BLIF re-serialised after
     parsing, so formatting, comments and header ordering don't fragment
     entries) concatenated with every flag that can influence the output
-    bytes (script, method, filter, sim-seed, sim-words,
-    fault-budget, and the don't-care view). Full keys are stored and
-    compared on lookup — a hash collision can cost a miss, never a wrong
-    result.
+    bytes (script, method, sim-seed, fault-budget, and the don't-care
+    view). Full keys are stored and compared on lookup — a hash
+    collision can cost a miss, never a wrong result.
 
     Bounded and LRU-evicted: both an entry count and a byte budget,
     split across 16 independently locked stripes so concurrent worker

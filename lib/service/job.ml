@@ -34,9 +34,7 @@ let spec_of_request (r : Protocol.request) =
         settings =
           {
             d with
-            use_filter = r.use_filter;
             sim_seed = Option.value r.sim_seed ~default:d.sim_seed;
-            sim_words = Option.value r.sim_words ~default:d.sim_words;
             fault_fuel = r.fault_budget;
           };
       }
@@ -172,10 +170,10 @@ let prepare ?warm (request : Protocol.request) =
       let s = spec.settings in
       Some
         (Printf.sprintf
-           "%s\x00%s\x00%s\x00filter=%b seed=%d words=%d fuel=%s\x00%s"
+           "%s\x00%s\x00%s\x00seed=%d fuel=%s\x00%s"
            canonical spec.script
            (fst (List.find (fun (_, m) -> m = spec.meth) Script.method_names))
-           s.use_filter s.sim_seed s.sim_words
+           s.sim_seed
            (match s.fault_fuel with Some f -> string_of_int f | None -> "none")
            (match dc with
            | None -> ""

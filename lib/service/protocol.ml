@@ -7,9 +7,7 @@ let magic = "rarsub 1"
 type request = {
   script : string;
   meth : string;
-  use_filter : bool;
   sim_seed : int option;
-  sim_words : int option;
   fault_budget : int option;
   deadline : float option;
   use_cache : bool;
@@ -21,9 +19,7 @@ let default_request ~blif =
   {
     script = "a";
     meth = "ext";
-    use_filter = true;
     sim_seed = None;
-    sim_words = None;
     fault_budget = None;
     deadline = None;
     use_cache = true;
@@ -51,14 +47,10 @@ let encode_request r =
   Buffer.add_string b (magic ^ " job\n");
   Buffer.add_string b (Printf.sprintf "script %s\n" r.script);
   Buffer.add_string b (Printf.sprintf "method %s\n" r.meth);
-  Buffer.add_string b (Printf.sprintf "filter %s\n" (on_off r.use_filter));
   Buffer.add_string b (Printf.sprintf "cache %s\n" (on_off r.use_cache));
   Option.iter
     (fun s -> Buffer.add_string b (Printf.sprintf "sim-seed %d\n" s))
     r.sim_seed;
-  Option.iter
-    (fun w -> Buffer.add_string b (Printf.sprintf "sim-words %d\n" w))
-    r.sim_words;
   Option.iter
     (fun f -> Buffer.add_string b (Printf.sprintf "fault-budget %d\n" f))
     r.fault_budget;
@@ -159,8 +151,8 @@ let decode_request payload =
   if kind <> "job" then Error (Printf.sprintf "expected a job frame, got %S" kind)
   else
     let known =
-      [ "script"; "method"; "filter"; "cache"; "sim-seed";
-        "sim-words"; "fault-budget"; "deadline"; "exdc-bytes" ]
+      [ "script"; "method"; "cache"; "sim-seed"; "fault-budget";
+        "deadline"; "exdc-bytes" ]
     in
     match List.find_opt (fun (k, _) -> not (List.mem k known)) headers with
     | Some (k, _) -> Error (Printf.sprintf "unknown header %S" k)
@@ -184,10 +176,8 @@ let decode_request payload =
         | Some s -> Ok s
         | None -> Error "missing header \"method\""
       in
-      let* use_filter = dflt bool_value "filter" true in
       let* use_cache = dflt bool_value "cache" true in
       let* sim_seed = opt int_value "sim-seed" in
-      let* sim_words = opt int_value "sim-words" in
       let* fault_budget = opt int_value "fault-budget" in
       let* deadline = opt float_value "deadline" in
       let* exdc_bytes = opt int_value "exdc-bytes" in
@@ -207,9 +197,7 @@ let decode_request payload =
         {
           script;
           meth;
-          use_filter;
           sim_seed;
-          sim_words;
           fault_budget;
           deadline;
           use_cache;

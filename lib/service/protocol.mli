@@ -26,12 +26,7 @@ val default_max_frame : int
 type request = {
   script : string;  (** a name in {!Synth.Script.scripts}, e.g. ["a"] *)
   meth : string;  (** a name in {!Synth.Script.method_names}, e.g. ["ext"] *)
-  use_filter : bool;
   sim_seed : int option;  (** [None] = the engine default *)
-  sim_words : int option;
-      (** signature vector size in 64-bit words; [None] = the engine
-          default (8 = 512 bits). Output-relevant, so part of the
-          daemon's cache key. *)
   fault_budget : int option;
   deadline : float option;  (** relative seconds, applied at job start *)
   use_cache : bool;  (** [false] bypasses the daemon's result cache *)
@@ -45,8 +40,8 @@ type request = {
 }
 
 val default_request : blif:string -> request
-(** Script ["a"], method ["ext"], filter/cache on, no
-    seed/budget/deadline override — the CLI's defaults. *)
+(** Script ["a"], method ["ext"], cache on, no seed/budget/deadline
+    override — the CLI's defaults. *)
 
 type response =
   | Result of {

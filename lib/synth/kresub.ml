@@ -536,10 +536,8 @@ let validate o ~f shape =
 (* ------------------------------------------------------------------ *)
 
 let run ?(max_divisors = default_max_divisors)
-    ?(max_triples = default_max_triples) ?(max_passes = 4)
     ?(sim_seed = Signature.default_seed) ?(sim_words = Signature.default_words)
-    ?deadline_at ?(trace = Trace.disabled) ?counters ?dc net
-    =
+    ?deadline_at ?(trace = Trace.disabled) ?counters ?dc net =
   if sim_words <= 0 then invalid_arg "Kresub.run: sim_words must be positive";
   let counters =
     match counters with Some c -> c | None -> Counters.create ()
@@ -559,7 +557,8 @@ let run ?(max_divisors = default_max_divisors)
     let cur_lits = Lit_count.node_factored net f in
     let shapes =
       Counters.timed counters `Filter @@ fun () ->
-      proposals_for net ~cache ~sim ~max_divisors ~max_triples ~cur_lits f
+      proposals_for net ~cache ~sim ~max_divisors
+        ~max_triples:default_max_triples ~cur_lits f
     in
     let rec try_shapes = function
       | [] -> `Quiet
@@ -610,5 +609,5 @@ let run ?(max_divisors = default_max_divisors)
   Scheduler.run ~driver:"kresub"
     ~fields:[ ("words", Trace.Int sim_words) ]
     ~pass_work:(fun c -> c.Counters.kresub_candidates)
-    ~max_passes ?deadline_at ~trace ~counters net scan;
+    ~max_passes:4 ?deadline_at ~trace ~counters net scan;
   !substitutions

@@ -47,8 +47,6 @@ val default_max_triples : int
 
 val run :
   ?max_divisors:int ->
-  ?max_triples:int ->
-  ?max_passes:int ->
   ?sim_seed:int ->
   ?sim_words:int ->
   ?deadline_at:float ->
@@ -57,14 +55,17 @@ val run :
   ?dc:Logic_network.Dont_care.t ->
   Logic_network.Network.t ->
   int
-(** Run constructive resubstitution to a fixpoint (bounded by
-    [max_passes], default 4) and return the number of committed
-    rewrites. [sim_words] and [sim_seed] configure the run's
-    {!Logic_sim.Signature} engine: its width in 64-bit words (default
-    {!Logic_sim.Signature.default_words} = 512 rows; raises
-    [Invalid_argument] when ≤ 0), which also caps the counterexample
-    rows at [64 * sim_words], and the seed of the base stimulus the
-    rows overwrite. [deadline_at] bounds the wall clock (polled per
+(** Run constructive resubstitution to a fixpoint (at most four
+    passes, {!default_max_triples} in the 2-resub enumeration) and
+    return the number of committed rewrites. [sim_words] and [sim_seed]
+    configure the run's {!Logic_sim.Signature} engine: its width in
+    64-bit words (default {!Logic_sim.Signature.default_words} = 512
+    rows; raises [Invalid_argument] when ≤ 0), which also caps the
+    counterexample rows at [64 * sim_words], and the seed of the base
+    stimulus the rows overwrite. Every caller outside the tests keeps
+    the default width: [sim_words] stays because the aliasing and
+    vector-width tests need a one-word engine, which fills its 64
+    counterexample rows quickly. [deadline_at] bounds the wall clock (polled per
     dividend; one [degradations] tick when crossed). Tallies land in
     [counters]: [kresub_candidates] (signature-matched constructions),
     [kresub_validated] (passed the exact check), [kresub_refinements]

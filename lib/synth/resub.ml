@@ -9,7 +9,7 @@ module Trace = Rar_util.Trace
 
 let complement_limit = 64
 
-let default_max_candidates = 32
+let max_candidates = 32
 
 (* One algebraic division attempt of f by the given lifted divisor cover,
    substituting the literal [d_lit] for it on success. *)
@@ -52,60 +52,47 @@ let try_substitute ?(use_complement = true) ?cache net ~f ~d =
   && (attempt_direct net ~f ~d
      || (use_complement && attempt_complement net ~f ~d))
 
-(* Candidate divisors for one dividend. Unfiltered (the seed behaviour)
-   every logic node is tried in id order; with the signature engine,
-   incompatible pairs are dropped and the survivors are ranked by
-   signature overlap, keeping the top [max_candidates]. *)
-let candidates ~counters ~cache ?sigs ~use_complement ~max_candidates net
-    ~f ~nodes =
-  match sigs with
-  | None -> nodes
-  | Some s ->
-    Counters.timed counters `Filter @@ fun () ->
-    let scored =
-      List.filter_map
-        (fun d ->
-          if d = f || not (Network.mem net d) then None
-          else begin
-            Counters.add counters.Counters.pairs_considered 1;
-            if
-              Fanin_cache.depends_on cache d ~on:f
-              || not (Signature.compatible s ~use_complement ~f ~d)
-            then begin
-              Counters.add counters.Counters.pairs_filtered 1;
-              None
-            end
-            else Some (d, Signature.score s ~use_complement ~f ~d)
-          end)
-        nodes
-    in
-    let sorted = List.sort (fun (_, a) (_, b) -> Int.compare b a) scored in
-    List.filteri (fun i _ -> i < max_candidates) (List.map fst sorted)
+(* Candidate divisors for one dividend: incompatible pairs are dropped
+   and the survivors are ranked by signature overlap, keeping the top
+   [max_candidates]. *)
+let candidates ~counters ~cache ~sigs net ~f ~nodes =
+  Counters.timed counters `Filter @@ fun () ->
+  let scored =
+    List.filter_map
+      (fun d ->
+        if d = f || not (Network.mem net d) then None
+        else begin
+          Counters.add counters.Counters.pairs_considered 1;
+          if
+            Fanin_cache.depends_on cache d ~on:f
+            || not (Signature.compatible sigs ~use_complement:true ~f ~d)
+          then begin
+            Counters.add counters.Counters.pairs_filtered 1;
+            None
+          end
+          else Some (d, Signature.score sigs ~use_complement:true ~f ~d)
+        end)
+      nodes
+  in
+  let sorted = List.sort (fun (_, a) (_, b) -> Int.compare b a) scored in
+  List.filteri (fun i _ -> i < max_candidates) (List.map fst sorted)
 
-let run ?(use_complement = true) ?(use_filter = true)
-    ?(max_candidates = default_max_candidates) ?(max_passes = 4)
-    ?(sim_seed = Signature.default_seed) ?(sim_words = Signature.default_words)
-    ?deadline_at ?(trace = Trace.disabled) ?counters ?dc net
-    =
+let run ?(sim_seed = Signature.default_seed) ?deadline_at
+    ?(trace = Trace.disabled) ?counters ?dc net =
   let counters =
     match counters with Some c -> c | None -> Counters.create ()
   in
   let cache = Fanin_cache.create net in
-  let sigs =
-    if use_filter then
-      Some (Signature.create ~seed:sim_seed ~words:sim_words ?dc net)
-    else None
-  in
-  Fun.protect ~finally:(fun () -> Option.iter Signature.detach sigs)
-  @@ fun () ->
+  let sigs = Signature.create ~seed:sim_seed ?dc net in
+  Fun.protect ~finally:(fun () -> Signature.detach sigs) @@ fun () ->
   (* Algebraic attempts never add or remove nodes, so the candidate
-     order of the unfiltered scan is fixed for the whole run. *)
+     order, ties included, is fixed for the whole run. *)
   let nodes = List.sort Int.compare (Network.logic_ids net) in
   let substitutions = ref 0 in
   let pair_attempt f d =
     Counters.timed counters `Division @@ fun () ->
     Counters.add counters.Counters.divisions_attempted 1;
-    try_substitute ~use_complement ~cache net ~f ~d
+    try_substitute ~cache net ~f ~d
   in
   let scan f =
     let landed = ref false in
@@ -116,10 +103,9 @@ let run ?(use_complement = true) ?(use_filter = true)
           incr substitutions;
           Counters.add counters.Counters.substitutions 1
         end)
-      (candidates ~counters ~cache ?sigs ~use_complement ~max_candidates net
-         ~f ~nodes);
+      (candidates ~counters ~cache ~sigs net ~f ~nodes);
     !landed
   in
-  Scheduler.run ~driver:"resub" ~max_passes ?deadline_at ~trace
-    ~counters net scan;
+  Scheduler.run ~driver:"resub" ~max_passes:4 ?deadline_at ~trace ~counters
+    net scan;
   !substitutions

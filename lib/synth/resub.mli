@@ -7,12 +7,12 @@
     lowers the factored literal count. Purely algebraic: none of the
     Boolean identities or don't cares of the main algorithm are used.
 
-    By default divisor candidates are pruned with the simulation-signature
-    filter ({!Logic_sim.Signature}): per dividend, incompatible divisors
-    are skipped and the rest are ranked by signature overlap, keeping the
-    best [max_candidates] instead of attempting division against every
-    node pair. [use_filter:false] restores the seed's exhaustive
-    pair scan for A/B runs. *)
+    {!run} always divides by both phases and prunes divisor candidates
+    with the simulation-signature filter ({!Logic_sim.Signature},
+    {!Logic_sim.Signature.default_words} words): per dividend,
+    incompatible divisors are skipped and the rest are ranked by
+    signature overlap, keeping the best 32 instead of attempting division
+    against every node pair. *)
 
 val try_substitute :
   ?use_complement:bool ->
@@ -24,31 +24,21 @@ val try_substitute :
 (** One division attempt, committed on positive factored gain. An
     optional {!Logic_network.Fanin_cache} serves the cycle check. *)
 
-val default_max_candidates : int
-
 val run :
-  ?use_complement:bool ->
-  ?use_filter:bool ->
-  ?max_candidates:int ->
-  ?max_passes:int ->
   ?sim_seed:int ->
-  ?sim_words:int ->
   ?deadline_at:float ->
   ?trace:Rar_util.Trace.t ->
   ?counters:Rar_util.Counters.t ->
   ?dc:Logic_network.Dont_care.t ->
   Logic_network.Network.t ->
   int
-(** Returns the number of substitutions committed. [use_complement]
-    defaults to [true] (i.e., [resub -d]); [use_filter] to [true];
-    [max_candidates] (filtered runs only) to {!default_max_candidates}.
-    Pair/division tallies accumulate into [counters] when given.
+(** Returns the number of substitutions committed ([resub -d], at most
+    four passes). Pair/division tallies accumulate into [counters] when
+    given.
 
     Dividends are scanned by {!Booldiv.Scheduler}; [sim_seed]
     (default {!Logic_sim.Signature.default_seed}) seeds the signature
-    filter and [sim_words] (default
-    {!Logic_sim.Signature.default_words}) sizes its vectors in 64-bit
-    words.
+    filter.
 
     [deadline_at] (absolute {!Unix.gettimeofday} instant, polled per
     dividend) stops the remaining work once crossed — committed

@@ -89,36 +89,27 @@ let method_names =
   @ [ ("resub", Method Algebraic); ("rar", Rar) ]
 
 type settings = {
-  use_filter : bool;
   sim_seed : int;
-  sim_words : int;
   fault_fuel : int option;
   deadline_at : float option;
 }
 
 let default_settings =
   {
-    use_filter = true;
     sim_seed = Logic_sim.Signature.default_seed;
-    sim_words = Logic_sim.Signature.default_words;
     fault_fuel = None;
     deadline_at = None;
   }
 
 let resub_command ?(settings = default_settings) ?trace ?counters ?dc meth net
     =
-  let { use_filter; sim_seed; sim_words; fault_fuel; deadline_at } = settings in
+  let { sim_seed; fault_fuel; deadline_at } = settings in
   match meth with
   | Algebraic ->
-    ignore
-      (Resub.run ~use_complement:true ~use_filter ~sim_seed ~sim_words
-         ?deadline_at ?trace ?counters ?dc net)
+    ignore (Resub.run ~sim_seed ?deadline_at ?trace ?counters ?dc net)
   | Kresub ->
-    (* The constructive driver has no signature-as-filter mode to turn
-       off — signatures are its candidate generator — so [use_filter]
-       and [fault_fuel] (no implication work) are accepted and unused. *)
-    ignore
-      (Kresub.run ~sim_seed ~sim_words ?deadline_at ?trace ?counters ?dc net)
+    (* No implication work, so [fault_fuel] is accepted and unused. *)
+    ignore (Kresub.run ~sim_seed ?deadline_at ?trace ?counters ?dc net)
   | Basic | Ext | Ext_gdc ->
     let base =
       match meth with
@@ -126,15 +117,7 @@ let resub_command ?(settings = default_settings) ?trace ?counters ?dc meth net
       | Ext -> Booldiv.Substitute.extended_config
       | Ext_gdc | Algebraic | Kresub -> Booldiv.Substitute.extended_gdc_config
     in
-    let config =
-      {
-        base with
-        Booldiv.Substitute.use_filter;
-        sim_seed;
-        sim_words;
-        dc;
-      }
-    in
+    let config = { base with Booldiv.Substitute.sim_seed; dc } in
     ignore
       (Booldiv.Substitute.run ~config ?fault_fuel ?deadline_at ?trace
          ?counters net)

@@ -74,10 +74,7 @@ val method_names : (string * job_method) list
 (** {2 Settings} *)
 
 type settings = {
-  use_filter : bool;
-      (** the signature divisor filter ([Kresub] has none to turn off) *)
   sim_seed : int;  (** seed of the signature engines *)
-  sim_words : int;  (** signature vector size in 64-bit words *)
   fault_fuel : int option;
       (** implication steps per work unit ({!Booldiv.Substitute.run}) *)
   deadline_at : float option;  (** absolute {!Unix.gettimeofday} instant *)
@@ -86,9 +83,7 @@ type settings = {
     {!resub_command} and {!Aig_opt.config}. *)
 
 val default_settings : settings
-(** Filter on, {!Logic_sim.Signature.default_seed}
-    and {!Logic_sim.Signature.default_words}, no fuel cap, no
-    deadline. *)
+(** {!Logic_sim.Signature.default_seed}, no fuel cap, no deadline. *)
 
 val resub_command :
   ?settings:settings ->

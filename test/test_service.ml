@@ -37,7 +37,6 @@ let test_protocol_roundtrip () =
       (Protocol.default_request ~blif:".model m\n.end\n") with
       Protocol.script = "b";
       meth = "basic";
-      use_filter = false;
       sim_seed = Some 99;
       fault_budget = Some 1234;
       deadline = Some 1.5;
@@ -262,9 +261,9 @@ let test_frame_abuse_rejected () =
       expect_refusal "malformed" (fun fd ->
           Protocol.write_frame fd "definitely not a rarsub frame");
       expect_refusal "bad header values"
-        ~reason:"header sim-words: expected integer" (fun fd ->
+        ~reason:"header sim-seed: expected integer" (fun fd ->
           Protocol.write_frame fd
-            "rarsub 1 job\nscript a\nmethod ext\nsim-words banana\n\nbody");
+            "rarsub 1 job\nscript a\nmethod ext\nsim-seed banana\n\nbody");
       (* [jobs] is no longer a request header: a frame that still sends
          it gets the typed unknown-header refusal. *)
       expect_refusal "retired jobs header" ~reason:"unknown header \"jobs\""
@@ -276,6 +275,16 @@ let test_frame_abuse_rejected () =
         (fun fd ->
           Protocol.write_frame fd
             "rarsub 1 job\nscript a\nmethod ext\nmemo off\n\nbody");
+      (* Nor [filter] and [sim-words]: every driver keeps the signature
+         filter at its default width. *)
+      expect_refusal "retired filter header"
+        ~reason:"unknown header \"filter\"" (fun fd ->
+          Protocol.write_frame fd
+            "rarsub 1 job\nscript a\nmethod ext\nfilter off\n\nbody");
+      expect_refusal "retired sim-words header"
+        ~reason:"unknown header \"sim-words\"" (fun fd ->
+          Protocol.write_frame fd
+            "rarsub 1 job\nscript a\nmethod ext\nsim-words 2\n\nbody");
       expect_refusal "oversized" (fun fd ->
           (* Header announces 1 MiB against a 4 KiB limit; the daemon
              must refuse on the header alone. *)
@@ -375,23 +384,15 @@ let test_dc_cache_identity () =
   Alcotest.(check string)
     "inline section and exdc field share a slot" via_field via_inline;
   (* The key is printed from the resolved settings, so the other
-     spellings of one job share a slot too: an explicit default seed or
-     vector size, and the [sis] alias of [resub]. *)
+     spellings of one job share a slot too: an explicit default seed and
+     the [sis] alias of [resub]. *)
   let plain_with f =
     key (f (Protocol.default_request ~blif:(body ^ ".end\n")))
   in
-  List.iter
-    (fun (label, f) -> Alcotest.(check string) label plain (plain_with f))
-    [
-      ( "explicit default seed shares a slot",
-        fun r ->
-          { r with Protocol.sim_seed = Some Logic_sim.Signature.default_seed }
-      );
-      ( "explicit default words share a slot",
-        fun r ->
-          { r with Protocol.sim_words = Some Logic_sim.Signature.default_words }
-      );
-    ];
+  Alcotest.(check string)
+    "explicit default seed shares a slot" plain
+    (plain_with (fun r ->
+         { r with Protocol.sim_seed = Some Logic_sim.Signature.default_seed }));
   let resub = plain_with (fun r -> { r with Protocol.meth = "resub" }) in
   Alcotest.(check string)
     "sis and resub share a slot" resub

@@ -381,72 +381,47 @@ let test_refine_recomputes_care () =
   Alcotest.(check bool) "raw signatures differ" false (x = flipped);
   Signature.detach sigs
 
-(* The filter is conservative-only: filtered and unfiltered runs both
-   yield networks equivalent to the original. *)
+(* The filter is conservative-only: every filtered run yields a network
+   equivalent to the original. Each row's factored literal count is
+   pinned exactly, so a change that drops an opportunity the ranking used
+   to keep shows here. *)
 let test_filter_soundness () =
   List.iter
-    (fun row ->
-      let original = Suite.build row in
+    (fun (name, pinned) ->
+      let original = Suite.build (Option.get (Suite.find name)) in
       Synth.Script.run original Synth.Script.script_a;
-      let run_with use_filter =
-        let scratch = Network.copy original in
-        let config =
-          { Booldiv.Substitute.extended_config with use_filter }
-        in
-        let stats = Booldiv.Substitute.run ~config scratch in
-        Alcotest.(check bool)
-          (Printf.sprintf "%s equivalent (filter=%b)" row.Suite.name
-             use_filter)
-          true
-          (Equiv.equivalent scratch original);
-        (Lit_count.factored scratch, stats)
-      in
-      let filtered_lits, stats_on = run_with true in
-      let unfiltered_lits, stats_off = run_with false in
-      (* Quality guard: the filter may lose a few opportunities but not
-         collapse the optimisation (alcotest failure if filtered results
-         blow up by more than 5%). *)
+      let scratch = Network.copy original in
+      let stats = Booldiv.Substitute.run scratch in
       Alcotest.(check bool)
-        (Printf.sprintf "%s filtered quality within 5%%" row.Suite.name)
+        (Printf.sprintf "%s equivalent" name)
         true
-        (float_of_int filtered_lits
-        <= 1.05 *. float_of_int unfiltered_lits);
+        (Equiv.equivalent scratch original);
+      Alcotest.(check int)
+        (Printf.sprintf "%s ext literals" name)
+        pinned (Lit_count.factored scratch);
       let open Rar_util.Counters in
       Alcotest.(check bool)
         "filtered pairs bounded by considered" true
-        (Atomic.get stats_on.Booldiv.Substitute.counters.pairs_filtered
-        <= Atomic.get stats_on.Booldiv.Substitute.counters.pairs_considered);
-      Alcotest.(check bool)
-        "unfiltered run also counts pairs" true
-        (Atomic.get stats_off.Booldiv.Substitute.counters.pairs_considered > 0))
-    (List.filter
-       (fun r -> List.mem r.Suite.name [ "c17"; "alu_slice"; "b9" ])
-       Suite.quick_rows)
+        (Atomic.get stats.Booldiv.Substitute.counters.pairs_filtered
+        <= Atomic.get stats.Booldiv.Substitute.counters.pairs_considered))
+    [ ("c17", 9); ("alu_slice", 27); ("b9", 63) ]
 
 (* Same for the algebraic baseline. *)
 let test_resub_filter_soundness () =
   List.iter
-    (fun row ->
-      let original = Suite.build row in
+    (fun (name, pinned) ->
+      let original = Suite.build (Option.get (Suite.find name)) in
       Synth.Script.run original Synth.Script.script_a;
-      let run_with use_filter =
-        let scratch = Network.copy original in
-        ignore (Synth.Resub.run ~use_filter scratch);
-        Alcotest.(check bool)
-          (Printf.sprintf "%s resub equivalent (filter=%b)" row.Suite.name
-             use_filter)
-          true
-          (Equiv.equivalent scratch original);
-        Lit_count.factored scratch
-      in
-      let filtered = run_with true and unfiltered = run_with false in
+      let scratch = Network.copy original in
+      ignore (Synth.Resub.run scratch);
       Alcotest.(check bool)
-        (Printf.sprintf "%s resub quality within 5%%" row.Suite.name)
+        (Printf.sprintf "%s resub equivalent" name)
         true
-        (float_of_int filtered <= 1.05 *. float_of_int unfiltered))
-    (List.filter
-       (fun r -> List.mem r.Suite.name [ "alu_slice"; "b9" ])
-       Suite.quick_rows)
+        (Equiv.equivalent scratch original);
+      Alcotest.(check int)
+        (Printf.sprintf "%s sis literals" name)
+        pinned (Lit_count.factored scratch))
+    [ ("alu_slice", 29); ("b9", 64) ]
 
 (* A known-good divisor must never be filtered out: the classic resub
    example where f = ac + ad + bc + bd + e and D = a + b. *)
@@ -571,9 +546,9 @@ let () =
         ] );
       ( "filter",
         [
-          Alcotest.test_case "substitute sound with/without filter" `Slow
+          Alcotest.test_case "substitute sound, literals pinned" `Slow
             test_filter_soundness;
-          Alcotest.test_case "resub sound with/without filter" `Slow
+          Alcotest.test_case "resub sound, literals pinned" `Slow
             test_resub_filter_soundness;
           Alcotest.test_case "classic divisor kept" `Quick
             test_filter_keeps_classic_divisor;
