@@ -27,6 +27,7 @@
 open Twolevel
 module Network = Logic_network.Network
 module Builder = Logic_network.Builder
+module Lift = Logic_network.Lift
 module Lit_count = Logic_network.Lit_count
 module Equiv = Logic_sim.Equiv
 module Aig = Logic_network.Aig
@@ -235,21 +236,15 @@ let fig2 () =
   Printf.printf "(a) two nodes, f to be divided by D:\n%s" (Network.to_string net);
   Printf.printf "f factored literals: %d\n" (Lit_count.node_factored net f);
   subsection "(b) remainder split by the SOS test";
-  List.iteri
-    (fun i _ ->
-      let lifted = Booldiv.Net_cube.of_cube_index net f i in
-      let inside =
-        List.exists
-          (fun j ->
-            Booldiv.Net_cube.contained_by lifted
-              (Booldiv.Net_cube.of_cube_index net d j))
-          (List.init (Cover.cube_count (Network.cover net d)) Fun.id)
-      in
+  let d_cubes = Lift.cubes net d in
+  List.iter
+    (fun lifted ->
+      let inside = List.exists (Cube.contained_by lifted) d_cubes in
       Printf.printf "  cube %s: %s\n"
-        (Booldiv.Net_cube.to_string net lifted)
+        (Cube.to_string ~names:(Network.name net) lifted)
         (if inside then "contained in a cube of D -> region f1"
          else "not contained -> remainder r"))
-    (Cover.cubes (Network.cover net f));
+    (Lift.cubes net f);
   subsection "(c) add the bold AND (redundant a priori by Lemma 1)";
   Printf.printf
     "f is restructured as (f1 . D) + r; no redundancy test is needed for\n\
@@ -321,11 +316,10 @@ let table1_and_fig4 () =
     done
   done;
   print_newline ();
+  let lifted = Booldiv.Vote.lifter net in
   let serves v core =
     List.exists
-      (fun (m, j) ->
-        Booldiv.Net_cube.contained_by arr.(v).Booldiv.Vote.wire_cube
-          (Booldiv.Net_cube.of_cube_index net m j))
+      (fun pc -> Cube.contained_by arr.(v).Booldiv.Vote.wire_cube (lifted pc))
       core
   in
   (match Booldiv.Clique.best_core ~candidates ~serves with
@@ -822,7 +816,7 @@ let dc_fixture_cells () =
       Synth.Script.run dcrun Synth.Script.script_a;
       Synth.Script.resub_command ~dc meth dcrun;
       let verified =
-        match Equiv.check_dc dc dcrun net with
+        match Equiv.check ~dc dcrun net with
         | Equiv.Equivalent -> true
         | Equiv.Counterexample _ -> false
       in
@@ -1122,27 +1116,30 @@ let trace_check rows =
       Printf.printf "  %-12s degraded run %s\n" row.Suite.name
         (if ok then "equivalent" else "NOT EQUIVALENT"))
     rows;
-  (* The same tiny budget on the windowed AIG optimiser: every window's
-     divisions degrade, yet the run completes, never adds a gate, and
-     still simulates like its input. *)
-  (let a = Aiger.parse (read_whole_file (fixture "random_small.aag")) in
-   let config =
-     {
-       Synth.Aig_opt.default_config with
-       meth = Synth.Script.Ext;
-       settings = { Synth.Script.default_settings with fault_fuel = Some 5 };
-     }
-   in
-   let opt, stats = Synth.Aig_opt.optimize ~config ~trace ~counters a in
-   let ok =
-     stats.Synth.Aig_opt.gates_after <= stats.Synth.Aig_opt.gates_before
-     && Equiv.equivalent (Aig.to_network a) (Aig.to_network opt)
-   in
-   if not ok then incr failures;
-   Printf.printf "  %-12s degraded optimize-aig %d -> %d gates, %s\n"
-     "random_small" stats.Synth.Aig_opt.gates_before
-     stats.Synth.Aig_opt.gates_after
-     (if ok then "equivalent" else "NOT EQUIVALENT OR GREW"));
+  (* The same tiny budget on the windowed AIG optimiser, with ext (every
+     window's divisions degrade) and with resub-k: each run completes,
+     never adds a gate, and still simulates like its input. *)
+  let a = Aiger.parse (read_whole_file (fixture "random_small.aag")) in
+  List.iter
+    (fun (name, meth) ->
+      let config =
+        {
+          Synth.Aig_opt.default_config with
+          meth;
+          settings = { Synth.Script.default_settings with fault_fuel = Some 5 };
+        }
+      in
+      let opt, stats = Synth.Aig_opt.optimize ~config ~trace ~counters a in
+      let ok =
+        stats.Synth.Aig_opt.gates_after <= stats.Synth.Aig_opt.gates_before
+        && Equiv.equivalent (Aig.to_network a) (Aig.to_network opt)
+      in
+      if not ok then incr failures;
+      Printf.printf "  %-12s degraded optimize-aig -m %s %d -> %d gates, %s\n"
+        "random_small" name stats.Synth.Aig_opt.gates_before
+        stats.Synth.Aig_opt.gates_after
+        (if ok then "equivalent" else "NOT EQUIVALENT OR GREW"))
+    [ ("ext", Synth.Script.Ext); ("resub-k", Synth.Script.Kresub) ];
   Rar_util.Trace.close trace;
   let lines = ref 0 and bad = ref 0 and degrade_events = ref 0 in
   let checkpoint_events = ref 0 in

@@ -25,20 +25,14 @@ let () =
   (* Step 1: the SOS split. Cubes of f contained in a cube of D form the
      region f1; the rest is the remainder. *)
   print_endline "Step 1 - SOS split (Definition SOS, Lemma 1):";
-  List.iteri
-    (fun i _ ->
-      let cube = Booldiv.Net_cube.of_cube_index net f i in
-      let inside =
-        List.exists
-          (fun j ->
-            Booldiv.Net_cube.contained_by cube
-              (Booldiv.Net_cube.of_cube_index net d j))
-          (List.init (Cover.cube_count (Network.cover net d)) Fun.id)
-      in
+  let d_cubes = Logic_network.Lift.cubes net d in
+  List.iter
+    (fun cube ->
+      let inside = List.exists (Cube.contained_by cube) d_cubes in
       Printf.printf "  %-8s -> %s\n"
-        (Booldiv.Net_cube.to_string net cube)
+        (Cube.to_string ~names:(Network.name net) cube)
         (if inside then "f1 (will be ANDed with D)" else "remainder"))
-    (Cover.cubes (Network.cover net f));
+    (Logic_network.Lift.cubes net f);
 
   (* Step 2: one stuck-at test shown in detail, like Fig. 2(e). Testing
      the literal a (in cube a·d) stuck-at-1: the mandatory assignments

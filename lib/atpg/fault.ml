@@ -164,8 +164,8 @@ let find_test net wire =
   | Logic_sim.Equiv.Equivalent -> None
   | Logic_sim.Equiv.Counterexample { assignment; _ } -> Some assignment
 
-let redundant_result ?(use_dominators = true) ?(learn_depth = 0) ?region
-    ?engine ?budget ?counters ?dc ?(extra = []) net wire =
+let redundant_result ?(learn_depth = 0) ?region ?engine ?budget ?counters ?dc
+    ?(extra = []) net wire =
   let faulty_node =
     match wire with Literal_wire { node; _ } | Cube_wire { node; _ } -> node
   in
@@ -185,7 +185,7 @@ let redundant_result ?(use_dominators = true) ?(learn_depth = 0) ?region
   in
   let assignments =
     activation_assignments net wire
-    @ (if use_dominators then propagation_assignments net faulty_node else [])
+    @ propagation_assignments net faulty_node
     @ extra
   in
   match
@@ -200,10 +200,10 @@ let redundant_result ?(use_dominators = true) ?(learn_depth = 0) ?region
   | exception Imply.Conflict _ -> Ok true
   | exception Rar_util.Budget.Exhausted reason -> Error reason
 
-let redundant ?use_dominators ?learn_depth ?region ?engine ?budget ?counters
-    ?dc ?extra net wire =
+let redundant ?learn_depth ?region ?engine ?budget ?counters ?dc ?extra net
+    wire =
   match
-    redundant_result ?use_dominators ?learn_depth ?region ?engine ?budget
+    redundant_result ?learn_depth ?region ?engine ?budget
       ?counters ?dc ?extra net wire
   with
   | Ok verdict -> verdict

@@ -79,7 +79,6 @@ val find_test : Logic_network.Network.t -> wire -> (string * bool) list option
     equivalence checker's budget (exhaustive for small input counts). *)
 
 val redundant_result :
-  ?use_dominators:bool ->
   ?learn_depth:int ->
   ?region:(Logic_network.Network.node_id -> bool) ->
   ?engine:Imply.t ->
@@ -91,8 +90,8 @@ val redundant_result :
   wire ->
   (bool, Rar_util.Budget.reason) result
 (** [redundant_result net w] is [Ok true] when the stuck-at fault of wire
-    [w] is proven untestable: the mandatory assignments (activation, and
-    propagation when [use_dominators], default [true]) plus [extra]
+    [w] is proven untestable: the mandatory assignments (activation and
+    dominator propagation) plus [extra]
     assumptions produce an implication conflict. [learn_depth] (default 0)
     enables recursive learning. One-sided: [Ok false] means "not proven".
     [Error reason] means the [budget] (default unlimited, charged per
@@ -113,7 +112,6 @@ val redundant_result :
     one is created and [counters] records the build. *)
 
 val redundant :
-  ?use_dominators:bool ->
   ?learn_depth:int ->
   ?region:(Logic_network.Network.node_id -> bool) ->
   ?engine:Imply.t ->

@@ -1,5 +1,6 @@
 open Twolevel
 module Network = Logic_network.Network
+module Lift = Logic_network.Lift
 module Collapse = Logic_network.Collapse
 module Lit_count = Logic_network.Lit_count
 
@@ -23,24 +24,26 @@ let divisor_cubes net ~d ~phase =
       (Complement.cover_limited ~limit:complement_limit (Network.cover net d))
 
 let sos_cube_indices net ~f ~d ~phase =
-  let f_cubes = Net_cube.of_node net f in
+  let f_cubes = Lift.cubes net f in
   (* A cube inside a cube of d' is disjoint from every cube of d, so
      when no cube of f is, the SOS list is empty whatever d' is, and the
      complement is never taken. *)
   let may_divide =
     phase
     ||
-    let d_cubes = Net_cube.of_node net d in
-    List.exists (fun c -> List.for_all (Net_cube.disjoint c) d_cubes) f_cubes
+    let d_cubes = Lift.cubes net d in
+    List.exists
+      (fun c -> List.for_all (fun k -> Cube.distance c k > 0) d_cubes)
+      f_cubes
   in
   match if may_divide then divisor_cubes net ~d ~phase else None with
   | None -> []
   | Some cubes ->
-    let d_cubes = List.map (Net_cube.of_node_cube net d) cubes in
+    let d_cubes = List.map (Lift.cube net d) cubes in
     List.concat
       (List.mapi
          (fun i c ->
-           if List.exists (Net_cube.contained_by c) d_cubes then [ i ] else [])
+           if List.exists (Cube.contained_by c) d_cubes then [ i ] else [])
          f_cubes)
 
 (* The SOS cube indices of [f] when the pair may be divided at all, [[]]

@@ -1,5 +1,6 @@
 open Twolevel
 module Network = Logic_network.Network
+module Lift = Logic_network.Lift
 module Lit_count = Logic_network.Lit_count
 module Lit_floor = Logic_network.Lit_floor
 
@@ -45,33 +46,9 @@ let materialise_core net core =
   | sources ->
     (* Cubes from several nodes: build a fresh node over the union of the
        referenced signals. *)
-    let global_cubes =
-      List.sort_uniq Net_cube.compare
-        (List.map (fun (m, j) -> Net_cube.of_cube_index net m j) core)
-    in
-    let signals =
-      List.sort_uniq Int.compare
-        (List.concat_map
-           (fun c -> List.map fst (Net_cube.signals c))
-           global_cubes)
-    in
-    let fanins = Array.of_list signals in
-    let slot_of =
-      let tbl = Hashtbl.create 8 in
-      Array.iteri (fun i id -> Hashtbl.replace tbl id i) fanins;
-      Hashtbl.find tbl
-    in
-    let cover =
-      Cover.of_cubes
-        (List.map
-           (fun c ->
-             Cube.of_literals_exn
-               (List.map
-                  (fun (id, phase) -> Literal.make (slot_of id) phase)
-                  (Net_cube.signals c)))
-           global_cubes)
-    in
-    let g = Network.add_logic net ~name:(Network.fresh_name net "core") ~fanins cover in
+    let core_cover = Cover.of_cubes (List.map (Vote.lifter net) core) in
+    let g = Lift.add net ~name:(Network.fresh_name net "core") core_cover in
+    let global_cubes = Cover.cubes core_cover in
     (* Any source that contains the whole core as a subset of its own
        cubes can be decomposed around it too, so the new node is shared
        rather than duplicated logic. *)
@@ -79,15 +56,13 @@ let materialise_core net core =
     List.iter
       (fun m ->
         let m_cubes = Array.of_list (Cover.cubes (Network.cover net m)) in
-        let m_globals =
-          Array.mapi (fun j _ -> Net_cube.of_cube_index net m j) m_cubes
-        in
-        let inside c = Array.exists (Net_cube.equal c) m_globals in
+        let m_globals = Array.of_list (Lift.cubes net m) in
+        let inside c = Array.exists (Cube.equal c) m_globals in
         if List.for_all inside global_cubes then begin
           let rest =
             List.filteri
               (fun j _ ->
-                not (List.exists (Net_cube.equal m_globals.(j)) global_cubes))
+                not (List.exists (Cube.equal m_globals.(j)) global_cubes))
               (Array.to_list m_cubes)
           in
           let m_fanins = Network.fanins net m in
@@ -101,14 +76,14 @@ let materialise_core net core =
     (g, !decomposed)
 
 let may_vote net ~f ~pool =
-  let f_cubes = Net_cube.of_node net f in
+  let f_cubes = Lift.cubes net f in
   List.exists
     (fun m ->
       m <> f
       && (not (Network.is_input net m))
       && List.exists
-           (fun k -> List.exists (fun c -> Net_cube.contained_by c k) f_cubes)
-           (Net_cube.of_node net m))
+           (fun k -> List.exists (fun c -> Cube.contained_by c k) f_cubes)
+           (Lift.cubes net m))
     pool
 
 (* Whether dividing [f] by [d] on [scratch] (a copy of [net] holding the
@@ -145,11 +120,10 @@ let try_run ?gdc ?learn_depth ?budget ?counters ?dc net ~f ~pool =
     if Array.length valid = 0 then None
     else begin
       let candidates = Array.map (fun e -> e.Vote.candidates) valid in
+      let lifted = Vote.lifter scratch in
       let serves v core =
         List.exists
-          (fun (m, j) ->
-            Net_cube.contained_by valid.(v).Vote.wire_cube
-              (Net_cube.of_cube_index scratch m j))
+          (fun pc -> Cube.contained_by valid.(v).Vote.wire_cube (lifted pc))
           core
       in
       match Clique.best_core ~candidates ~serves with

@@ -1,5 +1,6 @@
 open Twolevel
 module Network = Logic_network.Network
+module Lift = Logic_network.Lift
 module Lit_count = Logic_network.Lit_count
 module Counters = Rar_util.Counters
 
@@ -9,14 +10,10 @@ type outcome = {
   literal_gain : int;
 }
 
-let default_complement_limit = 64
+let complement_limit = 64
 
-(* Lift a node's cover into the global node-id variable space. *)
-let lifted net id =
-  let fanins = Network.fanins net id in
-  Cover.map_vars (fun v -> fanins.(v)) (Network.cover net id)
-
-let complemented ~limit net id = Minimize.complement ~limit (lifted net id)
+let complemented net id =
+  Minimize.complement ~limit:complement_limit (Lift.cover net id)
 
 (* Map a complement-domain cover back into the real network: real-signal
    variables keep their phase; complement-domain node variables flip. *)
@@ -38,18 +35,7 @@ let map_back ~real_of ~flips cover =
   in
   Cover.of_cubes (List.filter_map translate (Cover.cubes cover))
 
-let install net id cover_over_node_ids =
-  let support = Cover.support cover_over_node_ids in
-  let fanins = Array.of_list support in
-  let slot =
-    let tbl = Hashtbl.create 8 in
-    Array.iteri (fun i n -> Hashtbl.replace tbl n i) fanins;
-    Hashtbl.find tbl
-  in
-  Network.set_function net id ~fanins (Cover.map_vars slot cover_over_node_ids)
-
-let try_run ?(complement_limit = default_complement_limit) ?counters net ~f
-    ~pool =
+let try_run ?counters net ~f ~pool =
   let pool =
     List.filter
       (fun d ->
@@ -61,7 +47,7 @@ let try_run ?(complement_limit = default_complement_limit) ?counters net ~f
   if Network.is_input net f || pool = [] then None
   else begin
     let ( let* ) = Option.bind in
-    let* f_not = complemented ~limit:complement_limit net f in
+    let* f_not = complemented net f in
     (* A cube of f' inside a cube of d' is disjoint from every cube of d.
        Without such a pair for some pool node d, the vote in the
        complement domain has no valid entry
@@ -70,7 +56,7 @@ let try_run ?(complement_limit = default_complement_limit) ?counters net ~f
     let* () =
       if
         List.exists
-          (fun d -> Division.has_disjoint_cube ~f_not ~d:(lifted net d))
+          (fun d -> Division.has_disjoint_cube ~f_not ~d:(Lift.cover net d))
           pool
       then Some ()
       else None
@@ -81,7 +67,7 @@ let try_run ?(complement_limit = default_complement_limit) ?counters net ~f
           match acc with
           | None -> None
           | Some acc -> (
-            match complemented ~limit:complement_limit net d with
+            match complemented net d with
             | Some c when not (Cover.is_zero c || Cover.is_one c) ->
               Some ((d, c) :: acc)
             | Some _ | None -> Some acc))
@@ -108,17 +94,7 @@ let try_run ?(complement_limit = default_complement_limit) ?counters net ~f
       let to_mini cover =
         Cover.map_vars (fun real -> Hashtbl.find mini_input real) cover
       in
-      let add_mini name cover =
-        let over_ids = to_mini cover in
-        let support = Cover.support over_ids in
-        let fanins = Array.of_list support in
-        let slot =
-          let tbl = Hashtbl.create 8 in
-          Array.iteri (fun i n -> Hashtbl.replace tbl n i) fanins;
-          Hashtbl.find tbl
-        in
-        Network.add_logic mini ~name ~fanins (Cover.map_vars slot over_ids)
-      in
+      let add_mini name cover = Lift.add mini ~name (to_mini cover) in
       let f_mini = add_mini "f_not" f_not in
       Network.add_output mini "f_not" f_mini;
       let pool_mini =
@@ -165,29 +141,20 @@ let try_run ?(complement_limit = default_complement_limit) ?counters net ~f
             List.fold_left
               (fun acc mini_id ->
                 let* () = acc in
-                let mini_lifted = lifted mini mini_id in
                 (* Express over real signals first (inputs only: new mini
                    nodes are built over inputs by materialise_core). *)
                 let over_real =
                   Cover.map_vars
                     (fun v -> Hashtbl.find real_of_mini v)
-                    mini_lifted
+                    (Lift.cover mini mini_id)
                 in
                 let* real_cover =
                   Minimize.complement ~limit:complement_limit over_real
                 in
-                let support = Cover.support real_cover in
-                let fanins = Array.of_list support in
-                let slot =
-                  let tbl = Hashtbl.create 8 in
-                  Array.iteri (fun i n -> Hashtbl.replace tbl n i) fanins;
-                  Hashtbl.find tbl
-                in
                 let id =
-                  Network.add_logic scratch
+                  Lift.add scratch
                     ~name:(Network.name scratch f ^ "_pcore")
-                    ~fanins
-                    (Cover.map_vars slot real_cover)
+                    real_cover
                 in
                 Hashtbl.replace real_counterpart mini_id id;
                 Some ())
@@ -211,13 +178,13 @@ let try_run ?(complement_limit = default_complement_limit) ?counters net ~f
                 | None -> raise Not_found))
           in
           (* Real f = complement of the mini result for f'. *)
-          let f_mini_result = lifted mini f_mini in
+          let f_mini_result = Lift.cover mini f_mini in
           let* f_not_new =
             Minimize.complement ~limit:complement_limit f_mini_result
           in
           let f_real = map_back ~real_of ~flips f_not_new in
           let* () =
-            match install scratch f f_real with
+            match Lift.set_cover scratch f f_real with
             | exception Network.Cyclic _ -> None
             | () -> Some ()
           in
@@ -228,14 +195,14 @@ let try_run ?(complement_limit = default_complement_limit) ?counters net ~f
             List.fold_left
               (fun acc (mini_id, d, original_not) ->
                 let* () = acc in
-                let now = lifted mini mini_id in
+                let now = Lift.cover mini mini_id in
                 if Cover.equal now (to_mini original_not) then Some ()
                 else begin
                   let* d_not_new =
                     Minimize.complement ~limit:complement_limit now
                   in
                   let d_real = map_back ~real_of ~flips d_not_new in
-                  match install scratch d d_real with
+                  match Lift.set_cover scratch d d_real with
                   | exception Network.Cyclic _ -> None
                   | () -> Some ()
                 end)

@@ -27,14 +27,13 @@ type outcome = {
 }
 
 val try_run :
-  ?complement_limit:int ->
   ?counters:Rar_util.Counters.t ->
   Logic_network.Network.t ->
   f:Logic_network.Network.node_id ->
   pool:Logic_network.Network.node_id list ->
   outcome option
 (** Attempt one POS extended division of [f] against the pool; mutates the
-    network only on positive gain. [complement_limit] (default 64) bounds
-    every complement taken along the way. [counters] receives the
+    network only on positive gain; an attempt whose complement (any taken
+    along the way) exceeds 64 cubes gives up. [counters] receives the
     complement-domain division's [floor_rejects]; its other tallies stay
     private to the attempt. *)

@@ -1,6 +1,5 @@
 open Twolevel
 module Network = Logic_network.Network
-module Fanin_cache = Logic_network.Fanin_cache
 module Lit_count = Logic_network.Lit_count
 module Lit_floor = Logic_network.Lit_floor
 module Signature = Logic_sim.Signature
@@ -56,10 +55,17 @@ type stats = {
 }
 
 (* Candidate divisors for a node: gated on fanin-cone overlap plus
-   signature compatibility and ranked by onset-overlap popcount. *)
-let rank_divisors ~counters ~cache ~sigs net f ~use_complement ~limit =
+   signature compatibility and ranked by onset-overlap popcount. [d]
+   depends on [f] iff [d] is in [f]'s transitive fanout, and the two
+   fanin cones meet iff [d] is in the transitive fanout of [f]'s cone, so
+   two walks per dividend answer both cone questions for every [d]. *)
+let rank_divisors ~counters ~sigs net f ~use_complement ~limit =
   Counters.timed counters `Filter @@ fun () ->
-  let f_support = Fanin_cache.transitive_fanin cache f in
+  let fanout = Network.transitive_fanout net [ f ] in
+  let cone_fanout =
+    Network.transitive_fanout net
+      (Network.Node_set.elements (Network.transitive_fanin net [ f ]))
+  in
   let scored =
     List.filter_map
       (fun d ->
@@ -71,9 +77,8 @@ let rank_divisors ~counters ~cache ~sigs net f ~use_complement ~limit =
             None
           in
           if
-            Fanin_cache.depends_on cache d ~on:f
-            || Network.Node_set.disjoint f_support
-                 (Fanin_cache.transitive_fanin cache d)
+            Network.Node_set.mem d fanout
+            || not (Network.Node_set.mem d cone_fanout)
             || not (Signature.compatible sigs ~use_complement ~f ~d)
           then reject ()
           else Some (d, Signature.score sigs ~use_complement ~f ~d)
@@ -292,7 +297,6 @@ let run ?(config = extended_config) ?fault_fuel ?deadline_at
   let counters =
     match counters with Some c -> c | None -> Counters.create ()
   in
-  let cache = Fanin_cache.create net in
   let sigs = Signature.create ~seed:config.sim_seed ?dc:config.dc net in
   Fun.protect ~finally:(fun () -> Signature.detach sigs)
   @@ fun () ->
@@ -332,7 +336,7 @@ let run ?(config = extended_config) ?fault_fuel ?deadline_at
         in
         if alive && run_unit f u then landed := true)
       (units_of
-         (rank_divisors ~counters ~cache ~sigs net f
+         (rank_divisors ~counters ~sigs net f
             ~use_complement:config.use_complement ~limit:config.max_divisors));
     !landed
   in

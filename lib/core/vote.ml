@@ -1,15 +1,29 @@
 open Twolevel
 module Network = Logic_network.Network
+module Lift = Logic_network.Lift
 
 type pool_cube = Network.node_id * int
 
 type entry = {
   wire : Atpg.Fault.wire;
-  wire_cube : Net_cube.t;
+  wire_cube : Cube.t;
   candidates : pool_cube list;
   valid : bool;
   conflicted : bool;
 }
+
+let lifter net =
+  let lifted = Hashtbl.create 8 in
+  fun (m, j) ->
+    let cubes =
+      match Hashtbl.find_opt lifted m with
+      | Some cubes -> cubes
+      | None ->
+        let cubes = Array.of_list (Lift.cubes net m) in
+        Hashtbl.add lifted m cubes;
+        cubes
+    in
+    cubes.(j)
 
 let collect ?(gdc = false) ?(learn_depth = 0) ?budget ?counters ?dc net ~f
     ~pool =
@@ -37,24 +51,11 @@ let collect ?(gdc = false) ?(learn_depth = 0) ?budget ?counters ?dc net ~f
         List.mapi (fun j _ -> (m, j)) (Cover.cubes (Network.cover net m)))
       pool
   in
-  (* Lifted divisor cubes, memoised per (node, cube index) and keyed on
-     the network revision: every wire of [f] runs the same SOS validity
-     filter against the same pool, so lifting inside the per-wire
-     predicate would redo identical work |wires| times. *)
-  let lift_cache = Hashtbl.create (List.length pool_cubes) in
-  let lift_revision = ref (Network.revision net) in
-  let lifted_pool_cube m j =
-    if Network.revision net <> !lift_revision then begin
-      Hashtbl.reset lift_cache;
-      lift_revision := Network.revision net
-    end;
-    match Hashtbl.find_opt lift_cache (m, j) with
-    | Some c -> c
-    | None ->
-      let c = Net_cube.of_cube_index net m j in
-      Hashtbl.add lift_cache (m, j) c;
-      c
-  in
+  (* collect is read-only on the network, so every cube is lifted once:
+     [f]'s up front, the pool's as the SOS filter first meets them. *)
+  let f_cubes = Array.of_list (Lift.cubes net f) in
+  let wire_cube wire = f_cubes.(Atpg.Fault.wire_cube wire) in
+  let lifted_pool_cube = lifter net in
   (* One arena shared by every wire of [f]: region and frozen are the
      same for all of them, only the activation assignments differ.
      Wires of the same cube additionally share the "other cubes at 0"
@@ -91,15 +92,13 @@ let collect ?(gdc = false) ?(learn_depth = 0) ?budget ?counters ?dc net ~f
        the cube lands in the f1 region of the eventual core divisor. *)
     let valid =
       List.exists
-        (fun (m, j) -> Net_cube.contained_by wire_cube (lifted_pool_cube m j))
+        (fun pc -> Cube.contained_by wire_cube (lifted_pool_cube pc))
         candidates
     in
     { wire; wire_cube; candidates; valid; conflicted = false }
   in
   let entry_of_wire mark wire =
-    let wire_cube =
-      Net_cube.of_cube_index net f (Atpg.Fault.wire_cube wire)
-    in
+    let wire_cube = wire_cube wire in
     if !exhausted then exhausted_entry wire wire_cube
     else begin
       (* collect is read-only on the network, so the mark cannot go
@@ -130,10 +129,7 @@ let collect ?(gdc = false) ?(learn_depth = 0) ?budget ?counters ?dc net ~f
   in
   let entry_group (cube, wires) =
     if !exhausted then
-      List.map
-        (fun w ->
-          exhausted_entry w (Net_cube.of_cube_index net f (Atpg.Fault.wire_cube w)))
-        wires
+      List.map (fun w -> exhausted_entry w (wire_cube w)) wires
     else begin
       Atpg.Imply.reset engine;
       match
@@ -147,18 +143,10 @@ let collect ?(gdc = false) ?(learn_depth = 0) ?budget ?counters ?dc net ~f
         (* The shared context alone is inconsistent: every wire of the
            cube would derive the same conflict (each wire's activation
            set is a superset of the context). *)
-        List.map
-          (fun w ->
-            conflicted_entry w
-              (Net_cube.of_cube_index net f (Atpg.Fault.wire_cube w)))
-          wires
+        List.map (fun w -> conflicted_entry w (wire_cube w)) wires
       | exception Rar_util.Budget.Exhausted _ ->
         exhausted := true;
-        List.map
-          (fun w ->
-            exhausted_entry w
-              (Net_cube.of_cube_index net f (Atpg.Fault.wire_cube w)))
-          wires
+        List.map (fun w -> exhausted_entry w (wire_cube w)) wires
     end
   in
   let entries = List.concat_map entry_group groups in

@@ -13,13 +13,18 @@ type pool_cube = Logic_network.Network.node_id * int
 
 type entry = {
   wire : Atpg.Fault.wire;  (** always a [Literal_wire] of the dividend *)
-  wire_cube : Net_cube.t;  (** the dividend cube holding the wire, lifted *)
+  wire_cube : Twolevel.Cube.t;
+      (** the dividend cube holding the wire, lifted ({!Logic_network.Lift}) *)
   candidates : pool_cube list;  (** pool cubes implied to 0 *)
   valid : bool;  (** passes the SOS filter (Table I(a) → I(b)) *)
   conflicted : bool;
       (** the activation alone conflicted: the wire is removable with no
           divisor at all *)
 }
+
+val lifter : Logic_network.Network.t -> pool_cube -> Twolevel.Cube.t
+(** [lifter net] lifts pool cubes of [net] ({!Logic_network.Lift.cube}),
+    each pool node's cubes at most once. Valid while [net] is unchanged. *)
 
 val collect :
   ?gdc:bool ->

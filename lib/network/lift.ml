@@ -1,0 +1,32 @@
+open Twolevel
+
+(* A node's fanins are distinct (Network.normalise), so the renaming
+   is injective. *)
+let cube_over fanins = Cube.rename (Array.get fanins)
+
+let cube net id = cube_over (Network.fanins net id)
+
+let cubes net id =
+  List.map
+    (cube_over (Network.fanins net id))
+    (Cover.cubes (Network.cover net id))
+
+let cover net id =
+  let fanins = Network.fanins net id in
+  Cover.map_vars (fun v -> fanins.(v)) (Network.cover net id)
+
+(* The fanins a node-id cover becomes a node over (its sorted support)
+   and the cover renumbered to their slots. *)
+let to_slots lifted =
+  let fanins = Array.of_list (Cover.support lifted) in
+  let slot = Hashtbl.create 8 in
+  Array.iteri (fun i node -> Hashtbl.replace slot node i) fanins;
+  (fanins, Cover.map_vars (Hashtbl.find slot) lifted)
+
+let set_cover net id lifted =
+  let fanins, cover = to_slots lifted in
+  Network.set_function net id ~fanins cover
+
+let add net ?name lifted =
+  let fanins, cover = to_slots lifted in
+  Network.add_logic net ?name ~fanins cover

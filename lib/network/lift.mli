@@ -1,0 +1,32 @@
+(** Node covers lifted into the global node-id variable space.
+
+    A node's cover speaks about its private fanin slots. To compare logic
+    {e across} nodes — the SOS containment test, extended division's
+    validity filter, algebraic resubstitution, common cube and kernel
+    extraction — a cover is rewritten so that variable [i] denotes the
+    network node with id [i]; covers of different nodes then share one
+    variable space and the two-level algebra applies directly. This is
+    the only code that converts between the two forms.
+
+    {!Network.normalise} keeps a node's fanins distinct, so a lifted cube
+    never holds both phases of a signal: it is an ordinary
+    {!Twolevel.Cube.t}, and containment, disjointness ([distance > 0]) and
+    printing ([to_string ~names:(Network.name net)]) are the cube's own. *)
+
+val cube : Network.t -> Network.node_id -> Twolevel.Cube.t -> Twolevel.Cube.t
+(** [cube net id c] lifts [c], a cube over [id]'s fanin slots. *)
+
+val cubes : Network.t -> Network.node_id -> Twolevel.Cube.t list
+(** Every cube of a node, lifted, in {!Twolevel.Cover.cubes} order of the
+    node's own cover, so the [i]-th lifted cube is the node's cube [i]. *)
+
+val cover : Network.t -> Network.node_id -> Twolevel.Cover.t
+(** A node's cover with fanin variables replaced by node ids. *)
+
+val set_cover : Network.t -> Network.node_id -> Twolevel.Cover.t -> unit
+(** Install a lifted cover back onto a node: the sorted support node ids
+    become the fanins. @raise Network.Cyclic on cyclic rewrites. *)
+
+val add : Network.t -> ?name:string -> Twolevel.Cover.t -> Network.node_id
+(** Create a logic node computing a lifted cover, over its sorted support
+    node ids as fanins. *)

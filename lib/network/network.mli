@@ -24,7 +24,7 @@ exception Cyclic of string
 
 (** {1 Mutation tracking}
 
-    Incremental analyses (simulation signatures, transitive-fanin caches,
+    Incremental analyses (simulation signatures, implication arenas,
     ...) key their invalidation on the network's revision counter or
     subscribe to fine-grained mutation events. Every structural mutation —
     node addition, function replacement, node removal, or a wholesale

@@ -93,51 +93,3 @@ let run net =
       candidates
   done;
   !removed
-
-(* A canonical structural key: fanins sorted by id with the cover's
-   variables permuted to match. *)
-let structural_key net id =
-  let fanins = Network.fanins net id in
-  let order =
-    List.sort
-      (fun (a, _) (b, _) -> Int.compare a b)
-      (Array.to_list (Array.mapi (fun v f -> (f, v)) fanins))
-  in
-  let position = Hashtbl.create 8 in
-  List.iteri (fun i (_, v) -> Hashtbl.replace position v i) order;
-  let cover = Cover.map_vars (Hashtbl.find position) (Network.cover net id) in
-  (List.map fst order, cover)
-
-(* Replace fanin [from_node] by [to_node] inside node [out]. *)
-let redirect_fanin net ~out ~from_node ~to_node =
-  let fanins = Network.fanins net out in
-  let changed = Array.map (fun f -> if f = from_node then to_node else f) fanins in
-  Network.set_function net out ~fanins:changed (Network.cover net out)
-
-let share_common_nodes net =
-  let merged = ref 0 in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let seen = Hashtbl.create 64 in
-    (* Topological order guarantees a surviving representative is
-       registered before any duplicate that could reference it. *)
-    List.iter
-      (fun id ->
-        if Network.mem net id && not (Network.is_input net id) then begin
-          let key = structural_key net id in
-          match Hashtbl.find_opt seen key with
-          | None -> Hashtbl.add seen key id
-          | Some survivor when survivor = id -> ()
-          | Some survivor ->
-            List.iter
-              (fun out -> redirect_fanin net ~out ~from_node:id ~to_node:survivor)
-              (Network.fanouts net id);
-            Network.retarget_outputs net ~from_node:id ~to_node:survivor;
-            Network.remove_node net id;
-            incr merged;
-            changed := true
-        end)
-      (Network.topological net)
-  done;
-  !merged

@@ -6,8 +6,3 @@
 
 val run : Network.t -> int
 (** Returns the number of nodes removed. *)
-
-val share_common_nodes : Network.t -> int
-(** Merge structurally identical logic nodes (same fanins and cover up to
-    fanin ordering): fanouts and outputs of the duplicate are redirected
-    to the surviving node. Returns the number of nodes merged away. *)

@@ -31,7 +31,7 @@ let cube_with_literal net ~node ~cube ~source ~phase =
       Some (fanins', Cover.of_cubes (Array.to_list cubes), bigger)
     end
 
-let try_add_wire ?use_dominators net ~node ~cube ~source ~phase =
+let try_add_wire net ~node ~cube ~source ~phase =
   if Network.depends_on net source node then false
   else
     let old_fanins = Network.fanins net node in
@@ -56,7 +56,7 @@ let try_add_wire ?use_dominators net ~node ~cube ~source ~phase =
            with
           | None -> false
           | Some v ->
-            Atpg.Fault.redundant ?use_dominators net
+            Atpg.Fault.redundant net
               (Atpg.Fault.Literal_wire
                  { node; cube = i; lit = Literal.make v phase }))
       in
@@ -89,10 +89,9 @@ let candidate_sources net node ~limit =
 
 (* One tentative RAR move, executed on a scratch copy: add the wire, run
    redundancy removal around it, keep the copy only on literal gain. *)
-let attempt_move ?use_dominators net ~node ~cube ~source ~phase =
+let attempt_move net ~node ~cube ~source ~phase =
   let scratch = Network.copy net in
-  if not (try_add_wire ?use_dominators scratch ~node ~cube ~source ~phase) then
-    None
+  if not (try_add_wire scratch ~node ~cube ~source ~phase) then None
   else begin
     let neighbourhood =
       Network.Node_set.union
@@ -100,7 +99,7 @@ let attempt_move ?use_dominators net ~node ~cube ~source ~phase =
         (Network.transitive_fanin scratch [ node ])
     in
     let removed =
-      Remove.run ?use_dominators
+      Remove.run
         ~node_filter:(fun n -> Network.Node_set.mem n neighbourhood)
         scratch
     in
@@ -108,7 +107,7 @@ let attempt_move ?use_dominators net ~node ~cube ~source ~phase =
     if gain > 0 then Some (scratch, removed) else None
   end
 
-let optimize ?use_dominators ?(max_sources_per_node = 8) net =
+let optimize ?(max_sources_per_node = 8) net =
   let tried = ref 0 and kept = ref 0 and removed = ref 0 in
   let lits_before = Lit_count.factored net in
   List.iter
@@ -130,8 +129,7 @@ let optimize ?use_dominators ?(max_sources_per_node = 8) net =
                     then begin
                       incr tried;
                       match
-                        attempt_move ?use_dominators net ~node ~cube:i ~source
-                          ~phase
+                        attempt_move net ~node ~cube:i ~source ~phase
                       with
                       | Some (better, r) ->
                         Network.overwrite net better;

@@ -16,7 +16,6 @@ type stats = {
 }
 
 val try_add_wire :
-  ?use_dominators:bool ->
   Logic_network.Network.t ->
   node:Logic_network.Network.node_id ->
   cube:int ->
@@ -29,7 +28,6 @@ val try_add_wire :
     [false]. *)
 
 val optimize :
-  ?use_dominators:bool ->
   ?max_sources_per_node:int ->
   Logic_network.Network.t ->
   stats

@@ -14,8 +14,8 @@ let remove_wire net wire =
     Network.set_function net node ~fanins:(Network.fanins net node)
       (Cover.of_cubes remaining)
 
-let run ?(use_dominators = true) ?(learn_depth = 0) ?region ?budget ?counters
-    ?dc ?(node_filter = fun _ -> true) net =
+let run ?(learn_depth = 0) ?region ?budget ?counters ?dc
+    ?(node_filter = fun _ -> true) net =
   (* One implication arena for the whole fixpoint. Every wire of a node
      shares the same frozen set (the node's transitive fanout) and the
      same dominator-side-input requirements, so that context is asserted
@@ -50,8 +50,7 @@ let run ?(use_dominators = true) ?(learn_depth = 0) ?region ?budget ?counters
               Atpg.Imply.set_budget engine (budget_of ());
               match
                 Atpg.Imply.propagate engine;
-                if use_dominators then
-                  List.iter assign (Atpg.Fault.propagation_assignments net id)
+                List.iter assign (Atpg.Fault.propagation_assignments net id)
               with
               | exception Atpg.Imply.Conflict _ ->
                 (* The node-shared context alone is inconsistent: every

@@ -11,7 +11,6 @@ val remove_wire : Logic_network.Network.t -> Atpg.Fault.wire -> unit
     cover is re-normalised), a cube wire removes the whole cube. *)
 
 val run :
-  ?use_dominators:bool ->
   ?learn_depth:int ->
   ?region:(Logic_network.Network.node_id -> bool) ->
   ?budget:Rar_util.Budget.t ->

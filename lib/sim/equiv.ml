@@ -136,11 +136,3 @@ let check ?dc net1 net2 =
   if n <= 14 then exhaustive ?dc net1 net2 else random ~words:256 ?dc net1 net2
 
 let equivalent net1 net2 = check net1 net2 = Equivalent
-
-let exhaustive_dc dc net1 net2 = exhaustive ~dc net1 net2
-
-let random_dc ?seed ?words dc net1 net2 = random ?seed ?words ~dc net1 net2
-
-let check_dc dc net1 net2 = check ~dc net1 net2
-
-let equivalent_dc dc net1 net2 = check_dc dc net1 net2 = Equivalent

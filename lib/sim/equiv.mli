@@ -5,12 +5,11 @@
     optimization drivers to guarantee that every rewrite preserves the
     circuit function.
 
-    Every checker also exists in a verify-modulo-DC form: under a
-    {!Logic_network.Dont_care} view, simulation rows matching an EXCDC
-    cube are outside the care set and never count as mismatches, and a
-    mismatch row whose two full output patterns fall in the same EXOEC
-    class is excused. An empty view makes the DC variants behave exactly
-    like the plain ones. *)
+    Every checker also verifies modulo don't cares: under a
+    {!Logic_network.Dont_care} view [?dc], simulation rows matching an
+    EXCDC cube are outside the care set and never count as mismatches,
+    and a mismatch row whose two full output patterns fall in the same
+    EXOEC class is excused. An empty view checks exactly like no view. *)
 
 type result =
   | Equivalent
@@ -43,36 +42,8 @@ val check :
   Logic_network.Network.t ->
   result
 (** {!exhaustive} when the input count allows it, otherwise {!random} with
-    a generous pattern budget. *)
+    a generous pattern budget: the verifier behind [--verify], modulo
+    [dc] when a [.exdc] section or [--exdc] file is in play. *)
 
 val equivalent : Logic_network.Network.t -> Logic_network.Network.t -> bool
 (** [check] collapsed to a boolean. *)
-
-val exhaustive_dc :
-  Logic_network.Dont_care.t ->
-  Logic_network.Network.t ->
-  Logic_network.Network.t ->
-  result
-(** {!exhaustive} modulo the given don't-care view. *)
-
-val random_dc :
-  ?seed:int ->
-  ?words:int ->
-  Logic_network.Dont_care.t ->
-  Logic_network.Network.t ->
-  Logic_network.Network.t ->
-  result
-
-val check_dc :
-  Logic_network.Dont_care.t ->
-  Logic_network.Network.t ->
-  Logic_network.Network.t ->
-  result
-(** {!check} modulo the given don't-care view: the verifier behind
-    [--verify] when a [.exdc] section or [--exdc] file is in play. *)
-
-val equivalent_dc :
-  Logic_network.Dont_care.t ->
-  Logic_network.Network.t ->
-  Logic_network.Network.t ->
-  bool

@@ -177,17 +177,10 @@ let comparator n =
       end
     in
     let terms = go (n - 1) [] [] in
-    let signals = List.sort_uniq Int.compare (List.concat terms) in
-    let fanins = Array.of_list signals in
-    let slot id =
-      match List.find_index (Int.equal id) signals with
-      | Some i -> i
-      | None -> assert false
+    let node =
+      Logic_network.Lift.add net ~name:kind
+        (cover_of (List.map (List.map Literal.pos) terms))
     in
-    let cubes =
-      List.map (fun term -> List.map (fun id -> Literal.pos (slot id)) term) terms
-    in
-    let node = Network.add_logic net ~name:kind ~fanins (cover_of cubes) in
     Network.add_output net kind node;
     node
   in

@@ -9,8 +9,6 @@ module Trace = Rar_util.Trace
 type config = {
   max_gates : int;
   max_leaves : int;
-  min_gates : int;
-  cube_limit : int;
   script : Script.step list;
   meth : Script.resub_method;
   settings : Script.settings;
@@ -22,8 +20,6 @@ let default_config =
   {
     max_gates = 24;
     max_leaves = 8;
-    min_gates = 3;
-    cube_limit = 128;
     script = Script.script_a;
     meth = Script.Ext;
     settings = Script.default_settings;
@@ -107,12 +103,19 @@ let grow aig ~max_gates ~max_leaves pivot =
 
 exception Too_big
 
+(* Per-node cover cap while collapsing a window: a window whose collapse
+   exceeds it is skipped, not truncated. *)
+let cube_limit = 128
+
+(* Windows of fewer gates are skipped. *)
+let min_gates = 3
+
 (* Both phases are carried bottom-up so complemented edges are a swap,
    not a cover complementation: AND is [product] on the positive phase
    and [union] (De Morgan) on the negative one. Every cube is a
    consistent product, so an empty cover is {e exactly} the constant 0
    — emptiness checks on either phase are precise constant tests. *)
-let collapse aig ~cube_limit gates leaves =
+let collapse aig gates leaves =
   let var = Hashtbl.create 16 in
   List.iteri (fun i m -> Hashtbl.replace var m i) leaves;
   let memo = Hashtbl.create 64 in
@@ -251,15 +254,12 @@ let optimize ?(config = default_config) ?(trace = Trace.disabled) ?counters
     in
     List.iter (fun g -> if g <= orig_top then seen.(g) <- true) gates;
     incr windows;
-    if List.length gates < config.min_gates then begin
+    if List.length gates < min_gates then begin
       incr skipped;
       window_event pivot gates leaves "too_small"
     end
     else
-      match
-        phase collapse_p (fun () ->
-            collapse work ~cube_limit:config.cube_limit gates leaves)
-      with
+      match phase collapse_p (fun () -> collapse work gates leaves) with
       | exception Too_big ->
         incr skipped;
         window_event pivot gates leaves "cover_blowup"
@@ -346,7 +346,7 @@ let optimize ?(config = default_config) ?(trace = Trace.disabled) ?counters
             match wdc with
             | None -> not (Robdd.Of_network.equivalent before wnet)
             | Some wdc -> (
-              match Logic_sim.Equiv.check_dc wdc before wnet with
+              match Logic_sim.Equiv.check ~dc:wdc before wnet with
               | Logic_sim.Equiv.Equivalent -> false
               | Logic_sim.Equiv.Counterexample _ -> true))
           | None -> false

@@ -16,6 +16,10 @@
     at a cost per splice bounded by the roots' MFFCs and the new cones,
     not by the graph.
 
+    Windows of fewer than 3 gates are skipped, and so is a window whose
+    collapse gives some gate more than 128 cubes in either phase (it is
+    skipped, not truncated).
+
     Windows are processed one at a time in deterministic (descending
     pivot id) order, each by one sequential resubstitution run, so the
     whole run is reproducible byte for byte. *)
@@ -23,10 +27,6 @@
 type config = {
   max_gates : int;  (** window size cap, gates (default 24) *)
   max_leaves : int;  (** window leaf cap (default 8) *)
-  min_gates : int;  (** skip windows smaller than this (default 3) *)
-  cube_limit : int;
-      (** per-node cover cap while collapsing a window; a window whose
-          collapse exceeds it is skipped, not truncated (default 128) *)
   script : Script.step list;  (** run on each window before resub *)
   meth : Script.resub_method;
   settings : Script.settings;
@@ -37,7 +37,7 @@ type config = {
       (** BDD-check every optimised window against its collapsed
           original before splicing (belt-and-braces; windows are small
           enough that this is cheap). With a window DC view in play the
-          check runs modulo DC ({!Logic_sim.Equiv.check_dc}). The run
+          check runs modulo DC ({!Logic_sim.Equiv.check} [?dc]). The run
           also checks its incremental live count against one full
           {!Logic_network.Aig.live_gate_count} at the end, and fails
           with [Failure] if they differ. *)

@@ -1,5 +1,6 @@
 open Twolevel
 module Network = Logic_network.Network
+module Lift = Logic_network.Lift
 
 module Cube_map = Map.Make (Cube)
 
@@ -52,16 +53,9 @@ let best_common_cube net =
 
 let extract_cube net c =
   let g =
-    let support = Cube.support c in
-    let fanins = Array.of_list support in
-    let slot =
-      let tbl = Hashtbl.create 8 in
-      Array.iteri (fun i node -> Hashtbl.replace tbl node i) fanins;
-      Hashtbl.find tbl
-    in
-    Network.add_logic net ~name:(Printf.sprintf "cx%d" (Network.node_count net))
-      ~fanins
-      (Cover.map_vars slot (Cover.of_cubes [ c ]))
+    Lift.add net
+      ~name:(Printf.sprintf "cx%d" (Network.node_count net))
+      (Cover.of_cubes [ c ])
   in
   List.iter
     (fun id ->
@@ -155,16 +149,7 @@ let best_common_kernel net =
 
 let extract_kernel net k =
   let g =
-    let support = Cover.support k in
-    let fanins = Array.of_list support in
-    let slot =
-      let tbl = Hashtbl.create 8 in
-      Array.iteri (fun i node -> Hashtbl.replace tbl node i) fanins;
-      Hashtbl.find tbl
-    in
-    Network.add_logic net ~name:(Printf.sprintf "kx%d" (Network.node_count net))
-      ~fanins
-      (Cover.map_vars slot k)
+    Lift.add net ~name:(Printf.sprintf "kx%d" (Network.node_count net)) k
   in
   List.iter
     (fun id ->

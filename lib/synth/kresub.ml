@@ -1,6 +1,6 @@
 open Twolevel
 module Network = Logic_network.Network
-module Fanin_cache = Logic_network.Fanin_cache
+module Lift = Logic_network.Lift
 module Dont_care = Logic_network.Dont_care
 module Scheduler = Booldiv.Scheduler
 module Lit_count = Logic_network.Lit_count
@@ -383,13 +383,12 @@ let shapes_for tb ~max_triples ~pool ~ranked ~cur_lits =
 (* The signature-matched proposals for dividend [f], in proposal order:
    the pool is every other live node outside [f]'s transitive fanout,
    ranked by best-phase agreement with [f] (ties by id). *)
-let proposals_for net ~cache ~sim ~max_divisors ~max_triples ~cur_lits f =
+let proposals_for net ~sim ~max_divisors ~max_triples ~cur_lits f =
+  let fanout = Network.transitive_fanout net [ f ] in
   let pool =
     List.filter
       (fun d ->
-        d <> f
-        && Network.mem net d
-        && not (Fanin_cache.depends_on cache d ~on:f))
+        Network.mem net d && not (Network.Node_set.mem d fanout))
       (List.sort Int.compare (Network.node_ids net))
   in
   let tb = table net sim ~f ~pool in
@@ -418,8 +417,8 @@ let proposals_for net ~cache ~sim ~max_divisors ~max_triples ~cur_lits f =
 let proposals ?(max_divisors = default_max_divisors)
     ?(max_triples = default_max_triples) sim net f =
   List.map shape_cover
-    (proposals_for net ~cache:(Fanin_cache.create net) ~sim ~max_divisors
-       ~max_triples ~cur_lits:(Lit_count.node_factored net f) f)
+    (proposals_for net ~sim ~max_divisors ~max_triples
+       ~cur_lits:(Lit_count.node_factored net f) f)
 
 (* ------------------------------------------------------------------ *)
 (* Exact validation oracle                                             *)
@@ -542,7 +541,6 @@ let run ?(max_divisors = default_max_divisors)
   let counters =
     match counters with Some c -> c | None -> Counters.create ()
   in
-  let cache = Fanin_cache.create net in
   (* Counterexample rows live for the whole run and only ever grow, each
      in its own stimulus row: once a spurious candidate has been
      distinguished it stays distinguished, so it is never proposed for
@@ -557,8 +555,8 @@ let run ?(max_divisors = default_max_divisors)
     let cur_lits = Lit_count.node_factored net f in
     let shapes =
       Counters.timed counters `Filter @@ fun () ->
-      proposals_for net ~cache ~sim ~max_divisors
-        ~max_triples:default_max_triples ~cur_lits f
+      proposals_for net ~sim ~max_divisors ~max_triples:default_max_triples
+        ~cur_lits f
     in
     let rec try_shapes = function
       | [] -> `Quiet

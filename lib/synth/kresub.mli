@@ -30,10 +30,10 @@
     fresh simulation row of the run's signature engine — after which
     the same wrong candidate can never be proposed again (each
     counterexample permanently occupies its own row) — and the scan
-    restarts with the sharpened signatures. A
-    validated candidate commits through {!Lift.set_cover} iff the
-    node's factored literal count strictly decreases; since candidates
-    are covers over existing nodes, no attempt ever allocates a node id.
+    restarts with the sharpened signatures. A validated candidate
+    commits through {!Logic_network.Lift.set_cover} iff the node's
+    factored literal count strictly decreases; since candidates are
+    covers over existing nodes, no attempt ever allocates a node id.
 
     Passes and the deadline are {!Booldiv.Scheduler}'s. *)
 

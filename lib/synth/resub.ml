@@ -1,6 +1,6 @@
 open Twolevel
 module Network = Logic_network.Network
-module Fanin_cache = Logic_network.Fanin_cache
+module Lift = Logic_network.Lift
 module Scheduler = Booldiv.Scheduler
 module Lit_count = Logic_network.Lit_count
 module Signature = Logic_sim.Signature
@@ -41,22 +41,22 @@ let attempt_complement net ~f ~d =
   | None -> false
   | Some d_not -> attempt net ~f ~d_cover:d_not ~d_lit:(Literal.neg d)
 
-let try_substitute ?(use_complement = true) ?cache net ~f ~d =
-  let depends_on () =
-    match cache with
-    | Some c -> Fanin_cache.depends_on c d ~on:f
-    | None -> Network.depends_on net d f
-  in
+let try_substitute ?(use_complement = true) net ~f ~d =
   not
-    (f = d || Network.is_input net f || Network.is_input net d || depends_on ())
+    (f = d
+    || Network.is_input net f
+    || Network.is_input net d
+    || Network.depends_on net d f)
   && (attempt_direct net ~f ~d
      || (use_complement && attempt_complement net ~f ~d))
 
-(* Candidate divisors for one dividend: incompatible pairs are dropped
-   and the survivors are ranked by signature overlap, keeping the top
+(* Candidate divisors for one dividend: nodes in [f]'s transitive fanout
+   (those that depend on it) and incompatible pairs are dropped, and the
+   survivors are ranked by signature overlap, keeping the top
    [max_candidates]. *)
-let candidates ~counters ~cache ~sigs net ~f ~nodes =
+let candidates ~counters ~sigs net ~f ~nodes =
   Counters.timed counters `Filter @@ fun () ->
+  let fanout = Network.transitive_fanout net [ f ] in
   let scored =
     List.filter_map
       (fun d ->
@@ -64,7 +64,7 @@ let candidates ~counters ~cache ~sigs net ~f ~nodes =
         else begin
           Counters.add counters.Counters.pairs_considered 1;
           if
-            Fanin_cache.depends_on cache d ~on:f
+            Network.Node_set.mem d fanout
             || not (Signature.compatible sigs ~use_complement:true ~f ~d)
           then begin
             Counters.add counters.Counters.pairs_filtered 1;
@@ -82,7 +82,6 @@ let run ?(sim_seed = Signature.default_seed) ?deadline_at
   let counters =
     match counters with Some c -> c | None -> Counters.create ()
   in
-  let cache = Fanin_cache.create net in
   let sigs = Signature.create ~seed:sim_seed ?dc net in
   Fun.protect ~finally:(fun () -> Signature.detach sigs) @@ fun () ->
   (* Algebraic attempts never add or remove nodes, so the candidate
@@ -92,7 +91,7 @@ let run ?(sim_seed = Signature.default_seed) ?deadline_at
   let pair_attempt f d =
     Counters.timed counters `Division @@ fun () ->
     Counters.add counters.Counters.divisions_attempted 1;
-    try_substitute ~cache net ~f ~d
+    try_substitute net ~f ~d
   in
   let scan f =
     let landed = ref false in
@@ -103,7 +102,7 @@ let run ?(sim_seed = Signature.default_seed) ?deadline_at
           incr substitutions;
           Counters.add counters.Counters.substitutions 1
         end)
-      (candidates ~counters ~cache ~sigs net ~f ~nodes);
+      (candidates ~counters ~sigs net ~f ~nodes);
     !landed
   in
   Scheduler.run ~driver:"resub" ~max_passes:4 ?deadline_at ~trace ~counters

@@ -16,13 +16,11 @@
 
 val try_substitute :
   ?use_complement:bool ->
-  ?cache:Logic_network.Fanin_cache.t ->
   Logic_network.Network.t ->
   f:Logic_network.Network.node_id ->
   d:Logic_network.Network.node_id ->
   bool
-(** One division attempt, committed on positive factored gain. An
-    optional {!Logic_network.Fanin_cache} serves the cycle check. *)
+(** One division attempt, committed on positive factored gain. *)
 
 val run :
   ?sim_seed:int ->

@@ -20,6 +20,12 @@ let of_kernel_exn k =
   | Some c -> c
   | None -> invalid_arg "Cube.of_kernel_exn: contradictory code set"
 
+let rename f t =
+  Cube_kernel.of_code_set
+    (Cube_kernel.fold_codes
+       (fun acc code -> ((2 * f (code lsr 1)) lor (code land 1)) :: acc)
+       [] t)
+
 let fold_literals f acc t =
   Cube_kernel.fold_codes (fun acc code -> f acc (Literal.of_code code)) acc t
 

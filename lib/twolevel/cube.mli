@@ -30,6 +30,12 @@ val of_literals_exn : Literal.t list -> t
 val literals : t -> Literal.t list
 (** Sorted literal list. *)
 
+val rename : (int -> int) -> t -> t
+(** [rename f c] is [c] with every variable [v] replaced by [f v], built
+    straight from the packed codes. [f] must be injective on [c]'s
+    support, which is not checked: a non-injective [f] could put both
+    phases of a variable into the result. *)
+
 val fold_literals : ('a -> Literal.t -> 'a) -> 'a -> t -> 'a
 (** Left fold over the literals in increasing code order, without
     materialising the list. *)

@@ -9,7 +9,7 @@ module Lit_floor = Logic_network.Lit_floor
 module Equiv = Logic_sim.Equiv
 module Division = Booldiv.Division
 module Basic_division = Booldiv.Basic_division
-module Net_cube = Booldiv.Net_cube
+module Lift = Logic_network.Lift
 module Generator = Bench_suite.Generator
 
 let cover = Parse.cover_default
@@ -85,22 +85,22 @@ let test_pos_nontrivial_quotient () =
   | Some result -> Alcotest.(check bool) "identity" true (Division.verify_pos ~f ~d result)
 
 (* ------------------------------------------------------------------ *)
-(* Net_cube                                                            *)
+(* Lifted cubes                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let test_net_cube_containment () =
+let test_lifted_cube_containment () =
   let net =
     Builder.of_spec ~inputs:[ "a"; "b"; "c" ]
       ~nodes:[ ("d", "a + b"); ("f", "ab' + a'b") ]
       ~outputs:[ "f"; "d" ]
   in
   let f = Builder.node net "f" and d = Builder.node net "d" in
-  let fc0 = Net_cube.of_cube_index net f 0 in
-  let dc0 = Net_cube.of_cube_index net d 0 in
-  let dc1 = Net_cube.of_cube_index net d 1 in
+  let fc0 = List.nth (Lift.cubes net f) 0 in
+  let dc0 = List.nth (Lift.cubes net d) 0 in
+  let dc1 = List.nth (Lift.cubes net d) 1 in
   (* Each f cube is contained in exactly one of d's single-literal cubes. *)
   Alcotest.(check bool) "containment in one divisor cube" true
-    (Net_cube.contained_by fc0 dc0 <> Net_cube.contained_by fc0 dc1)
+    (Cube.contained_by fc0 dc0 <> Cube.contained_by fc0 dc1)
 
 (* ------------------------------------------------------------------ *)
 (* Network-level basic division                                        *)
@@ -681,19 +681,17 @@ let test_prechecks_exact () =
               with
               | None -> false
               | Some d_not ->
-                let ks =
-                  List.map (Net_cube.of_node_cube net d) (Cover.cubes d_not)
-                in
+                let ks = List.map (Lift.cube net d) (Cover.cubes d_not) in
                 List.exists
-                  (fun c -> List.exists (Net_cube.contained_by c) ks)
-                  (Net_cube.of_node net f)
+                  (fun c -> List.exists (Cube.contained_by c) ks)
+                  (Lift.cubes net f)
             in
-            let f_cubes = Net_cube.of_node net f
-            and d_cubes = Net_cube.of_node net d in
+            let f_cubes = Lift.cubes net f and d_cubes = Lift.cubes net d in
             if
               not
                 (List.exists
-                   (fun c -> List.for_all (Net_cube.disjoint c) d_cubes)
+                   (fun c ->
+                     List.for_all (fun k -> Cube.distance c k > 0) d_cubes)
                    f_cubes)
             then incr rejected_neg;
             Alcotest.(check bool) "negative-phase applicability" reference
@@ -715,7 +713,31 @@ let test_prechecks_exact () =
 module Oracle = struct
   module Vote = Booldiv.Vote
   module Clique = Booldiv.Clique
-  module Net_cube = Booldiv.Net_cube
+  (* The lifted cubes of the time: packed signal-literal sets in which
+     node id [n] owns codes (2n, 2n+1), positive phase on the odd code. *)
+  module Net_cube = struct
+    let of_cube_index net id i =
+      let fanins = Network.fanins net id in
+      Cube_kernel.of_code_set
+        (Cube.fold_literals
+           (fun acc lit ->
+             ((2 * fanins.(Literal.var lit))
+             + if Literal.is_pos lit then 1 else 0)
+             :: acc)
+           [] (List.nth (Cover.cubes (Network.cover net id)) i))
+
+    let contained_by c k = Cube_kernel.subset k c
+
+    let signals t =
+      List.rev
+        (Cube_kernel.fold_codes
+           (fun acc code -> (code lsr 1, code land 1 = 1) :: acc)
+           [] t)
+
+    let compare = Cube_kernel.compare
+
+    let equal = Cube_kernel.equal
+  end
 
   let may_vote = Booldiv.Extended_division.may_vote
 
@@ -877,9 +899,13 @@ module Oracle = struct
       else begin
         let candidates = Array.map (fun e -> e.Vote.candidates) valid in
         let serves v core =
+          let wire_cube =
+            Net_cube.of_cube_index scratch f
+              (Atpg.Fault.wire_cube valid.(v).Vote.wire)
+          in
           List.exists
             (fun (m, j) ->
-              Net_cube.contained_by valid.(v).Vote.wire_cube
+              Net_cube.contained_by wire_cube
                 (Net_cube.of_cube_index scratch m j))
             core
         in
@@ -1296,8 +1322,10 @@ let () =
           Alcotest.test_case "pos division" `Quick test_pos_division;
           Alcotest.test_case "pos nontrivial" `Quick test_pos_nontrivial_quotient;
         ] );
-      ( "net-cube",
-        [ Alcotest.test_case "containment" `Quick test_net_cube_containment ] );
+      ( "lifted-cube",
+        [
+          Alcotest.test_case "containment" `Quick test_lifted_cube_containment;
+        ] );
       ( "network-level",
         [
           Alcotest.test_case "xor" `Quick test_basic_division_xor;

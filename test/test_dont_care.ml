@@ -158,7 +158,7 @@ let test_dc_results_verify () =
         (fun (mname, meth) ->
           let net = Network.copy base in
           optimize ~dc meth net;
-          match Equiv.check_dc dc base net with
+          match Equiv.check ~dc base net with
           | Equiv.Equivalent -> ()
           | Equiv.Counterexample { output; _ } ->
             Alcotest.failf "seed %d %s: output %s differs modulo the view" seed

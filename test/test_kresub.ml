@@ -397,7 +397,6 @@ module Oracle = struct
     List.rev !acc
 
   let proposals ~max_divisors ~max_triples sim net f =
-    let cache = Logic_network.Fanin_cache.create net in
     let cur_lits = Lit_count.node_factored net f in
     let sf = Signature.signature sim f in
     let pool =
@@ -405,7 +404,7 @@ module Oracle = struct
         (fun d ->
           d <> f
           && Network.mem net d
-          && not (Logic_network.Fanin_cache.depends_on cache d ~on:f))
+          && not (Network.depends_on net d f))
         (List.sort Int.compare (Network.node_ids net))
     in
     let ranked =

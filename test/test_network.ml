@@ -276,28 +276,6 @@ let test_eliminate_keeps_valuable () =
   Alcotest.(check bool) "shared node kept" true
     (Network.find_by_name net "g" <> None)
 
-
-let test_share_common_nodes () =
-  (* Two structurally identical nodes (with different fanin order) merge;
-     fanouts and outputs are redirected. *)
-  let net =
-    Builder.of_spec ~inputs:[ "a"; "b"; "c" ]
-      ~nodes:[ ("g1", "ab + c"); ("g2", "ba + c"); ("f", "g1 g2'") ]
-      ~outputs:[ "f"; "g2" ]
-  in
-  let before = Network.copy net in
-  let merged = Sweep.share_common_nodes net in
-  Network.check net;
-  Alcotest.(check int) "one merge" 1 merged;
-  Alcotest.(check bool) "function preserved" true (Equiv.equivalent net before);
-  (* f = g g' after the merge is the constant 0 — a real sharing effect. *)
-  let survivors =
-    List.filter
-      (fun id -> List.mem (Network.name net id) [ "g1"; "g2" ])
-      (Network.logic_ids net)
-  in
-  Alcotest.(check int) "single survivor" 1 (List.length survivors)
-
 let test_retarget_outputs () =
   let net =
     Builder.of_spec ~inputs:[ "a" ]
@@ -879,7 +857,6 @@ let () =
           Alcotest.test_case "eliminate keeps valuable" `Quick
             test_eliminate_keeps_valuable;
           Alcotest.test_case "literal counts" `Quick test_lit_count;
-          Alcotest.test_case "share common nodes" `Quick test_share_common_nodes;
           Alcotest.test_case "retarget outputs" `Quick test_retarget_outputs;
           Alcotest.test_case "collapse value + substitute" `Quick
             test_collapse_value_and_substitute;

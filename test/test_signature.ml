@@ -1,9 +1,8 @@
 (* Tests for the simulation-signature engine, its incremental
-   invalidation, the memoized fanin cache, and the soundness of
-   signature-guided divisor filtering. *)
+   invalidation, the cone identities the divisor filters rely on, and
+   the soundness of signature-guided divisor filtering. *)
 
 module Network = Logic_network.Network
-module Fanin_cache = Logic_network.Fanin_cache
 module Builder = Logic_network.Builder
 module Lit_count = Logic_network.Lit_count
 module Simulate = Logic_sim.Simulate
@@ -137,8 +136,8 @@ let test_incremental_matches_fresh () =
     (Synth.Resub.try_substitute net ~f ~d);
   (* Mutation 2: a fresh node plus a function change referencing it. *)
   let g = Builder.node net "g" in
-  let lifted = Synth.Lift.cover net g in
-  Synth.Lift.set_cover net g lifted;
+  let lifted = Logic_network.Lift.cover net g in
+  Logic_network.Lift.set_cover net g lifted;
   let check_against_fresh label =
     let fresh = Signature.create ~seed:11 net in
     List.iter
@@ -283,7 +282,7 @@ let test_refined_matches_fresh () =
     (Synth.Resub.try_substitute net ~f ~d);
   Signature.refine sigs a2;
   let g = Builder.node net "g" in
-  Synth.Lift.set_cover net g (Synth.Lift.cover net g);
+  Logic_network.Lift.set_cover net g (Logic_network.Lift.cover net g);
   Alcotest.(check (list (array bool)))
     "rows oldest first" [ a1; a2 ] (Signature.rows sigs);
   let fresh = Signature.create ~seed:11 ~words:1 net in
@@ -445,42 +444,6 @@ let test_filter_keeps_classic_divisor () =
     (Signature.score sigs ~use_complement:true ~f ~d > 0);
   Signature.detach sigs
 
-let test_fanin_cache () =
-  let net = Circuits.alu_slice () in
-  let cache = Fanin_cache.create net in
-  let check_all label =
-    List.iter
-      (fun id ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: cone of %d" label id)
-          true
-          (Network.Node_set.equal
-             (Fanin_cache.transitive_fanin cache id)
-             (Network.transitive_fanin net [ id ])))
-      (Network.node_ids net)
-  in
-  check_all "fresh";
-  let r0 = Network.revision net in
-  (* Mutate: rewrite one node through its lifted cover (fires
-     Function_changed) and sweep; the cache must flush. *)
-  let victim =
-    List.find (fun id -> not (Network.is_input net id)) (Network.topological net)
-  in
-  Synth.Lift.set_cover net victim (Synth.Lift.cover net victim);
-  ignore (Logic_network.Sweep.run net);
-  Alcotest.(check bool) "revision moved" true (Network.revision net > r0);
-  check_all "after mutations";
-  List.iter
-    (fun n ->
-      List.iter
-        (fun m ->
-          Alcotest.(check bool)
-            (Printf.sprintf "depends_on %d %d" n m)
-            (Network.depends_on net n m)
-            (Fanin_cache.depends_on cache n ~on:m))
-        (Network.node_ids net))
-    (Network.node_ids net)
-
 let test_observer_lifecycle () =
   let net = Circuits.c17 () in
   let events = ref 0 in
@@ -491,7 +454,8 @@ let test_observer_lifecycle () =
         (fun id -> not (Network.is_input net id))
         (Network.topological net)
     in
-    Synth.Lift.set_cover net victim (Synth.Lift.cover net victim)
+    Logic_network.Lift.set_cover net victim
+      (Logic_network.Lift.cover net victim)
   in
   touch ();
   let seen = !events in
@@ -522,6 +486,42 @@ let prop_incremental_matches_fresh_under_mutation =
       in
       Net_mutations.mutate rng net ~steps:30 ~after_step:check;
       Signature.detach sigs;
+      true)
+
+(* The divisor filters ask their cone questions through fanout walks,
+   once per dividend: [d] depends on [f] iff [d] is in [f]'s transitive
+   fanout, and the fanin cones of [f] and [d] meet iff [d] is in the
+   transitive fanout of [f]'s cone. *)
+let prop_cone_identities_under_mutation =
+  QCheck2.Test.make ~name:"cone identities hold under mutation" ~count:60
+    ~print:string_of_int Net_mutations.gen_seed
+    (fun seed ->
+      let rng, net = Net_mutations.initial seed in
+      let check net =
+        let ids = Network.node_ids net in
+        List.iter
+          (fun f ->
+            let fanout = Network.transitive_fanout net [ f ] in
+            let cone = Network.transitive_fanin net [ f ] in
+            let cone_fanout =
+              Network.transitive_fanout net (Network.Node_set.elements cone)
+            in
+            List.iter
+              (fun d ->
+                if Network.Node_set.mem d fanout <> Network.depends_on net d f
+                then failwith (Printf.sprintf "depends_on %d %d" d f);
+                let meet =
+                  not
+                    (Network.Node_set.disjoint cone
+                       (Network.transitive_fanin net [ d ]))
+                in
+                if Network.Node_set.mem d cone_fanout <> meet then
+                  failwith (Printf.sprintf "cones of %d and %d" f d))
+              ids)
+          ids
+      in
+      check net;
+      Net_mutations.mutate rng net ~steps:20 ~after_step:check;
       true)
 
 let () =
@@ -555,8 +555,6 @@ let () =
         ] );
       ( "caches",
         [
-          Alcotest.test_case "fanin cache matches DFS" `Quick
-            test_fanin_cache;
           Alcotest.test_case "observer lifecycle" `Quick
             test_observer_lifecycle;
         ] );
@@ -564,5 +562,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest
             prop_incremental_matches_fresh_under_mutation;
+          QCheck_alcotest.to_alcotest prop_cone_identities_under_mutation;
         ] );
     ]

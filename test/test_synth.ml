@@ -19,14 +19,40 @@ let test_lift_roundtrip () =
   in
   let g = Builder.node net "g" in
   let before = Network.copy net in
-  let lifted = Synth.Lift.cover net g in
+  let lifted = Logic_network.Lift.cover net g in
   (* Lifted variables are node ids. *)
   let a = Builder.node net "a" in
   Alcotest.(check bool) "lifted support uses node ids" true
     (List.mem a (Cover.support lifted));
-  Synth.Lift.set_cover net g lifted;
+  Logic_network.Lift.set_cover net g lifted;
   Network.check net;
   Alcotest.(check bool) "roundtrip preserves" true (Equiv.equivalent net before)
+
+(* Cube-by-cube lifting agrees with the lifted cover, index for index,
+   and a node created from a lifted cover lifts back to it. *)
+let test_lift_cube_and_add () =
+  List.iter
+    (fun seed ->
+      let net =
+        Generator.random ~seed ~n_inputs:6 ~n_nodes:20 ~n_outputs:3 ()
+      in
+      List.iter
+        (fun id ->
+          let lifted = Logic_network.Lift.cover net id in
+          let cubes = Logic_network.Lift.cubes net id in
+          Alcotest.(check bool) "cubes agree with the cover" true
+            (Cover.equal (Cover.of_cubes cubes) lifted);
+          Alcotest.(check bool) "cube i lifts cube i" true
+            (List.equal Cube.equal cubes
+               (List.map
+                  (Logic_network.Lift.cube net id)
+                  (Cover.cubes (Network.cover net id))));
+          let copy = Logic_network.Lift.add net lifted in
+          Alcotest.(check bool) "add then cover round-trips" true
+            (Cover.equal (Logic_network.Lift.cover net copy) lifted))
+        (List.sort Int.compare (Network.logic_ids net));
+      Network.check net)
+    [ 1; 2; 3; 4; 5 ]
 
 (* ------------------------------------------------------------------ *)
 (* Simplify                                                            *)
@@ -259,7 +285,11 @@ let qcheck_cases =
 let () =
   Alcotest.run "synth"
     [
-      ("lift", [ Alcotest.test_case "roundtrip" `Quick test_lift_roundtrip ]);
+      ( "lift",
+        [
+          Alcotest.test_case "roundtrip" `Quick test_lift_roundtrip;
+          Alcotest.test_case "cube and add" `Quick test_lift_cube_and_add;
+        ] );
       ("simplify", [ Alcotest.test_case "node" `Quick test_simplify_node ]);
       ( "resub",
         [

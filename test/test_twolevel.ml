@@ -1214,7 +1214,7 @@ let test_no_list_cube_logic () =
             (Printf.sprintf "%s free of %S" path needle)
             false (contains text needle))
         forbidden)
-    [ "../lib/twolevel/cube.ml"; "../lib/core/net_cube.ml" ]
+    [ "../lib/twolevel/cube.ml"; "../lib/network/lift.ml" ]
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
