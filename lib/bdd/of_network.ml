@@ -36,8 +36,6 @@ let default_input_var net =
 
 let all man net = build man net ~input_var:(default_input_var net)
 
-let node man net id = Hashtbl.find (all man net) id
-
 let outputs man net =
   let values = all man net in
   List.map (fun (po, id) -> (po, Hashtbl.find values id)) (Network.outputs net)

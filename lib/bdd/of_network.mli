@@ -2,10 +2,6 @@
     inputs). BDD variable [i] is the [i]-th primary input in
     {!Logic_network.Network.inputs} order. *)
 
-val node :
-  Bdd.man -> Logic_network.Network.t -> Logic_network.Network.node_id -> Bdd.t
-(** Global function of one node (memoised internally per call tree). *)
-
 val all :
   Bdd.man ->
   Logic_network.Network.t ->

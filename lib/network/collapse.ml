@@ -121,14 +121,51 @@ let value net id =
       in
       Option.map (fun after -> after - before) after
 
+(* Everything [value] reads for a logic node that is not an output: its
+   cover and fanins, its fanout list, and each fanout's cover and fanins.
+   Covers are compared physically (a false miss only costs a recompute),
+   fanins structurally: [Network.normalise] can keep a cover physically
+   unchanged under new fanins. *)
+type stamp = {
+  cover : Cover.t;
+  fanins : Network.node_id array;
+  fanouts : (Network.node_id * Cover.t * Network.node_id array) list;
+  value : int option;
+}
+
+let same_fanout (o1, c1, f1) (o2, c2, f2) = o1 = o2 && c1 == c2 && f1 = f2
+
 let eliminate ?(threshold = 0) net =
+  (* A collapse rewrites only the collapsed node's fanouts, so most
+     stamps survive a round and their values are reused. *)
+  let stamps = Hashtbl.create 64 in
+  let stamped_value id =
+    if Network.is_input net id || Network.is_output net id then None
+    else begin
+      let cover = Network.cover net id and fanins = Network.fanins net id in
+      let fanouts =
+        List.map
+          (fun out -> (out, Network.cover net out, Network.fanins net out))
+          (Network.fanouts net id)
+      in
+      match Hashtbl.find_opt stamps id with
+      | Some s
+        when s.cover == cover && s.fanins = fanins
+             && List.equal same_fanout s.fanouts fanouts ->
+        s.value
+      | _ ->
+        let v = value net id in
+        Hashtbl.replace stamps id { cover; fanins; fanouts; value = v };
+        v
+    end
+  in
   let eliminated = ref 0 in
   let continue_ = ref true in
   while !continue_ do
     let best =
       List.fold_left
         (fun best id ->
-          match value net id with
+          match stamped_value id with
           | Some v when v <= threshold -> (
             match best with
             | Some (_, bv) when bv <= v -> best

@@ -27,6 +27,17 @@ let set_cover net id lifted =
   let fanins, cover = to_slots lifted in
   Network.set_function net id ~fanins cover
 
+(* [set_function] stores exactly [Network.normalise]'s pair, so its
+   count is the count a commit would leave: a losing cover is rejected
+   before the network, or its revision, moves. *)
+let set_cover_if_cheaper net id ~below lifted =
+  let fanins, cover = to_slots lifted in
+  Factor.count (snd (Network.normalise ~fanins ~cover)) < below
+  &&
+  match Network.set_function net id ~fanins cover with
+  | exception Network.Cyclic _ -> false
+  | () -> true
+
 let add net ?name lifted =
   let fanins, cover = to_slots lifted in
   Network.add_logic net ?name ~fanins cover

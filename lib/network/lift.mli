@@ -27,6 +27,13 @@ val set_cover : Network.t -> Network.node_id -> Twolevel.Cover.t -> unit
 (** Install a lifted cover back onto a node: the sorted support node ids
     become the fanins. @raise Network.Cyclic on cyclic rewrites. *)
 
+val set_cover_if_cheaper :
+  Network.t -> Network.node_id -> below:int -> Twolevel.Cover.t -> bool
+(** {!set_cover} iff the factored literal count of the cover the node
+    would store is below [below] and the rewrite is acyclic. The count
+    is taken before anything mutates, so [false] leaves the network,
+    its revision included, untouched. *)
+
 val add : Network.t -> ?name:string -> Twolevel.Cover.t -> Network.node_id
 (** Create a logic node computing a lifted cover, over its sorted support
     node ids as fanins. *)

@@ -107,7 +107,11 @@ let run ?(learn_depth = 0) ?region ?budget ?counters ?dc
           in
           scan ()
         end)
-      nodes
+      nodes;
+    (* A removal only touches the node being scanned, and [scan] stops
+       at that node's fixpoint: with one node admitted, another round
+       would retest every wire on an unchanged network. *)
+    match nodes with [ _ ] -> changed := false | _ -> ()
   done;
   (match (!exhausted, counters) with
   | Some _, Some c ->

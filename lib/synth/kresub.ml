@@ -424,18 +424,23 @@ let proposals ?(max_divisors = default_max_divisors)
 (* Exact validation oracle                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Global BDDs over the primary inputs, cached per network revision: the
-   manager is rebuilt wholesale when the network mutates, which both
+(* Global BDDs over the primary inputs, one table per network revision:
+   the first validation after a mutation builds a fresh manager and
+   every node's function in one topological sweep, which both
    invalidates every cached node function and bounds the unique table.
    The care BDD is the complement of the EXCDC cube union (cubes naming
    unresolvable inputs are dropped — conservative, like the mask). *)
+type tables = {
+  t_rev : int;
+  t_man : Bdd.man;
+  t_nodes : (Network.node_id, Bdd.t) Hashtbl.t;
+  t_care : Bdd.t;
+}
+
 type oracle = {
   o_net : Network.t;
   o_dc : Dont_care.t option;
-  mutable o_man : Bdd.man;
-  mutable o_nodes : (Network.node_id, Bdd.t) Hashtbl.t;
-  mutable o_care : Bdd.t;
-  mutable o_rev : int;
+  mutable o_tables : tables option;
 }
 
 let ora_care man net dc =
@@ -467,68 +472,63 @@ let ora_care man net dc =
     Bdd.not_ man forbidden
   | _ -> Bdd.btrue man
 
-let ora_create ?dc net =
-  let man = Bdd.create () in
-  {
-    o_net = net;
-    o_dc = dc;
-    o_man = man;
-    o_nodes = Hashtbl.create 67;
-    o_care = ora_care man net dc;
-    o_rev = Network.revision net;
-  }
+let oracle ?dc net = { o_net = net; o_dc = dc; o_tables = None }
 
-let ora_sync o =
-  if o.o_rev <> Network.revision o.o_net then begin
+let ora_tables o =
+  let rev = Network.revision o.o_net in
+  match o.o_tables with
+  | Some t when t.t_rev = rev -> t
+  | _ ->
     let man = Bdd.create () in
-    o.o_man <- man;
-    o.o_nodes <- Hashtbl.create 67;
-    o.o_care <- ora_care man o.o_net o.o_dc;
-    o.o_rev <- Network.revision o.o_net
-  end
+    let t =
+      {
+        t_rev = rev;
+        t_man = man;
+        t_nodes = Of_network.all man o.o_net;
+        t_care = ora_care man o.o_net o.o_dc;
+      }
+    in
+    o.o_tables <- Some t;
+    t
 
-let ora_node o id =
-  match Hashtbl.find_opt o.o_nodes id with
-  | Some b -> b
-  | None ->
-    let b = Of_network.node o.o_man o.o_net id in
-    Hashtbl.replace o.o_nodes id b;
-    b
-
-let ora_shape o = function
-  | Const b -> if b then Bdd.btrue o.o_man else Bdd.bfalse o.o_man
+let ora_shape t = function
+  | Const b -> if b then Bdd.btrue t.t_man else Bdd.bfalse t.t_man
   | Sop cubes ->
     List.fold_left
       (fun disj cube ->
-        Bdd.bor o.o_man disj
+        Bdd.bor t.t_man disj
           (List.fold_left
              (fun conj l ->
-               let b = ora_node o l.l_node in
-               Bdd.band o.o_man conj
-                 (if l.l_pos then b else Bdd.not_ o.o_man b))
-             (Bdd.btrue o.o_man) cube))
-      (Bdd.bfalse o.o_man) cubes
+               let b = Hashtbl.find t.t_nodes l.l_node in
+               Bdd.band t.t_man conj
+                 (if l.l_pos then b else Bdd.not_ t.t_man b))
+             (Bdd.btrue t.t_man) cube))
+      (Bdd.bfalse t.t_man) cubes
 
 (* [None] when the shape equals [f] on the whole care set; otherwise a
    distinguishing input assignment (inputs order, unmentioned inputs
    false). The miter is canonical for the function, so the extracted
    counterexample is the same whatever manager history produced it. *)
 let validate o ~f shape =
-  ora_sync o;
+  let t = ora_tables o in
   let miter =
-    Bdd.band o.o_man o.o_care
-      (Bdd.bxor o.o_man (ora_node o f) (ora_shape o shape))
+    Bdd.band t.t_man t.t_care
+      (Bdd.bxor t.t_man (Hashtbl.find t.t_nodes f) (ora_shape t shape))
   in
-  if Bdd.is_false o.o_man miter then None
+  if Bdd.is_false t.t_man miter then None
   else begin
     let n = List.length (Network.inputs o.o_net) in
     let assign = Array.make n false in
-    (match Bdd.any_sat o.o_man miter with
+    (match Bdd.any_sat t.t_man miter with
     | Some lits ->
       List.iter (fun (v, ph) -> if v >= 0 && v < n then assign.(v) <- ph) lits
     | None -> ());
     Some assign
   end
+
+let oracle_table o =
+  let t = ora_tables o in
+  (t.t_man, t.t_nodes)
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
@@ -547,7 +547,7 @@ let run ?(max_divisors = default_max_divisors)
      any dividend again. *)
   let sim = Signature.create ~seed:sim_seed ~words:sim_words ?dc net in
   Fun.protect ~finally:(fun () -> Signature.detach sim) @@ fun () ->
-  let oracle = ora_create ?dc net in
+  let oracle = oracle ?dc net in
   let substitutions = ref 0 in
   (* One constructive scan of dividend [f]: [`Refined] when a
      counterexample sharpened the signatures before anything landed. *)
@@ -575,19 +575,11 @@ let run ?(max_divisors = default_max_divisors)
           else try_shapes tl
         | None ->
           Counters.add counters.Counters.kresub_validated 1;
-          let before_cover = Network.cover net f in
-          let before_fanins = Network.fanins net f in
-          let landed =
-            match Lift.set_cover net f (shape_cover shape) with
-            | exception Network.Cyclic _ -> false
-            | () ->
-              if Lit_count.node_factored net f < cur_lits then true
-              else begin
-                Network.set_function net f ~fanins:before_fanins before_cover;
-                false
-              end
-          in
-          if landed then `Committed else try_shapes tl)
+          (* A losing shape leaves the revision, and with it the
+             oracle's table, alone. *)
+          if Lift.set_cover_if_cheaper net f ~below:cur_lits (shape_cover shape)
+          then `Committed
+          else try_shapes tl)
     in
     try_shapes shapes
   in

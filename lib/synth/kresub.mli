@@ -30,10 +30,15 @@
     fresh simulation row of the run's signature engine — after which
     the same wrong candidate can never be proposed again (each
     counterexample permanently occupies its own row) — and the scan
-    restarts with the sharpened signatures. A validated candidate
-    commits through {!Logic_network.Lift.set_cover} iff the node's
-    factored literal count strictly decreases; since candidates are
-    covers over existing nodes, no attempt ever allocates a node id.
+    restarts with the sharpened signatures. The oracle builds every
+    node's BDD in one sweep ({!Robdd.Of_network.all}) at the first
+    validation after a mutation and keeps that table for the network
+    revision. A validated candidate commits through
+    {!Logic_network.Lift.set_cover_if_cheaper} iff the node's factored
+    literal count strictly decreases, which is decided before the
+    network is touched, so a losing candidate leaves the revision (and
+    the oracle's table) as it was; since candidates are covers over
+    existing nodes, no attempt ever allocates a node id.
 
     Passes and the deadline are {!Booldiv.Scheduler}'s. *)
 
@@ -85,3 +90,15 @@ val proposals :
     signature equals [f]'s on the care rows of [sim]'s current
     stimulus and whose estimated cost is under [f]'s factored literal
     count. *)
+
+type oracle
+(** The exact validation oracle of one run: global BDDs over the primary
+    inputs, one table per network revision. *)
+
+val oracle : ?dc:Logic_network.Dont_care.t -> Logic_network.Network.t -> oracle
+
+val oracle_table :
+  oracle ->
+  Robdd.Bdd.man * (Logic_network.Network.node_id, Robdd.Bdd.t) Hashtbl.t
+(** Test hook: the manager and node table validation would use now,
+    built on first use after each mutation. *)

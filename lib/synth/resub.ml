@@ -11,44 +11,40 @@ let complement_limit = 64
 
 let max_candidates = 32
 
+(* A dividend's lifted cover and factored literal count, forced at its
+   first attempt and taken again only after a commit changes it. *)
+let lift_dividend net f = lazy (Lift.cover net f, Lit_count.node_factored net f)
+
 (* One algebraic division attempt of f by the given lifted divisor cover,
-   substituting the literal [d_lit] for it on success. *)
-let attempt net ~f ~d_cover ~d_lit =
-  let f_cover = Lift.cover net f in
+   substituting the literal [d_lit] for it on success. A losing attempt
+   leaves the network and its revision untouched. *)
+let attempt net ~f ~dividend ~d_cover ~d_lit =
+  let f_cover, before_lits = Lazy.force dividend in
   let q, r = Algebraic.divide f_cover d_cover in
-  if Cover.is_zero q then false
-  else begin
-    let d_single = Cover.of_cubes [ Cube.of_literals_exn [ d_lit ] ] in
-    let rebuilt = Cover.union (Cover.product q d_single) r in
-    let before_cover = Network.cover net f in
-    let before_fanins = Network.fanins net f in
-    let before_lits = Lit_count.node_factored net f in
-    match Lift.set_cover net f rebuilt with
-    | exception Network.Cyclic _ -> false
-    | () ->
-      if Lit_count.node_factored net f < before_lits then true
-      else begin
-        Network.set_function net f ~fanins:before_fanins before_cover;
-        false
-      end
-  end
+  (not (Cover.is_zero q))
+  &&
+  let d_single = Cover.of_cubes [ Cube.of_literals_exn [ d_lit ] ] in
+  Lift.set_cover_if_cheaper net f ~below:before_lits
+    (Cover.union (Cover.product q d_single) r)
 
-let attempt_direct net ~f ~d =
-  attempt net ~f ~d_cover:(Lift.cover net d) ~d_lit:(Literal.pos d)
-
-let attempt_complement net ~f ~d =
-  match Minimize.complement ~limit:complement_limit (Lift.cover net d) with
-  | None -> false
-  | Some d_not -> attempt net ~f ~d_cover:d_not ~d_lit:(Literal.neg d)
-
-let try_substitute ?(use_complement = true) net ~f ~d =
+let substitute ~use_complement net ~f ~dividend ~d =
   not
     (f = d
     || Network.is_input net f
     || Network.is_input net d
     || Network.depends_on net d f)
-  && (attempt_direct net ~f ~d
-     || (use_complement && attempt_complement net ~f ~d))
+  &&
+  let d_cover = Lift.cover net d in
+  attempt net ~f ~dividend ~d_cover ~d_lit:(Literal.pos d)
+  || use_complement
+     &&
+     match Minimize.complement ~limit:complement_limit d_cover with
+     | None -> false
+     | Some d_not ->
+       attempt net ~f ~dividend ~d_cover:d_not ~d_lit:(Literal.neg d)
+
+let try_substitute ?(use_complement = true) net ~f ~d =
+  substitute ~use_complement net ~f ~dividend:(lift_dividend net f) ~d
 
 (* Candidate divisors for one dividend: nodes in [f]'s transitive fanout
    (those that depend on it) and incompatible pairs are dropped, and the
@@ -88,16 +84,20 @@ let run ?(sim_seed = Signature.default_seed) ?deadline_at
      order, ties included, is fixed for the whole run. *)
   let nodes = List.sort Int.compare (Network.logic_ids net) in
   let substitutions = ref 0 in
-  let pair_attempt f d =
+  let pair_attempt f dividend d =
     Counters.timed counters `Division @@ fun () ->
     Counters.add counters.Counters.divisions_attempted 1;
-    try_substitute net ~f ~d
+    substitute ~use_complement:true net ~f ~dividend ~d
   in
   let scan f =
     let landed = ref false in
+    let dividend = ref (lift_dividend net f) in
     List.iter
       (fun d ->
-        if Network.mem net f && Network.mem net d && pair_attempt f d then begin
+        if
+          Network.mem net f && Network.mem net d && pair_attempt f !dividend d
+        then begin
+          dividend := lift_dividend net f;
           landed := true;
           incr substitutions;
           Counters.add counters.Counters.substitutions 1

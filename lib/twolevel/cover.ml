@@ -105,25 +105,13 @@ let minterm_count ~nvars t =
 
 let map_vars f t =
   let rename cube =
-    let lits =
-      List.map
-        (fun lit -> Literal.make (f (Literal.var lit)) (Literal.is_pos lit))
-        (Cube.literals cube)
-    in
-    Cube.of_literals_exn lits
+    match Cube.rename_opt f cube with
+    | Some c -> c
+    | None -> invalid_arg "Cube.of_literals_exn: contradictory literals"
   in
   canonical (List.map rename t)
 
-let rename_vars f t =
-  let rename cube =
-    let lits =
-      List.map
-        (fun lit -> Literal.make (f (Literal.var lit)) (Literal.is_pos lit))
-        (Cube.literals cube)
-    in
-    Cube.of_literals lits
-  in
-  canonical (List.filter_map rename t)
+let rename_vars f t = canonical (List.filter_map (Cube.rename_opt f) t)
 
 (* Cube order is the kernel's list-lexicographic order, so this matches
    the seed's [Stdlib.compare] on sorted literal-code lists exactly. *)

@@ -83,7 +83,10 @@ val minterm_count : nvars:int -> t -> int
     (exponential; intended for small test functions). *)
 
 val map_vars : (int -> int) -> t -> t
-(** Rename variables; the mapping must be injective on the support. *)
+(** Rename variables; the mapping must be injective on the support.
+    Literals mapped onto the same literal merge.
+    @raise Invalid_argument when a cube would hold both phases of a
+    variable. *)
 
 val rename_vars : (int -> int) -> t -> t
 (** Rename variables by a possibly non-injective mapping: literals of two

@@ -20,11 +20,11 @@ let of_kernel_exn k =
   | Some c -> c
   | None -> invalid_arg "Cube.of_kernel_exn: contradictory code set"
 
-let rename f t =
-  Cube_kernel.of_code_set
-    (Cube_kernel.fold_codes
-       (fun acc code -> ((2 * f (code lsr 1)) lor (code land 1)) :: acc)
-       [] t)
+let rename = Cube_kernel.rename
+
+let rename_opt f t =
+  let r = Cube_kernel.rename f t in
+  if Cube_kernel.consistent r then Some r else None
 
 let fold_literals f acc t =
   Cube_kernel.fold_codes (fun acc code -> f acc (Literal.of_code code)) acc t

@@ -31,10 +31,17 @@ val literals : t -> Literal.t list
 (** Sorted literal list. *)
 
 val rename : (int -> int) -> t -> t
-(** [rename f c] is [c] with every variable [v] replaced by [f v], built
-    straight from the packed codes. [f] must be injective on [c]'s
+(** [rename f c] is [c] with every variable [v] replaced by [f v], written
+    straight into the packed words. [f] must be injective on [c]'s
     support, which is not checked: a non-injective [f] could put both
     phases of a variable into the result. *)
+
+val rename_opt : (int -> int) -> t -> t option
+(** {!rename} for any [f]: literals mapped onto the same literal merge,
+    and [None] when the result holds both phases of a variable (the
+    renamed product is constant 0). Equal to
+    [of_literals (List.map (fun l -> Literal.make (f (Literal.var l))
+    (Literal.is_pos l)) (literals c))]. *)
 
 val fold_literals : ('a -> Literal.t -> 'a) -> 'a -> t -> 'a
 (** Left fold over the literals in increasing code order, without

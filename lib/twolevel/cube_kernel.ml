@@ -87,9 +87,11 @@ let of_code_set codes =
       codes;
     mk words
 
+let consistent t = not (Array.exists conflicting t.words)
+
 let of_codes codes =
   let t = of_code_set codes in
-  if Array.exists conflicting t.words then None else Some t
+  if consistent t then Some t else None
 
 let mem_code c t =
   c >= 0
@@ -191,6 +193,31 @@ let fold_codes f acc t =
   !acc
 
 let iter_codes f t = fold_codes (fun () c -> f c) () t
+
+(* The mapped codes are staged in one array (so [f] runs once per code,
+   in increasing code order), then written straight into the words. *)
+let rename f t =
+  if t.size = 0 then top
+  else begin
+    let mapped = Array.make t.size 0 in
+    let i = ref 0 and maxc = ref 0 in
+    iter_codes
+      (fun c ->
+        let v = f (c lsr 1) in
+        if v < 0 then invalid_arg "Cube_kernel.rename: negative variable";
+        let c' = (2 * v) lor (c land 1) in
+        mapped.(!i) <- c';
+        if c' > !maxc then maxc := c';
+        incr i)
+      t;
+    let words = Array.make ((!maxc / bits_per_word) + 1) 0 in
+    Array.iter
+      (fun c ->
+        let w = c / bits_per_word in
+        words.(w) <- words.(w) lor (1 lsl (c mod bits_per_word)))
+      mapped;
+    mk words
+  end
 
 exception Found
 

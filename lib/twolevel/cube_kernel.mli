@@ -48,6 +48,16 @@ val of_code_set : int list -> t
     global-signal cubes, where both phases of a node may legitimately
     appear). *)
 
+val consistent : t -> bool
+(** No variable has both phases present (the test {!of_codes} applies). *)
+
+val rename : (int -> int) -> t -> t
+(** [rename f t] moves every code of variable [v] to variable [f v],
+    keeping its phase. [f] is applied once per code, in increasing code
+    order. No conflict check: a non-injective [f] may merge two codes
+    into one or put both phases of a variable into the result.
+    @raise Invalid_argument if [f] returns a negative variable. *)
+
 val codes : t -> int list
 (** Codes in strictly increasing order. *)
 

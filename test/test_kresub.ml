@@ -516,6 +516,123 @@ let test_proposal_order () =
   Alcotest.(check bool) "dividends compared" true (!compared > 0);
   Alcotest.(check bool) "some shape proposed" true (!proposed > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Oracle tables and commits                                           *)
+(* ------------------------------------------------------------------ *)
+
+module Bdd = Robdd.Bdd
+module Of_network = Robdd.Of_network
+module Lift = Logic_network.Lift
+
+(* The oracle's table holds a fresh [Of_network.all]'s BDDs (compared in
+   the table's own manager, where equal functions are equal nodes), and
+   a second query at the same revision returns the same table. *)
+let check_table o net =
+  let man, nodes = Synth.Kresub.oracle_table o in
+  let fresh = Of_network.all man net in
+  if Hashtbl.length nodes <> Hashtbl.length fresh then
+    Alcotest.fail "table size differs from a fresh sweep";
+  Hashtbl.iter
+    (fun id b ->
+      if not (Bdd.equal b (Hashtbl.find nodes id)) then
+        Alcotest.failf "node %d: stale BDD" id)
+    fresh;
+  let _, again = Synth.Kresub.oracle_table o in
+  if again != nodes then Alcotest.fail "table rebuilt at an unchanged revision"
+
+let prop_oracle_table_tracks_revisions =
+  QCheck2.Test.make ~name:"oracle table equals a fresh sweep after mutations"
+    ~count:60 ~print:string_of_int Net_mutations.gen_seed (fun seed ->
+      let rng, net = Net_mutations.initial seed in
+      let o = Synth.Kresub.oracle net in
+      check_table o net;
+      Net_mutations.mutate rng net ~steps:20 ~after_step:(check_table o);
+      true)
+
+(* The commit before it decided ahead of the mutation, kept as the
+   reference: install, count, restore on a loss. *)
+let frozen_commit net ~f ~cur_lits lifted =
+  let before_cover = Network.cover net f in
+  let before_fanins = Network.fanins net f in
+  match Lift.set_cover net f lifted with
+  | exception Network.Cyclic _ -> false
+  | () ->
+    Lit_count.node_factored net f < cur_lits
+    || begin
+         Network.set_function net f ~fanins:before_fanins before_cover;
+         false
+       end
+
+(* [cover] (over node ids) computes [f]'s global function. *)
+let valid net ~f cover =
+  let man = Bdd.create () in
+  let nodes = Of_network.all man net in
+  let lit l =
+    let b = Hashtbl.find nodes (Twolevel.Literal.var l) in
+    if Twolevel.Literal.is_pos l then b else Bdd.not_ man b
+  in
+  let shape =
+    List.fold_left
+      (fun acc cube ->
+        Bdd.bor man acc
+          (Twolevel.Cube.fold_literals
+             (fun conj l -> Bdd.band man conj (lit l))
+             (Bdd.btrue man) cube))
+      (Bdd.bfalse man) (Twolevel.Cover.cubes cover)
+  in
+  Bdd.equal shape (Hashtbl.find nodes f)
+
+(* Every validated proposal of every dividend, and [f]'s own lifted cover
+   (validated, never smaller), commits exactly when the frozen
+   set-then-compare commit does, to the same fanins and cover; a losing
+   one leaves the revision alone. The oracle's table follows each
+   commit. *)
+let test_commit_decides_before_mutating () =
+  let wins = ref 0 and losses = ref 0 in
+  List.iter
+    (fun (_, net) ->
+      let sim = Logic_sim.Signature.create net in
+      let o = Synth.Kresub.oracle net in
+      List.iter
+        (fun f ->
+          if Network.mem net f && not (Network.is_input net f) then begin
+            let cur_lits = Lit_count.node_factored net f in
+            let rec go = function
+              | [] -> ()
+              | cover :: rest ->
+                if not (valid net ~f cover) then go rest
+                else begin
+                  let reference = Network.copy net in
+                  let expected = frozen_commit reference ~f ~cur_lits cover in
+                  let rev = Network.revision net in
+                  let got = Lift.set_cover_if_cheaper net f ~below:cur_lits cover in
+                  Alcotest.(check bool) "same verdict" expected got;
+                  if got then begin
+                    incr wins;
+                    Alcotest.(check (array int)) "same fanins"
+                      (Network.fanins reference f) (Network.fanins net f);
+                    Alcotest.(check bool) "same cover" true
+                      (Twolevel.Cover.equal (Network.cover reference f)
+                         (Network.cover net f));
+                    check_table o net
+                  end
+                  else begin
+                    incr losses;
+                    Alcotest.(check int) "revision unchanged" rev
+                      (Network.revision net);
+                    go rest
+                  end
+                end
+            in
+            go
+              (Synth.Kresub.proposals sim net f @ [ Lift.cover net f ])
+          end)
+        (List.sort Int.compare (Network.node_ids net));
+      Logic_sim.Signature.detach sim)
+    (proposal_nets ());
+  Alcotest.(check bool) "some commits" true (!wins > 0);
+  Alcotest.(check bool) "some losses" true (!losses > 0)
+
 let () =
   Alcotest.run "kresub"
     [
@@ -539,5 +656,8 @@ let () =
             test_sim_words;
           Alcotest.test_case "empty DC view invisible" `Quick
             test_empty_dc_invisible;
+          Alcotest.test_case "commit decides before mutating" `Quick
+            test_commit_decides_before_mutating;
+          QCheck_alcotest.to_alcotest prop_oracle_table_tracks_revisions;
         ] );
     ]

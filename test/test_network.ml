@@ -813,11 +813,88 @@ let prop_factored_delta =
       done;
       !ok)
 
+(* The eliminate loop before value stamps, kept as the reference: every
+   round re-values every logic node with [Collapse.value]. *)
+let frozen_eliminate ~threshold net =
+  let eliminated = ref 0 in
+  let continue_ = ref true in
+  while !continue_ do
+    let best =
+      List.fold_left
+        (fun best id ->
+          match Collapse.value net id with
+          | Some v when v <= threshold -> (
+            match best with
+            | Some (_, bv) when bv <= v -> best
+            | _ -> Some (id, v))
+          | Some _ | None -> best)
+        None (Network.logic_ids net)
+    in
+    match best with
+    | Some (id, _) when Collapse.collapse_into_fanouts net id -> incr eliminated
+    | Some _ | None -> continue_ := false
+  done;
+  !eliminated
+
+(* Both loops on copies of [net]: the same count, the same network text
+   and the same id limit. *)
+let eliminate_matches_frozen ~threshold net =
+  let stamped = Network.copy net and frozen = Network.copy net in
+  let n = Collapse.eliminate ~threshold stamped in
+  let n' = frozen_eliminate ~threshold frozen in
+  if n <> n' then fail "eliminated %d, frozen loop %d" n n';
+  if Network.to_string stamped <> Network.to_string frozen then
+    fail "networks differ after eliminating %d" n;
+  if Network.id_limit stamped <> Network.id_limit frozen then
+    fail "id limits differ";
+  n
+
+let prop_eliminate_matches_frozen =
+  QCheck2.Test.make ~name:"stamped eliminate matches the full-recompute loop"
+    ~count:80 ~print:string_of_int Net_mutations.gen_seed (fun seed ->
+      let rng, net = Net_mutations.initial seed in
+      Net_mutations.mutate rng net ~steps:10;
+      List.iter
+        (fun threshold -> ignore (eliminate_matches_frozen ~threshold net))
+        [ -1; 0; 3 ];
+      Net_mutations.mutate rng net ~steps:15;
+      ignore (eliminate_matches_frozen ~threshold:0 net);
+      true)
+
+let test_eliminate_matches_frozen_planted () =
+  let profile =
+    {
+      Generator.inputs = 10;
+      noise_nodes = 12;
+      algebraic_plants = 3;
+      boolean_plants = 3;
+      gdc_plants = 2;
+      outputs = 6;
+    }
+  in
+  let total = ref 0 in
+  for seed = 1 to 6 do
+    List.iter
+      (fun threshold ->
+        total :=
+          !total
+          + eliminate_matches_frozen ~threshold (Generator.planted ~seed profile))
+      [ -1; 0; 2 ]
+  done;
+  List.iter
+    (fun row ->
+      total :=
+        !total
+        + eliminate_matches_frozen ~threshold:0 (Bench_suite.Suite.build row))
+    Bench_suite.Suite.quick_rows;
+  Alcotest.(check bool) "some nodes eliminated" true (!total > 0)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_sweep_preserves;
       prop_eliminate_preserves;
+      prop_eliminate_matches_frozen;
       prop_blif_roundtrip;
       prop_sim_matches_bdd;
       prop_factored_leq_flat;
@@ -856,6 +933,8 @@ let () =
           Alcotest.test_case "eliminate" `Quick test_eliminate;
           Alcotest.test_case "eliminate keeps valuable" `Quick
             test_eliminate_keeps_valuable;
+          Alcotest.test_case "stamped eliminate on planted networks" `Quick
+            test_eliminate_matches_frozen_planted;
           Alcotest.test_case "literal counts" `Quick test_lit_count;
           Alcotest.test_case "retarget outputs" `Quick test_retarget_outputs;
           Alcotest.test_case "collapse value + substitute" `Quick

@@ -121,6 +121,83 @@ let test_resub_misses_boolean () =
   Alcotest.(check bool) "boolean division can" true
     (Booldiv.Basic_division.try_divide net ~f ~d <> None)
 
+(* The attempt before it decided ahead of the mutation, kept as the
+   reference: install the rebuilt cover, count, restore on a loss. *)
+module Frozen_resub = struct
+  module Lift = Logic_network.Lift
+
+  let attempt net ~f ~d_cover ~d_lit =
+    let q, r = Algebraic.divide (Lift.cover net f) d_cover in
+    if Cover.is_zero q then false
+    else begin
+      let d_single = Cover.of_cubes [ Cube.of_literals_exn [ d_lit ] ] in
+      let rebuilt = Cover.union (Cover.product q d_single) r in
+      let before_cover = Network.cover net f in
+      let before_fanins = Network.fanins net f in
+      let before_lits = Lit_count.node_factored net f in
+      match Lift.set_cover net f rebuilt with
+      | exception Network.Cyclic _ -> false
+      | () ->
+        Lit_count.node_factored net f < before_lits
+        || begin
+             Network.set_function net f ~fanins:before_fanins before_cover;
+             false
+           end
+    end
+
+  let try_substitute net ~f ~d =
+    not
+      (f = d
+      || Network.is_input net f
+      || Network.is_input net d
+      || Network.depends_on net d f)
+    && (attempt net ~f ~d_cover:(Lift.cover net d) ~d_lit:(Literal.pos d)
+       ||
+       match Minimize.complement ~limit:64 (Lift.cover net d) with
+       | None -> false
+       | Some d_not -> attempt net ~f ~d_cover:d_not ~d_lit:(Literal.neg d))
+end
+
+(* Every ordered pair of logic nodes of a scripted circuit, in turn, on
+   one network that keeps each win: a losing attempt leaves the revision
+   alone, and a winning one stores the fanins and cover the frozen
+   set-then-compare attempt stores on a copy. *)
+let test_resub_decides_before_mutating () =
+  let wins = ref 0 and losses = ref 0 in
+  List.iter
+    (fun name ->
+      let net =
+        Bench_suite.Suite.build (Option.get (Bench_suite.Suite.find name))
+      in
+      Synth.Script.run net Synth.Script.script_a;
+      let ids = List.sort Int.compare (Network.logic_ids net) in
+      List.iter
+        (fun f ->
+          List.iter
+            (fun d ->
+              let reference = Network.copy net in
+              let expected = Frozen_resub.try_substitute reference ~f ~d in
+              let rev = Network.revision net in
+              let got = Synth.Resub.try_substitute net ~f ~d in
+              Alcotest.(check bool) "same verdict" expected got;
+              if got then begin
+                incr wins;
+                Alcotest.(check (array int)) "same fanins"
+                  (Network.fanins reference f) (Network.fanins net f);
+                Alcotest.(check bool) "same cover" true
+                  (Cover.equal (Network.cover reference f) (Network.cover net f))
+              end
+              else begin
+                incr losses;
+                Alcotest.(check int) "revision unchanged" rev
+                  (Network.revision net)
+              end)
+            ids)
+        ids)
+    [ "alu_slice"; "9sym"; "b9" ];
+  Alcotest.(check bool) "some attempts won" true (!wins > 0);
+  Alcotest.(check bool) "some attempts lost" true (!losses > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Extraction                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -296,6 +373,8 @@ let () =
           Alcotest.test_case "classic" `Quick test_resub_classic;
           Alcotest.test_case "complement (-d)" `Quick test_resub_complement;
           Alcotest.test_case "boolean gap" `Quick test_resub_misses_boolean;
+          Alcotest.test_case "decides before mutating" `Quick
+            test_resub_decides_before_mutating;
         ] );
       ( "extract",
         [

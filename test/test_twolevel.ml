@@ -1216,10 +1216,75 @@ let test_no_list_cube_logic () =
         forbidden)
     [ "../lib/twolevel/cube.ml"; "../lib/network/lift.ml" ]
 
+(* The literal-list renamings [Cover.map_vars] and [rename_vars] used
+   before they went through [Cube.rename], kept as the reference. *)
+let rename_lits f cube =
+  Cube.of_literals
+    (List.map
+       (fun l -> Literal.make (f (Literal.var l)) (Literal.is_pos l))
+       (Cube.literals cube))
+
+(* A map over variables [0 .. 11] into [0 .. 11]: injective half the
+   time (a permutation), otherwise drawn with replacement into a few
+   targets, so literals merge and cubes turn contradictory. *)
+let gen_var_map =
+  QCheck2.Gen.(
+    let* injective = bool in
+    let* targets =
+      if injective then
+        map
+          (fun keys ->
+            let order = List.mapi (fun v k -> (k, v)) keys in
+            List.map snd (List.sort compare order))
+          (list_repeat 12 (int_bound 1000))
+      else
+        let* width = int_range 1 4 in
+        let* offset = int_range 0 70 in
+        list_repeat 12 (map (fun t -> offset + t) (int_bound (width - 1)))
+    in
+    return (Array.of_list targets))
+
+let gen_wide_cube =
+  QCheck2.Gen.(
+    map
+      (fun lits -> Cube.of_literals lits)
+      (list_size (int_range 0 8)
+         (map2 (fun v p -> Literal.make v p) (int_range 0 11) bool)))
+
+let prop_rename_matches_literals =
+  QCheck2.Test.make ~name:"packed renaming matches the literal-list rename"
+    ~count:500
+    QCheck2.Gen.(pair gen_var_map (list_size (int_range 0 6) gen_wide_cube))
+    (fun (map, cubes) ->
+      let f = Array.get map in
+      let cubes = List.filter_map Fun.id cubes in
+      let cover = Cover.of_cubes cubes in
+      let renamed = List.map (rename_lits f) cubes in
+      let cube_ok c = function
+        | None -> Cube.rename_opt f c = None
+        | Some r -> (
+          Cube.equal (Cube.rename f c) r
+          && match Cube.rename_opt f c with
+             | Some c' -> Cube.equal c' r
+             | None -> false)
+      in
+      List.for_all2 cube_ok cubes renamed
+      && Cover.equal (Cover.rename_vars f cover)
+           (Cover.of_cubes (List.filter_map Fun.id renamed))
+      &&
+      match Cover.map_vars f cover with
+      | got ->
+        List.for_all Option.is_some renamed
+        && Cover.equal got (Cover.of_cubes (List.filter_map Fun.id renamed))
+      | exception Invalid_argument msg ->
+        List.exists Option.is_none renamed
+        && msg = "Cube.of_literals_exn: contradictory literals")
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_complement;
+      prop_rename_matches_literals;
       prop_minimize_preserves;
       prop_factor_preserves;
       prop_memo_complement;
