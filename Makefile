@@ -42,9 +42,9 @@ bench-service:
 
 # AIG backend gate: AIGER write/parse fixpoint, parse = compact, and
 # index-list round trips on the bundled .aag fixtures, then windowed
-# resubstitution asserting byte-identical output with window
-# verification on, a never-increasing gate count, and simulation
-# equivalence through the Network bridge.
+# resubstitution asserting that the end-of-run live recount agrees
+# (reported as a FAIL line, not a crash), a never-increasing gate
+# count, and simulation equivalence through the Network bridge.
 aigcheck:
 	dune exec bench/main.exe -- aigcheck
 
@@ -74,7 +74,7 @@ bench-aig:
 # quick totals), the degraded-run/trace gate,
 # the cube-kernel microbenchmark, the resident-
 # service miss/hit byte-identity gate, the AIG backend round-trip and
-# windowed-resub determinism gate, the external don't-care discipline
+# windowed-resub gate, the external don't-care discipline
 # gate, the constructive k-resub BDD-verify and floor gate, and the quick
 # machine-readable perf snapshot (writes BENCH_resub.json for cross-PR
 # trajectory tracking; fails if total cpu_seconds — including the

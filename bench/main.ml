@@ -1659,7 +1659,7 @@ let service_bench ?(clients = 8) ?(rounds = 5) rows =
 (* ------------------------------------------------------------------ *)
 
 let aig_check () =
-  section "aigcheck - AIGER round-trips + windowed resub byte-identity";
+  section "aigcheck - AIGER round-trips + windowed resub checks";
   let failures = ref 0 in
   let expect name ok =
     if not ok then incr failures;
@@ -1685,36 +1685,29 @@ let aig_check () =
       expect (name ^ ": index-list round trip")
         (Aig.to_index_list (Aig.of_index_list il) = il))
     fixtures;
-  (* Windowed resubstitution: byte-identical with window verification,
-     whose final live recount matches the incremental count; gate count
-     never increases, and the result simulates identically to the
-     original through the Network bridge. *)
+  (* Windowed resubstitution: the run's final live recount matches its
+     incremental count (a mismatch raises [Failure], reported as a
+     failed check); gate count never increases, and the result
+     simulates identically to the original through the Network
+     bridge. *)
   List.iter
     (fun name ->
       let a = Aiger.parse (read_whole_file (fixture name)) in
-      let run ?(verify_windows = false) () =
-        let config = { Synth.Aig_opt.default_config with verify_windows } in
-        Synth.Aig_opt.optimize ~config a
-      in
-      let opt1, stats1 = run () in
-      (* A verifying run also recounts the live gates of the spliced
-         graph once at the end and fails if the incremental count
-         differs. *)
-      (match run ~verify_windows:true () with
-      | opt_v, stats_v ->
+      match Synth.Aig_opt.optimize a with
+      | exception Failure msg -> expect (Printf.sprintf "%s: %s" name msg) false
+      | opt, stats ->
+        (* Returning at all means the recount agreed. *)
         expect
           (Printf.sprintf "%s: incremental live count %d = recount" name
-             stats_v.Synth.Aig_opt.live_gates)
-          (String.equal (Aiger.to_string opt1) (Aiger.to_string opt_v))
-      | exception Failure msg ->
-        expect (Printf.sprintf "%s: %s" name msg) false);
-      expect
-        (Printf.sprintf "%s: gates %d -> %d monotone" name
-           stats1.Synth.Aig_opt.gates_before stats1.Synth.Aig_opt.gates_after)
-        (stats1.Synth.Aig_opt.gates_after <= stats1.Synth.Aig_opt.gates_before);
-      expect
-        (Printf.sprintf "%s: simulation equivalent" name)
-        (Equiv.equivalent (Aig.to_network a) (Aig.to_network opt1)))
+             stats.Synth.Aig_opt.live_gates)
+          true;
+        expect
+          (Printf.sprintf "%s: gates %d -> %d monotone" name
+             stats.Synth.Aig_opt.gates_before stats.Synth.Aig_opt.gates_after)
+          (stats.Synth.Aig_opt.gates_after <= stats.Synth.Aig_opt.gates_before);
+        expect
+          (Printf.sprintf "%s: simulation equivalent" name)
+          (Equiv.equivalent (Aig.to_network a) (Aig.to_network opt)))
     [ "random_small.aag"; "planted_small.aag"; "random_medium.aag" ];
   if !failures > 0 then begin
     Printf.printf "aigcheck: %d check(s) FAILED\n" !failures;

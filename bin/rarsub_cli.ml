@@ -374,7 +374,6 @@ let optimize_aig_cmd =
       let counters = Rar_util.Counters.create () in
       let config =
         {
-          Synth.Aig_opt.default_config with
           Synth.Aig_opt.script =
             List.assoc request.Protocol.script Script.scripts;
           meth = List.assoc request.meth methods;
@@ -429,11 +428,28 @@ let optimize_aig_cmd =
           ~doc:"Gate cap per optimisation window.")
   in
   let max_leaves_arg =
+    let limit = Synth.Aig_opt.leaf_limit in
+    let leaves =
+      Arg.conv'
+        ( (fun s ->
+            match int_of_string_opt s with
+            | Some n when n <= limit -> Ok n
+            | _ ->
+              Error
+                (Printf.sprintf
+                   "invalid value '%s', expected an integer of at most %d" s
+                   limit)),
+          Format.pp_print_int )
+    in
     Arg.(
       value
-      & opt int Synth.Aig_opt.default_config.Synth.Aig_opt.max_leaves
+      & opt leaves Synth.Aig_opt.default_config.Synth.Aig_opt.max_leaves
       & info [ "max-leaves" ] ~docv:"N"
-          ~doc:"Leaf (window input) cap per optimisation window.")
+          ~doc:
+            (Printf.sprintf
+               "Leaf (window input) cap per optimisation window, at most \
+                %d: every window is checked over all its input patterns."
+               limit))
   in
   Cmd.v
     (Cmd.info "optimize-aig"

@@ -12,7 +12,6 @@ type config = {
   script : Script.step list;
   meth : Script.resub_method;
   settings : Script.settings;
-  verify_windows : bool;
   dc : Logic_network.Dont_care.t option;
 }
 
@@ -23,7 +22,6 @@ let default_config =
     script = Script.script_a;
     meth = Script.Ext;
     settings = Script.default_settings;
-    verify_windows = false;
     dc = None;
   }
 
@@ -110,6 +108,10 @@ let cube_limit = 128
 (* Windows of fewer gates are skipped. *)
 let min_gates = 3
 
+(* Widest window the exhaustive check accepts: 2^16 patterns, 1,024
+   words per node. *)
+let leaf_limit = 16
+
 (* Both phases are carried bottom-up so complemented edges are a swap,
    not a cover complementation: AND is [product] on the positive phase
    and [union] (De Morgan) on the negative one. Every cube is a
@@ -194,6 +196,10 @@ let splice aig wnet ~inputs leaves =
 
 let optimize ?(config = default_config) ?(trace = Trace.disabled) ?counters
     aig =
+  if config.max_leaves > leaf_limit then
+    invalid_arg
+      (Printf.sprintf "Aig_opt.optimize: max_leaves %d exceeds %d"
+         config.max_leaves leaf_limit);
   let work = Aig.compact aig in
   let gates_before = Aig.num_ands work in
   let n_inputs = Aig.num_inputs work in
@@ -220,7 +226,10 @@ let optimize ?(config = default_config) ?(trace = Trace.disabled) ?counters
      tracing, and 0 for a phase the window did not reach. *)
   let timed = Trace.enabled trace in
   let phase_names =
-    [| "grow_s"; "collapse_s"; "script_s"; "resub_s"; "splice_s"; "recount_s" |]
+    [|
+      "grow_s"; "collapse_s"; "script_s"; "resub_s"; "check_s"; "splice_s";
+      "recount_s";
+    |]
   in
   let seconds = Array.make (Array.length phase_names) 0. in
   let phase i f =
@@ -232,7 +241,7 @@ let optimize ?(config = default_config) ?(trace = Trace.disabled) ?counters
     end
   in
   let grow_p = 0 and collapse_p = 1 and script_p = 2 and resub_p = 3
-  and splice_p = 4 and recount_p = 5 in
+  and check_p = 4 and splice_p = 5 and recount_p = 6 in
   let window_event pivot gates leaves outcome =
     if timed then
       Trace.emit trace "aig_window"
@@ -331,25 +340,17 @@ let optimize ?(config = default_config) ?(trace = Trace.disabled) ?counters
         let wresub =
           Script.resub_command ~settings ?counters ?dc:wdc config.meth
         in
-        let reference =
-          if config.verify_windows then Some (Network.copy wnet) else None
-        in
+        let reference = phase check_p (fun () -> Network.copy wnet) in
         phase script_p (fun () ->
             Script.run ~resub:wresub ~trace:Trace.disabled wnet config.script);
         phase resub_p (fun () -> wresub wnet);
+        (* Every pattern over the leaves, modulo the window DC view:
+           masked patterns cannot occur, so the splice stays sound
+           globally. *)
         if
-          match reference with
-          | Some before -> (
-            (* Under a window DC view the rewrite only needs to hold on
-               the care set; the spliced result is still sound globally
-               because the masked patterns cannot occur. *)
-            match wdc with
-            | None -> not (Robdd.Of_network.equivalent before wnet)
-            | Some wdc -> (
-              match Logic_sim.Equiv.check ~dc:wdc before wnet with
-              | Logic_sim.Equiv.Equivalent -> false
-              | Logic_sim.Equiv.Counterexample _ -> true))
-          | None -> false
+          phase check_p (fun () ->
+              Logic_sim.Equiv.exhaustive ?dc:wdc reference wnet
+              <> Logic_sim.Equiv.Equivalent)
         then begin
           incr skipped;
           window_event pivot gates leaves "verify_failed"
@@ -400,10 +401,11 @@ let optimize ?(config = default_config) ?(trace = Trace.disabled) ?counters
      else if Aig_live.refs live p > 0 && not seen.(p) then process p
    done);
   let live_gates = Aig_live.count live in
-  if config.verify_windows && live_gates <> Aig.live_gate_count work then
+  let recount = Aig.live_gate_count work in
+  if live_gates <> recount then
     failwith
       (Printf.sprintf "Aig_opt: incremental live count %d, recount %d"
-         live_gates (Aig.live_gate_count work));
+         live_gates recount);
   let result = Aig.compact work in
   (* Compacting a substitution-heavy graph can strand gates that were
      rebuilt before their parent strash-folded onto an earlier node; a

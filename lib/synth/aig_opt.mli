@@ -20,27 +20,27 @@
     collapse gives some gate more than 128 cubes in either phase (it is
     skipped, not truncated).
 
+    Every optimised window is checked against its collapsed original
+    by {!Logic_sim.Equiv.exhaustive} over all leaf patterns, modulo the
+    window's projected DC view, before it is spliced; a window that
+    fails is skipped. The run also checks its incremental live count
+    against one full {!Logic_network.Aig.live_gate_count} at the end,
+    and fails with [Failure] if they differ.
+
     Windows are processed one at a time in deterministic (descending
     pivot id) order, each by one sequential resubstitution run, so the
     whole run is reproducible byte for byte. *)
 
 type config = {
   max_gates : int;  (** window size cap, gates (default 24) *)
-  max_leaves : int;  (** window leaf cap (default 8) *)
+  max_leaves : int;
+      (** window leaf cap (default 8, at most {!leaf_limit}) *)
   script : Script.step list;  (** run on each window before resub *)
   meth : Script.resub_method;
   settings : Script.settings;
       (** every window's {!Script.resub_command} settings; the deadline
           is also polled between windows, so a late run stops splicing
           and returns what it has *)
-  verify_windows : bool;
-      (** BDD-check every optimised window against its collapsed
-          original before splicing (belt-and-braces; windows are small
-          enough that this is cheap). With a window DC view in play the
-          check runs modulo DC ({!Logic_sim.Equiv.check} [?dc]). The run
-          also checks its incremental live count against one full
-          {!Logic_network.Aig.live_gate_count} at the end, and fails
-          with [Failure] if they differ. *)
   dc : Logic_network.Dont_care.t option;
       (** external don't-care view over the AIG's primary inputs
           (default [None]). Per window, EXCDC cubes whose every literal
@@ -52,7 +52,11 @@ type config = {
 }
 
 val default_config : config
-(** Script A, [Ext], {!Script.default_settings}, verification off. *)
+(** Script A, [Ext], {!Script.default_settings}, no DC view. *)
+
+val leaf_limit : int
+(** Widest [max_leaves] {!optimize} accepts (16): every window is
+    checked over all [2^leaves] input patterns. *)
 
 type stats = {
   gates_before : int;
@@ -62,8 +66,10 @@ type stats = {
           ([accepted + reverted + skipped]) *)
   accepted : int;  (** splices kept: strict live-gate-count win *)
   reverted : int;  (** splices undone: no win, or a {!Logic_network.Aig.Cycle} *)
-  skipped : int;  (** windows abandoned before splicing: too small,
-                      cover blowup, or the optimiser left it alone *)
+  skipped : int;
+      (** windows abandoned before splicing: too small, cover blowup,
+          the optimiser left it alone, or the optimised window failed
+          its check *)
   live_gates : int;
       (** live AND gates of the spliced graph before the final
           {!Logic_network.Aig.compact}, as the incremental live view
@@ -79,7 +85,8 @@ val optimize :
   Logic_network.Aig.t * stats
 (** Optimise every window of the AIG and return the compacted result
     (the input is not mutated — it is compacted into a working copy
-    first). [trace] receives [aig_window] events (pivot, gates, leaves,
-    outcome) and an [aig_opt] summary; [counters] accumulates division
-    tallies across all windows, and its snapshot rides on the summary
-    as [counters]. *)
+    first). Raises [Invalid_argument] when [config.max_leaves] exceeds
+    {!leaf_limit}. [trace] receives [aig_window] events (pivot, gates,
+    leaves, outcome, and the seconds of each phase) and an [aig_opt]
+    summary; [counters] accumulates division tallies across all
+    windows, and its snapshot rides on the summary as [counters]. *)

@@ -206,22 +206,68 @@ let test_aig_opt_monotone_and_equivalent () =
            (Aig.to_network optimised)))
     [ 1; 7; 42 ]
 
-let test_aig_opt_verified_windows () =
-  let config =
-    { Synth.Aig_opt.default_config with Synth.Aig_opt.verify_windows = true }
+(* Under an EXCDC view over a few primary inputs the run stays
+   equivalent modulo the view and never grows, and an empty view is
+   invisible: the same bytes as no view at all. *)
+let test_aig_opt_dc_view () =
+  List.iter
+    (fun seed ->
+      let a = planted_aig seed in
+      let before = Aig.compact a in
+      let names = List.map fst (Aig.inputs before) in
+      let dc = Logic_network.Dont_care.create () in
+      List.iter
+        (fun cube ->
+          Logic_network.Dont_care.add_excdc dc
+            (List.map (fun (i, v) -> (List.nth names i, v)) cube))
+        [
+          [ (0, true); (1, true) ]; [ (2, false); (3, true) ];
+          [ (4, true); (5, false) ];
+        ];
+      let run dc =
+        Synth.Aig_opt.optimize
+          ~config:{ Synth.Aig_opt.default_config with Synth.Aig_opt.dc }
+          a
+      in
+      let optimised, stats = run (Some dc) in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: equivalent modulo the view" seed)
+        true
+        (Logic_sim.Equiv.check ~dc (Aig.to_network before)
+           (Aig.to_network optimised)
+        = Logic_sim.Equiv.Equivalent);
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: gate count monotone (%d -> %d)" seed
+           stats.Synth.Aig_opt.gates_before stats.Synth.Aig_opt.gates_after)
+        true
+        (stats.Synth.Aig_opt.gates_after <= stats.Synth.Aig_opt.gates_before);
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d: empty view = no view" seed)
+        (Aiger.to_string (fst (run None)))
+        (Aiger.to_string (fst (run (Some (Logic_network.Dont_care.create ()))))))
+    [ 1; 7; 42 ]
+
+(* Every window is checked over all its leaf patterns, so a leaf cap
+   beyond [leaf_limit] is refused before any work. *)
+let test_aig_opt_leaf_limit () =
+  let config leaves =
+    { Synth.Aig_opt.default_config with Synth.Aig_opt.max_leaves = leaves }
   in
-  let a = planted_aig 5 in
-  let before = Aig.compact a in
-  let optimised, stats = Synth.Aig_opt.optimize ~config a in
-  Alcotest.(check bool) "monotone under verification" true
-    (stats.Synth.Aig_opt.gates_after <= stats.Synth.Aig_opt.gates_before);
-  Alcotest.(check bool) "function preserved under verification" true
-    (Robdd.Of_network.equivalent (Aig.to_network before)
-       (Aig.to_network optimised))
+  let limit = Synth.Aig_opt.leaf_limit in
+  Alcotest.(check bool) "the limit admits the default" true
+    (Synth.Aig_opt.default_config.Synth.Aig_opt.max_leaves <= limit);
+  ignore (Synth.Aig_opt.optimize ~config:(config limit) (planted_aig 1));
+  Alcotest.check_raises "one leaf over the limit"
+    (Invalid_argument
+       (Printf.sprintf "Aig_opt.optimize: max_leaves %d exceeds %d" (limit + 1)
+          limit))
+    (fun () ->
+      ignore (Synth.Aig_opt.optimize ~config:(config (limit + 1)) (planted_aig 1)))
 
 (* A traced run writes one [aig_window] event per window with the
-   seconds of each phase; phases a window never reached read 0, and
-   tracing does not move the output. *)
+   seconds of each phase; phases a window never reached read 0, the
+   check ([check_s]) times every optimised window, and tracing does not
+   move the output. *)
 let test_aig_opt_window_phases () =
   let path = Filename.temp_file "aig_window" ".jsonl" in
   let trace = Rar_util.Trace.to_file path in
@@ -251,8 +297,12 @@ let test_aig_opt_window_phases () =
     String.sub line start (!stop - start)
   in
   let phases =
-    [ "grow_s"; "collapse_s"; "script_s"; "resub_s"; "splice_s"; "recount_s" ]
+    [
+      "grow_s"; "collapse_s"; "script_s"; "resub_s"; "check_s"; "splice_s";
+      "recount_s";
+    ]
   in
+  let check_total = ref 0. in
   List.iter
     (fun line ->
       let seconds = List.map (fun p -> float_of_string (field line p)) phases in
@@ -262,11 +312,18 @@ let test_aig_opt_window_phases () =
       | {|"too_small"|} ->
         Alcotest.(check bool) "too_small reaches only grow" true
           (List.for_all (fun s -> s = 0.) (List.tl seconds))
-      | {|"unchanged"|} ->
-        Alcotest.(check (float 0.)) "unchanged skips the recount" 0.
-          (List.nth seconds 5)
-      | _ -> ())
-    windows
+      | {|"cover_blowup"|} ->
+        Alcotest.(check bool) "cover_blowup is never checked" true
+          (List.for_all (fun s -> s = 0.)
+             (List.filteri (fun i _ -> i >= 2) seconds))
+      | outcome ->
+        check_total := !check_total +. List.nth seconds 4;
+        if outcome = {|"unchanged"|} then
+          Alcotest.(check (float 0.)) "unchanged skips the recount" 0.
+            (List.nth seconds 6))
+    windows;
+  Alcotest.(check bool) "every optimised window is checked" true
+    (!check_total > 0.)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental live view                                               *)
@@ -473,8 +530,8 @@ let () =
             test_live_view_verdicts;
           Alcotest.test_case "monotone + equivalent" `Quick
             test_aig_opt_monotone_and_equivalent;
-          Alcotest.test_case "verified windows" `Quick
-            test_aig_opt_verified_windows;
+          Alcotest.test_case "DC view" `Quick test_aig_opt_dc_view;
+          Alcotest.test_case "leaf limit" `Quick test_aig_opt_leaf_limit;
           Alcotest.test_case "traced window phases" `Quick
             test_aig_opt_window_phases;
         ] );

@@ -619,80 +619,6 @@ let prop_implication_soundness =
             List.for_all (fun values -> values id = v) !consistent)
           (Imply.assigned_nodes engine))
 
-
-(* ------------------------------------------------------------------ *)
-(* Circuit SAT and SAT-based test generation                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_satisfy_basic () =
-  let net =
-    Builder.of_spec ~inputs:[ "a"; "b"; "c" ]
-      ~nodes:[ ("g", "ab + c") ]
-      ~outputs:[ "g" ]
-  in
-  let g = Builder.node net "g" in
-  (match Atpg.Solve.satisfy net ~node:g ~value:true with
-  | Atpg.Solve.Unsat | Atpg.Solve.Exhausted _ ->
-    Alcotest.fail "satisfiable goal"
-  | Atpg.Solve.Sat model ->
-    let assign id = Option.value (List.assoc_opt id model) ~default:false in
-    Alcotest.(check bool) "model works" true (Network.eval net assign g));
-  (* An unsatisfiable goal: xor(a,a) = 1 via two nodes. *)
-  let net2 =
-    Builder.of_spec ~inputs:[ "a" ]
-      ~nodes:[ ("p", "a"); ("q", "pa' + p'a") ]
-      ~outputs:[ "q" ]
-  in
-  Alcotest.(check bool) "unsat detected" true
-    (Atpg.Solve.satisfy net2 ~node:(Builder.node net2 "q") ~value:true
-    = Atpg.Solve.Unsat)
-
-let test_miter () =
-  let net1 = Builder.of_spec ~inputs:[ "a"; "b" ] ~nodes:[ ("f", "ab") ] ~outputs:[ "f" ] in
-  let net2 = Builder.of_spec ~inputs:[ "a"; "b" ] ~nodes:[ ("f", "a + b") ] ~outputs:[ "f" ] in
-  let m, out = Atpg.Solve.miter net1 net2 in
-  Network.check m;
-  (match Atpg.Solve.satisfy m ~node:out ~value:true with
-  | Atpg.Solve.Unsat | Atpg.Solve.Exhausted _ ->
-    Alcotest.fail "differing circuits must have a distinguishing input"
-  | Atpg.Solve.Sat _ -> ());
-  let m2, out2 = Atpg.Solve.miter net1 (Network.copy net1) in
-  Alcotest.(check bool) "identical circuits yield unsat miter" true
-    (Atpg.Solve.satisfy m2 ~node:out2 ~value:true = Atpg.Solve.Unsat)
-
-let prop_sat_test_generation_matches_exhaustive =
-  QCheck2.Test.make
-    ~name:"SAT-based test generation agrees with exhaustive injection"
-    ~count:25 ~print:Network.to_string gen_net (fun net ->
-      List.for_all
-        (fun id ->
-          List.for_all
-            (fun wire ->
-              let exhaustive = Equiv.equivalent net (Fault.inject net wire) in
-              let sat = Atpg.Solve.find_test net wire in
-              (* untestable <=> no test found *)
-              exhaustive = (sat = Atpg.Solve.Unsat)
-              &&
-              (* any returned vector must actually detect the fault *)
-              match sat with
-              | Atpg.Solve.Unsat -> true
-              | Atpg.Solve.Exhausted _ -> false
-              | Atpg.Solve.Sat vector ->
-                let faulty = Fault.inject net wire in
-                let assign n nid =
-                  Option.value
-                    (List.assoc_opt (Network.name n nid) vector)
-                    ~default:false
-                in
-                List.exists
-                  (fun (po, good_id) ->
-                    let bad_id = List.assoc po (Network.outputs faulty) in
-                    Network.eval net (assign net) good_id
-                    <> Network.eval faulty (assign faulty) bad_id)
-                  (Network.outputs net))
-            (Fault.all_wires net id))
-        (Network.logic_ids net))
-
 let prop_remove_preserves =
   QCheck2.Test.make ~name:"redundancy removal preserves function" ~count:80
     ~print:Network.to_string gen_net (fun net ->
@@ -2041,7 +1967,6 @@ let qcheck_cases =
       prop_remove_never_grows;
       prop_redundant_is_sound;
       prop_implication_soundness;
-      prop_sat_test_generation_matches_exhaustive;
       prop_dominators_match_frozen;
       prop_engine_matches_frozen;
       prop_refresh_matches_fresh;
@@ -2092,8 +2017,6 @@ let () =
           Alcotest.test_case "region removal" `Quick test_remove_with_region;
           Alcotest.test_case "fault injection" `Quick test_inject_semantics;
           Alcotest.test_case "test generation" `Quick test_find_test;
-          Alcotest.test_case "circuit sat" `Quick test_satisfy_basic;
-          Alcotest.test_case "miter" `Quick test_miter;
           Alcotest.test_case "redundancy coverage" `Quick test_redundancy_coverage;
         ] );
       ( "arena",
