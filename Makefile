@@ -40,8 +40,8 @@ servicecheck:
 bench-service:
 	dune exec bench/main.exe -- service quick
 
-# AIG backend gate: AIGER write/parse fixpoint, parse = compact, and
-# index-list round trips on the bundled .aag fixtures, then windowed
+# AIG backend gate: AIGER write/parse fixpoint and parse = compact on
+# the bundled .aag fixtures, then windowed
 # resubstitution asserting that the end-of-run live recount agrees
 # (reported as a FAIL line, not a crash), a never-increasing gate
 # count, and simulation equivalence through the Network bridge.

@@ -1679,11 +1679,7 @@ let aig_check () =
       let b = Aiger.parse canon in
       expect (name ^ ": parse = compact") (Aig.equal b (Aig.compact a));
       expect (name ^ ": write/parse fixpoint")
-        (String.equal (Aiger.to_string b) canon);
-      (* Index lists drop names, so the round trip is structural. *)
-      let il = Aig.to_index_list b in
-      expect (name ^ ": index-list round trip")
-        (Aig.to_index_list (Aig.of_index_list il) = il))
+        (String.equal (Aiger.to_string b) canon))
     fixtures;
   (* Windowed resubstitution: the run's final live recount matches its
      incremental count (a mismatch raises [Failure], reported as a

@@ -59,14 +59,21 @@ let load ~circuit ~file ~exdc =
   | base, _ -> base
 
 (* Print the verdict of checking [after] against [before] (modulo [dc]
-   when given); a mismatch prints a counterexample and exits 2. *)
+   when given), and whether a pass is a proof; a mismatch prints a
+   counterexample and exits 2. *)
 let verify ?dc before after =
   let label =
     if Option.is_some dc then "equivalence check (modulo DC)"
     else "equivalence check"
   in
   match Logic_sim.Equiv.check ?dc before after with
-  | Logic_sim.Equiv.Equivalent -> Printf.printf "%s: pass\n" label
+  | Logic_sim.Equiv.Equivalent ->
+    let n = List.length (Network.inputs before) in
+    if n <= Logic_sim.Equiv.exhaustive_cut then
+      Printf.printf "%s: pass (exhaustive, %d inputs)\n" label n
+    else
+      Printf.printf "%s: pass (sampled, %d patterns, not a proof)\n" label
+        (64 * Logic_sim.Equiv.check_words)
   | Logic_sim.Equiv.Counterexample { output; assignment } ->
     Printf.printf "%s: FAIL\n" label;
     Printf.printf "counterexample: output %s differs under %s\n" output
@@ -420,36 +427,46 @@ let optimize_aig_cmd =
       & info [ "f"; "file" ] ~docv:"FILE"
           ~doc:"Read the circuit from an ASCII-AIGER ($(b,.aag)) file.")
   in
+  (* An integer accepted by [ok], refused (exit 124) with [expected]. *)
+  let bounded ok expected =
+    Arg.conv'
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some n when ok n -> Ok n
+          | _ ->
+            Error (Printf.sprintf "invalid value '%s', expected %s" s expected)),
+        Format.pp_print_int )
+  in
   let max_window_arg =
+    let floor = Synth.Aig_opt.min_gates in
     Arg.(
       value
-      & opt int Synth.Aig_opt.default_config.Synth.Aig_opt.max_gates
+      & opt
+          (bounded (fun n -> n >= floor)
+             (Printf.sprintf "an integer of at least %d" floor))
+          Synth.Aig_opt.default_config.Synth.Aig_opt.max_gates
       & info [ "max-window" ] ~docv:"N"
-          ~doc:"Gate cap per optimisation window.")
+          ~doc:
+            (Printf.sprintf
+               "Gate cap per optimisation window, at least %d: smaller \
+                windows are skipped."
+               floor))
   in
   let max_leaves_arg =
-    let limit = Synth.Aig_opt.leaf_limit in
-    let leaves =
-      Arg.conv'
-        ( (fun s ->
-            match int_of_string_opt s with
-            | Some n when n <= limit -> Ok n
-            | _ ->
-              Error
-                (Printf.sprintf
-                   "invalid value '%s', expected an integer of at most %d" s
-                   limit)),
-          Format.pp_print_int )
-    in
+    let floor = Synth.Aig_opt.min_leaves and limit = Synth.Aig_opt.leaf_limit in
     Arg.(
       value
-      & opt leaves Synth.Aig_opt.default_config.Synth.Aig_opt.max_leaves
+      & opt
+          (bounded
+             (fun n -> n >= floor && n <= limit)
+             (Printf.sprintf "an integer from %d to %d" floor limit))
+          Synth.Aig_opt.default_config.Synth.Aig_opt.max_leaves
       & info [ "max-leaves" ] ~docv:"N"
           ~doc:
             (Printf.sprintf
-               "Leaf (window input) cap per optimisation window, at most \
+               "Leaf (window input) cap per optimisation window, from %d to \
                 %d: every window is checked over all its input patterns."
-               limit))
+               floor limit))
   in
   Cmd.v
     (Cmd.info "optimize-aig"

@@ -122,6 +122,9 @@ let resolve t l =
     !l
   end
 
+let fanin_nodes t node =
+  (lit_node (resolve t (fanin0 t node)), lit_node (resolve t (fanin1 t node)))
+
 let add_and t a b =
   let a = resolve t a and b = resolve t b in
   check_node t (lit_node a) "add_and";
@@ -261,86 +264,6 @@ let compact t =
   nt
 
 (* ------------------------------------------------------------------ *)
-(* Index lists                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let to_index_list t =
-  if Hashtbl.length t.repl > 0 then
-    invalid_arg "Aig.to_index_list: substitutions pending (compact first)";
-  let n_outs = List.length t.outs_rev in
-  let n_ands = num_ands t in
-  let arr = Array.make (3 + (2 * n_ands) + n_outs) 0 in
-  arr.(0) <- t.n_inputs;
-  arr.(1) <- n_outs;
-  arr.(2) <- n_ands;
-  for k = 0 to n_ands - 1 do
-    let node = 1 + t.n_inputs + k in
-    arr.(3 + (2 * k)) <- t.f0.(node);
-    arr.(3 + (2 * k) + 1) <- t.f1.(node)
-  done;
-  List.iteri
-    (fun i (_, l) -> arr.(3 + (2 * n_ands) + i) <- l)
-    (List.rev t.outs_rev);
-  arr
-
-let of_index_list arr =
-  if Array.length arr < 3 then invalid_arg "Aig.of_index_list: truncated";
-  let n_ins = arr.(0) and n_outs = arr.(1) and n_ands = arr.(2) in
-  if
-    n_ins < 0 || n_outs < 0 || n_ands < 0
-    || Array.length arr <> 3 + (2 * n_ands) + n_outs
-  then invalid_arg "Aig.of_index_list: length mismatch";
-  let t = create () in
-  (* Replaying through add_and can fold, so old ids are remapped. *)
-  let map = Array.make (1 + n_ins + n_ands) (-1) in
-  map.(0) <- const_false;
-  for i = 1 to n_ins do
-    ignore (add_input t (Printf.sprintf "i%d" (i - 1)));
-    map.(i) <- lit_of_node i
-  done;
-  let ml l =
-    let node = lit_node l in
-    if node >= Array.length map || map.(node) < 0 then
-      invalid_arg "Aig.of_index_list: forward or out-of-range literal";
-    map.(node) lxor (l land 1)
-  in
-  for k = 0 to n_ands - 1 do
-    let a = arr.(3 + (2 * k)) and b = arr.(3 + (2 * k) + 1) in
-    map.(1 + n_ins + k) <- add_and t (ml a) (ml b)
-  done;
-  for i = 0 to n_outs - 1 do
-    add_output t (Printf.sprintf "o%d" i) (ml arr.(3 + (2 * n_ands) + i))
-  done;
-  t
-
-(* ------------------------------------------------------------------ *)
-(* Evaluation                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let eval_words t ~input_values ~words =
-  (* Compacting first resolves substitutions and guarantees ids are in
-     topological order, so a single ascending sweep suffices (and no
-     recursion that could overflow on deep OR chains). *)
-  let t = compact t in
-  let values = Array.make t.n [||] in
-  values.(0) <- Array.make words 0L;
-  for i = 1 to t.n_inputs do
-    let v = input_values (i - 1) in
-    if Array.length v <> words then
-      invalid_arg "Aig.eval_words: input word count mismatch";
-    values.(i) <- v
-  done;
-  let edge l =
-    let v = values.(lit_node l) in
-    if lit_is_compl l then Array.map Int64.lognot v else v
-  in
-  for node = 1 + t.n_inputs to t.n - 1 do
-    let a = edge t.f0.(node) and b = edge t.f1.(node) in
-    values.(node) <- Array.init words (fun w -> Int64.logand a.(w) b.(w))
-  done;
-  List.map (fun (name, l) -> (name, edge l)) (List.rev t.outs_rev)
-
-(* ------------------------------------------------------------------ *)
 (* Structural equality                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -429,34 +352,45 @@ let to_network t =
   Network.check net;
   net
 
-let of_network net =
-  let t = create () in
-  let lit_of = Hashtbl.create 256 in
-  List.iter
-    (fun id -> Hashtbl.replace lit_of id (add_input t (Network.name net id)))
-    (Network.inputs net);
+(* Tseitin: each cube is an AND chain from [const_true] in [Cube]
+   literal order, each cover an OR chain of its cubes from
+   [const_false], every logic node built in topological order (dangling
+   ones included). Strash hits and node ids depend on exactly this
+   order, and [compact]'s DFS order on the ids. *)
+let add_network t net ~input =
+  let lit_of = Hashtbl.create 64 in
   List.iter
     (fun id ->
-      if not (Network.is_input net id) then begin
-        let fanins = Network.fanins net id in
-        let cover = Network.cover net id in
-        let cube_lit cube =
-          Cube.fold_literals
-            (fun acc l ->
-              let base = Hashtbl.find lit_of fanins.(Literal.var l) in
-              let edge = if Literal.is_pos l then base else lit_not base in
-              add_and t acc edge)
-            const_true cube
-        in
-        let l =
+      let l =
+        if Network.is_input net id then input id
+        else begin
+          let fanins = Network.fanins net id in
+          let cube_lit cube =
+            Cube.fold_literals
+              (fun acc l ->
+                let base = Hashtbl.find lit_of fanins.(Literal.var l) in
+                let edge = if Literal.is_pos l then base else lit_not base in
+                add_and t acc edge)
+              const_true cube
+          in
           List.fold_left
             (fun acc cube -> add_or t acc (cube_lit cube))
-            const_false (Cover.cubes cover)
-        in
-        Hashtbl.replace lit_of id l
-      end)
+            const_false
+            (Cover.cubes (Network.cover net id))
+        end
+      in
+      Hashtbl.replace lit_of id l)
     (Network.topological net);
+  List.map (fun (_, id) -> Hashtbl.find lit_of id) (Network.outputs net)
+
+let of_network net =
+  let t = create () in
+  let inputs = Hashtbl.create 64 in
   List.iter
-    (fun (name, id) -> add_output t name (Hashtbl.find lit_of id))
-    (Network.outputs net);
+    (fun id -> Hashtbl.replace inputs id (add_input t (Network.name net id)))
+    (Network.inputs net);
+  List.iter2
+    (fun (name, _) l -> add_output t name l)
+    (Network.outputs net)
+    (add_network t net ~input:(Hashtbl.find inputs));
   t

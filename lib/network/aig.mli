@@ -25,8 +25,9 @@ type lit = int
 exception Cycle
 (** Raised by {!resolve}, {!live_gate_count} and {!compact} when the
     substitution table creates a combinational loop (a replacement cone
-    that reaches the node it replaces). The windowed driver treats this
-    as a failed splice and reverts. *)
+    that reaches the node it replaces). The windowed driver learns of
+    such a loop from {!Aig_live.apply}, which finds it without a global
+    walk, and reverts the splice. *)
 
 (** {1 Literals} *)
 
@@ -93,10 +94,13 @@ val outputs : t -> (string * lit) list
 
     The splice discipline of the windowed driver: replacing node [n] by
     literal [l] records [n -> l] in a side table; every read that
-    matters ({!add_and} inputs, {!live_gate_count}, {!compact},
-    {!eval_words}) chases the table. A replacement is validated by
-    {!live_gate_count} — which detects both gate-count regressions and
-    {!Cycle}s — and either kept or reverted with {!clear_substitute}. *)
+    matters ({!add_and} inputs, {!fanin_nodes}, {!live_gate_count},
+    {!compact}) chases the table. A replacement is validated by
+    {!Aig_live} — which detects both gate-count regressions and
+    {!Cycle}s through incremental reference counts — and either kept or
+    reverted with {!clear_substitute}. {!live_gate_count} is the
+    independent full recount the driver checks it against once per
+    run. *)
 
 val substitute : t -> int -> lit -> unit
 (** [substitute t n l]: node [n] now denotes literal [l]. [n] must be
@@ -106,6 +110,11 @@ val clear_substitute : t -> int -> unit
 
 val resolve : t -> lit -> lit
 (** Chase substitutions to a live literal. @raise Cycle on a loop. *)
+
+val fanin_nodes : t -> int -> int * int
+(** The nodes an AND node's two fanin edges resolve to through the
+    substitution table (node [0] for a constant edge).
+    @raise Invalid_argument on a non-AND node, {!Cycle} as {!resolve}. *)
 
 val live_gate_count : t -> int
 (** AND nodes reachable from the outputs, resolving substitutions.
@@ -117,31 +126,6 @@ val compact : t -> t
     substitutions resolved, garbage dropped and structure re-hashed.
     [compact] is idempotent: compacting a compacted graph reproduces it
     node for node. *)
-
-(** {1 Index lists}
-
-    Compact integer encodings of whole graphs in the style of
-    mockturtle's [index_list] test cases:
-    [[| num_inputs; num_outputs; num_ands; f0_1; f1_1; ...; out_1; ... |]]
-    with two fanin literals per AND node in id order, then one literal
-    per output. Names are not encoded; {!of_index_list} names inputs
-    [i0, i1, ...] and outputs [o0, o1, ...]. Decoding replays the gates
-    through {!add_and}, so a non-canonical list canonicalises (with
-    fanin literals remapped through the fold). *)
-
-val to_index_list : t -> int array
-(** @raise Invalid_argument if substitutions are pending ({!compact}
-    first). *)
-
-val of_index_list : int array -> t
-(** @raise Invalid_argument on a malformed encoding. *)
-
-(** {1 Evaluation} *)
-
-val eval_words : t -> input_values:(int -> int64 array) -> words:int -> (string * int64 array) list
-(** Bit-parallel evaluation: [input_values i] are the pattern words of
-    the [i]-th input (in {!inputs} order); returns one word array per
-    output, substitutions resolved. *)
 
 (** {1 Structural equality} *)
 
@@ -160,7 +144,18 @@ val to_network : t -> Network.t
     that needs one. Input and output names are preserved, so the result
     feeds the existing equivalence checkers directly. *)
 
+val add_network : t -> Network.t -> input:(Network.node_id -> lit) -> lit list
+(** [add_network t net ~input] builds every logic node of [net] into [t]
+    over the literals [input id] given for [net]'s inputs and returns the
+    literals of [net]'s outputs, in {!Network.outputs} order. Tseitin
+    decomposition: each cube becomes an AND chain over its literals in
+    cube order, each cover a De Morgan OR chain over its cubes, and the
+    nodes are built in {!Network.topological} order (dangling ones too),
+    strashed and resolved as they go. This order fixes the new node ids,
+    so the same network over the same literals always builds the same
+    nodes. The windowed driver splices optimised windows back with it. *)
+
 val of_network : Network.t -> t
-(** Tseitin-style decomposition: each logic node's SOP becomes an AND
-    tree per cube and a De Morgan OR tree over the cubes, structurally
-    hashed as it is built. *)
+(** A fresh graph with one input per network input (same names and
+    order), the logic built by {!add_network}, and one output per
+    network output. *)

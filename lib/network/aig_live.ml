@@ -49,10 +49,6 @@ type t = {
   mutable pending : pending option;
 }
 
-let fanin_nodes aig g =
-  ( Aig.lit_node (Aig.resolve aig (Aig.fanin0 aig g)),
-    Aig.lit_node (Aig.resolve aig (Aig.fanin1 aig g)) )
-
 let extend a n fill =
   if Array.length a >= n then a
   else begin
@@ -121,7 +117,7 @@ let create aig =
         | '\001' ->
           Bytes.set color x '\002';
           stack := rest;
-          let a, b = fanin_nodes aig x in
+          let a, b = Aig.fanin_nodes aig x in
           t.level.(x) <- 1 + max t.level.(a) t.level.(b);
           List.iter
             (fun y ->
@@ -132,7 +128,7 @@ let create aig =
         | _ ->
           if Aig.is_and aig x then begin
             Bytes.set color x '\001';
-            let a, b = fanin_nodes aig x in
+            let a, b = Aig.fanin_nodes aig x in
             List.iter
               (fun y ->
                 match Bytes.get color y with
@@ -192,7 +188,7 @@ let find_loop t moved =
         end
         else begin
           t.mark.(x) <- grey;
-          let a, b = fanin_nodes aig x in
+          let a, b = Aig.fanin_nodes aig x in
           List.iter
             (fun y ->
               let c = t.mark.(y) in
@@ -221,7 +217,7 @@ let apply t subs =
   let killed = ref [] in
   let rec kill x =
     t.count <- t.count - 1;
-    let a, b = fanin_nodes aig x in
+    let a, b = Aig.fanin_nodes aig x in
     killed := (x, a, b) :: !killed;
     deref a;
     deref b
@@ -267,7 +263,7 @@ let apply t subs =
         set_refs t y (was + k);
         if was = 0 && Aig.is_and aig y then begin
           t.count <- t.count + 1;
-          let a, b = fanin_nodes aig y in
+          let a, b = Aig.fanin_nodes aig y in
           add a 1;
           add b 1;
           born := y :: !born
@@ -302,7 +298,7 @@ let commit t =
       p.killed;
     List.iter
       (fun y ->
-        let a, b = fanin_nodes aig y in
+        let a, b = Aig.fanin_nodes aig y in
         t.level.(y) <- 1 + max t.level.(a) t.level.(b);
         add_fanout t a y;
         add_fanout t b y)
@@ -323,7 +319,7 @@ let commit t =
       | [] -> ()
       | u :: rest ->
         raise_ := rest;
-        let a, b = fanin_nodes aig u in
+        let a, b = Aig.fanin_nodes aig u in
         let l = 1 + max t.level.(a) t.level.(b) in
         if l > t.level.(u) then begin
           t.level.(u) <- l;

@@ -131,8 +131,13 @@ let random ?(seed = 0x5eed) ?(words = 64) ?dc net1 net2 =
   compare_under ?dc net1 net2 ~words
     ~inputs1:(Simulate.random_inputs rng ~words)
 
+let exhaustive_cut = 14
+
+let check_words = 256
+
 let check ?dc net1 net2 =
-  let n = List.length (Network.inputs net1) in
-  if n <= 14 then exhaustive ?dc net1 net2 else random ~words:256 ?dc net1 net2
+  if List.length (Network.inputs net1) <= exhaustive_cut then
+    exhaustive ?dc net1 net2
+  else random ~words:check_words ?dc net1 net2
 
 let equivalent net1 net2 = check net1 net2 = Equivalent

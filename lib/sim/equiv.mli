@@ -36,14 +36,22 @@ val random :
 (** Random simulation with [64 * words] patterns (default 64 words).
     [Equivalent] means "no difference found". *)
 
+val exhaustive_cut : int
+(** Widest network {!check} proves exhaustively (14 inputs). *)
+
+val check_words : int
+(** Pattern words {!check} samples above {!exhaustive_cut} (256, so
+    16,384 random patterns). *)
+
 val check :
   ?dc:Logic_network.Dont_care.t ->
   Logic_network.Network.t ->
   Logic_network.Network.t ->
   result
-(** {!exhaustive} when the input count allows it, otherwise {!random} with
-    a generous pattern budget: the verifier behind [--verify], modulo
-    [dc] when a [.exdc] section or [--exdc] file is in play. *)
+(** {!exhaustive} up to {!exhaustive_cut} inputs, otherwise {!random}
+    over {!check_words} words, whose [Equivalent] is not a proof: the
+    verifier behind [--verify], modulo [dc] when a [.exdc] section or
+    [--exdc] file is in play. *)
 
 val equivalent : Logic_network.Network.t -> Logic_network.Network.t -> bool
 (** [check] collapsed to a boolean. *)

@@ -35,11 +35,6 @@ type stats = {
   live_gates : int;
 }
 
-(* Resolved fanin node of one stored edge; node 0 for constants. *)
-let resolved_fanins aig g =
-  ( Aig.lit_node (Aig.resolve aig (Aig.fanin0 aig g)),
-    Aig.lit_node (Aig.resolve aig (Aig.fanin1 aig g)) )
-
 (* ------------------------------------------------------------------ *)
 (* Window growing                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -56,7 +51,7 @@ let grow aig ~max_gates ~max_leaves pivot =
     let s = Hashtbl.create 64 in
     Hashtbl.iter
       (fun g () ->
-        let m0, m1 = resolved_fanins aig g in
+        let m0, m1 = Aig.fanin_nodes aig g in
         List.iter
           (fun m ->
             if m <> 0 && not (Hashtbl.mem in_window m) then
@@ -108,6 +103,10 @@ let cube_limit = 128
 (* Windows of fewer gates are skipped. *)
 let min_gates = 3
 
+(* A pivot alone already has two leaves (a strashed gate's fanins are
+   distinct nodes), so a lower cap never grows a window past it. *)
+let min_leaves = 2
+
 (* Widest window the exhaustive check accepts: 2^16 patterns, 1,024
    words per node. *)
 let leaf_limit = 16
@@ -151,46 +150,6 @@ let collapse aig gates leaves =
   fun g -> fst (Hashtbl.find memo g)
 
 (* ------------------------------------------------------------------ *)
-(* Tseitin splice: optimised window network -> new AIG nodes           *)
-(* ------------------------------------------------------------------ *)
-
-(* Rebuild the optimised window inside the big AIG, mapping window
-   input [inputs.(i)] to the [i]-th leaf. [Aig.add_and] strashes and
-   resolves as it goes, so an unchanged window reproduces its original
-   gates literally (and the root substitution below is skipped). *)
-let splice aig wnet ~inputs leaves =
-  let value = Hashtbl.create 64 in
-  List.iteri
-    (fun i leaf ->
-      (* Ids are never reused, so a missing one is an unused input the
-         optimiser dropped. *)
-      if Network.mem wnet inputs.(i) then
-        Hashtbl.replace value inputs.(i) (Aig.lit_of_node leaf))
-    leaves;
-  let lit_of_cube fanins cube =
-    List.fold_left
-      (fun acc l ->
-        let base = Hashtbl.find value fanins.(Literal.var l) in
-        let base = if Literal.is_pos l then base else Aig.lit_not base in
-        Aig.add_and aig acc base)
-      Aig.const_true (Cube.literals cube)
-  in
-  List.iter
-    (fun id ->
-      if not (Hashtbl.mem value id) then begin
-        let fanins = Network.fanins wnet id in
-        let l =
-          List.fold_left
-            (fun acc cube -> Aig.add_or aig acc (lit_of_cube fanins cube))
-            Aig.const_false
-            (Cover.cubes (Network.cover wnet id))
-        in
-        Hashtbl.replace value id l
-      end)
-    (Network.topological wnet);
-  List.map (fun (name, id) -> (name, Hashtbl.find value id)) (Network.outputs wnet)
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -200,6 +159,14 @@ let optimize ?(config = default_config) ?(trace = Trace.disabled) ?counters
     invalid_arg
       (Printf.sprintf "Aig_opt.optimize: max_leaves %d exceeds %d"
          config.max_leaves leaf_limit);
+  if config.max_leaves < min_leaves then
+    invalid_arg
+      (Printf.sprintf "Aig_opt.optimize: max_leaves %d is below %d"
+         config.max_leaves min_leaves);
+  if config.max_gates < min_gates then
+    invalid_arg
+      (Printf.sprintf "Aig_opt.optimize: max_gates %d is below %d"
+         config.max_gates min_gates);
   let work = Aig.compact aig in
   let gates_before = Aig.num_ands work in
   let n_inputs = Aig.num_inputs work in
@@ -281,7 +248,7 @@ let optimize ?(config = default_config) ?(trace = Trace.disabled) ?counters
             let internal = Hashtbl.create 64 in
             List.iter
               (fun g ->
-                let m0, m1 = resolved_fanins work g in
+                let m0, m1 = Aig.fanin_nodes work g in
                 List.iter
                   (fun m ->
                     Hashtbl.replace internal m
@@ -358,10 +325,14 @@ let optimize ?(config = default_config) ?(trace = Trace.disabled) ?counters
         else begin
           let subs =
             phase splice_p (fun () ->
-                let out_lits = splice work wnet ~inputs:pis leaves in
-                List.mapi
-                  (fun i r -> (r, List.assoc (Printf.sprintf "y%d" i) out_lits))
-                  roots
+                (* Window input [pis.(i)] is the [i]-th leaf; an input
+                   the optimiser dropped is never asked for. *)
+                let leaf = Hashtbl.create 16 in
+                List.iteri
+                  (fun i m -> Hashtbl.replace leaf pis.(i) (Aig.lit_of_node m))
+                  leaves;
+                Aig.add_network work wnet ~input:(Hashtbl.find leaf)
+                |> List.combine roots
                 |> List.filter (fun (r, l) -> Aig.lit_node l <> r))
           in
           if subs = [] then begin

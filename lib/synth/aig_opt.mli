@@ -7,7 +7,9 @@
     gate: its gates are collapsed to SOP covers over the window leaves,
     the resulting miniature {!Logic_network.Network} is optimised with
     the existing scripts and resubstitution methods, and the optimised
-    network is Tseitin-spliced back into the AIG through
+    network is Tseitin-built back into the AIG over the leaves by
+    {!Logic_network.Aig.add_network} (the builder behind
+    {!Logic_network.Aig.of_network}) and spliced in through
     {!Logic_network.Aig.substitute}. A splice is kept only when the
     global live gate count strictly drops (and the substitution did not
     close a combinational loop — see {!Logic_network.Aig.Cycle}), so
@@ -16,7 +18,7 @@
     at a cost per splice bounded by the roots' MFFCs and the new cones,
     not by the graph.
 
-    Windows of fewer than 3 gates are skipped, and so is a window whose
+    Windows of fewer than {!min_gates} gates are skipped, and so is a window whose
     collapse gives some gate more than 128 cubes in either phase (it is
     skipped, not truncated).
 
@@ -32,9 +34,11 @@
     whole run is reproducible byte for byte. *)
 
 type config = {
-  max_gates : int;  (** window size cap, gates (default 24) *)
+  max_gates : int;
+      (** window size cap, gates (default 24, at least {!min_gates}) *)
   max_leaves : int;
-      (** window leaf cap (default 8, at most {!leaf_limit}) *)
+      (** window leaf cap (default 8, from {!min_leaves} to
+          {!leaf_limit}) *)
   script : Script.step list;  (** run on each window before resub *)
   meth : Script.resub_method;
   settings : Script.settings;
@@ -57,6 +61,14 @@ val default_config : config
 val leaf_limit : int
 (** Widest [max_leaves] {!optimize} accepts (16): every window is
     checked over all [2^leaves] input patterns. *)
+
+val min_leaves : int
+(** Narrowest [max_leaves] {!optimize} accepts (2): a gate alone already
+    has two leaves, so a lower cap would skip every window. *)
+
+val min_gates : int
+(** Windows of fewer gates are skipped (3), so it is also the smallest
+    [max_gates] {!optimize} accepts. *)
 
 type stats = {
   gates_before : int;
@@ -85,8 +97,9 @@ val optimize :
   Logic_network.Aig.t * stats
 (** Optimise every window of the AIG and return the compacted result
     (the input is not mutated — it is compacted into a working copy
-    first). Raises [Invalid_argument] when [config.max_leaves] exceeds
-    {!leaf_limit}. [trace] receives [aig_window] events (pivot, gates,
+    first). Raises [Invalid_argument] when [config.max_leaves] is
+    outside {!min_leaves}..{!leaf_limit} or [config.max_gates] is below
+    {!min_gates}: such caps would skip every window. [trace] receives [aig_window] events (pivot, gates,
     leaves, outcome, and the seconds of each phase) and an [aig_opt]
     summary; [counters] accumulates division tallies across all
     windows, and its snapshot rides on the summary as [counters]. *)

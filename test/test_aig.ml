@@ -1,5 +1,5 @@
-(* AIG backend: strashing, AIGER I/O, index lists, SOP bridges, and the
-   windowed optimisation driver. *)
+(* AIG backend: strashing, AIGER I/O, SOP bridges, and the windowed
+   optimisation driver. *)
 
 module Aig = Logic_network.Aig
 module Aiger = Logic_network.Aiger
@@ -27,24 +27,6 @@ let test_strash_folding () =
   Alcotest.(check bool) "different gate for different fanins" true
     (Aig.lit_node c <> Aig.lit_node n1);
   Alcotest.(check int) "two gates now" 2 (Aig.num_ands a)
-
-(* ------------------------------------------------------------------ *)
-(* Bit-parallel evaluation                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_eval_words () =
-  let a = Aig.create () in
-  let x = Aig.add_input a "x" and y = Aig.add_input a "y" in
-  let xor = Aig.add_or a
-      (Aig.add_and a x (Aig.lit_not y))
-      (Aig.add_and a (Aig.lit_not x) y)
-  in
-  Aig.add_output a "f" xor;
-  Aig.add_output a "t" Aig.const_true;
-  let patterns = [| [| 0b1010L |]; [| 0b1100L |] |] in
-  let outs = Aig.eval_words a ~input_values:(fun i -> patterns.(i)) ~words:1 in
-  Alcotest.(check int64) "xor word" 0b0110L (List.assoc "f" outs).(0);
-  Alcotest.(check int64) "const-true word" (-1L) (List.assoc "t" outs).(0)
 
 (* ------------------------------------------------------------------ *)
 (* AIGER round trips                                                   *)
@@ -117,27 +99,6 @@ let prop_aiger_roundtrip =
   QCheck2.Test.make ~name:"write/parse round trip on random AIGs" ~count:100
     ~print:print_aig gen_aig (fun (seed, n_inputs, n_gates) ->
       roundtrips (Generator.random_aig ~seed ~n_inputs ~n_gates ()))
-
-(* ------------------------------------------------------------------ *)
-(* Index lists                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_index_list_shape () =
-  let a = Aig.create () in
-  let x = Aig.add_input a "i0" and y = Aig.add_input a "i1" in
-  let g = Aig.add_and a x y in
-  Aig.add_output a "o0" (Aig.lit_not g);
-  let il = Aig.to_index_list a in
-  (* Fanins are stored normalised, larger literal first. *)
-  Alcotest.(check (array int)) "encoding" [| 2; 1; 1; 4; 2; 7 |] il;
-  Alcotest.(check bool) "decode reproduces" true
-    (Aig.equal (Aig.of_index_list il) a)
-
-let prop_index_list_roundtrip =
-  QCheck2.Test.make ~name:"index-list round trip on random AIGs" ~count:100
-    ~print:print_aig gen_aig (fun (seed, n_inputs, n_gates) ->
-      let a = Aig.compact (Generator.random_aig ~seed ~n_inputs ~n_gates ()) in
-      Aig.equal (Aig.of_index_list (Aig.to_index_list a)) a)
 
 (* ------------------------------------------------------------------ *)
 (* SOP bridges                                                         *)
@@ -248,21 +209,44 @@ let test_aig_opt_dc_view () =
     [ 1; 7; 42 ]
 
 (* Every window is checked over all its leaf patterns, so a leaf cap
-   beyond [leaf_limit] is refused before any work. *)
+   beyond [leaf_limit] is refused before any work; so are caps under
+   which no window could reach [min_gates], which would skip them all. *)
 let test_aig_opt_leaf_limit () =
-  let config leaves =
-    { Synth.Aig_opt.default_config with Synth.Aig_opt.max_leaves = leaves }
+  let config ?(gates = Synth.Aig_opt.default_config.Synth.Aig_opt.max_gates)
+      leaves =
+    {
+      Synth.Aig_opt.default_config with
+      Synth.Aig_opt.max_leaves = leaves;
+      max_gates = gates;
+    }
   in
   let limit = Synth.Aig_opt.leaf_limit in
   Alcotest.(check bool) "the limit admits the default" true
     (Synth.Aig_opt.default_config.Synth.Aig_opt.max_leaves <= limit);
   ignore (Synth.Aig_opt.optimize ~config:(config limit) (planted_aig 1));
-  Alcotest.check_raises "one leaf over the limit"
-    (Invalid_argument
-       (Printf.sprintf "Aig_opt.optimize: max_leaves %d exceeds %d" (limit + 1)
-          limit))
-    (fun () ->
-      ignore (Synth.Aig_opt.optimize ~config:(config (limit + 1)) (planted_aig 1)))
+  ignore
+    (Synth.Aig_opt.optimize
+       ~config:(config ~gates:Synth.Aig_opt.min_gates Synth.Aig_opt.min_leaves)
+       (planted_aig 1));
+  let _, stats =
+    Synth.Aig_opt.optimize ~config:(config ~gates:Synth.Aig_opt.min_gates 8)
+      (planted_aig 1)
+  in
+  Alcotest.(check bool) "the smallest gate cap still optimises windows" true
+    (stats.Synth.Aig_opt.skipped < stats.Synth.Aig_opt.windows);
+  let refused what message config =
+    Alcotest.check_raises what
+      (Invalid_argument ("Aig_opt.optimize: " ^ message))
+      (fun () -> ignore (Synth.Aig_opt.optimize ~config (planted_aig 1)))
+  in
+  refused "one leaf over the limit"
+    (Printf.sprintf "max_leaves %d exceeds %d" (limit + 1) limit)
+    (config (limit + 1));
+  refused "one leaf under the floor" "max_leaves 1 is below 2" (config 1);
+  refused "a negative leaf cap" "max_leaves -3 is below 2" (config (-3));
+  refused "one gate under the floor" "max_gates 2 is below 3"
+    (config ~gates:2 8);
+  refused "no gates" "max_gates 0 is below 3" (config ~gates:0 8)
 
 (* A traced run writes one [aig_window] event per window with the
    seconds of each phase; phases a window never reached read 0, the
@@ -324,6 +308,180 @@ let test_aig_opt_window_phases () =
     windows;
   Alcotest.(check bool) "every optimised window is checked" true
     (!check_total > 0.)
+
+(* ------------------------------------------------------------------ *)
+(* Window splice                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The window splice [Aig_opt] kept before it shared
+   [Aig.add_network], kept as its oracle: window input [inputs.(i)] maps
+   to the [i]-th leaf, and every node the table lacks is built in
+   topological order. *)
+module Frozen_splice = struct
+  module Cover = Twolevel.Cover
+  module Cube = Twolevel.Cube
+  module Literal = Twolevel.Literal
+
+  let splice aig wnet ~inputs leaves =
+    let value = Hashtbl.create 64 in
+    List.iteri
+      (fun i leaf ->
+        if Network.mem wnet inputs.(i) then
+          Hashtbl.replace value inputs.(i) (Aig.lit_of_node leaf))
+      leaves;
+    let lit_of_cube fanins cube =
+      List.fold_left
+        (fun acc l ->
+          let base = Hashtbl.find value fanins.(Literal.var l) in
+          let base = if Literal.is_pos l then base else Aig.lit_not base in
+          Aig.add_and aig acc base)
+        Aig.const_true (Cube.literals cube)
+    in
+    List.iter
+      (fun id ->
+        if not (Hashtbl.mem value id) then begin
+          let fanins = Network.fanins wnet id in
+          let l =
+            List.fold_left
+              (fun acc cube -> Aig.add_or aig acc (lit_of_cube fanins cube))
+              Aig.const_false
+              (Cover.cubes (Network.cover wnet id))
+          in
+          Hashtbl.replace value id l
+        end)
+      (Network.topological wnet);
+    List.map
+      (fun (name, id) -> (name, Hashtbl.find value id))
+      (Network.outputs wnet)
+end
+
+(* A window the way [Aig_opt] cuts one: the leaves are the inputs of a
+   random AIG plus a few of its gates, the roots some output gates
+   above them, each collapsed to a cover over the leaves ([None] when a
+   cover passes 128 cubes). The network names its inputs [x<i>] and its
+   outputs [y<i>], one per root. *)
+let random_window (seed, n_inputs, n_gates) =
+  let module Cover = Twolevel.Cover in
+  let module Cube = Twolevel.Cube in
+  let module Literal = Twolevel.Literal in
+  let a = Aig.compact (Generator.random_aig ~seed ~n_inputs ~n_gates ()) in
+  let rng = Random.State.make [| seed; n_gates |] in
+  let gates = List.filter (Aig.is_and a) (List.init (Aig.node_count a) Fun.id) in
+  let cut =
+    List.filter (fun _ -> Random.State.int rng 8 = 0) gates
+    |> List.filteri (fun i _ -> i < 2)
+  in
+  let leaves = List.init n_inputs (fun i -> i + 1) @ cut in
+  let roots =
+    List.sort_uniq compare
+      (List.map (fun (_, l) -> Aig.lit_node l) (Aig.outputs a))
+    |> List.filter (fun g -> Aig.is_and a g && not (List.mem g cut))
+    |> List.filteri (fun i _ -> i < 4)
+  in
+  let memo = Hashtbl.create 64 in
+  Hashtbl.replace memo 0 (Cover.zero, Cover.one);
+  List.iteri
+    (fun v m ->
+      Hashtbl.replace memo m
+        ( Cover.of_cubes [ Cube.of_literals_exn [ Literal.pos v ] ],
+          Cover.of_cubes [ Cube.of_literals_exn [ Literal.neg v ] ] ))
+    leaves;
+  let rec covers m =
+    match Hashtbl.find_opt memo m with
+    | Some c -> c
+    | None ->
+      let of_edge l =
+        let p, n = covers (Aig.lit_node l) in
+        if Aig.lit_is_compl l then (n, p) else (p, n)
+      in
+      let p0, n0 = of_edge (Aig.fanin0 a m) and p1, n1 = of_edge (Aig.fanin1 a m) in
+      let c = (Cover.product p0 p1, Cover.union n0 n1) in
+      if Cover.cube_count (fst c) > 128 || Cover.cube_count (snd c) > 128 then
+        raise Exit;
+      Hashtbl.replace memo m c;
+      c
+  in
+  match List.map (fun r -> fst (covers r)) roots with
+  | exception Exit -> None
+  | [] -> None
+  | root_covers ->
+    let wnet = Network.create () in
+    let pis =
+      Array.of_list
+        (List.mapi
+           (fun i _ -> Network.add_input wnet (Printf.sprintf "x%d" i))
+           leaves)
+    in
+    List.iteri
+      (fun i cover ->
+        let name = Printf.sprintf "y%d" i in
+        Network.add_output wnet name
+          (Network.add_logic wnet ~name ~fanins:pis cover))
+      root_covers;
+    Some (a, wnet, pis, leaves)
+
+(* Optimise a window with each method, drop the window inputs nothing
+   reads any more (as an optimiser may), and splice it into two equal
+   copies of the AIG, one through the frozen loop and one through
+   [Aig.add_network]: the output literals and the node counts must
+   agree. Returns the inputs dropped, or [None] on a disagreement. *)
+let splice_agrees case =
+  match random_window case with
+  | None -> Some 0
+  | Some (a, window, pis, leaves) ->
+    List.fold_left
+      (fun acc (_, meth) ->
+        match acc with
+        | None -> None
+        | Some dropped ->
+          let wnet = Network.copy window in
+          let resub = Synth.Script.resub_command meth in
+          Synth.Script.run ~resub wnet Synth.Script.script_a;
+          resub wnet;
+          let unread =
+            List.filter
+              (fun id -> Network.fanout_count wnet id = 0)
+              (Network.inputs wnet)
+          in
+          List.iter (Network.remove_node wnet) unread;
+          let frozen = Aig.compact a and shared = Aig.compact a in
+          let expected =
+            List.map snd (Frozen_splice.splice frozen wnet ~inputs:pis leaves)
+          in
+          let leaf = Hashtbl.create 16 in
+          List.iteri
+            (fun i m -> Hashtbl.replace leaf pis.(i) (Aig.lit_of_node m))
+            leaves;
+          let got = Aig.add_network shared wnet ~input:(Hashtbl.find leaf) in
+          if got = expected && Aig.node_count frozen = Aig.node_count shared
+          then Some (dropped + List.length unread)
+          else None)
+      (Some 0) Synth.Script.resub_methods
+
+let gen_window =
+  QCheck2.Gen.(
+    let* seed = int_range 0 10_000 in
+    let* n_inputs = int_range 2 6 in
+    let* n_gates = int_range 3 40 in
+    return (seed, n_inputs, n_gates))
+
+let prop_splice_matches_frozen =
+  QCheck2.Test.make ~name:"shared builder splices like the frozen loop"
+    ~count:40 ~print:print_aig gen_window (fun case ->
+      Option.is_some (splice_agrees case))
+
+(* The property above must reach the skipped-input path: over fixed
+   seeds some optimised windows drop inputs. *)
+let test_splice_drops_inputs () =
+  let dropped = ref 0 in
+  for seed = 0 to 20 do
+    match splice_agrees (seed, 2 + (seed mod 5), 8 + seed) with
+    | Some n -> dropped := !dropped + n
+    | None -> Alcotest.failf "seed %d: the builders disagree" seed
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "window inputs dropped (%d)" !dropped)
+    true (!dropped > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental live view                                               *)
@@ -504,7 +662,6 @@ let () =
       ( "core",
         [
           Alcotest.test_case "strash + folding" `Quick test_strash_folding;
-          Alcotest.test_case "eval words" `Quick test_eval_words;
         ] );
       ( "aiger",
         [
@@ -513,11 +670,6 @@ let () =
           Alcotest.test_case "rejects malformed" `Quick test_aiger_rejects;
           QCheck_alcotest.to_alcotest prop_aiger_roundtrip;
         ] );
-      ( "index-lists",
-        [
-          Alcotest.test_case "encoding shape" `Quick test_index_list_shape;
-          QCheck_alcotest.to_alcotest prop_index_list_roundtrip;
-        ] );
       ( "bridges",
         [
           QCheck_alcotest.to_alcotest prop_bridge_equivalence;
@@ -525,6 +677,9 @@ let () =
         ] );
       ( "windowed-opt",
         [
+          QCheck_alcotest.to_alcotest prop_splice_matches_frozen;
+          Alcotest.test_case "splice reaches dropped inputs" `Quick
+            test_splice_drops_inputs;
           QCheck_alcotest.to_alcotest prop_live_view_matches_frozen;
           Alcotest.test_case "live view reaches every verdict" `Quick
             test_live_view_verdicts;
