@@ -34,9 +34,9 @@ servicecheck:
 	dune exec bench/main.exe -- servicecheck quick
 
 # Throughput/latency snapshot for the resident service: one cold pass,
-# then 8 concurrent clients replaying the workload warm. Writes
-# BENCH_service.json (committed); fails if warm repeats are not at
-# least 5x faster than cold.
+# one client replaying the workload warm, then 8 concurrent clients
+# replaying it warm. Writes BENCH_service.json (committed); fails if the
+# single-client warm repeats are not at least 5x faster than cold.
 bench-service:
 	dune exec bench/main.exe -- service quick
 

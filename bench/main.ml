@@ -1551,8 +1551,12 @@ let service_check rows =
   else Printf.printf "servicecheck: every response byte-identical, counters exact\n"
 
 (* The throughput/latency snapshot: a cold pass (fresh daemon, every
-   job a miss) then [clients] concurrent connections replaying the same
-   workload [rounds] times (every job a hit). Writes BENCH_service.json. *)
+   job a miss), a single-client warm replay of the same workload
+   [rounds] times (every job a hit), then [clients] concurrent
+   connections replaying it [rounds] times each. The cold-vs-warm gate
+   divides the cold mean by the single-client warm mean: with more
+   clients than cores the concurrent warm mean is scheduling jitter,
+   and it is kept for [jobs_per_sec] only. Writes BENCH_service.json. *)
 let service_bench ?(clients = 8) ?(rounds = 5) rows =
   section
     (Printf.sprintf "service bench - %d concurrent clients -> BENCH_service.json"
@@ -1560,7 +1564,7 @@ let service_bench ?(clients = 8) ?(rounds = 5) rows =
   let socket = service_socket () in
   let workload = service_workload rows in
   let config = Server.default_config ~socket_path:socket in
-  let cold, warm, warm_wall, stats =
+  let cold, single, warm, warm_wall, stats =
     Server.with_server config (fun server ->
         let run_one conn request expect_hit =
           let reply, seconds =
@@ -1597,12 +1601,13 @@ let service_bench ?(clients = 8) ?(rounds = 5) rows =
                     workload)
                 (List.init rounds Fun.id))
         in
+        let single = warm_client () in
         let (per_client : float list list), warm_wall =
           Rar_util.Stopwatch.time (fun () ->
               List.map Domain.join
                 (List.init clients (fun _ -> Domain.spawn warm_client)))
         in
-        (cold, List.concat per_client, warm_wall, Server.stats server))
+        (cold, single, List.concat per_client, warm_wall, Server.stats server))
   in
   let summarize what l =
     match Rar_util.Stopwatch.summarize (Array.of_list l) with
@@ -1611,17 +1616,24 @@ let service_bench ?(clients = 8) ?(rounds = 5) rows =
       Printf.printf "service bench: no %s samples recorded\n" what;
       exit 9
   in
-  let cold_s = summarize "cold" cold and warm_s = summarize "warm" warm in
+  let cold_s = summarize "cold" cold
+  and single_s = summarize "single-client warm" single
+  and warm_s = summarize "warm" warm in
   let warm_jobs = List.length warm in
   let jobs_per_sec = float_of_int warm_jobs /. warm_wall in
-  let speedup = cold_s.Rar_util.Stopwatch.mean /. warm_s.Rar_util.Stopwatch.mean in
+  let speedup =
+    cold_s.Rar_util.Stopwatch.mean /. single_s.Rar_util.Stopwatch.mean
+  in
   Printf.printf "  unique jobs: %d   warm jobs: %d (%d clients x %d rounds)\n"
     (List.length workload) warm_jobs clients rounds;
   Printf.printf "  cold: mean %.4fs  p50 %.4fs  p99 %.4fs\n"
     cold_s.Rar_util.Stopwatch.mean cold_s.Rar_util.Stopwatch.p50
     cold_s.Rar_util.Stopwatch.p99;
-  Printf.printf "  warm: mean %.6fs  p50 %.6fs  p99 %.6fs\n"
-    warm_s.Rar_util.Stopwatch.mean warm_s.Rar_util.Stopwatch.p50
+  Printf.printf "  warm, 1 client: mean %.6fs  p50 %.6fs  p99 %.6fs\n"
+    single_s.Rar_util.Stopwatch.mean single_s.Rar_util.Stopwatch.p50
+    single_s.Rar_util.Stopwatch.p99;
+  Printf.printf "  warm, %d clients: mean %.6fs  p50 %.6fs  p99 %.6fs\n"
+    clients warm_s.Rar_util.Stopwatch.mean warm_s.Rar_util.Stopwatch.p50
     warm_s.Rar_util.Stopwatch.p99;
   Printf.printf "  throughput: %.0f jobs/sec   cold-vs-warm speedup: %.1fx\n"
     jobs_per_sec speedup;
@@ -1634,12 +1646,14 @@ let service_bench ?(clients = 8) ?(rounds = 5) rows =
     \  \"warm_jobs\": %d,\n\
     \  \"jobs_per_sec\": %.1f,\n\
     \  \"cold\": %s,\n\
+    \  \"warm_single_client\": %s,\n\
     \  \"warm\": %s,\n\
     \  \"cold_vs_warm_speedup\": %.1f,\n\
     \  \"cache\": %s\n\
      }\n"
     clients rounds (List.length workload) warm_jobs jobs_per_sec
     (Rar_util.Stopwatch.summary_to_json cold_s)
+    (Rar_util.Stopwatch.summary_to_json single_s)
     (Rar_util.Stopwatch.summary_to_json warm_s)
     speedup
     (match stats.Server.cache with
@@ -1649,7 +1663,8 @@ let service_bench ?(clients = 8) ?(rounds = 5) rows =
   Printf.printf "wrote BENCH_service.json\n";
   if speedup < 5.0 then begin
     Printf.printf
-      "service bench: warm repeats only %.1fx faster than cold (gate: 5x)\n"
+      "service bench: single-client warm repeats only %.1fx faster than \
+       cold (gate: 5x)\n"
       speedup;
     exit 9
   end

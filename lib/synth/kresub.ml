@@ -158,11 +158,13 @@ let absorption_shapes net tb ~f ~ranked ~cur_lits =
   let nc = Array.length cubes in
   if nc < 1 || nc > 32 then []
   else begin
-    let sigs = Array.map (fun c -> shape_sig tb (Sop [ c ])) cubes in
-    let c0 = Array.map (fun s -> Int64.to_int s.(0)) sigs in
     let cube_w0 c =
       List.fold_left (fun x l -> x land phase l.l_pos tb.w0.(l.l_node)) (-1) c
     in
+    (* A cube's full signature is built only once some divisor phase
+       passes its word-0 test. *)
+    let c0 = Array.map cube_w0 cubes in
+    let sigs = Array.map (fun c -> lazy (shape_sig tb (Sop [ c ]))) cubes in
     let old_sop =
       Array.fold_left (fun n c -> n + List.length c) 0 cubes
     in
@@ -172,19 +174,29 @@ let absorption_shapes net tb ~f ~ranked ~cur_lits =
         List.iter
           (fun pd ->
             let d0 = phase pd tb.w0.(d) in
-            let dsig =
-              let v = tb.sigs.(d) in
-              Array.init tb.words (fun w ->
-                  if pd then v.(w) else Int64.lognot v.(w))
-            in
             let absorbable =
               Array.mapi
                 (fun i c ->
                   c0.(i) land lnot d0 land tb.care0 = 0
-                  && Signature.subset_on_care tb.sim sigs.(i) dsig
                   && not (List.exists (fun l -> l.l_node = d) c))
                 cubes
             in
+            (* Word 0 first: the phase's signature is built only when
+               some cube passes there. *)
+            if Array.exists Fun.id absorbable then begin
+              let dsig =
+                let v = tb.sigs.(d) in
+                Array.init tb.words (fun w ->
+                    if pd then v.(w) else Int64.lognot v.(w))
+              in
+              Array.iteri
+                (fun i a ->
+                  if a then
+                    absorbable.(i) <-
+                      Signature.subset_on_care tb.sim (Lazy.force sigs.(i))
+                        dsig)
+                absorbable
+            end;
             if Array.exists Fun.id absorbable then begin
               let changed = ref false in
               let rebuilt = ref [] in
@@ -380,6 +392,31 @@ let shapes_for tb ~max_triples ~pool ~ranked ~cur_lits =
     done;
   List.rev !acc
 
+(* The first [k] ids of [pool] by [score] descending, then id
+   ascending: the prefix a full sort would give, kept by insertion into
+   bounded arrays sorted in that order. An id that does not beat the
+   current [k]-th is dropped at once. *)
+let top_ranked ~k ~score pool =
+  let k = max k 0 in
+  let ids = Array.make k 0 and scores = Array.make k 0 and n = ref 0 in
+  let before s d i = s > scores.(i) || (s = scores.(i) && d < ids.(i)) in
+  List.iter
+    (fun d ->
+      let s = score d in
+      if !n < k || (k > 0 && before s d (k - 1)) then begin
+        let i = ref (min !n (k - 1)) in
+        while !i > 0 && before s d (!i - 1) do
+          ids.(!i) <- ids.(!i - 1);
+          scores.(!i) <- scores.(!i - 1);
+          decr i
+        done;
+        ids.(!i) <- d;
+        scores.(!i) <- s;
+        if !n < k then incr n
+      end)
+    pool;
+  Array.sub ids 0 !n
+
 (* The signature-matched proposals for dividend [f], in proposal order:
    the pool is every other live node outside [f]'s transitive fanout,
    ranked by best-phase agreement with [f] (ties by id). *)
@@ -393,17 +430,9 @@ let proposals_for net ~sim ~max_divisors ~max_triples ~cur_lits f =
   in
   let tb = table net sim ~f ~pool in
   let ranked =
-    let scored =
-      List.map (fun d -> (Signature.agreement sim tb.sf tb.sigs.(d), d)) pool
-    in
-    let sorted =
-      List.sort
-        (fun (s1, d1) (s2, d2) ->
-          if s1 <> s2 then Int.compare s2 s1 else Int.compare d1 d2)
-        scored
-    in
-    Array.of_list
-      (List.filteri (fun i _ -> i < max_divisors) (List.map snd sorted))
+    top_ranked ~k:max_divisors
+      ~score:(fun d -> Signature.agreement sim tb.sf tb.sigs.(d))
+      pool
   in
   (* A scan ends at its first commit or refinement, and a rolled-back
      attempt restores every signature, so which shapes match the
@@ -530,6 +559,26 @@ let oracle_table o =
   let t = ora_tables o in
   (t.t_man, t.t_nodes)
 
+(* A validated cover equals [f] on the whole care set. With no view, or
+   an empty one, that is every input assignment, so the commit leaves
+   every node's global function, and the table current before it, as
+   they were: the table is restamped to the new revision. Under a
+   non-empty view [f] may change off the care set, and so may its
+   fanouts, so the next validation rebuilds. *)
+let commit o ~f ~below cover =
+  let rev = Network.revision o.o_net in
+  let care_free =
+    match o.o_dc with None -> true | Some dc -> Dont_care.is_empty dc
+  in
+  Lift.set_cover_if_cheaper o.o_net f ~below cover
+  && begin
+       (match o.o_tables with
+       | Some t when t.t_rev = rev && care_free ->
+         o.o_tables <- Some { t with t_rev = Network.revision o.o_net }
+       | _ -> ());
+       true
+     end
+
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -577,8 +626,8 @@ let run ?(max_divisors = default_max_divisors)
           Counters.add counters.Counters.kresub_validated 1;
           (* A losing shape leaves the revision, and with it the
              oracle's table, alone. *)
-          if Lift.set_cover_if_cheaper net f ~below:cur_lits (shape_cover shape)
-          then `Committed
+          if commit oracle ~f ~below:cur_lits (shape_cover shape) then
+            `Committed
           else try_shapes tl)
     in
     try_shapes shapes

@@ -33,12 +33,20 @@
     restarts with the sharpened signatures. The oracle builds every
     node's BDD in one sweep ({!Robdd.Of_network.all}) at the first
     validation after a mutation and keeps that table for the network
-    revision. A validated candidate commits through
-    {!Logic_network.Lift.set_cover_if_cheaper} iff the node's factored
+    revision. A validated candidate commits through {!commit}
+    ({!Logic_network.Lift.set_cover_if_cheaper}) iff the node's factored
     literal count strictly decreases, which is decided before the
     network is touched, so a losing candidate leaves the revision (and
     the oracle's table) as it was; since candidates are covers over
-    existing nodes, no attempt ever allocates a node id.
+    existing nodes, no attempt ever allocates a node id. A committed
+    candidate equals the node on every input when the run has no
+    don't-care view (or an empty one), so no node's global function
+    moves and the oracle keeps its table, and its manager, across the
+    commit; under a non-empty view the next validation rebuilds.
+
+    The ranked shortlist is the top [max_divisors] of the pool by
+    signature agreement (ties by ascending id), selected without
+    sorting the pool.
 
     Passes and the deadline are {!Booldiv.Scheduler}'s. *)
 
@@ -101,4 +109,21 @@ val oracle_table :
   oracle ->
   Robdd.Bdd.man * (Logic_network.Network.node_id, Robdd.Bdd.t) Hashtbl.t
 (** Test hook: the manager and node table validation would use now,
-    built on first use after each mutation. *)
+    built on first use after each mutation {e other than} a {!commit}
+    that keeps it. *)
+
+val commit :
+  oracle ->
+  f:Logic_network.Network.node_id ->
+  below:int ->
+  Twolevel.Cover.t ->
+  bool
+(** [commit o ~f ~below cover] installs [cover] (over node ids) on [f]
+    through {!Logic_network.Lift.set_cover_if_cheaper} and returns its
+    verdict. [cover] must have passed validation: it equals [f]'s
+    global function on the oracle's care set. On a win with no
+    don't-care view, or an empty one, a table that was current before
+    the commit stays current after it, because no node's global
+    function moved; any other mutation, and any commit under a
+    non-empty view, leaves the table to be rebuilt at the next
+    validation. *)

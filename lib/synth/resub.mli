@@ -7,6 +7,14 @@
     lowers the factored literal count. Purely algebraic: none of the
     Boolean identities or don't cares of the main algorithm are used.
 
+    A weak quotient is nonzero only if the dividend's cover names every
+    variable the divisor's cover names, and every cover of [d] or of
+    its complement names each variable [d] depends on. So a pair whose
+    divisor depends on a node outside the dividend's fanins is rejected
+    before [d] is lifted or complemented
+    ({!Logic_network.Lit_floor.functional_support}); it fails exactly
+    as the two divisions would have, and still counts as attempted.
+
     {!run} always divides by both phases and prunes divisor candidates
     with the simulation-signature filter ({!Logic_sim.Signature},
     {!Logic_sim.Signature.default_words} words): per dividend,

@@ -224,10 +224,13 @@ let test_aig_opt_leaf_limit () =
   Alcotest.(check bool) "the limit admits the default" true
     (Synth.Aig_opt.default_config.Synth.Aig_opt.max_leaves <= limit);
   ignore (Synth.Aig_opt.optimize ~config:(config limit) (planted_aig 1));
-  ignore
-    (Synth.Aig_opt.optimize
-       ~config:(config ~gates:Synth.Aig_opt.min_gates Synth.Aig_opt.min_leaves)
-       (planted_aig 1));
+  let _, stats =
+    Synth.Aig_opt.optimize
+      ~config:(config ~gates:Synth.Aig_opt.min_gates Synth.Aig_opt.min_leaves)
+      (planted_aig 1)
+  in
+  Alcotest.(check bool) "the smallest caps still optimise windows" true
+    (stats.Synth.Aig_opt.skipped < stats.Synth.Aig_opt.windows);
   let _, stats =
     Synth.Aig_opt.optimize ~config:(config ~gates:Synth.Aig_opt.min_gates 8)
       (planted_aig 1)
@@ -242,8 +245,8 @@ let test_aig_opt_leaf_limit () =
   refused "one leaf over the limit"
     (Printf.sprintf "max_leaves %d exceeds %d" (limit + 1) limit)
     (config (limit + 1));
-  refused "one leaf under the floor" "max_leaves 1 is below 2" (config 1);
-  refused "a negative leaf cap" "max_leaves -3 is below 2" (config (-3));
+  refused "one leaf under the floor" "max_leaves 2 is below 3" (config 2);
+  refused "a negative leaf cap" "max_leaves -3 is below 3" (config (-3));
   refused "one gate under the floor" "max_gates 2 is below 3"
     (config ~gates:2 8);
   refused "no gates" "max_gates 0 is below 3" (config ~gates:0 8)

@@ -633,6 +633,56 @@ let test_commit_decides_before_mutating () =
   Alcotest.(check bool) "some commits" true (!wins > 0);
   Alcotest.(check bool) "some losses" true (!losses > 0)
 
+(* Each dividend's first validated proposal that commits, through the
+   oracle's own [commit] as [Kresub.run] commits. With no view or an
+   empty one, the table current before the commit is kept (the same
+   table) and still equals a fresh sweep; with a non-empty EXCDC view
+   the next query rebuilds it. *)
+let test_oracle_kept_across_commits () =
+  let check_view name view ~kept =
+    let commits = ref 0 in
+    List.iter
+      (fun (_, net) ->
+        let sim = Logic_sim.Signature.create net in
+        let o = Synth.Kresub.oracle ?dc:(view net) net in
+        List.iter
+          (fun f ->
+            if Network.mem net f && not (Network.is_input net f) then begin
+              let below = Lit_count.node_factored net f in
+              let rec go = function
+                | [] -> ()
+                | cover :: rest ->
+                  if not (valid net ~f cover) then go rest
+                  else begin
+                    let _, before = Synth.Kresub.oracle_table o in
+                    if Synth.Kresub.commit o ~f ~below cover then begin
+                      incr commits;
+                      let _, after = Synth.Kresub.oracle_table o in
+                      if (after == before) <> kept then
+                        Alcotest.failf "%s: node %d: table %s" name f
+                          (if kept then "rebuilt" else "kept");
+                      check_table o net
+                    end
+                    else go rest
+                  end
+              in
+              go (Synth.Kresub.proposals sim net f)
+            end)
+          (List.sort Int.compare (Network.node_ids net));
+        Logic_sim.Signature.detach sim)
+      (proposal_nets ());
+    Alcotest.(check bool) (name ^ ": some commits") true (!commits > 0)
+  in
+  check_view "no view" (fun _ -> None) ~kept:true;
+  check_view "empty view" (fun _ -> Some (Dont_care.create ())) ~kept:true;
+  check_view "non-empty view"
+    (fun net ->
+      let dc = Dont_care.create () in
+      Dont_care.add_excdc dc
+        [ (Network.name net (List.hd (Network.inputs net)), true) ];
+      Some dc)
+    ~kept:false
+
 let () =
   Alcotest.run "kresub"
     [
@@ -658,6 +708,8 @@ let () =
             test_empty_dc_invisible;
           Alcotest.test_case "commit decides before mutating" `Quick
             test_commit_decides_before_mutating;
+          Alcotest.test_case "oracle table kept across commits" `Quick
+            test_oracle_kept_across_commits;
           QCheck_alcotest.to_alcotest prop_oracle_table_tracks_revisions;
         ] );
     ]

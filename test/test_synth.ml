@@ -108,6 +108,22 @@ let test_resub_complement () =
     (Synth.Resub.try_substitute ~use_complement:true net ~f ~d);
   Alcotest.(check bool) "preserved" true (Equiv.equivalent net before)
 
+let test_resub_redundant_divisor () =
+  (* D = av + av' + b names v but computes a + b, so D' = a'b' divides
+     f = a'b'c + a'b'x although f never names v: the support test must
+     read D's function, not its cover. *)
+  let net =
+    Builder.of_spec ~inputs:[ "a"; "b"; "c"; "v"; "x" ]
+      ~nodes:[ ("D", "av + av' + b"); ("f", "a'b'c + a'b'x") ]
+      ~outputs:[ "f"; "D" ]
+  in
+  let before = Network.copy net in
+  let f = Builder.node net "f" and d = Builder.node net "D" in
+  Alcotest.(check bool) "resub -d succeeds" true
+    (Synth.Resub.try_substitute net ~f ~d);
+  Alcotest.(check bool) "preserved" true (Equiv.equivalent net before);
+  Alcotest.(check int) "f = D'(c + x)" 3 (Lit_count.node_factored net f)
+
 let test_resub_misses_boolean () =
   (* xor has no algebraic quotient by a + b. *)
   let net =
@@ -158,12 +174,22 @@ module Frozen_resub = struct
        | Some d_not -> attempt net ~f ~d_cover:d_not ~d_lit:(Literal.neg d))
 end
 
+(* Whether [Resub]'s support test turns the pair down: [d]'s functional
+   support, renamed to node ids, leaves [f]'s fanins. *)
+let support_rejects net ~f ~d =
+  let f_fanins = Network.fanins net f and d_fanins = Network.fanins net d in
+  List.exists
+    (fun v -> not (Array.mem d_fanins.(v) f_fanins))
+    (Logic_network.Lit_floor.functional_support (Network.cover net d))
+
 (* Every ordered pair of logic nodes of a scripted circuit, in turn, on
    one network that keeps each win: a losing attempt leaves the revision
    alone, and a winning one stores the fanins and cover the frozen
-   set-then-compare attempt stores on a copy. *)
+   set-then-compare attempt, which has no support test, stores on a
+   copy. The pairs the support test turns down must be losses of the
+   frozen attempt. *)
 let test_resub_decides_before_mutating () =
-  let wins = ref 0 and losses = ref 0 in
+  let wins = ref 0 and losses = ref 0 and rejected = ref 0 in
   List.iter
     (fun name ->
       let net =
@@ -176,10 +202,16 @@ let test_resub_decides_before_mutating () =
           List.iter
             (fun d ->
               let reference = Network.copy net in
+              let rejects = support_rejects net ~f ~d in
               let expected = Frozen_resub.try_substitute reference ~f ~d in
               let rev = Network.revision net in
               let got = Synth.Resub.try_substitute net ~f ~d in
               Alcotest.(check bool) "same verdict" expected got;
+              if rejects then begin
+                incr rejected;
+                Alcotest.(check bool) "a rejected pair cannot win" false
+                  expected
+              end;
               if got then begin
                 incr wins;
                 Alcotest.(check (array int)) "same fanins"
@@ -196,7 +228,54 @@ let test_resub_decides_before_mutating () =
         ids)
     [ "alu_slice"; "9sym"; "b9" ];
   Alcotest.(check bool) "some attempts won" true (!wins > 0);
-  Alcotest.(check bool) "some attempts lost" true (!losses > 0)
+  Alcotest.(check bool) "some attempts lost" true (!losses > 0);
+  Alcotest.(check bool) "the support test rejected some pairs" true
+    (!rejected > 0)
+
+(* Random covers over a few shared variables. A divisor cube is mostly a
+   dividend cube with literals dropped, so quotients are often nonzero,
+   and sometimes gains a literal on a variable the dividend lacks. *)
+let gen_division_pair =
+  let nvars = 6 in
+  QCheck2.Gen.(
+    let lit = map2 (fun v p -> Literal.make v p) (int_range 0 (nvars - 1)) bool in
+    let cube = map Cube.of_literals (list_size (int_range 0 4) lit) in
+    let* f_cubes = list_size (int_range 1 5) cube in
+    let f_cubes = List.filter_map Fun.id f_cubes in
+    let from_f =
+      if f_cubes = [] then cube
+      else
+        let* c = oneofl f_cubes in
+        let lits = Cube.literals c in
+        let* keep = list_repeat (List.length lits) bool in
+        let* extra = list_size (int_range 0 1) lit in
+        let kept = List.filteri (fun i _ -> List.nth keep i) lits in
+        return (Cube.of_literals (kept @ extra))
+    in
+    let* d_cubes = list_size (int_range 1 3) (oneof [ from_f; from_f; cube ]) in
+    return
+      ( Cover.of_cubes f_cubes,
+        Cover.of_cubes (List.filter_map Fun.id d_cubes) ))
+
+(* The fact the support test rests on: when [d]'s functional support
+   leaves the variables [f]'s cover names, no cover of [d] or of its
+   complement divides [f]. *)
+let prop_support_test_exact =
+  QCheck2.Test.make ~name:"resub support test rejects only zero quotients"
+    ~count:1000
+    ~print:(fun (f, d) -> Cover.to_string f ^ " / " ^ Cover.to_string d)
+    gen_division_pair
+    (fun (f, d) ->
+      let f_support = Cover.support f in
+      List.for_all
+        (fun v -> List.mem v f_support)
+        (Logic_network.Lit_floor.functional_support d)
+      || Cover.is_zero (Algebraic.quotient f d)
+         && Cover.is_zero (Algebraic.quotient f (Complement.cover d))
+         &&
+         match Minimize.complement ~limit:64 d with
+         | None -> true
+         | Some d_not -> Cover.is_zero (Algebraic.quotient f d_not))
 
 (* ------------------------------------------------------------------ *)
 (* Extraction                                                          *)
@@ -351,6 +430,7 @@ let prop_full_simplify_preserves =
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_support_test_exact;
       prop_resub_preserves;
       prop_gcx_preserves;
       prop_gkx_preserves;
@@ -372,6 +452,8 @@ let () =
         [
           Alcotest.test_case "classic" `Quick test_resub_classic;
           Alcotest.test_case "complement (-d)" `Quick test_resub_complement;
+          Alcotest.test_case "redundant divisor cover" `Quick
+            test_resub_redundant_divisor;
           Alcotest.test_case "boolean gap" `Quick test_resub_misses_boolean;
           Alcotest.test_case "decides before mutating" `Quick
             test_resub_decides_before_mutating;
