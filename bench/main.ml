@@ -1242,7 +1242,7 @@ let k_check ~pinned rows =
   let failures = ref 0 in
   let k_total = ref 0 in
   let construct_cpu = ref 0.0 and validate_cpu = ref 0.0 in
-  let ext_division = ref 0.0 in
+  let ext_division = ref 0.0 and reused = ref 0 in
   each_cell rows (fun row net (name, meth) ->
       let counters = Rar_util.Counters.create () in
       let reference = reference_run ~counters meth net in
@@ -1255,6 +1255,8 @@ let k_check ~pinned rows =
           +. seconds (fun c -> c.Rar_util.Counters.division_seconds)
       | Synth.Script.Kresub ->
         k_total := !k_total + lits;
+        reused :=
+          !reused + Atomic.get counters.Rar_util.Counters.kresub_reused;
         construct_cpu :=
           !construct_cpu
           +. seconds (fun c -> c.Rar_util.Counters.filter_seconds);
@@ -1276,6 +1278,8 @@ let k_check ~pinned rows =
     "  cpu: resub-k construction %.3fs + validation %.3fs | ext division \
      %.3fs\n"
     !construct_cpu !validate_cpu !ext_division;
+  Printf.printf "  resub-k scans answered by the quiet-scan table: %d\n"
+    !reused;
   if !ext_division > 0.0 && !construct_cpu >= !ext_division then begin
     Printf.printf
       "  resub-k candidate construction is not cheaper than ext division\n";

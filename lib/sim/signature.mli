@@ -164,7 +164,9 @@ val subset_on_care : t -> int64 array -> int64 array -> bool
 
 val agreement : t -> int64 array -> int64 array -> int
 (** Best-phase agreement: the number of care rows on which the two
-    signatures agree, or on which they differ, whichever is larger. *)
+    signatures agree, or on which they differ, whichever is larger. One
+    popcount per word: the rows that agree are the care rows (counted
+    once, with the care mask) less those that differ. *)
 
 (** {1 Introspection} *)
 

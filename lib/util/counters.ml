@@ -19,6 +19,7 @@ type t = {
   kresub_candidates : int Atomic.t;
   kresub_validated : int Atomic.t;
   kresub_refinements : int Atomic.t;
+  kresub_reused : int Atomic.t;
   mutable pass_divisions : int list;
   filter_seconds : float Atomic.t;
   division_seconds : float Atomic.t;
@@ -43,6 +44,7 @@ let create () =
     kresub_candidates = Atomic.make 0;
     kresub_validated = Atomic.make 0;
     kresub_refinements = Atomic.make 0;
+    kresub_reused = Atomic.make 0;
     pass_divisions = [];
     filter_seconds = Atomic.make 0.0;
     division_seconds = Atomic.make 0.0;
@@ -88,6 +90,7 @@ let accumulate dst src =
   add dst.kresub_candidates (Atomic.get src.kresub_candidates);
   add dst.kresub_validated (Atomic.get src.kresub_validated);
   add dst.kresub_refinements (Atomic.get src.kresub_refinements);
+  add dst.kresub_reused (Atomic.get src.kresub_reused);
   dst.pass_divisions <- sum_by_pass dst.pass_divisions src.pass_divisions;
   add_seconds dst.filter_seconds (Atomic.get src.filter_seconds);
   add_seconds dst.division_seconds (Atomic.get src.division_seconds);
@@ -116,8 +119,8 @@ let to_string t =
     "pairs %d (filtered %d), divisions %d (passes %d: [%s]), substitutions \
      %d, imply %d creates / %d refreshes / %d resets / %d checkpoints, \
      degradations %d, floor rejects %d, kresub %d candidates / %d \
-     validated / %d refinements, filter %.2fs, division %.2fs, validation \
-     %.2fs"
+     validated / %d refinements / %d reused, filter %.2fs, division \
+     %.2fs, validation %.2fs"
     (Atomic.get t.pairs_considered)
     (Atomic.get t.pairs_filtered)
     (Atomic.get t.divisions_attempted)
@@ -133,6 +136,7 @@ let to_string t =
     (Atomic.get t.kresub_candidates)
     (Atomic.get t.kresub_validated)
     (Atomic.get t.kresub_refinements)
+    (Atomic.get t.kresub_reused)
     (Atomic.get t.filter_seconds)
     (Atomic.get t.division_seconds)
     (Atomic.get t.validation_seconds)
@@ -147,7 +151,7 @@ let to_json t =
      \"degradations\": %d, \
      \"floor_rejects\": %d, \"passes\": %d, \"pass_divisions\": [%s], \
      \"kresub_candidates\": %d, \"kresub_validated\": %d, \
-     \"kresub_refinements\": %d, \
+     \"kresub_refinements\": %d, \"kresub_reused\": %d, \
      \"filter_seconds\": %.6f, \"division_seconds\": %.6f, \
      \"validation_seconds\": %.6f}"
     (Atomic.get t.pairs_considered)
@@ -165,6 +169,7 @@ let to_json t =
     (Atomic.get t.kresub_candidates)
     (Atomic.get t.kresub_validated)
     (Atomic.get t.kresub_refinements)
+    (Atomic.get t.kresub_reused)
     (Atomic.get t.filter_seconds)
     (Atomic.get t.division_seconds)
     (Atomic.get t.validation_seconds)

@@ -4,51 +4,65 @@
    candidate that survives the signature test but fails exact validation
    must yield a counterexample row that distinguishes the pair forever,
    so the same wrong candidate is proposed at most once per run. The
-   planted circuit below aliases a dividend and a divisor on the base
-   stimulus (they differ only where fourteen inputs are all 1 — beyond
-   the reach of 64 random rows), forcing exactly that sequence:
+   planted circuit below aliases a dividend and a two-literal shape on
+   the base stimulus (they differ only where fourteen inputs are all 1 —
+   beyond the reach of 64 random rows), forcing exactly that sequence:
    propose, refute, refine, never re-propose. *)
 
 module Network = Logic_network.Network
 module Builder = Logic_network.Builder
 module Lit_count = Logic_network.Lit_count
 module Dont_care = Logic_network.Dont_care
+module Lift = Logic_network.Lift
 module Suite = Bench_suite.Suite
 module Counters = Rar_util.Counters
 
 let bdd_equivalent = Robdd.Of_network.equivalent
 
-let inputs16 =
-  [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h"; "i"; "j"; "k"; "l"; "m"; "n";
-    "o"; "p" ]
+let inputs14 =
+  [ "c"; "d"; "e"; "f"; "g"; "h"; "i"; "j"; "k"; "l"; "m"; "n"; "o"; "p" ]
 
-(* [w] agrees with [v = ab] everywhere except the single pattern slice
-   where c..p are all 1 and ab is not — 2^-14 of the input space, which
-   one 64-row signature word misses with near certainty. *)
+(* [w = cd' + t] agrees with the pair [c·d'] everywhere except where
+   [t], the product of all fourteen inputs, is 1 — 2^-14 of the input
+   space, which one 64-row signature word misses with near certainty.
+   [w] is allocated before [t] (its function is set once [t] exists), so
+   the ascending-id scheduler scans [w] while the base stimulus still
+   aliases it with [c·d'], and scans [t] only once the counterexample
+   row (every input 1) has made it nonzero. Every literal that is 1 on
+   that row is one of [t]'s own, so no divisor can absorb [t]'s cube. *)
 let aliased_net () =
-  Builder.of_spec ~inputs:inputs16
-    ~nodes:[ ("v", "ab"); ("w", "ab + cdefghijklmnop") ]
-    ~outputs:[ "w"; "v" ]
+  let net =
+    Builder.of_spec ~inputs:inputs14
+      ~nodes:[ ("w", "c"); ("t", "cdefghijklmnop") ]
+      ~outputs:[ "w" ]
+  in
+  let lit name pos =
+    let id = Builder.node net name in
+    if pos then Twolevel.Literal.pos id else Twolevel.Literal.neg id
+  in
+  Lift.set_cover net (Builder.node net "w")
+    (Twolevel.Cover.of_cubes
+       [
+         Twolevel.Cube.of_literals_exn [ lit "c" true; lit "d" false ];
+         Twolevel.Cube.of_literals_exn [ lit "t" true ];
+       ]);
+  net
 
 let test_refinement_no_reproposal () =
   let net = aliased_net () in
   let reference = aliased_net () in
   let counters = Counters.create () in
-  (* [max_divisors:0] empties the ranked list — no pairs, triples or
-     absorption rewrites — while 0-resub wires still scan the whole
-     pool. The v/w wire is then the only candidate in the entire run
-     that survives the signature test. *)
-  let n = Synth.Kresub.run ~max_divisors:0 ~sim_words:1 ~counters net in
+  let n = Synth.Kresub.run ~sim_words:1 ~counters net in
   Alcotest.(check bool)
     "net untouched and still equivalent" true
     (bdd_equivalent net reference);
   Alcotest.(check int) "no substitution committed" 0 n;
-  (* The aliased wire must be proposed and refuted exactly once: the
-     counterexample row (c..p all 1, ab false) pins the difference into
-     the stimulus permanently, so every later restart and pass — for
-     both nodes, in both directions — rejects the pair on signatures
-     alone. A re-proposal would validate, fail and refine again, so any
-     count above 1 here means the invariant broke. *)
+  (* The aliased pair must be proposed and refuted exactly once: the
+     counterexample row (every input 1) pins the difference into the
+     stimulus permanently, so every later restart and scan rejects the
+     shape on signatures alone. A re-proposal would validate, fail and
+     refine again, so any count above 1 here means the invariant
+     broke. *)
   Alcotest.(check int) "exactly one candidate proposed" 1
     (Atomic.get counters.Counters.kresub_candidates);
   Alcotest.(check int)
@@ -58,7 +72,7 @@ let test_refinement_no_reproposal () =
     "nothing survived validation" 0
     (Atomic.get counters.Counters.kresub_validated);
   let w = Builder.node net "w" in
-  Alcotest.(check int) "w keeps its 16 literals" 16
+  Alcotest.(check int) "w keeps its 3 literals" 3
     (Lit_count.node_factored net w)
 
 let test_zero_resub_duplicate () =
@@ -450,12 +464,24 @@ let proposal_nets () =
             ~n_outputs:4 () ))
       [ 41; 43 ]
 
+(* The same networks after a [Kresub.run], whose commits rewired
+   divisors and with them the TFO sets pools are drawn from. *)
+let rewired_nets () =
+  List.map
+    (fun (seed, net) ->
+      let before = Network.to_string net in
+      if Synth.Kresub.run net = 0 || Network.to_string net = before then
+        Alcotest.failf "seed %d: the run committed nothing" seed;
+      (seed, net))
+    (proposal_nets ())
+
 (* The kernel's proposals equal the frozen enumeration's, element by
    element, for every dividend: across signature widths, with a
    non-empty don't-care view (the care mask's word 0 enters the word-0
-   test), and with counterexample rows in the stimulus. The divisor
-   budgets are widened past the defaults so triples and quads see more
-   ranked divisors than a default scan. *)
+   test), with counterexample rows in the stimulus, and on networks a
+   run has already rewritten. The divisor budgets are widened past the
+   defaults so triples and quads see more ranked divisors than a
+   default scan. *)
 let test_proposal_order () =
   let compared = ref 0 and proposed = ref 0 in
   List.iter
@@ -512,9 +538,108 @@ let test_proposal_order () =
           (1, None, rows, 32, 10);
           (8, None, rows, 24, 8);
         ])
-    (proposal_nets ());
+    (proposal_nets () @ rewired_nets ());
   Alcotest.(check bool) "dividends compared" true (!compared > 0);
   Alcotest.(check bool) "some shape proposed" true (!proposed > 0)
+
+(* The scan loop as it stood before the quiet-scan table, kept as the
+   reference: every scan ranks, enumerates (the frozen enumeration
+   above) and validates again, and a refuted shape refines and restarts
+   the scan, at most 16 times. Returns the substitution count. *)
+let frozen_run ~sim_words ?dc net =
+  let sim = Logic_sim.Signature.create ~words:sim_words ?dc net in
+  let o = Synth.Kresub.oracle ?dc net in
+  let substitutions = ref 0 in
+  let scan_once f =
+    let cur_lits = Lit_count.node_factored net f in
+    let rec try_covers = function
+      | [] -> `Quiet
+      | cover :: tl -> (
+        match Synth.Kresub.validate o ~f cover with
+        | Some assign ->
+          if List.length (Logic_sim.Signature.rows sim) < 64 * sim_words
+          then begin
+            Logic_sim.Signature.refine sim assign;
+            `Refined
+          end
+          else try_covers tl
+        | None ->
+          if Synth.Kresub.commit o ~f ~below:cur_lits cover then `Committed
+          else try_covers tl)
+    in
+    try_covers
+      (Oracle.proposals ~max_divisors:Synth.Kresub.default_max_divisors
+         ~max_triples:Synth.Kresub.default_max_triples sim net f)
+  in
+  let scan f =
+    let rec go restarts =
+      match scan_once f with
+      | `Refined when restarts < 16 -> go (restarts + 1)
+      | outcome -> outcome
+    in
+    let committed = go 0 = `Committed in
+    if committed then incr substitutions;
+    committed
+  in
+  Booldiv.Scheduler.run ~driver:"kresub" ~max_passes:4
+    ~trace:Rar_util.Trace.disabled ~counters:(Counters.create ()) net scan;
+  Logic_sim.Signature.detach sim;
+  !substitutions
+
+(* [Kresub.run], which answers a scan that repeats the dividend's last
+   quiet one from its table, writes the bytes the frozen driver writes
+   and counts the same substitutions: with no view, an empty view and a
+   one-cube EXCDC view, at one word (the rows fill, so restarts and the
+   full-rows branch run) and at the default width. *)
+let test_run_matches_frozen_driver () =
+  let reused = ref 0 and substituted = ref 0 and refined = ref 0 in
+  List.iter
+    (fun (seed, base) ->
+      List.iter
+        (fun (view_name, view) ->
+          List.iter
+            (fun sim_words ->
+              let expected_net = Network.copy base in
+              let expected =
+                frozen_run ~sim_words ?dc:(view expected_net) expected_net
+              in
+              let net = Network.copy base in
+              let counters = Counters.create () in
+              let got =
+                Synth.Kresub.run ~sim_words ~counters ?dc:(view net) net
+              in
+              let where =
+                Printf.sprintf "seed %d, %s, %d words" seed view_name sim_words
+              in
+              Alcotest.(check int) (where ^ ": substitutions") expected got;
+              Alcotest.(check string) (where ^ ": bytes")
+                (Logic_network.Blif.to_string expected_net)
+                (Logic_network.Blif.to_string net);
+              reused := !reused + Atomic.get counters.Counters.kresub_reused;
+              refined :=
+                !refined + Atomic.get counters.Counters.kresub_refinements;
+              substituted := !substituted + got)
+            [ 1; Logic_sim.Signature.default_words ])
+        [
+          ("no view", fun _ -> None);
+          ("empty view", fun _ -> Some (Dont_care.create ()));
+          ( "one-cube view",
+            fun net ->
+              let dc = Dont_care.create () in
+              Dont_care.add_excdc dc
+                [ (Network.name net (List.hd (Network.inputs net)), true) ];
+              Some dc );
+        ])
+    (proposal_nets ()
+    @ List.map
+        (fun seed ->
+          ( seed,
+            Bench_suite.Generator.random ~seed ~n_inputs:5 ~n_nodes:24
+              ~n_outputs:4 () ))
+        [ 9; 12 ]);
+  Alcotest.(check bool) "some scans reused" true (!reused > 0);
+  Alcotest.(check bool) "some refinements" true (!refined > 0);
+  Alcotest.(check bool) "some substitutions" true (!substituted > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Oracle tables and commits                                           *)
@@ -522,7 +647,6 @@ let test_proposal_order () =
 
 module Bdd = Robdd.Bdd
 module Of_network = Robdd.Of_network
-module Lift = Logic_network.Lift
 
 (* The oracle's table holds a fresh [Of_network.all]'s BDDs (compared in
    the table's own manager, where equal functions are equal nodes), and
@@ -699,6 +823,8 @@ let () =
             test_one_resub_and;
           Alcotest.test_case "proposals match the frozen enumeration" `Quick
             test_proposal_order;
+          Alcotest.test_case "run matches the frozen driver" `Quick
+            test_run_matches_frozen_driver;
         ] );
       ( "discipline",
         [

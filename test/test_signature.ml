@@ -380,6 +380,52 @@ let test_refine_recomputes_care () =
   Alcotest.(check bool) "raw signatures differ" false (x = flipped);
   Signature.detach sigs
 
+(* [agreement] against a row-by-row count: the larger of the care rows
+   where the two signatures agree and those where they differ, with no
+   view, an empty one, and a non-empty one before and after a refinement
+   and a view edit (each recomputes the care rows). *)
+let test_agreement_counts_care_rows () =
+  let check name sigs net =
+    let ids = List.sort Int.compare (Network.node_ids net) in
+    let rows = 64 * Signature.words sigs in
+    let care = Signature.care_mask sigs in
+    List.iter
+      (fun x ->
+        List.iter
+          (fun y ->
+            let a = Signature.signature sigs x
+            and b = Signature.signature sigs y in
+            let agree = ref 0 and differ = ref 0 in
+            for j = 0 to rows - 1 do
+              if match care with None -> true | Some m -> row_bit m j then
+                if row_bit a j = row_bit b j then incr agree else incr differ
+            done;
+            Alcotest.(check int)
+              (Printf.sprintf "%s: agreement of %d and %d" name x y)
+              (max !agree !differ) (Signature.agreement sigs a b))
+          ids)
+      ids
+  in
+  let net = Circuits.alu_slice () in
+  let first = Network.name net (List.hd (Network.inputs net)) in
+  let second = Network.name net (List.nth (Network.inputs net) 1) in
+  let plain = Signature.create ~words:2 net in
+  check "no view" plain net;
+  Signature.detach plain;
+  let empty = Signature.create ~words:2 ~dc:(Dont_care.create ()) net in
+  check "empty view" empty net;
+  Signature.detach empty;
+  let dc = Dont_care.create () in
+  Dont_care.add_excdc dc [ (first, true) ];
+  let sigs = Signature.create ~words:2 ~dc net in
+  check "one-cube view" sigs net;
+  Signature.refine sigs
+    (Array.of_list (List.map (fun _ -> true) (Network.inputs net)));
+  check "after a refinement" sigs net;
+  Dont_care.add_excdc dc [ (second, false) ];
+  check "after a view edit" sigs net;
+  Signature.detach sigs
+
 (* The filter is conservative-only: every filtered run yields a network
    equivalent to the original. Each row's factored literal count is
    pinned exactly, so a change that drops an opportunity the ranking used
@@ -543,6 +589,8 @@ let () =
             test_refined_matches_fresh;
           Alcotest.test_case "refine recomputes the care mask" `Quick
             test_refine_recomputes_care;
+          Alcotest.test_case "agreement counts care rows" `Quick
+            test_agreement_counts_care_rows;
         ] );
       ( "filter",
         [
