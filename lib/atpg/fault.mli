@@ -34,8 +34,6 @@ val activation_assignments : Logic_network.Network.t -> wire -> assignment list
     {!local_activation_assignments} followed by
     {!cube_context_assignments} for the wire's cube. *)
 
-val wire_node : wire -> Logic_network.Network.node_id
-
 val wire_cube : wire -> int
 (** Index of the cube the wire lives in. *)
 

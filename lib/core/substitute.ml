@@ -56,37 +56,36 @@ type stats = {
 
 (* Candidate divisors for a node: gated on fanin-cone overlap plus
    signature compatibility and ranked by onset-overlap popcount. [d]
-   depends on [f] iff [d] is in [f]'s transitive fanout, and the two
-   fanin cones meet iff [d] is in the transitive fanout of [f]'s cone, so
-   two walks per dividend answer both cone questions for every [d]. *)
-let rank_divisors ~counters ~sigs net f ~use_complement ~limit =
+   depends on [f] iff [d] is in [f]'s transitive fanout ([tfo]), and
+   the two fanin cones meet iff [d] is in the transitive fanout of
+   [f]'s cone ([meet]), so two cones per dividend answer both cone
+   questions for every [d]. *)
+let rank_divisors ~counters ~sigs ~cones:(tfo, meet) net f ~use_complement
+    ~limit =
   Counters.timed counters `Filter @@ fun () ->
-  let fanout = Network.transitive_fanout net [ f ] in
-  let cone_fanout =
-    Network.transitive_fanout net
-      (Network.Node_set.elements (Network.transitive_fanin net [ f ]))
-  in
-  let scored =
-    List.filter_map
+  Network.clear tfo;
+  ignore (Network.mark_fanout net tfo [ f ]);
+  Network.clear meet;
+  ignore (Network.mark_fanout net meet (Network.mark_fanin net meet [ f ]));
+  let admitted =
+    List.filter
       (fun d ->
-        if d = f then None
-        else begin
-          Counters.add counters.Counters.pairs_considered 1;
-          let reject () =
-            Counters.add counters.Counters.pairs_filtered 1;
-            None
-          in
-          if
-            Network.Node_set.mem d fanout
-            || not (Network.Node_set.mem d cone_fanout)
-            || not (Signature.compatible sigs ~use_complement ~f ~d)
-          then reject ()
-          else Some (d, Signature.score sigs ~use_complement ~f ~d)
-        end)
+        d <> f
+        &&
+        let admit =
+          (not (Network.in_cone tfo d))
+          && Network.in_cone meet d
+          && Signature.compatible sigs ~use_complement ~f ~d
+        in
+        Counters.add counters.Counters.pairs_considered 1;
+        if not admit then Counters.add counters.Counters.pairs_filtered 1;
+        admit)
       (Network.logic_ids net)
   in
-  let sorted = List.sort (fun (_, a) (_, b) -> Int.compare b a) scored in
-  List.filteri (fun i _ -> i < limit) (List.map fst sorted)
+  Array.to_list
+    (Signature.rank ~k:limit
+       ~score:(fun d -> Signature.score sigs ~use_complement ~f ~d)
+       (Array.of_list admitted))
 
 let pos_cube_limit = 64
 
@@ -302,6 +301,7 @@ let run ?(config = extended_config) ?fault_fuel ?deadline_at
   @@ fun () ->
   let literals_before = Lit_count.factored net in
   let basic_count = ref 0 and ext_count = ref 0 and pos_count = ref 0 in
+  let cones = (Network.cone net, Network.cone net) in
   let attempt_unit =
     make_attempts ~config ?fault_fuel ?deadline_at ~trace ~counters ~sigs net
   in
@@ -336,7 +336,7 @@ let run ?(config = extended_config) ?fault_fuel ?deadline_at
         in
         if alive && run_unit f u then landed := true)
       (units_of
-         (rank_divisors ~counters ~sigs net f
+         (rank_divisors ~counters ~sigs ~cones net f
             ~use_complement:config.use_complement ~limit:config.max_divisors));
     !landed
   in

@@ -283,10 +283,52 @@ let transitive_fanout t seeds =
   List.iter visit seeds;
   !visited
 
-(* Traversal marks, one byte per id. Every traversal allocates its own.
-   No reason requires that now: each network is used by one domain, so
-   a mark array in [t], reset by an epoch counter, would also do. *)
+(* Traversal marks, one byte per id, for the one-shot walks below. A
+   caller that walks a cone per dividend reuses a [cone] instead. *)
 let marks t = Bytes.make t.next_id '\000'
+
+(* Cone stamps: slot [id] holds [epoch lsl 2] plus one bit per walk
+   direction (1 fanin, 2 fanout) that has expanded [id] since the last
+   [clear], so the cone's members are the slots stamped with the
+   current epoch, and a fanout walk still expands a node that only a
+   fanin walk reached. Epochs start at 1, so a fresh or grown slot (0)
+   is outside. *)
+type cone = { mutable stamps : int array; mutable epoch : int }
+
+let cone t = { stamps = Array.make (max 16 t.next_id) 0; epoch = 1 }
+
+let clear c = c.epoch <- c.epoch + 1
+
+let in_cone c id =
+  id < Array.length c.stamps && c.stamps.(id) lsr 2 = c.epoch
+
+let walk t c ~bit seeds =
+  let cap = Array.length c.stamps in
+  if cap < t.next_id then begin
+    let grown = Array.make (max t.next_id (2 * cap)) 0 in
+    Array.blit c.stamps 0 grown 0 cap;
+    c.stamps <- grown
+  end;
+  let stamps = c.stamps and now = c.epoch lsl 2 in
+  let rec visit acc id =
+    let s = stamps.(id) in
+    let s = if s lsr 2 = c.epoch then s else now in
+    if s land bit <> 0 then acc
+    else begin
+      stamps.(id) <- s lor bit;
+      let nd = node t id in
+      match nd.kind with
+      | Logic l when bit = 1 -> Array.fold_left visit (id :: acc) l.fanins
+      | Input when bit = 1 -> id :: acc
+      | _ ->
+        Node_map.fold (fun out _ acc -> visit acc out) nd.fanout (id :: acc)
+    end
+  in
+  List.fold_left visit [] seeds
+
+let mark_fanin t c seeds = walk t c ~bit:1 seeds
+
+let mark_fanout t c seeds = walk t c ~bit:2 seeds
 
 (* Whether [dst] is in the transitive fanin of [src], by a DFS that stops
    as soon as it meets [dst]. Explored nodes are marked in [seen]; a
@@ -421,10 +463,6 @@ let eval t input_assignment =
       Hashtbl.replace values id v)
     (topological t);
   fun id -> Hashtbl.find values id
-
-let eval_outputs t input_assignment =
-  let values = eval t input_assignment in
-  List.map (fun (po_name, id) -> (po_name, values id)) (outputs t)
 
 let check t =
   let fail fmt = Printf.ksprintf failwith fmt in

@@ -160,6 +160,30 @@ val depends_on : t -> node_id -> node_id -> bool
 (** [depends_on t n m] iff [m] is in the transitive fanin of [n]. The
     search stops as soon as it meets [m]. *)
 
+(** {2 Cone stamps}
+
+    A reusable id-indexed stamp array for drivers that walk cones per
+    dividend: marking costs the cone's size, clearing is O(1), and a
+    cone grows with the network it walks, so one serves a whole run. *)
+
+type cone
+
+val cone : t -> cone
+(** An empty cone. *)
+
+val clear : cone -> unit
+
+val mark_fanin : t -> cone -> node_id list -> node_id list
+(** Add the transitive fanin of the seeds (seeds included), and return
+    the nodes no fanin walk since the last {!clear} had reached. *)
+
+val mark_fanout : t -> cone -> node_id list -> node_id list
+(** The same over fanouts. A node that only a fanin walk reached is
+    still expanded, so marking TFI(f), then the fanout of the nodes
+    that walk returned, leaves TFO(TFI(f)) in the cone. *)
+
+val in_cone : cone -> node_id -> bool
+
 val fanout_cone_order : t -> node_id list -> node_id list
 (** The transitive fanout of the seeds (seeds included), fanins before
     fanouts: a topological order of the cone, found without visiting
@@ -173,8 +197,6 @@ val eval : t -> (node_id -> bool) -> (node_id -> bool)
 (** [eval t input_assignment] evaluates the whole network once and returns
     a total valuation of the nodes. The assignment is consulted for primary
     inputs only. *)
-
-val eval_outputs : t -> (node_id -> bool) -> (string * bool) list
 
 (** {1 Invariants and printing} *)
 

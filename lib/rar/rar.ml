@@ -1,6 +1,7 @@
 open Twolevel
 module Network = Logic_network.Network
 module Lit_count = Logic_network.Lit_count
+module Signature = Logic_sim.Signature
 
 type stats = {
   additions_tried : int;
@@ -67,25 +68,29 @@ let try_add_wire net ~node ~cube ~source ~phase =
       end
 
 (* Candidate sources: nodes sharing transitive-fanin support with [node],
-   nearest first, excluding anything that would create a cycle. *)
-let candidate_sources net node ~limit =
-  let my_support = Network.transitive_fanin net [ node ] in
+   nearest first, excluding anything that would create a cycle. [mine]
+   takes TFI(node), and [theirs] each TFI(c) in turn: [c] depends on
+   [node] iff its walk reaches [node]. *)
+let candidate_sources net ~mine ~theirs node ~limit =
+  Network.clear mine;
+  ignore (Network.mark_fanin net mine [ node ]);
+  let shared c =
+    Network.clear theirs;
+    List.fold_left
+      (fun n id -> if Network.in_cone mine id then n + 1 else n)
+      0
+      (Network.mark_fanin net theirs [ c ])
+  in
   let scored =
     List.filter_map
       (fun c ->
-        if c = node || Network.depends_on net c node then None
-        else begin
-          let shared =
-            Network.Node_set.cardinal
-              (Network.Node_set.inter my_support
-                 (Network.transitive_fanin net [ c ]))
-          in
-          if shared = 0 then None else Some (c, shared)
-        end)
+        if c = node then None
+        else
+          let n = shared c in
+          if n = 0 || Network.in_cone theirs node then None else Some (c, n))
       (Network.logic_ids net)
   in
-  let sorted = List.sort (fun (_, a) (_, b) -> Int.compare b a) scored in
-  List.filteri (fun i _ -> i < limit) (List.map fst sorted)
+  Array.map fst (Signature.rank ~k:limit ~score:snd (Array.of_list scored))
 
 (* One tentative RAR move, executed on a scratch copy: add the wire, run
    redundancy removal around it, keep the copy only on literal gain. *)
@@ -93,15 +98,11 @@ let attempt_move net ~node ~cube ~source ~phase =
   let scratch = Network.copy net in
   if not (try_add_wire scratch ~node ~cube ~source ~phase) then None
   else begin
-    let neighbourhood =
-      Network.Node_set.union
-        (Network.transitive_fanout scratch [ source ])
-        (Network.transitive_fanin scratch [ node ])
-    in
+    let neighbourhood = Network.cone scratch in
+    ignore (Network.mark_fanout scratch neighbourhood [ source ]);
+    ignore (Network.mark_fanin scratch neighbourhood [ node ]);
     let removed =
-      Remove.run
-        ~node_filter:(fun n -> Network.Node_set.mem n neighbourhood)
-        scratch
+      Remove.run ~node_filter:(Network.in_cone neighbourhood) scratch
     in
     let gain = Lit_count.factored_delta net scratch in
     if gain > 0 then Some (scratch, removed) else None
@@ -110,11 +111,15 @@ let attempt_move net ~node ~cube ~source ~phase =
 let optimize ?(max_sources_per_node = 8) net =
   let tried = ref 0 and kept = ref 0 and removed = ref 0 in
   let lits_before = Lit_count.factored net in
+  let mine = Network.cone net and theirs = Network.cone net in
   List.iter
     (fun node ->
       if Network.mem net node then begin
-        let sources = candidate_sources net node ~limit:max_sources_per_node in
-        List.iter
+        let sources =
+          candidate_sources net ~mine ~theirs node
+            ~limit:max_sources_per_node
+        in
+        Array.iter
           (fun source ->
             if Network.mem net node && Network.mem net source then begin
               let ncubes = Cover.cube_count (Network.cover net node) in

@@ -14,7 +14,6 @@ type t = {
   mutable observer : Network.observer_id option;
   mutable dirty : Node_set.t;
   mutable stale : bool;
-  mutable refreshes : int;
   mutable nodes_resimulated : int;
   (* External don't cares: rows matching an EXCDC cube are outside the
      care set and masked out of the divisor-filter predicates. The mask
@@ -94,8 +93,7 @@ let refresh t =
     Array.fill t.values 0 (Array.length t.values) absent;
     List.iter (resimulate t) (Network.topological t.net);
     t.stale <- false;
-    t.dirty <- Node_set.empty;
-    t.refreshes <- t.refreshes + 1
+    t.dirty <- Node_set.empty
   end
   else if not (Node_set.is_empty t.dirty) then begin
     let seeds =
@@ -104,8 +102,7 @@ let refresh t =
     (* Values depend only on fanin values, so any topological order
        of the cone gives the same signatures as the global one. *)
     List.iter (resimulate t) (Network.fanout_cone_order t.net seeds);
-    t.dirty <- Node_set.empty;
-    t.refreshes <- t.refreshes + 1
+    t.dirty <- Node_set.empty
   end
 
 (* Overwrite the next free row of every input's stimulus with
@@ -145,7 +142,6 @@ let create ?(seed = default_seed) ?(words = default_words) ?dc net =
       observer = None;
       dirty = Node_set.empty;
       stale = true;
-      refreshes = 0;
       nodes_resimulated = 0;
       dc;
       care = None;
@@ -201,35 +197,9 @@ let popcount64 (x : int64) =
 
 let popcount v = Array.fold_left (fun acc w -> acc + popcount64 w) 0 v
 
-let overlap a b =
-  let acc = ref 0 in
-  for w = 0 to Array.length a - 1 do
-    acc := !acc + popcount64 (Int64.logand a.(w) b.(w))
-  done;
-  !acc
-
-let overlap_not a b =
-  let acc = ref 0 in
-  for w = 0 to Array.length a - 1 do
-    acc := !acc + popcount64 (Int64.logand a.(w) (Int64.lognot b.(w)))
-  done;
-  !acc
-
-let intersects a b =
-  let n = Array.length a in
-  let rec scan w =
-    w < n && (Int64.logand a.(w) b.(w) <> 0L || scan (w + 1))
-  in
-  scan 0
-
-let intersects_not a b =
-  let n = Array.length a in
-  let rec scan w =
-    w < n && (Int64.logand a.(w) (Int64.lognot b.(w)) <> 0L || scan (w + 1))
-  in
-  scan 0
-
-(* Masked variants of the primitives: only care-set rows participate. *)
+(* Masked primitives: only the rows of [m] participate. Without a view
+   the mask is [all_rows], so these serve every query. Each keeps its
+   own loop: passing the [Int64] operator as a closure would box. *)
 let overlap_care m a b =
   let acc = ref 0 in
   for w = 0 to Array.length a - 1 do
@@ -317,36 +287,54 @@ let agreement t a b =
    overlap a division needs. Admission tests must therefore treat the
    masked overlap as a lower bound and pass whenever the sample holds a
    don't-care row — pruning harder than the DC-less filter would break
-   the monotonicity discipline (a view may only ever unlock rewrites). *)
-let has_slack m = Array.exists (fun w -> w <> -1L) m
+   the monotonicity discipline (a view may only ever unlock rewrites).
+   Read after [care_rows], which refreshes [care_count]. *)
+let has_slack t = t.care_count < 64 * t.words
 
 let phase_compatible t ~phase ~f ~d =
   let sf = signature t f and sd = signature t d in
-  match care_mask t with
-  | None -> if phase then intersects sf sd else intersects_not sf sd
-  | Some m ->
-    (if phase then intersects_care m sf sd else intersects_not_care m sf sd)
-    || has_slack m
+  let m = care_rows t in
+  (if phase then intersects_care m sf sd else intersects_not_care m sf sd)
+  || has_slack t
 
 let compatible t ~use_complement ~f ~d =
   let sf = signature t f and sd = signature t d in
-  match care_mask t with
-  | None -> intersects sf sd || (use_complement && intersects_not sf sd)
-  | Some m ->
-    intersects_care m sf sd
-    || (use_complement && intersects_not_care m sf sd)
-    || has_slack m
+  let m = care_rows t in
+  intersects_care m sf sd
+  || (use_complement && intersects_not_care m sf sd)
+  || has_slack t
 
 let score t ~use_complement ~f ~d =
   let sf = signature t f and sd = signature t d in
-  match care_mask t with
-  | None ->
-    let direct = overlap sf sd in
-    if use_complement then max direct (overlap_not sf sd) else direct
-  | Some m ->
-    let direct = overlap_care m sf sd in
-    if use_complement then max direct (overlap_not_care m sf sd) else direct
+  let m = care_rows t in
+  let direct = overlap_care m sf sd in
+  if use_complement then max direct (overlap_not_care m sf sd) else direct
 
-let refresh_count t = t.refreshes
+(* Insertion into bounded arrays kept in rank order. An entry that does
+   not beat the current [k]-th is dropped at once, and an equal score
+   never moves an earlier entry, so ties stay in pool order. *)
+let rank ~k ~score pool =
+  let k = min (max k 0) (Array.length pool) in
+  if k = 0 then [||]
+  else begin
+    let kept = Array.make k pool.(0) and scores = Array.make k 0 in
+    let n = ref 0 in
+    Array.iter
+      (fun d ->
+        let s = score d in
+        if !n < k || s > scores.(k - 1) then begin
+          let i = ref (min !n (k - 1)) in
+          while !i > 0 && s > scores.(!i - 1) do
+            kept.(!i) <- kept.(!i - 1);
+            scores.(!i) <- scores.(!i - 1);
+            decr i
+          done;
+          kept.(!i) <- d;
+          scores.(!i) <- s;
+          if !n < k then incr n
+        end)
+      pool;
+    kept
+  end
 
 let resimulated_count t = t.nodes_resimulated

@@ -27,7 +27,12 @@
     the stimulus with the exact oracle's counterexamples. Signatures can
     only skip or propose work, never accept a bad rewrite: every rewrite
     is still checked by its driver (literal gain with rollback, or an
-    exact validation) and by the harness's equivalence checks. *)
+    exact validation) and by the harness's equivalence checks.
+
+    Every comparison is care-masked: without a view (or with an empty
+    one) the mask holds every row, so one algebra serves both cases.
+    Every driver (sis, basic, ext, ext-GDC, resub-k and rar) picks its
+    divisors with {!rank}, each with its own admission test and score. *)
 
 type t
 
@@ -103,14 +108,7 @@ val rows : t -> bool array list
 (** The counterexample rows, oldest first. Row [j] is bit [j mod 64] of
     word [j / 64]; rows past the list keep the base pattern. *)
 
-(** {1 Signature algebra} *)
-
-val popcount : int64 array -> int
-
-val overlap : int64 array -> int64 array -> int
-(** Popcount of the conjunction. *)
-
-val intersects : int64 array -> int64 array -> bool
+(** {1 Divisor filter} *)
 
 val phase_compatible :
   t ->
@@ -145,6 +143,13 @@ val score :
     per-pair transitive-fanin intersection cardinality of the seed
     implementation. *)
 
+val rank : k:int -> score:('a -> int) -> 'a array -> 'a array
+(** The first [min k (length pool)] entries of [pool] by [score]
+    descending, ties in pool order: the prefix that a stable sort by
+    descending score gives. Bounded insertion, so an entry that does
+    not beat the current [k]-th costs one comparison. [score] is called
+    at most once per entry. *)
+
 (** {1 Care-masked comparisons}
 
     Only the care rows take part: all rows without a view (or with an
@@ -169,9 +174,6 @@ val agreement : t -> int64 array -> int64 array -> int
     once, with the care mask) less those that differ. *)
 
 (** {1 Introspection} *)
-
-val refresh_count : t -> int
-(** Number of refresh passes run (full or incremental). *)
 
 val resimulated_count : t -> int
 (** Total node re-simulations, including the initial full pass. *)

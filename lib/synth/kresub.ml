@@ -34,14 +34,12 @@ let lit n p = { l_node = n; l_pos = p }
 
 (* Buffers indexed by node id, allocated once per run (or per
    {!proposals} call), so that a scan allocates no id-indexed array:
-   [b_sigs]/[b_w0] are overwritten for each scan's pool, and
-   [b_tfo.(id)] holds the stamp of the last scan whose TFO(f) held
-   [id]. *)
+   [b_sigs]/[b_w0] are overwritten for each scan's pool, and [b_tfo]
+   holds the TFO(f) of the last scan. *)
 type buffers = {
   b_sigs : int64 array array;
   b_w0 : int array;
-  b_tfo : int array;
-  mutable b_stamp : int;
+  b_tfo : Network.cone;
 }
 
 let buffers net =
@@ -49,8 +47,7 @@ let buffers net =
   {
     b_sigs = Array.make limit [||];
     b_w0 = Array.make limit 0;
-    b_tfo = Array.make limit (-1);
-    b_stamp = -1;
+    b_tfo = Network.cone net;
   }
 
 (* The signatures one scan reads (the pool's, which hold the ranked
@@ -431,63 +428,24 @@ let shapes_for tb ~max_triples ~pool ~ranked ~cur_lits =
     done;
   List.rev !acc
 
-(* The first [k] ids of [pool] by [score] descending, then id
-   ascending: the prefix a full sort would give, kept by insertion into
-   bounded arrays sorted in that order. An id that does not beat the
-   current [k]-th is dropped at once. *)
-let top_ranked ~k ~score pool =
-  let k = max k 0 in
-  let ids = Array.make k 0 and scores = Array.make k 0 and n = ref 0 in
-  let before s d i = s > scores.(i) || (s = scores.(i) && d < ids.(i)) in
-  Array.iter
-    (fun d ->
-      let s = score d in
-      if !n < k || (k > 0 && before s d (k - 1)) then begin
-        let i = ref (min !n (k - 1)) in
-        while !i > 0 && before s d (!i - 1) do
-          ids.(!i) <- ids.(!i - 1);
-          scores.(!i) <- scores.(!i - 1);
-          decr i
-        done;
-        ids.(!i) <- d;
-        scores.(!i) <- s;
-        if !n < k then incr n
-      end)
-    pool;
-  Array.sub ids 0 !n
-
-(* Walks TFO(f) once, stamping its ids in [b_tfo] with a fresh stamp,
-   and returns them. *)
-let walk_tfo net bufs f =
-  bufs.b_stamp <- bufs.b_stamp + 1;
-  let stamp = bufs.b_stamp and tfo = bufs.b_tfo in
-  let rec visit acc id =
-    if tfo.(id) = stamp then acc
-    else begin
-      tfo.(id) <- stamp;
-      List.fold_left visit (id :: acc) (Network.fanouts net id)
-    end
-  in
-  visit [] f
-
-let in_tfo bufs id = bufs.b_tfo.(id) = bufs.b_stamp
-
-(* The pool of the last walk: every live node outside TFO(f), in
-   ascending id order. *)
+(* The pool of the last walk of [b_tfo]: every live node outside
+   TFO(f), in ascending id order. *)
 let pool_of net bufs =
   let acc = ref [] in
-  for d = Array.length bufs.b_tfo - 1 downto 0 do
-    if (not (in_tfo bufs d)) && Network.mem net d then acc := d :: !acc
+  for d = Network.id_limit net - 1 downto 0 do
+    if (not (Network.in_cone bufs.b_tfo d)) && Network.mem net d then
+      acc := d :: !acc
   done;
   Array.of_list !acc
 
 (* The signature-matched proposals for dividend [f], in proposal order:
-   the pool ranked by best-phase agreement with [f] (ties by id). *)
+   the pool ranked by best-phase agreement with [f] (ties in pool
+   order, which is by id). *)
 let proposals_for net bufs ~sim ~max_divisors ~max_triples ~cur_lits ~pool f
     =
   let tb = table bufs sim ~f ~pool in
   let ranked =
-    top_ranked ~k:max_divisors
+    Signature.rank ~k:max_divisors
       ~score:(fun d -> Signature.agreement sim tb.sf tb.sigs.(d))
       pool
   in
@@ -503,7 +461,7 @@ let proposals_for net bufs ~sim ~max_divisors ~max_triples ~cur_lits ~pool f
 let proposals ?(max_divisors = default_max_divisors)
     ?(max_triples = default_max_triples) sim net f =
   let bufs = buffers net in
-  ignore (walk_tfo net bufs f);
+  ignore (Network.mark_fanout net bufs.b_tfo [ f ]);
   List.map shape_cover
     (proposals_for net bufs ~sim ~max_divisors ~max_triples
        ~cur_lits:(Lit_count.node_factored net f)
@@ -714,13 +672,14 @@ let run ?(sim_seed = Signature.default_seed)
     (* The reuse test, and the pool when it fails, are construction. *)
     let tfo, pool =
       Counters.timed counters `Filter @@ fun () ->
-      let tfo = walk_tfo net bufs f in
+      Network.clear bufs.b_tfo;
+      let tfo = Network.mark_fanout net bufs.b_tfo [ f ] in
       let repeat =
         match quiet.(f) with
         | Some k ->
           k.q_rows = !rows && k.q_cover == cover && k.q_fanins = fanins
           && List.compare_length_with tfo (Array.length k.q_tfo) = 0
-          && Array.for_all (in_tfo bufs) k.q_tfo
+          && Array.for_all (Network.in_cone bufs.b_tfo) k.q_tfo
         | None -> false
       in
       (tfo, if repeat then None else Some (pool_of net bufs))

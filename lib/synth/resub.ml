@@ -63,31 +63,31 @@ let try_substitute ?(use_complement = true) net ~f ~d =
   substitute ~use_complement net ~f ~dividend:(lift_dividend net f) ~d
 
 (* Candidate divisors for one dividend: nodes in [f]'s transitive fanout
-   (those that depend on it) and incompatible pairs are dropped, and the
-   survivors are ranked by signature overlap, keeping the top
-   [max_candidates]. *)
-let candidates ~counters ~sigs net ~f ~nodes =
+   (those that depend on it, marked in [tfo]) and incompatible pairs are
+   dropped, and the survivors are ranked by signature overlap, keeping
+   the top [max_candidates]. *)
+let candidates ~counters ~sigs ~tfo net ~f ~nodes =
   Counters.timed counters `Filter @@ fun () ->
-  let fanout = Network.transitive_fanout net [ f ] in
-  let scored =
-    List.filter_map
+  Network.clear tfo;
+  ignore (Network.mark_fanout net tfo [ f ]);
+  let admitted =
+    List.filter
       (fun d ->
-        if d = f || not (Network.mem net d) then None
-        else begin
-          Counters.add counters.Counters.pairs_considered 1;
-          if
-            Network.Node_set.mem d fanout
-            || not (Signature.compatible sigs ~use_complement:true ~f ~d)
-          then begin
-            Counters.add counters.Counters.pairs_filtered 1;
-            None
-          end
-          else Some (d, Signature.score sigs ~use_complement:true ~f ~d)
-        end)
+        d <> f
+        && Network.mem net d
+        &&
+        let admit =
+          (not (Network.in_cone tfo d))
+          && Signature.compatible sigs ~use_complement:true ~f ~d
+        in
+        Counters.add counters.Counters.pairs_considered 1;
+        if not admit then Counters.add counters.Counters.pairs_filtered 1;
+        admit)
       nodes
   in
-  let sorted = List.sort (fun (_, a) (_, b) -> Int.compare b a) scored in
-  List.filteri (fun i _ -> i < max_candidates) (List.map fst sorted)
+  Signature.rank ~k:max_candidates
+    ~score:(fun d -> Signature.score sigs ~use_complement:true ~f ~d)
+    (Array.of_list admitted)
 
 let run ?(sim_seed = Signature.default_seed) ?deadline_at
     ?(trace = Trace.disabled) ?counters ?dc net =
@@ -99,6 +99,7 @@ let run ?(sim_seed = Signature.default_seed) ?deadline_at
   (* Algebraic attempts never add or remove nodes, so the candidate
      order, ties included, is fixed for the whole run. *)
   let nodes = List.sort Int.compare (Network.logic_ids net) in
+  let tfo = Network.cone net in
   let substitutions = ref 0 in
   let pair_attempt f dividend d =
     Counters.timed counters `Division @@ fun () ->
@@ -108,7 +109,7 @@ let run ?(sim_seed = Signature.default_seed) ?deadline_at
   let scan f =
     let landed = ref false in
     let dividend = ref (lift_dividend net f) in
-    List.iter
+    Array.iter
       (fun d ->
         if
           Network.mem net f && Network.mem net d && pair_attempt f !dividend d
@@ -118,7 +119,7 @@ let run ?(sim_seed = Signature.default_seed) ?deadline_at
           incr substitutions;
           Counters.add counters.Counters.substitutions 1
         end)
-      (candidates ~counters ~sigs net ~f ~nodes);
+      (candidates ~counters ~sigs ~tfo net ~f ~nodes);
     !landed
   in
   Scheduler.run ~driver:"resub" ~max_passes:4 ?deadline_at ~trace ~counters

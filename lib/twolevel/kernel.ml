@@ -73,14 +73,3 @@ let all cover =
 let distinct_kernels cover =
   let ks = List.map snd (all cover) in
   List.sort_uniq Cover.compare ks
-
-let level0 cover =
-  let pairs = all cover in
-  let is_level0 (_, k) =
-    (* A level-0 kernel has no literal occurring in two or more cubes. *)
-    List.for_all
-      (fun lit ->
-        List.length (List.filter (Cube.mem lit) (Cover.cubes k)) < 2)
-      (literal_universe k)
-  in
-  List.filter is_level0 pairs

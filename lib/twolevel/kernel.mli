@@ -17,7 +17,3 @@ val all : Cover.t -> (Cube.t * Cover.t) list
     distinct co-kernels; use {!distinct_kernels} to dedupe. *)
 
 val distinct_kernels : Cover.t -> Cover.t list
-
-val level0 : Cover.t -> (Cube.t * Cover.t) list
-(** The level-0 kernels (kernels containing no further kernel), the cheap
-    divisors used by quick factoring. *)

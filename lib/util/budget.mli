@@ -40,8 +40,8 @@ val is_unlimited : t -> bool
 
 val spend : ?cost:int -> t -> unit
 (** Consume [cost] (default 1) fuel and occasionally poll the clock
-    against the deadline (every {!deadline_poll_interval} spends, so the
-    hot path stays syscall-free). @raise Exhausted on either limit,
+    against the deadline (every 512 spends, so the hot path stays
+    syscall-free). @raise Exhausted on either limit,
     stickily thereafter. *)
 
 val check : t -> (unit, reason) result
@@ -51,10 +51,6 @@ val check : t -> (unit, reason) result
 
 val exhausted : t -> reason option
 (** The sticky state alone — no clock read, no fuel accounting. *)
-
-val deadline_poll_interval : int
-(** How many {!spend}s elapse between clock reads (deadline budgets
-    only). *)
 
 val reason_to_string : reason -> string
 (** ["fuel"] or ["deadline"] — the spelling used in trace events. *)

@@ -7,7 +7,6 @@ type value =
 
 type sink = {
   mutable channel : out_channel option;
-  owns_channel : bool;  (* close the channel on [close]? *)
   mutex : Mutex.t;
 }
 
@@ -15,12 +14,9 @@ type t = sink option
 
 let disabled = None
 
-let on_channel oc =
-  Some { channel = Some oc; owns_channel = false; mutex = Mutex.create () }
-
 let to_file path =
   Some
-    { channel = Some (open_out path); owns_channel = true; mutex = Mutex.create () }
+    { channel = Some (open_out path); mutex = Mutex.create () }
 
 let enabled = function
   | Some { channel = Some _; _ } -> true
@@ -104,8 +100,7 @@ let close t =
     Mutex.lock sink.mutex;
     (match sink.channel with
     | Some oc ->
-      flush oc;
-      if sink.owns_channel then close_out oc;
+      close_out oc;
       sink.channel <- None
     | None -> ());
     Mutex.unlock sink.mutex

@@ -32,10 +32,6 @@ val to_file : string -> t
 (** Open (truncate) a file for tracing. @raise Sys_error like
     [open_out]. *)
 
-val on_channel : out_channel -> t
-(** Trace onto an existing channel; {!close} flushes but does not close
-    it. *)
-
 val enabled : t -> bool
 
 val emit : t -> string -> (string * value) list -> unit
@@ -49,8 +45,8 @@ val span : t -> string -> ?fields:(string * value) list -> (unit -> 'a) -> 'a
     [f] with no other work. *)
 
 val close : t -> unit
-(** Flush and release the sink (close the channel iff {!to_file} opened
-    it). Idempotent; a closed trace behaves like {!disabled}. *)
+(** Flush and close the sink's file. Idempotent; a closed trace behaves
+    like {!disabled}. *)
 
 val with_file : string option -> (t -> 'a) -> ('a, string) result
 (** [with_file path f] runs [f] on a trace writing to [path]

@@ -537,14 +537,30 @@ let prop_incremental_matches_fresh_under_mutation =
 (* The divisor filters ask their cone questions through fanout walks,
    once per dividend: [d] depends on [f] iff [d] is in [f]'s transitive
    fanout, and the fanin cones of [f] and [d] meet iff [d] is in the
-   transitive fanout of [f]'s cone. *)
+   transitive fanout of [f]'s cone. The drivers walk those cones into
+   [Network.cone] stamps that live for the whole run, so two cones made
+   before the first step serve every dividend and every step here, node
+   additions and overwrites included; each mark must equal the
+   [Node_set] walk on every id ever allocated, and each walk must return
+   exactly the nodes it added. *)
 let prop_cone_identities_under_mutation =
   QCheck2.Test.make ~name:"cone identities hold under mutation" ~count:60
     ~print:string_of_int Net_mutations.gen_seed
     (fun seed ->
       let rng, net = Net_mutations.initial seed in
+      let tfo = Network.cone net and meet = Network.cone net in
       let check net =
         let ids = Network.node_ids net in
+        let same what c set walked =
+          for id = 0 to Network.id_limit net - 1 do
+            if Network.in_cone c id <> Network.Node_set.mem id set then
+              failwith (Printf.sprintf "%s mark of %d" what id)
+          done;
+          if
+            List.sort_uniq Int.compare walked <> Network.Node_set.elements set
+          then failwith (what ^ " walk");
+          walked
+        in
         List.iter
           (fun f ->
             let fanout = Network.transitive_fanout net [ f ] in
@@ -552,6 +568,15 @@ let prop_cone_identities_under_mutation =
             let cone_fanout =
               Network.transitive_fanout net (Network.Node_set.elements cone)
             in
+            Network.clear tfo;
+            ignore (same "TFO" tfo fanout (Network.mark_fanout net tfo [ f ]));
+            Network.clear meet;
+            let tfi =
+              same "TFI" meet cone (Network.mark_fanin net meet [ f ])
+            in
+            ignore
+              (same "TFO(TFI)" meet cone_fanout
+                 (Network.mark_fanout net meet tfi));
             List.iter
               (fun d ->
                 if Network.Node_set.mem d fanout <> Network.depends_on net d f
@@ -568,6 +593,163 @@ let prop_cone_identities_under_mutation =
       in
       check net;
       Net_mutations.mutate rng net ~steps:20 ~after_step:check;
+      true)
+
+(* [Signature.rank] against a stable sort by descending score, then the
+   first [k]: scores drawn from a few values, so ties are frequent, and
+   every pool is also ranked with [k = 0], [k = |pool|] and [k > |pool|]
+   (the pool may be empty). Entries are pool positions, so a tie broken
+   out of pool order shows. *)
+let prop_rank_is_stable_top_k =
+  QCheck2.Test.make ~name:"rank is the stable sort's top k" ~count:500
+    ~print:QCheck2.Print.(pair int (list int))
+    QCheck2.Gen.(
+      pair (int_range 0 12) (list_size (int_range 0 20) (int_range 0 3)))
+    (fun (k, scores) ->
+      let scores = Array.of_list scores in
+      let n = Array.length scores in
+      let reference k =
+        List.init n (fun i -> (i, scores.(i)))
+        |> List.stable_sort (fun (_, a) (_, b) -> Int.compare b a)
+        |> List.filteri (fun i _ -> i < k)
+        |> List.map fst
+      in
+      List.for_all
+        (fun k ->
+          Array.to_list
+            (Signature.rank ~k ~score:(Array.get scores) (Array.init n Fun.id))
+          = reference k)
+        [ k; 0; n; n + 3 ])
+
+(* The two-branch divisor filter as it stood before every query went
+   through the care mask: unmasked primitives without a view, masked
+   ones plus a don't-care-row escape with one. *)
+module Frozen_filter = struct
+  let popcount64 x =
+    let c = ref 0 in
+    for b = 0 to 63 do
+      if Int64.logand (Int64.shift_right_logical x b) 1L = 1L then incr c
+    done;
+    !c
+
+  let overlap a b =
+    let acc = ref 0 in
+    for w = 0 to Array.length a - 1 do
+      acc := !acc + popcount64 (Int64.logand a.(w) b.(w))
+    done;
+    !acc
+
+  let overlap_not a b =
+    let acc = ref 0 in
+    for w = 0 to Array.length a - 1 do
+      acc := !acc + popcount64 (Int64.logand a.(w) (Int64.lognot b.(w)))
+    done;
+    !acc
+
+  let intersects a b =
+    let n = Array.length a in
+    let rec scan w =
+      w < n && (Int64.logand a.(w) b.(w) <> 0L || scan (w + 1))
+    in
+    scan 0
+
+  let intersects_not a b =
+    let n = Array.length a in
+    let rec scan w =
+      w < n && (Int64.logand a.(w) (Int64.lognot b.(w)) <> 0L || scan (w + 1))
+    in
+    scan 0
+
+  let overlap_care m a b = overlap (Array.map2 Int64.logand m a) b
+
+  let overlap_not_care m a b = overlap_not (Array.map2 Int64.logand m a) b
+
+  let intersects_care m a b = intersects (Array.map2 Int64.logand m a) b
+
+  let intersects_not_care m a b =
+    intersects_not (Array.map2 Int64.logand m a) b
+
+  let has_slack m = Array.exists (fun w -> w <> -1L) m
+
+  let phase_compatible t ~phase ~f ~d =
+    let sf = Signature.signature t f and sd = Signature.signature t d in
+    match Signature.care_mask t with
+    | None -> if phase then intersects sf sd else intersects_not sf sd
+    | Some m ->
+      (if phase then intersects_care m sf sd else intersects_not_care m sf sd)
+      || has_slack m
+
+  let compatible t ~use_complement ~f ~d =
+    let sf = Signature.signature t f and sd = Signature.signature t d in
+    match Signature.care_mask t with
+    | None -> intersects sf sd || (use_complement && intersects_not sf sd)
+    | Some m ->
+      intersects_care m sf sd
+      || (use_complement && intersects_not_care m sf sd)
+      || has_slack m
+
+  let score t ~use_complement ~f ~d =
+    let sf = Signature.signature t f and sd = Signature.signature t d in
+    match Signature.care_mask t with
+    | None ->
+      let direct = overlap sf sd in
+      if use_complement then max direct (overlap_not sf sd) else direct
+    | Some m ->
+      let direct = overlap_care m sf sd in
+      if use_complement then max direct (overlap_not_care m sf sd) else direct
+end
+
+(* [compatible], [phase_compatible] and [score] equal the frozen
+   two-branch filter on every node pair of random networks, with no
+   view, an empty view, a one-cube and a multi-cube EXCDC view. *)
+let prop_masked_filter_matches_frozen =
+  QCheck2.Test.make ~name:"masked filter matches the two-branch one"
+    ~count:60 ~print:string_of_int Net_mutations.gen_seed (fun seed ->
+      let _, net = Net_mutations.initial seed in
+      let input i = Network.name net (List.nth (Network.inputs net) i) in
+      let view cubes =
+        let dc = Dont_care.create () in
+        List.iter (Dont_care.add_excdc dc) cubes;
+        Some dc
+      in
+      let views =
+        [
+          None;
+          view [];
+          view [ [ (input (seed mod 5), seed mod 2 = 0) ] ];
+          view
+            [
+              [ (input 0, true); (input 1, false) ];
+              [ (input 2, true); (input 3, true); (input 4, false) ];
+              [ (input 1, true); (input 3, false) ];
+            ];
+        ]
+      in
+      let ids = Network.node_ids net in
+      List.iter
+        (fun dc ->
+          let sigs = Signature.create ~seed ~words:2 ?dc net in
+          List.iter
+            (fun f ->
+              List.iter
+                (fun d ->
+                  List.iter
+                    (fun b ->
+                      if
+                        Signature.compatible sigs ~use_complement:b ~f ~d
+                        <> Frozen_filter.compatible sigs ~use_complement:b ~f
+                             ~d
+                        || Signature.phase_compatible sigs ~phase:b ~f ~d
+                           <> Frozen_filter.phase_compatible sigs ~phase:b ~f
+                                ~d
+                        || Signature.score sigs ~use_complement:b ~f ~d
+                           <> Frozen_filter.score sigs ~use_complement:b ~f ~d
+                      then failwith (Printf.sprintf "pair %d, %d" f d))
+                    [ true; false ])
+                ids)
+            ids;
+          Signature.detach sigs)
+        views;
       true)
 
 let () =
@@ -611,5 +793,7 @@ let () =
           QCheck_alcotest.to_alcotest
             prop_incremental_matches_fresh_under_mutation;
           QCheck_alcotest.to_alcotest prop_cone_identities_under_mutation;
+          QCheck_alcotest.to_alcotest prop_rank_is_stable_top_k;
+          QCheck_alcotest.to_alcotest prop_masked_filter_matches_frozen;
         ] );
     ]
