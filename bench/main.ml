@@ -1379,17 +1379,11 @@ let service_socket () =
   Sys.remove path;
   path
 
-(* The CI gate: a scripted miss/hit sequence against a live daemon.
-   Every response must be byte-identical to [Job.run_cold] (the
-   [Job.run] + [Job.serialise] path of a cold [rarsub optimize -f]),
-   the hit/miss flags and cache counters must match the script, and a
-   malformed or oversized frame must get a clean refusal without
-   taking the daemon down. Besides the quick cells, the workload holds
-   a don't-care job on the DC-rich fixture, whose reply must carry the
-   canonical [.exdc] section, and a [sis]-spelled duplicate of a
-   [resub] job, which must be served from the [resub] job's slot. *)
-let service_check rows =
-  section "servicecheck - daemon miss/hit sequence vs cold references";
+(* One run of the servicecheck sequence against a fresh daemon with
+   [jobs] workers; the number of failed checks. *)
+let service_sequence ~jobs rows =
+  Printf.printf "  -- daemon at jobs = %s\n"
+    (if jobs = 0 then "default" else string_of_int jobs);
   let socket = service_socket () in
   let dc_job =
     ( "dcrich/ext",
@@ -1402,7 +1396,7 @@ let service_check rows =
   let trace_path = Filename.temp_file "rarsubd" ".trace" in
   let trace = Rar_util.Trace.to_file trace_path in
   let config =
-    { (Server.default_config ~socket_path:socket) with Server.trace }
+    { (Server.default_config ~socket_path:socket) with Server.trace; jobs }
   in
   Server.with_server config (fun server ->
       List.iter
@@ -1446,7 +1440,7 @@ let service_check rows =
           ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
           (fun () ->
             send fd;
-            match Protocol.read_frame fd with
+            match Protocol.read_frame (Protocol.Reader.create fd) with
             | None -> fail "%s: connection closed with no reply" tag
             | Some payload -> (
               match Protocol.decode_response payload with
@@ -1548,8 +1542,30 @@ let service_check rows =
   if !failures = 0 then
     Printf.printf "  trace: %d per-job timelines complete and linted\n"
       (Hashtbl.length timelines);
-  if !failures > 0 then begin
-    Printf.printf "servicecheck: %d check(s) FAILED\n" !failures;
+  !failures
+
+(* The CI gate: a scripted miss/hit sequence against a live daemon.
+   Every response must be byte-identical to [Job.run_cold] (the
+   [Job.run] + [Job.serialise] path of a cold [rarsub optimize -f]),
+   the hit/miss flags and cache counters must match the script, and a
+   malformed or oversized frame must get a clean refusal without
+   taking the daemon down. Besides the quick cells, the workload holds
+   a don't-care job on the DC-rich fixture, whose reply must carry the
+   canonical [.exdc] section, and a [sis]-spelled duplicate of a
+   [resub] job, which must be served from the [resub] job's slot. The
+   sequence runs against a daemon at its default worker count, where
+   jobs run on a worker domain, and again at [jobs = 1], where they run
+   inline on the event loop's domain (perfbench's daemon-mix runs
+   that one). *)
+let service_check rows =
+  section "servicecheck - daemon miss/hit sequence vs cold references";
+  let failures =
+    List.fold_left
+      (fun acc jobs -> acc + service_sequence ~jobs rows)
+      0 [ 0; 1 ]
+  in
+  if failures > 0 then begin
+    Printf.printf "servicecheck: %d check(s) FAILED\n" failures;
     exit 8
   end
   else Printf.printf "servicecheck: every response byte-identical, counters exact\n"

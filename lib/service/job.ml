@@ -123,7 +123,7 @@ let create_warm () = { parsed = lru_create 8; scripted = lru_create 16 }
 type prepared = {
   spec : spec;
   pristine : Network.t;  (* never mutated; jobs run on copies *)
-  canonical_digest : string;
+  canonical : string;  (* the pristine network's BLIF text *)
   key : string option;
   dc : Dont_care.t option;
 }
@@ -179,8 +179,7 @@ let prepare ?warm (request : Protocol.request) =
            | None -> ""
            | Some dc -> Blif.exdc_to_string pristine dc))
   in
-  let canonical_digest = Digest.to_hex (Digest.string canonical) in
-  Ok { spec; pristine; canonical_digest; key; dc }
+  Ok { spec; pristine; canonical; key; dc }
 
 let cache_key p = p.key
 
@@ -189,8 +188,11 @@ let cache_key p = p.key
 (* ------------------------------------------------------------------ *)
 
 let execute ?warm p =
-  (* A warm post-script snapshot stands in for the script. *)
-  let scripted_key = p.canonical_digest ^ "\x00" ^ p.spec.script in
+  (* A warm post-script snapshot stands in for the script. Only a run
+     reads the digest, so a cache hit never computes it. *)
+  let scripted_key =
+    Digest.to_hex (Digest.string p.canonical) ^ "\x00" ^ p.spec.script
+  in
   let net, spec, on_script =
     match Option.bind warm (fun w -> lru_find w.scripted scripted_key) with
     | Some snapshot ->

@@ -70,7 +70,8 @@ val prepare : ?warm:warm -> Protocol.request -> (prepared, string) result
 (** Validate names, parse (or reuse) the network, parse the request's
     [exdc] section (if any) against it, and compute the canonical cache
     key — which folds in the canonical [.exdc] text, so jobs with
-    different don't-care views never share a cached result. [Error]
+    different don't-care views never share a cached result. A cache
+    hit needs nothing more, so nothing more is computed here. [Error]
     carries a client-presentable message ([exdc:<line>: ...] for a bad
     section). *)
 
@@ -80,7 +81,9 @@ val cache_key : prepared -> string option
 
 val execute : ?warm:warm -> prepared -> Cache.entry
 (** {!run} on a copy of the parsed network (or of a warm post-script
-    snapshot), then {!serialise} with the job's don't-care view. *)
+    snapshot, found by the digest of the canonical text, which only
+    this function computes), then {!serialise} with the job's
+    don't-care view. *)
 
 val run_cold : Protocol.request -> (Cache.entry, string) result
 (** [prepare] + [execute] with no warm state and no cache — the

@@ -65,25 +65,41 @@ val decode_response : string -> (response, string) result
 val write_frame : Unix.file_descr -> string -> unit
 (** Write one frame (blocking, restarts on [EINTR]). *)
 
-val read_frame : ?max_bytes:int -> Unix.file_descr -> string option
-(** Blocking read of one frame; [None] on clean EOF before the first
-    header byte. @raise Frame_error on truncation or an oversized
-    declared length. Used by clients; the server reads incrementally
-    through {!Reader}. *)
+val send_request : Unix.file_descr -> request -> unit
+(** [write_frame fd (encode_request r)], with the length prefix and the
+    payload built in one buffer: the BLIF text is copied once. *)
 
-(** Incremental frame decoder for the server's select loop: bytes go in
-    as they arrive, complete frames come out, and an oversized declared
-    length surfaces as soon as its header does. *)
+val send_response : Unix.file_descr -> response -> unit
+(** [write_frame fd (encode_response r)], built the same way. *)
+
+(** Frame reader over one socket, for the daemon's select loop and for
+    clients alike. It reads into a buffer it owns and reuses for the
+    life of the connection — grown only when a frame needs more room,
+    its unconsumed bytes moved to the front only when they stand in
+    the way — and hands out each frame as one string copy. An
+    oversized declared length surfaces as soon as its header arrives,
+    before any of the payload is buffered. *)
 module Reader : sig
   type t
 
-  val create : ?max_bytes:int -> unit -> t
+  val create : ?max_bytes:int -> Unix.file_descr -> t
+  (** A reader that owns no bytes yet; frames declaring more than
+      [max_bytes] (default {!default_max_frame}) are refused. *)
 
-  val push : t -> string -> unit
-  (** Append raw bytes received from the socket. *)
+  val fill : t -> bool
+  (** One [read] from the descriptor into the buffer (restarted on
+      [EINTR]); [false] at end of stream. Other errors, [EAGAIN] on a
+      non-blocking or timed-out socket among them, propagate. *)
 
   val next : t -> [ `Frame of string | `Await | `Oversized of int ]
-  (** Pop the next complete frame, if any. [`Oversized] reports the
-      declared length; the reader is poisoned and the connection should
-      be refused and closed. *)
+  (** Pop the next complete buffered frame, if any; reads nothing.
+      [`Oversized] reports the declared length; the reader is poisoned
+      (it answers [`Await] from then on) and the connection should be
+      refused and closed. *)
 end
+
+val read_frame : Reader.t -> string option
+(** Blocking read of the next frame: {!Reader.next}, calling
+    {!Reader.fill} until a frame is complete. [None] on a clean end of
+    stream between frames. @raise Frame_error on truncation or an
+    oversized declared length. *)

@@ -4,21 +4,29 @@
     layers of warm state alive between them: the shared {!Cache} of
     finished results, and per-worker {!Job.warm} snapshots (parsed and
     post-script networks). Job execution runs on a {!Rar_util.Pool}
-    domain pool via its persistent {!Rar_util.Pool.submit} queue, so
-    the accept loop never blocks on synthesis work.
+    domain pool via its persistent {!Rar_util.Pool.submit} queue: with
+    worker domains the event loop never blocks on synthesis work, and
+    with [jobs = 1] each job runs inline on the loop's domain.
 
     {2 Event loop}
 
     The main domain runs a [select] loop over the listening socket, a
-    self-pipe, and every connection with no job in flight. Connection
-    reads are non-blocking and incremental ({!Protocol.Reader}): a
-    client trickling bytes cannot stall other clients. A decoded
-    request marks its connection busy (the loop stops reading it — the
-    protocol is strictly request/response per connection) and is
-    submitted to the pool; the worker writes the response frame itself
-    and pokes the self-pipe so the loop resumes reading that
-    connection. Framing and decode errors are answered with a clean
-    [Refused] frame and the connection is closed; the daemon stays up.
+    self-pipe, and every connection with no job in flight. Each
+    connection has one {!Protocol.Reader}: a readable event is one
+    non-blocking read into the reader's reused buffer, so a client
+    trickling bytes cannot stall other clients. A decoded request marks
+    its connection busy (the loop stops reading it — the protocol is
+    strictly request/response per connection) and is submitted to the
+    pool; the job writes the response frame itself and queues its
+    connection as complete. The loop takes completions right after
+    each dispatch and after each [select]: with [jobs = 1] the job ran
+    inline on the loop's domain and is taken at once, while a job on a
+    worker domain pokes the self-pipe to wake the loop. A taken
+    completion resumes its connection with any request the client
+    pipelined meanwhile. A client's end of stream closes its connection
+    once every complete buffered request has been answered. Framing and
+    decode errors are answered with a clean [Refused] frame and the
+    connection is closed; the daemon stays up.
 
     {2 Shutdown}
 

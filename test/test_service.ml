@@ -20,6 +20,31 @@ let temp_socket () =
   Sys.remove path;
   path
 
+(* A frame as it travels: 4-byte big-endian length, then the payload. *)
+let framed payload =
+  let len = String.length payload in
+  let header = Bytes.create 4 in
+  Bytes.set header 0 (Char.chr ((len lsr 24) land 0xff));
+  Bytes.set header 1 (Char.chr ((len lsr 16) land 0xff));
+  Bytes.set header 2 (Char.chr ((len lsr 8) land 0xff));
+  Bytes.set header 3 (Char.chr (len land 0xff));
+  Bytes.to_string header ^ payload
+
+let write_string fd s =
+  let b = Bytes.of_string s in
+  let rec go off =
+    if off < Bytes.length b then
+      go (off + Unix.write fd b off (Bytes.length b - off))
+  in
+  go 0
+
+let with_socketpair f =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ a; b ])
+    (fun () -> f a b)
+
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in
   let rec at i =
@@ -80,37 +105,99 @@ let test_protocol_roundtrip () =
 
 let test_protocol_reader_incremental () =
   let payload = Protocol.encode_request (Protocol.default_request ~blif:"x") in
-  let framed =
-    let len = String.length payload in
-    let header = Bytes.create 4 in
-    Bytes.set header 0 (Char.chr ((len lsr 24) land 0xff));
-    Bytes.set header 1 (Char.chr ((len lsr 16) land 0xff));
-    Bytes.set header 2 (Char.chr ((len lsr 8) land 0xff));
-    Bytes.set header 3 (Char.chr (len land 0xff));
-    Bytes.to_string header ^ payload
-  in
-  (* Feed the frame one byte at a time, twice over: the reader must
+  (* Send the frame one byte at a time, twice over: the reader must
      surface each frame exactly when its last byte arrives. *)
-  let reader = Protocol.Reader.create () in
-  let frames = ref 0 in
-  String.iter
-    (fun c ->
-      Protocol.Reader.push reader (String.make 1 c);
-      match Protocol.Reader.next reader with
-      | `Frame got ->
-        incr frames;
-        Alcotest.(check string) "payload intact" payload got
-      | `Await -> ()
-      | `Oversized _ -> Alcotest.fail "small frame flagged oversized")
-    (framed ^ framed);
-  Alcotest.(check int) "both frames surfaced" 2 !frames;
+  with_socketpair (fun writer fd ->
+      let reader = Protocol.Reader.create fd in
+      let frames = ref 0 in
+      String.iter
+        (fun c ->
+          write_string writer (String.make 1 c);
+          Alcotest.(check bool) "one byte read" true (Protocol.Reader.fill reader);
+          match Protocol.Reader.next reader with
+          | `Frame got ->
+            incr frames;
+            Alcotest.(check string) "payload intact" payload got
+          | `Await -> ()
+          | `Oversized _ -> Alcotest.fail "small frame flagged oversized")
+        (framed payload ^ framed payload);
+      Alcotest.(check int) "both frames surfaced" 2 !frames;
+      Unix.shutdown writer Unix.SHUTDOWN_SEND;
+      Alcotest.(check bool) "clean end between frames" true
+        (Protocol.read_frame reader = None));
+  (* Frames larger than the buffer it starts with, and frames sent
+     together in one write, come out whole and in order. *)
+  with_socketpair (fun writer fd ->
+      let reader = Protocol.Reader.create fd in
+      let payloads = [ String.make 200_000 'a'; "b"; String.make 70_000 'c' ] in
+      let sender =
+        Domain.spawn (fun () ->
+            write_string writer (String.concat "" (List.map framed payloads));
+            Unix.shutdown writer Unix.SHUTDOWN_SEND)
+      in
+      List.iter
+        (fun expected ->
+          match Protocol.read_frame reader with
+          | Some got ->
+            Alcotest.(check int) "frame length" (String.length expected)
+              (String.length got);
+            Alcotest.(check bool) "frame bytes" true (got = expected)
+          | None -> Alcotest.fail "stream ended early")
+        payloads;
+      Domain.join sender;
+      Alcotest.(check bool) "then a clean end" true
+        (Protocol.read_frame reader = None));
+  (* A truncated frame is an error, not a clean end. *)
+  with_socketpair (fun writer fd ->
+      let reader = Protocol.Reader.create fd in
+      write_string writer (String.sub (framed "hello") 0 6);
+      Unix.shutdown writer Unix.SHUTDOWN_SEND;
+      match Protocol.read_frame reader with
+      | exception Protocol.Frame_error _ -> ()
+      | _ -> Alcotest.fail "truncated frame accepted");
   (* An oversized length header poisons the connection immediately,
      before any payload bytes arrive. *)
-  let tiny = Protocol.Reader.create ~max_bytes:8 () in
-  Protocol.Reader.push tiny "\xff\xff\xff\xff";
-  (match Protocol.Reader.next tiny with
-  | `Oversized _ -> ()
-  | `Frame _ | `Await -> Alcotest.fail "oversized header accepted")
+  with_socketpair (fun writer fd ->
+      let tiny = Protocol.Reader.create ~max_bytes:8 fd in
+      write_string writer "\xff\xff\xff\xff";
+      ignore (Protocol.Reader.fill tiny);
+      match Protocol.Reader.next tiny with
+      | `Oversized _ -> ()
+      | `Frame _ | `Await -> Alcotest.fail "oversized header accepted")
+
+(* The reader reuses its buffer: reading a stream of small frames
+   allocates about the frames themselves, not a scratch buffer per
+   read. *)
+let test_protocol_reader_allocation () =
+  let count = 100 in
+  let frames =
+    List.init count (fun i ->
+        Bytes.of_string (framed (String.make (1900 + (37 * i mod 300)) 'x')))
+  in
+  let payload_words =
+    List.fold_left (fun acc b -> acc + Bytes.length b - 4) 0 frames
+    / (Sys.word_size / 8)
+  in
+  with_socketpair (fun writer fd ->
+      let reader = Protocol.Reader.create fd in
+      let allocated () =
+        let minor, promoted, major = Gc.counters () in
+        minor +. major -. promoted
+      in
+      let before = allocated () in
+      List.iter
+        (fun b ->
+          ignore (Unix.write writer b 0 (Bytes.length b));
+          match Protocol.read_frame reader with
+          | Some p when String.length p = Bytes.length b - 4 -> ()
+          | _ -> Alcotest.fail "frame lost")
+        frames;
+      let words = allocated () -. before in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.0f words allocated for %d payload words" words
+           payload_words)
+        true
+        (words <= float_of_int (2 * payload_words)))
 
 (* ------------------------------------------------------------------ *)
 (* Cache                                                               *)
@@ -167,7 +254,10 @@ let stress_workload () =
         [ "resub"; "ext" ])
     [ "c17"; "b9" ]
 
-let test_stress_byte_identity () =
+(* [jobs] is the daemon's worker count: [0] resolves to the domain
+   count (jobs run on worker domains), [1] runs every job inline on the
+   event loop's domain, as [rarsubd --jobs 1] does. *)
+let test_stress_byte_identity ~jobs () =
   let workload = stress_workload () in
   let references =
     List.map
@@ -179,7 +269,7 @@ let test_stress_byte_identity () =
   in
   let clients = 8 and rounds = 2 in
   let socket = temp_socket () in
-  let config = Server.default_config ~socket_path:socket in
+  let config = { (Server.default_config ~socket_path:socket) with Server.jobs } in
   let stats =
     Server.with_server config (fun server ->
         let client idx () =
@@ -245,7 +335,7 @@ let test_frame_abuse_rejected () =
           ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
           (fun () ->
             send fd;
-            match Protocol.read_frame fd with
+            match Protocol.read_frame (Protocol.Reader.create fd) with
             | None -> Alcotest.failf "%s: closed with no reply" tag
             | Some payload -> (
               match Protocol.decode_response payload with
@@ -293,6 +383,90 @@ let test_frame_abuse_rejected () =
       match Server.Client.round_trip ~timeout:120.0 ~socket request with
       | Protocol.Result _ -> ()
       | Protocol.Refused m -> Alcotest.failf "daemon wedged after abuse: %s" m)
+
+let raw_connect socket =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  fd
+
+let reply_of reader =
+  match Protocol.read_frame reader with
+  | None -> Alcotest.fail "closed with no reply"
+  | Some payload -> (
+    match Protocol.decode_response payload with
+    | Ok response -> response
+    | Error m -> Alcotest.failf "unreadable reply: %s" m)
+
+(* On the inline path, two requests sent in one write on one connection
+   draw two replies in order: the first runs the job, the second finds
+   its result in the cache. *)
+let test_pipelined_inline () =
+  let request = List.hd (stress_workload ()) in
+  let reference =
+    match Job.run_cold request with
+    | Ok e -> e.Cache.blif
+    | Error m -> Alcotest.failf "cold reference failed: %s" m
+  in
+  let socket = temp_socket () in
+  let config = { (Server.default_config ~socket_path:socket) with Server.jobs = 1 } in
+  Server.with_server config (fun _ ->
+      let fd = raw_connect socket in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let frame = framed (Protocol.encode_request request) in
+          write_string fd (frame ^ frame);
+          let reader = Protocol.Reader.create fd in
+          List.iter
+            (fun (tag, expect_hit) ->
+              match reply_of reader with
+              | Protocol.Result { blif; cache_hit; _ } ->
+                Alcotest.(check bool) (tag ^ " cache flag") expect_hit cache_hit;
+                Alcotest.(check string) (tag ^ " bytes") reference blif
+              | Protocol.Refused m -> Alcotest.failf "%s refused: %s" tag m)
+            [ ("first reply", false); ("second reply", true) ]))
+
+(* A request followed by the client's half-close gets its reply before
+   the daemon closes the connection, wherever the frame ends relative
+   to the daemon's reads: frame sizes on both sides of 64 KiB and at
+   two of its multiples, with jobs inline and on a worker domain. The
+   body is the c17 job padded with a BLIF comment to the frame size. *)
+let test_half_close_after_frame () =
+  let blif = circuit_blif "c17" in
+  let reference =
+    match Job.run_cold (Protocol.default_request ~blif) with
+    | Ok e -> e.Cache.blif
+    | Error m -> Alcotest.failf "cold reference failed: %s" m
+  in
+  let request_of_size size =
+    let base = String.length (framed (Protocol.encode_request (Protocol.default_request ~blif))) in
+    let padding = size - base - 2 in
+    Protocol.default_request ~blif:("#" ^ String.make padding 'x' ^ "\n" ^ blif)
+  in
+  List.iter
+    (fun jobs ->
+      let socket = temp_socket () in
+      let config = { (Server.default_config ~socket_path:socket) with Server.jobs } in
+      Server.with_server config (fun _ ->
+          List.iter
+            (fun size ->
+              let tag = Printf.sprintf "jobs %d, %d-byte frame" jobs size in
+              let frame = framed (Protocol.encode_request (request_of_size size)) in
+              Alcotest.(check int) (tag ^ " size") size (String.length frame);
+              let fd = raw_connect socket in
+              Fun.protect
+                ~finally:(fun () -> Unix.close fd)
+                (fun () ->
+                  write_string fd frame;
+                  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+                  let reader = Protocol.Reader.create fd in
+                  (match reply_of reader with
+                  | Protocol.Result r -> Alcotest.(check string) tag reference r.blif
+                  | Protocol.Refused m -> Alcotest.failf "%s: refused: %s" tag m);
+                  Alcotest.(check bool) (tag ^ ": then closed") true
+                    (Protocol.read_frame reader = None)))
+            [ 65_535; 65_536; 65_537; 131_072 ]))
+    [ 1; 2 ]
 
 (* A daemon that dies mid-session must surface as a clean
    [Frame_error], not kill the client with SIGPIPE or leak a raw
@@ -440,6 +614,8 @@ let () =
           Alcotest.test_case "round trip" `Quick test_protocol_roundtrip;
           Alcotest.test_case "incremental reader" `Quick
             test_protocol_reader_incremental;
+          Alcotest.test_case "reader allocation" `Quick
+            test_protocol_reader_allocation;
         ] );
       ( "cache",
         [
@@ -451,7 +627,13 @@ let () =
       ( "daemon",
         [
           Alcotest.test_case "8-client byte identity" `Quick
-            test_stress_byte_identity;
+            (test_stress_byte_identity ~jobs:0);
+          Alcotest.test_case "8-client byte identity, inline jobs" `Quick
+            (test_stress_byte_identity ~jobs:1);
+          Alcotest.test_case "pipelined requests, inline jobs" `Quick
+            test_pipelined_inline;
+          Alcotest.test_case "reply before half-close" `Quick
+            test_half_close_after_frame;
           Alcotest.test_case "frame abuse rejected" `Quick
             test_frame_abuse_rejected;
           Alcotest.test_case "daemon death mid-session" `Quick
