@@ -29,7 +29,9 @@ cubeops:
 # miss/hit/bypass sequence over the quick cells, assert every response
 # is byte-identical to the cold reference run, the cache counters are
 # exact, and malformed/oversized frames are refused without downing the
-# daemon.
+# daemon. The sequence runs twice: against a daemon at its default
+# worker count (jobs on a worker domain) and against one at jobs = 1
+# (jobs inline on the event loop, as perfbench's daemon-mix runs it).
 servicecheck:
 	dune exec bench/main.exe -- servicecheck quick
 
