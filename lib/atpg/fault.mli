@@ -78,7 +78,7 @@ val find_test : Logic_network.Network.t -> wire -> (string * bool) list option
 
 val redundant_result :
   ?learn_depth:int ->
-  ?region:(Logic_network.Network.node_id -> bool) ->
+  ?region:Logic_network.Network.node_id list ->
   ?engine:Imply.t ->
   ?budget:Rar_util.Budget.t ->
   ?counters:Rar_util.Counters.t ->
@@ -111,7 +111,7 @@ val redundant_result :
 
 val redundant :
   ?learn_depth:int ->
-  ?region:(Logic_network.Network.node_id -> bool) ->
+  ?region:Logic_network.Network.node_id list ->
   ?engine:Imply.t ->
   ?budget:Rar_util.Budget.t ->
   ?counters:Rar_util.Counters.t ->

@@ -18,22 +18,27 @@ let decode = function
   | '\002' -> Some true
   | _ -> None
 
-(* The engine is an arena: every node of the network owns a slot, values
-   live in dense byte arrays indexed by slot (cubes in one flat array laid
-   out by [cube_off]), and every assignment is logged on an undo trail so
-   the state between redundancy tests is restored in O(assignments)
-   instead of rebuilding O(network) hashtables per test. The propagation
-   queue is a ring buffer over slots, giving stable FIFO (levelized)
-   implication order instead of the legacy LIFO cons-list.
+(* The engine is an arena: values live in dense byte arrays indexed by
+   slot (cubes in one flat array laid out by [cube_off]), and every
+   assignment is logged on an undo trail so the state between
+   redundancy tests is restored in O(assignments) instead of rebuilding
+   O(network) hashtables per test. The propagation queue is a ring
+   buffer over slots, giving stable FIFO (levelized) implication order
+   instead of the legacy LIFO cons-list.
 
-   Everything propagation reads is resolved to slots at build time: a
-   cube's literals are slot codes [slot lsl 1 lor neg] (even = positive),
-   region membership and frozen marks are per-slot bytes, and each slot
-   lists the slots of its fanouts inside the region. Propagation never
-   consults the network. *)
+   Only the nodes propagation can reach own a slot from the build: the
+   region, the region's fanins and the inputs EXCDC cubes name (every
+   node when there is no region). Everything propagation reads is
+   resolved to slots then: a region cube's literals are slot codes
+   [slot lsl 1 lor neg] (even = positive), region membership and frozen
+   marks are per-slot bytes, and each slot lists the slots of its
+   fanouts inside the region. Propagation never consults the network.
+   A node outside that set gets a slot the first time an assignment
+   names it; until then its only value is the one its cover fixes when
+   it is constant, which the queries read from the network. *)
 type t = {
   net : Network.t;
-  region : Network.node_id -> bool;
+  region : Network.node_id list option;  (* [None]: every node *)
   mutable budget : Rar_util.Budget.t;
   counters : Counters.t option;
   (* External don't cares: each EXCDC cube is a forbidden input
@@ -42,29 +47,37 @@ type t = {
   dc : Logic_network.Dont_care.t option;
   mutable built_dc_revision : int;
   mutable dc_codes : int array array;
-  mutable dc_watch : int array array; (* input slot -> watching cubes *)
+  mutable dc_watch : int array array; (* build slot -> watching cubes *)
   (* Structure mirrors the network at [built_revision]; [reset] rebuilds
      it when the network has mutated since. Shared by learn-copies. *)
   mutable built_revision : int;
+  mutable built_limit : int;  (* [Network.id_limit] at the build *)
   (* Bumped by every build/reset/refresh: marks taken before the bump are
      stale (their trail positions no longer mean anything). *)
   mutable generation : int;
-  mutable slot : int array;  (* node id -> slot (-1 when unknown) *)
+  (* Node id -> slot (-1 when none). Kept across builds: a build clears
+     only the entries of the slots it drops. *)
+  mutable slot : int array;
+  (* Per-slot arrays have room for at least [nslots] slots, and
+     [cube_val] for [cube_off.(nslots)] cubes: a slot added after the
+     build may grow them. *)
   mutable node_of : int array;  (* slot -> node id *)
   mutable nslots : int;
   mutable is_input : Bytes.t;  (* slot -> 0/1 *)
   mutable in_region : Bytes.t;  (* slot -> 0/1 *)
-  mutable fanin_slots : int array array;  (* slot -> slots of its fanins *)
+  mutable fanin_slots : int array array;  (* region slot -> its fanins' slots *)
   mutable region_fanouts : int array array;  (* slot -> its fanouts in region *)
   (* Flat cubes of slot [s]: [cube_off.(s)] up to [cube_off.(s) + ncubes.(s)],
      within a capacity that ends at [cube_off.(s + 1)]. *)
   mutable cube_off : int array;
   mutable ncubes : int array;
-  mutable cube_lits : int array array;  (* flat cube -> literal slot codes *)
-  mutable constants : int array;  (* slots of constant nodes, ascending *)
+  mutable cube_lits : int array array;  (* region cube -> its slot codes *)
+  mutable constants : int array;  (* slots of constant nodes, by ascending id *)
   mutable base_queue : int array;  (* queue right after constant seeding *)
   (* Nodes whose value is never derived (the fault-carrying cone), as
-     per-slot marks; [frozen_ids] remembers them across rebuilds. *)
+     per-slot marks; [frozen_ids] remembers them across rebuilds. Only
+     region slots and EXCDC inputs read the mark, and both are slotted
+     at the build. *)
   mutable frozen : Bytes.t;
   mutable frozen_ids : Network.node_id list;
   (* Per-test state (private to each learn-copy). *)
@@ -74,7 +87,7 @@ type t = {
   mutable q_head : int;
   mutable q_len : int;
   mutable queued : Bytes.t;  (* slot -> pending flag *)
-  mutable trail : int array;  (* slot s, or nslots + flat cube index *)
+  mutable trail : int array;  (* slot s as 2s, flat cube c as 2c + 1 *)
   mutable trail_len : int;
 }
 
@@ -82,12 +95,6 @@ let network t = t.net
 
 let slot_of t id =
   if id >= 0 && id < Array.length t.slot then t.slot.(id) else -1
-
-let slot_exn t id =
-  let s = slot_of t id in
-  if s < 0 then
-    invalid_arg (Printf.sprintf "Imply: node %d unknown to the arena" id)
-  else s
 
 let enqueue_slot t s =
   if Bytes.unsafe_get t.queued s = '\000' then begin
@@ -115,6 +122,14 @@ let constant_of_cover cover =
   else if Cover.is_one cover then Some true
   else None
 
+(* The value a node without a slot holds: the constant its cover fixes. *)
+let unslotted_value t id =
+  if
+    id < t.built_limit && Network.mem t.net id
+    && not (Network.is_input t.net id)
+  then constant_of_cover (Network.cover t.net id)
+  else None
+
 (* Literal codes of [cube] over the node's fanins, resolved to slots:
    the order stays the cube's (by fanin index). *)
 let slot_codes slot fanins cube =
@@ -125,89 +140,155 @@ let slot_codes slot fanins cube =
     codes;
   codes
 
-(* Resolve the EXCDC cubes against the current structure. A cube naming
-   a signal that is not a primary input of this network is dropped —
-   fewer forbidden patterns is always sound. *)
-let resolve_dc t ~slot ~is_input ~nslots =
+(* The EXCDC cubes as (input id, phase) lists. A cube naming a signal
+   that is not a primary input of this network is dropped — fewer
+   forbidden patterns is always sound. *)
+let dc_inputs t =
   match t.dc with
   | Some dc when not (Logic_network.Dont_care.is_empty dc) ->
-    let resolved = ref [] in
-    List.iter
+    List.filter_map
       (fun cube ->
-        let codes =
+        let ids =
           List.filter_map
             (fun (name, phase) ->
               match Network.find_by_name t.net name with
-              | Some id
-                when id < Array.length slot && slot.(id) >= 0
-                     && Bytes.get is_input slot.(id) = '\001' ->
-                Some ((slot.(id) lsl 1) lor if phase then 0 else 1)
+              | Some id when Network.is_input t.net id -> Some (id, phase)
               | _ -> None)
             cube
         in
-        if List.length codes = List.length cube then
-          resolved := Array.of_list codes :: !resolved)
-      (Logic_network.Dont_care.excdc dc);
-    let dc_codes = Array.of_list (List.rev !resolved) in
-    if Array.length dc_codes = 0 then ([||], [||])
-    else begin
-      let watch = Array.make (max 1 nslots) [] in
-      Array.iteri
-        (fun c codes ->
-          Array.iter
-            (fun code -> watch.(code lsr 1) <- c :: watch.(code lsr 1))
-            codes)
-        dc_codes;
-      (dc_codes, Array.map (fun l -> Array.of_list (List.rev l)) watch)
-    end
-  | _ -> ([||], [||])
+        if List.length ids = List.length cube then Some ids else None)
+      (Logic_network.Dont_care.excdc dc)
+  | _ -> []
+
+(* Resolve the EXCDC cubes to slot codes, and each input slot to the
+   cubes watching it. *)
+let resolve_dc t cubes =
+  let dc_codes =
+    Array.of_list
+      (List.map
+         (fun cube ->
+           Array.of_list
+             (List.map
+                (fun (id, phase) ->
+                  (t.slot.(id) lsl 1) lor if phase then 0 else 1)
+                cube))
+         cubes)
+  in
+  if Array.length dc_codes = 0 then ([||], [||])
+  else begin
+    let watch = Array.make (max 1 t.nslots) [] in
+    Array.iteri
+      (fun c codes ->
+        Array.iter
+          (fun code -> watch.(code lsr 1) <- c :: watch.(code lsr 1))
+          codes)
+      dc_codes;
+    (dc_codes, Array.map (fun l -> Array.of_list (List.rev l)) watch)
+  end
+
+(* The node ids a build slots, ascending, and whether each lies in the
+   region: every node when there is no region, else the region, the
+   region's fanins and the EXCDC inputs. [t.slot] marks them while they
+   are gathered: -3 for a region node, -2 for another. *)
+let gather t dc_cubes =
+  let net = t.net in
+  let limit = Network.id_limit net in
+  match t.region with
+  | None ->
+    let ids = ref [] in
+    for id = limit - 1 downto 0 do
+      if Network.mem net id then ids := id :: !ids
+    done;
+    let ids = Array.of_list !ids in
+    (ids, Array.make (Array.length ids) true)
+  | Some region ->
+    let gathered = ref [] in
+    let mark v id =
+      if t.slot.(id) = -1 then begin
+        t.slot.(id) <- v;
+        gathered := id :: !gathered
+      end
+    in
+    List.iter (fun id -> if Network.mem net id then mark (-3) id) region;
+    List.iter
+      (fun id ->
+        if t.slot.(id) = -3 && not (Network.is_input net id) then
+          Array.iter (mark (-2)) (Network.fanins net id))
+      !gathered;
+    List.iter (List.iter (fun (id, _) -> mark (-2) id)) dc_cubes;
+    let ids = Array.of_list (List.sort Int.compare !gathered) in
+    (ids, Array.map (fun id -> t.slot.(id) = -3) ids)
 
 (* (Re)build the arena from the network's current structure and seed the
    constant nodes: their value holds unconditionally, and a node whose
    only fanins are constants would otherwise never be examined. Matching
    the legacy [create], the constants' region fanouts are left pending on
    the queue for the first propagation run to drain. Slots follow
-   ascending node ids; a first sweep numbers them and sizes the cube
+   ascending node ids; a first pass numbers them and sizes the cube
    array, a second fills it. *)
 let build t =
   let net = t.net in
   let limit = Network.id_limit net in
-  let nslots = Network.node_count net in
+  for s = 0 to t.nslots - 1 do
+    t.slot.(t.node_of.(s)) <- -1
+  done;
+  if Array.length t.slot < limit then
+    t.slot <- Array.make (max limit (2 * Array.length t.slot)) (-1);
+  let dc_cubes = dc_inputs t in
+  let ids, region_mask = gather t dc_cubes in
+  let nslots = Array.length ids in
   let size = max 1 nslots in
-  let slot = Array.make (max 1 limit) (-1) in
   let node_of = Array.make size 0 in
   let is_input = Bytes.make size '\000' in
   let in_region = Bytes.make size '\000' in
-  let s = ref 0 and total_cubes = ref 0 in
-  for id = 0 to limit - 1 do
-    if Network.mem net id then begin
-      slot.(id) <- !s;
-      node_of.(!s) <- id;
-      if Network.is_input net id then Bytes.set is_input !s '\001'
+  let total_cubes = ref 0 in
+  Array.iteri
+    (fun s id ->
+      t.slot.(id) <- s;
+      node_of.(s) <- id;
+      if Network.is_input net id then Bytes.set is_input s '\001'
       else
         total_cubes := !total_cubes + Cover.cube_count (Network.cover net id);
-      if t.region id then Bytes.set in_region !s '\001';
-      incr s
-    end
-  done;
+      if region_mask.(s) then Bytes.set in_region s '\001')
+    ids;
   let total_cubes = !total_cubes in
   let fanin_slots = Array.make size [||] in
-  let region_fanouts = Array.make size [||] in
-  let cube_off = Array.make (nslots + 1) 0 in
+  (* Each region node joins its fanins' fanout lists in ascending id
+     order, which is [Network.fanouts]' order. *)
+  let fanouts_rev = Array.make size [] in
+  for s = 0 to nslots - 1 do
+    if Bytes.get in_region s = '\001' && Bytes.get is_input s = '\000' then begin
+      let slots =
+        Array.map (fun f -> t.slot.(f)) (Network.fanins net node_of.(s))
+      in
+      fanin_slots.(s) <- slots;
+      Array.iter
+        (fun f ->
+          match fanouts_rev.(f) with
+          | o :: _ when o = s -> ()
+          | l -> fanouts_rev.(f) <- s :: l)
+        slots
+    end
+  done;
+  let region_fanouts =
+    Array.map (fun l -> Array.of_list (List.rev l)) fanouts_rev
+  in
+  let cube_off = Array.make (size + 1) 0 in
   let ncubes = Array.make size 0 in
-  let cube_lits = Array.make (max 1 total_cubes) [||] in
-  let dc_codes, dc_watch = resolve_dc t ~slot ~is_input ~nslots in
+  let cube_cap = max 1 total_cubes in
+  let cube_lits = Array.make cube_cap [||] in
   t.built_revision <- Network.revision net;
+  t.built_limit <- limit;
   t.built_dc_revision <-
     (match t.dc with
     | None -> -1
     | Some dc -> Logic_network.Dont_care.revision dc);
-  t.dc_codes <- dc_codes;
-  t.dc_watch <- dc_watch;
   t.generation <- t.generation + 1;
-  t.slot <- slot;
   t.node_of <- node_of;
   t.nslots <- nslots;
+  let dc_codes, dc_watch = resolve_dc t dc_cubes in
+  t.dc_codes <- dc_codes;
+  t.dc_watch <- dc_watch;
   t.is_input <- is_input;
   t.in_region <- in_region;
   t.fanin_slots <- fanin_slots;
@@ -218,35 +299,30 @@ let build t =
   t.frozen <- Bytes.make size '\000';
   mark_frozen t t.frozen_ids '\001';
   t.node_val <- Bytes.make size v_unknown;
-  t.cube_val <- Bytes.make (max 1 total_cubes) v_unknown;
+  t.cube_val <- Bytes.make cube_cap v_unknown;
   t.queue <- Array.make size 0;
   t.q_head <- 0;
   t.q_len <- 0;
   t.queued <- Bytes.make size '\000';
-  t.trail <- Array.make (max 1 (nslots + total_cubes)) 0;
+  t.trail <- Array.make (size + cube_cap) 0;
   t.trail_len <- 0;
   (* Fill the slots; constants are seeded in the same ascending order
      (not trailed: part of the reusable baseline). *)
   let off = ref 0 and constants = ref [] in
   for s = 0 to nslots - 1 do
-    let id = node_of.(s) in
     cube_off.(s) <- !off;
-    region_fanouts.(s) <-
-      Array.of_list
-        (List.filter_map
-           (fun out ->
-             let o = slot.(out) in
-             if Bytes.get in_region o = '\001' then Some o else None)
-           (Network.fanouts net id));
     if Bytes.get is_input s = '\000' then begin
+      let id = node_of.(s) in
       let cover = Network.cover net id in
-      let fanins = Network.fanins net id in
-      fanin_slots.(s) <- Array.map (fun f -> slot.(f)) fanins;
-      List.iter
-        (fun cube ->
-          cube_lits.(!off) <- slot_codes slot fanins cube;
-          incr off)
-        (Cover.cubes cover);
+      if Bytes.get in_region s = '\001' then begin
+        let fanins = Network.fanins net id in
+        List.iter
+          (fun cube ->
+            cube_lits.(!off) <- slot_codes t.slot fanins cube;
+            incr off)
+          (Cover.cubes cover)
+      end
+      else off := !off + Cover.cube_count cover;
       ncubes.(s) <- !off - cube_off.(s);
       match constant_of_cover cover with
       | Some v ->
@@ -261,8 +337,8 @@ let build t =
   t.base_queue <- Array.sub t.queue 0 t.q_len;
   count (fun c -> c.Counters.imply_creates) t
 
-let create ?(region = fun _ -> true) ?(frozen = [])
-    ?(budget = Rar_util.Budget.unlimited) ?counters ?dc net =
+let create ?region ?(frozen = []) ?(budget = Rar_util.Budget.unlimited)
+    ?counters ?dc net =
   let t =
     {
       net;
@@ -274,6 +350,7 @@ let create ?(region = fun _ -> true) ?(frozen = [])
       dc_codes = [||];
       dc_watch = [||];
       built_revision = -1;
+      built_limit = 0;
       generation = 0;
       slot = [||];
       node_of = [||];
@@ -302,6 +379,83 @@ let create ?(region = fun _ -> true) ?(frozen = [])
   build t;
   t
 
+(* Make room for [slots] slots and [cubes] flat cubes, doubling. The
+   ring buffer is laid out again from its head. *)
+let reserve t ~slots ~cubes =
+  let cap = Array.length t.node_of and cube_cap = Bytes.length t.cube_val in
+  let cap' = if slots > cap then max slots (2 * cap) else cap in
+  let cube_cap' =
+    if cubes > cube_cap then max cubes (2 * cube_cap) else cube_cap
+  in
+  let grow_array a fill n =
+    let b = Array.make n fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  let grow_bytes b fill n =
+    let c = Bytes.make n fill in
+    Bytes.blit b 0 c 0 (Bytes.length b);
+    c
+  in
+  if cap' > cap then begin
+    t.node_of <- grow_array t.node_of 0 cap';
+    t.is_input <- grow_bytes t.is_input '\000' cap';
+    t.in_region <- grow_bytes t.in_region '\000' cap';
+    t.fanin_slots <- grow_array t.fanin_slots [||] cap';
+    t.region_fanouts <- grow_array t.region_fanouts [||] cap';
+    t.cube_off <- grow_array t.cube_off 0 (cap' + 1);
+    t.ncubes <- grow_array t.ncubes 0 cap';
+    t.frozen <- grow_bytes t.frozen '\000' cap';
+    t.node_val <- grow_bytes t.node_val v_unknown cap';
+    t.queued <- grow_bytes t.queued '\000' cap';
+    let queue = Array.make cap' 0 in
+    for k = 0 to t.q_len - 1 do
+      queue.(k) <- t.queue.((t.q_head + k) mod cap)
+    done;
+    t.queue <- queue;
+    t.q_head <- 0
+  end;
+  if cube_cap' > cube_cap then
+    t.cube_val <- grow_bytes t.cube_val v_unknown cube_cap';
+  if cap' > cap || cube_cap' > cube_cap then
+    t.trail <- grow_array t.trail 0 (cap' + cube_cap')
+
+(* Give node [id] a slot outside the region: no fanouts to wake, no cube
+   literals (nothing processes it), room for its cubes' values, and its
+   constant seeded as a build seeds one. *)
+let add_slot t id =
+  let s = t.nslots in
+  let cover =
+    if Network.is_input t.net id then None else Some (Network.cover t.net id)
+  in
+  let n = match cover with Some c -> Cover.cube_count c | None -> 0 in
+  let off = t.cube_off.(s) in
+  reserve t ~slots:(s + 1) ~cubes:(off + n);
+  t.slot.(id) <- s;
+  t.node_of.(s) <- id;
+  if cover = None then Bytes.set t.is_input s '\001';
+  t.ncubes.(s) <- n;
+  t.cube_off.(s + 1) <- off + n;
+  t.nslots <- s + 1;
+  (match Option.bind cover constant_of_cover with
+  | Some v ->
+    Bytes.set t.node_val s (encode v);
+    t.constants <-
+      Array.of_list
+        (List.sort
+           (fun a b -> Int.compare t.node_of.(a) t.node_of.(b))
+           (s :: Array.to_list t.constants))
+  | None -> ());
+  s
+
+(* The slot of a node an assignment names, added when it has none. *)
+let slot_exn t id =
+  let s = slot_of t id in
+  if s >= 0 then s
+  else if id >= 0 && id < t.built_limit && Network.mem t.net id then
+    add_slot t id
+  else invalid_arg (Printf.sprintf "Imply: node %d unknown to the arena" id)
+
 let dc_revision t =
   match t.dc with
   | None -> -1
@@ -315,8 +469,8 @@ let stale t =
 let unwind t from =
   for k = t.trail_len - 1 downto from do
     let e = t.trail.(k) in
-    if e < t.nslots then Bytes.set t.node_val e v_unknown
-    else Bytes.set t.cube_val (e - t.nslots) v_unknown
+    if e land 1 = 0 then Bytes.set t.node_val (e lsr 1) v_unknown
+    else Bytes.set t.cube_val (e lsr 1) v_unknown
   done;
   t.trail_len <- from;
   let cap = Array.length t.queue in
@@ -354,7 +508,7 @@ let reset ?frozen t =
   end
 
 (* The queue [build] leaves after seeding the constants: their region
-   fanouts in slot order, each once. *)
+   fanouts in id order, each once. *)
 let seeded_queue t =
   let seen = Bytes.make (max 1 t.nslots) '\000' and acc = ref [] in
   Array.iter
@@ -371,18 +525,22 @@ let seeded_queue t =
 
 (* Rewrite slot [s] in place from its node's new function. The arena
    keeps its slots, cube capacity and fanout lists, so this holds only
-   when the node has no more cubes than its slot has room for and gains
-   no fanin (then the region fanouts of other slots change only by
-   losing [s], and the seeded queue only when one of them is a constant
-   or [s] turns constant). Anything else returns [false]. A node that
-   turns constant is seeded as [build] seeds one: its value holds
-   outside the trail, so the trail is unwound first, and [base_queue]
-   is recomputed with its fanouts. *)
+   when the node has no more cubes than its slot has room for and, in
+   the region, gains no fanin (then the region fanouts of other slots
+   change only by losing [s], and the seeded queue only when one of them
+   is a constant or [s] turns constant). Outside the region only the
+   cube count and the constant matter. Anything else returns [false]. A
+   node that turns constant is seeded as [build] seeds one: its value
+   holds outside the trail, so the trail is unwound first, and
+   [base_queue] is recomputed with its fanouts. *)
 let rewrite_slot t s id =
   let cover = Network.cover t.net id in
+  let region = Bytes.get t.in_region s = '\001' in
   let fanins = Network.fanins t.net id in
   let old_fanins = t.fanin_slots.(s) in
-  let new_fanins = Array.map (slot_of t) fanins in
+  let new_fanins =
+    if region then Array.map (slot_of t) fanins else [||]
+  in
   Cover.cube_count cover <= t.cube_off.(s + 1) - t.cube_off.(s)
   && Array.for_all (fun f -> f >= 0 && Array.mem f old_fanins) new_fanins
   && begin
@@ -403,32 +561,41 @@ let rewrite_slot t s id =
       unwind t 0;
       Bytes.set t.node_val s (encode v);
       t.constants <-
-        Array.of_list (List.sort Int.compare (s :: Array.to_list t.constants));
+        Array.of_list
+          (List.sort
+             (fun a b -> Int.compare t.node_of.(a) t.node_of.(b))
+             (s :: Array.to_list t.constants));
       t.base_queue <- seeded_queue t
     | None ->
       (* Losing a constant fanin changes what the constants seed. *)
       if List.exists (fun f -> Array.mem f t.constants) dropped then
         t.base_queue <- seeded_queue t);
     let off = t.cube_off.(s) in
-    List.iteri
-      (fun i cube -> t.cube_lits.(off + i) <- slot_codes t.slot fanins cube)
-      (Cover.cubes cover);
+    if region then
+      List.iteri
+        (fun i cube -> t.cube_lits.(off + i) <- slot_codes t.slot fanins cube)
+        (Cover.cubes cover);
     t.ncubes.(s) <- Cover.cube_count cover;
     t.fanin_slots.(s) <- new_fanins;
     true
   end
 
+(* A node without a slot that existed at the build (ids are never
+   reused, so it is below the build's id limit) is outside the region,
+   is no region node's fanin and is named by no assignment: nothing in
+   the arena reads its function, and a fresh build would not slot it
+   either. *)
 let refresh_node t id =
   if stale t then begin
     let s = slot_of t id in
     if
       Network.revision t.net = t.built_revision + 1
       && dc_revision t = t.built_dc_revision
-      && s >= 0
       && Network.mem t.net id
       && (not (Network.is_input t.net id))
-      && (not (Array.mem s t.constants))
-      && rewrite_slot t s id
+      &&
+      if s >= 0 then (not (Array.mem s t.constants)) && rewrite_slot t s id
+      else id < t.built_limit
     then begin
       t.built_revision <- Network.revision t.net;
       t.generation <- t.generation + 1;
@@ -439,7 +606,7 @@ let refresh_node t id =
 
 let node_value t id =
   let s = slot_of t id in
-  if s < 0 then None else decode (Bytes.get t.node_val s)
+  if s < 0 then unslotted_value t id else decode (Bytes.get t.node_val s)
 
 let cube_value t id i =
   let s = slot_of t id in
@@ -447,9 +614,9 @@ let cube_value t id i =
 
 let assigned_nodes t =
   let acc = ref [] in
-  for s = t.nslots - 1 downto 0 do
-    match decode (Bytes.get t.node_val s) with
-    | Some v -> acc := (t.node_of.(s), v) :: !acc
+  for id = Array.length t.slot - 1 downto 0 do
+    match node_value t id with
+    | Some v -> acc := (id, v) :: !acc
     | None -> ()
   done;
   !acc
@@ -483,13 +650,13 @@ let rec set_node t s v =
             (Network.name t.net t.node_of.(s))))
   else begin
     Bytes.unsafe_set t.node_val s b;
-    push_trail t s;
+    push_trail t (s lsl 1);
     if Bytes.unsafe_get t.in_region s <> '\000' then enqueue_slot t s;
     let outs = t.region_fanouts.(s) in
     for k = 0 to Array.length outs - 1 do
       enqueue_slot t outs.(k)
     done;
-    if Array.length t.dc_codes > 0 && Bytes.get t.is_input s = '\001' then
+    if s < Array.length t.dc_watch && Bytes.get t.is_input s = '\001' then
       check_dc t s
   end
 
@@ -531,7 +698,7 @@ let set_cube t s i v =
             (Network.name t.net t.node_of.(s))))
   else begin
     Bytes.unsafe_set t.cube_val c b;
-    push_trail t (t.nslots + c);
+    push_trail t ((c lsl 1) lor 1);
     if Bytes.unsafe_get t.in_region s <> '\000' then enqueue_slot t s
   end
 
@@ -708,9 +875,10 @@ let justification_options t =
   let options = ref [] in
   List.iter
     (fun id ->
-      let s = slot_exn t id in
+      let s = slot_of t id in
       if
-        Bytes.get t.is_input s = '\000'
+        s >= 0
+        && Bytes.get t.is_input s = '\000'
         && Bytes.get t.in_region s = '\001'
         && Bytes.get t.frozen s = '\000'
       then begin
@@ -784,7 +952,8 @@ let rec learn ?(max_options = 4) ~depth t =
                  beyond [t]'s is on it). *)
               for k = 0 to first.trail_len - 1 do
                 let e = first.trail.(k) in
-                if e < t.nslots then begin
+                if e land 1 = 0 then begin
+                  let e = e lsr 1 in
                   let v = Bytes.get first.node_val e in
                   if
                     v <> v_unknown

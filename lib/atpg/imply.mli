@@ -12,11 +12,10 @@
 
     Two scoping knobs mirror the paper's configurations:
     {ul
-    {- [region]: implications are only {e computed through} nodes
-       satisfying the predicate (values may still be recorded anywhere).
-       The paper's non-GDC configurations confine implications to the
-       dividend/divisor region; passing [fun _ -> true] gives the global
-       ("GDC") behaviour.}
+    {- [region]: implications are only {e computed through} the listed
+       nodes (values may still be recorded anywhere). The paper's non-GDC
+       configurations confine implications to the dividend/divisor
+       region; leaving it out gives the global ("GDC") behaviour.}
     {- [frozen]: nodes whose value must never be derived or propagated —
        the fault-effect-carrying nodes of a stuck-at test, whose good and
        faulty values differ. Given as a list of ids (typically
@@ -28,23 +27,28 @@
     one engine per (network, region) is created once and {!reset} between
     redundancy tests in O(assignments) rather than rebuilt in O(network).
     The propagation queue is a FIFO ring buffer, giving stable levelized
-    implication order. Cube literals, region membership, frozen marks and
-    region fanouts are resolved to slots when the arena is built, so
-    propagation never consults the network. *)
+    implication order. A build slots the region, the region's fanins and
+    the inputs EXCDC cubes name, and resolves region cube literals,
+    region membership, frozen marks and region fanouts to slots, so
+    propagation never consults the network. Any other node gets a slot
+    when an assignment first names it; a build costs O(region), not
+    O(network). *)
 
 type t
 
 exception Conflict of string
 
 val create :
-  ?region:(Logic_network.Network.node_id -> bool) ->
+  ?region:Logic_network.Network.node_id list ->
   ?frozen:Logic_network.Network.node_id list ->
   ?budget:Rar_util.Budget.t ->
   ?counters:Rar_util.Counters.t ->
   ?dc:Logic_network.Dont_care.t ->
   Logic_network.Network.t ->
   t
-(** Build an arena over the network's current structure. Counted as an
+(** Build an arena over the network's current structure. [region] may
+    repeat ids and name ids the network lacks; those are ignored.
+    Without it every node is in the region. Counted as an
     [imply_creates] in [counters] (as is every structural rebuild a later
     {!reset} performs). [budget] (default {!Rar_util.Budget.unlimited})
     is charged one unit per propagation step; when it runs out,
@@ -75,8 +79,8 @@ val network : t -> Logic_network.Network.t
 val reset : ?frozen:Logic_network.Network.node_id list -> t -> unit
 (** Return the engine to its post-{!create} state, optionally installing a
     new [frozen] set (the fault-carrying set differs per fault; the
-    [region] is fixed at creation, and the predicate is read once per
-    node when the arena is built). When the underlying network has
+    [region] is fixed at creation, and a rebuild slots its members that
+    are in the network then). When the underlying network has
     mutated since the arena was built, the structure is rebuilt (counted
     as [imply_creates]); otherwise the undo trail is rewound in
     O(assignments + frozen) (counted as [imply_resets]). *)
@@ -91,9 +95,11 @@ val refresh_node : t -> Logic_network.Network.node_id -> unit
     the next {!reset} only rewinds the trail. A node that turns constant
     is seeded in place as a build seeds one (this rewinds the trail
     already); a node that was constant at the build is not rewritten.
-    Otherwise, and whenever the arena has seen any other mutation,
-    nothing happens here and the next {!reset} rebuilds. Learn-copies
-    ({!copy}) share the rewritten arrays, so none may be in use. *)
+    A node without a slot outside the region is only recorded as seen
+    (nothing in the arena reads its function). Otherwise, and whenever
+    the arena has seen any other mutation, nothing happens here and the
+    next {!reset} rebuilds. Recursive learning's scratch copies share
+    the rewritten arrays, so none may be in use. *)
 
 val assign_node : t -> Logic_network.Network.node_id -> bool -> unit
 (** Assume a node value and propagate to fixpoint. @raise Conflict *)
@@ -134,10 +140,6 @@ val node_value : t -> Logic_network.Network.node_id -> bool option
 val cube_value : t -> Logic_network.Network.node_id -> int -> bool option
 
 val assigned_nodes : t -> (Logic_network.Network.node_id * bool) list
-
-val copy : t -> t
-(** Snapshot of the current state (used by recursive learning). The copy
-    shares the structural arrays; do not {!reset} it. *)
 
 val learn : ?max_options:int -> depth:int -> t -> unit
 (** Depth-bounded recursive learning (Kunz–Pradhan): for each unjustified

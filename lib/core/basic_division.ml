@@ -23,28 +23,34 @@ let divisor_cubes net ~d ~phase =
     Option.map Cover.cubes
       (Complement.cover_limited ~limit:complement_limit (Network.cover net d))
 
+(* SOS sets are decided in [f]'s own fanin slots: [d]'s cubes are
+   carried into them ([Lift.carry]), and nothing is lifted into node-id
+   space. *)
 let sos_cube_indices net ~f ~d ~phase =
-  let f_cubes = Lift.cubes net f in
+  let f_cubes = Cover.cubes (Network.cover net f) in
+  let map = Lift.slot_map net ~src:d ~dst:f in
   (* A cube inside a cube of d' is disjoint from every cube of d, so
      when no cube of f is, the SOS list is empty whatever d' is, and the
      complement is never taken. *)
   let may_divide =
     phase
     ||
-    let d_cubes = Lift.cubes net d in
+    let d_cubes = Cover.cubes (Network.cover net d) in
     List.exists
-      (fun c -> List.for_all (fun k -> Cube.distance c k > 0) d_cubes)
+      (fun c -> List.for_all (Lift.opposes map ~into:c) d_cubes)
       f_cubes
   in
   match if may_divide then divisor_cubes net ~d ~phase else None with
   | None -> []
-  | Some cubes ->
-    let d_cubes = List.map (Lift.cube net d) cubes in
-    List.concat
-      (List.mapi
-         (fun i c ->
-           if List.exists (Cube.contained_by c) d_cubes then [ i ] else [])
-         f_cubes)
+  | Some cubes -> (
+    match List.filter_map (Lift.carry map) cubes with
+    | [] -> []
+    | ks ->
+      List.concat
+        (List.mapi
+           (fun i c ->
+             if List.exists (Cube.contained_by c) ks then [ i ] else [])
+           f_cubes))
 
 (* The SOS cube indices of [f] when the pair may be divided at all, [[]]
    when it may not. *)
@@ -57,19 +63,10 @@ let f1_indices ?(phase = true) net ~f ~d =
   then sos_cube_indices net ~f ~d ~phase
   else []
 
-let applicable ?phase net ~f ~d = f1_indices ?phase net ~f ~d <> []
-
-let region_predicate net seeds =
-  let set =
-    List.fold_left
-      (fun acc id ->
-        Array.fold_left
-          (fun acc fanin -> Network.Node_set.add fanin acc)
-          (Network.Node_set.add id acc)
-          (Network.fanins net id))
-      Network.Node_set.empty seeds
-  in
-  fun id -> Network.Node_set.mem id set
+let region_nodes net seeds =
+  List.concat_map
+    (fun id -> id :: Array.to_list (Network.fanins net id))
+    seeds
 
 let divide ?(phase = true) ?(gdc = false) ?(learn_depth = 0) ?budget ?counters
     ?dc ?f1 net ~f ~d =
@@ -111,7 +108,7 @@ let divide ?(phase = true) ?(gdc = false) ?(learn_depth = 0) ?budget ?counters
       (Cover.of_cubes (bold_and :: r_cubes));
     (* Redundancy removal confined to the quotient node's wires. *)
     let region =
-      if gdc then None else Some (region_predicate net [ f; d; q_node ])
+      if gdc then None else Some (region_nodes net [ f; d; q_node ])
     in
     let learn_depth = if learn_depth > 0 then Some learn_depth else None in
     let removed =
@@ -142,11 +139,11 @@ let divide ?(phase = true) ?(gdc = false) ?(learn_depth = 0) ?budget ?counters
     end
   end
 
-let try_divide ?phase ?gdc ?learn_depth ?budget ?counters ?dc net ~f ~d =
+let try_divide ?phase ?gdc ?learn_depth ?budget ?counters ?dc ?f1 net ~f ~d =
   let before_cover = Network.cover net f in
   let before_fanins = Network.fanins net f in
   let before_lits = Lit_count.node_factored net f in
-  match divide ?phase ?gdc ?learn_depth ?budget ?counters ?dc net ~f ~d with
+  match divide ?phase ?gdc ?learn_depth ?budget ?counters ?dc ?f1 net ~f ~d with
   | None -> None
   | Some outcome ->
     let gain = before_lits - Lit_count.node_factored net f in

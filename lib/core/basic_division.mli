@@ -29,16 +29,6 @@ type outcome = {
           toward the algebraic one (still correct, possibly weaker) *)
 }
 
-val applicable :
-  ?phase:bool ->
-  Logic_network.Network.t ->
-  f:Logic_network.Network.node_id ->
-  d:Logic_network.Network.node_id ->
-  bool
-(** Both are distinct logic nodes, [d] does not depend on [f], and at
-    least one cube of [f] is contained in a cube of [d] (of [d]'s
-    complement when [phase] is [false]). *)
-
 val f1_indices :
   ?phase:bool ->
   Logic_network.Network.t ->
@@ -47,7 +37,10 @@ val f1_indices :
   int list
 (** The indices, in [f]'s cover, of the cubes contained in a cube of [d]
     (of [d]'s complement when [phase] is [false]): the region [f1] that
-    {!divide} moves into the quotient. [[]] when {!applicable} fails. *)
+    {!divide} moves into the quotient. [[]] also when the pair cannot be
+    divided at all: [f] or [d] is an input, [f = d], or [d] depends on
+    [f]. The test runs in [f]'s fanin slots ({!Logic_network.Lift.carry}),
+    and equals containment of the lifted cubes. *)
 
 val divide :
   ?phase:bool ->
@@ -64,7 +57,7 @@ val divide :
 (** Restructure [f] as [q·d + r] in place ([q·d' + r] when [phase] is
     [false], the [-d] flavour), regardless of literal gain
     (callers wanting a gain policy should use {!try_divide}). [None] when
-    {!applicable} fails. [budget] bounds the redundancy-removal step;
+    {!f1_indices} is [[]]. [budget] bounds the redundancy-removal step;
     exhaustion degrades the quotient toward the algebraic one instead of
     failing (flagged in {!outcome.degraded}). [dc] lets the removal step
     also exploit external don't cares (see {!Rewiring.Remove.run}), so
@@ -80,17 +73,19 @@ val try_divide :
   ?budget:Rar_util.Budget.t ->
   ?counters:Rar_util.Counters.t ->
   ?dc:Logic_network.Dont_care.t ->
+  ?f1:int list ->
   Logic_network.Network.t ->
   f:Logic_network.Network.node_id ->
   d:Logic_network.Network.node_id ->
   outcome option
 (** Like {!divide} but commits only on positive {!outcome.literal_gain};
-    otherwise the network is left untouched and the result is [None]. *)
+    otherwise the network is left untouched and the result is [None].
+    [f1] is passed on to {!divide}. *)
 
-val region_predicate :
+val region_nodes :
   Logic_network.Network.t ->
   Logic_network.Network.node_id list ->
-  Logic_network.Network.node_id ->
-  bool
+  Logic_network.Network.node_id list
 (** The local implication region used by the non-GDC configurations: the
-    given nodes and their immediate fanins. *)
+    given nodes and their immediate fanins, possibly repeated (as
+    {!Atpg.Imply.create}'s [region] accepts it). *)

@@ -65,7 +65,7 @@ let has_disjoint_cube ~f_not ~d =
     (fun c -> List.for_all (fun k -> Cube.distance c k > 0) (Cover.cubes d))
     (Cover.cubes f_not)
 
-let basic_pos ?(complement_limit = default_complement_limit) ~f ~d () =
+let pos_complements ?(complement_limit = default_complement_limit) ~f ~d () =
   let ( let* ) = Option.bind in
   (* Shannon complements are correct but non-minimal; minimising them keeps
      the SOS split (and hence the reported factors) clean. *)
@@ -77,9 +77,20 @@ let basic_pos ?(complement_limit = default_complement_limit) ~f ~d () =
     let* { quotient = q_not; remainder = r_not } =
       basic_sop ~f:f_not ~d:d_not ()
     in
-    let* pos_quotient = complement q_not in
-    let* pos_remainder = complement r_not in
-    Some { pos_quotient; pos_remainder }
+    Some (q_not, r_not)
+
+let pos_of_complements ?(complement_limit = default_complement_limit)
+    (q_not, r_not) =
+  let ( let* ) = Option.bind in
+  let complement = Minimize.complement ~limit:complement_limit in
+  let* pos_quotient = complement q_not in
+  let* pos_remainder = complement r_not in
+  Some { pos_quotient; pos_remainder }
+
+let basic_pos ?complement_limit ~f ~d () =
+  Option.bind
+    (pos_complements ?complement_limit ~f ~d ())
+    (pos_of_complements ?complement_limit)
 
 let verify_sop ?(dc = Cover.zero) ~f ~d { quotient; remainder } =
   let result = Cover.union (Cover.product quotient d) remainder in

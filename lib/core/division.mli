@@ -51,6 +51,24 @@ val basic_pos :
     [complement_limit] cubes (default 1024). Complements are the memoised
     {!Twolevel.Minimize.complement}. *)
 
+val pos_complements :
+  ?complement_limit:int ->
+  f:Twolevel.Cover.t ->
+  d:Twolevel.Cover.t ->
+  unit ->
+  (Twolevel.Cover.t * Twolevel.Cover.t) option
+(** The first half of {!basic_pos}: [(q_not, r_not)], the SOP division
+    of [f]'s minimised complement by [d]'s, whose complements are the
+    factors [q] and [r]. [None] exactly when {!basic_pos} fails before
+    its last two complements. *)
+
+val pos_of_complements :
+  ?complement_limit:int ->
+  Twolevel.Cover.t * Twolevel.Cover.t ->
+  pos_result option
+(** The second half of {!basic_pos}: the minimised complements of
+    [(q_not, r_not)]. [basic_pos] is {!pos_complements} then this. *)
+
 val verify_sop :
   ?dc:Twolevel.Cover.t ->
   f:Twolevel.Cover.t ->

@@ -75,15 +75,22 @@ let materialise_core net core =
       sources;
     (g, !decomposed)
 
+(* Some cube of [f] lies inside a cube of a pool node, decided in [f]'s
+   fanin slots as {!Basic_division.f1_indices} decides it. *)
 let may_vote net ~f ~pool =
-  let f_cubes = Lift.cubes net f in
+  let f_cubes = Cover.cubes (Network.cover net f) in
   List.exists
     (fun m ->
       m <> f
       && (not (Network.is_input net m))
-      && List.exists
-           (fun k -> List.exists (fun c -> Cube.contained_by c k) f_cubes)
-           (Lift.cubes net m))
+      &&
+      let map = Lift.slot_map net ~src:m ~dst:f in
+      List.exists
+        (fun k ->
+          match Lift.carry map k with
+          | Some k -> List.exists (fun c -> Cube.contained_by c k) f_cubes
+          | None -> false)
+        (Cover.cubes (Network.cover net m)))
     pool
 
 (* Whether dividing [f] by [d] on [scratch] (a copy of [net] holding the
@@ -110,17 +117,16 @@ let may_pay net scratch ~f ~d ~f1 =
 let try_run ?gdc ?learn_depth ?budget ?counters ?dc net ~f ~pool =
   if not (may_vote net ~f ~pool) then None
   else begin
-    (* [dc] is name-based, so the view built against [net] stays valid on
-       the scratch copy (copies preserve names). *)
-    let scratch = Network.copy net in
+    (* [Vote.collect] and the clique search only read [net]; the network
+       is copied once a core is chosen. *)
     let entries =
-      Vote.collect ?gdc ?learn_depth ?budget ?counters ?dc scratch ~f ~pool
+      Vote.collect ?gdc ?learn_depth ?budget ?counters ?dc net ~f ~pool
     in
     let valid = Array.of_list (Vote.valid_entries entries) in
     if Array.length valid = 0 then None
     else begin
       let candidates = Array.map (fun e -> e.Vote.candidates) valid in
-      let lifted = Vote.lifter scratch in
+      let lifted = Vote.lifter net in
       let serves v core =
         List.exists
           (fun pc -> Cube.contained_by valid.(v).Vote.wire_cube (lifted pc))
@@ -129,6 +135,9 @@ let try_run ?gdc ?learn_depth ?budget ?counters ?dc net ~f ~pool =
       match Clique.best_core ~candidates ~serves with
       | None -> None
       | Some { members; core } ->
+        (* [dc] is name-based, so the view built against [net] stays valid
+           on the scratch copy (copies preserve names). *)
+        let scratch = Network.copy net in
         let core_node, decomposed = materialise_core scratch core in
         let f1 = Basic_division.f1_indices scratch ~f ~d:core_node in
         if f1 = [] then

@@ -35,8 +35,10 @@ val may_vote :
     node other than [f] and the inputs. {!Vote.collect} marks an entry
     valid only when a candidate pool cube contains the wire's cube, so
     without such a pair {!Vote.valid_entries} is empty and {!try_run}
-    cannot succeed. {!try_run} checks this first, before it copies the
-    network or runs any implication. *)
+    cannot succeed. The test runs in [f]'s fanin slots
+    ({!Logic_network.Lift.carry}). {!try_run} checks this first, before
+    it runs any implication; it copies the network only once the clique
+    search has chosen a core. *)
 
 val try_run :
   ?gdc:bool ->

@@ -94,8 +94,10 @@ let pos_cube_limit = 64
    rebuild f's SOP cover as (q + d)·r with d as a literal. The identity
    is algebraic on covers, so no implication machinery is involved. The
    literal floor rejects most attempts before the complements are taken,
-   and the gain is decided on the normalised cover the network would
-   store, so a failing attempt never mutates it. *)
+   a second floor on the remainder factor rejects more before the
+   factors' own complements, and the gain is decided on the normalised
+   cover the network would store, so a failing attempt never mutates
+   it. *)
 let substitute_pos ?counters net ~f ~d =
   if
     f = d
@@ -128,9 +130,25 @@ let substitute_pos ?counters net ~f ~d =
       let d_lift =
         Cover.map_vars (fun v -> slot_of d_fanins.(v)) (Network.cover net d)
       in
+      let floor_reject () =
+        Option.iter
+          (fun c -> Counters.add c.Counters.floor_rejects 1)
+          counters;
+        None
+      in
       match
-        Division.basic_pos ~complement_limit:pos_cube_limit
-          ~f:(Network.cover net f) ~d:d_lift ()
+        Option.bind
+          (Division.pos_complements ~complement_limit:pos_cube_limit
+             ~f:(Network.cover net f) ~d:d_lift ())
+          (fun (q_not, r_not) ->
+            (* With [d] a new fanin its literal gets a slot of its own. *)
+            if
+              (not (Array.mem d f_fanins))
+              && Lit_floor.pos_rebuild ~q_not ~r_not >= before_lits
+            then floor_reject ()
+            else
+              Division.pos_of_complements ~complement_limit:pos_cube_limit
+                (q_not, r_not))
       with
       | None -> false
       | Some { pos_quotient; pos_remainder } ->
@@ -154,6 +172,80 @@ let substitute_pos ?counters net ~f ~d =
     end
   end
 
+(* One basic-division work unit of [f] against [d]: the direct phase,
+   the complemented one, then the combined rewrite when neither
+   commits. *)
+let attempt_basic ~config ?budget ~counters ~sigs net ~f ~d =
+  let gdc = config.gdc and learn_depth = config.learn_depth in
+  (* Per-phase signature gate: dividing f by d needs their onsets to
+     meet; dividing by d' needs f's onset to meet d's offset. Checked
+     lazily (signatures may have moved since ranking if an earlier
+     attempt committed). *)
+  let phase_possible phase = Signature.phase_compatible sigs ~phase ~f ~d in
+  (* Each phase's SOS set, computed at most once, when first needed. A
+     set is reused only while nothing has committed: a failed division
+     restores [f]'s stored pair exactly, so the set still indexes its
+     cover. *)
+  let sos phase = lazy (Basic_division.f1_indices ~phase net ~f ~d) in
+  let direct_sos = sos true and complement_sos = sos false in
+  let f1 phase = Lazy.force (if phase then direct_sos else complement_sos) in
+  let commit phase =
+    phase_possible phase
+    &&
+    let f1 = f1 phase in
+    f1 <> []
+    &&
+    match
+      Basic_division.try_divide ~phase ~gdc ~learn_depth ?budget ~counters
+        ?dc:config.dc ~f1 net ~f ~d
+    with
+    | Some outcome ->
+      Log.debug (fun m ->
+          m "basic division: %s / %s%s (+%d literals)" (Network.name net f)
+            (Network.name net d)
+            (if phase then "" else "'")
+            outcome.Basic_division.literal_gain);
+      true
+    | None -> false
+  in
+  (* Combined rewrite f = q·d + q'·d' + r: each phase alone can be
+     gain-neutral while the pair is profitable (both phases share the
+     single literal cost of d). It runs only when neither phase
+     committed, so both sets below are those of the unit's [f]. The
+     first division keeps [f]'s cubes outside its SOS set and adds
+     cubes [q_i·d] with [c ≤ q_i] for an SOS cube [c ≤ d]; no such
+     cube lies inside a cube of [d'] ([c] would be 0), so without a
+     phase-false SOS cube of [f] the second divide returns [None]. *)
+  let commit_both () =
+    phase_possible true && phase_possible false
+    && f1 true <> [] && f1 false <> []
+    &&
+    let scratch = Network.copy net in
+    let first =
+      Basic_division.divide ~gdc ~learn_depth ?budget ~counters
+        ?dc:config.dc ~f1:(f1 true) scratch ~f ~d
+    in
+    let second =
+      Basic_division.divide ~phase:false ~gdc ~learn_depth ?budget
+        ~counters ?dc:config.dc scratch ~f ~d
+    in
+    if
+      first <> None && second <> None
+      && Lit_count.factored_delta net scratch > 0
+    then begin
+      Network.overwrite net scratch;
+      true
+    end
+    else false
+  in
+  let direct = commit true in
+  let complemented =
+    if config.use_complement then commit false else false
+  in
+  if direct || complemented then true
+  else if config.use_complement then commit_both ()
+  else false
+
 (* One work unit of the greedy policy for a node f: the extended-division
    attempt over the pool, or one basic/POS attempt against a divisor. *)
 type unit_task = Ext of Network.node_id list | Div of Network.node_id
@@ -170,63 +262,10 @@ let make_attempts ~config ?fault_fuel ?deadline_at ~trace ~counters ~sigs net
     if fault_fuel = None && deadline_at = None then None
     else Some (Budget.create ?fuel:fault_fuel ?deadline_at ())
   in
-  (* Per-phase signature gate: dividing f by d needs their onsets to
-     meet; dividing by d' needs f's onset to meet d's offset. Checked
-     lazily (signatures may have moved since ranking if an earlier
-     attempt committed). *)
-  let phase_possible f d phase = Signature.phase_compatible sigs ~phase ~f ~d in
   let attempt_basic ?budget f d =
     Counters.timed counters `Division @@ fun () ->
     Counters.add counters.Counters.divisions_attempted 1;
-    let commit phase =
-      phase_possible f d phase
-      &&
-      match
-        Basic_division.try_divide ~phase ~gdc ~learn_depth ?budget ~counters
-          ?dc:config.dc net ~f ~d
-      with
-      | Some outcome ->
-        Log.debug (fun m ->
-            m "basic division: %s / %s%s (+%d literals)" (Network.name net f)
-              (Network.name net d)
-              (if phase then "" else "'")
-              outcome.Basic_division.literal_gain);
-        true
-      | None -> false
-    in
-    (* Combined rewrite f = q·d + q'·d' + r: each phase alone can be
-       gain-neutral while the pair is profitable (both phases share the
-       single literal cost of d). *)
-    let commit_both () =
-      phase_possible f d true && phase_possible f d false
-      (* Without an SOS cube the first divide below returns [None]. *)
-      && Basic_division.applicable net ~f ~d
-      &&
-      let scratch = Network.copy net in
-      let first =
-        Basic_division.divide ~gdc ~learn_depth ?budget ~counters
-          ?dc:config.dc scratch ~f ~d
-      in
-      let second =
-        Basic_division.divide ~phase:false ~gdc ~learn_depth ?budget
-          ~counters ?dc:config.dc scratch ~f ~d
-      in
-      if
-        first <> None && second <> None
-        && Lit_count.factored_delta net scratch > 0
-      then begin
-        Network.overwrite net scratch;
-        true
-      end
-      else false
-    in
-    let direct = commit true in
-    let complemented =
-      if config.use_complement then commit false else false
-    in
-    if direct || complemented then true
-    else if config.use_complement then commit_both ()
-    else false
+    attempt_basic ~config ?budget ~counters ~sigs net ~f ~d
   in
   let attempt_pos f d =
     config.try_pos

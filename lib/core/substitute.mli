@@ -95,3 +95,23 @@ val substitute_pos :
     An attempt {!Logic_network.Lit_floor.pos} proves unable to pay is
     rejected before any complement is taken and tallied in [counters]'
     [floor_rejects]. Exposed for the examples and tests. *)
+
+val attempt_basic :
+  config:config ->
+  ?budget:Rar_util.Budget.t ->
+  counters:Rar_util.Counters.t ->
+  sigs:Logic_sim.Signature.t ->
+  Logic_network.Network.t ->
+  f:Logic_network.Network.node_id ->
+  d:Logic_network.Network.node_id ->
+  bool
+(** One basic-division work unit of [f] against [d], as {!run} runs it:
+    [f = q·d + r] committed on a literal gain, then (with
+    [config.use_complement]) [f = q·d' + r], then, when neither
+    committed, the combined rewrite [f = q·d + q'·d' + r] on a copy.
+    Each phase's SOS set ({!Basic_division.f1_indices}) is computed at
+    most once and handed to the division. The combined rewrite runs only
+    when both sets are non-empty: without a phase-false SOS cube its
+    second division cannot divide. [sigs] must belong to the network;
+    they gate each phase. *)
+

@@ -37,8 +37,7 @@ let collect ?(gdc = false) ?(learn_depth = 0) ?budget ?counters ?dc net ~f
   in
   let frozen = Network.fanout_cone_order net [ f ] in
   let region =
-    if gdc then fun _ -> true
-    else Basic_division.region_predicate net (f :: pool)
+    if gdc then None else Some (Basic_division.region_nodes net (f :: pool))
   in
   let literal_wires =
     List.filter
@@ -62,7 +61,7 @@ let collect ?(gdc = false) ?(learn_depth = 0) ?budget ?counters ?dc net ~f
      context, so it is asserted once per cube behind a trail checkpoint
      and each wire branches from there with a pop instead of a full
      reset + replay. *)
-  let engine = Atpg.Imply.create ~region ~frozen ?budget ?counters ?dc net in
+  let engine = Atpg.Imply.create ?region ~frozen ?budget ?counters ?dc net in
   let degraded = ref false in
   (* Sticky, like the budget itself: once a wire exhausts it, every
      later assignment would re-raise immediately. *)

@@ -41,3 +41,26 @@ let set_cover_if_cheaper net id ~below lifted =
 let add net ?name lifted =
   let fanins, cover = to_slots lifted in
   Network.add_logic net ?name ~fanins cover
+
+let slot_map net ~src ~dst =
+  let dst_fanins = Network.fanins net dst in
+  Array.map
+    (fun x ->
+      match Array.find_index (Int.equal x) dst_fanins with
+      | Some i -> i
+      | None -> -1)
+    (Network.fanins net src)
+
+let carry map k =
+  if Cube.fold_literals (fun ok l -> ok && map.(Literal.var l) >= 0) true k
+  then Some (Cube.rename (Array.get map) k)
+  else None
+
+let opposes map ~into:c k =
+  Cube.fold_literals
+    (fun acc l ->
+      acc
+      ||
+      let v = map.(Literal.var l) in
+      v >= 0 && Cube.mem (Literal.make v (not (Literal.is_pos l))) c)
+    false k

@@ -37,3 +37,27 @@ val set_cover_if_cheaper :
 val add : Network.t -> ?name:string -> Twolevel.Cover.t -> Network.node_id
 (** Create a logic node computing a lifted cover, over its sorted support
     node ids as fanins. *)
+
+(** {2 Between two nodes' fanin slots}
+
+    Comparing two nodes' cubes needs no node-id space: [src]'s cubes can
+    be carried into [dst]'s fanin slots. Fanins are distinct, so the map
+    is injective. A lifted cube of [src] that names a node outside
+    [dst]'s fanins contains no lifted cube of [dst], and a literal on
+    such a node opposes no literal of [dst]. *)
+
+val slot_map :
+  Network.t -> src:Network.node_id -> dst:Network.node_id -> int array
+(** For each fanin slot of [src], the slot of the same node among
+    [dst]'s fanins, or [-1]. *)
+
+val carry : int array -> Twolevel.Cube.t -> Twolevel.Cube.t option
+(** [carry map k] is [k], a cube over [src]'s slots, renamed into
+    [dst]'s slots when every literal maps, and [None] otherwise. A cube
+    [c] of [dst] has its lifted form contained in [k]'s exactly when
+    [carry map k = Some k'] and [Cube.contained_by c k']. *)
+
+val opposes : int array -> into:Twolevel.Cube.t -> Twolevel.Cube.t -> bool
+(** [opposes map ~into:c k]: some literal of [k] (over [src]'s slots)
+    opposes a literal of [c] (over [dst]'s slots), i.e. the lifted cubes
+    are at distance [> 0]. *)

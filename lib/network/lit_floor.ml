@@ -16,6 +16,23 @@ let functional_support cover =
                  (Cover.cofactor (Literal.neg v) cover)))
           (Cover.support cover))
 
+let required_literals cover =
+  let cubes = Cover.cubes cover in
+  match Truth_table.space cubes with
+  | Some vars -> Truth_table.required_literals (Truth_table.of_cubes vars cubes)
+  | None ->
+    List.fold_left
+      (fun acc v ->
+        let hi = Cover.cofactor (Literal.pos v) cover
+        and lo = Cover.cofactor (Literal.neg v) cover in
+        acc
+        + (if Cover.contains lo hi then 0 else 1)
+        + if Cover.contains hi lo then 0 else 1)
+      0 (Cover.support cover)
+
+let pos_rebuild ~q_not ~r_not =
+  required_literals r_not + if Cover.contains r_not q_not then 0 else 1
+
 let pos net ~f ~d =
   let f_fanins = Network.fanins net f and d_fanins = Network.fanins net d in
   if Array.mem d f_fanins then 0

@@ -29,6 +29,25 @@ val pos : Network.t -> f:Network.node_id -> d:Network.node_id -> int
     not among [f]'s fanins the stored cover is renamed injectively, so
     it names as many variables. *)
 
+val required_literals : Twolevel.Cover.t -> int
+(** The literals every SOP cover of the cover's function names (see
+    {!Twolevel.Truth_table.required_literals}); a function and its
+    complement need equally many. Truth tables decide it up to
+    {!Twolevel.Truth_table.max_vars} variables, cofactor containment
+    above. *)
+
+val pos_rebuild : q_not:Twolevel.Cover.t -> r_not:Twolevel.Cover.t -> int
+(** A floor on the factored count of the cover [g = (q + y)·r] a
+    product-of-sums substitution rebuilds, given the complements
+    [q_not] and [r_not] of its factors, before either is complemented.
+    [g] equals [r] at [y = 1], and cofactoring a cover by [y] keeps a
+    subset of its literals, so every cover of [g] names the literals
+    every cover of [r] names: {!required_literals} of [r_not]. It also
+    names [y] or [y'] when [g] depends on [y], i.e. when [r·q' ≠ 0],
+    i.e. when [q_not] is not inside [r_not]. The figure holds for the
+    stored cover when [y] is a new fanin, so the renaming is
+    injective. *)
+
 val remainder : ?absorber:Twolevel.Literal.t -> Twolevel.Cube.t list -> int
 (** The distinct literals of the cubes that no other cube of the list
     strictly contains and that do not hold [absorber]. A cover that keeps

@@ -12,7 +12,7 @@ val remove_wire : Logic_network.Network.t -> Atpg.Fault.wire -> unit
 
 val run :
   ?learn_depth:int ->
-  ?region:(Logic_network.Network.node_id -> bool) ->
+  ?region:Logic_network.Network.node_id list ->
   ?budget:Rar_util.Budget.t ->
   ?counters:Rar_util.Counters.t ->
   ?dc:Logic_network.Dont_care.t ->

@@ -150,3 +150,37 @@ let depends t i =
 
 let support t =
   List.filteri (fun i _ -> depends t i) (Array.to_list t.vars)
+
+(* Some minterm has the function at 1 with position [i] at [phase] and
+   at 0 with [i] flipped: inside a chunk against the partner bits, across
+   chunks against the partner chunk. *)
+let needs t i phase =
+  let chunks = t.chunks in
+  let differs ~one ~zero =
+    (if phase then one land lnot zero else zero land lnot one) <> 0
+  in
+  if i < low_vars then begin
+    let p = low_pattern.(i) and shift = 1 lsl i in
+    Array.exists
+      (fun x ->
+        differs ~one:((x land p) lsr shift) ~zero:(x land (full lxor p)))
+      chunks
+  end
+  else begin
+    let bit = 1 lsl (i - low_vars) in
+    let rec from k =
+      k < Array.length chunks
+      && (k land bit = 0 && differs ~one:chunks.(k lor bit) ~zero:chunks.(k)
+         || from (k + 1))
+    in
+    from 0
+  end
+
+let required_literals t =
+  let n = ref 0 in
+  Array.iteri
+    (fun i _ ->
+      if needs t i true then incr n;
+      if needs t i false then incr n)
+    t.vars;
+  !n

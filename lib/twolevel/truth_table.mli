@@ -46,3 +46,10 @@ val supercube : t -> Cube.t option
 
 val support : t -> int list
 (** The variables of the space the function depends on, ascending. *)
+
+val required_literals : t -> int
+(** The literals every SOP cover of the function names. A cover that
+    never names [x] is negative unate in [x], so it names [x] whenever
+    some minterm has the function at 1 with [x = 1] and at 0 with
+    [x = 0]; [x'] symmetrically. Each variable counts 0, 1, or 2 when
+    the function is binate in it. *)

@@ -100,7 +100,7 @@ let test_region_restriction () =
       ~outputs:[ "y" ]
   in
   let y = Builder.node net "y" and x = Builder.node net "x" in
-  let e = Imply.create ~region:(fun id -> id = y) net in
+  let e = Imply.create ~region:[ y ] net in
   Imply.assign_node e y true;
   (* x's value is recorded (backward from y) but not propagated further. *)
   Alcotest.(check (option bool)) "x recorded" (Some true) (Imply.node_value e x);
@@ -464,7 +464,7 @@ let test_remove_with_region () =
       ~outputs:[ "f" ]
   in
   let f = Builder.node net "f" in
-  let region id = id = f || Network.is_input net id in
+  let region = f :: Network.inputs net in
   let removed = Rewiring.Remove.run ~region net in
   Alcotest.(check bool) "removed locally" true (removed > 0);
   Alcotest.(check int) "reduced to b" 1
@@ -1651,6 +1651,66 @@ let random_op rng net ids =
   | 7 | 8 -> Op_checkpoint
   | _ -> Op_pop (Rar_util.Rng.int rng 3)
 
+(* Four tests of random steps on the slot arena [e] and the frozen engine
+   [o], each after a reset to a fresh frozen set; fails at the first step
+   where their verdicts or states differ. *)
+let drive_engines rng net ids e o ~frozen_set =
+  let fail step =
+    failwith (Printf.sprintf "engines diverge at %s" step)
+  in
+  for test = 1 to 4 do
+    let frozen = frozen_set () in
+    Imply.reset ~frozen e;
+    Oracle.reset ~frozen:(fun id -> List.mem id frozen) o;
+    (* Every other test runs on a small fuel budget. *)
+    let fuel = if test mod 2 = 0 then Some (Rar_util.Rng.int rng 30) else None in
+    let budget () =
+      match fuel with
+      | Some fuel -> Rar_util.Budget.create ~fuel ()
+      | None -> Rar_util.Budget.unlimited
+    in
+    Imply.set_budget e (budget ());
+    Oracle.set_budget o (budget ());
+    let marks = ref [] in
+    let live = ref true in
+    let step name fe fo =
+      let ve = verdict fe and vo = verdict fo in
+      if ve <> vo || not (same_engine_state net e o) then fail name;
+      if ve <> `Ok then live := false
+    in
+    step "propagate" (fun () -> Imply.propagate e) (fun () -> Oracle.propagate o);
+    (* After a conflict or an exhausted budget only a pop goes on. *)
+    for _ = 1 to 12 do
+      match random_op rng net ids with
+      | Op_pop k -> (
+        match List.nth_opt !marks k with
+        | None -> ()
+        | Some (me, mo) ->
+          let popped = Imply.pop_to e me in
+          if popped <> Oracle.pop_to o mo then fail "pop_to";
+          if not (same_engine_state net e o) then fail "after pop_to";
+          if popped then live := true)
+      | op when !live -> (
+        match op with
+        | Op_node (id, v) ->
+          step "assign_node"
+            (fun () -> Imply.assign_node e id v)
+            (fun () -> Oracle.assign_node o id v)
+        | Op_cube (id, i, v) ->
+          step "assign_cube"
+            (fun () -> Imply.assign_cube e id i v)
+            (fun () -> Oracle.assign_cube o id i v)
+        | Op_learn ->
+          step "learn"
+            (fun () -> Imply.learn ~depth:1 e)
+            (fun () -> Oracle.learn ~depth:1 o)
+        | Op_checkpoint ->
+          marks := (Imply.checkpoint e, Oracle.checkpoint o) :: !marks
+        | Op_pop _ -> ())
+      | _ -> ()
+    done
+  done
+
 (* Random region, frozen sets, EXCDC, budgets and assignment sequences
    with checkpoints and pops over mutated DAGs: after every step the slot
    arena and the frozen engine must give the same verdict, the same
@@ -1662,11 +1722,12 @@ let prop_engine_matches_frozen =
       let rng, net = Net_mutations.initial seed in
       Net_mutations.mutate rng net ~steps:(Rar_util.Rng.int rng 12);
       let ids = List.sort Int.compare (Network.node_ids net) in
-      let region =
-        if Rar_util.Rng.bool rng then fun _ -> true
-        else
-          let inside = List.filter (fun _ -> Rar_util.Rng.int rng 4 <> 0) ids in
-          fun id -> List.mem id inside
+      let inside =
+        if Rar_util.Rng.bool rng then None
+        else Some (List.filter (fun _ -> Rar_util.Rng.int rng 4 <> 0) ids)
+      in
+      let region id =
+        match inside with Some l -> List.mem id l | None -> true
       in
       let dc = if Rar_util.Rng.int rng 3 = 0 then Some (random_excdc rng net) else None in
       let frozen_set () =
@@ -1674,63 +1735,9 @@ let prop_engine_matches_frozen =
         else Network.fanout_cone_order net [ Rar_util.Rng.pick rng ids ]
       in
       let frozen = frozen_set () in
-      let e = Imply.create ~region ~frozen ?dc net in
+      let e = Imply.create ?region:inside ~frozen ?dc net in
       let o = Oracle.create ~region ~frozen:(fun id -> List.mem id frozen) ?dc net in
-      let fail step =
-        failwith (Printf.sprintf "engines diverge at %s" step)
-      in
-      for test = 1 to 4 do
-        let frozen = frozen_set () in
-        Imply.reset ~frozen e;
-        Oracle.reset ~frozen:(fun id -> List.mem id frozen) o;
-        (* Every other test runs on a small fuel budget. *)
-        let fuel = if test mod 2 = 0 then Some (Rar_util.Rng.int rng 30) else None in
-        let budget () =
-          match fuel with
-          | Some fuel -> Rar_util.Budget.create ~fuel ()
-          | None -> Rar_util.Budget.unlimited
-        in
-        Imply.set_budget e (budget ());
-        Oracle.set_budget o (budget ());
-        let marks = ref [] in
-        let live = ref true in
-        let step name fe fo =
-          let ve = verdict fe and vo = verdict fo in
-          if ve <> vo || not (same_engine_state net e o) then fail name;
-          if ve <> `Ok then live := false
-        in
-        step "propagate" (fun () -> Imply.propagate e) (fun () -> Oracle.propagate o);
-        (* After a conflict or an exhausted budget only a pop goes on. *)
-        for _ = 1 to 12 do
-          match random_op rng net ids with
-          | Op_pop k -> (
-            match List.nth_opt !marks k with
-            | None -> ()
-            | Some (me, mo) ->
-              let popped = Imply.pop_to e me in
-              if popped <> Oracle.pop_to o mo then fail "pop_to";
-              if not (same_engine_state net e o) then fail "after pop_to";
-              if popped then live := true)
-          | op when !live -> (
-            match op with
-            | Op_node (id, v) ->
-              step "assign_node"
-                (fun () -> Imply.assign_node e id v)
-                (fun () -> Oracle.assign_node o id v)
-            | Op_cube (id, i, v) ->
-              step "assign_cube"
-                (fun () -> Imply.assign_cube e id i v)
-                (fun () -> Oracle.assign_cube o id i v)
-            | Op_learn ->
-              step "learn"
-                (fun () -> Imply.learn ~depth:1 e)
-                (fun () -> Oracle.learn ~depth:1 o)
-            | Op_checkpoint ->
-              marks := (Imply.checkpoint e, Oracle.checkpoint o) :: !marks
-            | Op_pop _ -> ())
-          | _ -> ()
-        done
-      done;
+      drive_engines rng net ids e o ~frozen_set;
       true)
 
 (* Two slot arenas over the same network behave alike: the same random
@@ -1773,12 +1780,10 @@ let prop_refresh_matches_fresh =
       Net_mutations.mutate rng net ~steps:(Rar_util.Rng.int rng 8);
       let ids = List.sort Int.compare (Network.node_ids net) in
       let region =
-        if Rar_util.Rng.bool rng then fun _ -> true
-        else
-          let inside = List.filter (fun _ -> Rar_util.Rng.int rng 4 <> 0) ids in
-          fun id -> List.mem id inside
+        if Rar_util.Rng.bool rng then None
+        else Some (List.filter (fun _ -> Rar_util.Rng.int rng 4 <> 0) ids)
       in
-      let engine = Imply.create ~region net in
+      let engine = Imply.create ?region net in
       List.for_all
         (fun _ ->
           let wired =
@@ -1794,7 +1799,7 @@ let prop_refresh_matches_fresh =
           Imply.refresh_node engine id;
           let frozen = Network.fanout_cone_order net [ id ] in
           Imply.reset ~frozen engine;
-          arenas_agree rng net engine (Imply.create ~region ~frozen net))
+          arenas_agree rng net engine (Imply.create ?region ~frozen net))
         (List.init 8 Fun.id))
 
 (* Removals that turn a node constant (the last literal of a cube, or
@@ -1843,6 +1848,127 @@ let prop_refresh_constant_matches_fresh =
             Imply.reset engine;
             arenas_agree rng net engine (Imply.create net))
           (List.init 6 Fun.id))
+
+(* A small region in a large network, shaped like a division's: a few
+   seed nodes and their fanins. Most nodes get no slot at the build, so
+   assignments and EXCDC cubes name nodes outside the region, and
+   removals hit nodes inside and outside it. The arena must match the
+   frozen engine step for step, and after each removal [refresh_node]
+   then [reset] must match a fresh [create]. *)
+let prop_small_region_matches_frozen =
+  QCheck2.Test.make
+    ~name:"small region in a large network matches the frozen engine"
+    ~count:60 ~print:string_of_int Net_mutations.gen_seed (fun seed ->
+      let rng = Rar_util.Rng.create seed in
+      let net =
+        Bench_suite.Generator.random ~seed ~n_inputs:8
+          ~n_nodes:(40 + Rar_util.Rng.int rng 40)
+          ~n_outputs:4 ()
+      in
+      let logic () = List.sort Int.compare (Network.logic_ids net) in
+      let seeds =
+        List.init (1 + Rar_util.Rng.int rng 3) (fun _ ->
+            Rar_util.Rng.pick rng (logic ()))
+      in
+      let inside =
+        List.concat_map
+          (fun id -> id :: Array.to_list (Network.fanins net id))
+          seeds
+      in
+      let region id = List.mem id inside in
+      let dc =
+        if Rar_util.Rng.bool rng then Some (random_excdc rng net) else None
+      in
+      let engine = Imply.create ~region:inside ?dc net in
+      List.for_all
+        (fun _ ->
+          let ids = List.sort Int.compare (Network.node_ids net) in
+          let frozen_set () =
+            if Rar_util.Rng.bool rng then []
+            else Network.fanout_cone_order net [ Rar_util.Rng.pick rng ids ]
+          in
+          drive_engines rng net ids engine (Oracle.create ~region ?dc net)
+            ~frozen_set;
+          let wired =
+            List.filter (fun id -> Fault.all_wires net id <> []) (logic ())
+          in
+          wired = []
+          ||
+          let local = List.filter (fun id -> List.mem id seeds) wired in
+          let id =
+            Rar_util.Rng.pick rng
+              (if local <> [] && Rar_util.Rng.bool rng then local else wired)
+          in
+          Rewiring.Remove.remove_wire net
+            (Rar_util.Rng.pick rng (Fault.all_wires net id));
+          Imply.refresh_node engine id;
+          Imply.reset ~frozen:[] engine;
+          arenas_agree rng net engine (Imply.create ~region:inside ?dc net))
+        (List.init 4 Fun.id))
+
+(* Nodes the build leaves without a slot: a constant outside the region
+   still holds its value and conflicts with the opposite one, an
+   assignment outside the region is recorded and unwound like any
+   other, and an EXCDC input outside the region still forces. *)
+let test_outside_region () =
+  let net =
+    Builder.of_spec ~inputs:[ "a"; "b"; "c"; "e" ]
+      ~nodes:[ ("x", "ab"); ("y", "x + c"); ("z", "ce") ]
+      ~outputs:[ "y"; "z" ]
+  in
+  let zero = Network.add_logic net ~name:"zero" ~fanins:[||] Cover.zero in
+  Network.add_output net "zero" zero;
+  let node = Builder.node net in
+  let dc = Logic_network.Dont_care.create () in
+  Logic_network.Dont_care.add_excdc dc [ ("a", true); ("e", true) ];
+  let counters = Rar_util.Counters.create () in
+  let e = Imply.create ~region:[ node "x" ] ~counters ~dc net in
+  Alcotest.(check (option bool)) "constant outside the region" (Some false)
+    (Imply.node_value e zero);
+  Alcotest.(check bool) "constant among the assigned nodes" true
+    (List.mem (zero, false) (Imply.assigned_nodes e));
+  Alcotest.check_raises "constant conflicts"
+    (Imply.Conflict "node zero needs both 0 and 1") (fun () ->
+      Imply.assign_node e zero true);
+  Imply.reset e;
+  Imply.assign_node e (node "z") true;
+  Alcotest.(check (option bool)) "z recorded" (Some true)
+    (Imply.node_value e (node "z"));
+  Alcotest.(check (option bool)) "e not derived (z is outside)" None
+    (Imply.node_value e (node "e"));
+  Imply.assign_node e (node "x") true;
+  Alcotest.(check (option bool)) "a derived in the region" (Some true)
+    (Imply.node_value e (node "a"));
+  Alcotest.(check (option bool)) "EXCDC forces e" (Some false)
+    (Imply.node_value e (node "e"));
+  Imply.reset e;
+  Alcotest.(check (option bool)) "z unwound" None
+    (Imply.node_value e (node "z"));
+  Alcotest.(check (option bool)) "constant kept" (Some false)
+    (Imply.node_value e zero);
+  (* z has a slot for one cube: a second one needs a rebuild. *)
+  let builds () = Atomic.get counters.Rar_util.Counters.imply_creates in
+  Network.set_function net (node "z") ~fanins:(Network.fanins net (node "z"))
+    (Parse.cover_default "ab + a'b'");
+  Imply.refresh_node e (node "z");
+  Imply.reset e;
+  Alcotest.(check int) "z's new cube rebuilt the arena" 2 (builds ());
+  Imply.assign_cube e (node "z") 1 true;
+  Alcotest.(check (option bool)) "z's second cube" (Some true)
+    (Imply.cube_value e (node "z") 1);
+  (* A node no slot names changes without a rebuild. *)
+  Network.set_function net (node "y") ~fanins:(Network.fanins net (node "y"))
+    (Parse.cover_default "a");
+  Imply.refresh_node e (node "y");
+  Imply.reset e;
+  Alcotest.(check int) "y refreshed in place" 2 (builds ());
+  (* A node added since the build is not a refresh. *)
+  let w = Network.add_logic net ~name:"w" ~fanins:[| node "y" |] Cover.one in
+  Imply.refresh_node e w;
+  Imply.reset e;
+  Alcotest.(check int) "an added node rebuilt the arena" 3 (builds ());
+  Imply.assign_node e w true;
+  Alcotest.(check (option bool)) "w assigned" (Some true) (Imply.node_value e w)
 
 (* Each way a refresh cannot rewrite the slot in place — the node gains
    a cube or a fanin, or the network changed twice — is left to the
@@ -1971,6 +2097,7 @@ let qcheck_cases =
       prop_engine_matches_frozen;
       prop_refresh_matches_fresh;
       prop_refresh_constant_matches_fresh;
+      prop_small_region_matches_frozen;
     ]
 
 let () =
@@ -2028,6 +2155,7 @@ let () =
           Alcotest.test_case "pooled redundancy verdicts" `Quick
             test_engine_reuse_redundant_verdicts;
           Alcotest.test_case "refresh fallbacks" `Quick test_refresh_fallbacks;
+          Alcotest.test_case "outside the region" `Quick test_outside_region;
         ] );
       ( "checkpoint",
         [

@@ -115,7 +115,8 @@ let test_basic_division_xor () =
   let net = xor_net () in
   let before = Network.copy net in
   let f = Builder.node net "f" and d = Builder.node net "d" in
-  Alcotest.(check bool) "applicable" true (Basic_division.applicable net ~f ~d);
+  Alcotest.(check bool) "applicable" true
+    (Basic_division.f1_indices net ~f ~d <> []);
   (match Basic_division.try_divide net ~f ~d with
   | None -> Alcotest.fail "division should commit"
   | Some outcome ->
@@ -168,7 +169,7 @@ let test_basic_division_not_applicable () =
   in
   let f = Builder.node net "f" and d = Builder.node net "d" in
   Alcotest.(check bool) "not applicable" false
-    (Basic_division.applicable net ~f ~d);
+    (Basic_division.f1_indices net ~f ~d <> []);
   Alcotest.(check bool) "divide returns None" true
     (Basic_division.divide net ~f ~d = None)
 
@@ -180,7 +181,8 @@ let test_basic_division_cycle_guard () =
       ~outputs:[ "d" ]
   in
   let f = Builder.node net "f" and d = Builder.node net "d" in
-  Alcotest.(check bool) "refused" false (Basic_division.applicable net ~f ~d)
+  Alcotest.(check bool) "refused" false
+    (Basic_division.f1_indices net ~f ~d <> [])
 
 let test_basic_division_no_gain_reverts () =
   (* Dividing ab by d = a + b: the quotient cannot shrink below ab, so the
@@ -695,7 +697,7 @@ let test_prechecks_exact () =
                    f_cubes)
             then incr rejected_neg;
             Alcotest.(check bool) "negative-phase applicability" reference
-              (Basic_division.applicable ~phase:false net ~f ~d))
+              (Basic_division.f1_indices ~phase:false net ~f ~d <> []))
           others)
       nodes
   done;
@@ -739,7 +741,105 @@ module Oracle = struct
     let equal = Cube_kernel.equal
   end
 
-  let may_vote = Booldiv.Extended_division.may_vote
+  (* SOS sets and the vote pre-check as they were before they moved
+     into [f]'s fanin slots: every cube lifted into node-id space. *)
+  let sos_cube_indices net ~f ~d ~phase =
+    let f_cubes = Lift.cubes net f in
+    let may_divide =
+      phase
+      ||
+      let d_cubes = Lift.cubes net d in
+      List.exists
+        (fun c -> List.for_all (fun k -> Cube.distance c k > 0) d_cubes)
+        f_cubes
+    in
+    let divisor_cubes =
+      if phase then Some (Cover.cubes (Network.cover net d))
+      else
+        Option.map Cover.cubes
+          (Complement.cover_limited ~limit:128 (Network.cover net d))
+    in
+    match if may_divide then divisor_cubes else None with
+    | None -> []
+    | Some cubes ->
+      let d_cubes = List.map (Lift.cube net d) cubes in
+      List.concat
+        (List.mapi
+           (fun i c ->
+             if List.exists (Cube.contained_by c) d_cubes then [ i ] else [])
+           f_cubes)
+
+  let f1_indices ?(phase = true) net ~f ~d =
+    if
+      f <> d
+      && (not (Network.is_input net f))
+      && (not (Network.is_input net d))
+      && not (Network.depends_on net d f)
+    then sos_cube_indices net ~f ~d ~phase
+    else []
+
+  let may_vote net ~f ~pool =
+    let f_cubes = Lift.cubes net f in
+    List.exists
+      (fun m ->
+        m <> f
+        && (not (Network.is_input net m))
+        && List.exists
+             (fun k -> List.exists (fun c -> Cube.contained_by c k) f_cubes)
+             (Lift.cubes net m))
+      pool
+
+  (* The basic work unit before each phase's SOS set was kept and the
+     combined rewrite was gated on both sets: every division computed
+     its own set, and the combined rewrite ran whenever the positive
+     phase could divide. [gated] counts the runs the gate now skips,
+     [combined] the combined rewrites that commit. *)
+  let attempt_basic ~gated ~combined ~config ~counters ~sigs net ~f ~d =
+    let module S = Booldiv.Substitute in
+    let gdc = config.S.gdc and learn_depth = config.S.learn_depth in
+    let dc = config.S.dc in
+    let phase_possible phase =
+      Logic_sim.Signature.phase_compatible sigs ~phase ~f ~d
+    in
+    let commit phase =
+      phase_possible phase
+      &&
+      match
+        Basic_division.try_divide ~phase ~gdc ~learn_depth ~counters ?dc
+          ~f1:(f1_indices ~phase net ~f ~d) net ~f ~d
+      with
+      | Some _ -> true
+      | None -> false
+    in
+    let commit_both () =
+      phase_possible true && phase_possible false
+      && f1_indices net ~f ~d <> []
+      &&
+      let () = if f1_indices ~phase:false net ~f ~d = [] then incr gated in
+      let scratch = Network.copy net in
+      let first =
+        Basic_division.divide ~gdc ~learn_depth ~counters ?dc
+          ~f1:(f1_indices scratch ~f ~d) scratch ~f ~d
+      in
+      let second =
+        Basic_division.divide ~phase:false ~gdc ~learn_depth ~counters ?dc
+          ~f1:(f1_indices ~phase:false scratch ~f ~d) scratch ~f ~d
+      in
+      if
+        first <> None && second <> None
+        && Lit_count.factored_delta net scratch > 0
+      then begin
+        Network.overwrite net scratch;
+        incr combined;
+        true
+      end
+      else false
+    in
+    let direct = commit true in
+    let complemented = if config.S.use_complement then commit false else false in
+    if direct || complemented then true
+    else if config.S.use_complement then commit_both ()
+    else false
 
   let pos_cube_limit = 64
 
@@ -1201,6 +1301,225 @@ let prop_functional_support =
       Lit_floor.functional_support c
       = List.filter depends (Array.to_list vars))
 
+(* The SOS sets and the vote pre-check, decided in [f]'s fanin slots,
+   against the lifted frozen ones: in both phases, for every ordered
+   pair, on mutated and planted networks. *)
+let test_slot_sos_matches_lifted () =
+  let divided = ref 0 and complemented = ref 0 in
+  for seed = 1 to 160 do
+    let rng, net = floor_network seed in
+    let nodes = List.sort Int.compare (Network.node_ids net) in
+    List.iter
+      (fun f ->
+        List.iter
+          (fun d ->
+            List.iter
+              (fun phase ->
+                let slots = Basic_division.f1_indices ~phase net ~f ~d in
+                if slots <> Oracle.f1_indices ~phase net ~f ~d then
+                  Alcotest.failf "seed %d: SOS sets of %d / %d%s differ" seed f
+                    d (if phase then "" else "'");
+                if slots <> [] then
+                  incr (if phase then divided else complemented))
+              [ true; false ])
+          nodes;
+        let pool = List.filter (fun _ -> Rar_util.Rng.int rng 3 = 0) nodes in
+        if
+          Booldiv.Extended_division.may_vote net ~f ~pool
+          <> Oracle.may_vote net ~f ~pool
+        then Alcotest.failf "seed %d: may_vote on %d differs" seed f)
+      (List.filter (fun id -> not (Network.is_input net id)) nodes)
+  done;
+  Alcotest.(check bool) "both phases found SOS cubes" true
+    (!divided > 0 && !complemented > 0)
+
+(* The basic work unit against the frozen one on two copies: the same
+   verdict, network and id allocator, in the local and the global
+   configurations. The combined rewrite's gate must have skipped runs,
+   and some combined rewrites must commit (they are rare: the last five
+   seeds are networks where one does). *)
+let test_attempt_basic_matches_frozen () =
+  let gated = ref 0 and combined = ref 0 and commits = ref 0 in
+  let counters = Rar_util.Counters.create () in
+  let with_sigs attempt net =
+    let sigs = Logic_sim.Signature.create net in
+    Fun.protect
+      ~finally:(fun () -> Logic_sim.Signature.detach sigs)
+      (fun () -> attempt ~sigs net)
+  in
+  let seeds = List.init 80 succ @ [ 169; 561; 727; 1784; 2228 ] in
+  let attempt ~config net ~f ~d =
+    same_attempt "attempt_basic"
+      ~oracle:
+        (with_sigs (fun ~sigs n ->
+             Oracle.attempt_basic ~gated ~combined ~config ~counters ~sigs n
+               ~f ~d))
+      ~current:
+        (with_sigs (fun ~sigs n ->
+             Booldiv.Substitute.attempt_basic ~config ~counters ~sigs n ~f
+               ~d))
+      net
+  in
+  List.iter
+    (fun seed ->
+      let _, net = floor_network seed in
+      let config =
+        if seed mod 4 = 0 then Booldiv.Substitute.extended_gdc_config
+        else Booldiv.Substitute.extended_config
+      in
+      let nodes = List.sort Int.compare (Network.logic_ids net) in
+      List.iter
+        (fun f ->
+          List.iter
+            (fun d -> if f <> d && attempt ~config net ~f ~d then incr commits)
+            nodes)
+        nodes)
+    seeds;
+  Alcotest.(check bool) "basic divisions committed" true (!commits > 0);
+  Alcotest.(check bool) "the gate skipped combined rewrites" true
+    (!gated > 0);
+  Alcotest.(check bool) "combined rewrites committed" true (!combined > 0)
+
+(* The combined-phase gate's lemma: after dividing [f] by [d], no cube
+   of [f] lies inside a cube of [d'] unless one of the original [f]'s
+   did. *)
+let prop_combined_gate_exact =
+  QCheck2.Test.make ~name:"combined rewrite needs a phase-false SOS cube"
+    ~count:60 ~print:string_of_int Net_mutations.gen_seed (fun seed ->
+      let _, net = floor_network seed in
+      let nodes = List.sort Int.compare (Network.logic_ids net) in
+      List.for_all
+        (fun f ->
+          List.for_all
+            (fun d ->
+              Basic_division.f1_indices net ~f ~d = []
+              || Basic_division.f1_indices ~phase:false net ~f ~d <> []
+              ||
+              let scratch = Network.copy net in
+              Basic_division.divide scratch ~f ~d = None
+              || Basic_division.f1_indices ~phase:false scratch ~f ~d = [])
+            nodes)
+        nodes)
+
+(* The complements of a POS substitution's factors and the cover it
+   would store, when the division yields them and [d] is a new fanin of
+   [f]. *)
+let pos_parts net ~f ~d =
+  let f_fanins = Network.fanins net f and d_fanins = Network.fanins net d in
+  if Array.mem d f_fanins || Network.depends_on net d f || f = d then None
+  else begin
+    let combined =
+      Array.append f_fanins
+        (Array.of_list
+           (List.filter
+              (fun x -> not (Array.mem x f_fanins))
+              (Array.to_list d_fanins)))
+    in
+    let slot x = Option.get (Array.find_index (Int.equal x) combined) in
+    let d_lift =
+      Cover.map_vars (fun v -> slot d_fanins.(v)) (Network.cover net d)
+    in
+    Option.bind
+      (Division.pos_complements ~complement_limit:64 ~f:(Network.cover net f)
+         ~d:d_lift ())
+      (fun (q_not, r_not) ->
+        Option.map
+          (fun { Division.pos_quotient; pos_remainder } ->
+            let y =
+              Cube.of_literals_exn [ Literal.pos (Array.length combined) ]
+            in
+            let rebuilt =
+              Cover.product
+                (Cover.union pos_quotient (Cover.of_cubes [ y ]))
+                pos_remainder
+            in
+            ( q_not,
+              r_not,
+              Factor.count
+                (snd
+                   (Network.normalise
+                      ~fanins:(Array.append combined [| d |])
+                      ~cover:rebuilt)) ))
+          (Division.pos_of_complements ~complement_limit:64 (q_not, r_not)))
+  end
+
+(* Without the divisor literal: [q_not ≤ r_not] makes the rebuild
+   [(q + y)·r] equal [r = a'b'], whose count 2 the floor reaches. *)
+let test_pos_floor_without_divisor () =
+  let q_not = cover "a" and r_not = cover "a + b" in
+  Alcotest.(check int) "q_not inside r_not" 2
+    (Lit_floor.pos_rebuild ~q_not ~r_not);
+  Alcotest.(check int) "the divisor literal counts otherwise" 3
+    (Lit_floor.pos_rebuild ~q_not:(cover "c") ~r_not)
+
+(* The POS remainder floor is at most the count of the cover the
+   substitution would store, and reaches it on some pairs: a floor one
+   higher would reject a division it must not. *)
+let test_pos_remainder_floor () =
+  let tight = ref 0 and pairs = ref 0 in
+  for seed = 1 to 200 do
+    let _, net = floor_network seed in
+    let nodes = List.sort Int.compare (Network.logic_ids net) in
+    List.iter
+      (fun f ->
+        List.iter
+          (fun d ->
+            match pos_parts net ~f ~d with
+            | None -> ()
+            | Some (q_not, r_not, count) ->
+              incr pairs;
+              let floor = Lit_floor.pos_rebuild ~q_not ~r_not in
+              if floor > count then
+                Alcotest.failf "seed %d, %d by %d: floor %d above count %d"
+                  seed f d floor count;
+              if floor = count then incr tight)
+          nodes)
+      nodes
+  done;
+  Alcotest.(check bool) "pairs reached the floor" true (!pairs > 0);
+  Alcotest.(check bool) "the floor is tight somewhere" true (!tight > 0)
+
+(* Required literals against brute force: a literal is required iff some
+   minterm has the function at 1 with it and at 0 without it, on sparse
+   covers of up to 13 variables (the truth-table path up to 10, the
+   cofactor path above). *)
+let prop_required_literals =
+  let gen =
+    QCheck2.Gen.(
+      let* width = int_range 1 13 in
+      let* cubes =
+        list_size (int_range 0 5)
+          (list_size (int_range 1 4)
+             (let* v = int_range 0 (width - 1) in
+              let* phase = bool in
+              return (Literal.make (3 * v) phase)))
+      in
+      return (Cover.of_cubes (List.filter_map Cube.of_literals cubes)))
+  in
+  QCheck2.Test.make ~name:"required literals match minterm comparison"
+    ~count:200 ~print:Cover.to_string gen (fun c ->
+      let vars = Array.of_list (Cover.support c) in
+      let n = Array.length vars in
+      let needs v phase =
+        let rec any bits =
+          bits < 1 lsl n
+          && (let value forced x =
+                if x = v then forced
+                else
+                  let i = Option.get (Array.find_index (Int.equal x) vars) in
+                  bits land (1 lsl i) <> 0
+              in
+              (Cover.eval (value phase) c && not (Cover.eval (value (not phase)) c))
+              || any (bits + 1))
+        in
+        any 0
+      in
+      Lit_floor.required_literals c
+      = Array.fold_left
+          (fun acc v ->
+            acc + Bool.to_int (needs v true) + Bool.to_int (needs v false))
+          0 vars)
+
 (* Random-graph clique laws. *)
 let prop_cliques_are_maximal_cliques =
   let gen =
@@ -1358,6 +1677,14 @@ let () =
             test_floors_match_oracle;
           Alcotest.test_case "remainder floor skips absorbed cubes" `Quick
             test_remainder_floor_skips_absorbed_cubes;
+          Alcotest.test_case "slot SOS sets match the lifted ones" `Quick
+            test_slot_sos_matches_lifted;
+          Alcotest.test_case "basic unit matches the frozen one" `Quick
+            test_attempt_basic_matches_frozen;
+          Alcotest.test_case "POS remainder floor below the true count" `Quick
+            test_pos_remainder_floor;
+          Alcotest.test_case "POS remainder floor without the divisor" `Quick
+            test_pos_floor_without_divisor;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -1376,5 +1703,7 @@ let () =
             prop_best_core_matches_frozen;
             prop_floors_below_true_count;
             prop_functional_support;
+            prop_combined_gate_exact;
+            prop_required_literals;
           ] );
     ]
