@@ -164,47 +164,34 @@ let find_test net wire =
   | Logic_sim.Equiv.Equivalent -> None
   | Logic_sim.Equiv.Counterexample { assignment; _ } -> Some assignment
 
-let redundant_result ?(learn_depth = 0) ?region ?engine ?budget ?counters ?dc
+let assign engine = function
+  | Node (id, v) -> Imply.assign_node engine id v
+  | Cube (id, i, v) -> Imply.assign_cube engine id i v
+
+let redundant_result ?(learn_depth = 0) ?region ?budget ?counters ?dc
     ?(extra = []) net wire =
   let faulty_node =
     match wire with Literal_wire { node; _ } | Cube_wire { node; _ } -> node
   in
   let frozen = Network.fanout_cone_order net [ faulty_node ] in
-  let budget =
-    match budget with Some b -> b | None -> Rar_util.Budget.unlimited
-  in
-  let engine =
-    match engine with
-    | Some e when Imply.network e == net ->
-      Imply.reset ~frozen e;
-      (* A pooled engine may carry the budget of a previous test; always
-         install the caller's (or unlimited). *)
-      Imply.set_budget e budget;
-      e
-    | Some _ | None -> Imply.create ?region ~frozen ~budget ?counters ?dc net
-  in
+  let engine = Imply.create ?region ~frozen ?budget ?counters ?dc net in
   let assignments =
     activation_assignments net wire
     @ propagation_assignments net faulty_node
     @ extra
   in
   match
-    List.iter
-      (function
-        | Node (id, v) -> Imply.assign_node engine id v
-        | Cube (id, i, v) -> Imply.assign_cube engine id i v)
-      assignments;
+    List.iter (assign engine) assignments;
     if learn_depth > 0 then Imply.learn ~depth:learn_depth engine
   with
   | () -> Ok false
   | exception Imply.Conflict _ -> Ok true
   | exception Rar_util.Budget.Exhausted reason -> Error reason
 
-let redundant ?learn_depth ?region ?engine ?budget ?counters ?dc ?extra net
-    wire =
+let redundant ?learn_depth ?region ?budget ?counters ?dc ?extra net wire =
   match
-    redundant_result ?learn_depth ?region ?engine ?budget
-      ?counters ?dc ?extra net wire
+    redundant_result ?learn_depth ?region ?budget ?counters ?dc ?extra net
+      wire
   with
   | Ok verdict -> verdict
   | Error _ -> false

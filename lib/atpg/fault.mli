@@ -27,6 +27,10 @@ type assignment =
   | Node of Logic_network.Network.node_id * bool
   | Cube of Logic_network.Network.node_id * int * bool
 
+val assign : Imply.t -> assignment -> unit
+(** Assert one assignment on the engine ({!Imply.assign_node} or
+    {!Imply.assign_cube}) and propagate. @raise Imply.Conflict *)
+
 val activation_assignments : Logic_network.Network.t -> wire -> assignment list
 (** Mandatory assignments to excite the fault and push its effect through
     the faulty node's own OR structure: the tested literal at its faulty
@@ -79,7 +83,6 @@ val find_test : Logic_network.Network.t -> wire -> (string * bool) list option
 val redundant_result :
   ?learn_depth:int ->
   ?region:Logic_network.Network.node_id list ->
-  ?engine:Imply.t ->
   ?budget:Rar_util.Budget.t ->
   ?counters:Rar_util.Counters.t ->
   ?dc:Logic_network.Dont_care.t ->
@@ -95,24 +98,20 @@ val redundant_result :
     [Error reason] means the [budget] (default unlimited, charged per
     implication step) ran out before the test concluded — the wire must be
     treated as not-proven-redundant, and the caller decides whether to
-    degrade or abort. The budget is installed on the engine for this test
-    (replacing any stale one on a pooled engine).
+    degrade or abort.
 
     [dc] supplies external don't cares to the implication engine (EXCDC
     patterns become forbidden assignments, so more faults prove
     untestable — a wire only exercised by externally-impossible
     patterns is redundant in context).
 
-    When [engine] is a pooled arena over the {e same} network (physical
-    equality; its region must match [region]), it is {!Imply.reset} with
-    this fault's frozen set and reused instead of building a fresh engine
-    — the pooled engine's creation-time [dc] applies; otherwise a fresh
-    one is created and [counters] records the build. *)
+    Each call builds its own arena over [region] (counted as an
+    [imply_creates] in [counters]); a build costs O(region), so there
+    is nothing to pool. *)
 
 val redundant :
   ?learn_depth:int ->
   ?region:Logic_network.Network.node_id list ->
-  ?engine:Imply.t ->
   ?budget:Rar_util.Budget.t ->
   ?counters:Rar_util.Counters.t ->
   ?dc:Logic_network.Dont_care.t ->

@@ -52,7 +52,7 @@ type t = {
      it when the network has mutated since. Shared by learn-copies. *)
   mutable built_revision : int;
   mutable built_limit : int;  (* [Network.id_limit] at the build *)
-  (* Bumped by every build/reset/refresh: marks taken before the bump are
+  (* Bumped by every build and reset: marks taken before the bump are
      stale (their trail positions no longer mean anything). *)
   mutable generation : int;
   (* Node id -> slot (-1 when none). Kept across builds: a build clears
@@ -65,14 +65,10 @@ type t = {
   mutable nslots : int;
   mutable is_input : Bytes.t;  (* slot -> 0/1 *)
   mutable in_region : Bytes.t;  (* slot -> 0/1 *)
-  mutable fanin_slots : int array array;  (* region slot -> its fanins' slots *)
   mutable region_fanouts : int array array;  (* slot -> its fanouts in region *)
-  (* Flat cubes of slot [s]: [cube_off.(s)] up to [cube_off.(s) + ncubes.(s)],
-     within a capacity that ends at [cube_off.(s + 1)]. *)
+  (* Flat cubes of slot [s]: [cube_off.(s)] up to [cube_off.(s + 1)]. *)
   mutable cube_off : int array;
-  mutable ncubes : int array;
   mutable cube_lits : int array array;  (* region cube -> its slot codes *)
-  mutable constants : int array;  (* slots of constant nodes, by ascending id *)
   mutable base_queue : int array;  (* queue right after constant seeding *)
   (* Nodes whose value is never derived (the fault-carrying cone), as
      per-slot marks; [frozen_ids] remembers them across rebuilds. Only
@@ -90,8 +86,6 @@ type t = {
   mutable trail : int array;  (* slot s as 2s, flat cube c as 2c + 1 *)
   mutable trail_len : int;
 }
-
-let network t = t.net
 
 let slot_of t id =
   if id >= 0 && id < Array.length t.slot then t.slot.(id) else -1
@@ -151,9 +145,7 @@ let dc_inputs t =
         let ids =
           List.filter_map
             (fun (name, phase) ->
-              match Network.find_by_name t.net name with
-              | Some id when Network.is_input t.net id -> Some (id, phase)
-              | _ -> None)
+              Option.map (fun id -> (id, phase)) (Network.find_input t.net name))
             cube
         in
         if List.length ids = List.length cube then Some ids else None)
@@ -219,6 +211,11 @@ let gather t dc_cubes =
     let ids = Array.of_list (List.sort Int.compare !gathered) in
     (ids, Array.map (fun id -> t.slot.(id) = -3) ids)
 
+let dc_revision t =
+  match t.dc with
+  | None -> -1
+  | Some dc -> Logic_network.Dont_care.revision dc
+
 (* (Re)build the arena from the network's current structure and seed the
    constant nodes: their value holds unconditionally, and a node whose
    only fanins are constants would otherwise never be examined. Matching
@@ -252,37 +249,29 @@ let build t =
       if region_mask.(s) then Bytes.set in_region s '\001')
     ids;
   let total_cubes = !total_cubes in
-  let fanin_slots = Array.make size [||] in
   (* Each region node joins its fanins' fanout lists in ascending id
      order, which is [Network.fanouts]' order. *)
   let fanouts_rev = Array.make size [] in
   for s = 0 to nslots - 1 do
     if Bytes.get in_region s = '\001' && Bytes.get is_input s = '\000' then begin
-      let slots =
-        Array.map (fun f -> t.slot.(f)) (Network.fanins net node_of.(s))
-      in
-      fanin_slots.(s) <- slots;
       Array.iter
-        (fun f ->
+        (fun id ->
+          let f = t.slot.(id) in
           match fanouts_rev.(f) with
           | o :: _ when o = s -> ()
           | l -> fanouts_rev.(f) <- s :: l)
-        slots
+        (Network.fanins net node_of.(s))
     end
   done;
   let region_fanouts =
     Array.map (fun l -> Array.of_list (List.rev l)) fanouts_rev
   in
   let cube_off = Array.make (size + 1) 0 in
-  let ncubes = Array.make size 0 in
   let cube_cap = max 1 total_cubes in
   let cube_lits = Array.make cube_cap [||] in
   t.built_revision <- Network.revision net;
   t.built_limit <- limit;
-  t.built_dc_revision <-
-    (match t.dc with
-    | None -> -1
-    | Some dc -> Logic_network.Dont_care.revision dc);
+  t.built_dc_revision <- dc_revision t;
   t.generation <- t.generation + 1;
   t.node_of <- node_of;
   t.nslots <- nslots;
@@ -291,10 +280,8 @@ let build t =
   t.dc_watch <- dc_watch;
   t.is_input <- is_input;
   t.in_region <- in_region;
-  t.fanin_slots <- fanin_slots;
   t.region_fanouts <- region_fanouts;
   t.cube_off <- cube_off;
-  t.ncubes <- ncubes;
   t.cube_lits <- cube_lits;
   t.frozen <- Bytes.make size '\000';
   mark_frozen t t.frozen_ids '\001';
@@ -308,7 +295,7 @@ let build t =
   t.trail_len <- 0;
   (* Fill the slots; constants are seeded in the same ascending order
      (not trailed: part of the reusable baseline). *)
-  let off = ref 0 and constants = ref [] in
+  let off = ref 0 in
   for s = 0 to nslots - 1 do
     cube_off.(s) <- !off;
     if Bytes.get is_input s = '\000' then begin
@@ -323,17 +310,14 @@ let build t =
           (Cover.cubes cover)
       end
       else off := !off + Cover.cube_count cover;
-      ncubes.(s) <- !off - cube_off.(s);
       match constant_of_cover cover with
       | Some v ->
         Bytes.set t.node_val s (encode v);
-        constants := s :: !constants;
         Array.iter (enqueue_slot t) region_fanouts.(s)
       | None -> ()
     end
   done;
   cube_off.(nslots) <- !off;
-  t.constants <- Array.of_list (List.rev !constants);
   t.base_queue <- Array.sub t.queue 0 t.q_len;
   count (fun c -> c.Counters.imply_creates) t
 
@@ -357,12 +341,9 @@ let create ?region ?(frozen = []) ?(budget = Rar_util.Budget.unlimited)
       nslots = 0;
       is_input = Bytes.empty;
       in_region = Bytes.empty;
-      fanin_slots = [||];
       region_fanouts = [||];
       cube_off = [||];
-      ncubes = [||];
       cube_lits = [||];
-      constants = [||];
       base_queue = [||];
       frozen = Bytes.empty;
       frozen_ids = frozen;
@@ -401,10 +382,8 @@ let reserve t ~slots ~cubes =
     t.node_of <- grow_array t.node_of 0 cap';
     t.is_input <- grow_bytes t.is_input '\000' cap';
     t.in_region <- grow_bytes t.in_region '\000' cap';
-    t.fanin_slots <- grow_array t.fanin_slots [||] cap';
     t.region_fanouts <- grow_array t.region_fanouts [||] cap';
     t.cube_off <- grow_array t.cube_off 0 (cap' + 1);
-    t.ncubes <- grow_array t.ncubes 0 cap';
     t.frozen <- grow_bytes t.frozen '\000' cap';
     t.node_val <- grow_bytes t.node_val v_unknown cap';
     t.queued <- grow_bytes t.queued '\000' cap';
@@ -434,18 +413,11 @@ let add_slot t id =
   t.slot.(id) <- s;
   t.node_of.(s) <- id;
   if cover = None then Bytes.set t.is_input s '\001';
-  t.ncubes.(s) <- n;
   t.cube_off.(s + 1) <- off + n;
   t.nslots <- s + 1;
-  (match Option.bind cover constant_of_cover with
-  | Some v ->
-    Bytes.set t.node_val s (encode v);
-    t.constants <-
-      Array.of_list
-        (List.sort
-           (fun a b -> Int.compare t.node_of.(a) t.node_of.(b))
-           (s :: Array.to_list t.constants))
-  | None -> ());
+  Option.iter
+    (fun v -> Bytes.set t.node_val s (encode v))
+    (Option.bind cover constant_of_cover);
   s
 
 (* The slot of a node an assignment names, added when it has none. *)
@@ -455,11 +427,6 @@ let slot_exn t id =
   else if id >= 0 && id < t.built_limit && Network.mem t.net id then
     add_slot t id
   else invalid_arg (Printf.sprintf "Imply: node %d unknown to the arena" id)
-
-let dc_revision t =
-  match t.dc with
-  | None -> -1
-  | Some dc -> Logic_network.Dont_care.revision dc
 
 let stale t =
   Network.revision t.net <> t.built_revision
@@ -505,103 +472,6 @@ let reset ?frozen t =
         t.q_len <- t.q_len + 1)
       t.base_queue;
     count (fun c -> c.Counters.imply_resets) t
-  end
-
-(* The queue [build] leaves after seeding the constants: their region
-   fanouts in id order, each once. *)
-let seeded_queue t =
-  let seen = Bytes.make (max 1 t.nslots) '\000' and acc = ref [] in
-  Array.iter
-    (fun c ->
-      Array.iter
-        (fun o ->
-          if Bytes.get seen o = '\000' then begin
-            Bytes.set seen o '\001';
-            acc := o :: !acc
-          end)
-        t.region_fanouts.(c))
-    t.constants;
-  Array.of_list (List.rev !acc)
-
-(* Rewrite slot [s] in place from its node's new function. The arena
-   keeps its slots, cube capacity and fanout lists, so this holds only
-   when the node has no more cubes than its slot has room for and, in
-   the region, gains no fanin (then the region fanouts of other slots
-   change only by losing [s], and the seeded queue only when one of them
-   is a constant or [s] turns constant). Outside the region only the
-   cube count and the constant matter. Anything else returns [false]. A
-   node that turns constant is seeded as [build] seeds one: its value
-   holds outside the trail, so the trail is unwound first, and
-   [base_queue] is recomputed with its fanouts. *)
-let rewrite_slot t s id =
-  let cover = Network.cover t.net id in
-  let region = Bytes.get t.in_region s = '\001' in
-  let fanins = Network.fanins t.net id in
-  let old_fanins = t.fanin_slots.(s) in
-  let new_fanins =
-    if region then Array.map (slot_of t) fanins else [||]
-  in
-  Cover.cube_count cover <= t.cube_off.(s + 1) - t.cube_off.(s)
-  && Array.for_all (fun f -> f >= 0 && Array.mem f old_fanins) new_fanins
-  && begin
-    let dropped =
-      List.filter
-        (fun f -> not (Array.mem f new_fanins))
-        (Array.to_list old_fanins)
-    in
-    List.iter
-      (fun f ->
-        t.region_fanouts.(f) <-
-          Array.of_list
-            (List.filter (fun o -> o <> s)
-               (Array.to_list t.region_fanouts.(f))))
-      dropped;
-    (match constant_of_cover cover with
-    | Some v ->
-      unwind t 0;
-      Bytes.set t.node_val s (encode v);
-      t.constants <-
-        Array.of_list
-          (List.sort
-             (fun a b -> Int.compare t.node_of.(a) t.node_of.(b))
-             (s :: Array.to_list t.constants));
-      t.base_queue <- seeded_queue t
-    | None ->
-      (* Losing a constant fanin changes what the constants seed. *)
-      if List.exists (fun f -> Array.mem f t.constants) dropped then
-        t.base_queue <- seeded_queue t);
-    let off = t.cube_off.(s) in
-    if region then
-      List.iteri
-        (fun i cube -> t.cube_lits.(off + i) <- slot_codes t.slot fanins cube)
-        (Cover.cubes cover);
-    t.ncubes.(s) <- Cover.cube_count cover;
-    t.fanin_slots.(s) <- new_fanins;
-    true
-  end
-
-(* A node without a slot that existed at the build (ids are never
-   reused, so it is below the build's id limit) is outside the region,
-   is no region node's fanin and is named by no assignment: nothing in
-   the arena reads its function, and a fresh build would not slot it
-   either. *)
-let refresh_node t id =
-  if stale t then begin
-    let s = slot_of t id in
-    if
-      Network.revision t.net = t.built_revision + 1
-      && dc_revision t = t.built_dc_revision
-      && Network.mem t.net id
-      && (not (Network.is_input t.net id))
-      &&
-      if s >= 0 then (not (Array.mem s t.constants)) && rewrite_slot t s id
-      else id < t.built_limit
-    then begin
-      t.built_revision <- Network.revision t.net;
-      t.generation <- t.generation + 1;
-      count (fun c -> c.Counters.imply_refreshes) t
-    end
-    (* Otherwise the arena stays stale and the next [reset] rebuilds it. *)
   end
 
 let node_value t id =
@@ -738,7 +608,7 @@ let process t s =
     && Bytes.unsafe_get t.in_region s <> '\000'
   then begin
     let off = t.cube_off.(s) in
-    let n = t.ncubes.(s) in
+    let n = t.cube_off.(s + 1) - off in
     (* Cube-level rules. *)
     for i = 0 to n - 1 do
       let codes = t.cube_lits.(off + i) in
@@ -811,24 +681,16 @@ let propagate t = run t
 
 (* --- Trail checkpoints ------------------------------------------------- *)
 
-type mark = {
-  m_trail : int;
-  m_generation : int;
-  m_revision : int;
-  m_dc_revision : int;
-}
+type mark = { m_trail : int; m_generation : int }
 
 let checkpoint t =
   if t.q_len > 0 then
     invalid_arg "Imply.checkpoint: pending implications (propagate first)";
-  { m_trail = t.trail_len; m_generation = t.generation;
-    m_revision = t.built_revision; m_dc_revision = t.built_dc_revision }
+  { m_trail = t.trail_len; m_generation = t.generation }
 
 let pop_to t mark =
   if
     mark.m_generation <> t.generation
-    || mark.m_revision <> t.built_revision
-    || mark.m_dc_revision <> t.built_dc_revision
     || stale t
     || mark.m_trail > t.trail_len
   then false
@@ -847,7 +709,7 @@ let assign_node t id v =
 
 let assign_cube t id i v =
   let s = slot_exn t id in
-  if i < 0 || i >= t.ncubes.(s) then
+  if i < 0 || i >= t.cube_off.(s + 1) - t.cube_off.(s) then
     invalid_arg "Imply.assign_cube: cube index";
   set_cube t s i v;
   run t
@@ -882,7 +744,8 @@ let justification_options t =
         && Bytes.get t.in_region s = '\001'
         && Bytes.get t.frozen s = '\000'
       then begin
-        let off = t.cube_off.(s) and n = t.ncubes.(s) in
+        let off = t.cube_off.(s) in
+        let n = t.cube_off.(s + 1) - off in
         (* OR at 1 with several live cubes and none at 1. *)
         if Bytes.get t.node_val s = v_true then begin
           let live =

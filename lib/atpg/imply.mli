@@ -32,7 +32,8 @@
     region membership, frozen marks and region fanouts to slots, so
     propagation never consults the network. Any other node gets a slot
     when an assignment first names it; a build costs O(region), not
-    O(network). *)
+    O(network). The arena follows a mutation of the network one way: it
+    goes stale, and the next {!reset} rebuilds it. *)
 
 type t
 
@@ -68,13 +69,9 @@ val create :
     {!reset} observes a changed {!Logic_network.Dont_care.revision}. *)
 
 val set_budget : t -> Rar_util.Budget.t -> unit
-(** Replace the engine's budget (pooled engines get a fresh budget per
-    fault test; installing {!Rar_util.Budget.unlimited} clears a stale
-    one). *)
-
-val network : t -> Logic_network.Network.t
-(** The network the engine was created over (used by callers to decide
-    whether a pooled engine can be reused for the task at hand). *)
+(** Replace the engine's budget (an engine reused across fault tests
+    gets a fresh budget per test; installing
+    {!Rar_util.Budget.unlimited} clears a stale one). *)
 
 val reset : ?frozen:Logic_network.Network.node_id list -> t -> unit
 (** Return the engine to its post-{!create} state, optionally installing a
@@ -84,22 +81,6 @@ val reset : ?frozen:Logic_network.Network.node_id list -> t -> unit
     mutated since the arena was built, the structure is rebuilt (counted
     as [imply_creates]); otherwise the undo trail is rewound in
     O(assignments + frozen) (counted as [imply_resets]). *)
-
-val refresh_node : t -> Logic_network.Network.node_id -> unit
-(** [refresh_node t id] brings the arena up to date after exactly one
-    mutation since it was built or last refreshed: a
-    [Function_changed id]. Call it between tests, and {!reset} before
-    the next one. When [id] keeps no more cubes than it had at the
-    build and no new fanin — the case after deleting one wire — the
-    node's slot is rewritten in place (counted as [imply_refreshes]) and
-    the next {!reset} only rewinds the trail. A node that turns constant
-    is seeded in place as a build seeds one (this rewinds the trail
-    already); a node that was constant at the build is not rewritten.
-    A node without a slot outside the region is only recorded as seen
-    (nothing in the arena reads its function). Otherwise, and whenever
-    the arena has seen any other mutation, nothing happens here and the
-    next {!reset} rebuilds. Recursive learning's scratch copies share
-    the rewritten arrays, so none may be in use. *)
 
 val assign_node : t -> Logic_network.Network.node_id -> bool -> unit
 (** Assume a node value and propagate to fixpoint. @raise Conflict *)

@@ -110,8 +110,6 @@ let equal (a : t) (b : t) = a = b
 
 let is_false _ f = f = 0
 
-let is_true _ f = f = 1
-
 let rec cofactor m f ~var:v ~phase =
   if f <= 1 then f
   else
@@ -154,29 +152,7 @@ let exists m vars f =
   in
   List.fold_left (fun acc v -> one v acc) f vars
 
-let support m f =
-  let seen = Hashtbl.create 16 and vars = Hashtbl.create 16 in
-  let rec go f =
-    if f > 1 && not (Hashtbl.mem seen f) then begin
-      Hashtbl.add seen f ();
-      Hashtbl.replace vars (var_of m f) ();
-      go m.low_of.(f);
-      go m.high_of.(f)
-    end
-  in
-  go f;
-  List.sort Int.compare (Hashtbl.fold (fun v () acc -> v :: acc) vars [])
 
-let size m f =
-  let seen = Hashtbl.create 16 in
-  let rec go acc f =
-    if f <= 1 || Hashtbl.mem seen f then acc
-    else begin
-      Hashtbl.add seen f ();
-      go (go (acc + 1) m.low_of.(f)) m.high_of.(f)
-    end
-  in
-  go 0 f
 
 let rec eval m f assign =
   if f = 0 then false

@@ -3,9 +3,9 @@
     Hash-consed, manager-based ROBDDs with the operations needed by the
     repo: boolean connectives, cofactors, the generalized cofactor
     ([constrain]) that underlies the Stanion–Sechen BDD-division baseline
-    (reference [14] of the paper), support and satisfiability helpers, and
-    formal equivalence (pointer equality). Variable order is the identity
-    order on integer variable indices. *)
+    (reference [14] of the paper), quantification and satisfiability
+    helpers, and formal equivalence (pointer equality). Variable order is
+    the identity order on integer variable indices. *)
 
 type man
 
@@ -38,8 +38,6 @@ val equal : t -> t -> bool
 
 val is_false : man -> t -> bool
 
-val is_true : man -> t -> bool
-
 val cofactor : man -> t -> var:int -> phase:bool -> t
 
 val constrain : man -> t -> t -> t
@@ -49,11 +47,6 @@ val constrain : man -> t -> t -> t
 
 val exists : man -> int list -> t -> t
 (** Existential quantification over a variable list. *)
-
-val support : man -> t -> int list
-
-val size : man -> t -> int
-(** Number of internal nodes reachable from the handle. *)
 
 val eval : man -> t -> (int -> bool) -> bool
 

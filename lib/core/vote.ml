@@ -66,10 +66,7 @@ let collect ?(gdc = false) ?(learn_depth = 0) ?budget ?counters ?dc net ~f
   (* Sticky, like the budget itself: once a wire exhausts it, every
      later assignment would re-raise immediately. *)
   let exhausted = ref false in
-  let assign = function
-    | Atpg.Fault.Node (id, v) -> Atpg.Imply.assign_node engine id v
-    | Atpg.Fault.Cube (id, i, v) -> Atpg.Imply.assign_cube engine id i v
-  in
+  let assign = Atpg.Fault.assign engine in
   let exhausted_entry wire wire_cube =
     (* The implication budget ran out mid-table: this wire (and, since
        exhaustion is sticky, the remaining ones) contributes no votes.

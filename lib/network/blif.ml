@@ -208,11 +208,7 @@ let parse_main lines =
    (SIS writes them); the single [.end] closes the whole file. *)
 let parse_exdc_lines net lines =
   let dc = Dont_care.create () in
-  let input_ok name =
-    match Network.find_by_name net name with
-    | Some id -> Network.is_input net id
-    | None -> false
-  in
+  let input_ok name = Network.find_input net name <> None in
   let output_names = List.map fst (Network.outputs net) in
   let nouts = List.length output_names in
   let tables = ref [] in

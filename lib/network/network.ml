@@ -223,6 +223,9 @@ let find_by_name t wanted =
     (fun id n acc -> if n.node_name = wanted then Some id else acc)
     t.nodes None
 
+let find_input t wanted =
+  List.find_opt (fun id -> (node t id).node_name = wanted) t.input_order
+
 let fresh_name t base =
   if find_by_name t base = None then base
   else begin

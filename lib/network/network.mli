@@ -114,6 +114,10 @@ val name : t -> node_id -> string
 
 val find_by_name : t -> string -> node_id option
 
+val find_input : t -> string -> node_id option
+(** The primary input carrying the name, read from the input list: it
+    costs O(inputs), where {!find_by_name} folds over every node. *)
+
 val fresh_name : t -> string -> string
 (** [fresh_name t base] is [base] when no node carries that name, else
     the first of [base_2], [base_3], ... that is free. Node names are

@@ -20,17 +20,13 @@ let run ?(learn_depth = 0) ?region ?budget ?counters ?dc
      shares the same frozen set (the node's transitive fanout) and the
      same dominator-side-input requirements, so that context is asserted
      once per node behind a trail checkpoint and each wire branches from
-     it with a pop. A removal mutates one node, and the arena rewrites
-     that node's slot in place ([Imply.refresh_node]) instead of being
-     rebuilt at the next reset. *)
+     it with a pop. A removal leaves the arena stale, and the next reset
+     rebuilds it in O(region). *)
   let engine = Atpg.Imply.create ?region ?counters ?dc net in
   let budget_of () =
     match budget with Some b -> b | None -> Rar_util.Budget.unlimited
   in
-  let assign = function
-    | Atpg.Fault.Node (id, v) -> Atpg.Imply.assign_node engine id v
-    | Atpg.Fault.Cube (id, i, v) -> Atpg.Imply.assign_cube engine id i v
-  in
+  let assign = Atpg.Fault.assign engine in
   let removed = ref 0 in
   let exhausted = ref None in
   let changed = ref true in
@@ -58,7 +54,6 @@ let run ?(learn_depth = 0) ?region ?budget ?counters ?dc
                    redundant. Remove the first and rescan (indices
                    shift), exactly as a per-wire conflict would. *)
                 remove_wire net (List.hd wires);
-                Atpg.Imply.refresh_node engine id;
                 incr removed;
                 changed := true;
                 scan ()
@@ -98,7 +93,6 @@ let run ?(learn_depth = 0) ?region ?budget ?counters ?dc
                  with
                 | Some w ->
                   remove_wire net w;
-                  Atpg.Imply.refresh_node engine id;
                   incr removed;
                   changed := true;
                   scan ()

@@ -26,9 +26,8 @@ val run :
     the arena: EXCDC patterns become forbidden assignments, so wires only
     testable by externally-impossible patterns also prove redundant. One
     implication arena is built per run and reused (reset) across all wire
-    tests; after each removal {!Atpg.Imply.refresh_node} updates the
-    changed node's slot in place where it can. [counters] records the
-    create/refresh/reset split.
+    tests; a removal leaves it stale, and the next reset rebuilds it.
+    [counters] records the create/reset split.
 
     [budget] bounds the total implication work of the whole fixpoint.
     When it runs out the scan stops early and the partial result stands

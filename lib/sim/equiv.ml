@@ -60,9 +60,7 @@ let compare_under ?dc net1 net2 ~words ~inputs1 =
   | Some d ->
     let care =
       Dont_care.care_mask d ~words ~stimulus:(fun name ->
-          match Network.find_by_name net1 name with
-          | Some id when Network.is_input net1 id -> Some (inputs1 id)
-          | _ -> None)
+          Option.map inputs1 (Network.find_input net1 name))
     in
     for w = 0 to words - 1 do
       diff_any.(w) <- Int64.logand diff_any.(w) care.(w)

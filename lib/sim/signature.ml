@@ -248,10 +248,7 @@ let care_mask t =
          else
            Some
              (Dont_care.care_mask dc ~words:t.words ~stimulus:(fun name ->
-                  match Network.find_by_name t.net name with
-                  | Some id when Network.is_input t.net id ->
-                    Some (pattern t id)
-                  | _ -> None)));
+                  Option.map (pattern t) (Network.find_input t.net name))));
       t.care_count <-
         (match t.care with None -> 64 * t.words | Some m -> popcount m)
     end;

@@ -23,8 +23,6 @@ let literal_count t = List.fold_left (fun acc c -> acc + Cube.size c) 0 t
 let support t =
   List.sort_uniq Int.compare (List.concat_map Cube.support t)
 
-let add_cube c t = canonical (c :: t)
-
 let union t1 t2 = canonical (t1 @ t2)
 
 (* Drop cubes contained by another cube of the list (single-cube

@@ -30,8 +30,6 @@ val literal_count : t -> int
 val support : t -> int list
 (** Sorted variable indices appearing in the cover. *)
 
-val add_cube : Cube.t -> t -> t
-
 val union : t -> t -> t
 (** Boolean OR (cube list concatenation, duplicates removed). *)
 

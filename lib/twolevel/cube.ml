@@ -39,7 +39,6 @@ let is_top = Cube_kernel.is_top
 
 let mem lit t = Cube_kernel.mem_code (Literal.code lit) t
 
-let mem_var v t = Cube_kernel.mem_var v t
 
 let phase_of_var t v =
   if Cube_kernel.mem_code (2 * v) t then Some true

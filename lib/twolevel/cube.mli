@@ -64,8 +64,6 @@ val is_top : t -> bool
 
 val mem : Literal.t -> t -> bool
 
-val mem_var : int -> t -> bool
-
 val phase_of_var : t -> int -> bool option
 (** Phase with which a variable occurs, if it occurs. *)
 

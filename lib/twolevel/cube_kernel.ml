@@ -98,7 +98,6 @@ let mem_code c t =
   && c / bits_per_word < Array.length t.words
   && t.words.(c / bits_per_word) land (1 lsl (c mod bits_per_word)) <> 0
 
-let mem_var v t = mem_code (2 * v) t || mem_code ((2 * v) + 1) t
 
 let subset a b =
   a.size <= b.size
@@ -109,14 +108,6 @@ let subset a b =
     if a.words.(w) land lnot b.words.(w) <> 0 then ok := false
   done;
   !ok
-
-let union a b =
-  if is_top a then b
-  else if is_top b then a
-  else begin
-    let n = max (Array.length a.words) (Array.length b.words) in
-    mk (Array.init n (fun w -> word a w lor word b w))
-  end
 
 let merge a b =
   if is_top a then Some b

@@ -73,18 +73,12 @@ val for_all_codes : (int -> bool) -> t -> bool
 
 val mem_code : int -> t -> bool
 
-val mem_var : int -> t -> bool
-(** Either phase of the variable present. *)
-
 val subset : t -> t -> bool
 (** [subset a b] iff every code of [a] is a code of [b]. *)
 
 val merge : t -> t -> t option
 (** Set union; [None] when the union holds both phases of some variable
     (cube intersection semantics: conflicting cubes have empty onset). *)
-
-val union : t -> t -> t
-(** Set union with no conflict check. *)
 
 val inter : t -> t -> t
 (** Set intersection (largest common sub-cube). *)

@@ -10,7 +10,6 @@ type t = {
   memo_hits : int Atomic.t;
   memo_misses : int Atomic.t;
   imply_creates : int Atomic.t;
-  imply_refreshes : int Atomic.t;
   imply_resets : int Atomic.t;
   imply_checkpoints : int Atomic.t;
   degradations : int Atomic.t;
@@ -35,7 +34,6 @@ let create () =
     memo_hits = Atomic.make 0;
     memo_misses = Atomic.make 0;
     imply_creates = Atomic.make 0;
-    imply_refreshes = Atomic.make 0;
     imply_resets = Atomic.make 0;
     imply_checkpoints = Atomic.make 0;
     degradations = Atomic.make 0;
@@ -80,7 +78,6 @@ let accumulate dst src =
   add dst.divisions_attempted (Atomic.get src.divisions_attempted);
   add dst.substitutions (Atomic.get src.substitutions);
   add dst.imply_creates (Atomic.get src.imply_creates);
-  add dst.imply_refreshes (Atomic.get src.imply_refreshes);
   add dst.imply_resets (Atomic.get src.imply_resets);
   add dst.imply_checkpoints (Atomic.get src.imply_checkpoints);
   add dst.degradations (Atomic.get src.degradations);
@@ -117,7 +114,7 @@ let pass_divisions_string t =
 let to_string t =
   Printf.sprintf
     "pairs %d (filtered %d), divisions %d (passes %d: [%s]), substitutions \
-     %d, imply %d creates / %d refreshes / %d resets / %d checkpoints, \
+     %d, imply %d creates / %d resets / %d checkpoints, \
      degradations %d, floor rejects %d, kresub %d candidates / %d \
      validated / %d refinements / %d reused, filter %.2fs, division \
      %.2fs, validation %.2fs"
@@ -128,7 +125,6 @@ let to_string t =
     (pass_divisions_string t)
     (Atomic.get t.substitutions)
     (Atomic.get t.imply_creates)
-    (Atomic.get t.imply_refreshes)
     (Atomic.get t.imply_resets)
     (Atomic.get t.imply_checkpoints)
     (Atomic.get t.degradations)
@@ -145,8 +141,7 @@ let to_json t =
   Printf.sprintf
     "{\"pairs_considered\": %d, \"pairs_filtered\": %d, \
      \"divisions_attempted\": %d, \"substitutions\": %d, \
-     \"imply_creates\": %d, \"imply_refreshes\": %d, \
-     \"imply_resets\": %d, \
+     \"imply_creates\": %d, \"imply_resets\": %d, \
      \"imply_checkpoints\": %d, \
      \"degradations\": %d, \
      \"floor_rejects\": %d, \"passes\": %d, \"pass_divisions\": [%s], \
@@ -159,7 +154,6 @@ let to_json t =
     (Atomic.get t.divisions_attempted)
     (Atomic.get t.substitutions)
     (Atomic.get t.imply_creates)
-    (Atomic.get t.imply_refreshes)
     (Atomic.get t.imply_resets)
     (Atomic.get t.imply_checkpoints)
     (Atomic.get t.degradations)

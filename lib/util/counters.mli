@@ -24,10 +24,8 @@ type t = {
           {!to_string} and {!to_json} ignore them. *)
   memo_misses : int Atomic.t;  (** always 0, as [memo_hits] *)
   imply_creates : int Atomic.t;
-      (** implication arenas built (or rebuilt after a mutation) *)
-  imply_refreshes : int Atomic.t;
-      (** arenas brought up to date in place after one node changed,
-          instead of being rebuilt *)
+      (** implication arenas built, or rebuilt by a reset after the
+          network or its don't-care view changed *)
   imply_resets : int Atomic.t;
       (** trail-based arena reuses between redundancy tests *)
   imply_checkpoints : int Atomic.t;

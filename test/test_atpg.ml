@@ -728,21 +728,6 @@ let test_arena_rebuild_on_mutation () =
   Alcotest.(check (option bool)) "backward rule on new structure" (Some true)
     (Imply.node_value engine a)
 
-(* Pooled-engine redundancy verdicts must match engine-per-call ones. *)
-let test_engine_reuse_redundant_verdicts () =
-  let net = Generator.random ~seed:9 ~n_inputs:5 ~n_nodes:10 ~n_outputs:3 () in
-  let engine = Imply.create net in
-  List.iter
-    (fun id ->
-      List.iter
-        (fun wire ->
-          Alcotest.(check bool)
-            (Fault.wire_to_string net wire)
-            (Fault.redundant net wire)
-            (Fault.redundant ~engine net wire))
-        (Fault.all_wires net id))
-    (Network.logic_ids net)
-
 (* ------------------------------------------------------------------ *)
 (* Trail checkpoints                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -826,6 +811,8 @@ let test_checkpoint_stale_after_revision () =
   Network.set_function net g
     ~fanins:(Network.fanins net g)
     (Network.cover net g);
+  Alcotest.(check bool) "mark stale before the rebuild" false
+    (Imply.pop_to e mark);
   Imply.reset e;
   Imply.assign_node e a true;
   Imply.propagate e;
@@ -1771,10 +1758,11 @@ let arenas_agree rng net a b =
          | Op_learn | Op_checkpoint | Op_pop _ -> true)
        (List.init 6 Fun.id)
 
-(* After each random wire removal, [refresh_node] then [reset] must leave
-   the arena behaving like a fresh [create] on the mutated network. *)
-let prop_refresh_matches_fresh =
-  QCheck2.Test.make ~name:"refresh_node after wire removals matches create"
+(* After each random wire removal, the [reset] that rebuilds the stale
+   arena must leave it behaving like a fresh [create] on the mutated
+   network. *)
+let prop_rebuild_matches_fresh =
+  QCheck2.Test.make ~name:"rebuild after wire removals matches create"
     ~count:150 ~print:string_of_int Net_mutations.gen_seed (fun seed ->
       let rng, net = Net_mutations.initial seed in
       Net_mutations.mutate rng net ~steps:(Rar_util.Rng.int rng 8);
@@ -1796,19 +1784,17 @@ let prop_refresh_matches_fresh =
           let id = Rar_util.Rng.pick rng wired in
           Rewiring.Remove.remove_wire net
             (Rar_util.Rng.pick rng (Fault.all_wires net id));
-          Imply.refresh_node engine id;
           let frozen = Network.fanout_cone_order net [ id ] in
           Imply.reset ~frozen engine;
           arenas_agree rng net engine (Imply.create ?region ~frozen net))
         (List.init 8 Fun.id))
 
 (* Removals that turn a node constant (the last literal of a cube, or
-   the last cube) are refreshed in place: the node is seeded as a build
-   seeds a constant, and the arena must then behave like a fresh
-   [create], also while the removed node's old value sat on the trail
-   and with later removals on top. *)
-let prop_refresh_constant_matches_fresh =
-  QCheck2.Test.make ~name:"refresh_node seeding a new constant matches create"
+   the last cube): the rebuild seeds the new constant, and the arena
+   must then behave like a fresh [create], also while the removed
+   node's old value sat on the trail and with later removals on top. *)
+let prop_rebuild_constant_matches_fresh =
+  QCheck2.Test.make ~name:"rebuild seeding a new constant matches create"
     ~count:150 ~print:string_of_int Net_mutations.gen_seed (fun seed ->
       let rng, net = Net_mutations.initial seed in
       Net_mutations.mutate rng net ~steps:(Rar_util.Rng.int rng 8);
@@ -1844,7 +1830,6 @@ let prop_refresh_constant_matches_fresh =
             (try Imply.assign_node engine id (Rar_util.Rng.bool rng)
              with Imply.Conflict _ -> ());
             Rewiring.Remove.remove_wire net wire;
-            Imply.refresh_node engine id;
             Imply.reset engine;
             arenas_agree rng net engine (Imply.create net))
           (List.init 6 Fun.id))
@@ -1853,8 +1838,8 @@ let prop_refresh_constant_matches_fresh =
    seed nodes and their fanins. Most nodes get no slot at the build, so
    assignments and EXCDC cubes name nodes outside the region, and
    removals hit nodes inside and outside it. The arena must match the
-   frozen engine step for step, and after each removal [refresh_node]
-   then [reset] must match a fresh [create]. *)
+   frozen engine step for step, and after each removal the rebuilding
+   [reset] must match a fresh [create]. *)
 let prop_small_region_matches_frozen =
   QCheck2.Test.make
     ~name:"small region in a large network matches the frozen engine"
@@ -1901,7 +1886,6 @@ let prop_small_region_matches_frozen =
           in
           Rewiring.Remove.remove_wire net
             (Rar_util.Rng.pick rng (Fault.all_wires net id));
-          Imply.refresh_node engine id;
           Imply.reset ~frozen:[] engine;
           arenas_agree rng net engine (Imply.create ~region:inside ?dc net))
         (List.init 4 Fun.id))
@@ -1921,8 +1905,7 @@ let test_outside_region () =
   let node = Builder.node net in
   let dc = Logic_network.Dont_care.create () in
   Logic_network.Dont_care.add_excdc dc [ ("a", true); ("e", true) ];
-  let counters = Rar_util.Counters.create () in
-  let e = Imply.create ~region:[ node "x" ] ~counters ~dc net in
+  let e = Imply.create ~region:[ node "x" ] ~dc net in
   Alcotest.(check (option bool)) "constant outside the region" (Some false)
     (Imply.node_value e zero);
   Alcotest.(check bool) "constant among the assigned nodes" true
@@ -1945,87 +1928,7 @@ let test_outside_region () =
   Alcotest.(check (option bool)) "z unwound" None
     (Imply.node_value e (node "z"));
   Alcotest.(check (option bool)) "constant kept" (Some false)
-    (Imply.node_value e zero);
-  (* z has a slot for one cube: a second one needs a rebuild. *)
-  let builds () = Atomic.get counters.Rar_util.Counters.imply_creates in
-  Network.set_function net (node "z") ~fanins:(Network.fanins net (node "z"))
-    (Parse.cover_default "ab + a'b'");
-  Imply.refresh_node e (node "z");
-  Imply.reset e;
-  Alcotest.(check int) "z's new cube rebuilt the arena" 2 (builds ());
-  Imply.assign_cube e (node "z") 1 true;
-  Alcotest.(check (option bool)) "z's second cube" (Some true)
-    (Imply.cube_value e (node "z") 1);
-  (* A node no slot names changes without a rebuild. *)
-  Network.set_function net (node "y") ~fanins:(Network.fanins net (node "y"))
-    (Parse.cover_default "a");
-  Imply.refresh_node e (node "y");
-  Imply.reset e;
-  Alcotest.(check int) "y refreshed in place" 2 (builds ());
-  (* A node added since the build is not a refresh. *)
-  let w = Network.add_logic net ~name:"w" ~fanins:[| node "y" |] Cover.one in
-  Imply.refresh_node e w;
-  Imply.reset e;
-  Alcotest.(check int) "an added node rebuilt the arena" 3 (builds ());
-  Imply.assign_node e w true;
-  Alcotest.(check (option bool)) "w assigned" (Some true) (Imply.node_value e w)
-
-(* Each way a refresh cannot rewrite the slot in place — the node gains
-   a cube or a fanin, or the network changed twice — is left to the
-   next reset, which rebuilds; a dropped constant fanin, and a node
-   that turns constant, are rewritten in place and re-seed the
-   constants' queue. *)
-let test_refresh_fallbacks () =
-  let case name ~in_place mutate =
-    let net = Network.create () in
-    let a = Network.add_input net "a" and b = Network.add_input net "b" in
-    let c = Network.add_input net "c" in
-    let k = Network.add_logic net ~name:"k" ~fanins:[||] Cover.one in
-    let cube lits = Cube.of_literals_exn lits in
-    (* g = k·a + b, h = g·c *)
-    let g =
-      Network.add_logic net ~name:"g" ~fanins:[| k; a; b |]
-        (Cover.of_cubes
-           [ cube [ Literal.pos 0; Literal.pos 1 ]; cube [ Literal.pos 2 ] ])
-    in
-    let h =
-      Network.add_logic net ~name:"h" ~fanins:[| g; c |]
-        (Cover.of_cubes [ cube [ Literal.pos 0; Literal.pos 1 ] ])
-    in
-    Network.add_output net "h" h;
-    let counters = Rar_util.Counters.create () in
-    let engine = Imply.create ~counters net in
-    Imply.assign_node engine h true;
-    mutate net ~a ~b ~c ~g ~h;
-    Imply.refresh_node engine g;
-    Imply.reset engine;
-    Alcotest.(check int) (name ^ ": refreshed in place") (Bool.to_int in_place)
-      (Atomic.get counters.Rar_util.Counters.imply_refreshes);
-    Alcotest.(check int) (name ^ ": builds") (if in_place then 1 else 2)
-      (Atomic.get counters.Rar_util.Counters.imply_creates);
-    Alcotest.(check bool) (name ^ ": agrees with create") true
-      (arenas_agree (Rar_util.Rng.create 3) net engine (Imply.create net))
-  in
-  let literal node cube lit net =
-    Rewiring.Remove.remove_wire net
-      (Fault.Literal_wire { node; cube; lit = Literal.pos lit })
-  in
-  case "dropped constant fanin" ~in_place:true (fun net ~a:_ ~b:_ ~c:_ ~g ~h:_ ->
-      literal g 0 0 net);
-  case "removed cube" ~in_place:true (fun net ~a:_ ~b:_ ~c:_ ~g ~h:_ ->
-      Rewiring.Remove.remove_wire net (Fault.Cube_wire { node = g; cube = 1 }));
-  case "turns constant" ~in_place:true (fun net ~a:_ ~b:_ ~c:_ ~g ~h:_ ->
-      literal g 1 2 net);
-  case "gains a cube" ~in_place:false (fun net ~a:_ ~b:_ ~c:_ ~g ~h:_ ->
-      Network.set_function net g ~fanins:(Network.fanins net g)
-        (Parse.cover_default "ab + c + a'c'"));
-  case "gains a fanin" ~in_place:false (fun net ~a ~b ~c ~g ~h:_ ->
-      Network.set_function net g ~fanins:[| a; b; c |]
-        (Parse.cover_default "ab + c"));
-  case "two mutations" ~in_place:false (fun net ~a:_ ~b:_ ~c:_ ~g ~h:_ ->
-      literal g 0 0 net;
-      Network.set_function net g ~fanins:(Network.fanins net g)
-        (Network.cover net g))
+    (Imply.node_value e zero)
 
 (* The dominator computation before it walked only the fault's cone:
    filter the global topological order to the TFO, then intersect.
@@ -2095,8 +1998,8 @@ let qcheck_cases =
       prop_implication_soundness;
       prop_dominators_match_frozen;
       prop_engine_matches_frozen;
-      prop_refresh_matches_fresh;
-      prop_refresh_constant_matches_fresh;
+      prop_rebuild_matches_fresh;
+      prop_rebuild_constant_matches_fresh;
       prop_small_region_matches_frozen;
     ]
 
@@ -2152,9 +2055,6 @@ let () =
             test_arena_reset_matches_fresh;
           Alcotest.test_case "rebuild on mutation" `Quick
             test_arena_rebuild_on_mutation;
-          Alcotest.test_case "pooled redundancy verdicts" `Quick
-            test_engine_reuse_redundant_verdicts;
-          Alcotest.test_case "refresh fallbacks" `Quick test_refresh_fallbacks;
           Alcotest.test_case "outside the region" `Quick test_outside_region;
         ] );
       ( "checkpoint",

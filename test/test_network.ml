@@ -486,12 +486,12 @@ let test_bdd_basics () =
   let a = var man 0 and b = var man 1 in
   Alcotest.(check bool) "a∧a' = 0" true
     (is_false man (band man a (not_ man a)));
-  Alcotest.(check bool) "a∨a' = 1" true (is_true man (bor man a (not_ man a)));
+  Alcotest.(check bool) "a∨a' = 1" true
+    (equal (bor man a (not_ man a)) (btrue man));
   Alcotest.(check bool) "xor self-inverse" true
     (equal (bxor man (bxor man a b) b) a);
   Alcotest.(check bool) "demorgan" true
-    (equal (not_ man (band man a b)) (bor man (not_ man a) (not_ man b)));
-  Alcotest.(check (list int)) "support" [ 0; 1 ] (support man (band man a b))
+    (equal (not_ man (band man a b)) (bor man (not_ man a) (not_ man b)))
 
 let test_bdd_constrain () =
   let man = Robdd.Bdd.create () in
@@ -504,7 +504,7 @@ let test_bdd_constrain () =
   Alcotest.(check bool) "gcf identity" true
     (equal (band man f care) (band man g care));
   (* Under care = ab, f is identically 1. *)
-  Alcotest.(check bool) "constrained to 1" true (is_true man g)
+  Alcotest.(check bool) "constrained to 1" true (equal g (btrue man))
 
 let test_bdd_cover_roundtrip () =
   let man = Robdd.Bdd.create () in
@@ -676,6 +676,46 @@ let prop_traversals_match_frozen =
       let rng, net = Net_mutations.initial seed in
       check_traversals net;
       Net_mutations.mutate rng net ~steps:25 ~after_step:check_traversals;
+      true)
+
+(* [find_input] answers every name as [find_by_name] then [is_input]
+   did: node names, a name no node carries, after each mutation, and
+   through copies, overwrites, added inputs and removed unused ones. *)
+let prop_find_input_matches_scan =
+  QCheck2.Test.make ~name:"find_input matches find_by_name and is_input"
+    ~count:100 ~print:string_of_int Net_mutations.gen_seed (fun seed ->
+      let rng, net = Net_mutations.initial seed in
+      let check net =
+        List.iter
+          (fun name ->
+            let expected =
+              match Network.find_by_name net name with
+              | Some id when Network.is_input net id -> Some id
+              | _ -> None
+            in
+            if Network.find_input net name <> expected then
+              fail "find_input %s" name)
+          ("ghost" :: List.map (Network.name net) (Network.node_ids net))
+      in
+      let inputs_step net =
+        check net;
+        match Rar_util.Rng.int rng 4 with
+        | 0 -> ignore (Network.add_input net (Network.fresh_name net "pi"))
+        | 1 -> (
+          let unused =
+            List.filter
+              (fun id ->
+                Network.fanout_count net id = 0 && not (Network.is_output net id))
+              (Network.inputs net)
+          in
+          match unused with
+          | [] -> ()
+          | l -> Network.remove_node net (Rar_util.Rng.pick rng l))
+        | _ -> ()
+      in
+      check net;
+      Net_mutations.mutate rng net ~steps:30 ~after_step:inputs_step;
+      check net;
       true)
 
 (* Every rewire of the mutation sequence is checked against the old
@@ -903,6 +943,7 @@ let qcheck_cases =
       prop_bdd_exists;
       prop_bdd_to_cover_roundtrip;
       prop_traversals_match_frozen;
+      prop_find_input_matches_scan;
       prop_cycle_guard_matches_frozen;
       prop_normalise_matches_frozen;
       prop_factored_delta;
