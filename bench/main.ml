@@ -1068,7 +1068,7 @@ let shard_check ~pinned rows =
       add_total totals name lits;
       let label = Printf.sprintf "%-12s %-8s" row.Suite.name name in
       let with_view =
-        reference_run ~dc:(Logic_network.Dont_care.create ()) meth net
+        reference_run ~dc:Logic_network.Dont_care.empty meth net
       in
       if
         String.equal (Network.to_string with_view)
@@ -1764,6 +1764,10 @@ let aig_bench () =
          ~n_gates:100000 ());
     ]
   in
+  (* Each row is bracketed by the probes before and after it, as the
+     snapshot cells are; [probe_s] is the mean of the two, so walls
+     compare across hosts and runs as wall / probe_s. *)
+  let last_probe = ref (probe ()) in
   let rows =
     List.map
       (fun (name, a) ->
@@ -1771,27 +1775,32 @@ let aig_bench () =
         let (opt, stats), wall =
           Rar_util.Stopwatch.time (fun () -> Synth.Aig_opt.optimize a)
         in
+        let after = probe () in
+        let probe_s = (!last_probe +. after) /. 2.0 in
+        last_probe := after;
         let lits_after = Lit_count.factored (Aig.to_network opt) in
         Printf.printf
           "  %-12s gates %6d -> %6d   lits %7d -> %7d   %4d/%d windows \
-           accepted   %6.2fs\n"
+           accepted   %6.2fs  (probe %.4fs)\n"
           name stats.Synth.Aig_opt.gates_before
           stats.Synth.Aig_opt.gates_after lits_before lits_after
-          stats.Synth.Aig_opt.accepted stats.Synth.Aig_opt.windows wall;
-        (name, stats, lits_before, lits_after, wall))
+          stats.Synth.Aig_opt.accepted stats.Synth.Aig_opt.windows wall
+          probe_s;
+        (name, stats, lits_before, lits_after, wall, probe_s))
       circuits
   in
   let oc = open_out "BENCH_aig.json" in
   Printf.fprintf oc "{\n  \"circuits\": [\n";
   List.iteri
-    (fun i (name, stats, lits_before, lits_after, wall) ->
+    (fun i (name, stats, lits_before, lits_after, wall, probe_s) ->
       Printf.fprintf oc
         "    { \"name\": %S, \"gates_before\": %d, \"gates_after\": %d,\n\
         \      \"lits_before\": %d, \"lits_after\": %d,\n\
-        \      \"windows\": %d, \"accepted\": %d, \"wall_s\": %.3f }%s\n"
+        \      \"windows\": %d, \"accepted\": %d, \"wall_s\": %.3f,\n\
+        \      \"probe_s\": %.6f }%s\n"
         name stats.Synth.Aig_opt.gates_before stats.Synth.Aig_opt.gates_after
         lits_before lits_after stats.Synth.Aig_opt.windows
-        stats.Synth.Aig_opt.accepted wall
+        stats.Synth.Aig_opt.accepted wall probe_s
         (if i = List.length rows - 1 then "" else ","))
     rows;
   Printf.fprintf oc "  ]\n}\n";

@@ -42,10 +42,10 @@ let load ~circuit ~file ~exdc =
     | None, None -> Error (1, "pass a circuit name (-c) or a BLIF file (-f)")
     | Some name, None -> (
       match Suite.find name with
-      | Some row -> Ok (Suite.build row, Dont_care.create ())
+      | Some row -> Ok (Suite.build row, Dont_care.empty)
       | None -> (
         match List.assoc_opt name Bench_suite.Circuits.all with
-        | Some builder -> Ok (builder (), Dont_care.create ())
+        | Some builder -> Ok (builder (), Dont_care.empty)
         | None ->
           Error
             (1, Printf.sprintf "unknown circuit %S (try 'rarsub list')" name)))
@@ -54,19 +54,21 @@ let load ~circuit ~file ~exdc =
   match (base, exdc) with
   | Ok (net, dc), Some path ->
     Result.map
-      (fun extra -> Dont_care.merge dc extra; (net, dc))
-      (read path (Blif.read_exdc_file net))
+      (fun extra -> (net, Dont_care.merge dc extra))
+      (read path
+         (Blif.read_exdc_file
+            ~inputs:(List.map (Network.name net) (Network.inputs net))
+            ~outputs:(List.map fst (Network.outputs net))))
   | base, _ -> base
 
-(* Print the verdict of checking [after] against [before] (modulo [dc]
-   when given), and whether a pass is a proof; a mismatch prints a
-   counterexample and exits 2. *)
-let verify ?dc before after =
+(* Print the verdict of checking [after] against [before] modulo [dc]
+   (labelled so when the run reported its view), and whether a pass is
+   a proof; a mismatch prints a counterexample and exits 2. *)
+let verify ~dc ~reported before after =
   let label =
-    if Option.is_some dc then "equivalence check (modulo DC)"
-    else "equivalence check"
+    if reported then "equivalence check (modulo DC)" else "equivalence check"
   in
-  match Logic_sim.Equiv.check ?dc before after with
+  match Logic_sim.Equiv.check ~dc before after with
   | Logic_sim.Equiv.Equivalent ->
     let n = List.length (Network.inputs before) in
     if n <= Logic_sim.Equiv.exhaustive_cut then
@@ -299,17 +301,17 @@ let optimize_cmd =
       prerr_endline msg;
       code
     | Ok (net, dc) ->
-      let dc = if Dont_care.is_empty dc then None else Some dc in
       with_trace trace_file @@ fun trace ->
       let original = Network.copy net in
       let counters = Rar_util.Counters.create () in
-      Option.iter
-        (fun dc ->
-          Printf.printf
-            "external don't cares: %d EXCDC cube(s), %d EXOEC pair(s)\n"
-            (List.length (Dont_care.excdc dc))
-            (List.length (Dont_care.exoec dc)))
-        dc;
+      (* The reader admits no cube over a non-input, so every cube
+         binds. *)
+      let reported = not (Dont_care.is_empty dc) in
+      if reported then
+        Printf.printf
+          "external don't cares: %d EXCDC cube(s), %d EXOEC pair(s)\n"
+          (List.length (Dont_care.bind dc (Network.find_input net)))
+          (List.length (Dont_care.exoec dc));
       Printf.printf "initial: %d factored literals\n" (Lit_count.factored net);
       let resub_start = ref 0.0 in
       let on_script net seconds =
@@ -318,16 +320,16 @@ let optimize_cmd =
             request.script (Lit_count.factored net) seconds;
         resub_start := Unix.gettimeofday ()
       in
-      Job.run ~trace ~counters ?dc ~on_script spec net;
+      Job.run ~trace ~counters ~dc ~on_script spec net;
       Printf.printf "after %s: %d literals (%.2fs)\n" request.meth
         (Lit_count.factored net)
         (Unix.gettimeofday () -. !resub_start);
       report_filter counters;
-      if verify_result then verify ?dc original net;
+      if verify_result then verify ~dc ~reported original net;
       Option.iter
         (fun path ->
           Out_channel.with_open_text path (fun oc ->
-              output_string oc (Job.serialise ?dc net));
+              output_string oc (Job.serialise ~dc net));
           Printf.printf "written to %s\n" path)
         output;
       0
@@ -358,19 +360,18 @@ let optimize_aig_cmd =
       output verify_result =
     let loaded =
       Result.bind (read file Logic_network.Aiger.read_file) @@ fun aig ->
-      (* The view is resolved against a shell network holding just the
-         AIG's input names: [.exdc] cubes are over primary inputs, which
-         is all the per-window projection ever looks at. *)
+      (* [.exdc] cubes are over primary inputs, which is all the
+         per-window projection ever looks at; no window reads an EXOEC
+         pair, so the reader admits none. *)
       match exdc with
-      | None -> Ok (aig, None)
+      | None -> Ok (aig, Dont_care.empty)
       | Some path ->
-        let shell = Network.create () in
-        List.iter
-          (fun (name, _) -> ignore (Network.add_input shell name))
-          (Logic_network.Aig.inputs aig);
         Result.map
-          (fun dc -> (aig, if Dont_care.is_empty dc then None else Some dc))
-          (read path (Blif.read_exdc_file shell))
+          (fun dc -> (aig, dc))
+          (read path
+             (Blif.read_exdc_file
+                ~inputs:(List.map fst (Logic_network.Aig.inputs aig))
+                ~outputs:[]))
     in
     match loaded with
     | Error (code, msg) ->
@@ -390,11 +391,12 @@ let optimize_aig_cmd =
           dc;
         }
       in
-      Option.iter
-        (fun dc ->
-          Printf.printf "external don't cares: %d EXCDC cube(s)\n"
-            (List.length (Dont_care.excdc dc)))
-        dc;
+      let reported = not (Dont_care.is_empty dc) in
+      if reported then
+        Printf.printf "external don't cares: %d EXCDC cube(s)\n"
+          (List.length
+             (Dont_care.bind dc (fun name ->
+                  List.assoc_opt name (Logic_network.Aig.inputs aig))));
       Printf.printf "initial: %d gates, %d inputs\n"
         (Logic_network.Aig.num_ands aig)
         (Logic_network.Aig.num_inputs aig);
@@ -410,7 +412,7 @@ let optimize_aig_cmd =
         stats.Synth.Aig_opt.reverted stats.Synth.Aig_opt.skipped;
       report_filter counters;
       if verify_result then
-        verify ?dc
+        verify ~dc ~reported
           (Logic_network.Aig.to_network aig)
           (Logic_network.Aig.to_network optimised);
       Option.iter

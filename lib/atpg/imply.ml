@@ -44,8 +44,7 @@ type t = {
   (* External don't cares: each EXCDC cube is a forbidden input
      pattern, i.e. the clause ¬(cube) the environment guarantees.
      Resolved to slot codes at build time. *)
-  dc : Logic_network.Dont_care.t option;
-  mutable built_dc_revision : int;
+  dc : Logic_network.Dont_care.t;
   mutable dc_codes : int array array;
   mutable dc_watch : int array array; (* build slot -> watching cubes *)
   (* Structure mirrors the network at [built_revision]; [reset] rebuilds
@@ -134,24 +133,6 @@ let slot_codes slot fanins cube =
     codes;
   codes
 
-(* The EXCDC cubes as (input id, phase) lists. A cube naming a signal
-   that is not a primary input of this network is dropped — fewer
-   forbidden patterns is always sound. *)
-let dc_inputs t =
-  match t.dc with
-  | Some dc when not (Logic_network.Dont_care.is_empty dc) ->
-    List.filter_map
-      (fun cube ->
-        let ids =
-          List.filter_map
-            (fun (name, phase) ->
-              Option.map (fun id -> (id, phase)) (Network.find_input t.net name))
-            cube
-        in
-        if List.length ids = List.length cube then Some ids else None)
-      (Logic_network.Dont_care.excdc dc)
-  | _ -> []
-
 (* Resolve the EXCDC cubes to slot codes, and each input slot to the
    cubes watching it. *)
 let resolve_dc t cubes =
@@ -211,11 +192,6 @@ let gather t dc_cubes =
     let ids = Array.of_list (List.sort Int.compare !gathered) in
     (ids, Array.map (fun id -> t.slot.(id) = -3) ids)
 
-let dc_revision t =
-  match t.dc with
-  | None -> -1
-  | Some dc -> Logic_network.Dont_care.revision dc
-
 (* (Re)build the arena from the network's current structure and seed the
    constant nodes: their value holds unconditionally, and a node whose
    only fanins are constants would otherwise never be examined. Matching
@@ -231,7 +207,9 @@ let build t =
   done;
   if Array.length t.slot < limit then
     t.slot <- Array.make (max limit (2 * Array.length t.slot)) (-1);
-  let dc_cubes = dc_inputs t in
+  (* The EXCDC cubes as (input id, phase) lists; a cube naming a signal
+     that is not a primary input of this network is dropped. *)
+  let dc_cubes = Logic_network.Dont_care.bind t.dc (Network.find_input net) in
   let ids, region_mask = gather t dc_cubes in
   let nslots = Array.length ids in
   let size = max 1 nslots in
@@ -271,7 +249,6 @@ let build t =
   let cube_lits = Array.make cube_cap [||] in
   t.built_revision <- Network.revision net;
   t.built_limit <- limit;
-  t.built_dc_revision <- dc_revision t;
   t.generation <- t.generation + 1;
   t.node_of <- node_of;
   t.nslots <- nslots;
@@ -322,7 +299,7 @@ let build t =
   count (fun c -> c.Counters.imply_creates) t
 
 let create ?region ?(frozen = []) ?(budget = Rar_util.Budget.unlimited)
-    ?counters ?dc net =
+    ?counters ?(dc = Logic_network.Dont_care.empty) net =
   let t =
     {
       net;
@@ -330,7 +307,6 @@ let create ?region ?(frozen = []) ?(budget = Rar_util.Budget.unlimited)
       budget;
       counters;
       dc;
-      built_dc_revision = -1;
       dc_codes = [||];
       dc_watch = [||];
       built_revision = -1;
@@ -428,9 +404,7 @@ let slot_exn t id =
     add_slot t id
   else invalid_arg (Printf.sprintf "Imply: node %d unknown to the arena" id)
 
-let stale t =
-  Network.revision t.net <> t.built_revision
-  || dc_revision t <> t.built_dc_revision
+let stale t = Network.revision t.net <> t.built_revision
 
 (* Erase the trail above [from] and flush whatever is queued. *)
 let unwind t from =

@@ -64,9 +64,9 @@ val create :
     assumed situation is externally untestable); when exactly one input
     of a cube is free and every other literal holds, the free input is
     implied to the opposite phase. Cubes naming signals that are not
-    primary inputs of this network are dropped (sound), and an empty
-    view changes nothing. The cube tables are re-resolved whenever
-    {!reset} observes a changed {!Logic_network.Dont_care.revision}. *)
+    primary inputs of this network are dropped (sound), and a view with
+    no cube left changes nothing. Every build binds the view to the
+    network's inputs again ({!Logic_network.Dont_care.bind}). *)
 
 val set_budget : t -> Rar_util.Budget.t -> unit
 (** Replace the engine's budget (an engine reused across fault tests

@@ -34,8 +34,10 @@ type config = {
       (** external don't-care view (default [None]). EXCDC cubes become
           forbidden assignments in every implication engine spawned by
           the division methods, and mask the signature filter's sampled
-          rows. The view is resolved by input {e name}. [None] (or an
-          empty view) leaves the run byte-identical to a DC-less one. *)
+          rows. The view is bound by input {e name}
+          ({!Logic_network.Dont_care.bind}). [None], or a view with no
+          cube over the network's inputs, leaves the run byte-identical
+          to a DC-less one. *)
 }
 
 val basic_config : config

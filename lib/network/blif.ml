@@ -206,11 +206,10 @@ let parse_main lines =
    file:line error rather than silently mis-read. [.model], [.inputs]
    and [.outputs] lines inside the section are accepted and ignored
    (SIS writes them); the single [.end] closes the whole file. *)
-let parse_exdc_lines net lines =
-  let dc = Dont_care.create () in
-  let input_ok name = Network.find_input net name <> None in
-  let output_names = List.map fst (Network.outputs net) in
-  let nouts = List.length output_names in
+let parse_exdc_lines ~inputs ~outputs lines =
+  let input_ok name = List.mem name inputs in
+  let nouts = List.length outputs in
+  let cubes = ref [] and pairs = ref [] in
   let tables = ref [] in
   let current = ref None in
   let finish () =
@@ -239,9 +238,9 @@ let parse_exdc_lines net lines =
                 | '1' -> (name, true)
                 | '0' -> (name, false)
                 | c -> fail lineno "bad .exoec pattern character %C" c)
-              output_names
+              outputs
           in
-          Dont_care.add_exoec_pair dc (pattern p1) (pattern p2)
+          pairs := (pattern p1, pattern p2) :: !pairs
         | _ -> fail lineno ".exoec expects exactly two output patterns")
       | cmd :: args when String.length cmd > 0 && cmd.[0] = '.' -> (
         finish ();
@@ -293,7 +292,7 @@ let parse_exdc_lines net lines =
       let add_cube lineno lits =
         if lits = [] then
           fail lineno "exdc cube forbids every input pattern"
-        else Dont_care.add_excdc dc lits
+        else cubes := lits :: !cubes
       in
       let row_literals (lineno, pattern) =
         if String.length pattern <> nvars then
@@ -342,13 +341,18 @@ let parse_exdc_lines net lines =
           (Cover.cubes cover)
       | _, _ -> fail table.line "mixed on/off rows in .exdc table")
     (List.rev !tables);
-  dc
+  Dont_care.make ~exoec:(List.rev !pairs) (List.rev !cubes)
 
 let parse_dc text =
   let lines = logical_lines text in
   let main, exdc = split_exdc lines in
   let net = parse_main main in
-  let dc = parse_exdc_lines net exdc in
+  let dc =
+    parse_exdc_lines
+      ~inputs:(List.map (Network.name net) (Network.inputs net))
+      ~outputs:(List.map fst (Network.outputs net))
+      exdc
+  in
   (net, dc)
 
 (* The plain entry points accept (and validate) an inline [.exdc]
@@ -356,12 +360,12 @@ let parse_dc text =
    on DC-annotated files. *)
 let parse text = fst (parse_dc text)
 
-let parse_exdc net text =
+let parse_exdc ~inputs ~outputs text =
   let lines = logical_lines text in
   match split_exdc lines with
   | (lineno, line) :: _, _ ->
     fail lineno "expected .exdc as the first directive, found: %s" line
-  | [], exdc -> parse_exdc_lines net exdc
+  | [], exdc -> parse_exdc_lines ~inputs ~outputs exdc
 
 let with_file_errors path f =
   let ic = open_in path in
@@ -372,7 +376,8 @@ let with_file_errors path f =
 
 let read_file path = with_file_errors path parse
 let read_file_dc path = with_file_errors path parse_dc
-let read_exdc_file net path = with_file_errors path (parse_exdc net)
+let read_exdc_file ~inputs ~outputs path =
+  with_file_errors path (parse_exdc ~inputs ~outputs)
 
 let to_string net =
   let buffer = Buffer.create 1024 in

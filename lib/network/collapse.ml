@@ -66,13 +66,6 @@ let composed_function ?(cube_limit = default_cube_limit) net ~node ~fanin =
         else Some (combined, Cover.single_cube_containment result)
     end
 
-let substitute_fanin ?cube_limit net ~node ~fanin =
-  match composed_function ?cube_limit net ~node ~fanin with
-  | None -> false
-  | Some (fanins, cover) ->
-    Network.set_function net node ~fanins cover;
-    true
-
 let collapse_into_fanouts ?cube_limit net id =
   if Network.is_input net id || Network.is_output net id then false
   else begin

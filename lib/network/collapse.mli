@@ -4,18 +4,14 @@
     that substitution later sees "complex gates" — the first step of all of
     the paper's starting scripts. *)
 
-val substitute_fanin :
-  ?cube_limit:int -> Network.t -> node:Network.node_id -> fanin:Network.node_id -> bool
-(** Replace every occurrence of [fanin] inside [node]'s cover by [fanin]'s
-    own function (Shannon composition [F = F₁·G + F₀·G']). Returns [false]
-    without modifying the network when the composition or the needed
-    complement exceeds [cube_limit] cubes (default 512). *)
-
 val collapse_into_fanouts :
   ?cube_limit:int -> Network.t -> Network.node_id -> bool
-(** Substitute a node into all of its fanouts and delete it. Returns
-    [false] (leaving the network unchanged) if any substitution would blow
-    up or the node drives a primary output. *)
+(** Substitute a node into all of its fanouts — every occurrence of it
+    inside a fanout's cover is replaced by its own function (Shannon
+    composition [F = F₁·G + F₀·G']) — and delete it. Returns [false]
+    (leaving the network unchanged) if any composition or the needed
+    complement exceeds [cube_limit] cubes (default 512), or the node
+    drives a primary output. *)
 
 val value : Network.t -> Network.node_id -> int option
 (** The eliminate value of a node: the increase in flat literal count that

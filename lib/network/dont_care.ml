@@ -10,103 +10,74 @@
 
    - EXOEC (external observability equivalence classes): pairs of full
      output patterns the surrounding system cannot tell apart. The
-     classes are the transitive closure of the added pairs.
+     classes are the transitive closure of the pairs.
 
-   The view is mutable and carries its own revision counter so cached
-   derivatives (e.g. the care mask inside [Signature]) can detect
-   staleness without observers. *)
+   The view is immutable; [bind] is the one place its cubes meet a
+   consumer's names. *)
 
 type literal = string * bool
 type cube = literal list
 
 type t = {
-  mutable excdc : cube list; (* newest first; normalised cubes *)
-  mutable exoec : (string * string) list; (* canonical pattern-key pairs *)
-  mutable exoec_pairs : ((string * bool) list * (string * bool) list) list;
-  mutable revision : int;
+  excdc : cube list; (* insertion order; normalised cubes *)
+  exoec : (string * string) list; (* canonical pattern-key pairs *)
+  exoec_pairs : (cube * cube) list;
 }
 
-let create () = { excdc = []; exoec = []; exoec_pairs = []; revision = 0 }
-
-let copy t =
-  {
-    excdc = t.excdc;
-    exoec = t.exoec;
-    exoec_pairs = t.exoec_pairs;
-    revision = t.revision;
-  }
-
-let revision t = t.revision
+let empty = { excdc = []; exoec = []; exoec_pairs = [] }
 let is_empty t = t.excdc = [] && t.exoec = []
+
+let sorted_literals lits =
+  List.sort_uniq
+    (fun (a, pa) (b, pb) ->
+      match String.compare a b with 0 -> Bool.compare pa pb | c -> c)
+    lits
+
+(* A name that appears twice in sorted, deduplicated literals appears
+   with both phases. *)
+let rec check_distinct what = function
+  | (a, _) :: ((b, _) :: _ as rest) ->
+    if String.equal a b then
+      invalid_arg (Printf.sprintf "Dont_care.make: contradictory %s %s" what a)
+    else check_distinct what rest
+  | _ -> ()
 
 (* Normalise a cube: sort by name, drop duplicate literals. An empty
    cube would forbid every input pattern (the block is never exercised
    at all) and a contradictory cube forbids nothing; both almost always
    indicate caller confusion, so they are rejected. *)
 let normalise_cube lits =
-  if lits = [] then invalid_arg "Dont_care.add_excdc: empty cube";
-  let sorted =
-    List.sort_uniq
-      (fun (a, pa) (b, pb) ->
-        match String.compare a b with 0 -> Bool.compare pa pb | c -> c)
-      lits
-  in
-  let rec check = function
-    | (a, _) :: ((b, _) :: _ as rest) ->
-      if String.equal a b then
-        invalid_arg
-          (Printf.sprintf "Dont_care.add_excdc: contradictory literals on %s" a)
-      else check rest
-    | _ -> ()
-  in
-  check sorted;
+  if lits = [] then invalid_arg "Dont_care.make: empty cube";
+  let sorted = sorted_literals lits in
+  check_distinct "literals on" sorted;
   sorted
-
-let add_excdc t lits =
-  let cube = normalise_cube lits in
-  t.excdc <- cube :: t.excdc;
-  t.revision <- t.revision + 1
-
-let excdc t = List.rev t.excdc
 
 (* Output patterns are canonicalised to a sorted "name=0/1 ..." key so
    structurally-equal patterns written in different orders compare
    equal. *)
 let pattern_key pat =
-  let sorted =
-    List.sort_uniq
-      (fun (a, pa) (b, pb) ->
-        match String.compare a b with 0 -> Bool.compare pa pb | c -> c)
-      pat
-  in
-  let rec check = function
-    | (a, _) :: ((b, _) :: _ as rest) ->
-      if String.equal a b then
-        invalid_arg
-          (Printf.sprintf
-             "Dont_care.add_exoec_pair: contradictory values for output %s" a)
-      else check rest
-    | _ -> ()
-  in
-  check sorted;
+  let sorted = sorted_literals pat in
+  check_distinct "values for output" sorted;
   String.concat " "
     (List.map (fun (n, v) -> n ^ (if v then "=1" else "=0")) sorted)
 
-let add_exoec_pair t pat1 pat2 =
-  let k1 = pattern_key pat1 and k2 = pattern_key pat2 in
-  t.exoec <- (k1, k2) :: t.exoec;
-  t.exoec_pairs <- (pat1, pat2) :: t.exoec_pairs;
-  t.revision <- t.revision + 1
+let make ?(exoec = []) cubes =
+  let keys = List.map (fun (p1, p2) -> (pattern_key p1, pattern_key p2)) exoec in
+  { excdc = List.map normalise_cube cubes; exoec = keys; exoec_pairs = exoec }
 
-let exoec t = List.rev t.exoec_pairs
+let excdc t = t.excdc
+let exoec t = t.exoec_pairs
 
 let merge t extra =
-  List.iter (add_excdc t) (excdc extra);
-  List.iter (fun (p1, p2) -> add_exoec_pair t p1 p2) (exoec extra)
+  {
+    excdc = t.excdc @ extra.excdc;
+    exoec = t.exoec @ extra.exoec;
+    exoec_pairs = t.exoec_pairs @ extra.exoec_pairs;
+  }
 
-(* Union-find over the pattern keys seen in the added pairs, rebuilt
-   per query. Views are small (human-supplied equivalences), so the
-   rebuild is cheap and keeps the mutable state trivial. *)
+(* Union-find over the pattern keys seen in the pairs, rebuilt per
+   query. Views are small (human-supplied equivalences), so the rebuild
+   is cheap. *)
 let same_output_class t pat1 pat2 =
   let k1 = pattern_key pat1 and k2 = pattern_key pat2 in
   String.equal k1 k2
@@ -127,55 +98,41 @@ let same_output_class t pat1 pat2 =
   List.iter (fun (a, b) -> union a b) t.exoec;
   String.equal (find k1) (find k2)
 
-(* Word-parallel care mask: bit i of word w is 1 iff simulation row
-   64*w+i is *cared about* (matches no EXCDC cube). [stimulus] maps an
-   input name to its simulation words; cubes naming signals the caller
-   cannot resolve are dropped, which conservatively keeps their rows in
-   the care set. *)
-let care_mask t ~words ~stimulus =
-  let mask = Array.make words (-1L) in
-  List.iter
+let bind t resolve =
+  List.filter_map
     (fun cube ->
-      let resolved =
-        List.map (fun (name, phase) -> (stimulus name, phase)) cube
+      let bound =
+        List.filter_map
+          (fun (name, phase) -> Option.map (fun x -> (x, phase)) (resolve name))
+          cube
       in
-      if List.for_all (fun (s, _) -> s <> None) resolved then
+      if List.compare_lengths bound cube = 0 then Some bound else None)
+    t.excdc
+
+(* Word-parallel care mask: bit i of word w is 1 iff simulation row
+   64*w+i is *cared about* (matches no bound cube). *)
+let care_mask t ~words ~stimulus =
+  match bind t stimulus with
+  | [] -> None
+  | cubes ->
+    let mask = Array.make words (-1L) in
+    List.iter
+      (fun cube ->
         for w = 0 to words - 1 do
           let hit =
             List.fold_left
-              (fun acc (s, phase) ->
-                match s with
-                | None -> assert false
-                | Some st ->
-                  Int64.logand acc
-                    (if phase then st.(w) else Int64.lognot st.(w)))
-              (-1L) resolved
+              (fun acc (st, phase) ->
+                Int64.logand acc (if phase then st.(w) else Int64.lognot st.(w)))
+              (-1L) cube
           in
           mask.(w) <- Int64.logand mask.(w) (Int64.lognot hit)
         done)
-    t.excdc;
-  mask
+      cubes;
+    Some mask
 
-(* Restrict the view to a sub-circuit whose signals are a renaming of
-   (some of) ours — e.g. an AIG optimisation window whose leaves map
-   back to primary inputs. EXCDC cubes survive only when their whole
-   support renames (a cube mentioning a signal outside the window says
-   nothing certain about the window's inputs alone); EXOEC classes are
-   over full output patterns and never project. Dropping information is
-   always sound: the projected view forbids a subset of what the
-   original forbids. *)
-let project t ~rename =
-  let view = create () in
-  List.iter
-    (fun cube ->
-      let renamed =
-        List.filter_map
-          (fun (name, phase) ->
-            match rename name with
-            | Some name' -> Some (name', phase)
-            | None -> None)
-          cube
-      in
-      if List.length renamed = List.length cube then add_excdc view renamed)
-    (excdc t);
-  view
+(* A cube survives only when its whole support renames: a cube
+   mentioning a signal outside the sub-circuit says nothing certain
+   about the sub-circuit's inputs alone. EXOEC classes are over full
+   output patterns and never project. The projected view forbids a
+   subset of what the original forbids, which is always sound. *)
+let project t ~rename = make (bind t rename)

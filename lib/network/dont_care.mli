@@ -9,72 +9,69 @@
       is {e forbidden} when every literal of some cube matches it.
     - {b EXOEC} (external observability equivalence classes): pairs of
       full output patterns the environment cannot distinguish; the
-      classes are the transitive closure of the added pairs.
+      classes are the transitive closure of the pairs.
 
     Everything is expressed over signal {e names}, not node ids, so a
     view built against a network remains valid for every
-    [Network.copy] snapshot of it (copies preserve names). Consumers
-    resolve names themselves and must drop cubes whose names they
-    cannot resolve — dropping don't-care information is always sound.
+    [Network.copy] snapshot of it (copies preserve names).
 
-    The view is mutable and carries its own revision counter,
-    independent of the network's, so cached derivatives (care masks in
-    the signature engine, resolved cube tables in the imply arena) can
-    detect staleness. *)
+    A view is an immutable value: the [.exdc] reader, {!make},
+    {!merge} and {!project} build one, and nothing changes it after.
+    Consumers meet the network through {!bind}, the one place that
+    turns EXCDC cubes into their own literals and drops the cubes they
+    cannot resolve — dropping don't-care information is always
+    sound. *)
 
 type t
 
-val create : unit -> t
+val empty : t
 
-val copy : t -> t
-(** Snapshot of the current contents; further [add_*] calls on either
-    copy do not affect the other. *)
-
-val revision : t -> int
-(** Bumped by every successful [add_excdc] / [add_exoec_pair]. *)
+val make :
+  ?exoec:((string * bool) list * (string * bool) list) list ->
+  (string * bool) list list ->
+  t
+(** [make ~exoec cubes] declares the input patterns matching every
+    [(name, phase)] literal of some cube externally impossible, and
+    each pair of full output patterns in [exoec] (default none)
+    externally indistinguishable. Raises [Invalid_argument] on an
+    empty cube (it would forbid everything), a cube with contradictory
+    literals on one name, or a pattern that assigns two values to one
+    output name. *)
 
 val is_empty : t -> bool
-(** [true] iff the view holds no EXCDC cubes and no EXOEC pairs. An
-    empty view must leave every consumer byte-identical to running
-    without one. *)
-
-val add_excdc : t -> (string * bool) list -> unit
-(** [add_excdc t lits] declares the input pattern matching every
-    [(name, phase)] literal externally impossible. Raises
-    [Invalid_argument] on an empty cube (it would forbid everything)
-    or a cube with contradictory literals on one name. *)
+(** [true] iff the view holds no EXCDC cubes and no EXOEC pairs. *)
 
 val excdc : t -> (string * bool) list list
 (** The cubes in insertion order, each normalised (sorted by name). *)
 
-val add_exoec_pair : t -> (string * bool) list -> (string * bool) list -> unit
-(** [add_exoec_pair t pat1 pat2] declares the two full output patterns
-    externally indistinguishable. Raises [Invalid_argument] if either
-    pattern assigns two values to one output name. *)
-
 val exoec : t -> ((string * bool) list * (string * bool) list) list
-(** The added pairs in insertion order, as given. *)
+(** The pairs in insertion order, as given. *)
 
-val merge : t -> t -> unit
-(** [merge t extra] adds every EXCDC cube and EXOEC pair of [extra] to
-    [t], in insertion order. *)
+val merge : t -> t -> t
+(** [merge t extra]: the cubes and pairs of [t], then those of
+    [extra]. *)
 
 val same_output_class : t -> (string * bool) list -> (string * bool) list -> bool
 (** Whether two full output patterns fall in the same equivalence
-    class (reflexive-transitive closure of the added pairs, with
-    patterns compared modulo ordering). *)
+    class (reflexive-transitive closure of the pairs, with patterns
+    compared modulo ordering). *)
 
-val care_mask : t -> words:int -> stimulus:(string -> int64 array option) -> int64 array
-(** [care_mask t ~words ~stimulus] returns a [words]-long mask whose
-    bit [i] of word [w] is 1 iff simulation row [64*w + i] is in the
-    care set — i.e. matches no EXCDC cube under the per-input
-    stimulus. Cubes naming an input for which [stimulus] returns
-    [None] are dropped (their rows stay cared — conservative). An
-    empty view yields the all-ones mask. *)
+val bind : t -> (string -> 'a option) -> ('a * bool) list list
+(** [bind t resolve] is the EXCDC cover over the consumer's literals:
+    each cube in insertion order, its literals in the cube's order,
+    with every name resolved. A cube naming a signal [resolve] maps to
+    [None] is dropped. A view with no bindable cube binds to [[]],
+    which every consumer treats as no view. *)
+
+val care_mask :
+  t -> words:int -> stimulus:(string -> int64 array option) -> int64 array option
+(** [care_mask t ~words ~stimulus] is a [words]-long mask whose bit
+    [i] of word [w] is 1 iff simulation row [64*w + i] is in the care
+    set — it matches no cube of [bind t stimulus] under the per-input
+    stimulus. [None] when no cube binds (every row is cared). *)
 
 val project : t -> rename:(string -> string option) -> t
 (** [project t ~rename] restricts the view to a sub-circuit whose
     signals are a renaming of ours (e.g. an AIG window whose leaves
-    map to primary inputs). An EXCDC cube survives iff {e every}
-    literal's name renames; EXOEC pairs never project. The result is a
-    fresh independent view. *)
+    map to primary inputs): the cubes of [bind t rename]. EXOEC pairs
+    never project. *)

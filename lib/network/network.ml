@@ -206,13 +206,6 @@ let add_output t po_name id =
   if not (mem t id) then invalid_arg "Network.add_output: unknown node";
   t.output_order <- (po_name, id) :: t.output_order
 
-let retarget_outputs t ~from_node ~to_node =
-  if not (mem t to_node) then invalid_arg "Network.retarget_outputs: unknown node";
-  t.output_order <-
-    List.map
-      (fun (po_name, id) ->
-        if id = from_node then (po_name, to_node) else (po_name, id))
-      t.output_order
 
 let is_input t id = match (node t id).kind with Input -> true | Logic _ -> false
 

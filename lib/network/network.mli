@@ -28,9 +28,7 @@ exception Cyclic of string
     ...) key their invalidation on the network's revision counter or
     subscribe to fine-grained mutation events. Every structural mutation —
     node addition, function replacement, node removal, or a wholesale
-    {!overwrite} — bumps the revision and notifies the observers.
-    {!retarget_outputs} changes neither node functions nor the DAG, so it
-    is deliberately not a tracked mutation. *)
+    {!overwrite} — bumps the revision and notifies the observers. *)
 
 type mutation =
   | Node_added of node_id
@@ -65,10 +63,6 @@ val add_logic : t -> ?name:string -> fanins:node_id array -> Twolevel.Cover.t ->
 
 val add_output : t -> string -> node_id -> unit
 (** Mark a node as driving a primary output of the given name. *)
-
-val retarget_outputs : t -> from_node:node_id -> to_node:node_id -> unit
-(** Redirect every primary output driven by [from_node] to [to_node]
-    (used when merging functionally identical nodes). *)
 
 val normalise :
   fanins:node_id array -> cover:Twolevel.Cover.t ->

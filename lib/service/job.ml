@@ -60,10 +60,7 @@ let run ?(trace = Rar_util.Trace.disabled) ?counters ?dc
     Script.resub_command ~settings:(anchored spec) ~trace ?counters ?dc meth
       net
 
-let serialise ?dc net =
-  match dc with
-  | None -> Blif.to_string net
-  | Some dc -> Blif.to_string_dc net dc
+let serialise ?(dc = Dont_care.empty) net = Blif.to_string_dc net dc
 
 (* ------------------------------------------------------------------ *)
 (* Warm per-worker caches                                              *)
@@ -125,7 +122,7 @@ type prepared = {
   pristine : Network.t;  (* never mutated; jobs run on copies *)
   canonical : string;  (* the pristine network's BLIF text *)
   key : string option;
-  dc : Dont_care.t option;
+  dc : Dont_care.t;
 }
 
 let prepare ?warm (request : Protocol.request) =
@@ -144,16 +141,21 @@ let prepare ?warm (request : Protocol.request) =
   in
   let* dc =
     (* The effective view is the body's inline [.exdc] section plus
-       the [exdc] field; the warm copy is never mutated. *)
-    match Option.map (Blif.parse_exdc pristine) request.exdc with
-    | extra ->
-      let dc = Dont_care.copy inline_dc in
-      Option.iter (Dont_care.merge dc) extra;
-      Ok (if Dont_care.is_empty dc then None else Some dc)
-    | exception Blif.Parse_error { line; message } ->
-      Error (Printf.sprintf "exdc:%d: %s" line message)
-    | exception Invalid_argument message ->
-      Error (Printf.sprintf "exdc: %s" message)
+       the [exdc] field. *)
+    match request.exdc with
+    | None -> Ok inline_dc
+    | Some text -> (
+      match
+        Blif.parse_exdc
+          ~inputs:(List.map (Network.name pristine) (Network.inputs pristine))
+          ~outputs:(List.map fst (Network.outputs pristine))
+          text
+      with
+      | extra -> Ok (Dont_care.merge inline_dc extra)
+      | exception Blif.Parse_error { line; message } ->
+        Error (Printf.sprintf "exdc:%d: %s" line message)
+      | exception Invalid_argument message ->
+        Error (Printf.sprintf "exdc: %s" message))
   in
   let key =
     (* A wall-clock deadline can degrade the run nondeterministically;
@@ -175,9 +177,7 @@ let prepare ?warm (request : Protocol.request) =
            (fst (List.find (fun (_, m) -> m = spec.meth) Script.method_names))
            s.sim_seed
            (match s.fault_fuel with Some f -> string_of_int f | None -> "none")
-           (match dc with
-           | None -> ""
-           | Some dc -> Blif.exdc_to_string pristine dc))
+           (Blif.exdc_to_string pristine dc))
   in
   Ok { spec; pristine; canonical; key; dc }
 
@@ -205,9 +205,9 @@ let execute ?warm p =
           warm )
   in
   let counters = Rar_util.Counters.create () in
-  run ~counters ?dc:p.dc ?on_script spec net;
+  run ~counters ~dc:p.dc ?on_script spec net;
   {
-    Cache.blif = serialise ?dc:p.dc net;
+    Cache.blif = serialise ~dc:p.dc net;
     literals = Lit_count.factored net;
     counters = Rar_util.Counters.to_json counters;
   }

@@ -59,7 +59,7 @@ val run :
 val serialise :
   ?dc:Logic_network.Dont_care.t -> Logic_network.Network.t -> string
 (** The one job serialiser: {!Logic_network.Blif.to_string}, plus the
-    canonical [.exdc] section when [dc] is given. *)
+    canonical [.exdc] section when [dc] is non-empty. *)
 
 (** {2 The daemon's path} *)
 

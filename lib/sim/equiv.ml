@@ -26,7 +26,7 @@ let bit_at v w bit = Int64.logand (Int64.shift_right_logical v.(w) bit) 1L = 1L
    mismatches are looked for (EXCDC patterns never occur, so differing
    on them is fine), and a surviving mismatch row is excused when the
    two full output patterns fall in the same EXOEC class. *)
-let compare_under ?dc net1 net2 ~words ~inputs1 =
+let compare_under ?(dc = Dont_care.empty) net1 net2 ~words ~inputs1 =
   let values_by_name = Hashtbl.create 16 in
   List.iter
     (fun id -> Hashtbl.replace values_by_name (Network.name net1 id) (inputs1 id))
@@ -47,7 +47,6 @@ let compare_under ?dc net1 net2 ~words ~inputs1 =
         (po_name, Hashtbl.find v1 id1, Hashtbl.find v2 id2))
       (Network.outputs net1)
   in
-  let dc = match dc with Some d when not (Dont_care.is_empty d) -> Some d | _ -> None in
   (* Rows where any output differs, restricted to the care set. *)
   let diff_any = Array.make words 0L in
   List.iter
@@ -56,27 +55,20 @@ let compare_under ?dc net1 net2 ~words ~inputs1 =
         diff_any.(w) <- Int64.logor diff_any.(w) (Int64.logxor a.(w) b.(w))
       done)
     out_pairs;
-  (match dc with
-  | Some d ->
-    let care =
-      Dont_care.care_mask d ~words ~stimulus:(fun name ->
-          Option.map inputs1 (Network.find_input net1 name))
-    in
-    for w = 0 to words - 1 do
-      diff_any.(w) <- Int64.logand diff_any.(w) care.(w)
-    done
-  | None -> ());
-  let has_exoec =
-    match dc with Some d -> Dont_care.exoec d <> [] | None -> false
-  in
+  Option.iter
+    (fun care ->
+      for w = 0 to words - 1 do
+        diff_any.(w) <- Int64.logand diff_any.(w) care.(w)
+      done)
+    (Dont_care.care_mask dc ~words ~stimulus:(fun name ->
+         Option.map inputs1 (Network.find_input net1 name)));
+  let has_exoec = Dont_care.exoec dc <> [] in
   let excused w bit =
     has_exoec
     &&
     let pat1 = List.map (fun (n, a, _) -> (n, bit_at a w bit)) out_pairs in
     let pat2 = List.map (fun (n, _, b) -> (n, bit_at b w bit)) out_pairs in
-    match dc with
-    | Some d -> Dont_care.same_output_class d pat1 pat2
-    | None -> false
+    Dont_care.same_output_class dc pat1 pat2
   in
   let counterexample w bit =
     let output =

@@ -16,13 +16,13 @@ type t = {
   mutable stale : bool;
   mutable nodes_resimulated : int;
   (* External don't cares: rows matching an EXCDC cube are outside the
-     care set and masked out of the divisor-filter predicates. The mask
-     is cached against the view's own revision so it is recomputed
-     exactly when the view changes (the network observers don't see DC
-     mutations). *)
-  dc : Dont_care.t option;
+     care set and masked out of the divisor-filter predicates. The view
+     never changes and the input stimulus changes only in [refine], so
+     the mask is computed on first use and again after each
+     refinement. *)
+  dc : Dont_care.t;
   mutable care : int64 array option;
-  mutable care_rev : int;
+  mutable care_fresh : bool;
   mutable care_count : int;  (* care rows: [64 * words] without a mask *)
   (* Counterexample rows, newest first: row [j] (bit [j mod 64] of word
      [j / 64]) of every input's stimulus holds assignment [j]. *)
@@ -123,13 +123,14 @@ let refine t assignment =
       t.dirty <- Node_set.add id t.dirty)
     (Network.inputs t.net);
   t.rows <- assignment :: t.rows;
-  t.care_rev <- -1
+  t.care_fresh <- false
 
 let rows t = List.rev t.rows
 
 let default_seed = 0x516e41
 
-let create ?(seed = default_seed) ?(words = default_words) ?dc net =
+let create ?(seed = default_seed) ?(words = default_words)
+    ?(dc = Dont_care.empty) net =
   if words <= 0 then invalid_arg "Signature.create: words must be positive";
   let t =
     {
@@ -145,7 +146,7 @@ let create ?(seed = default_seed) ?(words = default_words) ?dc net =
       nodes_resimulated = 0;
       dc;
       care = None;
-      care_rev = -1;
+      care_fresh = false;
       care_count = 64 * words;
       rows = [];
     }
@@ -233,38 +234,21 @@ let intersects_not_care m a b =
   in
   scan 0
 
-(* The cached care mask, recomputed lazily whenever the DC view's
-   revision has moved. [None] means "no masking" (no view, or an empty
-   one) — that path is byte-identical to a DC-less engine. *)
+(* The cached care mask. [None] means "no masking" (no cube of the
+   view binds to an input) — that path is byte-identical to a DC-less
+   engine. *)
 let care_mask t =
-  match t.dc with
-  | None -> None
-  | Some dc ->
-    let rev = Dont_care.revision dc in
-    if t.care_rev <> rev then begin
-      t.care_rev <- rev;
-      t.care <-
-        (if Dont_care.is_empty dc then None
-         else
-           Some
-             (Dont_care.care_mask dc ~words:t.words ~stimulus:(fun name ->
-                  Option.map (pattern t) (Network.find_input t.net name))));
-      t.care_count <-
-        (match t.care with None -> 64 * t.words | Some m -> popcount m)
-    end;
-    t.care
+  if not t.care_fresh then begin
+    t.care_fresh <- true;
+    t.care <-
+      Dont_care.care_mask t.dc ~words:t.words ~stimulus:(fun name ->
+          Option.map (pattern t) (Network.find_input t.net name));
+    t.care_count <-
+      (match t.care with None -> 64 * t.words | Some m -> popcount m)
+  end;
+  t.care
 
 let care_rows t = Option.value (care_mask t) ~default:t.all_rows
-
-let differs_care m a b =
-  let n = Array.length a in
-  let rec scan w =
-    w < n
-    && (Int64.logand m.(w) (Int64.logxor a.(w) b.(w)) <> 0L || scan (w + 1))
-  in
-  scan 0
-
-let equal_on_care t a b = not (differs_care (care_rows t) a b)
 
 let subset_on_care t a b = not (intersects_not_care (care_rows t) a b)
 

@@ -23,14 +23,15 @@
     use it on the sampled patterns ({!compatible}), and surviving
     candidates are ranked by onset-overlap popcount ({!score}). The
     constructive [resub-k] driver proposes replacements whose signature
-    equals the dividend's on the care rows ({!equal_on_care}) and refines
+    equals the dividend's on the care rows ({!care_mask}) and refines
     the stimulus with the exact oracle's counterexamples. Signatures can
     only skip or propose work, never accept a bad rewrite: every rewrite
     is still checked by its driver (literal gain with rollback, or an
     exact validation) and by the harness's equivalence checks.
 
-    Every comparison is care-masked: without a view (or with an empty
-    one) the mask holds every row, so one algebra serves both cases.
+    Every comparison is care-masked: without a view (or with one whose
+    cubes name no input) the mask holds every row, so one algebra serves
+    both cases.
     Every driver (sis, basic, ext, ext-GDC, resub-k and rar) picks its
     divisors with {!rank}, each with its own admission test and score. *)
 
@@ -67,12 +68,12 @@ val create :
     the overlap a division needs, and the admission tests pass whenever
     the sample holds one. A view thus never prunes {e harder} than the
     DC-less filter (the monotonicity discipline: don't cares may only
-    unlock rewrites). The care mask is cached against
-    {!Logic_network.Dont_care.revision} and recomputed exactly when the
-    view changes or {!refine} adds a row, independently of network
-    mutations. Raw signatures
-    ({!signature}) are {e not} masked. An empty or absent view leaves
-    every predicate byte-identical to a DC-less engine. *)
+    unlock rewrites). The view is bound to the input stimulus
+    ({!Logic_network.Dont_care.care_mask}) on first use and again after
+    each {!refine}, independently of network mutations. Raw signatures
+    ({!signature}) are {e not} masked. A view with no cube over this
+    network's inputs leaves every predicate byte-identical to a DC-less
+    engine. *)
 
 val detach : t -> unit
 (** Unsubscribe from the network (idempotent). Call when the engine's
@@ -152,17 +153,14 @@ val rank : k:int -> score:('a -> int) -> 'a array -> 'a array
 
 (** {1 Care-masked comparisons}
 
-    Only the care rows take part: all rows without a view (or with an
-    empty one), otherwise the rows outside every EXCDC cube. Unlike the
+    Only the care rows take part: all rows when no EXCDC cube binds,
+    otherwise the rows outside every bound cube. Unlike the
     admission tests above, these are exact on the sample — a don't-care
     row is ignored, not treated as a wildcard. *)
 
 val care_mask : t -> int64 array option
 (** The care rows as a mask, [None] when every row cares. Cached until
-    the view's revision moves or {!refine} adds a row. *)
-
-val equal_on_care : t -> int64 array -> int64 array -> bool
-(** The two signatures agree on every care row. *)
+    {!refine} adds a row. *)
 
 val subset_on_care : t -> int64 array -> int64 array -> bool
 (** No care row holds the first signature without the second. *)

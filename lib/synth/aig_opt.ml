@@ -12,7 +12,7 @@ type config = {
   script : Script.step list;
   meth : Script.resub_method;
   settings : Script.settings;
-  dc : Logic_network.Dont_care.t option;
+  dc : Logic_network.Dont_care.t;
 }
 
 let default_config =
@@ -22,7 +22,7 @@ let default_config =
     script = Script.script_a;
     meth = Script.Ext;
     settings = Script.default_settings;
-    dc = None;
+    dc = Logic_network.Dont_care.empty;
   }
 
 type stats = {
@@ -288,28 +288,20 @@ let optimize ?(config = default_config) ?(trace = Trace.disabled) ?counters
            — or internal-gate leaves, which have no PI name — are
            dropped, which only under-approximates the impossible set and
            stays sound. *)
-        let wdc =
-          match config.dc with
-          | None -> None
-          | Some dc when Logic_network.Dont_care.is_empty dc -> None
-          | Some dc ->
-            let name_of = Hashtbl.create 8 in
-            List.iteri
-              (fun i leaf ->
-                if leaf >= 1 && leaf <= n_inputs then
-                  Hashtbl.replace name_of
-                    (Aig.input_name work leaf)
-                    (Printf.sprintf "x%d" i))
-              leaves;
-            let projected =
-              Logic_network.Dont_care.project dc
-                ~rename:(Hashtbl.find_opt name_of)
-            in
-            if Logic_network.Dont_care.is_empty projected then None
-            else Some projected
+        let rename name =
+          let renamed = ref None in
+          List.iteri
+            (fun i leaf ->
+              if
+                leaf >= 1 && leaf <= n_inputs
+                && String.equal (Aig.input_name work leaf) name
+              then renamed := Some (Printf.sprintf "x%d" i))
+            leaves;
+          !renamed
         in
+        let wdc = Logic_network.Dont_care.project config.dc ~rename in
         let wresub =
-          Script.resub_command ~settings ?counters ?dc:wdc config.meth
+          Script.resub_command ~settings ?counters ~dc:wdc config.meth
         in
         let reference = phase check_p (fun () -> Network.copy wnet) in
         phase script_p (fun () ->
@@ -320,7 +312,7 @@ let optimize ?(config = default_config) ?(trace = Trace.disabled) ?counters
            globally. *)
         if
           phase check_p (fun () ->
-              Logic_sim.Equiv.exhaustive ?dc:wdc reference wnet
+              Logic_sim.Equiv.exhaustive ~dc:wdc reference wnet
               <> Logic_sim.Equiv.Equivalent)
         then begin
           incr skipped;

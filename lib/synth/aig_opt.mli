@@ -45,14 +45,15 @@ type config = {
       (** every window's {!Script.resub_command} settings; the deadline
           is also polled between windows, so a late run stops splicing
           and returns what it has *)
-  dc : Logic_network.Dont_care.t option;
+  dc : Logic_network.Dont_care.t;
       (** external don't-care view over the AIG's primary inputs
-          (default [None]). Per window, EXCDC cubes whose every literal
-          names a leaf PI are projected into the window's input space
-          and threaded into that window's script and resubstitution;
-          cubes touching non-leaf inputs are dropped (sound
-          under-approximation). An absent or empty view leaves the run
-          byte-identical. *)
+          (default {!Logic_network.Dont_care.empty}). Per window, EXCDC
+          cubes whose every literal names a leaf PI are projected into
+          the window's input space and threaded into that window's
+          script and resubstitution; cubes touching non-leaf inputs are
+          dropped (sound under-approximation). A view with no cube over
+          a window's leaves leaves that window byte-identical to a run
+          without one. *)
 }
 
 val default_config : config

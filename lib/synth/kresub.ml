@@ -475,8 +475,9 @@ let proposals ?(max_divisors = default_max_divisors)
    the first validation after a mutation builds a fresh manager and
    every node's function in one topological sweep, which both
    invalidates every cached node function and bounds the unique table.
-   The care BDD is the complement of the EXCDC cube union (cubes naming
-   unresolvable inputs are dropped — conservative, like the mask). *)
+   The care BDD is the complement of the union of the EXCDC cubes bound
+   to input positions (cubes naming unresolvable inputs are dropped —
+   conservative, like the mask). *)
 type tables = {
   t_rev : int;
   t_man : Bdd.man;
@@ -486,40 +487,31 @@ type tables = {
 
 type oracle = {
   o_net : Network.t;
-  o_dc : Dont_care.t option;
+  o_dc : Dont_care.t;
   mutable o_tables : tables option;
 }
 
+(* BDD variable [i] is the [i]-th primary input ({!Of_network.all}). *)
 let ora_care man net dc =
-  match dc with
-  | Some dc when not (Dont_care.is_empty dc) ->
-    let pos = Hashtbl.create 17 in
-    List.iteri
-      (fun i id -> Hashtbl.replace pos (Network.name net id) i)
-      (Network.inputs net);
-    let forbidden =
-      List.fold_left
-        (fun forb cube ->
-          let rec build b = function
-            | [] -> Some b
-            | (nm, ph) :: tl -> (
-              match Hashtbl.find_opt pos nm with
-              | None -> None
-              | Some i ->
-                build
-                  (Bdd.band man b
-                     (if ph then Bdd.var man i else Bdd.nvar man i))
-                  tl)
-          in
-          match build (Bdd.btrue man) cube with
-          | None -> forb
-          | Some b -> Bdd.bor man forb b)
-        (Bdd.bfalse man) (Dont_care.excdc dc)
-    in
-    Bdd.not_ man forbidden
-  | _ -> Bdd.btrue man
+  let position name =
+    Option.bind (Network.find_input net name) (fun id ->
+        List.find_index (Int.equal id) (Network.inputs net))
+  in
+  let forbidden =
+    List.fold_left
+      (fun forb cube ->
+        Bdd.bor man forb
+          (List.fold_left
+             (fun b (i, ph) ->
+               Bdd.band man b (if ph then Bdd.var man i else Bdd.nvar man i))
+             (Bdd.btrue man) cube))
+      (Bdd.bfalse man)
+      (Dont_care.bind dc position)
+  in
+  Bdd.not_ man forbidden
 
-let oracle ?dc net = { o_net = net; o_dc = dc; o_tables = None }
+let oracle ?(dc = Dont_care.empty) net =
+  { o_net = net; o_dc = dc; o_tables = None }
 
 let ora_tables o =
   let rev = Network.revision o.o_net in
@@ -575,21 +567,19 @@ let oracle_table o =
   let t = ora_tables o in
   (t.t_man, t.t_nodes)
 
-(* A validated cover equals [f] on the whole care set. With no view, or
-   an empty one, that is every input assignment, so the commit leaves
+(* A validated cover equals [f] on the whole care set. When no EXCDC
+   cube binds, that is every input assignment, so the commit leaves
    every node's global function, and the table current before it, as
-   they were: the table is restamped to the new revision. Under a
-   non-empty view [f] may change off the care set, and so may its
-   fanouts, so the next validation rebuilds. *)
+   they were: the table is restamped to the new revision. When one
+   binds, [f] may change off the care set, and so may its fanouts, so
+   the next validation rebuilds. *)
 let commit o ~f ~below cover =
   let rev = Network.revision o.o_net in
-  let care_free =
-    match o.o_dc with None -> true | Some dc -> Dont_care.is_empty dc
-  in
   Lift.set_cover_if_cheaper o.o_net f ~below cover
   && begin
        (match o.o_tables with
-       | Some t when t.t_rev = rev && care_free ->
+       | Some t when t.t_rev = rev && Bdd.equal t.t_care (Bdd.btrue t.t_man)
+         ->
          o.o_tables <- Some { t with t_rev = Network.revision o.o_net }
        | _ -> ());
        true

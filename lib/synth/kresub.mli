@@ -39,10 +39,10 @@
     network is touched, so a losing candidate leaves the revision (and
     the oracle's table) as it was; since candidates are covers over
     existing nodes, no attempt ever allocates a node id. A committed
-    candidate equals the node on every input when the run has no
-    don't-care view (or an empty one), so no node's global function
-    moves and the oracle keeps its table, and its manager, across the
-    commit; under a non-empty view the next validation rebuilds.
+    candidate equals the node on every input when no EXCDC cube of the
+    run's view binds to an input, so no node's global function moves
+    and the oracle keeps its table, and its manager, across the
+    commit; when one binds, the next validation rebuilds.
 
     A scan walks TFO([f]) once: the pool is every other live node in
     ascending id order, and restarts after a refinement reuse it. The
@@ -148,9 +148,8 @@ val commit :
 (** [commit o ~f ~below cover] installs [cover] (over node ids) on [f]
     through {!Logic_network.Lift.set_cover_if_cheaper} and returns its
     verdict. [cover] must have passed validation: it equals [f]'s
-    global function on the oracle's care set. On a win with no
-    don't-care view, or an empty one, a table that was current before
+    global function on the oracle's care set. On a win while no EXCDC
+    cube of the view binds to an input, a table that was current before
     the commit stays current after it, because no node's global
-    function moved; any other mutation, and any commit under a
-    non-empty view, leaves the table to be rebuilt at the next
-    validation. *)
+    function moved; any other mutation, and any commit while a cube
+    binds, leaves the table to be rebuilt at the next validation. *)

@@ -55,5 +55,5 @@ val run :
     [dc] supplies an external don't-care view to the signature filter:
     sampled rows outside the care set are ignored when pruning and
     ranking divisors. The algebraic division itself is DC-blind, so the
-    rewrites remain exactly equivalent; an absent or empty view leaves
-    the run byte-identical. *)
+    rewrites remain exactly equivalent; a view with no cube over the
+    network's inputs leaves the run byte-identical to no view. *)

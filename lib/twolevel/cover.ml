@@ -84,23 +84,6 @@ let sos_of s g =
 
 let eval assign t = List.exists (Cube.eval assign) t
 
-let minterm_count ~nvars t =
-  let count = ref 0 in
-  let assign = Array.make (max nvars 1) false in
-  let rec go v =
-    if v = nvars then begin
-      if eval (fun i -> assign.(i)) t then incr count
-    end
-    else begin
-      assign.(v) <- false;
-      go (v + 1);
-      assign.(v) <- true;
-      go (v + 1)
-    end
-  in
-  go 0;
-  !count
-
 let map_vars f t =
   let rename cube =
     match Cube.rename_opt f cube with

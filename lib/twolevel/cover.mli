@@ -76,9 +76,6 @@ val single_cube_containment : t -> t
 
 val eval : (int -> bool) -> t -> bool
 
-val minterm_count : nvars:int -> t -> int
-(** Number of satisfying assignments over the first [nvars] variables
-    (exponential; intended for small test functions). *)
 
 val map_vars : (int -> int) -> t -> t
 (** Rename variables; the mapping must be injective on the support.

@@ -24,8 +24,6 @@ let create ?fuel ?deadline_at () =
     spent = None;
   }
 
-let is_unlimited t = (not t.has_fuel) && t.deadline = infinity
-
 let exhausted t = t.spent
 
 let spend ?(cost = 1) t =

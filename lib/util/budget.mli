@@ -36,8 +36,6 @@ val create : ?fuel:int -> ?deadline_at:float -> unit -> t
     Drivers that share one deadline across many per-division budgets
     compute [deadline_at] once and pass it to every {!create}. *)
 
-val is_unlimited : t -> bool
-
 val spend : ?cost:int -> t -> unit
 (** Consume [cost] (default 1) fuel and occasionally poll the clock
     against the deadline (every 512 spends, so the hot path stays

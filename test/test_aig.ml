@@ -168,29 +168,29 @@ let test_aig_opt_monotone_and_equivalent () =
     [ 1; 7; 42 ]
 
 (* Under an EXCDC view over a few primary inputs the run stays
-   equivalent modulo the view and never grows, and an empty view is
-   invisible: the same bytes as no view at all. *)
+   equivalent modulo the view and never grows, and a view with no cube
+   over the inputs is invisible: the same bytes as no view at all. *)
 let test_aig_opt_dc_view () =
   List.iter
     (fun seed ->
       let a = planted_aig seed in
       let before = Aig.compact a in
       let names = List.map fst (Aig.inputs before) in
-      let dc = Logic_network.Dont_care.create () in
-      List.iter
-        (fun cube ->
-          Logic_network.Dont_care.add_excdc dc
-            (List.map (fun (i, v) -> (List.nth names i, v)) cube))
-        [
-          [ (0, true); (1, true) ]; [ (2, false); (3, true) ];
-          [ (4, true); (5, false) ];
-        ];
+      let dc =
+        Logic_network.Dont_care.make
+          (List.map
+             (List.map (fun (i, v) -> (List.nth names i, v)))
+             [
+               [ (0, true); (1, true) ]; [ (2, false); (3, true) ];
+               [ (4, true); (5, false) ];
+             ])
+      in
       let run dc =
         Synth.Aig_opt.optimize
           ~config:{ Synth.Aig_opt.default_config with Synth.Aig_opt.dc }
           a
       in
-      let optimised, stats = run (Some dc) in
+      let optimised, stats = run dc in
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: equivalent modulo the view" seed)
         true
@@ -202,10 +202,18 @@ let test_aig_opt_dc_view () =
            stats.Synth.Aig_opt.gates_before stats.Synth.Aig_opt.gates_after)
         true
         (stats.Synth.Aig_opt.gates_after <= stats.Synth.Aig_opt.gates_before);
-      Alcotest.(check string)
-        (Printf.sprintf "seed %d: empty view = no view" seed)
-        (Aiger.to_string (fst (run None)))
-        (Aiger.to_string (fst (run (Some (Logic_network.Dont_care.create ()))))))
+      let plain = Aiger.to_string (fst (Synth.Aig_opt.optimize a)) in
+      List.iter
+        (fun (what, view) ->
+          Alcotest.(check string)
+            (Printf.sprintf "seed %d: %s = no view" seed what)
+            plain
+            (Aiger.to_string (fst (run view))))
+        [
+          ("empty view", Logic_network.Dont_care.empty);
+          ( "view over no input",
+            Logic_network.Dont_care.make [ [ ("ghost", true) ] ] );
+        ])
     [ 1; 7; 42 ]
 
 (* Every window is checked over all its leaf patterns, so a leaf cap

@@ -944,7 +944,6 @@ module Oracle = struct
        Resolved to slots at build time; [dc_codes] packs (slot, phase)
        as [slot lsl 1 lor neg-bit] (even = positive, as cube codes). *)
     dc : Logic_network.Dont_care.t option;
-    mutable built_dc_revision : int;
     mutable dc_codes : int array array;
     mutable dc_watch : int array array; (* input slot -> watching cubes *)
     (* Structure mirrors the network at [built_revision]; [reset] rebuilds
@@ -1035,7 +1034,7 @@ module Oracle = struct
        dropped — fewer forbidden patterns is always sound. *)
     let dc_codes, dc_watch =
       match t.dc with
-      | Some dc when not (Logic_network.Dont_care.is_empty dc) ->
+      | Some dc ->
         let resolved = ref [] in
         List.iter
           (fun cube ->
@@ -1065,7 +1064,7 @@ module Oracle = struct
             dc_codes;
           (dc_codes, Array.map (fun l -> Array.of_list (List.rev l)) watch)
         end
-      | _ -> ([||], [||])
+      | None -> ([||], [||])
     in
     let cube_codes = Array.make (max 1 !total_cubes) [||] in
     List.iteri
@@ -1077,10 +1076,6 @@ module Oracle = struct
           cubes_of.(s))
       ids;
     t.built_revision <- Network.revision net;
-    t.built_dc_revision <-
-      (match t.dc with
-      | None -> -1
-      | Some dc -> Logic_network.Dont_care.revision dc);
     t.dc_codes <- dc_codes;
     t.dc_watch <- dc_watch;
     t.generation <- t.generation + 1;
@@ -1135,7 +1130,6 @@ module Oracle = struct
         budget;
         counters;
         dc;
-        built_dc_revision = -1;
         dc_codes = [||];
         dc_watch = [||];
         built_revision = -1;
@@ -1163,17 +1157,9 @@ module Oracle = struct
     build t;
     t
 
-  let dc_revision t =
-    match t.dc with
-    | None -> -1
-    | Some dc -> Logic_network.Dont_care.revision dc
-
   let reset ?frozen t =
     (match frozen with Some f -> t.frozen <- f | None -> ());
-    if
-      Network.revision t.net <> t.built_revision
-      || dc_revision t <> t.built_dc_revision
-    then build t
+    if Network.revision t.net <> t.built_revision then build t
     else begin
       t.generation <- t.generation + 1;
       (* Undo the trail, flush the queue, and re-arm the constants'
@@ -1406,22 +1392,19 @@ module Oracle = struct
     m_trail : int;
     m_generation : int;
     m_revision : int;
-    m_dc_revision : int;
   }
 
   let checkpoint t =
     if t.q_len > 0 then
       invalid_arg "Imply.checkpoint: pending implications (propagate first)";
     { m_trail = t.trail_len; m_generation = t.generation;
-      m_revision = t.built_revision; m_dc_revision = t.built_dc_revision }
+      m_revision = t.built_revision }
 
   let pop_to t mark =
     if
       mark.m_generation <> t.generation
       || mark.m_revision <> t.built_revision
       || Network.revision t.net <> t.built_revision
-      || mark.m_dc_revision <> t.built_dc_revision
-      || dc_revision t <> t.built_dc_revision
       || mark.m_trail > t.trail_len
     then false
     else begin
@@ -1598,7 +1581,7 @@ let random_subset rng ids ~one_in =
    signal the network lacks, which the engines must both drop. *)
 let random_excdc rng net =
   let names = List.map (Network.name net) (Network.inputs net) in
-  let dc = Logic_network.Dont_care.create () in
+  let cubes = ref [] in
   for _ = 1 to 1 + Rar_util.Rng.int rng 3 do
     let cube =
       List.filter_map
@@ -1607,9 +1590,9 @@ let random_excdc rng net =
           else None)
         (if Rar_util.Rng.int rng 5 = 0 then "ghost" :: names else names)
     in
-    if cube <> [] then Logic_network.Dont_care.add_excdc dc cube
+    if cube <> [] then cubes := cube :: !cubes
   done;
-  dc
+  Logic_network.Dont_care.make (List.rev !cubes)
 
 let same_engine_state net e o =
   Imply.assigned_nodes e = Oracle.assigned_nodes o
@@ -1903,8 +1886,7 @@ let test_outside_region () =
   let zero = Network.add_logic net ~name:"zero" ~fanins:[||] Cover.zero in
   Network.add_output net "zero" zero;
   let node = Builder.node net in
-  let dc = Logic_network.Dont_care.create () in
-  Logic_network.Dont_care.add_excdc dc [ ("a", true); ("e", true) ];
+  let dc = Logic_network.Dont_care.make [ [ ("a", true); ("e", true) ] ] in
   let e = Imply.create ~region:[ node "x" ] ~dc net in
   Alcotest.(check (option bool)) "constant outside the region" (Some false)
     (Imply.node_value e zero);

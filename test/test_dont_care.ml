@@ -53,7 +53,12 @@ let test_parse_dc () =
 let test_write_parse_fixpoint () =
   let net, dc = Blif.parse_dc fixture in
   let section = Blif.exdc_to_string net dc in
-  let reparsed = Blif.parse_exdc net section in
+  let reparsed =
+    Blif.parse_exdc
+      ~inputs:(List.map (Network.name net) (Network.inputs net))
+      ~outputs:(List.map fst (Network.outputs net))
+      section
+  in
   Alcotest.(check string)
     "exdc_to_string (parse_exdc s) = s" section
     (Blif.exdc_to_string net reparsed);
@@ -97,8 +102,8 @@ let test_exdc_errors () =
       Blif.parse_dc (body ^ ".exdc\n.exoec 10 1\n.end\n"));
   expect_error ~name:"exdc-only text must start with .exdc" ~line:1
     ~substr:".exdc" (fun () ->
-      let net = Blif.parse (body ^ ".end\n") in
-      Blif.parse_exdc net ".names a b excdc\n11 1\n")
+      Blif.parse_exdc ~inputs:[ "a"; "b" ] ~outputs:[ "y" ]
+        ".names a b excdc\n11 1\n")
 
 (* ------------------------------------------------------------------ *)
 (* Whole-stack discipline over random networks and covers              *)
@@ -137,7 +142,7 @@ let test_empty_view_invisible () =
         (fun (mname, meth) ->
           let plain = Network.copy base and masked = Network.copy base in
           optimize meth plain;
-          optimize ~dc:(Dont_care.create ()) meth masked;
+          optimize ~dc:Dont_care.empty meth masked;
           Alcotest.(check string)
             (Printf.sprintf "seed %d %s: empty view byte-invisible" seed mname)
             (Network.to_string plain) (Network.to_string masked))
@@ -150,10 +155,10 @@ let test_dc_results_verify () =
       let base = random_net seed in
       let rng = Rng.create (seed * 7919) in
       let inputs = input_names base in
-      let dc = Dont_care.create () in
-      for _ = 1 to 1 + Rng.int rng 2 do
-        Dont_care.add_excdc dc (random_cube rng inputs)
-      done;
+      let dc =
+        Dont_care.make
+          (List.init (1 + Rng.int rng 2) (fun _ -> random_cube rng inputs))
+      in
       List.iter
         (fun (mname, meth) ->
           let net = Network.copy base in
@@ -177,10 +182,8 @@ let test_monotone_in_care_set () =
       let rng = Rng.create (seed * 104729) in
       let inputs = input_names base in
       let views =
-        let dc1 = Dont_care.create () in
-        Dont_care.add_excdc dc1 (random_cube rng inputs);
-        let dc2 = Dont_care.copy dc1 in
-        Dont_care.add_excdc dc2 (random_cube rng inputs);
+        let dc1 = Dont_care.make [ random_cube rng inputs ] in
+        let dc2 = Dont_care.merge dc1 (Dont_care.make [ random_cube rng inputs ]) in
         [ None; Some dc1; Some dc2 ]
       in
       List.iter
@@ -203,6 +206,149 @@ let test_monotone_in_care_set () =
         methods)
     [ 1; 2; 3 ]
 
+(* ------------------------------------------------------------------ *)
+(* [bind] against the resolvers it replaced                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Frozen copies of the four places that once turned a view's cubes
+   into a consumer's literals, each over the view's cubes in insertion
+   order: the implication arena's input ids, resub-k's input positions
+   (through a name table), the care mask's stimulus words (a cube's
+   words ANDed per row, then cleared from an all-ones mask) and the
+   window projection's renamed names. *)
+module Frozen = struct
+  let dc_inputs net cubes =
+    List.filter_map
+      (fun cube ->
+        let ids =
+          List.filter_map
+            (fun (name, phase) ->
+              Option.map (fun id -> (id, phase)) (Network.find_input net name))
+            cube
+        in
+        if List.length ids = List.length cube then Some ids else None)
+      cubes
+
+  let ora_positions net cubes =
+    let pos = Hashtbl.create 17 in
+    List.iteri
+      (fun i id -> Hashtbl.replace pos (Network.name net id) i)
+      (Network.inputs net);
+    List.filter_map
+      (fun cube ->
+        let rec build acc = function
+          | [] -> Some (List.rev acc)
+          | (nm, ph) :: tl -> (
+            match Hashtbl.find_opt pos nm with
+            | None -> None
+            | Some i -> build ((i, ph) :: acc) tl)
+        in
+        build [] cube)
+      cubes
+
+  let care_mask cubes ~words ~stimulus =
+    let mask = Array.make words (-1L) in
+    List.iter
+      (fun cube ->
+        let resolved =
+          List.map (fun (name, phase) -> (stimulus name, phase)) cube
+        in
+        if List.for_all (fun (s, _) -> s <> None) resolved then
+          for w = 0 to words - 1 do
+            let hit =
+              List.fold_left
+                (fun acc (s, phase) ->
+                  match s with
+                  | None -> assert false
+                  | Some st ->
+                    Int64.logand acc
+                      (if phase then st.(w) else Int64.lognot st.(w)))
+                (-1L) resolved
+            in
+            mask.(w) <- Int64.logand mask.(w) (Int64.lognot hit)
+          done)
+      (List.rev cubes);
+    mask
+
+  let project cubes ~rename =
+    List.filter_map
+      (fun cube ->
+        let renamed =
+          List.filter_map
+            (fun (name, phase) ->
+              match rename name with
+              | Some name' -> Some (name', phase)
+              | None -> None)
+            cube
+        in
+        if List.length renamed = List.length cube then Some renamed else None)
+      cubes
+end
+
+(* A random view over [net]'s inputs and two names it lacks: empty one
+   time in five, otherwise up to five cubes of distinct names, some of
+   them repeats of an earlier cube. *)
+let random_view rng net =
+  let names = Array.append (input_names net) [| "ghost"; "spare" |] in
+  let cubes = ref [] in
+  if Rng.int rng 5 > 0 then
+    for _ = 1 to 1 + Rng.int rng 5 do
+      let cube =
+        match !cubes with
+        | c :: _ when Rng.int rng 4 = 0 -> c
+        | _ ->
+          let width = 1 + Rng.int rng 3 in
+          let chosen = ref [] in
+          while List.length !chosen < width do
+            let name = names.(Rng.int rng (Array.length names)) in
+            if not (List.mem name !chosen) then chosen := name :: !chosen
+          done;
+          List.map (fun name -> (name, Rng.bool rng)) !chosen
+      in
+      cubes := cube :: !cubes
+    done;
+  Dont_care.make (List.rev !cubes)
+
+let test_bind_matches_frozen () =
+  for seed = 1 to 200 do
+    let net = random_net seed in
+    let rng = Rng.create (seed * 31337) in
+    let dc = random_view rng net in
+    let cubes = Dont_care.excdc dc in
+    let check what expected got =
+      if expected <> got then
+        Alcotest.failf "seed %d: bind differs from the frozen %s" seed what
+    in
+    check "arena resolver" (Frozen.dc_inputs net cubes)
+      (Dont_care.bind dc (Network.find_input net));
+    check "resub-k resolver" (Frozen.ora_positions net cubes)
+      (Dont_care.bind dc (fun name ->
+           Option.bind (Network.find_input net name) (fun id ->
+               List.find_index (Int.equal id) (Network.inputs net))));
+    let words = 2 in
+    let stimulus name =
+      Option.map
+        (fun id ->
+          let r = Rng.create (id + 1) in
+          Array.init words (fun _ -> Rng.int64 r))
+        (Network.find_input net name)
+    in
+    check "care mask"
+      (Frozen.care_mask cubes ~words ~stimulus)
+      (Option.value
+         (Dont_care.care_mask dc ~words ~stimulus)
+         ~default:(Array.make words (-1L)));
+    (* A partial, injective rename, like a window's leaves. *)
+    let rename name =
+      if Hashtbl.hash name mod 3 = 0 then None else Some ("w_" ^ name)
+    in
+    check "projection"
+      (List.map
+         (List.sort (fun (a, _) (b, _) -> String.compare a b))
+         (Frozen.project cubes ~rename))
+      (Dont_care.excdc (Dont_care.project dc ~rename))
+  done
+
 let () =
   Alcotest.run "dont_care"
     [
@@ -222,5 +368,10 @@ let () =
             test_dc_results_verify;
           Alcotest.test_case "literals monotone in the care set" `Quick
             test_monotone_in_care_set;
+        ] );
+      ( "bind",
+        [
+          Alcotest.test_case "bind matches the frozen resolvers" `Quick
+            test_bind_matches_frozen;
         ] );
     ]

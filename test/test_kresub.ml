@@ -135,7 +135,7 @@ let test_empty_dc_invisible () =
   let plain = Network.copy base in
   ignore (Synth.Kresub.run plain);
   let with_dc = Network.copy base in
-  ignore (Synth.Kresub.run ~dc:(Dont_care.create ()) with_dc);
+  ignore (Synth.Kresub.run ~dc:Dont_care.empty with_dc);
   Alcotest.(check string)
     "empty view byte-invisible"
     (Network.to_string plain)
@@ -492,12 +492,15 @@ let test_proposal_order () =
         List.init 5 (fun _ ->
             Array.map (fun _ -> Random.State.bool rng) inputs)
       in
-      let dc = Dont_care.create () in
-      Dont_care.add_excdc dc
-        [
-          (Network.name net inputs.(0), true);
-          (Network.name net inputs.(1), false);
-        ];
+      let dc =
+        Dont_care.make
+          [
+            [
+              (Network.name net inputs.(0), true);
+              (Network.name net inputs.(1), false);
+            ];
+          ]
+      in
       List.iter
         (fun (words, dc, rows, max_divisors, max_triples) ->
           let sim = Logic_sim.Signature.create ~words ?dc net in
@@ -622,13 +625,13 @@ let test_run_matches_frozen_driver () =
             [ 1; Logic_sim.Signature.default_words ])
         [
           ("no view", fun _ -> None);
-          ("empty view", fun _ -> Some (Dont_care.create ()));
+          ("empty view", fun _ -> Some Dont_care.empty);
           ( "one-cube view",
             fun net ->
-              let dc = Dont_care.create () in
-              Dont_care.add_excdc dc
-                [ (Network.name net (List.hd (Network.inputs net)), true) ];
-              Some dc );
+              Some
+                (Dont_care.make
+                   [ [ (Network.name net (List.hd (Network.inputs net)), true) ] ])
+          );
         ])
     (proposal_nets ()
     @ List.map
@@ -798,13 +801,15 @@ let test_oracle_kept_across_commits () =
     Alcotest.(check bool) (name ^ ": some commits") true (!commits > 0)
   in
   check_view "no view" (fun _ -> None) ~kept:true;
-  check_view "empty view" (fun _ -> Some (Dont_care.create ())) ~kept:true;
+  check_view "empty view" (fun _ -> Some Dont_care.empty) ~kept:true;
+  check_view "view over no input"
+    (fun _ -> Some (Dont_care.make [ [ ("ghost", true) ] ]))
+    ~kept:true;
   check_view "non-empty view"
     (fun net ->
-      let dc = Dont_care.create () in
-      Dont_care.add_excdc dc
-        [ (Network.name net (List.hd (Network.inputs net)), true) ];
-      Some dc)
+      Some
+        (Dont_care.make
+           [ [ (Network.name net (List.hd (Network.inputs net)), true) ] ]))
     ~kept:false
 
 let () =

@@ -276,19 +276,6 @@ let test_eliminate_keeps_valuable () =
   Alcotest.(check bool) "shared node kept" true
     (Network.find_by_name net "g" <> None)
 
-let test_retarget_outputs () =
-  let net =
-    Builder.of_spec ~inputs:[ "a" ]
-      ~nodes:[ ("g", "a"); ("h", "a'") ]
-      ~outputs:[ "g"; "h" ]
-  in
-  let g = Builder.node net "g" and h = Builder.node net "h" in
-  Network.retarget_outputs net ~from_node:g ~to_node:h;
-  Alcotest.(check bool) "g no longer an output" false (Network.is_output net g);
-  Alcotest.(check int) "h drives both" 2
-    (List.length (Network.output_names net h))
-
-
 let test_collapse_value_and_substitute () =
   let net =
     Builder.of_spec
@@ -304,11 +291,12 @@ let test_collapse_value_and_substitute () =
   Alcotest.(check (option int)) "outputs have no value" None
     (Collapse.value net f);
   let before = Network.copy net in
-  Alcotest.(check bool) "substitute_fanin" true
-    (Collapse.substitute_fanin net ~node:f ~fanin:g);
+  Alcotest.(check bool) "collapse_into_fanouts" true
+    (Collapse.collapse_into_fanouts net g);
   Alcotest.(check bool) "function preserved" true (Equiv.equivalent net before);
   Alcotest.(check bool) "f no longer references g" false
-    (Array.exists (Int.equal g) (Network.fanins net f))
+    (Array.exists (Int.equal g) (Network.fanins net f));
+  Alcotest.(check bool) "g removed" false (Network.mem net g)
 
 let test_blif_file_io () =
   let net = adder_net () in
@@ -977,7 +965,6 @@ let () =
           Alcotest.test_case "stamped eliminate on planted networks" `Quick
             test_eliminate_matches_frozen_planted;
           Alcotest.test_case "literal counts" `Quick test_lit_count;
-          Alcotest.test_case "retarget outputs" `Quick test_retarget_outputs;
           Alcotest.test_case "collapse value + substitute" `Quick
             test_collapse_value_and_substitute;
         ] );

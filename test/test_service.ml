@@ -606,6 +606,71 @@ let test_dc_reply_carries_view () =
         Alcotest.(check string) "reply = serialiser" expected blif
       | Protocol.Refused m -> Alcotest.failf "refused: %s" m)
 
+(* A warm worker keeps each parsed body's inline view. A request that
+   merges an [exdc] field into it must leave that view as parsed: the
+   next request on the same body, without the field, gets its cold key
+   and its cold reply. *)
+let test_warm_inline_view_kept () =
+  let blif =
+    In_channel.with_open_bin "../bench/fixtures/dcrich.blif"
+      In_channel.input_all
+  in
+  let prepared ?warm request =
+    match Job.prepare ?warm request with
+    | Ok p -> p
+    | Error m -> Alcotest.failf "prepare failed: %s" m
+  in
+  let with_field =
+    {
+      (Protocol.default_request ~blif) with
+      Protocol.exdc = Some ".exdc\n.names a e excdc\n11 1\n";
+    }
+  in
+  let plain = Protocol.default_request ~blif in
+  let warm = Job.create_warm () in
+  let first = prepared ~warm with_field in
+  ignore (Job.execute ~warm first);
+  let second = prepared ~warm plain in
+  let cold = prepared plain in
+  Alcotest.(check bool)
+    "the field joins the first key" false
+    (Job.cache_key first = Job.cache_key cold);
+  Alcotest.(check (option string))
+    "warm key = cold key" (Job.cache_key cold) (Job.cache_key second);
+  Alcotest.(check string)
+    "warm reply = cold reply" (Job.execute cold).Cache.blif
+    (Job.execute ~warm second).Cache.blif
+
+(* [rarsub optimize -f] runs on the network it parsed, the daemon on a
+   [Network.copy] of its parsed network; a reply equals the CLI's output
+   only if a copy optimises to the same bytes. Every quick cell, on the
+   suite circuit's BLIF text. *)
+let test_copy_optimises_alike () =
+  List.iter
+    (fun row ->
+      let blif = Blif.to_string (Suite.build row) in
+      List.iter
+        (fun (name, _) ->
+          let request =
+            { (Protocol.default_request ~blif) with Protocol.meth = name }
+          in
+          let spec =
+            match Job.spec_of_request request with
+            | Ok spec -> spec
+            | Error m -> Alcotest.failf "spec rejected: %s" m
+          in
+          let optimised net =
+            Job.run spec net;
+            Job.serialise net
+          in
+          let parsed = Blif.parse blif in
+          let copied = Logic_network.Network.copy parsed in
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s: copy = parsed" row.Suite.name name)
+            (optimised parsed) (optimised copied))
+        Synth.Script.resub_methods)
+    Suite.quick_rows
+
 let () =
   Alcotest.run "service"
     [
@@ -642,5 +707,9 @@ let () =
             test_deadline_uncached;
           Alcotest.test_case "DC reply carries the view" `Quick
             test_dc_reply_carries_view;
+          Alcotest.test_case "warm inline view kept" `Quick
+            test_warm_inline_view_kept;
+          Alcotest.test_case "a copy optimises like the parsed network"
+            `Quick test_copy_optimises_alike;
         ] );
     ]

@@ -150,14 +150,6 @@ let test_scc () =
     (Cover.cube_count (Cover.single_cube_containment f));
   check_cover "scc result" (cover "a") (Cover.single_cube_containment f)
 
-let test_minterm_count () =
-  Alcotest.(check int) "a over 2 vars" 2
-    (Cover.minterm_count ~nvars:2 (cover "a"));
-  Alcotest.(check int) "a+b over 2 vars" 3
-    (Cover.minterm_count ~nvars:2 (cover "a + b"));
-  Alcotest.(check int) "tautology over 3" 8
-    (Cover.minterm_count ~nvars:3 Cover.one)
-
 (* ------------------------------------------------------------------ *)
 (* Complement / minimize                                               *)
 (* ------------------------------------------------------------------ *)
@@ -1317,7 +1309,6 @@ let () =
           Alcotest.test_case "sos and lemma 1" `Quick test_cover_sos;
           Alcotest.test_case "tautology" `Quick test_tautology;
           Alcotest.test_case "single cube containment" `Quick test_scc;
-          Alcotest.test_case "minterm count" `Quick test_minterm_count;
         ] );
       ( "complement-minimize",
         [
