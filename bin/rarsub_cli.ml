@@ -362,7 +362,7 @@ let optimize_aig_cmd =
       Result.bind (read file Logic_network.Aiger.read_file) @@ fun aig ->
       (* [.exdc] cubes are over primary inputs, which is all the
          per-window projection ever looks at; no window reads an EXOEC
-         pair, so the reader admits none. *)
+         pair, so the reader, given no outputs, admits none. *)
       match exdc with
       | None -> Ok (aig, Dont_care.empty)
       | Some path ->
@@ -370,8 +370,7 @@ let optimize_aig_cmd =
           (fun dc -> (aig, dc))
           (read path
              (Blif.read_exdc_file
-                ~inputs:(List.map fst (Logic_network.Aig.inputs aig))
-                ~outputs:[]))
+                ~inputs:(List.map fst (Logic_network.Aig.inputs aig))))
     in
     match loaded with
     | Error (code, msg) ->

@@ -66,6 +66,13 @@ let parse text =
   let and_lines, rest = take "AND" n_ands rest in
   (* Symbol table (and trailing comment section). *)
   let input_syms = Hashtbl.create 16 and output_syms = Hashtbl.create 16 in
+  (* Names already given, per side: the graph refuses a repeated input
+     or output name, so a repeat is a file error at its symbol line. *)
+  let input_names = Hashtbl.create 16 and output_names = Hashtbl.create 16 in
+  let claim names side lineno name =
+    if Hashtbl.mem names name then fail lineno "duplicate %s name %S" side name;
+    Hashtbl.replace names name ()
+  in
   let rec symbols = function
     | [] -> ()
     | (_, line) :: _ when line = "c" -> ()
@@ -88,6 +95,7 @@ let parse text =
           if i >= n_ins then fail lineno "input symbol %S out of range" key;
           if Hashtbl.mem input_syms i then
             fail lineno "duplicate symbol for input %d" i;
+          claim input_names "input" lineno name;
           Hashtbl.replace input_syms i name;
           symbols rest
         | 'o' ->
@@ -95,6 +103,7 @@ let parse text =
           if o >= n_outs then fail lineno "output symbol %S out of range" key;
           if Hashtbl.mem output_syms o then
             fail lineno "duplicate symbol for output %d" o;
+          claim output_names "output" lineno name;
           Hashtbl.replace output_syms o name;
           symbols rest
         | 'l' -> fail lineno "latch symbols are not supported"
@@ -120,7 +129,10 @@ let parse text =
         let name =
           match Hashtbl.find_opt input_syms i with
           | Some n -> n
-          | None -> Printf.sprintf "i%d" i
+          | None ->
+            let n = Printf.sprintf "i%d" i in
+            claim input_names "input" lineno n;
+            n
         in
         Hashtbl.replace var_lit v (Aig.add_input aig name)
       | _ -> fail lineno "malformed input line")
@@ -181,12 +193,12 @@ let parse text =
         let name =
           match Hashtbl.find_opt output_syms o with
           | Some n -> n
-          | None -> Printf.sprintf "o%d" o
+          | None ->
+            let n = Printf.sprintf "o%d" o in
+            claim output_names "output" lineno n;
+            n
         in
-        (match Aig.add_output aig name (base lxor (l land 1)) with
-        | () -> ()
-        | exception Invalid_argument _ ->
-          fail lineno "duplicate output name %S" name)
+        Aig.add_output aig name (base lxor (l land 1))
       | _ -> fail lineno "malformed output line")
     output_lines;
   aig

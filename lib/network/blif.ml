@@ -206,9 +206,8 @@ let parse_main lines =
    file:line error rather than silently mis-read. [.model], [.inputs]
    and [.outputs] lines inside the section are accepted and ignored
    (SIS writes them); the single [.end] closes the whole file. *)
-let parse_exdc_lines ~inputs ~outputs lines =
+let parse_exdc_lines ~inputs ?outputs lines =
   let input_ok name = List.mem name inputs in
-  let nouts = List.length outputs in
   let cubes = ref [] and pairs = ref [] in
   let tables = ref [] in
   let current = ref None in
@@ -225,8 +224,13 @@ let parse_exdc_lines ~inputs ~outputs lines =
       | [] -> ()
       | ".exoec" :: pats -> (
         finish ();
-        match pats with
-        | [ p1; p2 ] ->
+        match (outputs, pats) with
+        | None, _ ->
+          fail lineno
+            ".exoec is not accepted here: only .exdc cubes over primary \
+             inputs are used"
+        | Some outputs, [ p1; p2 ] ->
+          let nouts = List.length outputs in
           let pattern p =
             if String.length p <> nouts then
               fail lineno
@@ -241,7 +245,7 @@ let parse_exdc_lines ~inputs ~outputs lines =
               outputs
           in
           pairs := (pattern p1, pattern p2) :: !pairs
-        | _ -> fail lineno ".exoec expects exactly two output patterns")
+        | Some _, _ -> fail lineno ".exoec expects exactly two output patterns")
       | cmd :: args when String.length cmd > 0 && cmd.[0] = '.' -> (
         finish ();
         match cmd with
@@ -360,12 +364,12 @@ let parse_dc text =
    on DC-annotated files. *)
 let parse text = fst (parse_dc text)
 
-let parse_exdc ~inputs ~outputs text =
+let parse_exdc ~inputs ?outputs text =
   let lines = logical_lines text in
   match split_exdc lines with
   | (lineno, line) :: _, _ ->
     fail lineno "expected .exdc as the first directive, found: %s" line
-  | [], exdc -> parse_exdc_lines ~inputs ~outputs exdc
+  | [], exdc -> parse_exdc_lines ~inputs ?outputs exdc
 
 let with_file_errors path f =
   let ic = open_in path in
@@ -376,8 +380,8 @@ let with_file_errors path f =
 
 let read_file path = with_file_errors path parse
 let read_file_dc path = with_file_errors path parse_dc
-let read_exdc_file ~inputs ~outputs path =
-  with_file_errors path (parse_exdc ~inputs ~outputs)
+let read_exdc_file ~inputs ?outputs path =
+  with_file_errors path (parse_exdc ~inputs ?outputs)
 
 let to_string net =
   let buffer = Buffer.create 1024 in

@@ -46,15 +46,16 @@ val parse_dc : string -> Network.t * Dont_care.t
 
 val read_file_dc : string -> Network.t * Dont_care.t
 
-val parse_exdc : inputs:string list -> outputs:string list -> string -> Dont_care.t
+val parse_exdc : inputs:string list -> ?outputs:string list -> string -> Dont_care.t
 (** Parse a standalone don't-care file whose first directive is
     [.exdc] (the [--exdc FILE] format): table inputs must be among
     [inputs], and [.exoec] patterns give one character per name of
-    [outputs], in that order. @raise Parse_error on malformed input or
-    if the text does not begin with [.exdc]. *)
+    [outputs], in that order. Without [outputs] the caller uses no
+    EXOEC pair, and a [.exoec] line is an error. @raise Parse_error on
+    malformed input or if the text does not begin with [.exdc]. *)
 
 val read_exdc_file :
-  inputs:string list -> outputs:string list -> string -> Dont_care.t
+  inputs:string list -> ?outputs:string list -> string -> Dont_care.t
 
 val to_string : Network.t -> string
 (** Serialise; reading the result back yields a functionally equivalent

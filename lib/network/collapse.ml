@@ -66,108 +66,104 @@ let composed_function ?(cube_limit = default_cube_limit) net ~node ~fanin =
         else Some (combined, Cover.single_cube_containment result)
     end
 
-let collapse_into_fanouts ?cube_limit net id =
-  if Network.is_input net id || Network.is_output net id then false
-  else begin
-    let fanouts = Network.fanouts net id in
-    (* Dry-run all compositions first so failure leaves the net intact. *)
-    let planned =
-      List.map
-        (fun out -> (out, composed_function ?cube_limit net ~node:out ~fanin:id))
-        fanouts
-    in
-    if List.exists (fun (_, r) -> r = None) planned then false
-    else begin
-      List.iter
-        (fun (out, result) ->
-          match result with
-          | Some (fanins, cover) -> Network.set_function net out ~fanins cover
-          | None -> assert false)
-        planned;
-      Network.remove_node net id;
-      true
-    end
-  end
-
-let value net id =
+(* Each fanout's composed function when [id] is collapsed into it, in
+   fanout order, or None on blow-up. Reads the network only. *)
+let plan ?cube_limit net id =
   if Network.is_input net id || Network.is_output net id then None
   else
-    match Network.fanouts net id with
-    | [] -> Some (-Cover.literal_count (Network.cover net id))
-    | fanouts ->
-      let before =
-        List.fold_left
-          (fun acc out -> acc + Cover.literal_count (Network.cover net out))
-          (Cover.literal_count (Network.cover net id))
-          fanouts
-      in
-      let after =
-        List.fold_left
-          (fun acc out ->
-            match acc with
-            | None -> None
-            | Some total ->
-              (match composed_function net ~node:out ~fanin:id with
-              | None -> None
-              | Some (_, cover) -> Some (total + Cover.literal_count cover)))
-          (Some 0) fanouts
-      in
-      Option.map (fun after -> after - before) after
+    let rec compose = function
+      | [] -> Some []
+      | out :: rest -> (
+        match composed_function ?cube_limit net ~node:out ~fanin:id with
+        | None -> None
+        | Some result ->
+          Option.map (fun planned -> (out, result) :: planned) (compose rest))
+    in
+    compose (Network.fanouts net id)
 
-(* Everything [value] reads for a logic node that is not an output: its
-   cover and fanins, its fanout list, and each fanout's cover and fanins.
-   Covers are compared physically (a false miss only costs a recompute),
-   fanins structurally: [Network.normalise] can keep a cover physically
-   unchanged under new fanins. *)
-type stamp = {
-  cover : Cover.t;
-  fanins : Network.node_id array;
-  fanouts : (Network.node_id * Cover.t * Network.node_id array) list;
-  value : int option;
-}
+let commit net id planned =
+  List.iter
+    (fun (out, (fanins, cover)) -> Network.set_function net out ~fanins cover)
+    planned;
+  Network.remove_node net id
 
-let same_fanout (o1, c1, f1) (o2, c2, f2) = o1 = o2 && c1 == c2 && f1 = f2
+let collapse_into_fanouts ?cube_limit net id =
+  match plan ?cube_limit net id with
+  | Some planned ->
+    commit net id planned;
+    true
+  | None -> false
+
+(* The flat literal change of committing [planned]. *)
+let increase net id planned =
+  List.fold_left
+    (fun acc (out, (_, cover)) ->
+      acc + Cover.literal_count cover
+      - Cover.literal_count (Network.cover net out))
+    (-Cover.literal_count (Network.cover net id))
+    planned
+
+let value net id = Option.map (increase net id) (plan net id)
+
+(* Eliminate's candidates in pick order, value ascending, then position
+   in the [Network.logic_ids] order taken at entry, each with its plan. *)
+module Picks = Map.Make (struct
+  type t = int * int
+
+  let compare (v1, p1) (v2, p2) =
+    match Int.compare v1 v2 with 0 -> Int.compare p1 p2 | c -> c
+end)
 
 let eliminate ?(threshold = 0) net =
-  (* A collapse rewrites only the collapsed node's fanouts, so most
-     stamps survive a round and their values are reused. *)
-  let stamps = Hashtbl.create 64 in
-  let stamped_value id =
-    if Network.is_input net id || Network.is_output net id then None
-    else begin
-      let cover = Network.cover net id and fanins = Network.fanins net id in
-      let fanouts =
-        List.map
-          (fun out -> (out, Network.cover net out, Network.fanins net out))
-          (Network.fanouts net id)
-      in
-      match Hashtbl.find_opt stamps id with
-      | Some s
-        when s.cover == cover && s.fanins = fanins
-             && List.equal same_fanout s.fanouts fanouts ->
-        s.value
-      | _ ->
-        let v = value net id in
-        Hashtbl.replace stamps id { cover; fanins; fanouts; value = v };
-        v
+  (* Eliminate adds no node, [set_function] mutates a node in place and
+     removing a node leaves the survivors' table order alone, so a
+     node's position in the entry order is its place in every later
+     [logic_ids] fold: the least (value, position) is the node the
+     round-by-round fold picks, its first minimum. *)
+  let order = Array.of_list (Network.logic_ids net) in
+  let pos = Array.make (Network.id_limit net) (-1) in
+  Array.iteri (fun p id -> pos.(id) <- p) order;
+  let value_at = Array.make (Array.length order) None in
+  let picks = ref Picks.empty in
+  let seen = Array.make (Array.length order) (-1) in
+  let revalue round id =
+    let p = pos.(id) in
+    if p >= 0 && seen.(p) <> round then begin
+      seen.(p) <- round;
+      Option.iter (fun v -> picks := Picks.remove (v, p) !picks) value_at.(p);
+      value_at.(p) <- None;
+      match if Network.mem net id then plan net id else None with
+      | Some planned ->
+        let v = increase net id planned in
+        if v <= threshold then begin
+          value_at.(p) <- Some v;
+          picks := Picks.add (v, p) planned !picks
+        end
+      | None -> ()
     end
   in
-  let eliminated = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    let best =
-      List.fold_left
-        (fun best id ->
-          match stamped_value id with
-          | Some v when v <= threshold -> (
-            match best with
-            | Some (_, bv) when bv <= v -> best
-            | _ -> Some (id, v))
-          | Some _ | None -> best)
-        None (Network.logic_ids net)
-    in
-    match best with
-    | Some (id, _) when collapse_into_fanouts net id -> incr eliminated
-    | Some _ | None -> continue_ := false
-  done;
-  !eliminated
+  Array.iter (revalue 0) order;
+  (* [value n] reads [n]'s cover, fanins and fanout list and each
+     fanout's cover and fanins. A collapse of [id] rewrites [id]'s
+     fanouts and removes [id], so only the fanouts, [id]'s fanins and
+     the fanouts' fanins can read anything new, and until one of them
+     is re-valued its plan is the one a collapse would compute. A
+     fanout's new fanins are drawn from its old ones and [id]'s, so the
+     nodes to re-value are all known before the collapse. *)
+  let rec loop eliminated =
+    match Picks.min_binding_opt !picks with
+    | Some ((_, p), planned) ->
+      let id = order.(p) in
+      let fanouts = Network.fanouts net id in
+      let touched =
+        (id :: fanouts)
+        @ List.concat_map
+            (fun n -> Array.to_list (Network.fanins net n))
+            (id :: fanouts)
+      in
+      commit net id planned;
+      List.iter (revalue (eliminated + 1)) touched;
+      loop (eliminated + 1)
+    | None -> eliminated
+  in
+  loop 0

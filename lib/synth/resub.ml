@@ -62,32 +62,107 @@ let substitute ~use_complement net ~f ~dividend ~d =
 let try_substitute ?(use_complement = true) net ~f ~d =
   substitute ~use_complement net ~f ~dividend:(lift_dividend net f) ~d
 
+(* Every commit of a run is an exact algebraic rewrite of its dividend
+   and adds or removes no node: no node's function moves, so neither
+   does a signature or a signature test. A dividend's divisors are
+   tested once per run, and ranked again only when a commit has moved
+   TFO(f), the one input of the ranking that commits change. *)
+type ranking = {
+  net : Network.t;
+  sigs : Signature.t;
+  nodes : Network.node_id list;  (** ascending id *)
+  tfo : Network.cone;
+  orders : (Network.node_id, order) Hashtbl.t;
+}
+
+(* One dividend's divisors: the pairs a scan considers, the compatible
+   divisors, and the last ranking with the TFO(f) it left out. Node sets
+   are a bit per id. *)
+and order = {
+  considered : int;
+  compatible : Bytes.t;
+  ranked_tfo : Bytes.t;
+  mutable ranked_tfo_size : int;
+  mutable admitted : int;
+  mutable ranked : Network.node_id array;
+}
+
+let ranking sigs net =
+  {
+    net;
+    sigs;
+    nodes = List.sort Int.compare (Network.logic_ids net);
+    tfo = Network.cone net;
+    orders = Hashtbl.create 64;
+  }
+
+let mem_bit set d =
+  Char.code (Bytes.get set (d lsr 3)) land (1 lsl (d land 7)) <> 0
+
+let add_bit set d =
+  Bytes.set set (d lsr 3)
+    (Char.chr (Char.code (Bytes.get set (d lsr 3)) lor (1 lsl (d land 7))))
+
+let order r f =
+  match Hashtbl.find_opt r.orders f with
+  | Some o -> o
+  | None ->
+    let node_set () = Bytes.make ((Network.id_limit r.net + 7) / 8) '\000' in
+    let compatible = node_set () in
+    let considered = ref 0 in
+    List.iter
+      (fun d ->
+        if d <> f && Network.mem r.net d then begin
+          incr considered;
+          if Signature.compatible r.sigs ~use_complement:true ~f ~d then
+            add_bit compatible d
+        end)
+      r.nodes;
+    (* TFO(f) holds [f], so the first scan never matches this one. *)
+    let o =
+      {
+        considered = !considered;
+        compatible;
+        ranked_tfo = node_set ();
+        ranked_tfo_size = 0;
+        admitted = 0;
+        ranked = [||];
+      }
+    in
+    Hashtbl.replace r.orders f o;
+    o
+
 (* Candidate divisors for one dividend: nodes in [f]'s transitive fanout
    (those that depend on it, marked in [tfo]) and incompatible pairs are
    dropped, and the survivors are ranked by signature overlap, keeping
    the top [max_candidates]. *)
-let candidates ~counters ~sigs ~tfo net ~f ~nodes =
+let candidates ~counters r ~f =
   Counters.timed counters `Filter @@ fun () ->
-  Network.clear tfo;
-  ignore (Network.mark_fanout net tfo [ f ]);
-  let admitted =
-    List.filter
-      (fun d ->
-        d <> f
-        && Network.mem net d
-        &&
-        let admit =
-          (not (Network.in_cone tfo d))
-          && Signature.compatible sigs ~use_complement:true ~f ~d
-        in
-        Counters.add counters.Counters.pairs_considered 1;
-        if not admit then Counters.add counters.Counters.pairs_filtered 1;
-        admit)
-      nodes
-  in
-  Signature.rank ~k:max_candidates
-    ~score:(fun d -> Signature.score sigs ~use_complement:true ~f ~d)
-    (Array.of_list admitted)
+  let o = order r f in
+  Network.clear r.tfo;
+  let tfo = Network.mark_fanout r.net r.tfo [ f ] in
+  if
+    not
+      (List.compare_length_with tfo o.ranked_tfo_size = 0
+      && List.for_all (mem_bit o.ranked_tfo) tfo)
+  then begin
+    let admitted =
+      List.filter
+        (fun d -> mem_bit o.compatible d && not (Network.in_cone r.tfo d))
+        r.nodes
+    in
+    Bytes.fill o.ranked_tfo 0 (Bytes.length o.ranked_tfo) '\000';
+    List.iter (add_bit o.ranked_tfo) tfo;
+    o.ranked_tfo_size <- List.length tfo;
+    o.admitted <- List.length admitted;
+    o.ranked <-
+      Signature.rank ~k:max_candidates
+        ~score:(fun d -> Signature.score r.sigs ~use_complement:true ~f ~d)
+        (Array.of_list admitted)
+  end;
+  Counters.add counters.Counters.pairs_considered o.considered;
+  Counters.add counters.Counters.pairs_filtered (o.considered - o.admitted);
+  o.ranked
 
 let run ?(sim_seed = Signature.default_seed) ?deadline_at
     ?(trace = Trace.disabled) ?counters ?dc net =
@@ -95,11 +170,8 @@ let run ?(sim_seed = Signature.default_seed) ?deadline_at
     match counters with Some c -> c | None -> Counters.create ()
   in
   let sigs = Signature.create ~seed:sim_seed ?dc net in
-  Fun.protect ~finally:(fun () -> Signature.detach sigs) @@ fun () ->
-  (* Algebraic attempts never add or remove nodes, so the candidate
-     order, ties included, is fixed for the whole run. *)
-  let nodes = List.sort Int.compare (Network.logic_ids net) in
-  let tfo = Network.cone net in
+  Signature.detach sigs;
+  let ranking = ranking sigs net in
   let substitutions = ref 0 in
   let pair_attempt f dividend d =
     Counters.timed counters `Division @@ fun () ->
@@ -119,7 +191,7 @@ let run ?(sim_seed = Signature.default_seed) ?deadline_at
           incr substitutions;
           Counters.add counters.Counters.substitutions 1
         end)
-      (candidates ~counters ~sigs ~tfo net ~f ~nodes);
+      (candidates ~counters ranking ~f);
     !landed
   in
   Scheduler.run ~driver:"resub" ~max_passes:4 ?deadline_at ~trace ~counters

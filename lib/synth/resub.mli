@@ -57,3 +57,30 @@ val run :
     ranking divisors. The algebraic division itself is DC-blind, so the
     rewrites remain exactly equivalent; a view with no cube over the
     network's inputs leaves the run byte-identical to no view. *)
+
+(** {1 Divisor candidates}
+
+    The divisor table behind {!run}, exposed for tests. *)
+
+type ranking
+
+val ranking : Logic_sim.Signature.t -> Logic_network.Network.t -> ranking
+(** An empty table over the network's logic nodes, reading the engine's
+    signatures. It stays exact while every mutation of the network is
+    an exact algebraic rewrite that adds or removes no node, as every
+    commit of {!run} is: then no signature moves, and the engine may be
+    detached. *)
+
+val candidates :
+  counters:Rar_util.Counters.t ->
+  ranking ->
+  f:Logic_network.Network.node_id ->
+  Logic_network.Network.node_id array
+(** The divisors a scan of [f] attempts, in order: the nodes other than
+    [f] outside TFO(f) whose signatures pass
+    {!Logic_sim.Signature.compatible}, in ascending id stably sorted by
+    descending {!Logic_sim.Signature.score}, at most 32. Each node
+    other than [f] counts as a considered pair, and each one left out
+    (in TFO(f) or incompatible) as a filtered one. The compatibility
+    tests run once per dividend and run; the ranking runs again only
+    when TFO(f) has changed since the dividend's last scan. *)

@@ -83,7 +83,14 @@ let test_aiger_rejects () =
   expect "truncated" ~line:2 "aag 2 1 0 1 1\n2\n";
   expect "odd input literal" ~line:2 "aag 1 1 0 0 0\n3\n";
   expect "undefined output" ~line:3 "aag 2 1 0 1 0\n2\n4\n";
-  expect "cyclic definition" ~line:4 "aag 2 1 0 1 1\n2\n4\n4 4 2\n"
+  expect "cyclic definition" ~line:4 "aag 2 1 0 1 1\n2\n4\n4 4 2\n";
+  let two_inputs = "aag 3 2 0 1 1\n2\n4\n6\n6 2 4\n" in
+  expect "repeated input name" ~line:7 (two_inputs ^ "i0 a\ni1 a\n");
+  expect "input named like a default" ~line:2 (two_inputs ^ "i1 i0\n");
+  expect "repeated output name" ~line:8
+    "aag 3 2 0 2 1\n2\n4\n6\n6\n6 2 4\no0 y\no1 y\n";
+  expect "output named like a default" ~line:5
+    "aag 3 2 0 2 1\n2\n4\n6\n6\n6 2 4\no0 o1\n"
 
 let gen_aig =
   QCheck2.Gen.(

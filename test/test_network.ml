@@ -841,7 +841,7 @@ let prop_factored_delta =
       done;
       !ok)
 
-(* The eliminate loop before value stamps, kept as the reference: every
+(* The eliminate loop before the worklist, kept as the reference: every
    round re-values every logic node with [Collapse.value]. *)
 let frozen_eliminate ~threshold net =
   let eliminated = ref 0 in
@@ -864,21 +864,40 @@ let frozen_eliminate ~threshold net =
   done;
   !eliminated
 
-(* Both loops on copies of [net]: the same count, the same network text
-   and the same id limit. *)
+(* The ids [run] removes from [net], in order: a collapse is the only
+   removal either eliminate loop makes. *)
+let removals net run =
+  let removed = ref [] in
+  let observer =
+    Network.on_mutation net (function
+      | Network.Node_removed id -> removed := id :: !removed
+      | Network.Node_added _ | Network.Function_changed _ | Network.Rebuilt ->
+        ())
+  in
+  let n = run net in
+  Network.remove_observer net observer;
+  (n, List.rev !removed)
+
+(* Both loops on copies of [net]: the same count, the same collapsed
+   ids in the same order, the same network text and the same id
+   limit. *)
 let eliminate_matches_frozen ~threshold net =
-  let stamped = Network.copy net and frozen = Network.copy net in
-  let n = Collapse.eliminate ~threshold stamped in
-  let n' = frozen_eliminate ~threshold frozen in
+  let worklist = Network.copy net and frozen = Network.copy net in
+  let n, ids = removals worklist (Collapse.eliminate ~threshold) in
+  let n', ids' = removals frozen (frozen_eliminate ~threshold) in
   if n <> n' then fail "eliminated %d, frozen loop %d" n n';
-  if Network.to_string stamped <> Network.to_string frozen then
+  if ids <> ids' then
+    fail "collapsed [%s], frozen loop [%s]"
+      (String.concat ";" (List.map string_of_int ids))
+      (String.concat ";" (List.map string_of_int ids'));
+  if Network.to_string worklist <> Network.to_string frozen then
     fail "networks differ after eliminating %d" n;
-  if Network.id_limit stamped <> Network.id_limit frozen then
+  if Network.id_limit worklist <> Network.id_limit frozen then
     fail "id limits differ";
   n
 
 let prop_eliminate_matches_frozen =
-  QCheck2.Test.make ~name:"stamped eliminate matches the full-recompute loop"
+  QCheck2.Test.make ~name:"worklist eliminate matches full loop"
     ~count:80 ~print:string_of_int Net_mutations.gen_seed (fun seed ->
       let rng, net = Net_mutations.initial seed in
       Net_mutations.mutate rng net ~steps:10;
@@ -901,19 +920,27 @@ let test_eliminate_matches_frozen_planted () =
     }
   in
   let total = ref 0 in
-  for seed = 1 to 6 do
+  let check ~thresholds net =
     List.iter
       (fun threshold ->
-        total :=
-          !total
-          + eliminate_matches_frozen ~threshold (Generator.planted ~seed profile))
-      [ -1; 0; 2 ]
+        total := !total + eliminate_matches_frozen ~threshold net)
+      thresholds
+  in
+  for seed = 1 to 6 do
+    check ~thresholds:[ -1; 0; 2 ] (Generator.planted ~seed profile)
   done;
+  (* The profiles a daemon serves, at fresh seeds. *)
   List.iter
-    (fun row ->
-      total :=
-        !total
-        + eliminate_matches_frozen ~threshold:0 (Bench_suite.Suite.build row))
+    (fun name ->
+      match Bench_suite.Suite.find name with
+      | Some { Bench_suite.Suite.source = Synthetic profile; _ } ->
+        for seed = 1 to 3 do
+          check ~thresholds:[ -1; 0; 3 ] (Generator.planted ~seed profile)
+        done
+      | Some _ | None -> fail "no planted profile %s" name)
+    [ "9sym"; "b9"; "c8"; "f51m"; "alu2"; "frg1"; "term1"; "ttt2" ];
+  List.iter
+    (fun row -> check ~thresholds:[ 0 ] (Bench_suite.Suite.build row))
     Bench_suite.Suite.quick_rows;
   Alcotest.(check bool) "some nodes eliminated" true (!total > 0)
 
@@ -962,7 +989,7 @@ let () =
           Alcotest.test_case "eliminate" `Quick test_eliminate;
           Alcotest.test_case "eliminate keeps valuable" `Quick
             test_eliminate_keeps_valuable;
-          Alcotest.test_case "stamped eliminate on planted networks" `Quick
+          Alcotest.test_case "worklist eliminate on planted nets" `Quick
             test_eliminate_matches_frozen_planted;
           Alcotest.test_case "literal counts" `Quick test_lit_count;
           Alcotest.test_case "collapse value + substitute" `Quick

@@ -277,6 +277,99 @@ let prop_support_test_exact =
          | None -> true
          | Some d_not -> Cover.is_zero (Algebraic.quotient f d_not))
 
+(* [Resub.candidates] before the per-run table, kept as the reference:
+   every scan tests and ranks every node against a live engine. *)
+let frozen_candidates ~counters ~sigs ~tfo net ~f ~nodes =
+  let module Signature = Logic_sim.Signature in
+  let module Counters = Rar_util.Counters in
+  Network.clear tfo;
+  ignore (Network.mark_fanout net tfo [ f ]);
+  let admitted =
+    List.filter
+      (fun d ->
+        d <> f
+        && Network.mem net d
+        &&
+        let admit =
+          (not (Network.in_cone tfo d))
+          && Signature.compatible sigs ~use_complement:true ~f ~d
+        in
+        Counters.add counters.Counters.pairs_considered 1;
+        if not admit then Counters.add counters.Counters.pairs_filtered 1;
+        admit)
+      nodes
+  in
+  Signature.rank ~k:32
+    ~score:(fun d -> Signature.score sigs ~use_complement:true ~f ~d)
+    (Array.of_list admitted)
+
+(* A table made before a run's commits answers every later scan as the
+   frozen filter does on a fresh engine: the same divisors in the same
+   order, and the same pair counts. Dividends are first scanned before,
+   between and after batches of random sis commits, so both stored and
+   lazily made orders meet a moved TFO(f). *)
+let prop_candidates_match_frozen =
+  let profiles = [ "9sym"; "alu2"; "C2670"; "C5315" ] in
+  QCheck2.Test.make ~name:"ranked-once candidates match the frozen filter"
+    ~count:24 ~print:QCheck2.Print.(triple string int bool)
+    QCheck2.Gen.(triple (oneofl profiles) (int_range 1 100_000) bool)
+    (fun (name, seed, script_a) ->
+      let module Signature = Logic_sim.Signature in
+      let module Counters = Rar_util.Counters in
+      let net =
+        match Bench_suite.Suite.find name with
+        | Some { Bench_suite.Suite.source = Synthetic profile; _ } ->
+          Generator.planted ~seed profile
+        | Some _ | None -> assert false
+      in
+      if script_a then Synth.Script.run net Synth.Script.script_a;
+      let rng = Random.State.make [| seed |] in
+      let sigs = Signature.create net in
+      Signature.detach sigs;
+      let ranking = Synth.Resub.ranking sigs net in
+      let nodes = List.sort Int.compare (Network.logic_ids net) in
+      let tfo = Network.cone net in
+      let pairs c =
+        ( Atomic.get c.Counters.pairs_considered,
+          Atomic.get c.Counters.pairs_filtered )
+      in
+      let compare_scans dividends =
+        let fresh = Signature.create net in
+        Fun.protect ~finally:(fun () -> Signature.detach fresh) @@ fun () ->
+        List.for_all
+          (fun f ->
+            let c = Counters.create () and c' = Counters.create () in
+            let got = Synth.Resub.candidates ~counters:c ranking ~f in
+            let want =
+              frozen_candidates ~counters:c' ~sigs:fresh ~tfo net ~f ~nodes
+            in
+            got = want && pairs c = pairs c')
+          dividends
+      in
+      let commits = ref 0 in
+      let commit_some () =
+        let shuffled =
+          List.concat_map (fun f -> List.map (fun d -> (f, d)) nodes) nodes
+          |> List.map (fun p -> (Random.State.bits rng, p))
+          |> List.sort compare |> List.map snd
+        in
+        let want = 1 + Random.State.int rng 3 and landed = ref 0 in
+        List.iter
+          (fun (f, d) ->
+            if !landed < want && Synth.Resub.try_substitute net ~f ~d then
+              incr landed)
+          shuffled;
+        commits := !commits + !landed
+      in
+      let half = List.filter (fun _ -> Random.State.bool rng) nodes in
+      let ok_before = compare_scans half in
+      commit_some ();
+      let ok_between = compare_scans nodes in
+      commit_some ();
+      let ok_after = compare_scans nodes in
+      Network.check net;
+      ok_before && ok_between && ok_after)
+
 (* ------------------------------------------------------------------ *)
 (* Extraction                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -431,6 +524,7 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_support_test_exact;
+      prop_candidates_match_frozen;
       prop_resub_preserves;
       prop_gcx_preserves;
       prop_gkx_preserves;
