@@ -704,7 +704,8 @@ let copy t =
 
 (* Unjustified situations and their justification options, each option
    being a list of primitive assignments on slots. The scan follows
-   {!Network.node_ids}, whose order decides the order of the splits. *)
+   {!Network.node_ids} (descending ids) and conses, so the splits run
+   from the lowest id up. *)
 type option_assignment = Node of int * bool | Cube of int * int * bool
 
 let justification_options t =

@@ -31,7 +31,7 @@ let run ~driver ?(fields = [])
         in
         committed || changed)
       false
-      (List.sort Int.compare (Network.logic_ids net))
+      (List.rev (Network.logic_ids net))
   in
   let rec loop remaining =
     if remaining > 0 && not (deadline_passed ()) then begin

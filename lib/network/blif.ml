@@ -184,8 +184,11 @@ let parse_main lines =
   (match !remaining with
   | [] -> ()
   | table :: _ -> fail table.line "unresolved or cyclic .names definitions");
+  let declared = Hashtbl.create 16 in
   List.iter
     (fun (lineno, po) ->
+      if Hashtbl.mem declared po then fail lineno "duplicate output %s" po;
+      Hashtbl.add declared po ();
       match Hashtbl.find_opt by_name po with
       | Some id -> Network.add_output net po id
       | None -> fail lineno "undefined output %s" po)
@@ -378,7 +381,6 @@ let with_file_errors path f =
   close_in ic;
   f text
 
-let read_file path = with_file_errors path parse
 let read_file_dc path = with_file_errors path parse_dc
 let read_exdc_file ~inputs ?outputs path =
   with_file_errors path (parse_exdc ~inputs ?outputs)
@@ -433,11 +435,6 @@ let to_string net =
     (Network.outputs net);
   Buffer.add_string buffer ".end\n";
   Buffer.contents buffer
-
-let write_file path net =
-  let oc = open_out path in
-  output_string oc (to_string net);
-  close_out oc
 
 (* Canonical [.exdc] section: one flat table named [excdc] over the
    union support of all cubes (columns in main-model input order),

@@ -11,6 +11,7 @@
     line), and a blank or comment-only line while a continuation is
     pending is a {!Parse_error} at that line — a continuation must be
     completed on the very next physical line. CRLF input is accepted.
+    A name repeated in [.inputs] or in [.outputs] is a {!Parse_error}.
 
     {2 External don't cares}
 
@@ -25,9 +26,8 @@
       output patterns — 0/1 characters in [.outputs] order —
       externally indistinguishable.
 
-    The plain {!parse}/{!read_file} entry points validate and then
-    discard the section; use {!parse_dc}/{!read_file_dc} to obtain the
-    {!Dont_care.t} view. *)
+    {!parse} validates and then discards the section; use
+    {!parse_dc}/{!read_file_dc} to obtain the {!Dont_care.t} view. *)
 
 exception Parse_error of { line : int; message : string }
 (** [line] is the 1-based physical line the error was detected on (the
@@ -37,8 +37,6 @@ exception Parse_error of { line : int; message : string }
 val parse : string -> Network.t
 (** Parse BLIF text. @raise Parse_error on malformed or unsupported
     input. *)
-
-val read_file : string -> Network.t
 
 val parse_dc : string -> Network.t * Dont_care.t
 (** Like {!parse} but also returns the external don't-care view from
@@ -60,8 +58,6 @@ val read_exdc_file :
 val to_string : Network.t -> string
 (** Serialise; reading the result back yields a functionally equivalent
     network. *)
-
-val write_file : string -> Network.t -> unit
 
 val exdc_to_string : Network.t -> Dont_care.t -> string
 (** The canonical [.exdc] section for the view: one flat table named

@@ -105,44 +105,38 @@ let increase net id planned =
 
 let value net id = Option.map (increase net id) (plan net id)
 
-(* Eliminate's candidates in pick order, value ascending, then position
-   in the [Network.logic_ids] order taken at entry, each with its plan. *)
+(* Eliminate's candidates in pick order, value ascending, then id
+   descending ({!Network.logic_ids} order), each with its plan. *)
 module Picks = Map.Make (struct
-  type t = int * int
+  type t = int * Network.node_id
 
-  let compare (v1, p1) (v2, p2) =
-    match Int.compare v1 v2 with 0 -> Int.compare p1 p2 | c -> c
+  let compare (v1, id1) (v2, id2) =
+    match Int.compare v1 v2 with 0 -> Int.compare id2 id1 | c -> c
 end)
 
 let eliminate ?(threshold = 0) net =
-  (* Eliminate adds no node, [set_function] mutates a node in place and
-     removing a node leaves the survivors' table order alone, so a
-     node's position in the entry order is its place in every later
-     [logic_ids] fold: the least (value, position) is the node the
-     round-by-round fold picks, its first minimum. *)
-  let order = Array.of_list (Network.logic_ids net) in
-  let pos = Array.make (Network.id_limit net) (-1) in
-  Array.iteri (fun p id -> pos.(id) <- p) order;
-  let value_at = Array.make (Array.length order) None in
+  (* The least (value, id descending) is the node a fold over
+     [logic_ids] picks, its first minimum. Eliminate adds no node, so
+     the id-indexed arrays cover every node it meets. *)
+  let value_at = Array.make (Network.id_limit net) None in
   let picks = ref Picks.empty in
-  let seen = Array.make (Array.length order) (-1) in
+  let seen = Array.make (Network.id_limit net) (-1) in
   let revalue round id =
-    let p = pos.(id) in
-    if p >= 0 && seen.(p) <> round then begin
-      seen.(p) <- round;
-      Option.iter (fun v -> picks := Picks.remove (v, p) !picks) value_at.(p);
-      value_at.(p) <- None;
+    if seen.(id) <> round then begin
+      seen.(id) <- round;
+      Option.iter (fun v -> picks := Picks.remove (v, id) !picks) value_at.(id);
+      value_at.(id) <- None;
       match if Network.mem net id then plan net id else None with
       | Some planned ->
         let v = increase net id planned in
         if v <= threshold then begin
-          value_at.(p) <- Some v;
-          picks := Picks.add (v, p) planned !picks
+          value_at.(id) <- Some v;
+          picks := Picks.add (v, id) planned !picks
         end
       | None -> ()
     end
   in
-  Array.iter (revalue 0) order;
+  List.iter (revalue 0) (Network.logic_ids net);
   (* [value n] reads [n]'s cover, fanins and fanout list and each
      fanout's cover and fanins. A collapse of [id] rewrites [id]'s
      fanouts and removes [id], so only the fanouts, [id]'s fanins and
@@ -152,8 +146,7 @@ let eliminate ?(threshold = 0) net =
      nodes to re-value are all known before the collapse. *)
   let rec loop eliminated =
     match Picks.min_binding_opt !picks with
-    | Some ((_, p), planned) ->
-      let id = order.(p) in
+    | Some ((_, id), planned) ->
       let fanouts = Network.fanouts net id in
       let touched =
         (id :: fanouts)

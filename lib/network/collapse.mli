@@ -21,7 +21,7 @@ val value : Network.t -> Network.node_id -> int option
 val eliminate : ?threshold:int -> Network.t -> int
 (** Repeatedly collapse the node of smallest value while some node's value
     is [<= threshold] (default 0, as in the paper's scripts); of equal
-    values, the node first in {!Network.logic_ids} goes first. Returns
+    values, the highest id (first in {!Network.logic_ids}) goes first. Returns
     the number of nodes eliminated. A collapse re-values only the nodes
     whose value it can change: the collapsed node's fanouts, its fanins
     and the fanouts' fanins. *)

@@ -26,18 +26,15 @@ type mutation =
 
 type observer_id = int
 
-(* Nodes live in two structures. [store] serves every lookup by id:
-   slot [id] holds the node, or [absent] where no node has that id.
-   It grows by doubling and, because ids are never recycled, is sized
-   by [next_id] (see DESIGN §17). [nodes] holds the same records and is
-   kept only as the iteration-order index behind [node_ids],
-   [node_count], [find_by_name] and [copy]: its bucket order leaks into
-   stable-sort ties downstream, so serving iteration from [store]'s id
-   order instead would move the optimisers' output. *)
+(* [store] holds every node: slot [id] holds the node, or [absent]
+   where no node has that id. It grows by doubling and, because ids are
+   never recycled, is sized by [next_id] (see DESIGN §17). Iteration
+   walks it from the highest id down, so [node_ids] is newest first,
+   and a copy, being a map over the store, keeps that order. *)
 type t = {
-  nodes : (node_id, node) Hashtbl.t;
   mutable store : node array;
   mutable next_id : int;
+  mutable count : int; (* nodes in [store] *)
   mutable input_order : node_id list; (* reversed *)
   mutable output_order : (string * node_id) list; (* reversed *)
   mutable revision : int;
@@ -52,9 +49,9 @@ let absent =
 
 let create () =
   {
-    nodes = Hashtbl.create 64;
     store = Array.make 64 absent;
     next_id = 0;
+    count = 0;
     input_order = [];
     output_order = [];
     revision = 0;
@@ -88,7 +85,6 @@ let node t id =
   if n != absent then n
   else invalid_arg (Printf.sprintf "Network: unknown node %d" id)
 
-(* Register a new node in both structures. *)
 let install t n =
   let cap = Array.length t.store in
   if n.id >= cap then begin
@@ -101,7 +97,7 @@ let install t n =
     t.store <- grown
   end;
   t.store.(n.id) <- n;
-  Hashtbl.add t.nodes n.id n
+  t.count <- t.count + 1
 
 let fresh_id t =
   let id = t.next_id in
@@ -212,9 +208,12 @@ let is_input t id = match (node t id).kind with Input -> true | Logic _ -> false
 let name t id = (node t id).node_name
 
 let find_by_name t wanted =
-  Hashtbl.fold
-    (fun id n acc -> if n.node_name = wanted then Some id else acc)
-    t.nodes None
+  let rec scan id =
+    if id < 0 then None
+    else if mem t id && (slot t id).node_name = wanted then Some id
+    else scan (id - 1)
+  in
+  scan (t.next_id - 1)
 
 let find_input t wanted =
   List.find_opt (fun id -> (node t id).node_name = wanted) t.input_order
@@ -246,16 +245,23 @@ let outputs t = List.rev t.output_order
 
 let is_output t id = List.exists (fun (_, n) -> n = id) t.output_order
 
-let output_names t id =
-  List.rev_map fst (List.filter (fun (_, n) -> n = id) t.output_order)
-
 let inputs t = List.rev t.input_order
 
-let node_ids t = Hashtbl.fold (fun id _ acc -> id :: acc) t.nodes []
+(* The ids whose node passes [keep], highest first. *)
+let ids_where t keep =
+  let acc = ref [] in
+  for id = 0 to t.next_id - 1 do
+    let n = slot t id in
+    if n != absent && keep n then acc := id :: !acc
+  done;
+  !acc
 
-let logic_ids t = List.filter (fun id -> not (is_input t id)) (node_ids t)
+let node_ids t = ids_where t (fun _ -> true)
 
-let node_count t = Hashtbl.length t.nodes
+let logic_ids t =
+  ids_where t (fun n -> match n.kind with Input -> false | Logic _ -> true)
+
+let node_count t = t.count
 
 let transitive_fanin t seeds =
   let visited = ref Node_set.empty in
@@ -415,33 +421,29 @@ let remove_node t id =
     | Input -> t.input_order <- List.filter (fun i -> i <> id) t.input_order
     | Logic l -> Array.iter (fun f -> decr_fanout t ~from:id ~target:f) l.fanins
   end;
-  Hashtbl.remove t.nodes id;
   t.store.(id) <- absent;
+  t.count <- t.count - 1;
   notify t (Node_removed id)
 
 let copy t =
-  let fresh = create () in
-  fresh.next_id <- t.next_id;
-  fresh.store <- Array.make (max 16 t.next_id) absent;
-  Hashtbl.iter
-    (fun id n ->
-      let kind =
-        match n.kind with
-        | Input -> Input
-        | Logic l -> Logic { fanins = Array.copy l.fanins; cover = l.cover }
-      in
-      install fresh { id; node_name = n.node_name; kind; fanout = n.fanout })
-    t.nodes;
-  fresh.input_order <- t.input_order;
-  fresh.output_order <- t.output_order;
-  fresh
+  let duplicate n =
+    match n.kind with
+    | Input -> if n == absent then absent else { n with kind = Input }
+    | Logic l -> { n with kind = Logic { l with fanins = Array.copy l.fanins } }
+  in
+  {
+    t with
+    store = Array.map duplicate t.store;
+    revision = 0;
+    next_observer = 0;
+    observers = [];
+  }
 
 let overwrite dst src =
   let fresh = copy src in
-  Hashtbl.reset dst.nodes;
-  Hashtbl.iter (fun id n -> Hashtbl.add dst.nodes id n) fresh.nodes;
   dst.store <- fresh.store;
   dst.next_id <- fresh.next_id;
+  dst.count <- fresh.count;
   dst.input_order <- fresh.input_order;
   dst.output_order <- fresh.output_order;
   notify dst Rebuilt
@@ -465,8 +467,9 @@ let check t =
   (* Acyclicity (raises Cyclic). *)
   let order = topological t in
   if List.length order <> node_count t then fail "topological order incomplete";
-  Hashtbl.iter
-    (fun id n ->
+  List.iter
+    (fun id ->
+      let n = node t id in
       if n.id <> id then fail "node %d has inconsistent id" id;
       (match n.kind with
       | Input -> ()
@@ -491,30 +494,23 @@ let check t =
             if not (Node_map.mem id fo) then
               fail "node %d missing from fanout of %d" id f)
           l.fanins;
-        let seen = Hashtbl.create 4 in
-        Array.iter
-          (fun f ->
-            if Hashtbl.mem seen f then fail "node %d: duplicate fanin %d" id f;
-            Hashtbl.add seen f ())
-          l.fanins);
+        if not (distinct l.fanins) then fail "node %d: duplicate fanins" id);
       Node_map.iter
         (fun out count ->
           if count <= 0 then fail "node %d: non-positive fanout count" id;
-          match Hashtbl.find_opt t.nodes out with
-          | None -> fail "node %d: dangling fanout %d" id out
-          | Some m ->
-            (match m.kind with
-            | Input -> fail "node %d: fanout %d is an input" id out
-            | Logic l ->
-              let refs =
-                Array.fold_left
-                  (fun acc f -> if f = id then acc + 1 else acc)
-                  0 l.fanins
-              in
-              if refs <> count then
-                fail "fanout count mismatch between %d and %d" id out))
+          if not (mem t out) then fail "node %d: dangling fanout %d" id out;
+          match (node t out).kind with
+          | Input -> fail "node %d: fanout %d is an input" id out
+          | Logic l ->
+            let refs =
+              Array.fold_left
+                (fun acc f -> if f = id then acc + 1 else acc)
+                0 l.fanins
+            in
+            if refs <> count then
+              fail "fanout count mismatch between %d and %d" id out)
         n.fanout)
-    t.nodes;
+    (node_ids t);
   List.iter
     (fun (po_name, id) ->
       if not (mem t id) then fail "output %s: dangling node %d" po_name id)

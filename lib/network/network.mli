@@ -89,9 +89,9 @@ val id_limit : t -> int
     that were created and removed again). *)
 
 val copy : t -> t
-(** Deep copy preserving node ids (and the id allocator position). Costs
-    O({!id_limit}), not O(nodes): the copy's id-indexed store spans
-    every id ever allocated. *)
+(** Deep copy preserving node ids, the id allocator position and so the
+    {!node_ids} order. One map over the id-indexed store: it costs
+    O({!id_limit}), not O(nodes). *)
 
 val overwrite : t -> t -> unit
 (** [overwrite dst src] makes [dst] structurally identical to [src]
@@ -107,17 +107,19 @@ val is_input : t -> node_id -> bool
 val name : t -> node_id -> string
 
 val find_by_name : t -> string -> node_id option
+(** The first node in {!node_ids} order (the newest) carrying the name,
+    found by a scan of every id. *)
 
 val find_input : t -> string -> node_id option
 (** The primary input carrying the name, read from the input list: it
-    costs O(inputs), where {!find_by_name} folds over every node. *)
+    costs O(inputs), where {!find_by_name} scans every id. *)
 
 val fresh_name : t -> string -> string
 (** [fresh_name t base] is [base] when no node carries that name, else
     the first of [base_2], [base_3], ... that is free. Node names are
     not otherwise enforced unique, but the BLIF writer emits one table
     per name — call this at any site that synthesises a name which may
-    repeat (divisor cores). Each probe scans the node table. *)
+    repeat (divisor cores). Each probe is a {!find_by_name}. *)
 
 val fanins : t -> node_id -> node_id array
 (** Empty for inputs and constants. *)
@@ -131,8 +133,6 @@ val fanout_count : t -> node_id -> int
 
 val is_output : t -> node_id -> bool
 
-val output_names : t -> node_id -> string list
-
 val inputs : t -> node_id list
 (** In creation order. *)
 
@@ -140,10 +140,17 @@ val outputs : t -> (string * node_id) list
 (** In creation order. *)
 
 val node_ids : t -> node_id list
+(** Every node, in descending id order: newest first. The optimisers
+    visit dividends, divisors and wires in this order or its reverse,
+    and their stable sorts keep it among ties, so it is part of their
+    output. Removals and {!set_function} leave the survivors' order
+    alone, and {!copy} and {!overwrite} keep it. *)
 
 val logic_ids : t -> node_id list
+(** {!node_ids} without the primary inputs. *)
 
 val node_count : t -> int
+(** [List.length (node_ids t)], kept as a counter. *)
 
 val topological : t -> node_id list
 (** All nodes, fanins before fanouts. *)

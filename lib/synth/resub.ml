@@ -91,7 +91,7 @@ let ranking sigs net =
   {
     net;
     sigs;
-    nodes = List.sort Int.compare (Network.logic_ids net);
+    nodes = List.rev (Network.logic_ids net);
     tfo = Network.cone net;
     orders = Hashtbl.create 64;
   }

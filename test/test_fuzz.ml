@@ -4,12 +4,18 @@
    stacked edits, each a single-bit flip, a truncation, a span deletion
    or a span duplication. Every mutant must come back as a value or as
    the reader's typed error, line-numbered where the reader numbers
-   lines; any other exception is a reader bug. The seed and the case
-   counts are fixed, so a run is reproducible and time-boxed. *)
+   lines; any other exception is a reader bug. A network the BLIF
+   readers accept must also be well formed: a reader that lets a
+   duplicate through raises nothing, so only its value shows it. The
+   seed and the case counts are fixed, so a run is reproducible and
+   time-boxed. Mutated request frames also go to an in-process daemon,
+   which must answer a valid request afterwards as it did before. *)
 
 module Aiger = Logic_network.Aiger
 module Blif = Logic_network.Blif
+module Network = Logic_network.Network
 module Protocol = Rar_service.Protocol
+module Server = Rar_service.Server
 
 let seed = 0x5eed
 
@@ -61,9 +67,20 @@ let aiger text =
   | _ -> ()
   | exception Aiger.Parse_error { line; _ } -> numbered line
 
+(* Distinct input names, distinct output names, and every structural
+   invariant {!Network.check} knows. *)
+let well_formed net =
+  let distinct what names =
+    if List.length (List.sort_uniq String.compare names) <> List.length names
+    then failwith ("accepted a repeated " ^ what ^ " name")
+  in
+  distinct "input" (List.map (Network.name net) (Network.inputs net));
+  distinct "output" (List.map fst (Network.outputs net));
+  Network.check net
+
 let blif parse text =
   match parse text with
-  | _ -> ()
+  | net -> well_formed net
   | exception Blif.Parse_error { line; _ } -> numbered line
 
 let request text =
@@ -100,6 +117,73 @@ let request_corpus () =
       };
   ]
 
+(* A frame as it travels: 4-byte big-endian length, then the payload. *)
+let framed payload =
+  let header = Bytes.create 4 in
+  Bytes.set_int32_be header 0 (Int32.of_int (String.length payload));
+  Bytes.to_string header ^ payload
+
+(* Send [bytes] on a fresh connection, half-close, and read until the
+   daemon closes it. A daemon that neither answers nor closes within
+   [timeout] seconds fails the test. *)
+let abuse ~socket ~timeout bytes =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
+      (* The daemon may refuse and close before reading everything. *)
+      (try
+         ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+         Unix.shutdown fd Unix.SHUTDOWN_SEND
+       with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+      let buf = Bytes.create 4096 in
+      let rec drain () =
+        match Unix.read fd buf 0 4096 with
+        | 0 -> ()
+        | _ -> drain ()
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          Alcotest.failf "daemon neither answered nor closed in %.0f s" timeout
+      in
+      drain ())
+
+(* [cases] connections, each carrying one to three mutated frames of a
+   c17 job, to a daemon running jobs inline. Before and after them the
+   same request draws a cache hit, whose bytes must not move, and the
+   one after must come back well under a second. *)
+let daemon_frames ~cases () =
+  let blif = List.hd (blif_corpus ()) in
+  let request = Protocol.default_request ~blif in
+  let frame = framed (Protocol.encode_request request) in
+  let socket = Filename.temp_file "rarsubd_fuzz" ".sock" in
+  Sys.remove socket;
+  let config =
+    { (Server.default_config ~socket_path:socket) with Server.jobs = 1 }
+  in
+  Server.with_server config (fun server ->
+      let ask () =
+        Protocol.encode_response
+          (Server.Client.round_trip ~timeout:5.0 ~socket request)
+      in
+      ignore (ask ());
+      let before = ask () in
+      let rng = Random.State.make [| seed |] in
+      for _ = 1 to cases do
+        let frames = 1 + Random.State.int rng 3 in
+        abuse ~socket ~timeout:5.0
+          (String.concat "" (List.init frames (fun _ -> mutate rng frame)))
+      done;
+      let start = Unix.gettimeofday () in
+      let after = ask () in
+      let seconds = Unix.gettimeofday () -. start in
+      Alcotest.(check string) "reply unchanged by the abuse" before after;
+      if (Server.stats server).Server.refused = 0 then
+        Alcotest.fail "no mutant was refused";
+      if seconds > 0.25 then
+        Alcotest.failf "valid request took %.3f s after the abuse" seconds)
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -112,8 +196,11 @@ let () =
           Alcotest.test_case "Blif.parse_dc" `Quick
             (fuzz ~cases:3000
                ~corpus:[ read_file (fixtures ^ "dcrich.blif") ]
-               (blif Blif.parse_dc));
+               (blif (fun text -> fst (Blif.parse_dc text))));
           Alcotest.test_case "Protocol.decode_request" `Quick
             (fuzz ~cases:3000 ~corpus:(request_corpus ()) request);
         ] );
+      ( "daemon",
+        [ Alcotest.test_case "mutated frames" `Quick (daemon_frames ~cases:300) ]
+      );
     ]

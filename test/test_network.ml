@@ -60,7 +60,9 @@ let test_fanout_tracking () =
   Alcotest.(check int) "a feeds two nodes" 2 (List.length (Network.fanouts net a));
   let sum = Builder.node net "sum" in
   Alcotest.(check (list string)) "sum drives output" [ "sum" ]
-    (Network.output_names net sum)
+    (List.filter_map
+       (fun (po, id) -> if id = sum then Some po else None)
+       (Network.outputs net))
 
 let test_set_function_cycle_guard () =
   let net =
@@ -301,8 +303,9 @@ let test_collapse_value_and_substitute () =
 let test_blif_file_io () =
   let net = adder_net () in
   let path = Filename.temp_file "rarsub" ".blif" in
-  Blif.write_file path net;
-  let reread = Blif.read_file path in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc (Blif.to_string net));
+  let reread, _ = Blif.read_file_dc path in
   Sys.remove path;
   Alcotest.(check bool) "file roundtrip" true (Equiv.equivalent net reread)
 
@@ -841,6 +844,49 @@ let prop_factored_delta =
       done;
       !ok)
 
+(* The declared node order: [node_ids] is strictly descending, a copy
+   and an overwrite keep it, [node_count] counts it, and [logic_ids] is
+   it without the inputs. *)
+let check_order net =
+  let ids = Network.node_ids net in
+  let rec descending = function
+    | a :: (b :: _ as rest) -> a > b && descending rest
+    | [ _ ] | [] -> true
+  in
+  if not (descending ids) then fail "node_ids not strictly descending";
+  if Network.node_ids (Network.copy net) <> ids then
+    fail "a copy reorders node_ids";
+  let target = Network.create () in
+  Network.overwrite target net;
+  if Network.node_ids target <> ids then fail "an overwrite reorders node_ids";
+  if Network.node_count net <> List.length ids then
+    fail "node_count %d for %d ids" (Network.node_count net) (List.length ids);
+  if
+    Network.logic_ids net
+    <> List.filter (fun id -> not (Network.is_input net id)) ids
+  then fail "logic_ids is not node_ids without the inputs"
+
+let test_order_on_suite () =
+  let eliminated =
+    List.fold_left
+      (fun acc row ->
+        let net = Bench_suite.Suite.build row in
+        check_order net;
+        let n = Collapse.eliminate net in
+        check_order net;
+        acc + n)
+      0 Bench_suite.Suite.rows
+  in
+  Alcotest.(check bool) "eliminate removed nodes" true (eliminated > 0)
+
+let prop_order_under_mutation =
+  QCheck2.Test.make ~name:"node order descending and kept by copies"
+    ~count:100 ~print:string_of_int Net_mutations.gen_seed (fun seed ->
+      let rng, net = Net_mutations.initial seed in
+      check_order net;
+      Net_mutations.mutate rng net ~steps:30 ~after_step:check_order;
+      true)
+
 (* The eliminate loop before the worklist, kept as the reference: every
    round re-values every logic node with [Collapse.value]. *)
 let frozen_eliminate ~threshold net =
@@ -959,6 +1005,7 @@ let qcheck_cases =
       prop_bdd_to_cover_roundtrip;
       prop_traversals_match_frozen;
       prop_find_input_matches_scan;
+      prop_order_under_mutation;
       prop_cycle_guard_matches_frozen;
       prop_normalise_matches_frozen;
       prop_factored_delta;
@@ -980,6 +1027,8 @@ let () =
           Alcotest.test_case "copy and overwrite" `Quick test_copy_and_overwrite;
           Alcotest.test_case "node store edge ids" `Quick test_node_store_edges;
           Alcotest.test_case "copy isolated" `Quick test_copy_isolated;
+          Alcotest.test_case "node order on suite circuits" `Quick
+            test_order_on_suite;
         ] );
       ( "transforms",
         [
