@@ -9,8 +9,11 @@ test:
 # Scheduler soundness gate: every quick (circuit, method) cell runs once
 # more with an explicitly attached empty don't-care view and must be
 # byte-identical to its no-view reference; the per-method literal totals
-# must match the pinned quick-suite figures (245/241/239/235/238), and
-# rar's (which takes no view) must read 247.
+# must match the pinned quick-suite figures (245/241/239/234/238), and
+# rar's (which takes no view) must read 247. Tables II-V then run on the
+# full suite: every cell must verify, no row may have a method worse
+# than the one before it (sis >= basic >= ext >= ext-GDC), and each
+# table's per-method totals are pinned.
 shardcheck:
 	dune exec bench/main.exe -- shardcheck quick
 
@@ -74,7 +77,7 @@ bench-aig:
 	dune exec bench/main.exe -- aig
 
 # Full local CI: build, tests, the shardcheck empty-view gate (pinned
-# quick totals), the degraded-run/trace gate,
+# quick and Tables II-V totals), the degraded-run/trace gate,
 # the cube-kernel microbenchmark, the resident-
 # service miss/hit byte-identity gate, the AIG backend round-trip and
 # windowed-resub gate, the external don't-care discipline

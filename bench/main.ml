@@ -8,6 +8,7 @@
      main.exe quick           tables on the small row subset only
      main.exe bench quick     write the BENCH_resub.json perf snapshot
      main.exe shardcheck quick empty-view identity + pinned totals
+                              (quick suite and Tables II-V)
      main.exe tracecheck quick degraded-run + trace JSON-lines gate
      main.exe dccheck         DC-rich fixture determinism + floors gate
      main.exe kcheck quick    constructive k-resub BDD-verify + floor gate
@@ -64,10 +65,61 @@ let run_cell ~reference net command =
     ok = Equiv.equivalent scratch reference;
   }
 
-(* One of Tables II/III/IV: a starting script, then each method from the
-   same starting point. *)
-let comparison_table ~title ~script rows =
-  section title;
+(* Tables II-IV run a starting script, then each method from the same
+   starting point; Table V runs script.algebraic with each method
+   replacing its resub steps. *)
+type table = {
+  label : string;
+  title : string;
+  start : [ `Script of Synth.Script.step list | `Algebraic ];
+}
+
+let tables =
+  [
+    {
+      label = "Table II";
+      title = "Script A (eliminate; simplify) + resubstitution";
+      start = `Script Synth.Script.script_a;
+    };
+    {
+      label = "Table III";
+      title = "Script B (Script A + gcx) + resubstitution";
+      start = `Script Synth.Script.script_b;
+    };
+    {
+      label = "Table IV";
+      title = "Script C (Script A + gkx) + resubstitution";
+      start = `Script Synth.Script.script_c;
+    };
+    {
+      label = "Table V";
+      title = "script.algebraic with resub replaced by each algorithm";
+      start = `Algebraic;
+    };
+  ]
+
+(* One row of a table: the "init." literals and each method's cell, every
+   cell equivalence-checked against the row's starting network. For
+   Table V "init." is the script run with resub disabled. *)
+let table_row table row =
+  let net = Suite.build row in
+  match table.start with
+  | `Script script ->
+    Synth.Script.run net script;
+    ( Lit_count.factored net,
+      List.map (fun (_, cmd) -> run_cell ~reference:net net cmd) methods )
+  | `Algebraic ->
+    let base = Network.copy net in
+    Synth.Script.run base Synth.Script.script_algebraic;
+    ( Lit_count.factored base,
+      List.map
+        (fun (_, resub) ->
+          run_cell ~reference:net net (fun scratch ->
+              Synth.Script.run ~resub scratch Synth.Script.script_algebraic))
+        methods )
+
+let print_table table measured =
+  section (table.label ^ " - " ^ table.title);
   let columns =
     (("circuit", Table.Left) :: ("init.", Table.Right)
     :: List.concat_map
@@ -75,35 +127,29 @@ let comparison_table ~title ~script rows =
          methods)
     @ [ ("verified", Table.Left) ]
   in
-  let table = Table.create columns in
+  let rendered = Table.create columns in
   let totals = Array.make (1 + List.length methods) 0 in
   let all_ok = ref true in
   List.iter
-    (fun row ->
-      let net = Suite.build row in
-      Synth.Script.run net script;
-      let init = Lit_count.factored net in
-      let cells =
-        List.map (fun (_, cmd) -> run_cell ~reference:net net cmd) methods
-      in
+    (fun ((row : Suite.row), (init, cells)) ->
       totals.(0) <- totals.(0) + init;
       List.iteri (fun i c -> totals.(i + 1) <- totals.(i + 1) + c.lits) cells;
       let ok = List.for_all (fun c -> c.ok) cells in
       if not ok then all_ok := false;
-      Table.add_row table
-        ((row.Suite.name :: string_of_int init
+      Table.add_row rendered
+        ((row.name :: string_of_int init
          :: List.concat_map
               (fun c ->
                 [ string_of_int c.lits; Rar_util.Stopwatch.seconds_to_string c.cpu ])
               cells)
         @ [ (if ok then "yes" else "NO") ]))
-    rows;
-  Table.add_separator table;
-  Table.add_row table
+    measured;
+  let method_columns = List.init (List.length methods) Fun.id in
+  Table.add_separator rendered;
+  Table.add_row rendered
     (("total" :: string_of_int totals.(0)
-     :: List.concat_map
-          (fun i -> [ string_of_int totals.(i + 1); "" ])
-          (List.init (List.length methods) Fun.id))
+     :: List.concat_map (fun i -> [ string_of_int totals.(i + 1); "" ])
+          method_columns)
     @ [ "" ]);
   let percent i =
     Printf.sprintf "%.1f%%"
@@ -111,82 +157,27 @@ let comparison_table ~title ~script rows =
       *. float_of_int (totals.(0) - totals.(i + 1))
       /. float_of_int (max totals.(0) 1))
   in
-  Table.add_row table
+  Table.add_row rendered
     (("improvement" :: ""
-     :: List.concat_map
-          (fun i -> [ percent i; "" ])
-          (List.init (List.length methods) Fun.id))
+     :: List.concat_map (fun i -> [ percent i; "" ]) method_columns)
     @ [ "" ]);
-  print_string (Table.render table);
+  print_string (Table.render rendered);
   Printf.printf
     "(all cells equivalence-checked against the starting network: %s)\n"
     (if !all_ok then "pass" else "FAILURES PRESENT");
-  Printf.printf
-    "Expected shape (paper): every configuration beats sis; ext. GDC best;\n\
-     basic/ext CPU comparable to sis, ext. GDC slower.\n"
+  match table.start with
+  | `Script _ ->
+    Printf.printf
+      "Expected shape (paper): every configuration beats sis; ext. GDC best;\n\
+       basic/ext CPU comparable to sis, ext. GDC slower.\n"
+  | `Algebraic ->
+    Printf.printf
+      "Paper's observed anomaly: inside script.algebraic, ext. GDC may\n\
+       slightly underperform ext. because of the locally greedy\n\
+       first-positive-gain policy.\n"
 
-(* Table V: script.algebraic with each method replacing the resub steps. *)
-let table_v rows =
-  section "Table V - script.algebraic with resub replaced by each algorithm";
-  let columns =
-    (("circuit", Table.Left) :: ("init.", Table.Right)
-    :: List.concat_map
-         (fun (name, _) -> [ (name, Table.Right); ("cpu", Table.Right) ])
-         methods)
-    @ [ ("verified", Table.Left) ]
-  in
-  let table = Table.create columns in
-  let totals = Array.make (1 + List.length methods) 0 in
-  let all_ok = ref true in
-  List.iter
-    (fun row ->
-      let original = Suite.build row in
-      (* The "init." column is the script run with resub disabled. *)
-      let base = Network.copy original in
-      Synth.Script.run base Synth.Script.script_algebraic;
-      let init = Lit_count.factored base in
-      let cells =
-        List.map
-          (fun (_, resub) ->
-            let scratch = Network.copy original in
-            let (), cpu =
-              Rar_util.Stopwatch.time (fun () ->
-                  Synth.Script.run ~resub scratch Synth.Script.script_algebraic)
-            in
-            {
-              lits = Lit_count.factored scratch;
-              cpu;
-              ok = Equiv.equivalent scratch original;
-            })
-          methods
-      in
-      totals.(0) <- totals.(0) + init;
-      List.iteri (fun i c -> totals.(i + 1) <- totals.(i + 1) + c.lits) cells;
-      let ok = List.for_all (fun c -> c.ok) cells in
-      if not ok then all_ok := false;
-      Table.add_row table
-        ((row.Suite.name :: string_of_int init
-         :: List.concat_map
-              (fun c ->
-                [ string_of_int c.lits; Rar_util.Stopwatch.seconds_to_string c.cpu ])
-              cells)
-        @ [ (if ok then "yes" else "NO") ]))
-    rows;
-  Table.add_separator table;
-  Table.add_row table
-    (("total" :: string_of_int totals.(0)
-     :: List.concat_map
-          (fun i -> [ string_of_int totals.(i + 1); "" ])
-          (List.init (List.length methods) Fun.id))
-    @ [ "" ]);
-  print_string (Table.render table);
-  Printf.printf
-    "(all cells equivalence-checked against the original network: %s)\n"
-    (if !all_ok then "pass" else "FAILURES PRESENT");
-  Printf.printf
-    "Paper's observed anomaly: inside script.algebraic, ext. GDC may\n\
-     slightly underperform ext. because of the locally greedy\n\
-     first-positive-gain policy.\n"
+let measure_table table rows =
+  List.map (fun row -> (row, table_row table row)) rows
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 1 - classic redundancy addition and removal                    *)
@@ -1015,13 +1006,25 @@ let bench_json ?(path = "BENCH_resub.json") ?sim_seed rows =
 (* The pinned totals and per-cell helpers of the gates                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The quick-suite per-method factored-literal totals after Script A.
-   Any drift means a method changed a result; rar is pinned because the
-   node order moves it most. *)
-let expected_quick_totals =
+(* The pinned per-method factored-literal totals; any drift means a
+   method changed a result. "quick" is the quick suite after Script A,
+   rar included because the node order moves it most; each table's row
+   is that table's totals on the full suite. *)
+let pinned_totals =
   [
-    ("sis", 245); ("basic", 241); ("ext", 239); ("ext-gdc", 235);
-    ("resub-k", 238); ("rar", 247);
+    ( "quick",
+      [
+        ("sis", 245); ("basic", 241); ("ext", 239); ("ext-gdc", 234);
+        ("resub-k", 238); ("rar", 247);
+      ] );
+    ( "Table II",
+      [ ("sis", 3005); ("basic", 2934); ("ext.", 2896); ("ext. GDC", 2836) ] );
+    ( "Table III",
+      [ ("sis", 2959); ("basic", 2886); ("ext.", 2877); ("ext. GDC", 2816) ] );
+    ( "Table IV",
+      [ ("sis", 3008); ("basic", 2937); ("ext.", 2899); ("ext. GDC", 2839) ] );
+    ( "Table V",
+      [ ("sis", 3003); ("basic", 2931); ("ext.", 2893); ("ext. GDC", 2833) ] );
   ]
 
 (* The reference run of one cell: default settings, no view. *)
@@ -1043,13 +1046,40 @@ let add_total totals name lits =
   Hashtbl.replace totals name
     ((try Hashtbl.find totals name with Not_found -> 0) + lits)
 
-let check_totals ~failures totals =
+let check_totals ~failures ~gate totals =
   List.iter
     (fun (name, expect) ->
       let got = try Hashtbl.find totals name with Not_found -> 0 in
-      Printf.printf "  total %-8s %4d lits (expected %d)\n" name got expect;
+      Printf.printf "  %s total %-8s %4d lits (expected %d)\n" gate name got
+        expect;
       if got <> expect then incr failures)
-    expected_quick_totals
+    (List.assoc gate pinned_totals)
+
+(* Tables II-V on the full suite: every cell verified, no method worse
+   than the one before it on any row (sis >= basic >= ext >= ext. GDC),
+   and each table's totals pinned. *)
+let table_check ~failures =
+  List.iter
+    (fun table ->
+      let totals = Hashtbl.create 5 in
+      List.iter
+        (fun ((row : Suite.row), (_, cells)) ->
+          List.iter2 (fun (name, _) c -> add_total totals name c.lits) methods
+            cells;
+          let lits = List.map (fun c -> c.lits) cells in
+          let rec ordered = function
+            | a :: (b :: _ as rest) -> a >= b && ordered rest
+            | _ -> true
+          in
+          if not (List.for_all (fun c -> c.ok) cells && ordered lits) then begin
+            Printf.printf "  %s %-12s %s: unverified or out of order\n"
+              table.label row.name
+              (String.concat "/" (List.map string_of_int lits));
+            incr failures
+          end)
+        (measure_table table Suite.rows);
+      check_totals ~failures ~gate:table.label totals)
+    tables
 
 (* ------------------------------------------------------------------ *)
 (* shardcheck - an empty don't-care view must leave no byte behind    *)
@@ -1057,7 +1087,8 @@ let check_totals ~failures totals =
 
 (* Every (circuit, method) cell run with an explicitly attached empty
    don't-care view must be byte-identical to its no-view reference; on
-   the quick suite the per-method totals are pinned. *)
+   the quick suite the per-method totals are pinned, and so are Tables
+   II-V on the full suite ([table_check]). *)
 let shard_check ~pinned rows =
   section "shardcheck - empty-view byte-identity + pinned totals";
   let failures = ref 0 in
@@ -1091,7 +1122,10 @@ let shard_check ~pinned rows =
       add_total totals "rar" lits;
       Printf.printf "  %-12s %-8s %4d lits\n" row.Suite.name "rar" lits)
     rows;
-  if pinned then check_totals ~failures totals;
+  if pinned then begin
+    check_totals ~failures ~gate:"quick" totals;
+    table_check ~failures
+  end;
   if !failures > 0 then begin
     Printf.printf "shardcheck: %d check(s) FAILED\n" !failures;
     exit 7
@@ -1231,8 +1265,8 @@ let dc_check () =
 (* ------------------------------------------------------------------ *)
 
 (* The resub-k quick-suite literal ceiling: the constructive driver
-   must do at least as well as extended division (the "ext" column of
-   [expected_quick_totals]). *)
+   must do at least as well as extended division (the quick "ext" total
+   of [pinned_totals]). *)
 let kresub_quick_floor = 239
 
 (* Gates for the constructive k-resub driver (byte identity across
@@ -1859,19 +1893,11 @@ let () =
   if selected "fig1" then fig1 ();
   if selected "fig2" then fig2 ();
   if selected "table1" || selected "fig4" then table1_and_fig4 ();
-  if selected "table2" then
-    comparison_table
-      ~title:"Table II - Script A (eliminate; simplify) + resubstitution"
-      ~script:Synth.Script.script_a rows;
-  if selected "table3" then
-    comparison_table
-      ~title:"Table III - Script B (Script A + gcx) + resubstitution"
-      ~script:Synth.Script.script_b rows;
-  if selected "table4" then
-    comparison_table
-      ~title:"Table IV - Script C (Script A + gkx) + resubstitution"
-      ~script:Synth.Script.script_c rows;
-  if selected "table5" then table_v rows;
+  List.iteri
+    (fun i table ->
+      if selected (Printf.sprintf "table%d" (i + 2)) then
+        print_table table (measure_table table rows))
+    tables;
   if selected "ablation" then ablations ();
   if selected "bech" then bechamel ();
   if List.mem "shardcheck" explicit then shard_check ~pinned:quick rows;

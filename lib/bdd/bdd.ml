@@ -141,19 +141,6 @@ let rec constrain m f c =
       Hashtbl.add m.constrain_cache key r;
       r
 
-let exists m vars f =
-  let rec one v f =
-    if f <= 1 then f
-    else
-      let fv = var_of m f in
-      if fv > v then f
-      else if fv = v then bor m m.low_of.(f) m.high_of.(f)
-      else mk m fv (one v m.low_of.(f)) (one v m.high_of.(f))
-  in
-  List.fold_left (fun acc v -> one v acc) f vars
-
-
-
 let rec eval m f assign =
   if f = 0 then false
   else if f = 1 then true

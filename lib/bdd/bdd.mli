@@ -45,9 +45,6 @@ val constrain : man -> t -> t -> t
     agrees with [f] wherever [c] holds, and satisfies
     [f ∧ c = (f ↓ c) ∧ c]. [c] must not be the constant 0. *)
 
-val exists : man -> int list -> t -> t
-(** Existential quantification over a variable list. *)
-
 val eval : man -> t -> (int -> bool) -> bool
 
 val any_sat : man -> t -> (int * bool) list option

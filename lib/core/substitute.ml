@@ -276,22 +276,14 @@ let make_attempts ~config ?fault_fuel ?deadline_at ~trace ~counters ~sigs net
   let attempt_extended ?budget f pool =
     Counters.timed counters `Division @@ fun () ->
     Counters.add counters.Counters.divisions_attempted 1;
-    match
-      Extended_division.try_run ~gdc ~learn_depth ?budget ~counters
-        ?dc:config.dc net ~f ~pool
-    with
-    | Some outcome ->
-      Log.debug (fun m ->
-          m "extended division on %s: core of %d cube(s), gain %d"
-            (Network.name net f) outcome.Extended_division.core_cubes
-            outcome.Extended_division.literal_gain);
-      Some `Ext
-    | None ->
-      if
-        config.try_pos
-        && Option.is_some (Pos_extended.try_run ~counters net ~f ~pool)
-      then Some `Pos
-      else None
+    Extended_division.try_run ~gdc ~learn_depth ?budget ~counters
+      ?dc:config.dc net ~f ~pool
+    |> Option.map (fun outcome ->
+           Log.debug (fun m ->
+               m "extended division on %s: core of %d cube(s), gain %d"
+                 (Network.name net f) outcome.Extended_division.core_cubes
+                 outcome.Extended_division.literal_gain);
+           `Ext)
   in
   fun f task ->
     let budget = fresh_budget () in

@@ -1,8 +1,10 @@
 (** The substitution driver: applies Boolean division across a network.
 
     Implements the paper's three experimental configurations
-    ({!basic_config}, {!extended_config}, {!extended_gdc_config}) plus the
-    POS-form substitution the algorithm supports natively. For every node
+    ({!basic_config}, {!extended_config}, {!extended_gdc_config}) plus
+    POS-form substitution by Lemma 2 ({!substitute_pos}), tried against
+    each ranked divisor that basic division did not commit. Extended
+    division runs in SOP form only. For every node
     it ranks candidate divisors, attempts divisions in order, and —
     matching the paper's locally greedy policy — commits the first rewrite
     with a positive factored-literal gain. Passes repeat until a fixpoint
@@ -23,7 +25,9 @@ type config = {
   gdc : bool;  (** global implications (all internal don't cares) *)
   learn_depth : int;  (** recursive-learning depth (0 = none) *)
   use_complement : bool;  (** also divide by divisor complements *)
-  try_pos : bool;  (** also try product-of-sum-form substitution *)
+  try_pos : bool;
+      (** after a divisor's basic-division unit fails, try
+          {!substitute_pos} against it *)
   max_divisors : int;  (** basic-division candidates per node *)
   max_pool : int;  (** divisor pool size for extended division *)
   max_passes : int;

@@ -77,11 +77,6 @@ let contains t g = List.for_all (containment t) g
 
 let equivalent t1 t2 = contains t1 t2 && contains t2 t1
 
-let is_tautology t = Tautology.check t
-
-let sos_of s g =
-  List.for_all (fun c -> List.exists (Cube.contained_by c) g) s
-
 let eval assign t = List.exists (Cube.eval assign) t
 
 let map_vars f t =

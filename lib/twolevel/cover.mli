@@ -2,8 +2,7 @@
 
     The empty cover is the constant 0; a cover containing the top cube is a
     tautology. Covers are the unit of manipulation for node functions in the
-    multilevel network, and the paper's SOS relation ({!sos_of}) is defined
-    on them. *)
+    multilevel network. *)
 
 type t
 
@@ -63,13 +62,6 @@ val contains : t -> t -> bool
 
 val equivalent : t -> t -> bool
 (** Functional (not syntactic) equality. *)
-
-val is_tautology : t -> bool
-
-val sos_of : t -> t -> bool
-(** [sos_of s g]: [s] is a {e sum-of-subproducts} of [g] — every cube of [s]
-    is contained by at least one cube of [g] (Definition SOS of the paper).
-    Implies [product s g] ≡ [s] (Lemma 1). *)
 
 val single_cube_containment : t -> t
 (** Remove every cube contained by another single cube of the cover. *)

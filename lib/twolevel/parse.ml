@@ -88,11 +88,6 @@ let cover symtab input =
   if products = [] then Cover.zero
   else Cover.of_cubes (List.filter_map product_to_cube products)
 
-let cube symtab input =
-  match Cover.cubes (cover symtab input) with
-  | [ c ] -> c
-  | _ -> fail "expected a single product term in %S" input
-
 let cover_default input =
   (* Pre-seed a..z so that single-letter variables get their alphabetical
      index regardless of appearance order. *)

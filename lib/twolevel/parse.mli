@@ -17,10 +17,6 @@ exception Syntax_error of string
 val cover : Symtab.t -> string -> Cover.t
 (** @raise Syntax_error on malformed input. *)
 
-val cube : Symtab.t -> string -> Cube.t
-(** Parse a single product term.
-    @raise Syntax_error if the input is not exactly one cube. *)
-
 val cover_default : string -> Cover.t
 (** Parse against a fresh table using the default a-z naming, so that
     ["abc"] means variables 0, 1, 2. Convenient in tests. *)

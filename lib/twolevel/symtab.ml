@@ -27,6 +27,4 @@ let name t i =
   if i < 0 || i >= t.count then invalid_arg "Symtab.name: unknown index"
   else t.by_index.(i)
 
-let names t i = if i >= 0 && i < t.count then t.by_index.(i) else Literal.default_names i
-
 let size t = t.count

@@ -16,8 +16,4 @@ val find_opt : t -> string -> int option
 val name : t -> int -> string
 (** @raise Invalid_argument for an unknown index. *)
 
-val names : t -> int -> string
-(** Like {!name} but falls back to {!Literal.default_names} for unknown
-    indices — convenient as the [?names] argument of printers. *)
-
 val size : t -> int

@@ -46,14 +46,4 @@ let spend ?(cost = 1) t =
     end
   end
 
-let check t =
-  match t.spent with
-  | Some r -> Error r
-  | None ->
-    if t.deadline < infinity && Unix.gettimeofday () > t.deadline then begin
-      t.spent <- Some Deadline;
-      Error Deadline
-    end
-    else Ok ()
-
 let reason_to_string = function Fuel -> "fuel" | Deadline -> "deadline"

@@ -4,7 +4,7 @@
     resubstitution phase — by {e fuel} (an abstract step count, spent by
     the implication engine per propagation step) and/or a {e wall-clock
     deadline}. Exhaustion is {e sticky}: once a budget has run out, every
-    further {!spend} or {!check} reports the same {!type-reason}, so a
+    further {!spend} or {!exhausted} reports the same {!type-reason}, so a
     degraded scan short-circuits instead of grinding through the
     remaining work one exhausted probe at a time.
 
@@ -41,11 +41,6 @@ val spend : ?cost:int -> t -> unit
     against the deadline (every 512 spends, so the hot path stays
     syscall-free). @raise Exhausted on either limit,
     stickily thereafter. *)
-
-val check : t -> (unit, reason) result
-(** Non-raising probe: reports sticky exhaustion, and forces an immediate
-    clock read against the deadline (making a passed deadline sticky).
-    Spends no fuel. *)
 
 val exhausted : t -> reason option
 (** The sticky state alone — no clock read, no fuel accounting. *)

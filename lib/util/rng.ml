@@ -2,8 +2,6 @@ type t = { mutable state : int64 }
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* splitmix64: fast, well-distributed, trivially seedable. *)
 let int64 t =
   let open Int64 in
@@ -20,10 +18,6 @@ let int t bound =
 
 let bool t = Int64.logand (int64 t) 1L = 1L
 
-let float t =
-  let raw = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
-  raw /. 9007199254740992.0
-
 let pick t xs =
   match xs with
   | [] -> invalid_arg "Rng.pick: empty list"
@@ -36,5 +30,3 @@ let shuffle t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let split t = { state = Int64.logxor (int64 t) 0xD1B54A32D192ED03L }

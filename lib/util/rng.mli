@@ -10,9 +10,6 @@ val create : int -> t
 (** [create seed] returns a fresh generator. Equal seeds yield equal
     streams. *)
 
-val copy : t -> t
-(** Independent copy continuing from the current state. *)
-
 val int64 : t -> int64
 (** Next raw 64-bit value. *)
 
@@ -21,15 +18,8 @@ val int : t -> int -> int
 
 val bool : t -> bool
 
-val float : t -> float
-(** Uniform in [\[0, 1)]. *)
-
 val pick : t -> 'a list -> 'a
 (** Uniform element of a non-empty list. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
-
-val split : t -> t
-(** A new generator whose stream is independent of the parent's
-    subsequent output. *)

@@ -484,46 +484,6 @@ let test_extended_multi_source () =
     (Lit_count.factored net < before_total)
 
 
-let test_pos_extended () =
-  (* The De Morgan dual of the worked extended-division example: in the
-     complement domain f' = (ab + a'b')(x + y) and D' = ab + a'b' + c,
-     so the real nodes are f = x'y' + ab' + a'b and D = ab'c' + a'bc'.
-     POS extended division must decompose D around the POS core. *)
-  let fresh () =
-    Builder.of_spec
-      ~inputs:[ "a"; "b"; "c"; "x"; "y" ]
-      ~nodes:[ ("D", "ab'c' + a'bc'"); ("f", "x'y' + ab' + a'b") ]
-      ~outputs:[ "f"; "D" ]
-  in
-  let net = fresh () in
-  let f = Builder.node net "f" and d = Builder.node net "D" in
-  let before_total = Lit_count.factored net in
-  (match Booldiv.Pos_extended.try_run net ~f ~pool:[ d ] with
-  | None -> Alcotest.fail "POS extended division should commit"
-  | Some outcome ->
-    Alcotest.(check int) "core has two sum terms" 2 outcome.core_sum_terms;
-    Alcotest.(check bool) "divisor decomposed" true outcome.decomposed_divisor;
-    Alcotest.(check bool) "positive gain" true (outcome.literal_gain > 0));
-  Network.check net;
-  Alcotest.(check bool) "equivalent" true (Equiv.equivalent net (fresh ()));
-  Alcotest.(check bool) "total reduced" true
-    (Lit_count.factored net < before_total)
-
-let prop_pos_extended_preserves =
-  QCheck2.Test.make ~name:"POS extended division preserves function"
-    ~count:15 ~print:Network.to_string gen_planted (fun net ->
-      let before = Network.copy net in
-      let nodes = Network.logic_ids net in
-      List.iter
-        (fun f ->
-          if Network.mem net f then
-            ignore
-              (Booldiv.Pos_extended.try_run net ~f
-                 ~pool:(List.filter (fun d -> d <> f) nodes)))
-        nodes;
-      Network.check net;
-      Equiv.equivalent before net)
-
 let test_pos_substitution () =
   let net =
     Builder.of_spec
@@ -1044,9 +1004,10 @@ module Oracle = struct
     end
 end
 
-(* The complement-domain network POS extended division builds: one input
-   per signal, and the minimised complements of the lifted covers of [f]
-   and the pool as nodes over them. *)
+(* A second workload for the extended-division floors: one input per
+   signal, and the minimised complements of the lifted covers of [f] and
+   the pool as nodes over them. Its covers are denser than the planted
+   ones, so the floors meet other cube shapes there. *)
 let complement_domain net ~f ~pool =
   let lifted id =
     let fanins = Network.fanins net id in
@@ -1666,7 +1627,6 @@ let () =
             test_extended_division_example;
           Alcotest.test_case "multi-source core" `Quick
             test_extended_multi_source;
-          Alcotest.test_case "POS extended division" `Quick test_pos_extended;
           Alcotest.test_case "pos substitution" `Quick test_pos_substitution;
           Alcotest.test_case "driver configurations" `Slow test_driver_configs;
           Alcotest.test_case "degraded run stays equivalent" `Quick
@@ -1698,7 +1658,6 @@ let () =
             prop_division_never_grows;
             prop_substitution_preserves;
             prop_extended_preserves;
-            prop_pos_extended_preserves;
             prop_cliques_are_maximal_cliques;
             prop_best_core_matches_frozen;
             prop_floors_below_true_count;

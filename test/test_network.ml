@@ -805,16 +805,18 @@ let prop_bdd_constrain_identity =
       let g = Robdd.Bdd.constrain man fb cb in
       Robdd.Bdd.equal (Robdd.Bdd.band man fb cb) (Robdd.Bdd.band man g cb))
 
-let prop_bdd_exists =
-  QCheck2.Test.make ~name:"existential quantification law" ~count:200
+let prop_bdd_shannon =
+  QCheck2.Test.make ~name:"Shannon expansion law" ~count:200
     ~print:Cover.to_string gen_bdd_cover (fun f ->
       let man = Robdd.Bdd.create () in
       let fb = Robdd.Bdd.of_cover man f in
-      let ex = Robdd.Bdd.exists man [ 0 ] fb in
-      (* ∃x0.f = f|x0=0 ∨ f|x0=1 *)
+      (* f = x0·f|x0=1 ∨ x0'·f|x0=0 *)
       let lo = Robdd.Bdd.cofactor man fb ~var:0 ~phase:false in
       let hi = Robdd.Bdd.cofactor man fb ~var:0 ~phase:true in
-      Robdd.Bdd.equal ex (Robdd.Bdd.bor man lo hi))
+      Robdd.Bdd.equal fb
+        (Robdd.Bdd.bor man
+           (Robdd.Bdd.band man (Robdd.Bdd.var man 0) hi)
+           (Robdd.Bdd.band man (Robdd.Bdd.nvar man 0) lo)))
 
 let prop_bdd_to_cover_roundtrip =
   QCheck2.Test.make ~name:"BDD to_cover roundtrip" ~count:200
@@ -1001,7 +1003,7 @@ let qcheck_cases =
       prop_factored_leq_flat;
       prop_bdd_eval_matches_cover;
       prop_bdd_constrain_identity;
-      prop_bdd_exists;
+      prop_bdd_shannon;
       prop_bdd_to_cover_roundtrip;
       prop_traversals_match_frozen;
       prop_find_input_matches_scan;

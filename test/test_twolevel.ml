@@ -4,6 +4,21 @@ open Twolevel
 
 let cover = Parse.cover_default
 
+(* The one cube an expression parses to, in [symtab]'s variables. *)
+let cube_of symtab input =
+  match Cover.cubes (Parse.cover symtab input) with
+  | [ c ] -> c
+  | _ -> Alcotest.failf "%S is not a single cube" input
+
+(* The paper's SOS relation: every cube of [s] lies inside a cube of
+   [g]. *)
+let sos_of s g =
+  List.for_all
+    (fun c -> List.exists (Cube.contained_by c) (Cover.cubes g))
+    (Cover.cubes s)
+
+let is_tautology f = Tautology.check (Cover.cubes f)
+
 let cover_testable =
   Alcotest.testable
     (fun fmt c -> Format.pp_print_string fmt (Cover.to_string c))
@@ -36,7 +51,7 @@ let test_literal_encoding () =
 
 let test_cube_normalise () =
   let symtab = Symtab.create () in
-  let c = Parse.cube symtab "ab'a" in
+  let c = cube_of symtab "ab'a" in
   Alcotest.(check int) "duplicate literal collapses" 2 (Cube.size c);
   Alcotest.(check bool) "contradiction rejected" true
     (Cube.of_literals [ Literal.pos 0; Literal.neg 0 ] = None);
@@ -45,9 +60,9 @@ let test_cube_normalise () =
 
 let test_cube_containment () =
   let symtab = Symtab.create () in
-  let ab = Parse.cube symtab "ab" in
-  let abc = Parse.cube symtab "abc" in
-  let ab'c = Parse.cube symtab "ab'c" in
+  let ab = cube_of symtab "ab" in
+  let abc = cube_of symtab "abc" in
+  let ab'c = cube_of symtab "ab'c" in
   (* onset(abc) ⊆ onset(ab): abc contained by ab. *)
   Alcotest.(check bool) "abc ⊆ ab" true (Cube.contained_by abc ab);
   Alcotest.(check bool) "ab ⊄ abc" false (Cube.contained_by ab abc);
@@ -57,26 +72,26 @@ let test_cube_containment () =
 
 let test_cube_ops () =
   let symtab = Symtab.create () in
-  let ab = Parse.cube symtab "ab" in
-  let bc = Parse.cube symtab "bc" in
-  let b'c = Parse.cube symtab "b'c" in
+  let ab = cube_of symtab "ab" in
+  let bc = cube_of symtab "bc" in
+  let b'c = cube_of symtab "b'c" in
   (match Cube.intersect ab bc with
   | Some c -> Alcotest.(check string) "ab ∩ bc" "abc" (Cube.to_string c)
   | None -> Alcotest.fail "ab ∩ bc should exist");
   Alcotest.(check bool) "ab ∩ b'c conflicts" true (Cube.intersect ab b'c = None);
   Alcotest.(check int) "distance ab b'c" 1 (Cube.distance ab b'c);
   Alcotest.(check int) "distance ab bc" 0 (Cube.distance ab bc);
-  (match Cube.algebraic_div (Parse.cube symtab "abc") ab with
+  (match Cube.algebraic_div (cube_of symtab "abc") ab with
   | Some q -> Alcotest.(check string) "abc/ab" "c" (Cube.to_string q)
   | None -> Alcotest.fail "abc/ab should divide");
   Alcotest.(check bool) "ab/c undefined" true
-    (Cube.algebraic_div ab (Parse.cube symtab "c") = None);
+    (Cube.algebraic_div ab (cube_of symtab "c") = None);
   Alcotest.(check string) "common(abc,abd)" "ab"
-    (Cube.to_string (Cube.common (Parse.cube symtab "abc") (Parse.cube symtab "abd")))
+    (Cube.to_string (Cube.common (cube_of symtab "abc") (cube_of symtab "abd")))
 
 let test_cube_cofactor () =
   let symtab = Symtab.create () in
-  let ab' = Parse.cube symtab "ab'" in
+  let ab' = cube_of symtab "ab'" in
   let a = Literal.pos (Symtab.intern symtab "a") in
   let b = Literal.pos (Symtab.intern symtab "b") in
   (match Cube.cofactor a ab' with
@@ -101,12 +116,12 @@ let test_cover_containment () =
   let f = cover "ab + a'c" in
   let symtab = Symtab.create () in
   Alcotest.(check bool) "f ⊇ abc" true
-    (Cover.contains_cube f (Parse.cube symtab "abc"));
+    (Cover.contains_cube f (cube_of symtab "abc"));
   (* bc ⊆ ab + a'c by consensus even though no single cube contains it. *)
   Alcotest.(check bool) "f ⊇ bc (consensus)" true
-    (Cover.contains_cube f (Parse.cube symtab "bc"));
+    (Cover.contains_cube f (cube_of symtab "bc"));
   Alcotest.(check bool) "f ⊉ ab'" false
-    (Cover.contains_cube f (Parse.cube symtab "ab'"));
+    (Cover.contains_cube f (cube_of symtab "ab'"));
   Alcotest.(check bool) "contains itself" true (Cover.contains f f)
 
 let test_cover_equivalence () =
@@ -127,22 +142,22 @@ let test_cover_sos () =
   (* SOS: every cube of s contained by some cube of g. *)
   let g = cover "ab + cd" in
   Alcotest.(check bool) "abe + cdf SOS of ab+cd" true
-    (Cover.sos_of (cover "abe + cdf") g);
-  Alcotest.(check bool) "ab SOS of ab+cd" true (Cover.sos_of (cover "ab") g);
-  Alcotest.(check bool) "ae not SOS" false (Cover.sos_of (cover "ae") g);
+    (sos_of (cover "abe + cdf") g);
+  Alcotest.(check bool) "ab SOS of ab+cd" true (sos_of (cover "ab") g);
+  Alcotest.(check bool) "ae not SOS" false (sos_of (cover "ae") g);
   (* Lemma 1: s SOS of g implies s·g = s. *)
   let s = cover "abe + cdf" in
   check_equiv "lemma 1" s (Cover.product s g)
 
 let test_tautology () =
-  Alcotest.(check bool) "a + a'" true (Cover.is_tautology (cover "a + a'"));
+  Alcotest.(check bool) "a + a'" true (is_tautology (cover "a + a'"));
   Alcotest.(check bool) "ab+ab'+a'b+a'b'" true
-    (Cover.is_tautology (cover "ab + ab' + a'b + a'b'"));
-  Alcotest.(check bool) "a + b not taut" false (Cover.is_tautology (cover "a + b"));
-  Alcotest.(check bool) "1 is taut" true (Cover.is_tautology Cover.one);
-  Alcotest.(check bool) "0 not taut" false (Cover.is_tautology Cover.zero);
+    (is_tautology (cover "ab + ab' + a'b + a'b'"));
+  Alcotest.(check bool) "a + b not taut" false (is_tautology (cover "a + b"));
+  Alcotest.(check bool) "1 is taut" true (is_tautology Cover.one);
+  Alcotest.(check bool) "0 not taut" false (is_tautology Cover.zero);
   Alcotest.(check bool) "a + a'b + b' taut" true
-    (Cover.is_tautology (cover "a + a'b + b'"))
+    (is_tautology (cover "a + a'b + b'"))
 
 let test_scc () =
   let f = cover "ab + abc + a" in
@@ -164,7 +179,7 @@ let test_complement () =
     Alcotest.(check bool)
       (name ^ ": f ∨ f' = 1")
       true
-      (Cover.is_tautology (Cover.union f fc))
+      (is_tautology (Cover.union f fc))
   in
   check_compl "simple" (cover "ab + cd");
   check_compl "xor" (cover "ab' + a'b");
@@ -267,7 +282,7 @@ let test_parse () =
   let f = Parse.cover symtab "ab' + c" in
   Alcotest.(check int) "two cubes" 2 (Cover.cube_count f);
   Alcotest.(check string) "roundtrip" "ab' + c"
-    (Cover.to_string ~names:(Symtab.names symtab) f);
+    (Cover.to_string ~names:(Symtab.name symtab) f);
   check_cover "constant 1" Cover.one (cover "1");
   check_cover "constant 0" Cover.zero (cover "0");
   check_cover "contradiction is 0" Cover.zero (cover "aa'");
@@ -382,7 +397,7 @@ let prop_algebraic_identity =
 let prop_tautology_matches_eval =
   QCheck2.Test.make ~name:"tautology check agrees with evaluation" ~count:300
     ~print:print_cover gen_cover (fun f ->
-      let taut = Cover.is_tautology f in
+      let taut = is_tautology f in
       let all_true = ref true in
       for bits = 0 to (1 lsl nvars) - 1 do
         let assign v = bits land (1 lsl v) <> 0 in
@@ -410,7 +425,7 @@ let prop_sos_lemma1 =
     ~print:(fun (s, g) -> print_cover s ^ " sos of " ^ print_cover g)
     QCheck2.Gen.(pair gen_cover gen_cover)
     (fun (s, g) ->
-      QCheck2.assume (Cover.sos_of s g);
+      QCheck2.assume (sos_of s g);
       same_function s (Cover.product s g))
 
 let prop_kernels_divide =
@@ -981,7 +996,7 @@ let test_diff_tautology () =
   for _ = 1 to diff_cases do
     let cubes = gen_cover_codes rng ~nvars:5 ~max_cubes:8 ~max_size:3 in
     Alcotest.(check bool) "tautology agrees" (Oracle.tautology cubes)
-      (Cover.is_tautology (cover_of_code_lists cubes))
+      (is_tautology (cover_of_code_lists cubes))
   done
 
 let test_diff_complement () =
