@@ -110,17 +110,6 @@ let equal (a : t) (b : t) = a = b
 
 let is_false _ f = f = 0
 
-let rec cofactor m f ~var:v ~phase =
-  if f <= 1 then f
-  else
-    let fv = var_of m f in
-    if fv > v then f
-    else if fv = v then if phase then m.high_of.(f) else m.low_of.(f)
-    else
-      mk m fv
-        (cofactor m m.low_of.(f) ~var:v ~phase)
-        (cofactor m m.high_of.(f) ~var:v ~phase)
-
 let rec constrain m f c =
   if c = 0 then invalid_arg "Bdd.constrain: care set is empty"
   else if c = 1 || f <= 1 then f

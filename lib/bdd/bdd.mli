@@ -1,10 +1,10 @@
 (** Reduced ordered binary decision diagrams.
 
     Hash-consed, manager-based ROBDDs with the operations needed by the
-    repo: boolean connectives, cofactors, the generalized cofactor
-    ([constrain]) that underlies the Stanion–Sechen BDD-division baseline
-    (reference [14] of the paper), quantification and satisfiability
-    helpers, and formal equivalence (pointer equality). Variable order is
+    repo: boolean connectives, the generalized cofactor ([constrain])
+    that underlies the Stanion–Sechen BDD-division baseline (reference
+    [14] of the paper), a satisfiability helper, and formal equivalence
+    (pointer equality). Variable order is
     the identity order on integer variable indices. *)
 
 type man
@@ -37,8 +37,6 @@ val equal : t -> t -> bool
 (** Functional equivalence — constant time thanks to hash-consing. *)
 
 val is_false : man -> t -> bool
-
-val cofactor : man -> t -> var:int -> phase:bool -> t
 
 val constrain : man -> t -> t -> t
 (** [constrain m f c] is the Coudert–Madre generalized cofactor [f ↓ c]:

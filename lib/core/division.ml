@@ -65,19 +65,29 @@ let has_disjoint_cube ~f_not ~d =
     (fun c -> List.for_all (fun k -> Cube.distance c k > 0) (Cover.cubes d))
     (Cover.cubes f_not)
 
+(* [Minimize.complement f] names only variables of [f]'s cubes, so a
+   cube of [d] naming none of them is at distance 0 from all its cubes. *)
+let meets_support ~f ~d =
+  let support = Cover.support f in
+  List.for_all
+    (fun k -> List.exists (fun v -> Cube.phase_of_var k v <> None) support)
+    (Cover.cubes d)
+
 let pos_complements ?(complement_limit = default_complement_limit) ~f ~d () =
   let ( let* ) = Option.bind in
   (* Shannon complements are correct but non-minimal; minimising them keeps
      the SOS split (and hence the reported factors) clean. *)
   let complement = Minimize.complement ~limit:complement_limit in
-  let* f_not = complement f in
-  if not (has_disjoint_cube ~f_not ~d) then None
+  if not (meets_support ~f ~d) then None
   else
-    let* d_not = complement d in
-    let* { quotient = q_not; remainder = r_not } =
-      basic_sop ~f:f_not ~d:d_not ()
-    in
-    Some (q_not, r_not)
+    let* f_not = complement f in
+    if not (has_disjoint_cube ~f_not ~d) then None
+    else
+      let* d_not = complement d in
+      let* { quotient = q_not; remainder = r_not } =
+        basic_sop ~f:f_not ~d:d_not ()
+      in
+      Some (q_not, r_not)
 
 let pos_of_complements ?(complement_limit = default_complement_limit)
     (q_not, r_not) =

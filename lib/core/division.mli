@@ -39,6 +39,18 @@ val has_disjoint_cube : f_not:Twolevel.Cover.t -> d:Twolevel.Cover.t -> bool
     complements [d], so a failing attempt never pays for that
     complement. *)
 
+val meets_support : f:Twolevel.Cover.t -> d:Twolevel.Cover.t -> bool
+(** Every cube of [d] names a variable of [f]'s cubes
+    ({!Twolevel.Cover.support}). This is necessary for
+    [has_disjoint_cube ~f_not ~d] with [f_not] the
+    {!Twolevel.Minimize.complement} of [f]: the Shannon complement
+    splits only on variables of [f]'s cubes, and [simplify] (or the raw
+    complement it keeps when its own result is longer) names no others,
+    so a cube of [d] naming none of them is at distance 0 from every
+    cube of [f_not]. It reads the cover's support, not the functional
+    one: the raw complement of [ab + ab'] is [a'b + a'b'], which names
+    [b]. *)
+
 val basic_pos :
   ?complement_limit:int ->
   f:Twolevel.Cover.t ->
@@ -60,7 +72,9 @@ val pos_complements :
 (** The first half of {!basic_pos}: [(q_not, r_not)], the SOP division
     of [f]'s minimised complement by [d]'s, whose complements are the
     factors [q] and [r]. [None] exactly when {!basic_pos} fails before
-    its last two complements. *)
+    its last two complements. A pair {!meets_support} rejects returns
+    [None] before [f] is complemented, then one {!has_disjoint_cube}
+    rejects before [d] is. *)
 
 val pos_of_complements :
   ?complement_limit:int ->

@@ -2,6 +2,7 @@ open Twolevel
 module Network = Logic_network.Network
 module Lit_count = Logic_network.Lit_count
 module Lit_floor = Logic_network.Lit_floor
+module Lift = Logic_network.Lift
 module Signature = Logic_sim.Signature
 module Counters = Rar_util.Counters
 module Budget = Rar_util.Budget
@@ -92,12 +93,13 @@ let pos_cube_limit = 64
 (* POS substitution at the cover level: lift d into f's fanin space
    extended by d's other fanins, divide in product-of-sums form, and
    rebuild f's SOP cover as (q + d)·r with d as a literal. The identity
-   is algebraic on covers, so no implication machinery is involved. The
-   literal floor rejects most attempts before the complements are taken,
-   a second floor on the remainder factor rejects more before the
-   factors' own complements, and the gain is decided on the normalised
-   cover the network would store, so a failing attempt never mutates
-   it. *)
+   is algebraic on covers, so no implication machinery is involved.
+   Three exact tests settle most attempts before any complement is
+   minimised: the support test (a cube of d naming no variable of f's
+   cover), the region floor on f's and d's truth table, and, after the
+   first two complements, the sliced floor on the factors' complements.
+   The gain is decided on the normalised cover the network would store,
+   so a failing attempt never mutates it. *)
 let substitute_pos ?counters net ~f ~d =
   if
     f = d
@@ -107,68 +109,72 @@ let substitute_pos ?counters net ~f ~d =
   then false
   else begin
     let before_lits = Lit_count.node_factored net f in
-    if Lit_floor.pos net ~f ~d >= before_lits then begin
-      Option.iter (fun c -> Counters.add c.Counters.floor_rejects 1) counters;
-      false
-    end
+    let f_fanins = Network.fanins net f and d_fanins = Network.fanins net d in
+    let f_cover = Network.cover net f and d_cover = Network.cover net d in
+    let reject () =
+      Option.iter (fun c -> Counters.add c.Counters.floor_rejects 1) counters
+    in
+    (* The combined slots are f's fanins, then d's that f lacks, in d's
+       order: d's slot [v] goes to [slot.(v)]. [map] gives d's fanin
+       slots among f's, [-1] where f lacks the fanin. *)
+    let map = Lift.slot_map net ~src:d ~dst:f in
+    let next = ref (Array.length f_fanins) in
+    let slot =
+      Array.map
+        (fun s ->
+          if s >= 0 then s
+          else begin
+            incr next;
+            !next - 1
+          end)
+        map
+    in
+    let d_lift = Cover.map_vars (Array.get slot) d_cover in
+    if not (Division.meets_support ~f:f_cover ~d:d_lift) then (reject (); false)
     else begin
-      let f_fanins = Network.fanins net f in
-      let d_fanins = Network.fanins net d in
-      (* f's fanins, then d's that f lacks, each in its own order. f's
-         fanins are distinct, so each keeps its own slot. *)
-      let slots = Hashtbl.create 16 and order = ref [] in
-      let add x =
-        if not (Hashtbl.mem slots x) then begin
-          Hashtbl.add slots x (Hashtbl.length slots);
-          order := x :: !order
-        end
-      in
-      Array.iter add f_fanins;
-      Array.iter add d_fanins;
-      let combined = Array.of_list (List.rev !order) in
-      let slot_of = Hashtbl.find slots in
-      let d_lift =
-        Cover.map_vars (fun v -> slot_of d_fanins.(v)) (Network.cover net d)
-      in
-      let floor_reject () =
-        Option.iter
-          (fun c -> Counters.add c.Counters.floor_rejects 1)
-          counters;
-        None
-      in
-      match
-        Option.bind
-          (Division.pos_complements ~complement_limit:pos_cube_limit
-             ~f:(Network.cover net f) ~d:d_lift ())
-          (fun (q_not, r_not) ->
-            (* With [d] a new fanin its literal gets a slot of its own. *)
-            if
-              (not (Array.mem d f_fanins))
-              && Lit_floor.pos_rebuild ~q_not ~r_not >= before_lits
-            then floor_reject ()
-            else
-              Division.pos_of_complements ~complement_limit:pos_cube_limit
-                (q_not, r_not))
-      with
-      | None -> false
-      | Some { pos_quotient; pos_remainder } ->
-        let d_slot = Array.length combined in
-        let d_lit =
-          Cover.of_cubes [ Cube.of_literals_exn [ Literal.pos d_slot ] ]
-        in
-        let rebuilt =
-          Cover.product (Cover.union pos_quotient d_lit) pos_remainder
-        in
-        let fanins = Array.append combined [| d |] in
-        Cover.cube_count rebuilt <= pos_cube_limit
-        && Factor.count (snd (Network.normalise ~fanins ~cover:rebuilt))
-           < before_lits
-        &&
-        (* [set_function] stores exactly [normalise]'s pair, and [d] does
-           not depend on [f], so no cycle can form. *)
-        match Network.set_function net f ~fanins rebuilt with
-        | exception Network.Cyclic _ -> false
-        | () -> true
+      (* With [d] a new fanin its literal gets a slot of its own, and the
+         floors hold for the stored cover. *)
+      let fresh = not (Array.mem d f_fanins) in
+      if fresh && Lit_floor.pos ~f:f_cover ~d:d_lift >= before_lits then
+        (reject (); false)
+      else
+        match
+          Option.bind
+            (Division.pos_complements ~complement_limit:pos_cube_limit
+               ~f:f_cover ~d:d_lift ())
+            (fun (q_not, r_not) ->
+              if fresh && Lit_floor.pos_rebuild ~q_not ~r_not >= before_lits
+              then (reject (); None)
+              else
+                Division.pos_of_complements ~complement_limit:pos_cube_limit
+                  (q_not, r_not))
+        with
+        | None -> false
+        | Some { pos_quotient; pos_remainder } ->
+          let combined =
+            Array.append f_fanins
+              (Array.of_list
+                 (List.filteri
+                    (fun v _ -> map.(v) < 0)
+                    (Array.to_list d_fanins)))
+          in
+          let d_slot = Array.length combined in
+          let d_lit =
+            Cover.of_cubes [ Cube.of_literals_exn [ Literal.pos d_slot ] ]
+          in
+          let rebuilt =
+            Cover.product (Cover.union pos_quotient d_lit) pos_remainder
+          in
+          let fanins = Array.append combined [| d |] in
+          Cover.cube_count rebuilt <= pos_cube_limit
+          && Factor.count (snd (Network.normalise ~fanins ~cover:rebuilt))
+             < before_lits
+          &&
+          (* [set_function] stores exactly [normalise]'s pair, and [d]
+             does not depend on [f], so no cycle can form. *)
+          match Network.set_function net f ~fanins rebuilt with
+          | exception Network.Cyclic _ -> false
+          | () -> true
     end
   end
 

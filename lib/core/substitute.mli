@@ -98,9 +98,13 @@ val substitute_pos :
   bool
 (** One POS-form substitution attempt [f = (q + d)·r], committed on
     positive factored gain; the network is mutated only on a commit.
-    An attempt {!Logic_network.Lit_floor.pos} proves unable to pay is
-    rejected before any complement is taken and tallied in [counters]'
-    [floor_rejects]. Exposed for the examples and tests. *)
+    Three exact tests reject most attempts that cannot pay, each
+    tallied in [counters]' [floor_rejects]: before any complement,
+    {!Division.meets_support} and, when [d] is not yet a fanin
+    of [f], the region floor {!Logic_network.Lit_floor.pos}; after
+    [f]'s and [d]'s complements, the sliced floor
+    {!Logic_network.Lit_floor.pos_rebuild}. Exposed for the examples
+    and tests. *)
 
 val attempt_basic :
   config:config ->

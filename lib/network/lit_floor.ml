@@ -16,7 +16,10 @@ let functional_support cover =
                  (Cover.cofactor (Literal.neg v) cover)))
           (Cover.support cover))
 
+let required_memo : int Cover_memo.t = Cover_memo.create ~cap:64
+
 let required_literals cover =
+  Cover_memo.find_or_add required_memo 0 cover @@ fun () ->
   let cubes = Cover.cubes cover in
   match Truth_table.space cubes with
   | Some vars -> Truth_table.required_literals (Truth_table.of_cubes vars cubes)
@@ -31,19 +34,32 @@ let required_literals cover =
       0 (Cover.support cover)
 
 let pos_rebuild ~q_not ~r_not =
-  required_literals r_not + if Cover.contains r_not q_not then 0 else 1
+  let q_cubes = Cover.cubes q_not and r_cubes = Cover.cubes r_not in
+  match Truth_table.space (q_cubes @ r_cubes) with
+  | Some vars ->
+    let q = Truth_table.of_cubes vars q_cubes
+    and r = Truth_table.of_cubes vars r_cubes in
+    Truth_table.region_literals [ r; Truth_table.union q r ]
+    + if List.for_all (Truth_table.covers r) q_cubes then 0 else 1
+  | None ->
+    required_literals r_not + if Cover.contains r_not q_not then 0 else 1
 
-let pos net ~f ~d =
-  let f_fanins = Network.fanins net f and d_fanins = Network.fanins net d in
-  if Array.mem d f_fanins then 0
-  else begin
-    let out = ref 0 and shared = ref false in
-    List.iter
-      (fun v ->
-        if Array.mem f_fanins.(v) d_fanins then shared := true else incr out)
-      (functional_support (Network.cover net f));
-    !out + if !shared then 1 else 0
-  end
+let pos ~f ~d =
+  let f_cubes = Cover.cubes f and d_cubes = Cover.cubes d in
+  match Truth_table.space (f_cubes @ d_cubes) with
+  | Some vars ->
+    (* [f] needs no literal of a variable only [d] names. *)
+    min (required_literals f)
+      (Truth_table.region_literals
+         ~region:(Truth_table.of_cubes vars d_cubes)
+         [ Truth_table.of_cubes vars f_cubes ]
+      + 1)
+  | None ->
+    let d_vars = Cover.support d in
+    let shared, out =
+      List.partition (fun v -> List.mem v d_vars) (functional_support f)
+    in
+    List.length out + if shared = [] then 0 else 1
 
 let remainder ?absorber cubes =
   let strictly_inside c k = (not (Cube.equal c k)) && Cube.contained_by c k in

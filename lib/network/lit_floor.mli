@@ -17,36 +17,46 @@ val functional_support : Twolevel.Cover.t -> int list
     {!Twolevel.Truth_table.max_vars} variables, cofactor equivalence
     above. Memoised per domain on the cover ({!Twolevel.Cover_memo}). *)
 
-val pos : Network.t -> f:Network.node_id -> d:Network.node_id -> int
+val pos : f:Twolevel.Cover.t -> d:Twolevel.Cover.t -> int
 (** A floor on the factored count of [f]'s cover after a product-of-sums
-    substitution [f = (q + d)·r] that adds [d] as a fanin, and [0] when
-    [d] is already a fanin of [f]. Let [S] be [f]'s functional support
-    and [out] the variables of [S] outside [d]'s fanins. Since
-    [f(x) = g(x, d(x))] for the rebuilt cover [g], [g] depends on every
-    variable in [out]. It also depends on [d]'s literal, unless it
-    computes [f] itself, in which case it depends on all of [S]. The
-    floor is [|out|], plus one when [S] meets [d]'s fanins. With [d]
-    not among [f]'s fanins the stored cover is renamed injectively, so
-    it names as many variables. *)
+    substitution [f = (q + y)·r] by a divisor [d] that is not yet a
+    fanin of [f]. [f] and [d] are covers over one slot space; [y] is a
+    new slot for [d]'s literal. The rebuilt cover [g] satisfies
+    [g(x, d(x)) = f(x)]. Take a pair of minterms that differ in one
+    variable and lie on one side of [d] (both in [d] or both outside):
+    [g] at the matching value of [y] is [f] on both, so every cover of
+    [g] names each literal [f] needs on such a pair. If [g] depends on
+    [y] its cover also names [y]; otherwise [g] is [f]. The floor is
+    [min (|RL(f)|, |RL_d(f)| + 1)], [RL] as in {!required_literals} and
+    [RL_d] its same-side part ({!Twolevel.Truth_table.region_literals}),
+    when both covers fit one truth table. Above
+    {!Twolevel.Truth_table.max_vars} variables it is the support floor:
+    the variables of [f]'s functional support that [d]'s cover does not
+    name, plus one when the support meets [d]'s. The stored cover is
+    the injective renaming of [g], so it names as many literals. *)
 
 val required_literals : Twolevel.Cover.t -> int
 (** The literals every SOP cover of the cover's function names (see
     {!Twolevel.Truth_table.required_literals}); a function and its
     complement need equally many. Truth tables decide it up to
     {!Twolevel.Truth_table.max_vars} variables, cofactor containment
-    above. *)
+    above. Memoised per domain on the cover. *)
 
 val pos_rebuild : q_not:Twolevel.Cover.t -> r_not:Twolevel.Cover.t -> int
 (** A floor on the factored count of the cover [g = (q + y)·r] a
     product-of-sums substitution rebuilds, given the complements
     [q_not] and [r_not] of its factors, before either is complemented.
-    [g] equals [r] at [y = 1], and cofactoring a cover by [y] keeps a
-    subset of its literals, so every cover of [g] names the literals
-    every cover of [r] names: {!required_literals} of [r_not]. It also
-    names [y] or [y'] when [g] depends on [y], i.e. when [r·q' ≠ 0],
-    i.e. when [q_not] is not inside [r_not]. The figure holds for the
-    stored cover when [y] is a new fanin, so the renaming is
-    injective. *)
+    [g] equals [r] at [y = 1] and [q·r] at [y = 0], and cofactoring a
+    cover by [y] keeps a subset of its literals, so every cover of [g]
+    names every literal that every cover of [r] or of [q·r] names. Up
+    to complementing each literal, those are the literals
+    {!required_literals} counts for [r_not] and [q_not + r_not]: the
+    floor counts their union. It also names [y] or [y'] when [g]
+    depends on [y], i.e. when [r·q' ≠ 0], i.e. when [q_not] is not
+    inside [r_not]. Up to {!Twolevel.Truth_table.max_vars} variables
+    the union is read off truth tables; above, only [r_not]'s literals
+    count. The figure holds for the stored cover when [y] is a new
+    fanin, so the renaming is injective. *)
 
 val remainder : ?absorber:Twolevel.Literal.t -> Twolevel.Cube.t list -> int
 (** The distinct literals of the cubes that no other cube of the list

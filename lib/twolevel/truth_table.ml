@@ -152,35 +152,53 @@ let support t =
   List.filteri (fun i _ -> depends t i) (Array.to_list t.vars)
 
 (* Some minterm has the function at 1 with position [i] at [phase] and
-   at 0 with [i] flipped: inside a chunk against the partner bits, across
-   chunks against the partner chunk. *)
-let needs t i phase =
+   at 0 with [i] flipped, and [region] holds both or neither: inside a
+   chunk against the partner bits, across chunks against the partner
+   chunk. Without [region] every pair counts. *)
+let needs ?region t i phase =
   let chunks = t.chunks in
-  let differs ~one ~zero =
-    (if phase then one land lnot zero else zero land lnot one) <> 0
-  in
+  let rc = match region with Some r -> r.chunks | None -> [||] in
+  let region k = if Array.length rc = 0 then 0 else rc.(k) in
+  (* The minterms with [i] at [phase] where the function is 1 and its
+     partner 0, on the bits of the partner's position. *)
+  let lone ~one ~zero = if phase then one land lnot zero else zero land lnot one in
+  let n = Array.length chunks in
+  let found = ref false and k = ref 0 in
   if i < low_vars then begin
     let p = low_pattern.(i) and shift = 1 lsl i in
-    Array.exists
-      (fun x ->
-        differs ~one:((x land p) lsr shift) ~zero:(x land (full lxor p)))
-      chunks
+    while (not !found) && !k < n do
+      let x = chunks.(!k) and r = region !k in
+      let pairs =
+        lone ~one:((x land p) lsr shift) ~zero:(x land (full lxor p))
+      in
+      if pairs land lnot (((r land p) lsr shift) lxor r) <> 0 then
+        found := true;
+      incr k
+    done
   end
   else begin
     let bit = 1 lsl (i - low_vars) in
-    let rec from k =
-      k < Array.length chunks
-      && (k land bit = 0 && differs ~one:chunks.(k lor bit) ~zero:chunks.(k)
-         || from (k + 1))
-    in
-    from 0
-  end
+    while (not !found) && !k < n do
+      let k0 = !k in
+      if
+        k0 land bit = 0
+        && lone ~one:chunks.(k0 lor bit) ~zero:chunks.(k0)
+           land lnot (region k0 lxor region (k0 lor bit))
+           <> 0
+      then found := true;
+      incr k
+    done
+  end;
+  !found
 
-let required_literals t =
-  let n = ref 0 in
-  Array.iteri
-    (fun i _ ->
-      if needs t i true then incr n;
-      if needs t i false then incr n)
-    t.vars;
-  !n
+let region_literals ?region = function
+  | [] -> 0
+  | t :: _ as ts ->
+    let n = ref 0 in
+    for i = 0 to Array.length t.vars - 1 do
+      if List.exists (fun t -> needs ?region t i true) ts then incr n;
+      if List.exists (fun t -> needs ?region t i false) ts then incr n
+    done;
+    !n
+
+let required_literals t = region_literals [ t ]

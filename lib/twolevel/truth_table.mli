@@ -53,3 +53,14 @@ val required_literals : t -> int
     some minterm has the function at 1 with [x = 1] and at 0 with
     [x = 0]; [x'] symmetrically. Each variable counts 0, 1, or 2 when
     the function is binate in it. *)
+
+val region_literals : ?region:t -> t list -> int
+(** The literals [l] for which some function [h] of the list has a pair
+    of minterms that differ only in [l]'s variable, lie on one side of
+    [region] (both inside it or both outside), and have [h] at 1 on
+    [l]'s side and at 0 on the other. Every SOP cover of a function
+    that equals [h] on one side of [region] names such an [l], by the
+    argument of {!required_literals}; the list unites the literals of
+    its functions. Without [region] every pair counts, and
+    [region_literals [t]] is [required_literals t]. All tables must be
+    over one space. *)

@@ -302,6 +302,38 @@ let prop_pos_precheck_exact =
         | None -> true
         | Some d_not -> Division.basic_sop ~f:f_not ~d:d_not () = None))
 
+(* The support test is necessary for a disjoint cube both with the
+   minimised complement and with the raw Shannon complement that
+   [Minimize.simplify] keeps when its own result is longer. *)
+let prop_support_test_exact =
+  QCheck2.Test.make
+    ~name:"POS support test rejects only pairs without a disjoint cube"
+    ~count:500
+    ~print:(fun (f, d) -> Cover.to_string f ^ " / " ^ Cover.to_string d)
+    QCheck2.Gen.(pair gen_cover gen_cover)
+    (fun (f, d) ->
+      Division.meets_support ~f ~d
+      || List.for_all
+           (fun f_not -> not (Division.has_disjoint_cube ~f_not ~d))
+           (List.filter_map Fun.id
+              [
+                Minimize.complement ~limit:1024 f;
+                Complement.cover_limited ~limit:1024 f;
+              ]))
+
+(* The test reads the cover's support: [ab + ab'] names [b] without
+   depending on it, and its raw complement [a'b + a'b'] has a cube
+   disjoint from [d = b]. *)
+let test_support_test_reads_cover () =
+  let f = cover "ab + ab'" and d = cover "b" in
+  Alcotest.(check bool) "the raw complement has a disjoint cube" true
+    (Division.has_disjoint_cube
+       ~f_not:(Option.get (Complement.cover_limited ~limit:1024 f))
+       ~d);
+  Alcotest.(check bool) "b passes" true (Division.meets_support ~f ~d);
+  Alcotest.(check bool) "c is rejected" false
+    (Division.meets_support ~f ~d:(cover "c + bc"))
+
 let prop_pos_matches_reference =
   QCheck2.Test.make ~name:"POS division equals the unmemoised composition"
     ~count:300
@@ -669,9 +701,10 @@ let test_prechecks_exact () =
 (* Literal floors against frozen copies                                *)
 (* ------------------------------------------------------------------ *)
 
-(* POS substitution and extended division as they were before the
-   literal floors: every attempt ran to its gain test, and a failing POS
-   attempt set f's function and restored it. *)
+(* Extended division as it was before the literal floors, every
+   attempt running to its gain test, and POS substitution as it was
+   before the truth-table tests: the support floor before any
+   complement and the remainder floor after the first two. *)
 module Oracle = struct
   module Vote = Booldiv.Vote
   module Clique = Booldiv.Clique
@@ -803,7 +836,43 @@ module Oracle = struct
 
   let pos_cube_limit = 64
 
-  let substitute_pos net ~f ~d =
+  (* The floors of the time. [pos_floor]: the variables of [f]'s
+     functional support outside [d]'s fanins, plus one when the support
+     meets them, and 0 when [d] is a fanin of [f] already. *)
+  let pos_floor net ~f ~d =
+    let f_fanins = Network.fanins net f and d_fanins = Network.fanins net d in
+    if Array.mem d f_fanins then 0
+    else begin
+      let out = ref 0 and shared = ref false in
+      List.iter
+        (fun v ->
+          if Array.mem f_fanins.(v) d_fanins then shared := true else incr out)
+        (Lit_floor.functional_support (Network.cover net f));
+      !out + if !shared then 1 else 0
+    end
+
+  (* [pos_rebuild_floor]: the literals [r_not] requires, plus one when
+     [q_not] leaves [r_not]. *)
+  let pos_rebuild_floor ~q_not ~r_not =
+    Lit_floor.required_literals r_not
+    + if Cover.contains r_not q_not then 0 else 1
+
+  (* [Division.pos_complements] without the support test. *)
+  let pos_complements ~f ~d =
+    let ( let* ) = Option.bind in
+    let complement = Minimize.complement ~limit:pos_cube_limit in
+    let* f_not = complement f in
+    if not (Division.has_disjoint_cube ~f_not ~d) then None
+    else
+      let* d_not = complement d in
+      let* { Division.quotient = q_not; remainder = r_not } =
+        Division.basic_sop ~f:f_not ~d:d_not ()
+      in
+      Some (q_not, r_not)
+
+  (* POS substitution with the support floor before the complements and
+     the remainder floor after the first two. *)
+  let substitute_pos ~counters net ~f ~d =
     if
       f = d
       || Network.is_input net f
@@ -811,49 +880,62 @@ module Oracle = struct
       || Network.depends_on net d f
     then false
     else begin
-      let f_fanins = Network.fanins net f in
-      let d_fanins = Network.fanins net d in
-      let slots = Hashtbl.create 16 and order = ref [] in
-      let add x =
-        if not (Hashtbl.mem slots x) then begin
-          Hashtbl.add slots x (Hashtbl.length slots);
-          order := x :: !order
-        end
-      in
-      Array.iter add f_fanins;
-      Array.iter add d_fanins;
-      let combined = Array.of_list (List.rev !order) in
-      let slot_of = Hashtbl.find slots in
-      let f_lift =
-        Cover.map_vars (fun v -> slot_of f_fanins.(v)) (Network.cover net f)
-      in
-      let d_lift =
-        Cover.map_vars (fun v -> slot_of d_fanins.(v)) (Network.cover net d)
-      in
-      match
-        Division.basic_pos ~complement_limit:pos_cube_limit ~f:f_lift ~d:d_lift ()
-      with
-      | None -> false
-      | Some { pos_quotient; pos_remainder } ->
-        let d_slot = Array.length combined in
-        let d_lit = Cover.of_cubes [ Cube.of_literals_exn [ Literal.pos d_slot ] ] in
-        let rebuilt =
-          Cover.product (Cover.union pos_quotient d_lit) pos_remainder
+      let before_lits = Lit_count.node_factored net f in
+      if pos_floor net ~f ~d >= before_lits then begin
+        Rar_util.Counters.add counters.Rar_util.Counters.floor_rejects 1;
+        false
+      end
+      else begin
+        let f_fanins = Network.fanins net f in
+        let d_fanins = Network.fanins net d in
+        let slots = Hashtbl.create 16 and order = ref [] in
+        let add x =
+          if not (Hashtbl.mem slots x) then begin
+            Hashtbl.add slots x (Hashtbl.length slots);
+            order := x :: !order
+          end
         in
-        if Cover.cube_count rebuilt > pos_cube_limit then false
-        else begin
-          let before_cover = Network.cover net f in
-          let before_lits = Lit_count.node_factored net f in
-          let new_fanins = Array.append combined [| d |] in
-          match Network.set_function net f ~fanins:new_fanins rebuilt with
+        Array.iter add f_fanins;
+        Array.iter add d_fanins;
+        let combined = Array.of_list (List.rev !order) in
+        let slot_of = Hashtbl.find slots in
+        let d_lift =
+          Cover.map_vars (fun v -> slot_of d_fanins.(v)) (Network.cover net d)
+        in
+        match
+          Option.bind
+            (pos_complements ~f:(Network.cover net f) ~d:d_lift)
+            (fun (q_not, r_not) ->
+              if
+                (not (Array.mem d f_fanins))
+                && pos_rebuild_floor ~q_not ~r_not >= before_lits
+              then begin
+                Rar_util.Counters.add counters.Rar_util.Counters.floor_rejects
+                  1;
+                None
+              end
+              else
+                Division.pos_of_complements ~complement_limit:pos_cube_limit
+                  (q_not, r_not))
+        with
+        | None -> false
+        | Some { pos_quotient; pos_remainder } ->
+          let d_slot = Array.length combined in
+          let d_lit =
+            Cover.of_cubes [ Cube.of_literals_exn [ Literal.pos d_slot ] ]
+          in
+          let rebuilt =
+            Cover.product (Cover.union pos_quotient d_lit) pos_remainder
+          in
+          let fanins = Array.append combined [| d |] in
+          Cover.cube_count rebuilt <= pos_cube_limit
+          && Factor.count (snd (Network.normalise ~fanins ~cover:rebuilt))
+             < before_lits
+          &&
+          match Network.set_function net f ~fanins rebuilt with
           | exception Network.Cyclic _ -> false
-          | () ->
-            if Lit_count.node_factored net f < before_lits then true
-            else begin
-              Network.set_function net f ~fanins:f_fanins before_cover;
-              false
-            end
-        end
+          | () -> true
+      end
     end
 
   let distinct_sources core = List.sort_uniq Int.compare (List.map fst core)
@@ -1088,6 +1170,8 @@ let same_attempt what ~oracle ~current net =
 
 let test_floors_match_oracle () =
   let counters = Rar_util.Counters.create () in
+  let pos_counters = Rar_util.Counters.create ()
+  and oracle_counters = Rar_util.Counters.create () in
   let pos_commits = ref 0 and ext_commits = ref 0 in
   for seed = 1 to 120 do
     let rng, net = floor_network seed in
@@ -1099,9 +1183,11 @@ let test_floors_match_oracle () =
           (fun d ->
             if
               same_attempt "substitute_pos"
-                ~oracle:(fun n -> Oracle.substitute_pos n ~f ~d)
+                ~oracle:(fun n ->
+                  Oracle.substitute_pos ~counters:oracle_counters n ~f ~d)
                 ~current:(fun n ->
-                  Booldiv.Substitute.substitute_pos ~counters n ~f ~d)
+                  Booldiv.Substitute.substitute_pos ~counters:pos_counters n
+                    ~f ~d)
                 net
             then incr pos_commits)
           nodes;
@@ -1124,8 +1210,12 @@ let test_floors_match_oracle () =
         | None -> ())
       nodes
   done;
-  Alcotest.(check bool) "floors rejected attempts" true
-    (Atomic.get counters.Rar_util.Counters.floor_rejects > 0);
+  let rejects c = Atomic.get c.Rar_util.Counters.floor_rejects in
+  Alcotest.(check bool) "floors rejected attempts" true (rejects counters > 0);
+  (* Each truth-table test is at least as strong as the floor it
+     replaced, and they reject more. *)
+  Alcotest.(check bool) "the POS tests reject more than the old floors" true
+    (rejects pos_counters > rejects oracle_counters);
   Alcotest.(check bool) "POS substitutions committed" true (!pos_commits > 0);
   Alcotest.(check bool) "extended divisions committed" true (!ext_commits > 0)
 
@@ -1166,9 +1256,9 @@ let test_remainder_floor_skips_absorbed_cubes () =
   Alcotest.(check (option int)) "extended division commits" (Some 2)
     (Option.map (fun o -> o.Booldiv.Extended_division.literal_gain) gain)
 
-(* The cover a POS substitution of [f] by [d] would install, before
-   normalisation, when the division yields one. *)
-let pos_rebuilt net ~f ~d =
+(* [f]'s fanins, then [d]'s that [f] lacks, and [d]'s cover lifted into
+   those slots, as {!Booldiv.Substitute.substitute_pos} builds them. *)
+let pos_lift net ~f ~d =
   let f_fanins = Network.fanins net f and d_fanins = Network.fanins net d in
   let combined =
     Array.append f_fanins
@@ -1178,9 +1268,12 @@ let pos_rebuilt net ~f ~d =
             (Array.to_list d_fanins)))
   in
   let slot x = Option.get (Array.find_index (Int.equal x) combined) in
-  let d_lift =
-    Cover.map_vars (fun v -> slot d_fanins.(v)) (Network.cover net d)
-  in
+  (combined, Cover.map_vars (fun v -> slot d_fanins.(v)) (Network.cover net d))
+
+(* The cover a POS substitution of [f] by [d] would install, before
+   normalisation, when the division yields one. *)
+let pos_rebuilt net ~f ~d =
+  let combined, d_lift = pos_lift net ~f ~d in
   Option.map
     (fun { Division.pos_quotient; pos_remainder } ->
       let y = Cube.of_literals_exn [ Literal.pos (Array.length combined) ] in
@@ -1201,12 +1294,14 @@ let prop_floors_below_true_count =
       let nodes = List.sort Int.compare (Network.logic_ids net) in
       let pos_ok f d =
         Network.depends_on net d f
+        || Array.mem d (Network.fanins net f)
         ||
         match pos_rebuilt net ~f ~d with
         | None -> true
         | Some (fanins, rebuilt) ->
           Factor.count (snd (Network.normalise ~fanins ~cover:rebuilt))
-          >= Lit_floor.pos net ~f ~d
+          >= Lit_floor.pos ~f:(Network.cover net f)
+               ~d:(snd (pos_lift net ~f ~d))
       in
       let remainder_ok f d =
         match Basic_division.f1_indices net ~f ~d with
@@ -1366,20 +1461,11 @@ let prop_combined_gate_exact =
    would store, when the division yields them and [d] is a new fanin of
    [f]. *)
 let pos_parts net ~f ~d =
-  let f_fanins = Network.fanins net f and d_fanins = Network.fanins net d in
-  if Array.mem d f_fanins || Network.depends_on net d f || f = d then None
+  if
+    Array.mem d (Network.fanins net f) || Network.depends_on net d f || f = d
+  then None
   else begin
-    let combined =
-      Array.append f_fanins
-        (Array.of_list
-           (List.filter
-              (fun x -> not (Array.mem x f_fanins))
-              (Array.to_list d_fanins)))
-    in
-    let slot x = Option.get (Array.find_index (Int.equal x) combined) in
-    let d_lift =
-      Cover.map_vars (fun v -> slot d_fanins.(v)) (Network.cover net d)
-    in
+    let combined, d_lift = pos_lift net ~f ~d in
     Option.bind
       (Division.pos_complements ~complement_limit:64 ~f:(Network.cover net f)
          ~d:d_lift ())
@@ -1394,7 +1480,8 @@ let pos_parts net ~f ~d =
                 (Cover.union pos_quotient (Cover.of_cubes [ y ]))
                 pos_remainder
             in
-            ( q_not,
+            ( d_lift,
+              q_not,
               r_not,
               Factor.count
                 (snd
@@ -1405,19 +1492,36 @@ let pos_parts net ~f ~d =
   end
 
 (* Without the divisor literal: [q_not ≤ r_not] makes the rebuild
-   [(q + y)·r] equal [r = a'b'], whose count 2 the floor reaches. *)
+   [(q + y)·r] equal [r = a'b'], whose count 2 the floor reaches. With
+   [q_not = c] the rebuild [(c' + y)·a'b'] names [c'] in its [y = 0]
+   slice as well as [y]: 4. With [q_not = a'b'] the slice [q·r] is 0
+   and adds nothing: [y·a'b'], 3. *)
 let test_pos_floor_without_divisor () =
   let q_not = cover "a" and r_not = cover "a + b" in
   Alcotest.(check int) "q_not inside r_not" 2
     (Lit_floor.pos_rebuild ~q_not ~r_not);
-  Alcotest.(check int) "the divisor literal counts otherwise" 3
-    (Lit_floor.pos_rebuild ~q_not:(cover "c") ~r_not)
+  Alcotest.(check int) "the y = 0 slice and the divisor literal count" 4
+    (Lit_floor.pos_rebuild ~q_not:(cover "c") ~r_not);
+  Alcotest.(check int) "an empty y = 0 slice adds nothing" 3
+    (Lit_floor.pos_rebuild ~q_not:(cover "a'b'") ~r_not)
 
-(* The POS remainder floor is at most the count of the cover the
-   substitution would store, and reaches it on some pairs: a floor one
-   higher would reject a division it must not. *)
+(* The region floor on hand-made covers. For [f = abc] and [d = ab]
+   only [c]'s pairs stay on one side of [d], so the floor is 2, which
+   the rebuild [y·c] reaches; counting the pairs that cross [d] would
+   give 3. For [f = a + b] and [d = ab] every pair stays on one side,
+   but the rebuild [a + b] ignores [y]: the floor is [|RL(f)| = 2], not
+   3. *)
+let test_pos_region_floor () =
+  Alcotest.(check int) "pairs across d do not count" 2
+    (Lit_floor.pos ~f:(cover "abc") ~d:(cover "ab"));
+  Alcotest.(check int) "a rebuild may ignore y" 2
+    (Lit_floor.pos ~f:(cover "a + b") ~d:(cover "ab"))
+
+(* The POS floors are at most the count of the cover the substitution
+   would store, and each reaches it on some pairs: a floor one higher
+   would reject a division it must not. *)
 let test_pos_remainder_floor () =
-  let tight = ref 0 and pairs = ref 0 in
+  let tight_region = ref 0 and tight_sliced = ref 0 and pairs = ref 0 in
   for seed = 1 to 200 do
     let _, net = floor_network seed in
     let nodes = List.sort Int.compare (Network.logic_ids net) in
@@ -1427,18 +1531,44 @@ let test_pos_remainder_floor () =
           (fun d ->
             match pos_parts net ~f ~d with
             | None -> ()
-            | Some (q_not, r_not, count) ->
+            | Some (d_lift, q_not, r_not, count) ->
               incr pairs;
-              let floor = Lit_floor.pos_rebuild ~q_not ~r_not in
-              if floor > count then
-                Alcotest.failf "seed %d, %d by %d: floor %d above count %d"
-                  seed f d floor count;
-              if floor = count then incr tight)
+              let check what floor tight =
+                if floor > count then
+                  Alcotest.failf "seed %d, %d by %d: %s floor %d above count %d"
+                    seed f d what floor count;
+                if floor = count then incr tight
+              in
+              check "region"
+                (Lit_floor.pos ~f:(Network.cover net f) ~d:d_lift)
+                tight_region;
+              check "sliced" (Lit_floor.pos_rebuild ~q_not ~r_not) tight_sliced)
           nodes)
       nodes
   done;
-  Alcotest.(check bool) "pairs reached the floor" true (!pairs > 0);
-  Alcotest.(check bool) "the floor is tight somewhere" true (!tight > 0)
+  Alcotest.(check bool) "pairs reached the floors" true (!pairs > 0);
+  Alcotest.(check bool) "the region floor is tight somewhere" true
+    (!tight_region > 0);
+  Alcotest.(check bool) "the sliced floor is tight somewhere" true
+    (!tight_sliced > 0)
+
+(* The sliced floor is at most the count of every rebuild the division
+   yields with [d] a new fanin. *)
+let prop_sliced_floor_below_stored_count =
+  QCheck2.Test.make ~name:"POS sliced floor never exceeds the stored count"
+    ~count:60 ~print:string_of_int Net_mutations.gen_seed (fun seed ->
+      let _, net = floor_network seed in
+      let nodes = List.sort Int.compare (Network.logic_ids net) in
+      List.for_all
+        (fun f ->
+          List.for_all
+            (fun d ->
+              match pos_parts net ~f ~d with
+              | None -> true
+              | Some (_, q_not, r_not, count) ->
+                Lit_floor.pos_rebuild ~q_not ~r_not <= count)
+            nodes)
+        nodes)
 
 (* Required literals against brute force: a literal is required iff some
    minterm has the function at 1 with it and at 0 without it, on sparse
@@ -1480,6 +1610,69 @@ let prop_required_literals =
           (fun acc v ->
             acc + Bool.to_int (needs v true) + Bool.to_int (needs v false))
           0 vars)
+
+(* The region-literal helper against minterm enumeration, with a
+   region and with two functions, on sparse covers of up to 10
+   variables (one truth table). *)
+let prop_region_literals =
+  let gen_sparse width =
+    QCheck2.Gen.(
+      let* cubes =
+        list_size (int_range 0 5)
+          (list_size (int_range 1 4)
+             (let* v = int_range 0 (width - 1) in
+              let* phase = bool in
+              return (Literal.make (3 * v) phase)))
+      in
+      return (Cover.of_cubes (List.filter_map Cube.of_literals cubes)))
+  in
+  let gen =
+    QCheck2.Gen.(
+      let* width = int_range 1 10 in
+      triple (gen_sparse width) (gen_sparse width) (gen_sparse width))
+  in
+  QCheck2.Test.make ~name:"region literals match minterm comparison"
+    ~count:200
+    ~print:(fun (f, g, r) ->
+      String.concat " / " (List.map Cover.to_string [ f; g; r ]))
+    gen
+    (fun (f, g, r) ->
+      let all = Cover.cubes f @ Cover.cubes g @ Cover.cubes r in
+      let space = Option.get (Truth_table.space all) in
+      let table c = Truth_table.of_cubes space (Cover.cubes c) in
+      let vars = Array.of_list (Cover.support (Cover.of_cubes all)) in
+      let n = Array.length vars in
+      let value bits x =
+        bits land (1 lsl Option.get (Array.find_index (Int.equal x) vars)) <> 0
+      in
+      (* Some pair differing in [vars.(i)] with [h] at 1 on [phase]'s side
+         and 0 on the other, both minterms on one side of [region]. *)
+      let needs ?region h i phase =
+        let rec any bits =
+          bits < 1 lsl n
+          && ((let one = bits lor (1 lsl i) and zero = bits land lnot (1 lsl i) in
+               let on, off = if phase then (one, zero) else (zero, one) in
+               Cover.eval (value on) h
+               && (not (Cover.eval (value off) h))
+               &&
+               match region with
+               | None -> true
+               | Some c -> Cover.eval (value on) c = Cover.eval (value off) c)
+             || any (bits + 1))
+        in
+        any 0
+      in
+      let count p =
+        List.length
+          (List.filter (fun (i, phase) -> p i phase)
+             (List.concat_map
+                (fun i -> [ (i, true); (i, false) ])
+                (List.init n Fun.id)))
+      in
+      Truth_table.region_literals ~region:(table r) [ table f ]
+      = count (fun i phase -> needs ~region:r f i phase)
+      && Truth_table.region_literals [ table f; table g ]
+         = count (fun i phase -> needs f i phase || needs g i phase))
 
 (* Random-graph clique laws. *)
 let prop_cliques_are_maximal_cliques =
@@ -1645,6 +1838,9 @@ let () =
             test_pos_remainder_floor;
           Alcotest.test_case "POS remainder floor without the divisor" `Quick
             test_pos_floor_without_divisor;
+          Alcotest.test_case "POS support test reads the cover" `Quick
+            test_support_test_reads_cover;
+          Alcotest.test_case "POS region floor" `Quick test_pos_region_floor;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -1652,6 +1848,7 @@ let () =
             prop_sop_identity;
             prop_pos_identity;
             prop_pos_precheck_exact;
+            prop_support_test_exact;
             prop_pos_matches_reference;
             prop_network_division_preserves;
             prop_network_division_gdc_preserves;
@@ -1661,8 +1858,10 @@ let () =
             prop_cliques_are_maximal_cliques;
             prop_best_core_matches_frozen;
             prop_floors_below_true_count;
+            prop_sliced_floor_below_stored_count;
             prop_functional_support;
             prop_combined_gate_exact;
             prop_required_literals;
+            prop_region_literals;
           ] );
     ]

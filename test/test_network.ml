@@ -810,9 +810,10 @@ let prop_bdd_shannon =
     ~print:Cover.to_string gen_bdd_cover (fun f ->
       let man = Robdd.Bdd.create () in
       let fb = Robdd.Bdd.of_cover man f in
-      (* f = x0·f|x0=1 ∨ x0'·f|x0=0 *)
-      let lo = Robdd.Bdd.cofactor man fb ~var:0 ~phase:false in
-      let hi = Robdd.Bdd.cofactor man fb ~var:0 ~phase:true in
+      (* f = x0·f|x0=1 ∨ x0'·f|x0=0, the cofactors being the generalized
+         ones by a literal. *)
+      let lo = Robdd.Bdd.constrain man fb (Robdd.Bdd.nvar man 0) in
+      let hi = Robdd.Bdd.constrain man fb (Robdd.Bdd.var man 0) in
       Robdd.Bdd.equal fb
         (Robdd.Bdd.bor man
            (Robdd.Bdd.band man (Robdd.Bdd.var man 0) hi)
