@@ -456,15 +456,6 @@ let cube_value t id i =
   let s = slot_of t id in
   if s < 0 then None else decode (Bytes.get t.cube_val (t.cube_off.(s) + i))
 
-let assigned_nodes t =
-  let acc = ref [] in
-  for id = Array.length t.slot - 1 downto 0 do
-    match node_value t id with
-    | Some v -> acc := (id, v) :: !acc
-    | None -> ()
-  done;
-  !acc
-
 let push_trail t e =
   t.trail.(t.trail_len) <- e;
   t.trail_len <- t.trail_len + 1

@@ -120,8 +120,6 @@ val node_value : t -> Logic_network.Network.node_id -> bool option
 
 val cube_value : t -> Logic_network.Network.node_id -> int -> bool option
 
-val assigned_nodes : t -> (Logic_network.Network.node_id * bool) list
-
 val learn : ?max_options:int -> depth:int -> t -> unit
 (** Depth-bounded recursive learning (Kunz–Pradhan): for each unjustified
     forced value, try every justification option in a scratch copy; if all

@@ -1,5 +1,3 @@
-open Twolevel
-
 (* Node 0 = constant false, node 1 = constant true. Internal nodes are
    triples (var, low, high) with low <> high and var smaller than the vars
    of both children (identity variable order). *)
@@ -147,28 +145,3 @@ let any_sat m f =
       | None -> go ((v, false) :: acc) m.low_of.(f)
   in
   go [] f
-
-let of_cover m cover =
-  let cube_bdd cube =
-    List.fold_left
-      (fun acc lit ->
-        let v = Literal.var lit in
-        band m acc (if Literal.is_pos lit then var m v else nvar m v))
-      1 (Cube.literals cube)
-  in
-  List.fold_left (fun acc cube -> bor m acc (cube_bdd cube)) 0
-    (Cover.cubes cover)
-
-let to_cover m f =
-  let rec go prefix f acc =
-    if f = 0 then acc
-    else if f = 1 then
-      match Cube.of_literals prefix with
-      | Some c -> c :: acc
-      | None -> acc
-    else
-      let v = var_of m f in
-      let acc = go (Literal.pos v :: prefix) m.high_of.(f) acc in
-      go (Literal.neg v :: prefix) m.low_of.(f) acc
-  in
-  Cover.of_cubes (go [] f [])

@@ -47,9 +47,3 @@ val eval : man -> t -> (int -> bool) -> bool
 
 val any_sat : man -> t -> (int * bool) list option
 (** Some satisfying partial assignment, or [None] for constant 0. *)
-
-val of_cover : man -> Twolevel.Cover.t -> t
-(** Build from a cover; cover variable [i] becomes BDD variable [i]. *)
-
-val to_cover : man -> t -> Twolevel.Cover.t
-(** A (cube-per-path, not minimised) cover of the function. *)

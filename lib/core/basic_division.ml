@@ -74,9 +74,9 @@ let divide ?(phase = true) ?(gdc = false) ?(learn_depth = 0) ?budget ?counters
     match f1 with Some idx -> idx | None -> f1_indices ~phase net ~f ~d
   in
   if f1_idx = [] then None
-  else begin
-    let original_cover = Network.cover net f in
-    let f_cubes = Array.of_list (Cover.cubes original_cover) in
+  else
+    Network.attempt net @@ fun () ->
+    let f_cubes = Array.of_list (Cover.cubes (Network.cover net f)) in
     let f_fanins = Network.fanins net f in
     (* Partition the cubes in one pass over a membership array (f1_idx is
        a sparse index list, so List.mem per cube would be quadratic). *)
@@ -126,29 +126,18 @@ let divide ?(phase = true) ?(gdc = false) ?(learn_depth = 0) ?budget ?counters
       | None -> false
     in
     let quotient_literals = Cover.literal_count (Network.cover net q_node) in
-    (* Fold the quotient node back into f so f stays one SOP node. *)
+    (* Fold the quotient node back into f so f stays one SOP node; on a
+       composition blow-up the attempt rolls the restructuring back. *)
     if Collapse.collapse_into_fanouts net q_node then
       Some
         { quotient_literals; wires_removed = removed; literal_gain = 0;
           degraded }
-    else begin
-      (* Composition blow-up: unwind the restructuring entirely. *)
-      Network.set_function net f ~fanins:f_fanins original_cover;
-      Network.remove_node net q_node;
-      None
-    end
-  end
+    else None
 
 let try_divide ?phase ?gdc ?learn_depth ?budget ?counters ?dc ?f1 net ~f ~d =
-  let before_cover = Network.cover net f in
-  let before_fanins = Network.fanins net f in
-  let before_lits = Lit_count.node_factored net f in
-  match divide ?phase ?gdc ?learn_depth ?budget ?counters ?dc ?f1 net ~f ~d with
-  | None -> None
-  | Some outcome ->
-    let gain = before_lits - Lit_count.node_factored net f in
-    if gain > 0 then Some { outcome with literal_gain = gain }
-    else begin
-      Network.set_function net f ~fanins:before_fanins before_cover;
-      None
-    end
+  Network.attempt net @@ fun () ->
+  Option.bind
+    (divide ?phase ?gdc ?learn_depth ?budget ?counters ?dc ?f1 net ~f ~d)
+    (fun outcome ->
+      let gain = Lit_count.attempt_gain net in
+      if gain > 0 then Some { outcome with literal_gain = gain } else None)

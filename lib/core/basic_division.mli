@@ -57,8 +57,10 @@ val divide :
 (** Restructure [f] as [q·d + r] in place ([q·d' + r] when [phase] is
     [false], the [-d] flavour), regardless of literal gain
     (callers wanting a gain policy should use {!try_divide}). [None] when
-    {!f1_indices} is [[]]. [budget] bounds the redundancy-removal step;
-    exhaustion degrades the quotient toward the algebraic one instead of
+    {!f1_indices} is [[]], or when the quotient cannot be folded back into
+    [f] (a composition blow-up): the division runs as a
+    {!Logic_network.Network.attempt}, which then rolls back. [budget]
+    bounds the redundancy-removal step; exhaustion degrades the quotient toward the algebraic one instead of
     failing (flagged in {!outcome.degraded}). [dc] lets the removal step
     also exploit external don't cares (see {!Rewiring.Remove.run}), so
     the quotient can shrink further; the result is then only guaranteed
@@ -79,8 +81,9 @@ val try_divide :
   d:Logic_network.Network.node_id ->
   outcome option
 (** Like {!divide} but commits only on positive {!outcome.literal_gain};
-    otherwise the network is left untouched and the result is [None].
-    [f1] is passed on to {!divide}. *)
+    otherwise the attempt rolls back, the network is left untouched, its
+    id allocator included, and the result is [None]. [f1] is passed on
+    to {!divide}. *)
 
 val region_nodes :
   Logic_network.Network.t ->

@@ -102,11 +102,6 @@ let basic_pos ?complement_limit ~f ~d () =
     (pos_complements ?complement_limit ~f ~d ())
     (pos_of_complements ?complement_limit)
 
-let verify_sop ?(dc = Cover.zero) ~f ~d { quotient; remainder } =
-  let result = Cover.union (Cover.product quotient d) remainder in
-  Cover.contains (Cover.union result dc) f
-  && Cover.contains (Cover.union f dc) result
-
 let verify_pos ~f ~d { pos_quotient; pos_remainder } =
   let result = Cover.product (Cover.union pos_quotient d) pos_remainder in
   Cover.equivalent result f

@@ -31,19 +31,11 @@ type pos_result = {
   pos_remainder : Twolevel.Cover.t;  (** SOP cover of the factor [r]. *)
 }
 
-val has_disjoint_cube : f_not:Twolevel.Cover.t -> d:Twolevel.Cover.t -> bool
-(** Some cube of [f_not] shares no minterm with any cube of [d]. This is
-    necessary for [basic_sop ~f:f_not ~d:d_not] to find a quotient when
-    [d_not] is any cover of [d]'s complement: a cube inside a cube of
-    [d_not] lies in [d]'s offset. {!basic_pos} runs it before it
-    complements [d], so a failing attempt never pays for that
-    complement. *)
-
 val meets_support : f:Twolevel.Cover.t -> d:Twolevel.Cover.t -> bool
 (** Every cube of [d] names a variable of [f]'s cubes
-    ({!Twolevel.Cover.support}). This is necessary for
-    [has_disjoint_cube ~f_not ~d] with [f_not] the
-    {!Twolevel.Minimize.complement} of [f]: the Shannon complement
+    ({!Twolevel.Cover.support}). This is necessary for a cube of
+    [f_not], the {!Twolevel.Minimize.complement} of [f], to share no
+    minterm with any cube of [d]: the Shannon complement
     splits only on variables of [f]'s cubes, and [simplify] (or the raw
     complement it keeps when its own result is longer) names no others,
     so a cube of [d] naming none of them is at distance 0 from every
@@ -73,8 +65,10 @@ val pos_complements :
     of [f]'s minimised complement by [d]'s, whose complements are the
     factors [q] and [r]. [None] exactly when {!basic_pos} fails before
     its last two complements. A pair {!meets_support} rejects returns
-    [None] before [f] is complemented, then one {!has_disjoint_cube}
-    rejects before [d] is. *)
+    [None] before [f] is complemented, and one where no cube of [f_not]
+    is disjoint from every cube of [d] before [d] is: a cube inside a
+    cube of [d]'s complement lies in [d]'s offset, so without one the
+    division finds no quotient. *)
 
 val pos_of_complements :
   ?complement_limit:int ->
@@ -82,14 +76,6 @@ val pos_of_complements :
   pos_result option
 (** The second half of {!basic_pos}: the minimised complements of
     [(q_not, r_not)]. [basic_pos] is {!pos_complements} then this. *)
-
-val verify_sop :
-  ?dc:Twolevel.Cover.t ->
-  f:Twolevel.Cover.t ->
-  d:Twolevel.Cover.t ->
-  sop_result ->
-  bool
-(** Check the defining identity of {!basic_sop} (used by tests). *)
 
 val verify_pos :
   f:Twolevel.Cover.t -> d:Twolevel.Cover.t -> pos_result -> bool

@@ -93,24 +93,23 @@ let may_vote net ~f ~pool =
         (Cover.cubes (Network.cover net m)))
     pool
 
-(* Whether dividing [f] by [d] on [scratch] (a copy of [net] holding the
-   materialised core) can still leave a positive total gain. [divide]
-   changes only [f]: its quotient node is added and collapsed away
-   again. The final [f] keeps every cube outside [f1], renamed
-   injectively, except those the collapse's single-cube containment
-   drops. A cube [q_i·d] the collapse adds contains a kept cube only
-   when [q_i] is the top cube and the kept cube holds [d]'s literal,
-   which needs [d] to be a fanin of [f] already. *)
-let may_pay net scratch ~f ~d ~f1 =
-  let cover = Network.cover scratch f in
+(* Whether dividing [f] by [d] can still leave the open attempt, which
+   holds the materialised core, a positive total gain. [divide] changes
+   only [f]: its quotient node is added and collapsed away again. The
+   final [f] keeps every cube outside [f1], renamed injectively, except
+   those the collapse's single-cube containment drops. A cube [q_i·d]
+   the collapse adds contains a kept cube only when [q_i] is the top
+   cube and the kept cube holds [d]'s literal, which needs [d] to be a
+   fanin of [f] already. *)
+let may_pay net ~f ~d ~f1 =
+  let cover = Network.cover net f in
   let in_f1 = Array.make (Cover.cube_count cover) false in
   List.iter (fun i -> in_f1.(i) <- true) f1;
   let rest = List.filteri (fun i _ -> not in_f1.(i)) (Cover.cubes cover) in
   let absorber =
-    Option.map Literal.pos
-      (Array.find_index (( = ) d) (Network.fanins scratch f))
+    Option.map Literal.pos (Array.find_index (( = ) d) (Network.fanins net f))
   in
-  Lit_count.factored_delta net scratch + Factor.count cover
+  Lit_count.attempt_gain net + Factor.count cover
   - Lit_floor.remainder ?absorber rest
   > 0
 
@@ -118,7 +117,7 @@ let try_run ?gdc ?learn_depth ?budget ?counters ?dc net ~f ~pool =
   if not (may_vote net ~f ~pool) then None
   else begin
     (* [Vote.collect] and the clique search only read [net]; the network
-       is copied once a core is chosen. *)
+       changes only inside the attempt that materialises a chosen core. *)
     let entries =
       Vote.collect ?gdc ?learn_depth ?budget ?counters ?dc net ~f ~pool
     in
@@ -135,15 +134,13 @@ let try_run ?gdc ?learn_depth ?budget ?counters ?dc net ~f ~pool =
       match Clique.best_core ~candidates ~serves with
       | None -> None
       | Some { members; core } ->
-        (* [dc] is name-based, so the view built against [net] stays valid
-           on the scratch copy (copies preserve names). *)
-        let scratch = Network.copy net in
-        let core_node, decomposed = materialise_core scratch core in
-        let f1 = Basic_division.f1_indices scratch ~f ~d:core_node in
+        Network.attempt net @@ fun () ->
+        let core_node, decomposed = materialise_core net core in
+        let f1 = Basic_division.f1_indices net ~f ~d:core_node in
         if f1 = [] then
           (* Division refused after materialisation: reject the attempt. *)
           None
-        else if not (may_pay net scratch ~f ~d:core_node ~f1) then begin
+        else if not (may_pay net ~f ~d:core_node ~f1) then begin
           Option.iter
             (fun c -> Rar_util.Counters.add c.Rar_util.Counters.floor_rejects 1)
             counters;
@@ -152,12 +149,11 @@ let try_run ?gdc ?learn_depth ?budget ?counters ?dc net ~f ~pool =
         else if
           Option.is_none
             (Basic_division.divide ?gdc ?learn_depth ?budget ?counters ?dc ~f1
-               scratch ~f ~d:core_node)
+               net ~f ~d:core_node)
         then None
-        else begin
-          let gain = Lit_count.factored_delta net scratch in
-          if gain > 0 then begin
-            Network.overwrite net scratch;
+        else
+          let gain = Lit_count.attempt_gain net in
+          if gain > 0 then
             Some
               {
                 core_cubes = List.length core;
@@ -166,8 +162,6 @@ let try_run ?gdc ?learn_depth ?budget ?counters ?dc net ~f ~pool =
                 decomposed_divisor = decomposed;
                 literal_gain = gain;
               }
-          end
           else None
-        end
     end
   end

@@ -167,14 +167,8 @@ let substitute_pos ?counters net ~f ~d =
           in
           let fanins = Array.append combined [| d |] in
           Cover.cube_count rebuilt <= pos_cube_limit
-          && Factor.count (snd (Network.normalise ~fanins ~cover:rebuilt))
-             < before_lits
-          &&
-          (* [set_function] stores exactly [normalise]'s pair, and [d]
-             does not depend on [f], so no cycle can form. *)
-          match Network.set_function net f ~fanins rebuilt with
-          | exception Network.Cyclic _ -> false
-          | () -> true
+          && Lift.set_function_if_cheaper net f ~below:before_lits ~fanins
+               rebuilt
     end
   end
 
@@ -225,24 +219,19 @@ let attempt_basic ~config ?budget ~counters ~sigs net ~f ~d =
   let commit_both () =
     phase_possible true && phase_possible false
     && f1 true <> [] && f1 false <> []
-    &&
-    let scratch = Network.copy net in
-    let first =
-      Basic_division.divide ~gdc ~learn_depth ?budget ~counters
-        ?dc:config.dc ~f1:(f1 true) scratch ~f ~d
-    in
-    let second =
-      Basic_division.divide ~phase:false ~gdc ~learn_depth ?budget
-        ~counters ?dc:config.dc scratch ~f ~d
-    in
-    if
-      first <> None && second <> None
-      && Lit_count.factored_delta net scratch > 0
-    then begin
-      Network.overwrite net scratch;
-      true
-    end
-    else false
+    && Option.is_some
+         (Network.attempt net @@ fun () ->
+          let first =
+            Basic_division.divide ~gdc ~learn_depth ?budget ~counters
+              ?dc:config.dc ~f1:(f1 true) net ~f ~d
+          in
+          let second =
+            Basic_division.divide ~phase:false ~gdc ~learn_depth ?budget
+              ~counters ?dc:config.dc net ~f ~d
+          in
+          if first <> None && second <> None && Lit_count.attempt_gain net > 0
+          then Some ()
+          else None)
   in
   let direct = commit true in
   let complemented =

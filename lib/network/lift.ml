@@ -30,13 +30,16 @@ let set_cover net id lifted =
 (* [set_function] stores exactly [Network.normalise]'s pair, so its
    count is the count a commit would leave: a losing cover is rejected
    before the network, or its revision, moves. *)
-let set_cover_if_cheaper net id ~below lifted =
-  let fanins, cover = to_slots lifted in
+let set_function_if_cheaper net id ~below ~fanins cover =
   Factor.count (snd (Network.normalise ~fanins ~cover)) < below
   &&
   match Network.set_function net id ~fanins cover with
   | exception Network.Cyclic _ -> false
   | () -> true
+
+let set_cover_if_cheaper net id ~below lifted =
+  let fanins, cover = to_slots lifted in
+  set_function_if_cheaper net id ~below ~fanins cover
 
 let add net ?name lifted =
   let fanins, cover = to_slots lifted in

@@ -27,12 +27,23 @@ val set_cover : Network.t -> Network.node_id -> Twolevel.Cover.t -> unit
 (** Install a lifted cover back onto a node: the sorted support node ids
     become the fanins. @raise Network.Cyclic on cyclic rewrites. *)
 
+val set_function_if_cheaper :
+  Network.t ->
+  Network.node_id ->
+  below:int ->
+  fanins:Network.node_id array ->
+  Twolevel.Cover.t ->
+  bool
+(** {!Network.set_function} iff the factored literal count of the cover
+    the node would store is below [below] and the rewrite is acyclic.
+    The count is taken before anything mutates, so [false] leaves the
+    network, its revision included, untouched: a single-node decision
+    needs no {!Network.attempt}. *)
+
 val set_cover_if_cheaper :
   Network.t -> Network.node_id -> below:int -> Twolevel.Cover.t -> bool
-(** {!set_cover} iff the factored literal count of the cover the node
-    would store is below [below] and the rewrite is acyclic. The count
-    is taken before anything mutates, so [false] leaves the network,
-    its revision included, untouched. *)
+(** {!set_function_if_cheaper} on a lifted cover, stored as
+    {!set_cover} stores it. *)
 
 val add : Network.t -> ?name:string -> Twolevel.Cover.t -> Network.node_id
 (** Create a logic node computing a lifted cover, over its sorted support

@@ -13,21 +13,17 @@ let flat net = sum node_flat net
 
 let factored net = sum node_factored net
 
-(* Terms of ids whose covers are physically equal in both networks cancel,
-   and an unchanged cover is one [Network.copy] shares, so only the nodes
-   an attempt touched pay for [Factor.count]. *)
-let factored_delta before after =
-  let logic net id = Network.mem net id && not (Network.is_input net id) in
-  let delta = ref 0 in
-  for id = 0 to max (Network.id_limit before) (Network.id_limit after) - 1 do
-    let in_before = logic before id and in_after = logic after id in
-    if in_before && in_after then begin
-      let b = Network.cover before id and a = Network.cover after id in
-      if b != a then delta := !delta + Factor.count b - Factor.count a
-    end
-    else begin
-      if in_before then delta := !delta + node_factored before id;
-      if in_after then delta := !delta - node_factored after id
-    end
-  done;
-  !delta
+(* A cover the attempt did not replace is the physically equal one, so
+   only the nodes it rewrote pay for [Factor.count]. *)
+let attempt_gain net =
+  let count = Option.fold ~none:0 ~some:Factor.count in
+  List.fold_left
+    (fun acc (id, before) ->
+      let now =
+        if Network.mem net id && not (Network.is_input net id) then
+          Some (Network.cover net id)
+        else None
+      in
+      if Option.equal ( == ) before now then acc
+      else acc + count before - count now)
+    0 (Network.attempt_changes net)

@@ -10,12 +10,10 @@ val flat : Network.t -> int
 
 val factored : Network.t -> int
 
-val factored_delta : Network.t -> Network.t -> int
-(** [factored_delta before after] is [factored before - factored after],
-    counted only on the ids whose covers differ physically: a try-on-a-
-    copy attempt ({!Network.copy}, then mutate the copy) pays for the
-    nodes it changed, not for the whole network. *)
-
-val node_flat : Network.t -> Network.node_id -> int
+val attempt_gain : Network.t -> int
+(** The factored literals the innermost open {!Network.attempt} has
+    saved so far: [factored] when it opened less [factored] now, read
+    only on the nodes it changed ({!Network.attempt_changes}).
+    @raise Invalid_argument outside an attempt. *)
 
 val node_factored : Network.t -> Network.node_id -> int

@@ -9,28 +9,32 @@ exception Cyclic of string
 
 type kind =
   | Input
-  | Logic of { mutable fanins : node_id array; mutable cover : Cover.t }
+  | Logic of { fanins : node_id array; cover : Cover.t }
 
 type node = {
   id : node_id;
   mutable node_name : string;
   mutable kind : kind;
   mutable fanout : int Node_map.t; (* fanout node id -> reference count *)
+  mutable saved_in : int; (* the attempt that last saved it *)
 }
 
 type mutation =
   | Node_added of node_id
   | Function_changed of node_id
   | Node_removed of node_id
-  | Rebuilt
 
 type observer_id = int
 
+(* A node's state before an open attempt changed it. *)
+type saved = { node : node; kind : kind; fanout : int Node_map.t }
+
 (* [store] holds every node: slot [id] holds the node, or [absent]
-   where no node has that id. It grows by doubling and, because ids are
-   never recycled, is sized by [next_id] (see DESIGN §17). Iteration
-   walks it from the highest id down, so [node_ids] is newest first,
-   and a copy, being a map over the store, keeps that order. *)
+   where no node has that id. It grows by doubling and, because a
+   removal never recycles its id, is sized by [next_id] (see DESIGN
+   §17). Iteration walks it from the highest id down, so [node_ids] is
+   newest first, and a copy, being a map over the store, keeps that
+   order. *)
 type t = {
   mutable store : node array;
   mutable next_id : int;
@@ -40,12 +44,19 @@ type t = {
   mutable revision : int;
   mutable next_observer : observer_id;
   mutable observers : (observer_id * (mutation -> unit)) list;
+  (* Open attempts (innermost first) are [t]'s fields when each opened,
+     [opened] its serial; [trail] and [held] are newest first. *)
+  mutable opened : int;
+  mutable attempts : t list;
+  mutable trail : saved list;
+  mutable held : mutation list;
 }
 
 (* The shared free-slot marker of every [store]; never mutated and
    never handed out. *)
 let absent =
-  { id = -1; node_name = ""; kind = Input; fanout = Node_map.empty }
+  { id = -1; node_name = ""; kind = Input; fanout = Node_map.empty;
+    saved_in = 0 }
 
 let create () =
   {
@@ -57,6 +68,10 @@ let create () =
     revision = 0;
     next_observer = 0;
     observers = [];
+    opened = 0;
+    attempts = [];
+    trail = [];
+    held = [];
   }
 
 let revision t = t.revision
@@ -70,9 +85,21 @@ let on_mutation t f =
 let remove_observer t id =
   t.observers <- List.filter (fun (i, _) -> i <> id) t.observers
 
+let deliver t m = List.iter (fun (_, f) -> f m) t.observers
+
 let notify t m =
   t.revision <- t.revision + 1;
-  List.iter (fun (_, f) -> f m) t.observers
+  if t.attempts == [] then deliver t m else t.held <- m :: t.held
+
+(* Record [n]'s state before its first change in the innermost open
+   attempt, when [n] predates it; nodes the attempt added go on
+   rollback anyway. *)
+let save t n =
+  match t.attempts with
+  | m :: _ when n.id < m.next_id && n.saved_in <> m.opened ->
+    n.saved_in <- m.opened;
+    t.trail <- { node = n; kind = n.kind; fanout = n.fanout } :: t.trail
+  | _ -> ()
 
 let slot t id =
   if id >= 0 && id < Array.length t.store then Array.unsafe_get t.store id
@@ -85,7 +112,8 @@ let node t id =
   if n != absent then n
   else invalid_arg (Printf.sprintf "Network: unknown node %d" id)
 
-let install t n =
+let install t id node_name kind =
+  let n = { id; node_name; kind; fanout = Node_map.empty; saved_in = 0 } in
   let cap = Array.length t.store in
   if n.id >= cap then begin
     let cap' = ref (max 16 cap) in
@@ -108,7 +136,7 @@ let id_limit t = t.next_id
 
 let add_input t input_name =
   let id = fresh_id t in
-  install t { id; node_name = input_name; kind = Input; fanout = Node_map.empty };
+  install t id input_name Input;
   t.input_order <- id :: t.input_order;
   notify t (Node_added id);
   id
@@ -175,11 +203,13 @@ let normalise ~fanins ~cover =
 
 let incr_fanout t ~from ~target =
   let n = node t target in
+  save t n;
   let count = Option.value (Node_map.find_opt from n.fanout) ~default:0 in
   n.fanout <- Node_map.add from (count + 1) n.fanout
 
 let decr_fanout t ~from ~target =
   let n = node t target in
+  save t n;
   match Node_map.find_opt from n.fanout with
   | None -> ()
   | Some 1 -> n.fanout <- Node_map.remove from n.fanout
@@ -192,8 +222,7 @@ let add_logic t ?name ~fanins cover =
   let fanins, cover = normalise ~fanins ~cover in
   let id = fresh_id t in
   let node_name = Option.value name ~default:(Printf.sprintf "n%d" id) in
-  install t
-    { id; node_name; kind = Logic { fanins; cover }; fanout = Node_map.empty };
+  install t id node_name (Logic { fanins; cover });
   Array.iter (fun f -> incr_fanout t ~from:id ~target:f) fanins;
   notify t (Node_added id);
   id
@@ -406,8 +435,8 @@ let set_function t id ~fanins:new_fanins cover =
           raise (Cyclic (Printf.sprintf "fanin %d depends on node %d" f id)))
       new_fanins;
     Array.iter (fun f -> decr_fanout t ~from:id ~target:f) l.fanins;
-    l.fanins <- new_fanins;
-    l.cover <- new_cover;
+    save t n;
+    n.kind <- Logic { fanins = new_fanins; cover = new_cover };
     Array.iter (fun f -> incr_fanout t ~from:id ~target:f) new_fanins;
     notify t (Function_changed id)
 
@@ -421,32 +450,95 @@ let remove_node t id =
     | Input -> t.input_order <- List.filter (fun i -> i <> id) t.input_order
     | Logic l -> Array.iter (fun f -> decr_fanout t ~from:id ~target:f) l.fanins
   end;
+  save t n;
   t.store.(id) <- absent;
   t.count <- t.count - 1;
   notify t (Node_removed id)
 
+(* A kind is never mutated, so a copy shares it. *)
 let copy t =
-  let duplicate n =
-    match n.kind with
-    | Input -> if n == absent then absent else { n with kind = Input }
-    | Logic l -> { n with kind = Logic { l with fanins = Array.copy l.fanins } }
-  in
+  let duplicate n = if n == absent then n else { n with kind = n.kind } in
   {
     t with
     store = Array.map duplicate t.store;
     revision = 0;
     next_observer = 0;
     observers = [];
+    attempts = [];
+    trail = [];
+    held = [];
   }
 
-let overwrite dst src =
-  let fresh = copy src in
-  dst.store <- fresh.store;
-  dst.next_id <- fresh.next_id;
-  dst.count <- fresh.count;
-  dst.input_order <- fresh.input_order;
-  dst.output_order <- fresh.output_order;
-  notify dst Rebuilt
+let in_attempt t = t.attempts != []
+
+(* [f] on each trail entry newer than [m]'s, newest first. *)
+let rec iter_since m f = function
+  | trail when trail == m.trail -> ()
+  | s :: older ->
+    f s;
+    iter_since m f older
+  | [] -> assert false
+
+(* Close the innermost attempt [m] and undo it: newest entry first, so
+   each node ends in its oldest saved state, then drop the nodes it
+   added. *)
+let rollback t m =
+  iter_since m
+    (fun s ->
+      s.node.kind <- s.kind;
+      s.node.fanout <- s.fanout;
+      t.store.(s.node.id) <- s.node)
+    t.trail;
+  Array.fill t.store m.next_id (t.next_id - m.next_id) absent;
+  t.attempts <- m.attempts;
+  t.trail <- m.trail;
+  t.held <- m.held;
+  t.next_id <- m.next_id;
+  t.count <- m.count;
+  t.input_order <- m.input_order;
+  t.output_order <- m.output_order;
+  t.revision <- t.revision + 1
+
+let attempt t f =
+  t.opened <- t.opened + 1;
+  let m = { t with attempts = t.attempts } (* what a rollback restores *) in
+  t.attempts <- m :: t.attempts;
+  match f () with
+  | Some _ as kept ->
+    t.attempts <- m.attempts;
+    if t.attempts == [] then begin
+      let held = List.rev t.held in
+      t.trail <- [];
+      t.held <- [];
+      List.iter (deliver t) held
+    end;
+    kept
+  | None ->
+    rollback t m;
+    None
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    rollback t m;
+    Printexc.raise_with_backtrace e bt
+
+let attempt_changes t =
+  let m =
+    match t.attempts with
+    | m :: _ -> m
+    | [] -> invalid_arg "Network.attempt_changes: no open attempt"
+  in
+  (* Newest first, so the cover left is the oldest. *)
+  let before = Hashtbl.create 16 in
+  iter_since m
+    (fun s ->
+      if s.node.id < m.next_id then
+        Hashtbl.replace before s.node.id
+          (match s.kind with Input -> None | Logic l -> Some l.cover))
+    t.trail;
+  Hashtbl.fold
+    (fun id cover acc -> (id, cover) :: acc)
+    before
+    (List.init (t.next_id - m.next_id) (fun i -> (m.next_id + i, None)))
 
 let eval t input_assignment =
   let values = Hashtbl.create (node_count t) in

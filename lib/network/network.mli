@@ -27,28 +27,49 @@ exception Cyclic of string
     Incremental analyses (simulation signatures, implication arenas,
     ...) key their invalidation on the network's revision counter or
     subscribe to fine-grained mutation events. Every structural mutation —
-    node addition, function replacement, node removal, or a wholesale
-    {!overwrite} — bumps the revision and notifies the observers. *)
+    node addition, function replacement, node removal — bumps the
+    revision and notifies the observers, except inside an {!attempt},
+    which holds the notifications until it commits. *)
 
 type mutation =
   | Node_added of node_id
   | Function_changed of node_id  (** fanins and/or cover replaced *)
   | Node_removed of node_id
-  | Rebuilt  (** the whole network was replaced by {!overwrite} *)
 
 type observer_id
 
 val revision : t -> int
-(** Monotonically increasing mutation counter (0 for a fresh network).
-    Copies made with {!copy} restart at 0 and have no observers. *)
+(** Monotonically increasing mutation counter (0 for a fresh network):
+    it rises on every mutation, inside an attempt too, and on every
+    rollback. Copies made with {!copy} restart at 0 and have no
+    observers. *)
 
 val on_mutation : t -> (mutation -> unit) -> observer_id
 (** Subscribe to mutation events; the callback runs synchronously after
-    the mutation is applied. Keep callbacks cheap (set a dirty bit, do the
-    real work lazily). *)
+    the mutation is applied, or, inside an attempt, when the outermost
+    attempt commits. Keep callbacks cheap (set a dirty bit, do the real
+    work lazily). *)
 
 val remove_observer : t -> observer_id -> unit
 (** Unsubscribe; unknown ids are ignored. *)
+
+(** {1 Attempts: the one way to try a multi-step rewrite (DESIGN §21)} *)
+
+val attempt : t -> (unit -> 'a option) -> 'a option
+(** [attempt t f] runs [f] and keeps its mutations when it returns
+    [Some]. When it returns [None] or raises, every mutation it made is
+    undone, the id allocator included, and the exception is re-raised.
+    Attempts nest. Observers hear nothing until the outermost attempt
+    commits, and then its mutations in order. *)
+
+val in_attempt : t -> bool
+(** An attempt is open. *)
+
+val attempt_changes : t -> (node_id * Twolevel.Cover.t option) list
+(** Each node the innermost open attempt has changed or added, once,
+    with its cover when that attempt opened ([None] for an input or an
+    added node); an unreplaced cover is physically the node's own.
+    @raise Invalid_argument outside an attempt. *)
 
 (** {1 Construction} *)
 
@@ -83,20 +104,15 @@ val remove_node : t -> node_id -> unit
 (** Remove a fanout-free, non-output logic node. *)
 
 val id_limit : t -> int
-(** Exclusive upper bound of the node ids allocated so far. Ids are never
-    recycled, so [id_limit] only grows; the difference between two
-    readings counts the ids consumed in between (including ids of nodes
-    that were created and removed again). *)
+(** Exclusive upper bound of the node ids allocated so far. A removal
+    does not recycle its id, so outside attempts [id_limit] only grows;
+    a rolled-back {!attempt} returns it to its value when the attempt
+    opened. *)
 
 val copy : t -> t
 (** Deep copy preserving node ids, the id allocator position and so the
     {!node_ids} order. One map over the id-indexed store: it costs
-    O({!id_limit}), not O(nodes). *)
-
-val overwrite : t -> t -> unit
-(** [overwrite dst src] makes [dst] structurally identical to [src]
-    (deep-copying [src]'s state). Supports try-on-a-copy / commit
-    workflows in the optimisation drivers. *)
+    O({!id_limit}), not O(nodes). The copy has no open attempt. *)
 
 (** {1 Queries} *)
 
@@ -144,7 +160,8 @@ val node_ids : t -> node_id list
     visit dividends, divisors and wires in this order or its reverse,
     and their stable sorts keep it among ties, so it is part of their
     output. Removals and {!set_function} leave the survivors' order
-    alone, and {!copy} and {!overwrite} keep it. *)
+    alone, {!copy} keeps it, and a rolled-back {!attempt} restores
+    it. *)
 
 val logic_ids : t -> node_id list
 (** {!node_ids} without the primary inputs. *)

@@ -33,39 +33,28 @@ let cube_with_literal net ~node ~cube ~source ~phase =
     end
 
 let try_add_wire net ~node ~cube ~source ~phase =
-  if Network.depends_on net source node then false
-  else
-    let old_fanins = Network.fanins net node in
-    let old_cover = Network.cover net node in
-    match cube_with_literal net ~node ~cube ~source ~phase with
-    | None -> false
-    | Some (fanins', cover', bigger) ->
-      Network.set_function net node ~fanins:fanins' cover';
-      (* Find the cube again (normalisation may reorder) and test the new
-         literal wire for redundancy. *)
-      let idx =
-        let cubes = Cover.cubes (Network.cover net node) in
-        List.find_index (fun c -> Cube.equal c bigger) cubes
-      in
-      let redundant =
-        match idx with
-        | None -> false
-        | Some i ->
-          let new_fanins = Network.fanins net node in
-          (match
-             Array.to_list new_fanins |> List.find_index (Int.equal source)
-           with
-          | None -> false
-          | Some v ->
-            Atpg.Fault.redundant net
-              (Atpg.Fault.Literal_wire
-                 { node; cube = i; lit = Literal.make v phase }))
-      in
-      if redundant then true
-      else begin
-        Network.set_function net node ~fanins:old_fanins old_cover;
-        false
-      end
+  match
+    if Network.depends_on net source node then None
+    else cube_with_literal net ~node ~cube ~source ~phase
+  with
+  | None -> false
+  | Some (fanins', cover', bigger) ->
+    Option.is_some
+      (Network.attempt net @@ fun () ->
+       Network.set_function net node ~fanins:fanins' cover';
+       (* Find the cube again (normalisation may reorder) and test the new
+          literal wire for redundancy. *)
+       let cubes = Cover.cubes (Network.cover net node) in
+       match
+         ( List.find_index (Cube.equal bigger) cubes,
+           Array.find_index (Int.equal source) (Network.fanins net node) )
+       with
+       | Some i, Some v
+         when Atpg.Fault.redundant net
+                (Atpg.Fault.Literal_wire
+                   { node; cube = i; lit = Literal.make v phase }) ->
+         Some ()
+       | _ -> None)
 
 (* Candidate sources: nodes sharing transitive-fanin support with [node],
    nearest first, excluding anything that would create a cycle. [mine]
@@ -92,20 +81,17 @@ let candidate_sources net ~mine ~theirs node ~limit =
   in
   Array.map fst (Signature.rank ~k:limit ~score:snd (Array.of_list scored))
 
-(* One tentative RAR move, executed on a scratch copy: add the wire, run
-   redundancy removal around it, keep the copy only on literal gain. *)
+(* One tentative RAR move: add the wire, run redundancy removal around
+   it, keep the attempt only on literal gain. *)
 let attempt_move net ~node ~cube ~source ~phase =
-  let scratch = Network.copy net in
-  if not (try_add_wire scratch ~node ~cube ~source ~phase) then None
+  Network.attempt net @@ fun () ->
+  if not (try_add_wire net ~node ~cube ~source ~phase) then None
   else begin
-    let neighbourhood = Network.cone scratch in
-    ignore (Network.mark_fanout scratch neighbourhood [ source ]);
-    ignore (Network.mark_fanin scratch neighbourhood [ node ]);
-    let removed =
-      Remove.run ~node_filter:(Network.in_cone neighbourhood) scratch
-    in
-    let gain = Lit_count.factored_delta net scratch in
-    if gain > 0 then Some (scratch, removed) else None
+    let neighbourhood = Network.cone net in
+    ignore (Network.mark_fanout net neighbourhood [ source ]);
+    ignore (Network.mark_fanin net neighbourhood [ node ]);
+    let removed = Remove.run ~node_filter:(Network.in_cone neighbourhood) net in
+    if Lit_count.attempt_gain net > 0 then Some removed else None
   end
 
 let optimize ?(max_sources_per_node = 8) net =
@@ -124,8 +110,8 @@ let optimize ?(max_sources_per_node = 8) net =
             if Network.mem net node && Network.mem net source then begin
               let ncubes = Cover.cube_count (Network.cover net node) in
               for i = 0 to ncubes - 1 do
-                (* A commit overwrites the network and can shrink the
-                   cover, so the guard is re-checked for every phase. *)
+                (* A kept move can shrink the cover, so the guard is
+                   re-checked for every phase. *)
                 List.iter
                   (fun phase ->
                     if
@@ -136,8 +122,7 @@ let optimize ?(max_sources_per_node = 8) net =
                       match
                         attempt_move net ~node ~cube:i ~source ~phase
                       with
-                      | Some (better, r) ->
-                        Network.overwrite net better;
+                      | Some r ->
                         incr kept;
                         removed := !removed + r
                       | None -> ()

@@ -22,10 +22,10 @@ val try_add_wire :
   source:Logic_network.Network.node_id ->
   phase:bool ->
   bool
-(** Tentatively AND the literal [source^phase] into the given cube; returns
-    [true] and keeps the wire if it is redundant (the stuck-at-1 test of
-    the new wire conflicts), otherwise restores the cover and returns
-    [false]. *)
+(** Tentatively AND the literal [source^phase] into the given cube, as a
+    {!Logic_network.Network.attempt}: returns [true] and keeps the wire
+    if it is redundant (the stuck-at-1 test of the new wire conflicts),
+    otherwise rolls back and returns [false]. *)
 
 val optimize :
   ?max_sources_per_node:int ->
@@ -34,4 +34,5 @@ val optimize :
 (** Greedy one-wire-at-a-time RAR over the whole network: for every node
     cube and a bounded set of candidate source nodes, add a redundant
     connection, run redundancy removal in the neighbourhood, and keep the
-    change only on positive literal gain. *)
+    attempt only on positive literal gain
+    ({!Logic_network.Lit_count.attempt_gain}). *)

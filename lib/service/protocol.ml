@@ -82,8 +82,6 @@ let response_parts = function
 
 let encode_request r = String.concat "" (request_parts r)
 
-let encode_response r = String.concat "" (response_parts r)
-
 (* Split a payload into (magic kind, header assoc, body). Header keys
    must be unique; the first blank line ends the header. *)
 let split_payload payload =

@@ -58,8 +58,6 @@ val encode_request : request -> string
 
 val decode_request : string -> (request, string) result
 
-val encode_response : response -> string
-
 val decode_response : string -> (response, string) result
 
 val write_frame : Unix.file_descr -> string -> unit
@@ -70,7 +68,7 @@ val send_request : Unix.file_descr -> request -> unit
     payload built in one buffer: the BLIF text is copied once. *)
 
 val send_response : Unix.file_descr -> response -> unit
-(** [write_frame fd (encode_response r)], built the same way. *)
+(** One frame holding the response, built the same way. *)
 
 (** Frame reader over one socket, for the daemon's select loop and for
     clients alike. It reads into a buffer it owns and reuses for the

@@ -13,8 +13,6 @@ type t = {
   mutable patterns : int64 array array;
   mutable observer : Network.observer_id option;
   mutable dirty : Node_set.t;
-  mutable stale : bool;
-  mutable nodes_resimulated : int;
   (* External don't cares: rows matching an EXCDC cube are outside the
      care set and masked out of the divisor-filter predicates. The view
      never changes and the input stimulus changes only in [refine], so
@@ -85,17 +83,14 @@ let resimulate t id =
       Simulate.eval_cover ~words:t.words (Network.cover t.net id) ~fanin_values
     end
   in
-  set_value t id value;
-  t.nodes_resimulated <- t.nodes_resimulated + 1
+  set_value t id value
 
+(* An open attempt holds its notifications, so [dirty] does not yet
+   name what it changed: a read there would be stale. *)
 let refresh t =
-  if t.stale then begin
-    Array.fill t.values 0 (Array.length t.values) absent;
-    List.iter (resimulate t) (Network.topological t.net);
-    t.stale <- false;
-    t.dirty <- Node_set.empty
-  end
-  else if not (Node_set.is_empty t.dirty) then begin
+  if Network.in_attempt t.net then
+    invalid_arg "Signature: read inside an open attempt";
+  if not (Node_set.is_empty t.dirty) then begin
     let seeds =
       Node_set.filter (Network.mem t.net) t.dirty |> Node_set.elements
     in
@@ -142,8 +137,6 @@ let create ?(seed = default_seed) ?(words = default_words)
       patterns = Array.make 16 absent;
       observer = None;
       dirty = Node_set.empty;
-      stale = true;
-      nodes_resimulated = 0;
       dc;
       care = None;
       care_fresh = false;
@@ -159,9 +152,8 @@ let create ?(seed = default_seed) ?(words = default_words)
              t.dirty <- Node_set.add id t.dirty
            | Network.Node_removed id ->
              if id < Array.length t.values then t.values.(id) <- absent;
-             t.dirty <- Node_set.remove id t.dirty
-           | Network.Rebuilt -> t.stale <- true));
-  refresh t;
+             t.dirty <- Node_set.remove id t.dirty));
+  List.iter (resimulate t) (Network.topological net);
   t
 
 let detach t =
@@ -317,5 +309,3 @@ let rank ~k ~score pool =
       pool;
     kept
   end
-
-let resimulated_count t = t.nodes_resimulated

@@ -7,7 +7,11 @@
     {!Simulate.run} kernel). The engine subscribes to
     {!Logic_network.Network.on_mutation}, so after a node edit only the
     transitive fanout of the edited nodes is re-simulated — not the whole
-    network — and refreshes run lazily at the next query.
+    network — and refreshes run lazily at the next query. The engine
+    hears a {!Logic_network.Network.attempt}'s mutations only when the
+    outermost attempt commits, so a node's signature ({!signature} and
+    the filter predicates built on it) cannot be read while an attempt
+    is open: the read raises [Invalid_argument].
 
     The stimulus starts as deterministic pseudo-random patterns. A client
     that learns an input assignment the sample misses — a counterexample
@@ -93,7 +97,9 @@ val pattern : t -> Logic_network.Network.node_id -> int64 array
     valuation). *)
 
 val refresh : t -> unit
-(** Force the pending re-simulation now (normally implicit). *)
+(** Force the pending re-simulation now (normally implicit; every
+    {!signature} read runs it). @raise Invalid_argument while an attempt
+    is open on the network. *)
 
 val refine : t -> bool array -> unit
 (** [refine t assignment] writes the input assignment ([assignment.(i)]
@@ -170,8 +176,3 @@ val agreement : t -> int64 array -> int64 array -> int
     signatures agree, or on which they differ, whichever is larger. One
     popcount per word: the rows that agree are the care rows (counted
     once, with the care mask) less those that differ. *)
-
-(** {1 Introspection} *)
-
-val resimulated_count : t -> int
-(** Total node re-simulations, including the initial full pass. *)

@@ -85,13 +85,10 @@ let guarded_round net ~find ~apply =
   match find net with
   | None -> false
   | Some (candidate, _) ->
-    let scratch = Network.copy net in
-    apply scratch candidate;
-    if Logic_network.Lit_count.factored_delta net scratch > 0 then begin
-      Network.overwrite net scratch;
-      true
-    end
-    else false
+    Option.is_some
+      (Network.attempt net @@ fun () ->
+       apply net candidate;
+       if Logic_network.Lit_count.attempt_gain net > 0 then Some () else None)
 
 let gcx ?(max_rounds = 64) net =
   let rec loop round extracted =

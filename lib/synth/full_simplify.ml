@@ -79,24 +79,17 @@ let node_dc net id =
     fanins;
   if Cover.cube_count !dc > dc_cube_limit then Cover.zero else !dc
 
+(* An equal count is kept too. *)
 let node net id =
   let dc = node_dc net id in
   if Cover.is_zero dc then Simplify.node net id
-  else begin
+  else
     let before = Network.cover net id in
-    let before_factored = Lit_count.node_factored net id in
     let after = Minimize.simplify ~dc before in
-    if Cover.equal before after then false
-    else begin
-      let fanins = Network.fanins net id in
-      Network.set_function net id ~fanins after;
-      if Lit_count.node_factored net id <= before_factored then true
-      else begin
-        Network.set_function net id ~fanins before;
-        false
-      end
-    end
-  end
+    (not (Cover.equal before after))
+    && Logic_network.Lift.set_function_if_cheaper net id
+         ~below:(Lit_count.node_factored net id + 1)
+         ~fanins:(Network.fanins net id) after
 
 let run net =
   List.fold_left

@@ -2,8 +2,8 @@
    the tests that compare the network's structural queries (and the
    analyses built on them) against frozen copies of their earlier
    implementations. One step adds a node, rewires one, removes a
-   fanout-free one, or saves / restores a whole copy through
-   [Network.overwrite]; removals are the most frequent, so sequences
+   fanout-free one, or runs a few steps as a [Network.attempt] that
+   commits or rolls back; removals are the most frequent, so sequences
    leave many removed ids behind. *)
 
 open Twolevel
@@ -38,10 +38,13 @@ let pick_opt rng = function [] -> None | l -> Some (Rng.pick rng l)
 let default_set_function net id ~fanins cover =
   try Network.set_function net id ~fanins cover with Network.Cyclic _ -> ()
 
+exception Abandoned
+
 (* Apply one random mutation. [set_function] performs every rewire and
-   must leave the network acyclic; [saved] holds the copy a later step
-   may restore. *)
-let step ?(set_function = default_set_function) rng net ~saved =
+   must leave the network acyclic. One step in eight is a
+   [Network.attempt] of one to three steps (attempts nest) that commits,
+   rolls back, or raises [Abandoned], at random. *)
+let rec step ?(set_function = default_set_function) rng net =
   match Rng.int rng 8 with
   | 0 | 1 ->
     let k = 1 + Rng.int rng 4 in
@@ -65,9 +68,16 @@ let step ?(set_function = default_set_function) rng net ~saved =
     | None -> ()
     | Some id -> Network.remove_node net id)
   | _ -> (
-    match !saved with
-    | Some s when Rng.bool rng -> Network.overwrite net s
-    | _ -> saved := Some (Network.copy net))
+    let body () =
+      for _ = 0 to Rng.int rng 3 do
+        step ~set_function rng net
+      done;
+      match Rng.int rng 3 with
+      | 0 -> Some ()
+      | 1 -> None
+      | _ -> raise Abandoned
+    in
+    try ignore (Network.attempt net body) with Abandoned -> ())
 
 (* A seed names a whole network and mutation sequence; a smaller seed
    is not a simpler case, so failures are reported unshrunk. *)
@@ -85,8 +95,7 @@ let initial seed =
 
 (* Apply [steps] mutations; [after_step] runs after each one. *)
 let mutate ?set_function ?(after_step = fun _ -> ()) rng net ~steps =
-  let saved = ref None in
   for _ = 1 to steps do
-    step ?set_function rng net ~saved;
+    step ?set_function rng net;
     after_step net
   done

@@ -13,6 +13,13 @@ module Generator = Bench_suite.Generator
 (* Implication engine                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The nodes the engine has a value for, ascending: [node_value] on
+   every id the network has allocated. *)
+let assigned_nodes net e =
+  List.filter_map
+    (fun id -> Option.map (fun v -> (id, v)) (Imply.node_value e id))
+    (List.init (Network.id_limit net) Fun.id)
+
 let test_forward_implication () =
   let net =
     Builder.of_spec ~inputs:[ "a"; "b" ] ~nodes:[ ("g", "ab") ] ~outputs:[ "g" ]
@@ -617,7 +624,7 @@ let prop_implication_soundness =
         List.for_all
           (fun (id, v) ->
             List.for_all (fun values -> values id = v) !consistent)
-          (Imply.assigned_nodes engine))
+          (assigned_nodes net engine))
 
 let prop_remove_preserves =
   QCheck2.Test.make ~name:"redundancy removal preserves function" ~count:80
@@ -1595,7 +1602,7 @@ let random_excdc rng net =
   Logic_network.Dont_care.make (List.rev !cubes)
 
 let same_engine_state net e o =
-  Imply.assigned_nodes e = Oracle.assigned_nodes o
+  assigned_nodes net e = Oracle.assigned_nodes o
   && List.for_all
        (fun id ->
          Network.is_input net id
@@ -1720,7 +1727,7 @@ let arenas_agree rng net a b =
     (fun e -> Imply.set_budget e (Rar_util.Budget.create ~fuel ()))
     [ a; b ];
   let same () =
-    Imply.assigned_nodes a = Imply.assigned_nodes b
+    assigned_nodes net a = assigned_nodes net b
     && List.for_all
          (fun id ->
            Network.is_input net id
@@ -1771,6 +1778,24 @@ let prop_rebuild_matches_fresh =
           Imply.reset ~frozen engine;
           arenas_agree rng net engine (Imply.create ?region ~frozen net))
         (List.init 8 Fun.id))
+
+(* An arena built inside an attempt that rolls back describes a network
+   that is gone. The rollback raises the revision, so the next [reset]
+   rebuilds it, and it then behaves like a fresh [create]. *)
+let prop_rollback_stales_arena =
+  QCheck2.Test.make ~name:"arena built in a rolled-back attempt rebuilds"
+    ~count:150 ~print:string_of_int Net_mutations.gen_seed (fun seed ->
+      let rng, net = Net_mutations.initial seed in
+      Net_mutations.mutate rng net ~steps:(Rar_util.Rng.int rng 8);
+      let inside = ref None in
+      ignore
+        (Network.attempt net (fun () ->
+             Net_mutations.mutate rng net ~steps:(1 + Rar_util.Rng.int rng 6);
+             inside := Some (Imply.create net);
+             None));
+      let engine = Option.get !inside in
+      Imply.reset engine;
+      arenas_agree rng net engine (Imply.create net))
 
 (* Removals that turn a node constant (the last literal of a cube, or
    the last cube): the rebuild seeds the new constant, and the arena
@@ -1891,7 +1916,7 @@ let test_outside_region () =
   Alcotest.(check (option bool)) "constant outside the region" (Some false)
     (Imply.node_value e zero);
   Alcotest.(check bool) "constant among the assigned nodes" true
-    (List.mem (zero, false) (Imply.assigned_nodes e));
+    (List.mem (zero, false) (assigned_nodes net e));
   Alcotest.check_raises "constant conflicts"
     (Imply.Conflict "node zero needs both 0 and 1") (fun () ->
       Imply.assign_node e zero true);
@@ -1981,6 +2006,7 @@ let qcheck_cases =
       prop_dominators_match_frozen;
       prop_engine_matches_frozen;
       prop_rebuild_matches_fresh;
+      prop_rollback_stales_arena;
       prop_rebuild_constant_matches_fresh;
       prop_small_region_matches_frozen;
     ]

@@ -14,6 +14,20 @@ module Generator = Bench_suite.Generator
 
 let cover = Parse.cover_default
 
+(* The defining identity of [Division.basic_sop]:
+   [quotient·d + remainder ≡ f] modulo [dc]. *)
+let verify_sop ?(dc = Cover.zero) ~f ~d { Division.quotient; remainder } =
+  let result = Cover.union (Cover.product quotient d) remainder in
+  Cover.contains (Cover.union result dc) f
+  && Cover.contains (Cover.union f dc) result
+
+(* Some cube of [f_not] shares no minterm with any cube of [d]: the test
+   [Division.pos_complements] runs before it complements [d]. *)
+let has_disjoint_cube ~f_not ~d =
+  List.exists
+    (fun c -> List.for_all (fun k -> Cube.distance c k > 0) (Cover.cubes d))
+    (Cover.cubes f_not)
+
 (* ------------------------------------------------------------------ *)
 (* Cover-level division                                                *)
 (* ------------------------------------------------------------------ *)
@@ -26,7 +40,7 @@ let test_sop_xor_example () =
   | None -> Alcotest.fail "division should succeed"
   | Some result ->
     Alcotest.(check bool) "identity holds" true
-      (Division.verify_sop ~f ~d result);
+      (verify_sop ~f ~d result);
     Alcotest.(check bool) "quotient is a' + b'" true
       (Cover.equivalent result.quotient (cover "a' + b'"));
     Alcotest.(check bool) "no remainder" true (Cover.is_zero result.remainder));
@@ -40,7 +54,7 @@ let test_sop_with_remainder () =
   | None -> Alcotest.fail "division should succeed"
   | Some result ->
     Alcotest.(check bool) "identity" true
-      (Division.verify_sop ~f ~d:d_div result);
+      (verify_sop ~f ~d:d_div result);
     Alcotest.(check bool) "quotient is d" true
       (Cover.equivalent result.quotient (cover "d"));
     Alcotest.(check bool) "remainder" true
@@ -61,7 +75,7 @@ let test_sop_with_dc () =
   | None -> Alcotest.fail "division should succeed"
   | Some result ->
     Alcotest.(check bool) "identity mod dc" true
-      (Division.verify_sop ~dc ~f ~d result);
+      (verify_sop ~dc ~f ~d result);
     Alcotest.(check bool) "dc shrinks quotient to 1" true
       (Cover.is_one result.quotient)
 
@@ -293,14 +307,12 @@ let prop_pos_precheck_exact =
     ~print:(fun (f, d) -> Cover.to_string f ^ " / " ^ Cover.to_string d)
     QCheck2.Gen.(pair gen_cover gen_cover)
     (fun (f, d) ->
-      match reference_complement f with
-      | None -> true
-      | Some f_not -> (
-        Division.has_disjoint_cube ~f_not ~d
-        ||
-        match reference_complement d with
-        | None -> true
-        | Some d_not -> Division.basic_sop ~f:f_not ~d:d_not () = None))
+      Division.pos_complements ~f ~d () <> None
+      ||
+      match (reference_complement f, reference_complement d) with
+      | Some f_not, Some d_not ->
+        Division.basic_sop ~f:f_not ~d:d_not () = None
+      | _ -> true)
 
 (* The support test is necessary for a disjoint cube both with the
    minimised complement and with the raw Shannon complement that
@@ -314,7 +326,7 @@ let prop_support_test_exact =
     (fun (f, d) ->
       Division.meets_support ~f ~d
       || List.for_all
-           (fun f_not -> not (Division.has_disjoint_cube ~f_not ~d))
+           (fun f_not -> not (has_disjoint_cube ~f_not ~d))
            (List.filter_map Fun.id
               [
                 Minimize.complement ~limit:1024 f;
@@ -327,7 +339,7 @@ let prop_support_test_exact =
 let test_support_test_reads_cover () =
   let f = cover "ab + ab'" and d = cover "b" in
   Alcotest.(check bool) "the raw complement has a disjoint cube" true
-    (Division.has_disjoint_cube
+    (has_disjoint_cube
        ~f_not:(Option.get (Complement.cover_limited ~limit:1024 f))
        ~d);
   Alcotest.(check bool) "b passes" true (Division.meets_support ~f ~d);
@@ -708,6 +720,29 @@ let test_prechecks_exact () =
 module Oracle = struct
   module Vote = Booldiv.Vote
   module Clique = Booldiv.Clique
+
+  (* The try-on-a-copy commit of the time, from public operations:
+     [dst] takes the nodes, covers and id allocator of [src], a copy of
+     [dst] that gained, rewired and lost logic nodes. Every logic node
+     is emptied first, so no rewire can close a cycle, and ids [src]
+     allocated and removed again are allocated and removed here too. *)
+  let overwrite dst src =
+    let empty id = Network.set_function dst id ~fanins:[||] Cover.zero in
+    List.iter empty (Network.logic_ids dst);
+    for id = Network.id_limit dst to Network.id_limit src - 1 do
+      let name = if Network.mem src id then Network.name src id else "gap" in
+      ignore (Network.add_logic dst ~name ~fanins:[||] Cover.zero)
+    done;
+    List.iter
+      (fun id ->
+        if Network.mem src id then
+          Network.set_function dst id ~fanins:(Network.fanins src id)
+            (Network.cover src id)
+        else Network.remove_node dst id)
+      (Network.logic_ids dst)
+
+  let factored_delta before after =
+    Lit_count.factored before - Lit_count.factored after
   (* The lifted cubes of the time: packed signal-literal sets in which
      node id [n] owns codes (2n, 2n+1), positive phase on the odd code. *)
   module Net_cube = struct
@@ -820,9 +855,9 @@ module Oracle = struct
       in
       if
         first <> None && second <> None
-        && Lit_count.factored_delta net scratch > 0
+        && factored_delta net scratch > 0
       then begin
-        Network.overwrite net scratch;
+        overwrite net scratch;
         incr combined;
         true
       end
@@ -862,7 +897,7 @@ module Oracle = struct
     let ( let* ) = Option.bind in
     let complement = Minimize.complement ~limit:pos_cube_limit in
     let* f_not = complement f in
-    if not (Division.has_disjoint_cube ~f_not ~d) then None
+    if not (has_disjoint_cube ~f_not ~d) then None
     else
       let* d_not = complement d in
       let* { Division.quotient = q_not; remainder = r_not } =
@@ -1068,9 +1103,9 @@ module Oracle = struct
           in
           if not cleanup_ok then None
           else begin
-            let gain = Lit_count.factored_delta net scratch in
+            let gain = factored_delta net scratch in
             if gain > 0 then begin
-              Network.overwrite net scratch;
+              overwrite net scratch;
               Some
                 {
                   Booldiv.Extended_division.core_cubes = List.length core;

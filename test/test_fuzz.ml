@@ -163,10 +163,7 @@ let daemon_frames ~cases () =
     { (Server.default_config ~socket_path:socket) with Server.jobs = 1 }
   in
   Server.with_server config (fun server ->
-      let ask () =
-        Protocol.encode_response
-          (Server.Client.round_trip ~timeout:5.0 ~socket request)
-      in
+      let ask () = Server.Client.round_trip ~timeout:5.0 ~socket request in
       ignore (ask ());
       let before = ask () in
       let rng = Random.State.make [| seed |] in
@@ -178,7 +175,8 @@ let daemon_frames ~cases () =
       let start = Unix.gettimeofday () in
       let after = ask () in
       let seconds = Unix.gettimeofday () -. start in
-      Alcotest.(check string) "reply unchanged by the abuse" before after;
+      Alcotest.(check bool)
+        "reply unchanged by the abuse" true (before = after);
       if (Server.stats server).Server.refused = 0 then
         Alcotest.fail "no mutant was refused";
       if seconds > 0.25 then

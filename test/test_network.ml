@@ -120,15 +120,28 @@ let test_topological () =
         (Network.fanins net id))
     (Network.node_ids net)
 
-let test_copy_and_overwrite () =
+(* An attempt keeps its mutations when it returns [Some] and rolls them
+   back when it returns [None] or raises. *)
+let test_attempt_keeps_or_rolls_back () =
   let net = adder_net () in
   let snapshot = Network.copy net in
   let sum = Builder.node net "sum" in
-  Network.set_function net sum ~fanins:(Network.fanins net sum)
-    (Parse.cover_default "a");
-  Alcotest.(check bool) "diverged" false (Equiv.equivalent net snapshot);
-  Network.overwrite net snapshot;
+  let diverge () =
+    Network.set_function net sum ~fanins:(Network.fanins net sum)
+      (Parse.cover_default "a");
+    Alcotest.(check bool) "diverged" false (Equiv.equivalent net snapshot)
+  in
+  Alcotest.(check (option unit)) "rolled back" None
+    (Network.attempt net (fun () -> diverge (); None));
   Alcotest.(check bool) "restored" true (Equiv.equivalent net snapshot);
+  Alcotest.check_raises "re-raised" Exit (fun () ->
+      ignore (Network.attempt net (fun () -> diverge (); raise Exit)));
+  Alcotest.(check bool) "restored after a raise" true
+    (Equiv.equivalent net snapshot);
+  Alcotest.(check bool) "closed" false (Network.in_attempt net);
+  Alcotest.(check (option int)) "kept" (Some 1)
+    (Network.attempt net (fun () -> diverge (); Some 1));
+  Alcotest.(check bool) "still diverged" false (Equiv.equivalent net snapshot);
   Network.check net
 
 let unknown_node net id =
@@ -141,7 +154,7 @@ let unknown_node net id =
 (* [node] and [mem] on ids the id-indexed store has no node for:
    negative ids, ids past its end, removed ids (one at a time and in a
    run of 200, which leaves a gap far past the store's first capacity),
-   and ids an [overwrite] from a smaller network dropped. *)
+   and ids a rolled-back attempt allocated. *)
 let test_node_store_edges () =
   let net = adder_net () in
   List.iter (unknown_node net)
@@ -162,26 +175,27 @@ let test_node_store_edges () =
     (Network.name net far);
   unknown_node net (far - 1);
   Network.check net;
-  (* Grow a network far past its first capacity, then overwrite it with
-     a smaller one: the dropped ids are unknown again, the allocator
-     restarts at the source's limit, and new nodes land there. *)
+  (* Grow a network far past its first capacity inside an attempt that
+     rolls back: the added ids are unknown again, the allocator is back
+     at its old limit, and new nodes land there. *)
   let big = adder_net () in
-  let ids =
-    List.init 150 (fun _ ->
-        Network.add_logic big ~fanins:[| Builder.node big "a" |]
-          (Parse.cover_default "a"))
-  in
-  let small = adder_net () in
-  Network.overwrite big small;
-  List.iter (unknown_node big) ids;
-  Alcotest.(check int) "allocator follows the source"
-    (Network.id_limit small) (Network.id_limit big);
+  let limit = Network.id_limit big in
+  let ids = ref [] in
+  ignore
+    (Network.attempt big (fun () ->
+         ids :=
+           List.init 150 (fun _ ->
+               Network.add_logic big ~fanins:[| Builder.node big "a" |]
+                 (Parse.cover_default "a"));
+         None));
+  List.iter (unknown_node big) !ids;
+  Alcotest.(check int) "allocator back at its limit" limit
+    (Network.id_limit big);
   let fresh =
     Network.add_logic big ~fanins:[| Builder.node big "b" |]
       (Parse.cover_default "a'")
   in
-  Alcotest.(check int) "first new id" (Network.id_limit small) fresh;
-  Alcotest.(check bool) "source untouched" false (Network.mem small fresh);
+  Alcotest.(check int) "first new id" limit fresh;
   Network.check big
 
 (* A copy owns its store: nodes later added to, rewired in or removed
@@ -321,7 +335,7 @@ let test_lit_count () =
       ~outputs:[ "f" ]
   in
   let f = Builder.node net "f" in
-  Alcotest.(check int) "flat" 9 (Lit_count.node_flat net f);
+  Alcotest.(check int) "flat" 9 (Lit_count.flat net);
   Alcotest.(check int) "factored" 5 (Lit_count.node_factored net f);
   Alcotest.(check int) "network factored" 5 (Lit_count.factored net)
 
@@ -496,13 +510,6 @@ let test_bdd_constrain () =
     (equal (band man f care) (band man g care));
   (* Under care = ab, f is identically 1. *)
   Alcotest.(check bool) "constrained to 1" true (equal g (btrue man))
-
-let test_bdd_cover_roundtrip () =
-  let man = Robdd.Bdd.create () in
-  let f = Parse.cover_default "ab + a'c + bc'" in
-  let bdd = Robdd.Bdd.of_cover man f in
-  let back = Robdd.Bdd.to_cover man bdd in
-  Alcotest.(check bool) "roundtrip equivalent" true (Cover.equivalent f back)
 
 (* ------------------------------------------------------------------ *)
 (* Properties on random networks                                       *)
@@ -769,6 +776,20 @@ let prop_normalise_matches_frozen =
 
 let nvars_bdd = 5
 
+(* A cover's BDD, cube by cube; cover variable [i] is BDD variable [i]. *)
+let bdd_of_cover man cover =
+  let open Robdd.Bdd in
+  List.fold_left
+    (fun acc cube ->
+      bor man acc
+        (List.fold_left
+           (fun acc lit ->
+             let v = Literal.var lit in
+             band man acc
+               (if Literal.is_pos lit then var man v else nvar man v))
+           (btrue man) (Cube.literals cube)))
+    (bfalse man) (Cover.cubes cover)
+
 let gen_bdd_cover =
   QCheck2.Gen.(
     let* cubes =
@@ -784,7 +805,7 @@ let prop_bdd_eval_matches_cover =
   QCheck2.Test.make ~name:"BDD of a cover evaluates like the cover"
     ~count:300 ~print:Cover.to_string gen_bdd_cover (fun f ->
       let man = Robdd.Bdd.create () in
-      let bdd = Robdd.Bdd.of_cover man f in
+      let bdd = bdd_of_cover man f in
       let ok = ref true in
       for bits = 0 to (1 lsl nvars_bdd) - 1 do
         let assign v = bits land (1 lsl v) <> 0 in
@@ -799,8 +820,8 @@ let prop_bdd_constrain_identity =
     QCheck2.Gen.(pair gen_bdd_cover gen_bdd_cover)
     (fun (f, c) ->
       let man = Robdd.Bdd.create () in
-      let fb = Robdd.Bdd.of_cover man f in
-      let cb = Robdd.Bdd.of_cover man c in
+      let fb = bdd_of_cover man f in
+      let cb = bdd_of_cover man c in
       QCheck2.assume (not (Robdd.Bdd.is_false man cb));
       let g = Robdd.Bdd.constrain man fb cb in
       Robdd.Bdd.equal (Robdd.Bdd.band man fb cb) (Robdd.Bdd.band man g cb))
@@ -809,7 +830,7 @@ let prop_bdd_shannon =
   QCheck2.Test.make ~name:"Shannon expansion law" ~count:200
     ~print:Cover.to_string gen_bdd_cover (fun f ->
       let man = Robdd.Bdd.create () in
-      let fb = Robdd.Bdd.of_cover man f in
+      let fb = bdd_of_cover man f in
       (* f = x0·f|x0=1 ∨ x0'·f|x0=0, the cofactors being the generalized
          ones by a literal. *)
       let lo = Robdd.Bdd.constrain man fb (Robdd.Bdd.nvar man 0) in
@@ -819,36 +840,93 @@ let prop_bdd_shannon =
            (Robdd.Bdd.band man (Robdd.Bdd.var man 0) hi)
            (Robdd.Bdd.band man (Robdd.Bdd.nvar man 0) lo)))
 
-let prop_bdd_to_cover_roundtrip =
-  QCheck2.Test.make ~name:"BDD to_cover roundtrip" ~count:200
-    ~print:Cover.to_string gen_bdd_cover (fun f ->
-      let man = Robdd.Bdd.create () in
-      let bdd = Robdd.Bdd.of_cover man f in
-      let back = Robdd.Bdd.to_cover man bdd in
-      Robdd.Bdd.equal bdd (Robdd.Bdd.of_cover man back))
-
-(* Try-on-a-copy: after every mutation of a copy (and of the original,
-   whose saved copies the sequence restores) the delta counted on the
-   physically differing covers equals the difference of the totals. *)
-let prop_factored_delta =
-  QCheck2.Test.make ~name:"factored_delta equals the difference of totals"
+(* Inside an attempt, after every step (nested attempts included), the
+   gain read on the changed nodes equals the difference of the totals
+   since the attempt opened. *)
+let prop_attempt_gain =
+  QCheck2.Test.make ~name:"attempt_gain equals the difference of totals"
     ~count:100 ~print:string_of_int Net_mutations.gen_seed (fun seed ->
       let rng, net = Net_mutations.initial seed in
-      let agrees a b =
-        Lit_count.factored_delta a b = Lit_count.factored a - Lit_count.factored b
-      in
       let ok = ref true in
       for _ = 1 to 4 do
-        let scratch = Network.copy net in
-        ok := !ok && agrees net scratch;
-        Net_mutations.mutate rng scratch ~steps:6 ~after_step:(fun s ->
-            ok := !ok && agrees net s && agrees s net);
-        if Rar_util.Rng.bool rng then Network.overwrite net scratch
+        let opened = Lit_count.factored net in
+        let agrees net =
+          ok :=
+            !ok && Lit_count.attempt_gain net = opened - Lit_count.factored net
+        in
+        ignore
+          (Network.attempt net (fun () ->
+               agrees net;
+               Net_mutations.mutate rng net ~steps:6 ~after_step:agrees;
+               if Rar_util.Rng.bool rng then Some () else None))
       done;
       !ok)
 
+(* The state a rolled-back attempt must restore. *)
+let state net =
+  ( Network.to_string net,
+    Network.node_ids net,
+    Network.id_limit net,
+    List.map (fun id -> Network.fanouts net id) (Network.node_ids net),
+    Network.inputs net,
+    Network.outputs net )
+
+(* A rolled-back attempt of random steps leaves the network as it was:
+   text, ids, allocator, fanouts and port order, with every invariant;
+   only the revision has risen. *)
+let prop_rollback_restores =
+  QCheck2.Test.make ~name:"a rolled-back attempt leaves no trace" ~count:100
+    ~print:string_of_int Net_mutations.gen_seed (fun seed ->
+      let rng, net = Net_mutations.initial seed in
+      for _ = 1 to 4 do
+        let before = state net and revision = Network.revision net in
+        ignore
+          (Network.attempt net (fun () ->
+               Net_mutations.mutate rng net ~steps:(1 + Rar_util.Rng.int rng 8);
+               None));
+        Network.check net;
+        if state net <> before then fail "rollback left a trace";
+        if Network.revision net <= revision then
+          fail "revision did not rise on rollback";
+        Net_mutations.mutate rng net ~steps:3
+      done;
+      true)
+
+(* Observers hear nothing while an attempt is open, nothing of one that
+   rolls back, and a committed one's mutations in order: those a plain
+   run of the same steps on an equal network delivers. *)
+let prop_observers_hear_commits =
+  QCheck2.Test.make ~name:"observers hear only committed attempts"
+    ~count:100 ~print:string_of_int Net_mutations.gen_seed (fun seed ->
+      let listen net =
+        let heard = ref [] in
+        ignore (Network.on_mutation net (fun m -> heard := m :: !heard));
+        heard
+      in
+      let rng, net = Net_mutations.initial seed in
+      let plain_rng, plain = Net_mutations.initial seed in
+      let heard = listen net and plain_heard = listen plain in
+      let steps = 1 + Rar_util.Rng.int rng 8 in
+      ignore (Rar_util.Rng.int plain_rng 8);
+      let keep = Rar_util.Rng.bool rng in
+      ignore (Rar_util.Rng.bool plain_rng);
+      let kept =
+        Network.attempt net (fun () ->
+            Net_mutations.mutate rng net ~steps ~after_step:(fun _ ->
+                if !heard <> [] then fail "heard inside an attempt");
+            if keep then Some () else None)
+      in
+      Net_mutations.mutate plain_rng plain ~steps;
+      if kept = Some () then begin
+        if !heard <> !plain_heard then fail "heard other mutations";
+        if Network.to_string net <> Network.to_string plain then
+          fail "committed network differs"
+      end
+      else if !heard <> [] then fail "heard a rolled-back attempt";
+      true)
+
 (* The declared node order: [node_ids] is strictly descending, a copy
-   and an overwrite keep it, [node_count] counts it, and [logic_ids] is
+   and a rolled-back attempt keep it, [node_count] counts it, and [logic_ids] is
    it without the inputs. *)
 let check_order net =
   let ids = Network.node_ids net in
@@ -859,9 +937,19 @@ let check_order net =
   if not (descending ids) then fail "node_ids not strictly descending";
   if Network.node_ids (Network.copy net) <> ids then
     fail "a copy reorders node_ids";
-  let target = Network.create () in
-  Network.overwrite target net;
-  if Network.node_ids target <> ids then fail "an overwrite reorders node_ids";
+  ignore
+    (Network.attempt net (fun () ->
+         ignore (Network.add_logic net ~fanins:[||] Cover.one);
+         List.iter
+           (fun id ->
+             if
+               Network.fanout_count net id = 0
+               && not (Network.is_output net id)
+             then Network.remove_node net id)
+           (Network.logic_ids net);
+         None));
+  if Network.node_ids net <> ids then
+    fail "a rolled-back attempt reorders node_ids";
   if Network.node_count net <> List.length ids then
     fail "node_count %d for %d ids" (Network.node_count net) (List.length ids);
   if
@@ -920,8 +1008,7 @@ let removals net run =
   let observer =
     Network.on_mutation net (function
       | Network.Node_removed id -> removed := id :: !removed
-      | Network.Node_added _ | Network.Function_changed _ | Network.Rebuilt ->
-        ())
+      | Network.Node_added _ | Network.Function_changed _ -> ())
   in
   let n = run net in
   Network.remove_observer net observer;
@@ -1005,13 +1092,14 @@ let qcheck_cases =
       prop_bdd_eval_matches_cover;
       prop_bdd_constrain_identity;
       prop_bdd_shannon;
-      prop_bdd_to_cover_roundtrip;
       prop_traversals_match_frozen;
       prop_find_input_matches_scan;
       prop_order_under_mutation;
       prop_cycle_guard_matches_frozen;
       prop_normalise_matches_frozen;
-      prop_factored_delta;
+      prop_attempt_gain;
+      prop_rollback_restores;
+      prop_observers_hear_commits;
     ]
 
 let () =
@@ -1027,7 +1115,8 @@ let () =
           Alcotest.test_case "merge drops an unnamed fanin" `Quick
             test_merge_drops_unnamed_fanin;
           Alcotest.test_case "topological order" `Quick test_topological;
-          Alcotest.test_case "copy and overwrite" `Quick test_copy_and_overwrite;
+          Alcotest.test_case "attempt keeps or rolls back" `Quick
+            test_attempt_keeps_or_rolls_back;
           Alcotest.test_case "node store edge ids" `Quick test_node_store_edges;
           Alcotest.test_case "copy isolated" `Quick test_copy_isolated;
           Alcotest.test_case "node order on suite circuits" `Quick
@@ -1066,7 +1155,6 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_bdd_basics;
           Alcotest.test_case "constrain" `Quick test_bdd_constrain;
-          Alcotest.test_case "cover roundtrip" `Quick test_bdd_cover_roundtrip;
         ] );
       ("properties", qcheck_cases);
     ]

@@ -45,6 +45,12 @@ let with_socketpair f =
       List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ a; b ])
     (fun () -> f a b)
 
+(* A response's payload as the daemon sends it. *)
+let encode_response r =
+  with_socketpair (fun a b ->
+      Protocol.send_response a r;
+      Option.get (Protocol.read_frame (Protocol.Reader.create b)))
+
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in
   let rec at i =
@@ -89,11 +95,11 @@ let test_protocol_roundtrip () =
         counters = "{\"pairs\": 7}";
       }
   in
-  (match Protocol.decode_response (Protocol.encode_response response) with
+  (match Protocol.decode_response (encode_response response) with
   | Ok r -> Alcotest.(check bool) "response round trip" true (r = response)
   | Error m -> Alcotest.failf "response rejected: %s" m);
   (match
-     Protocol.decode_response (Protocol.encode_response (Protocol.Refused "no"))
+     Protocol.decode_response (encode_response (Protocol.Refused "no"))
    with
   | Ok (Protocol.Refused m) -> Alcotest.(check string) "refusal text" "no" m
   | Ok _ -> Alcotest.fail "refusal decoded as a result"

@@ -128,9 +128,9 @@ let resub_example () =
 let test_incremental_matches_fresh () =
   let net = resub_example () in
   let sigs = Signature.create ~seed:11 net in
-  let resim0 = Signature.resimulated_count sigs in
   (* Mutation 1: algebraic substitution rewrites f through set_function. *)
   let f = Builder.node net "f" and d = Builder.node net "D" in
+  let d_signature = Signature.signature sigs d in
   Alcotest.(check bool)
     "substitution committed" true
     (Synth.Resub.try_substitute net ~f ~d);
@@ -152,19 +152,48 @@ let test_incremental_matches_fresh () =
   check_against_fresh "after mutations";
   (* The incremental engine must not have re-simulated the whole network
      for the local edits (h and the edited nodes lie in the fanout; the
-     untouched D does not). *)
-  let resimulated = Signature.resimulated_count sigs - resim0 in
+     untouched D does not, so it keeps its array). *)
   Alcotest.(check bool)
     "incremental refresh is partial" true
-    (resimulated < 2 * Network.node_count net);
-  (* Mutation 3: Rebuilt via overwrite falls back to a full refresh. *)
-  let scratch = Network.copy net in
-  ignore (Synth.Simplify.run scratch);
-  Network.overwrite net scratch;
-  check_against_fresh "after overwrite";
+    (Signature.signature sigs d == d_signature);
+  (* Mutation 3: an attempt. Rolled back, the engine hears nothing and
+     every signature keeps its array; committed, the cone-local refresh
+     follows it. *)
+  let held = List.map (Signature.signature sigs) (Network.node_ids net) in
+  let tie_g keep () =
+    Network.set_function net g ~fanins:[||] Twolevel.Cover.one;
+    keep
+  in
+  Alcotest.(check (option unit)) "rolled back" None
+    (Network.attempt net (tie_g None));
+  List.iter2
+    (fun id v ->
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d untouched" id)
+        true
+        (Signature.signature sigs id == v))
+    (Network.node_ids net) held;
+  Alcotest.(check (option unit)) "committed" (Some ())
+    (Network.attempt net (tie_g (Some ())));
+  check_against_fresh "after a committed attempt";
   (* Mutation 4: node removal via sweep. *)
   ignore (Logic_network.Sweep.run net);
   check_against_fresh "after sweep";
+  Signature.detach sigs
+
+(* An open attempt holds its notifications, so a read there raises
+   rather than answer from values the attempt may have made stale. *)
+let test_read_inside_attempt_raises () =
+  let net = resub_example () in
+  let sigs = Signature.create net in
+  let f = Builder.node net "f" in
+  Alcotest.check_raises "read inside an attempt"
+    (Invalid_argument "Signature: read inside an open attempt") (fun () ->
+      ignore
+        (Network.attempt net (fun () ->
+             ignore (Signature.signature sigs f);
+             Some ())));
+  ignore (Signature.signature sigs f);
   Signature.detach sigs
 
 (* The engine keeps signatures in arrays indexed by node id that grow by
@@ -512,7 +541,8 @@ let test_observer_lifecycle () =
 (* Random mutation sequences, most steps removals, with an incremental
    engine attached throughout: after every step each node's signature
    equals a fresh engine's. Rewires and additions take the cone-local
-   refresh, overwrites the full one. *)
+   refresh, committed attempts deliver theirs at once, and rolled-back
+   ones nothing. *)
 let prop_incremental_matches_fresh_under_mutation =
   QCheck2.Test.make
     ~name:"incremental refresh matches a fresh engine after mutations"
@@ -539,7 +569,7 @@ let prop_incremental_matches_fresh_under_mutation =
    transitive fanout of [f]'s cone. The drivers walk those cones into
    [Network.cone] stamps that live for the whole run, so two cones made
    before the first step serve every dividend and every step here, node
-   additions and overwrites included; each mark must equal the
+   additions and rolled-back attempts included; each mark must equal the
    [Node_set] walk on every id ever allocated, and each walk must return
    exactly the nodes it added. *)
 let prop_cone_identities_under_mutation =
@@ -760,6 +790,8 @@ let () =
             test_consistent_with_exhaustive;
           Alcotest.test_case "incremental matches fresh" `Quick
             test_incremental_matches_fresh;
+          Alcotest.test_case "read inside an attempt raises" `Quick
+            test_read_inside_attempt_raises;
           Alcotest.test_case "dense store grows, removes, rejects" `Quick
             test_dense_store_growth;
           Alcotest.test_case "refined rows match fresh" `Quick
