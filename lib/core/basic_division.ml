@@ -68,6 +68,52 @@ let region_nodes net seeds =
     (fun id -> id :: Array.to_list (Network.fanins net id))
     seeds
 
+(* The arena of [region_nodes [f; d; q]] reads the covers of [f], [d],
+   [q] and their fanins, and treats the fanins' fanins as free unless
+   their covers are syntactically constant. Every assignment of the
+   fanins of [f] and [d] is one of the region's when each logic fanin
+   is a non-constant function of fanins no other region node reads; with
+   no dominator past [f] no side input is forced either (DESIGN §19.10).
+   A view binding no EXCDC cube to an input gives the arena nothing. *)
+let exact_region ?(gdc = false) ?budget ?dc net ~f ~d =
+  (not gdc) && budget = None
+  && (match dc with
+     | None -> true
+     | Some view ->
+       Logic_network.Dont_care.bind view (Network.find_input net) = [])
+  &&
+  let fanins = Array.append (Network.fanins net f) (Network.fanins net d) in
+  let logic =
+    List.sort_uniq Int.compare
+      (List.filter
+         (fun g -> not (Network.is_input net g))
+         (Array.to_list fanins))
+  in
+  List.for_all
+    (fun g ->
+      let cubes = Cover.cubes (Network.cover net g) in
+      cubes <> [] && not (Tautology.check cubes))
+    logic
+  && (let seen =
+        ref (Array.fold_right Network.Node_set.add fanins
+               (Network.Node_set.of_list [ f; d ]))
+      in
+      List.for_all
+        (fun g ->
+          Array.for_all
+            (fun x ->
+              (not (Network.Node_set.mem x !seen))
+              && begin
+                seen := Network.Node_set.add x !seen;
+                Network.is_input net x
+                ||
+                let c = Network.cover net x in
+                not (Cover.is_zero c || Cover.is_one c)
+              end)
+            (Network.fanins net g))
+        logic)
+  && Atpg.Fault.dominators net f = []
+
 let divide ?(phase = true) ?(gdc = false) ?(learn_depth = 0) ?budget ?counters
     ?dc ?f1 net ~f ~d =
   let f1_idx =

@@ -92,3 +92,28 @@ val region_nodes :
 (** The local implication region used by the non-GDC configurations: the
     given nodes and their immediate fanins, possibly repeated (as
     {!Atpg.Imply.create}'s [region] accepts it). *)
+
+val exact_region :
+  ?gdc:bool ->
+  ?budget:Rar_util.Budget.t ->
+  ?dc:Logic_network.Dont_care.t ->
+  Logic_network.Network.t ->
+  f:Logic_network.Network.node_id ->
+  d:Logic_network.Network.node_id ->
+  bool
+(** Whether a division of [f] by [d] run with these arguments proves its
+    removals on every assignment of [f]'s and [d]'s fanins, so that the
+    cover [g] it leaves on [f], with [d]'s literal as [y], satisfies
+    [g(x, d(x)) = f(x)] for every such assignment [x]. It holds when
+    [gdc] is unset, there is no [budget] and [dc] binds no EXCDC cube
+    to an input ({!Logic_network.Dont_care.bind}); [f] has no
+    dominator ({!Atpg.Fault.dominators}), so no side input is forced;
+    every logic fanin of [f] or [d] has a cover that is neither zero nor
+    a tautology; and the fanins of those fanins are pairwise disjoint,
+    disjoint from [f], [d] and their fanins, and none has a
+    syntactically constant cover. Then the region's free nodes reach
+    every fanin assignment, and {!Logic_network.Lit_floor.pos} bounds
+    what the division leaves on [f]. Without any one condition a
+    satisfiability or observability don't care can let [g] differ from
+    [f] where the region cannot see, and the floor is not one
+    (DESIGN §19.10). *)

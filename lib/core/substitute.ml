@@ -90,92 +90,125 @@ let rank_divisors ~counters ~sigs ~cones:(tfo, meet) net f ~use_complement
 
 let pos_cube_limit = 64
 
+(* The region floor of a unit [f]/[d] (DESIGN §19.1): [d]'s cover in the
+   combined slots, [f]'s fanins then [d]'s that [f] lacks, in [d]'s
+   order ([map] gives [d]'s fanin slots among [f]'s, [-1] where [f]
+   lacks the fanin), [f]'s factored count, and whether the floor
+   reaches it. With [d] a fanin of [f] already the floor does not
+   apply. Computed at most once per unit, before anything commits. *)
+type floor = {
+  map : int array;
+  d_lift : Cover.t;
+  before_lits : int;
+  cannot_pay : bool;
+}
+
+let unit_floor net ~f ~d =
+  lazy
+    (let f_fanins = Network.fanins net f in
+     let map = Lift.slot_map net ~src:d ~dst:f in
+     let next = ref (Array.length f_fanins) in
+     let slot =
+       Array.map
+         (fun s ->
+           if s >= 0 then s
+           else begin
+             incr next;
+             !next - 1
+           end)
+         map
+     in
+     let d_lift = Cover.map_vars (Array.get slot) (Network.cover net d) in
+     let before_lits = Lit_count.node_factored net f in
+     let cannot_pay =
+       (not (Array.mem d f_fanins))
+       && Lit_floor.pos ~f:(Network.cover net f) ~d:d_lift >= before_lits
+     in
+     { map; d_lift; before_lits; cannot_pay })
+
+(* {!Division.meets_support} on [d]'s lifted cover, decided on [d]'s own:
+   a lifted cube names a variable of [f]'s cover support exactly when
+   the cube names a fanin that is the node of such a variable. *)
+let meets_support net ~f ~d =
+  let f_fanins = Network.fanins net f in
+  let support =
+    List.map (Array.get f_fanins) (Cover.support (Network.cover net f))
+  in
+  let named = Array.map (fun x -> List.mem x support) (Network.fanins net d) in
+  List.for_all
+    (fun k ->
+      Cube.fold_literals (fun hit l -> hit || named.(Literal.var l)) false k)
+    (Cover.cubes (Network.cover net d))
+
+let reject counters =
+  Option.iter (fun c -> Counters.add c.Counters.floor_rejects 1) counters
+
 (* POS substitution at the cover level: lift d into f's fanin space
    extended by d's other fanins, divide in product-of-sums form, and
    rebuild f's SOP cover as (q + d)·r with d as a literal. The identity
    is algebraic on covers, so no implication machinery is involved.
    Three exact tests settle most attempts before any complement is
    minimised: the support test (a cube of d naming no variable of f's
-   cover), the region floor on f's and d's truth table, and, after the
-   first two complements, the sliced floor on the factors' complements.
-   The gain is decided on the normalised cover the network would store,
-   so a failing attempt never mutates it. *)
-let substitute_pos ?counters net ~f ~d =
+   cover), the unit's region floor on f's and d's truth table, and,
+   after the first two complements, the sliced floor on the factors'
+   complements. The gain is decided on the normalised cover the network
+   would store, so a failing attempt never mutates it. *)
+let pos_unit ?counters ~floor net ~f ~d =
   if
     f = d
     || Network.is_input net f
     || Network.is_input net d
     || Network.depends_on net d f
   then false
+  else if not (meets_support net ~f ~d) then (reject counters; false)
   else begin
-    let before_lits = Lit_count.node_factored net f in
-    let f_fanins = Network.fanins net f and d_fanins = Network.fanins net d in
-    let f_cover = Network.cover net f and d_cover = Network.cover net d in
-    let reject () =
-      Option.iter (fun c -> Counters.add c.Counters.floor_rejects 1) counters
-    in
-    (* The combined slots are f's fanins, then d's that f lacks, in d's
-       order: d's slot [v] goes to [slot.(v)]. [map] gives d's fanin
-       slots among f's, [-1] where f lacks the fanin. *)
-    let map = Lift.slot_map net ~src:d ~dst:f in
-    let next = ref (Array.length f_fanins) in
-    let slot =
-      Array.map
-        (fun s ->
-          if s >= 0 then s
-          else begin
-            incr next;
-            !next - 1
-          end)
-        map
-    in
-    let d_lift = Cover.map_vars (Array.get slot) d_cover in
-    if not (Division.meets_support ~f:f_cover ~d:d_lift) then (reject (); false)
-    else begin
-      (* With [d] a new fanin its literal gets a slot of its own, and the
-         floors hold for the stored cover. *)
-      let fresh = not (Array.mem d f_fanins) in
-      if fresh && Lit_floor.pos ~f:f_cover ~d:d_lift >= before_lits then
-        (reject (); false)
-      else
-        match
-          Option.bind
-            (Division.pos_complements ~complement_limit:pos_cube_limit
-               ~f:f_cover ~d:d_lift ())
-            (fun (q_not, r_not) ->
-              if fresh && Lit_floor.pos_rebuild ~q_not ~r_not >= before_lits
-              then (reject (); None)
-              else
-                Division.pos_of_complements ~complement_limit:pos_cube_limit
-                  (q_not, r_not))
-        with
-        | None -> false
-        | Some { pos_quotient; pos_remainder } ->
-          let combined =
-            Array.append f_fanins
-              (Array.of_list
-                 (List.filteri
-                    (fun v _ -> map.(v) < 0)
-                    (Array.to_list d_fanins)))
-          in
-          let d_slot = Array.length combined in
-          let d_lit =
-            Cover.of_cubes [ Cube.of_literals_exn [ Literal.pos d_slot ] ]
-          in
-          let rebuilt =
-            Cover.product (Cover.union pos_quotient d_lit) pos_remainder
-          in
-          let fanins = Array.append combined [| d |] in
-          Cover.cube_count rebuilt <= pos_cube_limit
-          && Lift.set_function_if_cheaper net f ~below:before_lits ~fanins
-               rebuilt
-    end
+    let { map; d_lift; before_lits; cannot_pay } = Lazy.force floor in
+    (* With [d] a new fanin its literal gets a slot of its own, and the
+       floors hold for the stored cover. *)
+    let fresh = not (Array.mem d (Network.fanins net f)) in
+    if cannot_pay then (reject counters; false)
+    else
+      let f_fanins = Network.fanins net f and f_cover = Network.cover net f in
+      match
+        Option.bind
+          (Division.pos_complements ~complement_limit:pos_cube_limit
+             ~f:f_cover ~d:d_lift ())
+          (fun (q_not, r_not) ->
+            if fresh && Lit_floor.pos_rebuild ~q_not ~r_not >= before_lits
+            then (reject counters; None)
+            else
+              Division.pos_of_complements ~complement_limit:pos_cube_limit
+                (q_not, r_not))
+      with
+      | None -> false
+      | Some { pos_quotient; pos_remainder } ->
+        let combined =
+          Array.append f_fanins
+            (Array.of_list
+               (List.filteri
+                  (fun v _ -> map.(v) < 0)
+                  (Array.to_list (Network.fanins net d))))
+        in
+        let d_slot = Array.length combined in
+        let d_lit =
+          Cover.of_cubes [ Cube.of_literals_exn [ Literal.pos d_slot ] ]
+        in
+        let rebuilt =
+          Cover.product (Cover.union pos_quotient d_lit) pos_remainder
+        in
+        let fanins = Array.append combined [| d |] in
+        Cover.cube_count rebuilt <= pos_cube_limit
+        && Lift.set_function_if_cheaper net f ~below:before_lits ~fanins
+             rebuilt
   end
+
+let substitute_pos ?counters net ~f ~d =
+  pos_unit ?counters ~floor:(unit_floor net ~f ~d) net ~f ~d
 
 (* One basic-division work unit of [f] against [d]: the direct phase,
    the complemented one, then the combined rewrite when neither
    commits. *)
-let attempt_basic ~config ?budget ~counters ~sigs net ~f ~d =
+let basic_unit ~floor ~config ?budget ~counters ~sigs net ~f ~d =
   let gdc = config.gdc and learn_depth = config.learn_depth in
   (* Per-phase signature gate: dividing f by d needs their onsets to
      meet; dividing by d' needs f's onset to meet d's offset. Checked
@@ -189,11 +222,25 @@ let attempt_basic ~config ?budget ~counters ~sigs net ~f ~d =
   let sos phase = lazy (Basic_division.f1_indices ~phase net ~f ~d) in
   let direct_sos = sos true and complement_sos = sos false in
   let f1 phase = Lazy.force (if phase then direct_sos else complement_sos) in
+  (* Where the division's region sees every fanin assignment, the
+     unit's region floor bounds both phases and the combined rewrite
+     (DESIGN §19.10). Decided when a phase first has an SOS set, so
+     before anything commits. *)
+  let blocked =
+    lazy
+      ((Lazy.force floor).cannot_pay
+      && Basic_division.exact_region ~gdc ?budget ?dc:config.dc net ~f ~d
+      && begin
+        Counters.add counters.Counters.floor_rejects 1;
+        true
+      end)
+  in
   let commit phase =
     phase_possible phase
     &&
     let f1 = f1 phase in
     f1 <> []
+    && (not (Lazy.force blocked))
     &&
     match
       Basic_division.try_divide ~phase ~gdc ~learn_depth ?budget ~counters
@@ -219,6 +266,7 @@ let attempt_basic ~config ?budget ~counters ~sigs net ~f ~d =
   let commit_both () =
     phase_possible true && phase_possible false
     && f1 true <> [] && f1 false <> []
+    && (not (Lazy.force blocked))
     && Option.is_some
          (Network.attempt net @@ fun () ->
           let first =
@@ -241,6 +289,10 @@ let attempt_basic ~config ?budget ~counters ~sigs net ~f ~d =
   else if config.use_complement then commit_both ()
   else false
 
+let attempt_basic ~config ?budget ~counters ~sigs net ~f ~d =
+  basic_unit ~floor:(unit_floor net ~f ~d) ~config ?budget ~counters ~sigs net
+    ~f ~d
+
 (* One work unit of the greedy policy for a node f: the extended-division
    attempt over the pool, or one basic/POS attempt against a divisor. *)
 type unit_task = Ext of Network.node_id list | Div of Network.node_id
@@ -257,16 +309,16 @@ let make_attempts ~config ?fault_fuel ?deadline_at ~trace ~counters ~sigs net
     if fault_fuel = None && deadline_at = None then None
     else Some (Budget.create ?fuel:fault_fuel ?deadline_at ())
   in
-  let attempt_basic ?budget f d =
+  let attempt_basic ~floor ?budget f d =
     Counters.timed counters `Division @@ fun () ->
     Counters.add counters.Counters.divisions_attempted 1;
-    attempt_basic ~config ?budget ~counters ~sigs net ~f ~d
+    basic_unit ~floor ~config ?budget ~counters ~sigs net ~f ~d
   in
-  let attempt_pos f d =
+  let attempt_pos ~floor f d =
     config.try_pos
     && Counters.timed counters `Division @@ fun () ->
        Counters.add counters.Counters.divisions_attempted 1;
-       substitute_pos ~counters net ~f ~d
+       pos_unit ~counters ~floor net ~f ~d
   in
   let attempt_extended ?budget f pool =
     Counters.timed counters `Division @@ fun () ->
@@ -287,8 +339,11 @@ let make_attempts ~config ?fault_fuel ?deadline_at ~trace ~counters ~sigs net
       match task with
       | Ext pool -> attempt_extended ?budget f pool
       | Div d ->
-        if attempt_basic ?budget f d then Some `Basic
-        else if attempt_pos f d then Some `Pos
+        (* POS runs only when the basic unit committed nothing, so the
+           floor still describes [f]. *)
+        let floor = unit_floor net ~f ~d in
+        if attempt_basic ~floor ?budget f d then Some `Basic
+        else if attempt_pos ~floor f d then Some `Pos
         else None
     in
     let kind = match task with Ext _ -> "ext" | Div _ -> "div" in

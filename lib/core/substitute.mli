@@ -99,12 +99,14 @@ val substitute_pos :
 (** One POS-form substitution attempt [f = (q + d)·r], committed on
     positive factored gain; the network is mutated only on a commit.
     Three exact tests reject most attempts that cannot pay, each
-    tallied in [counters]' [floor_rejects]: before any complement,
-    {!Division.meets_support} and, when [d] is not yet a fanin
-    of [f], the region floor {!Logic_network.Lit_floor.pos}; after
-    [f]'s and [d]'s complements, the sliced floor
-    {!Logic_network.Lit_floor.pos_rebuild}. Exposed for the examples
-    and tests. *)
+    tallied in [counters]' [floor_rejects]: before any complement, the
+    support test ({!Division.meets_support}, decided on [d]'s own cover
+    against the nodes of [f]'s cover support, before [d] is lifted)
+    and, when [d] is not yet a fanin of [f], the region floor
+    {!Logic_network.Lit_floor.pos}; after [f]'s and [d]'s complements,
+    the sliced floor {!Logic_network.Lit_floor.pos_rebuild}. {!run}
+    shares the region floor with the basic unit of the same pair.
+    Exposed for the examples and tests. *)
 
 val attempt_basic :
   config:config ->
@@ -118,10 +120,16 @@ val attempt_basic :
 (** One basic-division work unit of [f] against [d], as {!run} runs it:
     [f = q·d + r] committed on a literal gain, then (with
     [config.use_complement]) [f = q·d' + r], then, when neither
-    committed, the combined rewrite [f = q·d + q'·d' + r] on a copy.
+    committed, the combined rewrite [f = q·d + q'·d' + r] in one
+    {!Logic_network.Network.attempt}.
     Each phase's SOS set ({!Basic_division.f1_indices}) is computed at
     most once and handed to the division. The combined rewrite runs only
     when both sets are non-empty: without a phase-false SOS cube its
-    second division cannot divide. [sigs] must belong to the network;
-    they gate each phase. *)
+    second division cannot divide. When [d] is not yet a fanin of [f],
+    the region floor {!Logic_network.Lit_floor.pos} reaches [f]'s
+    factored count and {!Basic_division.exact_region} holds, no
+    division runs: none could pay. That figure is computed at most
+    once, when a phase first has an SOS set, and each blocked unit is
+    tallied in [counters]' [floor_rejects]. [sigs] must belong to the
+    network; they gate each phase. *)
 

@@ -18,22 +18,27 @@ val functional_support : Twolevel.Cover.t -> int list
     above. Memoised per domain on the cover ({!Twolevel.Cover_memo}). *)
 
 val pos : f:Twolevel.Cover.t -> d:Twolevel.Cover.t -> int
-(** A floor on the factored count of [f]'s cover after a product-of-sums
-    substitution [f = (q + y)·r] by a divisor [d] that is not yet a
-    fanin of [f]. [f] and [d] are covers over one slot space; [y] is a
-    new slot for [d]'s literal. The rebuilt cover [g] satisfies
-    [g(x, d(x)) = f(x)]. Take a pair of minterms that differ in one
+(** A floor on the factored count of [f]'s cover after any rewrite by a
+    divisor [d] that is not yet a fanin of [f] and whose result [g]
+    satisfies [g(x, d(x)) = f(x)] for every assignment [x]: a
+    product-of-sums substitution [f = (q + y)·r], and a basic division
+    whose implication region sees every fanin assignment (both phases
+    and the combined rewrite; DESIGN §19.10). [f] and [d] are covers
+    over one slot space; [y] is a new slot for [d]'s literal, which [g]
+    may name in either phase. Take a pair of minterms that differ in one
     variable and lie on one side of [d] (both in [d] or both outside):
     [g] at the matching value of [y] is [f] on both, so every cover of
     [g] names each literal [f] needs on such a pair. If [g] depends on
-    [y] its cover also names [y]; otherwise [g] is [f]. The floor is
-    [min (|RL(f)|, |RL_d(f)| + 1)], [RL] as in {!required_literals} and
+    [y] its cover also names [y] or [y']; otherwise [g] is [f]. The
+    floor is [min (|RL(f)|, |RL_d(f)| + 1)], [RL] as in
+    {!required_literals} and
     [RL_d] its same-side part ({!Twolevel.Truth_table.region_literals}),
     when both covers fit one truth table. Above
     {!Twolevel.Truth_table.max_vars} variables it is the support floor:
     the variables of [f]'s functional support that [d]'s cover does not
-    name, plus one when the support meets [d]'s. The stored cover is
-    the injective renaming of [g], so it names as many literals. *)
+    name, plus one when the support meets [d]'s. With [d] a new fanin
+    the stored cover is the injective renaming of [g], so it names as
+    many literals. *)
 
 val required_literals : Twolevel.Cover.t -> int
 (** The literals every SOP cover of the cover's function names (see

@@ -1355,6 +1355,36 @@ let prop_floors_below_true_count =
             nodes)
         nodes)
 
+(* Where {!Basic_division.exact_region} holds and [d] is a new fanin,
+   the region floor is at most the factored count every division of the
+   basic unit leaves on [f]: the direct and the complemented one, and the
+   combined rewrite. Those that commit are among them. *)
+let prop_region_floor_below_basic_divisions =
+  QCheck2.Test.make ~name:"region floor never exceeds a basic division's count"
+    ~count:60 ~print:string_of_int Net_mutations.gen_seed (fun seed ->
+      let _, net = floor_network seed in
+      let nodes = List.sort Int.compare (Network.logic_ids net) in
+      let bounded f d =
+        f = d
+        || Array.mem d (Network.fanins net f)
+        || (not (Basic_division.exact_region net ~f ~d))
+        ||
+        let floor =
+          Lit_floor.pos ~f:(Network.cover net f) ~d:(snd (pos_lift net ~f ~d))
+        in
+        let leaves divide =
+          let scratch = Network.copy net in
+          Option.is_none (divide scratch)
+          || floor <= Lit_count.node_factored scratch f
+        in
+        leaves (fun n -> Basic_division.divide n ~f ~d)
+        && leaves (fun n -> Basic_division.divide ~phase:false n ~f ~d)
+        && leaves (fun n ->
+               Option.bind (Basic_division.divide n ~f ~d) (fun _ ->
+                   Basic_division.divide ~phase:false n ~f ~d))
+      in
+      List.for_all (fun f -> List.for_all (bounded f) nodes) nodes)
+
 (* Functional support against brute-force cofactor comparison, on
    sparse covers of up to 13 variables (the truth-table path up to 10,
    the cofactor path above). *)
@@ -1424,32 +1454,37 @@ let test_slot_sos_matches_lifted () =
   Alcotest.(check bool) "both phases found SOS cubes" true
     (!divided > 0 && !complemented > 0)
 
+let with_sigs attempt net =
+  let sigs = Logic_sim.Signature.create net in
+  Fun.protect
+    ~finally:(fun () -> Logic_sim.Signature.detach sigs)
+    (fun () -> attempt ~sigs net)
+
+(* The basic unit against the frozen one on two copies of [net]. *)
+let same_basic_unit ~gated ~combined ~config ~counters net ~f ~d =
+  same_attempt "attempt_basic"
+    ~oracle:
+      (with_sigs (fun ~sigs n ->
+           Oracle.attempt_basic ~gated ~combined ~config ~counters ~sigs n ~f
+             ~d))
+    ~current:
+      (with_sigs (fun ~sigs n ->
+           Booldiv.Substitute.attempt_basic ~config ~counters ~sigs n ~f ~d))
+    net
+
 (* The basic work unit against the frozen one on two copies: the same
    verdict, network and id allocator, in the local and the global
    configurations. The combined rewrite's gate must have skipped runs,
-   and some combined rewrites must commit (they are rare: the last five
-   seeds are networks where one does). *)
+   and some combined rewrites must commit (they are rare: seeds 169,
+   561, 727, 1784 and 2228 are networks where one does). Seed 634 holds
+   a dividend the region floor must not block (see
+   [test_exact_region_holes]). *)
 let test_attempt_basic_matches_frozen () =
   let gated = ref 0 and combined = ref 0 and commits = ref 0 in
   let counters = Rar_util.Counters.create () in
-  let with_sigs attempt net =
-    let sigs = Logic_sim.Signature.create net in
-    Fun.protect
-      ~finally:(fun () -> Logic_sim.Signature.detach sigs)
-      (fun () -> attempt ~sigs net)
-  in
-  let seeds = List.init 80 succ @ [ 169; 561; 727; 1784; 2228 ] in
+  let seeds = List.init 80 succ @ [ 169; 561; 634; 727; 1784; 2228 ] in
   let attempt ~config net ~f ~d =
-    same_attempt "attempt_basic"
-      ~oracle:
-        (with_sigs (fun ~sigs n ->
-             Oracle.attempt_basic ~gated ~combined ~config ~counters ~sigs n
-               ~f ~d))
-      ~current:
-        (with_sigs (fun ~sigs n ->
-             Booldiv.Substitute.attempt_basic ~config ~counters ~sigs n ~f
-               ~d))
-      net
+    same_basic_unit ~gated ~combined ~config ~counters net ~f ~d
   in
   List.iter
     (fun seed ->
@@ -1470,6 +1505,110 @@ let test_attempt_basic_matches_frozen () =
   Alcotest.(check bool) "the gate skipped combined rewrites" true
     (!gated > 0);
   Alcotest.(check bool) "combined rewrites committed" true (!combined > 0)
+
+(* f = ab against d = a + b: the region floor reaches f's 2 literals,
+   so the unit runs no division. With a unit budget it runs them, and
+   the budget is spent as before. *)
+let test_region_floor_blocks () =
+  let run ?budget () =
+    let net =
+      Builder.of_spec ~inputs:[ "a"; "b" ]
+        ~nodes:[ ("d", "a + b"); ("f", "ab") ]
+        ~outputs:[ "f"; "d" ]
+    in
+    let counters = Rar_util.Counters.create () in
+    let committed =
+      with_sigs
+        (fun ~sigs n ->
+          Booldiv.Substitute.attempt_basic
+            ~config:Booldiv.Substitute.extended_config ?budget ~counters ~sigs
+            n ~f:(Builder.node n "f") ~d:(Builder.node n "d"))
+        net
+    in
+    Alcotest.(check bool) "no commit" false committed;
+    Atomic.
+      ( get counters.Rar_util.Counters.floor_rejects,
+        get counters.Rar_util.Counters.imply_creates )
+  in
+  Alcotest.(check (pair int int)) "blocked" (1, 0) (run ());
+  let rejects, creates = run ~budget:(Rar_util.Budget.create ~fuel:1000 ()) () in
+  Alcotest.(check int) "with a budget: not blocked" 0 rejects;
+  Alcotest.(check bool) "with a budget: divisions ran" true (creates > 0)
+
+(* The region floor blocks a basic unit only where the division's
+   region sees every fanin assignment of [f] and [d] and no observability
+   don't care ({!Basic_division.exact_region}). Each network below
+   breaks one condition, and its unit commits although the floor reaches
+   [f]'s count: the division there leaves a cover that differs from [f]
+   where the region cannot see. *)
+let test_exact_region_holes () =
+  let commits ?(config = Booldiv.Substitute.extended_config) what net ~f ~d =
+    let fresh = not (Array.mem d (Network.fanins net f)) in
+    let floor =
+      Lit_floor.pos ~f:(Network.cover net f) ~d:(snd (pos_lift net ~f ~d))
+    in
+    Alcotest.(check bool)
+      (what ^ ": the floor reaches f's count") true
+      (fresh && floor >= Lit_count.node_factored net f);
+    let counters = Rar_util.Counters.create () in
+    Alcotest.(check bool)
+      (what ^ ": the unit commits") true
+      (same_basic_unit ~gated:(ref 0) ~combined:(ref 0) ~config ~counters net
+         ~f ~d);
+    Alcotest.(check int)
+      (what ^ ": no floor rejection") 0
+      (Atomic.get counters.Rar_util.Counters.floor_rejects)
+  in
+  (* A fanin's fanin is [d]: n4 = d1 is a satisfiability don't care. *)
+  let net =
+    Builder.of_spec ~inputs:[ "i1"; "i5" ]
+      ~nodes:[ ("d1", "i5"); ("n4", "d1"); ("f", "n4' i5' i1") ]
+      ~outputs:[ "f"; "d1" ]
+  in
+  commits "fanin's fanin is d" net ~f:(Builder.node net "f")
+    ~d:(Builder.node net "d1");
+  (* Global implications see the same chain one level further down. *)
+  let net =
+    Builder.of_spec ~inputs:[ "i1"; "i5" ]
+      ~nodes:[ ("d1", "i5"); ("m", "d1"); ("n4", "m"); ("f", "n4' i5' i1") ]
+      ~outputs:[ "f"; "d1" ]
+  in
+  commits ~config:Booldiv.Substitute.extended_gdc_config "global region" net
+    ~f:(Builder.node net "f") ~d:(Builder.node net "d1");
+  (* A fanin with no cube: the arena seeds it as 0, and the quotient
+     cube n4·i3 goes. *)
+  let net =
+    Builder.of_spec ~inputs:[ "a"; "b"; "i3" ]
+      ~nodes:[ ("d", "i3"); ("n4", "0"); ("f", "n4 i3 + a b") ]
+      ~outputs:[ "f"; "d" ]
+  in
+  commits "constant-zero fanin" net ~f:(Builder.node net "f")
+    ~d:(Builder.node net "d");
+  (* A fanin's fanin with no cube: n4 = n5·c is 0 in the arena. *)
+  let net =
+    Builder.of_spec ~inputs:[ "a"; "b"; "c"; "i3" ]
+      ~nodes:
+        [ ("d", "i3"); ("n5", "0"); ("n4", "n5 c"); ("f", "n4 i3 + a b") ]
+      ~outputs:[ "f"; "d" ]
+  in
+  commits "constant fanin's fanin" net ~f:(Builder.node net "f")
+    ~d:(Builder.node net "d");
+  (* A tautological fanin that no cover spells as the top cube. *)
+  let net =
+    Builder.of_spec ~inputs:[ "n3"; "i3" ]
+      ~nodes:[ ("d", "i3"); ("n4", "n3 + n3'"); ("f", "n4 + i3'") ]
+      ~outputs:[ "f"; "d" ]
+  in
+  commits "tautological fanin" net ~f:(Builder.node net "f")
+    ~d:(Builder.node net "d");
+  (* g2 = i4' reaches the output only through g10 = g2·g7'·g3' + g7·g3,
+     and g7 = 1: dividing by g4 = i4 forces the dominator's side input
+     g7 to 0 and removes every wire of the quotient. *)
+  let _, net = floor_network 634 in
+  let named name =
+    List.find (fun id -> Network.name net id = name) (Network.logic_ids net)
+  in
+  commits "dominated dividend" net ~f:(named "g2") ~d:(named "g4")
 
 (* The combined-phase gate's lemma: after dividing [f] by [d], no cube
    of [f] lies inside a cube of [d'] unless one of the original [f]'s
@@ -1869,6 +2008,10 @@ let () =
             test_slot_sos_matches_lifted;
           Alcotest.test_case "basic unit matches the frozen one" `Quick
             test_attempt_basic_matches_frozen;
+          Alcotest.test_case "region floor blocks a unit" `Quick
+            test_region_floor_blocks;
+          Alcotest.test_case "region floor holes commit" `Quick
+            test_exact_region_holes;
           Alcotest.test_case "POS remainder floor below the true count" `Quick
             test_pos_remainder_floor;
           Alcotest.test_case "POS remainder floor without the divisor" `Quick
@@ -1893,6 +2036,7 @@ let () =
             prop_cliques_are_maximal_cliques;
             prop_best_core_matches_frozen;
             prop_floors_below_true_count;
+            prop_region_floor_below_basic_divisions;
             prop_sliced_floor_below_stored_count;
             prop_functional_support;
             prop_combined_gate_exact;
